@@ -85,24 +85,19 @@ let parse_error_to_type_error f s =
   | exception Scan.Parse_error msg -> raise (Value.Type_error msg)
 
 (* Conservative index extents: NOW-relative endpoints are unbounded so
-   that entries stay valid as time advances (the executor rechecks). *)
-let instant_extent = function
-  | Instant.Fixed c ->
-    let s = Chronon.to_unix_seconds c in
-    Some (s, s)
-  | Instant.Now_relative _ -> Some (min_int, max_int)
+   that entries stay valid as time advances (the executor rechecks). A
+   fixed endpoint's unix seconds are read straight off the instant's
+   encoding (see Instant). *)
+let endpoint (i : Instant.t) ~unbounded =
+  let x = (i :> int) in
+  if x land 1 = 0 then x asr 1 else unbounded
 
-let period_extent p =
-  let lo =
-    match Period.start_instant p with
-    | Instant.Fixed c -> Chronon.to_unix_seconds c
-    | Instant.Now_relative _ -> min_int
-  in
-  let hi =
-    match Period.end_instant p with
-    | Instant.Fixed c -> Chronon.to_unix_seconds c
-    | Instant.Now_relative _ -> max_int
-  in
+let instant_extent i =
+  (endpoint i ~unbounded:min_int, endpoint i ~unbounded:max_int)
+
+let period_extent (p : Period.t) =
+  let lo = endpoint p.Period.start_ ~unbounded:min_int
+  and hi = endpoint p.Period.end_ ~unbounded:max_int in
   if lo > hi then None else Some (lo, hi)
 
 (* One index entry per period: an interval index over elements then
@@ -115,6 +110,12 @@ let element_extents e =
       match period_extent p with Some ext -> ext :: acc | None -> acc)
     [] e
   |> List.rev
+
+(* The element type's NOW-free [overlaps] (see [Value.vtable]). *)
+let element_overlap a b =
+  match a, b with
+  | Value.Ext (_, V_element x), Value.Ext (_, V_element y) -> Element.overlap x y
+  | _, _ -> Value.Not_finite
 
 let registered = ref false
 
@@ -131,13 +132,15 @@ let register_types () =
           Some
             (fun v ->
               let s = Chronon.to_unix_seconds (as_chronon v) in
-              [ (s, s) ]) };
+              [ (s, s) ]);
+        overlaps = None };
     Value.register_type ~name:span_type
       { Value.parse =
           (fun s -> span (parse_error_to_type_error Span.of_string_exn s));
         print = (fun v -> Span.to_string (as_span v));
         compare = Some (fun a b -> Span.compare (as_span a) (as_span b));
-        extents = None };
+        extents = None;
+        overlaps = None };
     (* Instants have no NOW-independent total order, so no [compare]:
        ordering them is the job of the blade's comparison operators,
        which receive the statement's transaction time. *)
@@ -146,21 +149,24 @@ let register_types () =
           (fun s -> instant (parse_error_to_type_error Instant.of_string_exn s));
         print = (fun v -> Instant.to_string (as_instant v));
         compare = None;
-        extents =
-          Some (fun v -> Option.to_list (instant_extent (as_instant v))) };
+        extents = Some (fun v -> [ instant_extent (as_instant v) ]);
+        overlaps = None };
+    (* Period [overlaps] is the strict Allen relation: no NOW-free test. *)
     Value.register_type ~name:period_type
       { Value.parse =
           (fun s -> period (parse_error_to_type_error Period.of_string_exn s));
         print = (fun v -> Period.to_string (as_period v));
         compare = None;
         extents =
-          Some (fun v -> Option.to_list (period_extent (as_period v))) };
+          Some (fun v -> Option.to_list (period_extent (as_period v)));
+        overlaps = None };
     Value.register_type ~name:element_type
       { Value.parse =
           (fun s -> element (parse_error_to_type_error Element.of_string_exn s));
         print = (fun v -> Element.to_string (as_element v));
         compare = None;
-        extents = Some (fun v -> element_extents (as_element v)) };
+        extents = Some (fun v -> element_extents (as_element v));
+        overlaps = Some element_overlap };
     Value.register_type ~name:profile_type
       { Value.parse =
           (fun s -> profile (parse_error_to_type_error Profile.of_string_exn s));
@@ -173,5 +179,6 @@ let register_types () =
                 (fun e ->
                   let s, e' = e.Profile.span_ in
                   (Chronon.to_unix_seconds s, Chronon.to_unix_seconds e'))
-                (Profile.entries (as_profile v))) }
+                (Profile.entries (as_profile v)));
+        overlaps = None }
   end

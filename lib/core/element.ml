@@ -166,6 +166,38 @@ let complement ~now ~within t =
 let overlaps ~now a b = ground_overlaps (ground ~now a) (ground ~now b)
 let contains ~now a b = ground_contains (ground ~now a) (ground ~now b)
 
+(* --- NOW-free overlap (the batch executor's per-row test) ----------- *)
+
+type overlap = Hit | Miss | Not_finite
+
+(* Raw instants are read through [:> int]: bit 0 is the NOW-relative
+   tag, and two fixed instants compare like their chronons (see
+   Instant). Empty (inverted) periods never match. *)
+let rec meets_fixed s1 e1 = function
+  | [] -> false
+  | { Period.start_; end_ } :: rest ->
+    let s2 = (start_ :> int) and e2 = (end_ :> int) in
+    ((s2 lor e2) land 1 = 0 && s2 <= e2 && s1 <= e2 && s2 <= e1)
+    || meets_fixed s1 e1 rest
+
+let rec has_now_relative = function
+  | [] -> false
+  | { Period.start_; end_ } :: rest ->
+    ((start_ :> int) lor (end_ :> int)) land 1 = 1 || has_now_relative rest
+
+(* A hit between fixed periods holds under any NOW; a miss is final only
+   when no period of either side has a NOW-relative endpoint. *)
+let rec overlap_from ~relative a b =
+  match a with
+  | [] -> if relative || has_now_relative b then Not_finite else Miss
+  | { Period.start_; end_ } :: rest ->
+    let s1 = (start_ :> int) and e1 = (end_ :> int) in
+    if (s1 lor e1) land 1 = 1 then overlap_from ~relative:true rest b
+    else if s1 <= e1 && meets_fixed s1 e1 b then Hit
+    else overlap_from ~relative rest b
+
+let overlap a b = overlap_from ~relative:false a b
+
 let contains_chronon ~now t c =
   List.exists (fun p -> Period.contains_chronon ~now p c) t
 

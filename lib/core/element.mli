@@ -51,6 +51,18 @@ val overlaps : now:Chronon.t -> t -> t -> bool
 (** [contains ~now a b]: does [a] cover every chronon of [b]? *)
 val contains : now:Chronon.t -> t -> t -> bool
 
+(** The answer of {!overlap}. *)
+type overlap =
+  | Hit  (** nonempty fixed periods of the two share a chronon *)
+  | Miss  (** no such pair, and every endpoint is fixed *)
+  | Not_finite  (** no such pair, and some endpoint is NOW-relative *)
+
+(** [overlap a b] answers {!overlaps} from the periods as written,
+    without a NOW binding and without allocating: after [Hit] (or
+    [Miss]), [overlaps ~now a b] is [true] (or [false]) for every [now].
+    The batch executor's [overlaps] kernel calls it once per row. *)
+val overlap : t -> t -> overlap
+
 val contains_chronon : now:Chronon.t -> t -> Chronon.t -> bool
 val contains_period : now:Chronon.t -> t -> Period.t -> bool
 

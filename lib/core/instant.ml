@@ -3,72 +3,93 @@
    changes as time advances. "NOW-1" denotes yesterday.
 
    All observations of a NOW-relative instant go through [bind], which
-   substitutes a concrete chronon (the current transaction time) for NOW. *)
+   substitutes a concrete chronon (the current transaction time) for NOW.
 
-type t =
-  | Fixed of Chronon.t
-  | Now_relative of Span.t
+   Representation: an immediate int holding the seconds (the chronon's
+   unix seconds, or the offset) shifted left one bit, with the tag in
+   bit 0: clear for a fixed chronon, set for a NOW-relative offset.
+   Nothing is boxed, so a period is one flat block of two ints, and the
+   shift keeps fixed instants in chronon order. The interface exports
+   [t] as [private int] so scan loops in other modules can test the tag
+   and shift inline: the build passes [-opaque], so a call into this
+   module is never inlined. *)
 
-let of_chronon c = Fixed c
-let now = Now_relative Span.zero
-let now_plus span = Now_relative span
-let now_minus span = Now_relative (Span.neg span)
+type t = int
 
-let is_now_relative = function Fixed _ -> false | Now_relative _ -> true
+let min_seconds = min_int asr 1
+let max_seconds = max_int asr 1
+let in_range x = min_seconds <= x && x <= max_seconds
 
-let bind ~now:current = function
-  | Fixed c -> c
-  | Now_relative offset -> Chronon.add current offset
+let fixed x = x lsl 1
+let relative x = (x lsl 1) lor 1
+let seconds t = t asr 1
 
-let add t span =
-  match t with
-  | Fixed c -> Fixed (Chronon.add c span)
-  | Now_relative offset -> Now_relative (Span.add offset span)
+let is_now_relative t = t land 1 <> 0
+
+let of_chronon c =
+  let x = Chronon.to_unix_seconds c in
+  if in_range x then fixed x else invalid_arg "Instant.of_chronon: out of range"
+
+let now_plus span =
+  let x = Span.to_seconds span in
+  if in_range x then relative x else invalid_arg "Instant.now_plus: out of range"
+
+let now = relative 0
+let now_minus span = now_plus (Span.neg span)
+
+let bind ~now:current t =
+  if is_now_relative t then Chronon.add current (Span.of_seconds (seconds t))
+  else Chronon.of_unix_seconds (seconds t)
+
+(* Adding an even number leaves the tag bit alone. *)
+let add t span = t + (Span.to_seconds span lsl 1)
 
 let sub t span = add t (Span.neg span)
 
 (* [diff a b ~now] needs a NOW binding unless both instants move with NOW,
    in which case the offsets subtract exactly. *)
 let diff ~now:current a b =
-  match a, b with
-  | Now_relative x, Now_relative y -> Span.sub x y
-  | (Fixed _ | Now_relative _), _ ->
-    Chronon.diff (bind ~now:current a) (bind ~now:current b)
+  if is_now_relative a && is_now_relative b then
+    Span.of_seconds (seconds a - seconds b)
+  else Chronon.diff (bind ~now:current a) (bind ~now:current b)
 
 let compare_at ~now:current a b =
   Chronon.compare (bind ~now:current a) (bind ~now:current b)
 
 (* Structural equality: [NOW-1] equals [NOW-1] but not yesterday's date. *)
-let equal a b =
-  match a, b with
-  | Fixed x, Fixed y -> Chronon.equal x y
-  | Now_relative x, Now_relative y -> Span.equal x y
-  | Fixed _, Now_relative _ | Now_relative _, Fixed _ -> false
+let equal = Int.equal
 
-let pp ppf = function
-  | Fixed c -> Chronon.pp ppf c
-  | Now_relative offset ->
+let pp ppf t =
+  if is_now_relative t then begin
+    let offset = Span.of_seconds (seconds t) in
     if Span.equal offset Span.zero then Fmt.string ppf "NOW"
     else if Span.is_negative offset then Fmt.pf ppf "NOW%a" Span.pp offset
     else Fmt.pf ppf "NOW+%a" Span.pp offset
+  end
+  else Chronon.pp ppf (Chronon.of_unix_seconds (seconds t))
 
 let to_string t = Fmt.str "%a" pp t
 
+(* A literal whose seconds fall outside the representable range is
+   refused here rather than wrapped. *)
 let scan s =
+  let checked make x =
+    if in_range x then make x else Scan.fail s "instant out of range"
+  in
   if Scan.eat_keyword s "NOW" then begin
     Scan.skip_ws s;
     match Scan.peek s with
     | Some '+' ->
       Scan.advance s;
       Scan.skip_ws s;
-      Now_relative (Span.scan s)
+      checked relative (Span.to_seconds (Span.scan s))
     | Some '-' ->
       Scan.advance s;
       Scan.skip_ws s;
-      Now_relative (Span.neg (Span.scan s))
-    | Some _ | None -> Now_relative Span.zero
+      checked relative (Span.to_seconds (Span.neg (Span.scan s)))
+    | Some _ | None -> now
   end
-  else Fixed (Chronon.scan s)
+  else checked fixed (Chronon.to_unix_seconds (Chronon.scan s))
 
 let of_string str =
   try Some (Scan.parse_all scan str) with Scan.Parse_error _ -> None

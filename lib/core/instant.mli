@@ -2,17 +2,29 @@
 
     A NOW-relative instant is an offset of type {!Span.t} from the special
     symbol NOW, whose interpretation changes as time advances: ["NOW-1"]
-    denotes yesterday. Notation: a chronon literal, or [NOW[±span]]. *)
+    denotes yesterday. Notation: a chronon literal, or [NOW[±span]].
 
-type t =
-  | Fixed of Chronon.t
-  | Now_relative of Span.t
+    An instant is an immediate integer: its seconds (a chronon's unix
+    seconds, or the offset) shifted left one bit, with bit 0 set for a
+    NOW-relative instant. A scan loop may read one through [(i :> int)]:
+    [land 1] is the tag, [asr 1] the seconds, and two fixed instants
+    compare like their chronons. *)
 
+type t = private int
+
+(** The seconds an instant can hold run from [-2{^61}] to [2{^61} - 1]:
+    about 73 billion years either side of 1970. *)
+val min_seconds : int
+
+val max_seconds : int
+
+(** @raise Invalid_argument outside {!min_seconds}..{!max_seconds}. *)
 val of_chronon : Chronon.t -> t
 
 (** The symbol NOW itself. *)
 val now : t
 
+(** @raise Invalid_argument outside {!min_seconds}..{!max_seconds}. *)
 val now_plus : Span.t -> t
 val now_minus : Span.t -> t
 val is_now_relative : t -> bool
@@ -43,6 +55,9 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** [None] on malformed input and on seconds outside
+    {!min_seconds}..{!max_seconds}. *)
 val of_string : string -> t option
 
 (** @raise Scan.Parse_error on malformed input. *)

@@ -13,9 +13,9 @@ type ground = Chronon.t * Chronon.t
 
 let make ~start_ ~end_ = { start_; end_ }
 let of_instants start_ end_ = { start_; end_ }
-let of_chronons s e = { start_ = Instant.Fixed s; end_ = Instant.Fixed e }
+let of_chronons s e = { start_ = Instant.of_chronon s; end_ = Instant.of_chronon e }
 let of_chronon c = of_chronons c c
-let since c = { start_ = Instant.Fixed c; end_ = Instant.now }
+let since c = { start_ = Instant.of_chronon c; end_ = Instant.now }
 let past span = { start_ = Instant.now_minus span; end_ = Instant.now }
 
 let start_instant t = t.start_
@@ -55,41 +55,6 @@ let overlaps ~now a b =
   match ground ~now a, ground ~now b with
   | Some ga, Some gb -> ground_overlaps ga gb
   | None, _ | _, None -> false
-
-(* --- Batch kernels (vectorized execution) ----------------------------------- *)
-
-(* The batch executor works over conservative integer extents (unix
-   seconds, see Value.extents), not Chronon.t: these kernels are the
-   tight inner loops behind chunked OVERLAPS filters. Each takes a
-   selection vector [sel] of length [n] indexing the bound arrays,
-   compacts it in place to the surviving rows, and returns the new
-   count. *)
-
-(* Rows whose extent [starts.(i), ends.(i)] intersects [lo, hi]. *)
-let batch_overlaps_window ~starts ~ends ~lo ~hi ~sel ~n =
-  let k = ref 0 in
-  for j = 0 to n - 1 do
-    let i = sel.(j) in
-    if starts.(i) <= hi && lo <= ends.(i) then begin
-      sel.(!k) <- i;
-      incr k
-    end
-  done;
-  !k
-
-(* Row pairs whose extents intersect each other: the nonempty-ground-
-   intersection test (s1 <= e2 && s2 <= e1), matching [ground_overlaps]
-   on finite bounds. *)
-let batch_overlaps_pairs ~starts1 ~ends1 ~starts2 ~ends2 ~sel ~n =
-  let k = ref 0 in
-  for j = 0 to n - 1 do
-    let i = sel.(j) in
-    if starts1.(i) <= ends2.(i) && starts2.(i) <= ends1.(i) then begin
-      sel.(!k) <- i;
-      incr k
-    end
-  done;
-  !k
 
 let contains_period ~now a b =
   match ground ~now a, ground ~now b with

@@ -4,7 +4,10 @@
     1999"), so most observations take a [~now] binding. A period whose
     bound start exceeds its bound end denotes the empty set of chronons. *)
 
-type t
+(** The endpoints as written. The record is [private]: scan loops
+    elsewhere (see {!Element.overlap}) read both instants without a call,
+    but periods are built only through the functions below. *)
+type t = private { start_ : Instant.t; end_ : Instant.t }
 
 (** A period with both endpoints bound: [(start, end)] with start <= end. *)
 type ground = Chronon.t * Chronon.t
@@ -57,25 +60,6 @@ val intersect : now:Chronon.t -> t -> t -> t option
 val span_of : now:Chronon.t -> t -> t -> t option
 
 val ground_overlaps : ground -> ground -> bool
-
-(** {1 Batch kernels}
-
-    Tight loops over integer extent arrays (unix-second bounds as
-    produced by [Value.extents]) for the chunked executor. Each kernel
-    compacts the selection vector [sel] (first [n] entries are row
-    indexes into the bound arrays) in place to the rows passing the
-    test, returning the surviving count. *)
-
-(** Keep rows whose extent [starts.(i), ends.(i)] intersects [lo, hi]. *)
-val batch_overlaps_window :
-  starts:int array -> ends:int array -> lo:int -> hi:int ->
-  sel:int array -> n:int -> int
-
-(** Keep rows where extent 1 intersects extent 2 (the nonempty-ground-
-    intersection test, matching {!ground_overlaps} on finite bounds). *)
-val batch_overlaps_pairs :
-  starts1:int array -> ends1:int array -> starts2:int array ->
-  ends2:int array -> sel:int array -> n:int -> int
 
 (** {1 Equality} *)
 

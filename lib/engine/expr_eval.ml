@@ -563,9 +563,9 @@ let pred_truth = function
   | Value.Null -> false
   | v -> eval_error "predicate must be boolean, got %s" (Value.type_name v)
 
-(* Comparison kernel: integer pairs compare inline; NULL drops the row;
-   every other combination goes through [apply_binop], which is exactly
-   what the row-at-a-time closure would have done. *)
+(* Comparison kernel: integer and string pairs compare inline; NULL
+   drops the row; every other combination goes through [apply_binop],
+   which is exactly what the row-at-a-time closure would have done. *)
 let cmp_kernel op ca cb ext : batch_pred =
   let test : int -> int -> bool =
     match op with
@@ -587,6 +587,7 @@ let cmp_kernel op ca cb ext : batch_pred =
       let keep =
         match a, b with
         | Value.Int x, Value.Int y -> test x y
+        | Value.Str x, Value.Str y -> test (String.compare x y) 0
         | Value.Null, _ | _, Value.Null -> false
         | _, _ -> pred_truth (app ~now:ctx.now a b)
       in
@@ -597,58 +598,27 @@ let cmp_kernel op ca cb ext : batch_pred =
     done;
     !k
 
-(* The extent fast path is sound only for element×element overlaps, whose
-   semantics are nonempty ground intersection: with fixed endpoints an
-   element's extents equal its ground periods exactly, so the pairwise
-   interval test below is precise. Period×period overlaps is the strict
-   Allen relation and NOW-relative endpoints need real grounding — both
-   fall back to routine dispatch per row (cached resolution). Elements
-   hold few periods, so the quadratic pair test with early exit beats
-   setting up a merge. *)
-let finite_extents v =
-  match v with
-  | Value.Ext ("element", _) -> (
-    match Value.extents v with
-    | [] -> None
-    | exts
-      when List.for_all (fun (s, e) -> s > min_int && e < max_int) exts ->
-      Some exts
-    | _ -> None)
-  | _ -> None
+let element_type = "element"
 
-let extents_overlap xs ys =
-  List.exists
-    (fun (s1, e1) -> List.exists (fun (s2, e2) -> s1 <= e2 && s2 <= e1) ys)
-    xs
-
+(* [overlaps] of two elements asks the element type's NOW-free test
+   ([Value.vtable.overlaps]), resolved once here: it reads the stored
+   periods in place and allocates nothing. It declines ([Not_finite])
+   when a NOW-relative endpoint could change the answer; that case,
+   non-element operands (period [overlaps] is the strict Allen relation)
+   and string literals still awaiting their cast take the cached routine
+   dispatch the row path uses. NULL drops the row. Nothing is written
+   per row, so morsel workers share the kernel. *)
 let overlaps_kernel ca cb ext : batch_pred =
   let call = routine_caller ext "overlaps" in
-  (* Per-side extents caches, keyed by physical identity of the value.
-     A literal side compiles to one shared value per statement, so its
-     string→element coercion and extent extraction happen once, not per
-     row. Slots hold immutable pairs swapped in a single store, so the
-     caches stay race-safe when morsel workers share the kernel. *)
-  let cache_a : (Value.t * (int * int) list option) option ref = ref None in
-  let cache_b : (Value.t * (int * int) list option) option ref = ref None in
-  let coerced_extents ~now v =
-    match finite_extents v with
-    | Some _ as r -> r
-    | None -> (
-      match v with
-      | Value.Str _ -> (
-        match Extension.apply_cast ext ~now v ~to_type:"element" with
-        | coerced -> finite_extents coerced
-        | exception (Extension.Resolution_error _ | Value.Type_error _) ->
-          None)
-      | _ -> None)
+  let now_free =
+    match Value.lookup_type element_type with
+    | Some { Value.overlaps = Some f; _ } -> f
+    | Some _ | None -> fun _ _ -> Value.Not_finite
   in
-  let extents_of cache ~now v =
-    match !cache with
-    | Some (vin, ext) when vin == v -> ext
-    | _ ->
-      let ext = coerced_extents ~now v in
-      cache := Some (v, ext);
-      ext
+  let routine ctx a b =
+    match call ~now:ctx.now [| a; b |] with
+    | v -> pred_truth v
+    | exception Extension.Resolution_error msg -> eval_error "%s" msg
   in
   fun ctx rows ~sel ~n ->
     let k = ref 0 in
@@ -657,17 +627,15 @@ let overlaps_kernel ca cb ext : batch_pred =
       let row = rows.(i) in
       let a = ca ctx row and b = cb ctx row in
       let keep =
-        if Value.is_null a || Value.is_null b then false
-        else begin
-          match
-            extents_of cache_a ~now:ctx.now a, extents_of cache_b ~now:ctx.now b
-          with
-          | Some xs, Some ys -> extents_overlap xs ys
-          | _, _ -> (
-            match call ~now:ctx.now [| a; b |] with
-            | v -> pred_truth v
-            | exception Extension.Resolution_error msg -> eval_error "%s" msg)
-        end
+        match a, b with
+        | Value.Null, _ | _, Value.Null -> false
+        | Value.Ext (ta, _), Value.Ext (tb, _)
+          when String.equal ta element_type && String.equal tb element_type -> (
+          match now_free a b with
+          | Value.Hit -> true
+          | Value.Miss -> false
+          | Value.Not_finite -> routine ctx a b)
+        | _, _ -> routine ctx a b
       in
       if keep then begin
         sel.(!k) <- i;

@@ -93,10 +93,10 @@ type batch_pred = ctx -> Value.t array array -> sel:int array -> n:int -> int
 val batch_of_predicate : compiled -> batch_pred
 
 (** Compiles a predicate to a fused batch kernel. Conjunctions become
-    sequential kernels over the narrowing selection vector, integer
-    comparisons and single-extent element OVERLAPS run as tight loops,
-    and everything else falls back to {!batch_of_predicate}. Semantics
-    are identical to [to_predicate (compile env e)] on every row. *)
+    sequential kernels over the narrowing selection vector, integer and
+    string comparisons and element OVERLAPS run as tight loops, and
+    everything else falls back to {!batch_of_predicate}. Semantics are
+    identical to [to_predicate (compile env e)] on every row. *)
 val compile_batch : env -> Ast.expr -> batch_pred
 
 (** {1 Pieces exposed for reuse and tests} *)

@@ -376,6 +376,9 @@ let run t =
                 | (`Retry | `Stop) as o -> o))
           with
           | End_of_file | Sys_error _ | Failure _ -> `Retry
+          (* the 5s receive timeout surfaces as [Sys_blocked_io] from a
+             read stuck inside [bootstrap] on a slow snapshot *)
+          | Sys_blocked_io -> `Retry
           | Unix.Unix_error _ -> `Retry
           | Remote.Remote_error _ -> `Retry
         in

@@ -26,6 +26,8 @@ let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
 (* --- Datatype registry ---------------------------------------------- *)
 
+type overlap = Tip_core.Element.overlap = Hit | Miss | Not_finite
+
 type vtable = {
   parse : string -> t;
     (* from a SQL string literal; raises Type_error on bad input *)
@@ -36,6 +38,11 @@ type vtable = {
        covers — one entry per period for set-valued timestamps, with int
        bounds standing in for ±infinity when an endpoint is NOW-relative;
        enables interval indexing *)
+  overlaps : (t -> t -> overlap) option;
+    (* the type's [overlaps] routine on two of its values, answered
+       without allocating when no NOW binding can change the answer
+       ([Not_finite] otherwise); the batch [overlaps] kernel resolves it
+       once per predicate and calls it per row *)
 }
 
 let registry : (string, vtable) Hashtbl.t = Hashtbl.create 16
@@ -48,7 +55,12 @@ let register_type ~name vtable =
     invalid_arg (Printf.sprintf "Value.register_type: %s already registered" key);
   Hashtbl.replace registry key vtable
 
-let lookup_type name = Hashtbl.find_opt registry (canonical_type_name name)
+(* [Ext] names are canonical by construction, so the stored name hits
+   and only another spelling pays for a lowercase copy. *)
+let lookup_type name =
+  match Hashtbl.find_opt registry name with
+  | Some _ as found -> found
+  | None -> Hashtbl.find_opt registry (canonical_type_name name)
 
 let registered_types () =
   Hashtbl.fold (fun name _ acc -> name :: acc) registry []
@@ -67,10 +79,15 @@ let type_name = function
 
 let is_null = function Null -> true | _ -> false
 
+(* Allocation-free on the common path: ordering, equality, hashing and
+   printing of every extension value come through here. *)
 let vtable_of_ext name =
-  match lookup_type name with
-  | Some vt -> vt
-  | None -> type_error "unregistered extension type %s" name
+  match Hashtbl.find registry name with
+  | vt -> vt
+  | exception Not_found -> (
+    match lookup_type name with
+    | Some vt -> vt
+    | None -> type_error "unregistered extension type %s" name)
 
 let to_display_string = function
   | Null -> "NULL"

@@ -24,6 +24,9 @@ exception Type_error of string
 
 (** {1 Datatype registry} *)
 
+(** The answer of a type's NOW-free overlap test ({!vtable.overlaps}). *)
+type overlap = Tip_core.Element.overlap = Hit | Miss | Not_finite
+
 type vtable = {
   parse : string -> t;
       (** build a value from a SQL string literal; raises {!Type_error}
@@ -38,6 +41,12 @@ type vtable = {
           covers, one entry per period for set-valued timestamps, with
           [min_int]/[max_int] for NOW-relative endpoints; enables
           interval indexing *)
+  overlaps : (t -> t -> overlap) option;
+      (** the type's [overlaps] routine on two of its values, answered
+          without allocating: [Hit] or [Miss] when no NOW binding can
+          change the answer, [Not_finite] to send the caller to the
+          routine. The batch [overlaps] kernel resolves it once per
+          predicate. *)
 }
 
 (** Registers a datatype under a (case-insensitive) name.

@@ -180,10 +180,10 @@ let symbolic_element_arb =
     let open Gen in
     let instant =
       oneof
-        [ map (fun d -> Instant.Fixed (Chronon.of_ymd 1999 1 1 |> fun c ->
+        [ map (fun d -> Instant.of_chronon (Chronon.of_ymd 1999 1 1 |> fun c ->
               Chronon.add c (Span.of_days d)))
             (int_range 0 365);
-          map (fun d -> Instant.Now_relative (Span.of_days d)) (int_range (-60) 60) ]
+          map (fun d -> Instant.now_plus (Span.of_days d)) (int_range (-60) 60) ]
     in
     let period =
       let* a = instant in

@@ -74,7 +74,7 @@ let instant_arb =
       (int_range (-3_000_000_000) 3_000_000_000)
   in
   let relative =
-    map (fun s -> Instant.Now_relative (Span.of_seconds s))
+    map (fun s -> Instant.now_plus (Span.of_seconds s))
       (int_range (-100_000_000) 100_000_000)
   in
   let base = oneof [ fixed; relative ] in
@@ -93,8 +93,89 @@ let prop_bind_add =
         (Instant.bind ~now:today (Instant.add i sp))
         (Chronon.add (Instant.bind ~now:today i) sp))
 
+(* --- The immediate encoding against the two-constructor type ------------ *)
+
+(* The representation instants had before they became immediate ints,
+   kept as the reference model the encoding must agree with. *)
+type model = Fixed of int | Now_relative of int
+
+let of_model = function
+  | Fixed c -> Instant.of_chronon (Chronon.of_unix_seconds c)
+  | Now_relative o -> Instant.now_plus (Span.of_seconds o)
+
+let model_bind ~now = function Fixed c -> c | Now_relative o -> now + o
+
+let model_diff ~now a b =
+  match a, b with
+  | Now_relative x, Now_relative y -> x - y
+  | _, _ -> model_bind ~now a - model_bind ~now b
+
+let model_add m s =
+  match m with Fixed c -> Fixed (c + s) | Now_relative o -> Now_relative (o + s)
+
+let payload = function Fixed x | Now_relative x -> x
+
+(* Both ends of the representable range and their neighbours. *)
+let range_ends =
+  [ Instant.min_seconds; Instant.min_seconds + 1; -1; 0; 1;
+    Instant.max_seconds - 1; Instant.max_seconds ]
+
+let model_arb =
+  let open QCheck in
+  let seconds =
+    Gen.oneof [ Gen.oneofl range_ends; Gen.int_range (-3_000_000_000) 3_000_000_000 ]
+  in
+  make
+    ~print:(fun m -> Instant.to_string (of_model m))
+    (Gen.map2 (fun fixed s -> if fixed then Fixed s else Now_relative s) Gen.bool seconds)
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"encoding agrees with the two-constructor model"
+    ~count:2000
+    QCheck.(triple model_arb model_arb (int_range (-1_000_000_000) 1_000_000_000))
+    (fun (ma, mb, s) ->
+      let a = of_model ma and b = of_model mb in
+      let now = Chronon.to_unix_seconds today in
+      let moved = payload ma + s in
+      Chronon.to_unix_seconds (Instant.bind ~now:today a) = model_bind ~now ma
+      && Span.to_seconds (Instant.diff ~now:today a b) = model_diff ~now ma mb
+      && Instant.compare_at ~now:today a b
+         = Int.compare (model_bind ~now ma) (model_bind ~now mb)
+      && Instant.equal a b = (ma = mb)
+      && Instant.is_now_relative a
+         = (match ma with Now_relative _ -> true | Fixed _ -> false)
+      && (moved < Instant.min_seconds || moved > Instant.max_seconds
+         || Instant.equal (Instant.add a (Span.of_seconds s)) (of_model (model_add ma s))))
+
+(* Both ends of the range print and parse back. One second past either
+   end still prints as a chronon or span, but the instant parser refuses
+   it rather than wrap it. *)
+let check_range_ends () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun i ->
+          let text = Instant.to_string i in
+          Alcotest.(check (option instant)) text (Some i) (Instant.of_string text))
+        [ Instant.of_chronon (Chronon.of_unix_seconds x);
+          Instant.now_plus (Span.of_seconds x) ])
+    range_ends;
+  List.iter
+    (fun x ->
+      let relative =
+        (if x < 0 then "NOW" else "NOW+") ^ Span.to_string (Span.of_seconds x)
+      in
+      List.iter
+        (fun text -> Alcotest.(check (option instant)) text None (Instant.of_string text))
+        [ Chronon.to_string (Chronon.of_unix_seconds x); relative ])
+    [ Instant.min_seconds - 1; Instant.max_seconds + 1 ];
+  Alcotest.check_raises "of_chronon past the end"
+    (Invalid_argument "Instant.of_chronon: out of range") (fun () ->
+      ignore (Instant.of_chronon (Chronon.of_unix_seconds (Instant.max_seconds + 1))))
+
 let suite =
   [ Alcotest.test_case "NOW binding" `Quick check_binding;
+    Alcotest.test_case "range ends" `Quick check_range_ends;
     Alcotest.test_case "notation" `Quick check_notation;
     Alcotest.test_case "parsing" `Quick check_parse;
     Alcotest.test_case "comparison changes as time advances" `Quick
@@ -103,4 +184,5 @@ let suite =
     Alcotest.test_case "structural equality keeps NOW symbolic" `Quick
       check_structural_equality;
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_bind_add ]
+    QCheck_alcotest.to_alcotest prop_bind_add;
+    QCheck_alcotest.to_alcotest prop_matches_model ]

@@ -165,6 +165,11 @@ let analyze_sql =
 
 let check_explain_analyze_golden () =
   let db = coalescing_join_db () in
+  (* The footer names the pool, whose default size follows the core
+     count: pin it so the golden reads the same on any machine. *)
+  Pool.set_size 1;
+  Fun.protect ~finally:(fun () -> Pool.set_size (Pool.default_size ()))
+  @@ fun () ->
   match Db.exec db analyze_sql with
   | Db.Message text ->
     Alcotest.(check string) "normalized plan tree"

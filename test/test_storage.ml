@@ -23,7 +23,8 @@ let mood_registered =
                match a, b with
                | Value.Ext (_, Mood x), Value.Ext (_, Mood y) -> String.compare x y
                | _ -> raise (Value.Type_error "not moods"));
-         extents = None })
+         extents = None;
+         overlaps = None })
 
 (* --- Value ------------------------------------------------------------- *)
 

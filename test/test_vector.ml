@@ -371,10 +371,178 @@ let test_cost_build_side () =
       (match buckets with Value.Int n -> n > 0 | _ -> false)
   | _ -> Alcotest.fail "expected one tip_stat_tables row for small"
 
+(* --- The overlaps kernel: the routine as oracle, and its allocation -------- *)
+
+module Expr_eval = Tip_engine.Expr_eval
+module Values = Tip_blade.Values
+module Chronon = Tip_core.Chronon
+module Span = Tip_core.Span
+module Instant = Tip_core.Instant
+module Period = Tip_core.Period
+module Element = Tip_core.Element
+
+let kernel_now = Chronon.of_ymd 1999 10 15
+let day d = Chronon.add (Chronon.of_ymd 1999 1 1) (Span.of_days d)
+
+(* Multi-period elements written out of order, with empty [b, a]
+   periods and NOW-relative endpoints mixed in. *)
+let random_element st =
+  let period () =
+    let a = Random.State.int st 365 in
+    match Random.State.int st 10 with
+    | 0 -> Period.of_chronons (day (a + 5)) (day a)
+    | 1 -> Period.of_instants (Instant.of_chronon (day a)) Instant.now
+    | 2 ->
+      Period.of_instants
+        (Instant.now_minus (Span.of_days (Random.State.int st 400)))
+        (Instant.of_chronon (day a))
+    | _ -> Period.of_chronons (day a) (day (a + Random.State.int st 30))
+  in
+  Element.of_periods (List.init (1 + Random.State.int st 3) (fun _ -> period ()))
+
+type kernel_row = {
+  id : int;
+  a : Element.t option;
+  b : Element.t option;
+  tag : string option;
+}
+
+(* 600 rows, NULLs in every column: above [batch_min_rows], so a plain
+   run takes the batch path. *)
+let kernel_rows =
+  lazy
+    (let st = Random.State.make [| 12 |] in
+     let maybe f = if Random.State.int st 15 = 0 then None else Some (f ()) in
+     List.init 600 (fun id ->
+         let a = maybe (fun () -> random_element st) in
+         let b = maybe (fun () -> random_element st) in
+         let tag = maybe (fun () -> Printf.sprintf "t%03d" (Random.State.int st 100)) in
+         { id; a; b; tag }))
+
+let kernel_db =
+  lazy
+    (let db = Tip_blade.Blade.create_database () in
+     ignore (Db.exec db "SET NOW = '1999-10-15'");
+     ignore (Db.exec db "CREATE TABLE kt (id INT, a Element, b Element, tag CHAR(8))");
+     let table = Catalog.table_exn (Db.catalog db) "kt" in
+     let cell f = function None -> Value.Null | Some x -> f x in
+     List.iter
+       (fun r ->
+         ignore
+           (Table.insert table
+              [| Value.Int r.id; cell Values.element r.a; cell Values.element r.b;
+                 cell (fun s -> Value.Str s) r.tag |]))
+       (Lazy.force kernel_rows);
+     db)
+
+let window_text = "{[1999-03-01, 1999-03-31], [1999-08-01, 1999-08-02]}"
+
+(* Row, batch and parallel-batch runs must keep exactly the rows the
+   routine itself accepts, computed here straight from the data. *)
+let test_overlaps_kernel_oracle () =
+  let db = Lazy.force kernel_db in
+  let overlaps x y = Element.overlaps ~now:kernel_now x y in
+  let window = Element.of_string_exn window_text in
+  let recent = Element.of_string_exn "{[NOW-120, NOW]}" in
+  let string_case (op, holds) =
+    ( "string " ^ op,
+      "tag " ^ op ^ " 't050'",
+      fun r -> Option.map (fun t -> holds (String.compare t "t050")) r.tag )
+  in
+  let cases =
+    [ ( "constant window",
+        Printf.sprintf "overlaps(a, '%s'::Element)" window_text,
+        fun r -> Option.map (fun a -> overlaps a window) r.a );
+      ( "bare string literal",
+        Printf.sprintf "overlaps(a, '%s')" window_text,
+        fun r -> Option.map (fun a -> overlaps a window) r.a );
+      ( "string literal on the left",
+        Printf.sprintf "overlaps('%s', b)" window_text,
+        fun r -> Option.map (overlaps window) r.b );
+      ( "NOW-relative window",
+        "overlaps(a, '{[NOW-120, NOW]}'::Element)",
+        fun r -> Option.map (fun a -> overlaps a recent) r.a );
+      ( "column x column",
+        "overlaps(a, b)",
+        fun r ->
+          match r.a, r.b with Some a, Some b -> Some (overlaps a b) | _ -> None ) ]
+    @ List.map string_case
+        [ ("=", fun c -> c = 0); ("<>", fun c -> c <> 0); ("<", fun c -> c < 0);
+          ("<=", fun c -> c <= 0); (">", fun c -> c > 0); (">=", fun c -> c >= 0) ]
+  in
+  List.iter
+    (fun (name, pred, oracle) ->
+      let sql = "SELECT id FROM kt WHERE " ^ pred in
+      check_batch_equals_row db name sql;
+      let want =
+        List.filter_map
+          (fun r -> if oracle r = Some true then Some (string_of_int r.id) else None)
+          (Lazy.force kernel_rows)
+      in
+      check Alcotest.(list string) (name ^ " = routine") want (run_sql db sql))
+    cases
+
+(* The kernel's per-row budget, over a full chunk of finite multi-period
+   elements: at most one minor word per row, for a constant window and
+   for two columns. *)
+let test_overlaps_kernel_allocation () =
+  let db = Lazy.force kernel_db in
+  let st = Random.State.make [| 7 |] in
+  let finite () =
+    Element.of_periods
+      (List.init 3 (fun _ ->
+           let a = Random.State.int st 365 in
+           Period.of_chronons (day (a + Random.State.int st 20)) (day (a + 20))))
+  in
+  let n = Executor.chunk_size in
+  let pairs = Array.init n (fun _ -> (finite (), finite ())) in
+  let rows = Array.map (fun (a, b) -> [| Values.element a; Values.element b |]) pairs in
+  let ext = Db.extension db in
+  let env =
+    Expr_eval.base_env ~ext ~resolve_column:(fun _ name -> if name = "a" then 0 else 1) ()
+  in
+  let ctx =
+    { Expr_eval.now = kernel_now; params = []; ext; token = Tip_core.Deadline.never;
+      poll_tick = 0 }
+  in
+  let sel = Array.make n 0 in
+  let window = Element.of_string_exn window_text in
+  let count f = Array.fold_left (fun k (a, b) -> if f a b then k + 1 else k) 0 pairs in
+  List.iter
+    (fun (name, expr, expected) ->
+      let kernel = Expr_eval.compile_batch env expr in
+      let run () =
+        for i = 0 to n - 1 do
+          sel.(i) <- i
+        done;
+        kernel ctx rows ~sel ~n
+      in
+      (* the first run fills the statement-constant cache *)
+      check Alcotest.int (name ^ ": survivors") expected (run ());
+      let before = Gc.minor_words () in
+      let survivors = run () in
+      let words = Gc.minor_words () -. before in
+      check Alcotest.int (name ^ ": survivors again") expected survivors;
+      if words > float_of_int n then
+        Alcotest.failf "%s: %.0f minor words over %d rows (budget: one per row)" name
+          words n)
+    [ ( "constant window",
+        Ast.Call
+          ( "overlaps",
+            [ Ast.Column (None, "a");
+              Ast.Cast (Ast.Lit (Ast.L_string window_text), "Element") ] ),
+        count (fun a _ -> Element.overlaps ~now:kernel_now a window) );
+      ( "column x column",
+        Ast.Call ("overlaps", [ Ast.Column (None, "a"); Ast.Column (None, "b") ]),
+        count (fun a b -> Element.overlaps ~now:kernel_now a b) ) ]
+
 let suite =
   [ Alcotest.test_case "selection-vector edge cases" `Quick test_selection_edges;
     Alcotest.test_case "batch join + aggregate" `Quick test_batch_join_aggregate;
     Alcotest.test_case "batched overlaps kernels" `Quick test_batched_overlaps;
+    Alcotest.test_case "overlaps kernel = routine" `Quick test_overlaps_kernel_oracle;
+    Alcotest.test_case "overlaps kernel allocation" `Quick
+      test_overlaps_kernel_allocation;
     Alcotest.test_case "histogram math" `Quick test_histogram_math;
     Alcotest.test_case "overlap selectivity" `Quick test_overlap_selectivity;
     Alcotest.test_case "cost-chosen access path" `Quick test_cost_access_path;
