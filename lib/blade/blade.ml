@@ -22,6 +22,12 @@ let bool_value b = Value.Bool b
 
 let option_value f = function None -> Value.Null | Some x -> f x
 
+(* group_union's accumulator, private to the aggregate: the bound ends
+   (unix seconds) of its nonempty inputs in two growable buffers. *)
+type bounds = { mutable starts : int array; mutable ends : int array; mutable n : int }
+
+type Value.ext += V_bounds of bounds
+
 (* --- Installation ------------------------------------------------------------ *)
 
 let install_casts ext =
@@ -323,27 +329,41 @@ let install_routines ext =
 let install_aggregates ext =
   let open Tip_engine.Extension in
   (* group_union: the temporal coalescing aggregate of the paper's
-     Section 2 — union of a collection of elements. The accumulator is
-     an *unnormalized* element: each step just prepends the input's
-     periods (union is normalize-of-concatenation, so order is free),
-     and one normalize in the finalizer coalesces everything — O(n log n)
-     per group instead of a full re-sort-and-sweep per input row. The
-     concatenation view also makes partial accumulators mergeable, so
-     coalescing runs on the morsel-parallel path. *)
-  let concat_elements a b =
-    element
-      (Element.of_periods
-         (List.rev_append (Element.periods a) (Element.periods b)))
+     Section 2 — union of a collection of elements. Each step binds the
+     input's periods under the statement's NOW and appends the nonempty
+     ones' endpoints to the accumulator's buffers in place, so no value
+     is allocated per row; the finalizer coalesces the two endpoint
+     multisets in one sort-and-sweep per group. *)
+  let push ~now b (p : Period.t) =
+    let s = Chronon.to_unix_seconds (Instant.bind ~now p.Period.start_)
+    and e = Chronon.to_unix_seconds (Instant.bind ~now p.Period.end_) in
+    if s <= e then begin
+      if b.n = Array.length b.starts then begin
+        let grow = max 8 b.n in
+        b.starts <- Array.append b.starts (Array.make grow 0);
+        b.ends <- Array.append b.ends (Array.make grow 0)
+      end;
+      b.starts.(b.n) <- s;
+      b.ends.(b.n) <- e;
+      b.n <- b.n + 1
+    end
   in
+  let as_bounds = function Value.Ext (_, V_bounds b) -> b | _ -> invalid_arg "group_union" in
   register_aggregate ext ~name:"group_union"
-    { agg_init = (fun () -> element Element.empty);
+    { agg_init =
+        (fun () ->
+          Value.Ext ("group_union", V_bounds { starts = [||]; ends = [||]; n = 0 }));
       agg_step =
-        (fun ~now:_ acc v ->
-          concat_elements (to_element_value v) (as_element acc));
-      agg_final = (fun ~now acc -> element (Element.normalize ~now (as_element acc)));
-      agg_merge =
-        Some
-          (fun ~now:_ a b -> concat_elements (as_element a) (as_element b)) };
+        (fun ~now acc v ->
+          let b = as_bounds acc in
+          (match v with
+          | Value.Ext (_, V_period p) -> push ~now b p
+          | v -> Element.iter (push ~now b) (to_element_value v));
+          acc);
+      agg_final =
+        (fun ~now:_ acc ->
+          let b = as_bounds acc in
+          element (Element.coalesce_bounds ~starts:b.starts ~ends:b.ends b.n)) };
   (* group_intersect: chronons common to every input element. *)
   register_aggregate ext ~name:"group_intersect"
     { agg_init = (fun () -> Value.Null); (* no input yet *)
@@ -352,13 +372,7 @@ let install_aggregates ext =
           if Value.is_null acc then element (to_element_value v)
           else
             element (Element.intersect ~now (as_element acc) (to_element_value v)));
-      agg_final = (fun ~now:_ acc -> acc);
-      agg_merge =
-        Some
-          (fun ~now a b ->
-            if Value.is_null a then b
-            else if Value.is_null b then a
-            else element (Element.intersect ~now (as_element a) (as_element b))) };
+      agg_final = (fun ~now:_ acc -> acc) };
   (* group_profile: per-instant COUNT — the sequenced aggregation that
      plain element routines cannot express (see EXPERIMENTS.md E12). The
      accumulator collects the grounded inputs; the final sweep builds the
@@ -377,16 +391,7 @@ let install_aggregates ext =
                  (Profile.entries current)
           in
           profile (Profile.of_weighted_ground weighted));
-      agg_final = (fun ~now:_ acc -> acc);
-      agg_merge =
-        Some
-          (fun ~now:_ a b ->
-            let weighted p =
-              List.map
-                (fun e -> ([ e.Profile.span_ ], e.Profile.value))
-                (Profile.entries (as_profile p))
-            in
-            profile (Profile.of_weighted_ground (weighted a @ weighted b))) }
+      agg_final = (fun ~now:_ acc -> acc) }
 
 let install_planner_hooks ext =
   Tip_engine.Extension.register_interval_sargable ext ~name:"overlaps";

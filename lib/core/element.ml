@@ -46,9 +46,7 @@ let compare_ground (s1, _) (s2, _) = Chronon.compare s1 s2
 
 (* Elements are usually written (and always produced) in start order, so
    probe the common case before paying for a sort; when one is needed,
-   the in-place array sort beats [List.sort]'s allocation churn — this
-   is the hot finalizer of [group_union], which grounds one unsorted
-   concatenation per group. *)
+   the in-place array sort beats [List.sort]'s allocation churn. *)
 let rec sorted_asc = function
   | a :: (b :: _ as rest) -> compare_ground a b <= 0 && sorted_asc rest
   | [] | [ _ ] -> true
@@ -68,6 +66,59 @@ let ground ~now t =
 let normalize ~now t = of_ground_list (ground ~now t)
 
 let coalesce = normalize
+
+(* In-place ascending sort of a.(lo .. hi-1), monomorphic so every
+   comparison is an inline int compare: Hoare quicksort around the middle
+   element, insertion sort below 16 elements. *)
+let rec sort_ints (a : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) and j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let p = a.(lo + ((hi - lo) / 2)) and i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while a.(!j) > p do decr j done;
+      if !i <= !j then begin
+        let x = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- x;
+        incr i;
+        decr j
+      end
+    done;
+    sort_ints a lo (!j + 1);
+    sort_ints a !i hi
+  end
+
+(* Coverage of a set of periods depends only on the multisets of their
+   starts and of their ends, so the two sort separately and one sweep
+   with a depth counter recovers the union: a start no later than one
+   chronon after the next pending end extends the open period. *)
+let coalesce_bounds ~starts ~ends n =
+  sort_ints starts 0 n;
+  sort_ints ends 0 n;
+  let out = ref [] and depth = ref 0 and opened = ref 0 and i = ref 0 in
+  for j = 0 to n - 1 do
+    while !i < n && starts.(!i) <= ends.(j) + 1 do
+      if !depth = 0 then opened := starts.(!i);
+      incr depth;
+      incr i
+    done;
+    decr depth;
+    if !depth = 0 then
+      out :=
+        Period.of_chronons (Chronon.of_unix_seconds !opened)
+          (Chronon.of_unix_seconds ends.(j))
+        :: !out
+  done;
+  List.rev !out
 
 (* --- Ground-level set algebra (linear two-pointer merges) ---------- *)
 

@@ -35,6 +35,12 @@ val normalize : now:Chronon.t -> t -> t
 (** Alias for {!normalize}. *)
 val coalesce : now:Chronon.t -> t -> t
 
+(** [coalesce_bounds ~starts ~ends n] is the normalized union of the [n]
+    ground periods [[starts.(i), ends.(i)]] (unix seconds, each start no
+    later than its end). Only the two multisets matter: both arrays are
+    sorted in place, then swept once. *)
+val coalesce_bounds : starts:int array -> ends:int array -> int -> t
+
 (** {1 Set algebra}
 
     Results are always normalized (and therefore ground). *)

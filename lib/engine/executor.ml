@@ -8,11 +8,11 @@
    planner-approved subtrees on the {!Exec_pool} domain pool: leaf scans
    split into rid-range morsels with the downstream filter/project
    pipeline (and hash-join probes) fused into each morsel task, and
-   aggregation runs as per-domain partials merged by group key. Morsel
-   outputs concatenate in rid order and group order is normalized to
-   first appearance, so the parallel path returns exactly what the
-   sequential one would; any plan shape it does not cover falls back to
-   the sequential operators below. *)
+   aggregation is hash-partitioned so that each group is folded once, in
+   input order, by one domain. Morsel outputs concatenate in rid order
+   and groups are emitted in first-appearance order, so the parallel
+   path returns exactly what the sequential one would; any plan shape it
+   does not cover falls back to the sequential operators below. *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -198,6 +198,66 @@ let make_runner ctx (spec : Plan.agg_spec) : runner =
           Metrics.add m_rows_coalesced !steps;
           steps := 0;
           agg.Extension.agg_final ~now:ctx.Expr_eval.now !acc) }
+
+(* --- Hash aggregation --------------------------------------------------------- *)
+
+(* A group's output row: its key, then each aggregate's final value. *)
+let emit_group (key, runners) =
+  Array.of_list (key @ List.map (fun r -> r.final ()) runners)
+
+(* A grand aggregate over an empty input still yields one row. *)
+let grand_empty ctx aggs = emit_group ([], List.map (make_runner ctx) aggs)
+
+(* One group table, shared by the sequential aggregate and by each
+   partition of the parallel one. [step pos row] folds [row] into its
+   group, creating the group and its runners on first sight and tagging
+   it with [pos], the row's input position; [groups ()] lists
+   [(first position, (key, runners))] in first-appearance order. The
+   common single-key GROUP BY hashes the key value directly; only
+   multi-key grouping pays a key-list allocation per row. *)
+let group_table ctx keys aggs =
+  let order = ref [] in
+  let create pos key =
+    let runners = List.map (make_runner ctx) aggs in
+    order := (pos, (key, runners)) :: !order;
+    runners
+  in
+  let step =
+    match keys with
+    | [] ->
+      (* A grand aggregate is one group: no table to probe. *)
+      let runners = ref [] in
+      fun pos row ->
+        (match !order with [] -> runners := create pos [] | _ :: _ -> ());
+        List.iter (fun r -> r.step row) !runners
+    | [ ck ] ->
+      let groups : runner list Val_table.t = Val_table.create 64 in
+      fun pos row ->
+        let key = ck ctx row in
+        let runners =
+          match Val_table.find_opt groups key with
+          | Some runners -> runners
+          | None ->
+            let runners = create pos [ key ] in
+            Val_table.replace groups key runners;
+            runners
+        in
+        List.iter (fun r -> r.step row) runners
+    | _ ->
+      let groups : runner list Key_table.t = Key_table.create 64 in
+      fun pos row ->
+        let key = List.map (fun c -> c ctx row) keys in
+        let runners =
+          match Key_table.find_opt groups key with
+          | Some runners -> runners
+          | None ->
+            let runners = create pos key in
+            Key_table.replace groups key runners;
+            runners
+        in
+        List.iter (fun r -> r.step row) runners
+  in
+  (step, fun () -> List.rev !order)
 
 (* --- Sequence helpers ----------------------------------------------------- *)
 
@@ -581,51 +641,18 @@ and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
     (match limit with Some n -> Seq.take n s | None -> s)
 
 and run_aggregate recurse ctx input keys aggs =
-  (* Groups in first-appearance order, each with its runner instances;
-     emission walks this list so no final table lookup is needed. *)
-  let order : (Value.t list * runner list) list ref = ref [] in
+  let step, groups = group_table ctx keys aggs in
   let input_rows = ref 0 in
-  (* The common single-key GROUP BY hashes the key value directly; only
-     multi-key grouping pays a key-list allocation per row. *)
-  let consume =
-    match keys with
-    | [ ck ] ->
-      let groups : runner list Val_table.t = Val_table.create 64 in
-      fun row ->
-        incr input_rows;
-        let key = ck ctx row in
-        let runners =
-          match Val_table.find_opt groups key with
-          | Some runners -> runners
-          | None ->
-            let runners = List.map (make_runner ctx) aggs in
-            Val_table.replace groups key runners;
-            order := ([ key ], runners) :: !order;
-            runners
-        in
-        List.iter (fun r -> r.step row) runners
-    | _ ->
-      let groups : runner list Key_table.t = Key_table.create 64 in
-      fun row ->
-        incr input_rows;
-        let key = List.map (fun c -> c ctx row) keys in
-        let runners =
-          match Key_table.find_opt groups key with
-          | Some runners -> runners
-          | None ->
-            let runners = List.map (make_runner ctx) aggs in
-            Key_table.replace groups key runners;
-            order := (key, runners) :: !order;
-            runners
-        in
-        List.iter (fun r -> r.step row) runners
+  let consume row =
+    step !input_rows row;
+    incr input_rows
   in
   (* Chunked consumption: when the input is a rid-splittable pipeline
      (including a bare leaf scan), drive chunks straight into the group
      table with no row sequence in between. The pool-backed parallel
      aggregation path is chosen upstream ([try_parallel]) before this
-     runs, so only subtrees it declined — pool off, table too small, or
-     unmergeable aggregates — land here. *)
+     runs, so only subtrees it declined — pool off or table too small —
+     land here. *)
   let drive_chunks (src, mk) =
     let nrids = Array.length src.par_rids in
     Metrics.add m_rows_scanned nrids;
@@ -666,15 +693,9 @@ and run_aggregate recurse ctx input keys aggs =
   in
   consume_plan input;
   Metrics.add m_agg_rows !input_rows;
-  let emit (key, runners) =
-    Array.of_list (key @ List.map (fun r -> r.final ()) runners)
-  in
-  if keys = [] && !order = [] then begin
-    (* Grand aggregate over an empty input still yields one row. *)
-    let runners = List.map (make_runner ctx) aggs in
-    Seq.return (emit ([], runners))
-  end
-  else Seq.map emit (seq_of_list (List.rev !order))
+  match groups () with
+  | [] when keys = [] -> Seq.return (grand_empty ctx aggs)
+  | groups -> Seq.map (fun (_, g) -> emit_group g) (seq_of_list groups)
 
 (* LIMIT directly above a Sort — possibly through row-wise Projects —
    needs only the first [k] sorted rows, so a bounded heap replaces the
@@ -975,165 +996,86 @@ let par_collect token src mk : Value.t array list =
 
 (* --- Partitioned parallel aggregation ------------------------------------ *)
 
-(* Explicit partial-aggregate states (the closure-based [runner]s cannot
-   merge). COUNT/SUM/MIN/MAX fold associatively; AVG carries a
-   (sum, count) pair. Per-morsel partials are merged in morsel order, so
-   integer results are bit-identical to the sequential fold; float
-   SUM/AVG reassociate additions across morsel boundaries (documented in
-   DESIGN.md). *)
-type pacc =
-  | P_count of int
-  | P_sum of Value.t (* Null until the first non-null input *)
-  | P_avg of Value.t * int
-  | P_extreme of Value.t (* min or max; the spec disambiguates *)
-  | P_user of Value.t
-    (* a user aggregate's own accumulator; only aggregates that
-       registered an [agg_merge] reach the parallel path
-       (Plan.mergeable_agg), so merging is always defined *)
+(* The rows one morsel routed to one partition, each tagged with its
+   input position: a growable pair of arrays. *)
+type routed = {
+  mutable rows : Value.t array array;
+  mutable at : int array;
+  mutable n : int;
+}
 
-let pacc_init (spec : Plan.agg_spec) =
-  match spec.impl with
-  | Plan.Agg_count_star | Plan.Agg_count -> P_count 0
-  | Plan.Agg_sum -> P_sum Value.Null
-  | Plan.Agg_avg -> P_avg (Value.Null, 0)
-  | Plan.Agg_min | Plan.Agg_max -> P_extreme Value.Null
-  | Plan.Agg_user (agg, _) -> P_user (agg.Extension.agg_init ())
+let route r pos row =
+  if r.n = Array.length r.rows then begin
+    let grow = Stdlib.max 64 r.n in
+    r.rows <- Array.append r.rows (Array.make grow [||]);
+    r.at <- Array.append r.at (Array.make grow 0)
+  end;
+  r.rows.(r.n) <- row;
+  r.at.(r.n) <- pos;
+  r.n <- r.n + 1
 
-let spec_user_agg (spec : Plan.agg_spec) =
-  match spec.impl with
-  | Plan.Agg_user (agg, _) -> agg
-  | _ -> assert false
+(* A row's partition: a hash of its group key that agrees with the group
+   tables' key equality, mixed so that the partition and the buckets of
+   the partition's own table draw on different bits. *)
+let partition_of ctx keys nparts =
+  let spread h = ((h * 0x9E3779B1) lsr 16) mod nparts in
+  match keys with
+  | [] -> fun _ -> 0
+  | [ ck ] -> fun row -> spread (Value.hash (ck ctx row))
+  | _ ->
+    fun row ->
+      spread (List.fold_left (fun h c -> (h * 31) + Value.hash (c ctx row)) 17 keys)
 
-let pacc_step ctx (spec : Plan.agg_spec) acc row =
-  let arg () = match spec.arg with Some c -> c ctx row | None -> Value.Null in
-  match acc with
-  | P_count n -> (
-    match spec.impl with
-    | Plan.Agg_count_star -> P_count (n + 1)
-    | _ -> if Value.is_null (arg ()) then acc else P_count (n + 1))
-  | P_sum s ->
-    let v = arg () in
-    if Value.is_null v then acc
-    else P_sum (if Value.is_null s then v else numeric_add s v)
-  | P_avg (s, n) ->
-    let v = arg () in
-    if Value.is_null v then acc
-    else P_avg ((if Value.is_null s then v else numeric_add s v), n + 1)
-  | P_extreme cur ->
-    let v = arg () in
-    if Value.is_null v then acc
-    else if Value.is_null cur then P_extreme v
-    else begin
-      let c = Value.compare v cur in
-      let better =
-        match spec.impl with Plan.Agg_min -> c < 0 | _ -> c > 0
-      in
-      if better then P_extreme v else acc
-    end
-  | P_user acc_v ->
-    let v = arg () in
-    if Value.is_null v then acc
-    else begin
-      Metrics.incr m_rows_coalesced;
-      P_user
-        ((spec_user_agg spec).Extension.agg_step ~now:ctx.Expr_eval.now acc_v v)
-    end
-
-(* [a] accumulated earlier input than [b]; ties keep [a], matching the
-   sequential runner's strict-improvement rule. *)
-let pacc_merge ~now (spec : Plan.agg_spec) a b =
-  match a, b with
-  | P_count x, P_count y -> P_count (x + y)
-  | P_sum x, P_sum y ->
-    if Value.is_null y then a
-    else if Value.is_null x then b
-    else P_sum (numeric_add x y)
-  | P_avg (_, nx), P_avg (_, 0) -> ignore nx; a
-  | P_avg (x, nx), P_avg (y, ny) ->
-    if nx = 0 then b else P_avg (numeric_add x y, nx + ny)
-  | P_extreme x, P_extreme y ->
-    if Value.is_null y then a
-    else if Value.is_null x then b
-    else begin
-      let c = Value.compare y x in
-      let better =
-        match spec.impl with Plan.Agg_min -> c < 0 | _ -> c > 0
-      in
-      if better then b else a
-    end
-  | P_user x, P_user y -> (
-    match (spec_user_agg spec).Extension.agg_merge with
-    | Some merge -> P_user (merge ~now x y)
-    | None -> assert false (* gated by Plan.mergeable_agg *))
-  | (P_count _ | P_sum _ | P_avg _ | P_extreme _ | P_user _), _ ->
-    assert false
-
-let pacc_final ~now (spec : Plan.agg_spec) = function
-  | P_count n -> Value.Int n
-  | P_sum s -> s
-  | P_avg (_, 0) -> Value.Null
-  | P_avg (s, n) -> Value.Float (Value.to_float s /. float_of_int n)
-  | P_extreme v -> v
-  | P_user acc -> (spec_user_agg spec).Extension.agg_final ~now acc
-
+(* Hash-partitioned aggregation in two pool batches. Phase 1: the morsels
+   run the fused pipeline and route every output row, tagged with its
+   position, to partition [hash(key) mod pool size]; a grand aggregate
+   is the one-partition case. Phase 2: one task per partition folds that
+   partition's rows in input order through the sequential aggregate's
+   group table, then finalizes its groups. Each group is folded once, in
+   order, by one domain, so every aggregate (DISTINCT, float SUM/AVG,
+   user aggregates) yields exactly the sequential value, and merging the
+   partitions' groups by first position restores the sequential group
+   order. Phase 2 polls the statement token every 1024 rows, as morsels
+   poll once per chunk. *)
 let par_aggregate ctx src mk keys aggs : Value.t array list =
-  let specs = Array.of_list aggs in
-  let now = ctx.Expr_eval.now in
   let token = ctx.Expr_eval.token in
-  let thunks =
-    List.map
-      (fun range () ->
-        let groups : pacc array Key_table.t = Key_table.create 64 in
-        let order = ref [] in
-        run_morsel token src mk range (fun row ->
-            let key = List.map (fun c -> c ctx row) keys in
-            let accs =
-              match Key_table.find_opt groups key with
-              | Some accs -> accs
-              | None ->
-                let accs = Array.map pacc_init specs in
-                Key_table.replace groups key accs;
-                order := key :: !order;
-                accs
-            in
-            Array.iteri
-              (fun i acc -> accs.(i) <- pacc_step ctx specs.(i) acc row)
-              accs);
-        (List.rev !order, groups))
-      (morsel_ranges (Array.length src.par_rids))
+  let nparts = if keys = [] then 1 else Exec_pool.size () in
+  let partition = partition_of ctx keys nparts in
+  let morsels =
+    Exec_pool.run ~token
+      (List.mapi
+         (fun m range () ->
+           let parts =
+             Array.init nparts (fun _ -> { rows = [||]; at = [||]; n = 0 })
+           in
+           (* A row's position: its morsel, then its rank in the morsel's
+              output; morsels cover the input in order. *)
+           let pos = ref (m lsl 32) in
+           run_morsel token src mk range (fun row ->
+               route parts.(partition row) !pos row;
+               incr pos);
+           parts)
+         (morsel_ranges (Array.length src.par_rids)))
   in
-  let partials = Exec_pool.run ~token thunks in
-  (* Merge in morsel order: concatenating the partial orders and keeping
-     first occurrences reproduces the sequential first-appearance group
-     order, because morsels partition the input in order. *)
-  let groups : pacc array Key_table.t = Key_table.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (part_order, part) ->
-      List.iter
-        (fun key ->
-          let accs = Key_table.find part key in
-          match Key_table.find_opt groups key with
-          | None ->
-            Key_table.replace groups key accs;
-            order := key :: !order
-          | Some cur ->
-            Array.iteri
-              (fun i b -> cur.(i) <- pacc_merge ~now specs.(i) cur.(i) b)
-              accs)
-        part_order)
-    partials;
-  let emit key accs =
-    Array.of_list
-      (key
-      @ Array.to_list
-          (Array.mapi (fun i acc -> pacc_final ~now specs.(i) acc) accs))
+  let fold p () =
+    let step, groups = group_table ctx keys aggs in
+    let folded = ref 0 in
+    List.iter
+      (fun parts ->
+        let r = parts.(p) in
+        for i = 0 to r.n - 1 do
+          if !folded land 1023 = 0 then Deadline.check token;
+          incr folded;
+          step r.at.(i) r.rows.(i)
+        done)
+      morsels;
+    List.map (fun (pos, g) -> (pos, emit_group g)) (groups ())
   in
-  if keys = [] && Key_table.length groups = 0 then
-    (* Grand aggregate over an empty input still yields one row. *)
-    [ emit [] (Array.map pacc_init specs) ]
-  else
-    List.map (fun key -> emit key (Key_table.find groups key)) (List.rev !order)
+  let by_first (a, _) (b, _) = Int.compare a b in
+  let parts = Exec_pool.run ~token (List.init nparts fold) in
+  match List.fold_left (List.merge by_first) [] parts with
+  | [] when keys = [] -> [ grand_empty ctx aggs ]
+  | groups -> List.map snd groups
 
 (* --- Hybrid driver ----------------------------------------------------------- *)
 
@@ -1158,7 +1100,13 @@ let try_parallel ctx plan : Value.t array list option =
       match target with
       | Plan.Aggregate { input; keys; aggs; _ } ->
         Option.map
-          (fun (src, mk) -> par_aggregate ctx src mk keys aggs)
+          (fun (src, mk) ->
+            (* A failing aggregate re-runs sequentially, so the error the
+               statement raises is the one the sequential fold meets
+               first; cancellation propagates as is. *)
+            try par_aggregate ctx src mk keys aggs with
+            | Deadline.Cancelled _ as e -> raise e
+            | _ -> collect ctx target)
           (pipeline input)
       | _ ->
         Option.map

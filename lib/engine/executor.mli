@@ -9,7 +9,9 @@
     planner marks parallel-safe ({!Plan.parallel_safe}) execute on the
     {!Exec_pool} domain pool and return exactly the rows the sequential
     path would, in the same order; everything else falls back to the
-    sequential operators. *)
+    sequential operators. An aggregate runs hash-partitioned: morsels
+    route their rows by group key, then one pool task per partition folds
+    its groups in input order with the sequential runners. *)
 
 open Tip_storage
 
@@ -22,10 +24,11 @@ val run : Expr_eval.ctx -> Plan.t -> Value.t array Seq.t
 val collect : Expr_eval.ctx -> Plan.t -> Value.t array list
 
 (** Like {!collect}, but parallel-safe subtrees run as rid-range morsels
-    on the domain pool. Bit-for-bit equivalent to {!collect} (float
-    SUM/AVG may reassociate; see DESIGN.md). Falls back entirely to
-    {!collect} when the pool is sequential ([TIP_PARALLEL=1] or one
-    domain). *)
+    on the domain pool. Bit-for-bit equivalent to {!collect}, float
+    SUM/AVG included: each group is folded once, in input order. A
+    failing parallel aggregate re-runs sequentially, so it raises the
+    error {!collect} would. Falls back entirely to {!collect} when the
+    pool is sequential ([TIP_PARALLEL=1] or one domain). *)
 val collect_parallel : Expr_eval.ctx -> Plan.t -> Value.t array list
 
 (** Leaf row-count threshold below which {!collect_parallel} stays

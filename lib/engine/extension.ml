@@ -72,10 +72,6 @@ type aggregate = {
   agg_init : unit -> Value.t;         (* accumulator seed *)
   agg_step : now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t;
   agg_final : now:Tip_core.Chronon.t -> Value.t -> Value.t;
-  agg_merge :
-    (now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t) option;
-    (* combine two partial accumulators; None keeps the aggregate off
-       the morsel-parallel path *)
 }
 
 (* Transaction-time support, registered by a temporal blade: how to

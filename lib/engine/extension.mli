@@ -47,15 +47,15 @@ type cast = {
   cast_impl : now:Tip_core.Chronon.t -> Value.t -> Value.t;
 }
 
+(** A user aggregate. The executor seeds one accumulator per group and
+    steps it with that group's inputs in input order, on one domain at a
+    time, also on the parallel path; so [agg_step] may mutate the
+    accumulator in place and return it. *)
 type aggregate = {
   agg_init : unit -> Value.t;  (** accumulator seed *)
   agg_step : now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t;
       (** [step acc v]; NULL inputs are skipped by the executor *)
   agg_final : now:Tip_core.Chronon.t -> Value.t -> Value.t;
-  agg_merge :
-    (now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t) option;
-      (** combine two partial accumulators (associative, seed-neutral);
-          [None] keeps the aggregate off the morsel-parallel path *)
 }
 
 (** Transaction-time support, registered by a temporal blade: how to

@@ -123,19 +123,6 @@ type t =
 
 (* --- Parallelism-safety annotation ------------------------------------ *)
 
-(* An aggregate whose partial states combine associatively across
-   morsels: the built-ins (COUNT/SUM/MIN/MAX, and AVG as a (sum, count)
-   pair) without DISTINCT, plus user aggregates that registered an
-   [agg_merge]. DISTINCT needs global dedup, and mergeless user
-   aggregates run opaque step functions, so both force the sequential
-   aggregation path. *)
-let mergeable_agg spec =
-  (not spec.distinct)
-  &&
-  match spec.impl with
-  | Agg_count_star | Agg_count | Agg_sum | Agg_avg | Agg_min | Agg_max -> true
-  | Agg_user (agg, _) -> agg.Extension.agg_merge <> None
-
 (* A morsel-parallel pipeline: a rid-splittable leaf scan with only
    per-row operators (and hash-join probes) above it. Index scans stay
    sequential — their rid order is key order, which the planner may be
@@ -156,9 +143,10 @@ let rec parallel_pipeline = function
        partition-wise on its own *)
     false
 
+(* Any aggregate over such a pipeline qualifies: the parallel aggregate
+   folds each group once, in input order, with the sequential runners. *)
 let rec parallel_safe = function
-  | Aggregate { input; aggs; _ } ->
-    parallel_pipeline input && List.for_all mergeable_agg aggs
+  | Aggregate { input; _ } -> parallel_pipeline input
   | Instrument { input; _ } -> parallel_safe input
   | plan -> parallel_pipeline plan
 

@@ -131,19 +131,14 @@ val instrument : t -> t
     them to decide routing (and falls back to the sequential path for
     anything unsafe). *)
 
-(** Can this aggregate's partial states merge associatively across
-    morsels? True for the non-DISTINCT built-ins and for user aggregates
-    that registered an [agg_merge]; false for DISTINCT and mergeless
-    user aggregates. *)
-val mergeable_agg : agg_spec -> bool
-
 (** Is this exact subtree a morsel-parallel pipeline: a [Seq_scan] or
     [Interval_scan] leaf under only [Filter]/[Project] operators and
     [Hash_join] probe sides? *)
 val parallel_pipeline : t -> bool
 
 (** Can this exact subtree run on the parallel path: a parallel pipeline,
-    or an [Aggregate] of one whose aggregates are all mergeable? *)
+    or an [Aggregate] (any aggregates, DISTINCT and user-registered ones
+    included) over one? *)
 val parallel_safe : t -> bool
 
 (** Does any subtree satisfy {!parallel_safe}? (Shown by EXPLAIN.) *)

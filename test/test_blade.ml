@@ -306,6 +306,69 @@ let check_group_intersect () =
        "SELECT group_intersect(valid)::CHAR FROM Prescription \
         WHERE patient = 'Mr.Showbiz'")
 
+(* --- group_union = normalize of the concatenation ---------------------------- *)
+
+(* One group's inputs: elements of up to four periods over a 60-second
+   window (so duplicates and adjacent periods are common), some periods
+   inverted (empty), some endpoints NOW-relative, and NULL inputs. *)
+let base = Chronon.of_ymd 1999 1 1
+
+let group_union_arb =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let instant =
+      frequency
+        [ (4, map (fun s -> Instant.of_chronon (Chronon.add base (Span.of_seconds s)))
+                (int_range 0 60));
+          (1, map (fun s -> Instant.now_minus (Span.of_seconds s)) (int_range (-10) 40)) ]
+    in
+    let element = list_size (int_range 0 4) (map2 Period.of_instants instant instant) in
+    pair (int_range 0 60) (list_size (int_range 0 12) (opt ~ratio:0.85 element))
+  in
+  make
+    ~print:(fun (now, inputs) ->
+      Printf.sprintf "NOW=+%ds %s" now
+        (String.concat " "
+           (List.map
+              (function
+                | None -> "NULL"
+                | Some ps -> Element.to_string (Element.of_periods ps))
+              inputs)))
+    gen
+
+let prop_group_union_normalizes =
+  QCheck.Test.make ~name:"group_union = normalize of the concatenation" ~count:300
+    group_union_arb (fun (now_s, inputs) ->
+      let now = Chronon.add base (Span.of_seconds now_s) in
+      let db = Tip_blade.Blade.create_database () in
+      ignore (exec db (Printf.sprintf "SET NOW = '%s'" (Chronon.to_string now)));
+      ignore (exec db "CREATE TABLE u (valid Element)");
+      let table = Catalog.table_exn (Db.catalog db) "u" in
+      List.iter
+        (fun input ->
+          let v =
+            match input with
+            | None -> Value.Null
+            | Some ps -> Tip_blade.Values.element (Element.of_periods ps)
+          in
+          ignore (Table.insert table [| v |]))
+        inputs;
+      let expected =
+        Element.to_string
+          (Element.normalize ~now
+             (Element.of_periods (List.concat (List.filter_map Fun.id inputs))))
+      in
+      match rows db "SELECT group_union(valid) FROM u" with
+      | [ [| got |] ] when Value.to_display_string got = expected -> true
+      | result ->
+        QCheck.Test.fail_reportf "expected %s, got %s" expected
+          (String.concat "; "
+             (List.map
+                (fun r ->
+                  String.concat "|" (Array.to_list (Array.map Value.to_display_string r)))
+                result)))
+
 let _ = demo_now
 
 let suite =
@@ -328,4 +391,5 @@ let suite =
     Alcotest.test_case "interval index on elements" `Quick check_interval_index;
     Alcotest.test_case "persistence of blade values" `Quick
       check_persistence_with_blade;
-    Alcotest.test_case "group_intersect aggregate" `Quick check_group_intersect ]
+    Alcotest.test_case "group_intersect aggregate" `Quick check_group_intersect;
+    QCheck_alcotest.to_alcotest prop_group_union_normalizes ]

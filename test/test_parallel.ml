@@ -1,5 +1,5 @@
 (* The morsel-driven parallel executor: pool sizing and batch semantics,
-   partial-aggregate merging, the top-k LIMIT fast path, and a
+   partitioned aggregation, the top-k LIMIT fast path, and a
    differential fuzz asserting the parallel path returns exactly the
    sequential rows, in the same order. *)
 
@@ -23,10 +23,17 @@ let with_pool ~size ~min_rows f =
       Executor.set_min_parallel_rows 1024)
     f
 
+(* Floats print in hexadecimal, so equal text means equal bits. *)
 let show_rows rows =
   List.map
     (fun row ->
-      String.concat "|" (Array.to_list (Array.map Value.to_display_string row)))
+      String.concat "|"
+        (Array.to_list
+           (Array.map
+              (function
+                | Value.Float f -> Printf.sprintf "%h" f
+                | v -> Value.to_display_string v)
+              row)))
     rows
 
 (* --- Pool unit tests -------------------------------------------------------- *)
@@ -81,7 +88,7 @@ let test_pool_run () =
 (* --- SQL fixtures ------------------------------------------------------------- *)
 
 (* Large enough that the default executor would also engage the pool;
-   [v] carries NULLs so the aggregate merge sees them. *)
+   [v] carries NULLs so the aggregates see them. *)
 let big_db =
   lazy
     (let db = Db.create () in
@@ -101,13 +108,16 @@ let big_db =
 
 let run_sql db sql = show_rows (Db.rows_exn (Db.exec db sql))
 
-(* Sequential (pool of 1) and parallel (pool of 4) runs of [sql] must
-   produce identical rows in identical order. *)
-let check_par_equals_seq name sql =
-  let db = Lazy.force big_db in
+(* Sequential (pool of 1) and parallel (pools of 2 and 4) runs of [sql]
+   must produce identical rows in identical order. *)
+let check_par_equals_seq ?(db = big_db) name sql =
+  let db = Lazy.force db in
   let seq = with_pool ~size:1 ~min_rows:1 (fun () -> run_sql db sql) in
-  let par = with_pool ~size:4 ~min_rows:1 (fun () -> run_sql db sql) in
-  check Alcotest.(list string) name seq par
+  List.iter
+    (fun size ->
+      let par = with_pool ~size ~min_rows:1 (fun () -> run_sql db sql) in
+      check Alcotest.(list string) (Printf.sprintf "%s (pool %d)" name size) seq par)
+    [ 2; 4 ]
 
 let test_parallel_scan_filter () =
   check_par_equals_seq "plain scan" "SELECT k, g, v FROM nums";
@@ -126,8 +136,7 @@ let test_parallel_aggregate () =
     "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM nums WHERE k < 0";
   check_par_equals_seq "grouped aggregate over filter"
     "SELECT g, COUNT(*) FROM nums WHERE v > 10 GROUP BY g";
-  (* DISTINCT aggregates are not mergeable; exercises the fallback. *)
-  check_par_equals_seq "distinct aggregate falls back"
+  check_par_equals_seq "distinct grand aggregate"
     "SELECT COUNT(DISTINCT g) FROM nums";
   (* Absolute spot-checks so both paths being wrong together would show. *)
   let db = Lazy.force big_db in
@@ -141,6 +150,116 @@ let test_parallel_aggregate () =
     "group order is first appearance"
     [ "0|429"; "1|429"; "2|429"; "3|429"; "4|428"; "5|428"; "6|428" ]
     (par "SELECT g, COUNT(*) FROM nums GROUP BY g")
+
+(* Hash partitioning spreads groups over the domains; these shapes stress
+   the routing and the first-appearance merge. *)
+let test_partitioned_grouping () =
+  check_par_equals_seq "500 groups"
+    "SELECT k % 500, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) \
+     FROM nums GROUP BY k % 500";
+  check_par_equals_seq "a group per row" "SELECT k, COUNT(*) FROM nums GROUP BY k";
+  check_par_equals_seq "multi-key groups"
+    "SELECT g, k % 3, COUNT(*), SUM(v) FROM nums GROUP BY g, k % 3";
+  check_par_equals_seq "NULL key" "SELECT v, COUNT(*) FROM nums GROUP BY v";
+  check_par_equals_seq "NULLs in a multi-key group"
+    "SELECT v % 5, g, COUNT(*), MAX(k) FROM nums GROUP BY v % 5, g";
+  check_par_equals_seq "high-cardinality groups over a join"
+    "SELECT nums.k % 700, lookup.label, COUNT(*) FROM nums, lookup \
+     WHERE nums.g = lookup.g GROUP BY nums.k % 700, lookup.label"
+
+(* Each group is folded once, in input order, so float sums are
+   bit-identical to the sequential fold (compared in hexadecimal). *)
+let test_float_sums_exact () =
+  check_par_equals_seq "grouped float SUM/AVG"
+    "SELECT g, SUM(v * 0.1), AVG(k / 7.0), SUM(k * 0.001 + v) FROM nums GROUP BY g";
+  check_par_equals_seq "high-cardinality float SUM/AVG"
+    "SELECT k % 97, SUM(k * 0.37), AVG(v * 1.1) FROM nums GROUP BY k % 97";
+  check_par_equals_seq "grand float SUM/AVG"
+    "SELECT SUM(k * 0.1), AVG(v / 3.0) FROM nums"
+
+let test_distinct_aggregates () =
+  check_par_equals_seq "per-group DISTINCT"
+    "SELECT g, COUNT(DISTINCT v), SUM(DISTINCT v), COUNT(v) FROM nums GROUP BY g";
+  check_par_equals_seq "DISTINCT over 500 groups"
+    "SELECT k % 500, COUNT(DISTINCT v % 3) FROM nums GROUP BY k % 500";
+  (* The aggregate itself runs on the pool. *)
+  let db = Lazy.force big_db in
+  with_pool ~size:4 ~min_rows:1 (fun () ->
+      match
+        Db.exec db "EXPLAIN ANALYZE SELECT g, COUNT(DISTINCT v) FROM nums GROUP BY g"
+      with
+      | Db.Message text ->
+        let aggregate_line =
+          List.find
+            (fun l -> String.starts_with ~prefix:"Aggregate" (String.trim l))
+            (String.split_on_char '\n' text)
+        in
+        check Alcotest.bool "aggregate marked parallel" true
+          (Str.string_match (Str.regexp ".*, parallel)$") aggregate_line 0)
+      | r -> Alcotest.failf "expected a message, got %s" (Db.render_result r))
+
+(* A blade database: 3,000 prescriptions-like rows over 300 patients,
+   with NOW-relative, multi-period and empty (inverted) timestamps. *)
+let blade_db =
+  lazy
+    (let db = Tip_blade.Blade.create_database () in
+     ignore (Db.exec db "SET NOW = '1999-10-15'");
+     ignore (Db.exec db "CREATE TABLE rx (patient INT, valid Element)");
+     let table = Catalog.table_exn (Db.catalog db) "rx" in
+     let day d = Tip_core.Chronon.(add (of_ymd 1999 1 1) (Tip_core.Span.of_days d)) in
+     let period s len = Tip_core.Period.of_chronons (day s) (day (s + len)) in
+     for i = 0 to 2999 do
+       let s = i * 37 mod 400 in
+       let periods =
+         match i mod 5 with
+         | 0 -> [ Tip_core.Period.since (day s) ]
+         | 1 -> [ period s (i mod 20); period (s + 30) 5 ]
+         | 2 -> [ period s (-3) ] (* inverted: empty *)
+         | _ -> [ period s (i mod 20) ]
+       in
+       let valid =
+         if i mod 17 = 0 then Value.Null
+         else Tip_blade.Values.element (Tip_core.Element.of_periods periods)
+       in
+       ignore (Table.insert table [| Value.Int (i mod 300); valid |])
+     done;
+     db)
+
+let test_blade_aggregates () =
+  let db = blade_db in
+  check_par_equals_seq ~db "group_union per patient"
+    "SELECT patient, group_union(valid), length(group_union(valid))::INT \
+     FROM rx GROUP BY patient";
+  check_par_equals_seq ~db "group_intersect per patient"
+    "SELECT patient, group_intersect(valid) FROM rx GROUP BY patient";
+  check_par_equals_seq ~db "group_profile per patient"
+    "SELECT patient, max_value(group_profile(valid)) FROM rx GROUP BY patient";
+  check_par_equals_seq ~db "grand group_union"
+    "SELECT group_union(valid), group_profile(valid) FROM rx"
+
+(* A failing parallel aggregate raises the error the sequential fold
+   meets first: SUM trips on the second row, long before the group key
+   divides by zero on the last row, which phase 1 evaluates first. *)
+let test_aggregate_error_matches () =
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE e (k INT, s CHAR(4))");
+  let table = Catalog.table_exn (Db.catalog db) "e" in
+  for i = 0 to 2999 do
+    ignore (Table.insert table [| Value.Int i; Value.Str "x" |])
+  done;
+  let outcome () =
+    match run_sql db "SELECT SUM(s) FROM e GROUP BY 10 / (k - 2999)" with
+    | _ -> "no error"
+    | exception e -> Printexc.to_string e
+  in
+  let seq = with_pool ~size:1 ~min_rows:1 outcome in
+  check Alcotest.bool "sequential fold fails in SUM" true
+    (Str.string_match (Str.regexp ".*non-numeric") seq 0);
+  List.iter
+    (fun size ->
+      check Alcotest.string (Printf.sprintf "pool %d raises the same error" size) seq
+        (with_pool ~size ~min_rows:1 outcome))
+    [ 2; 4 ]
 
 let test_parallel_join () =
   check_par_equals_seq "hash join probe"
@@ -213,6 +332,13 @@ let suite =
     Alcotest.test_case "pool batch semantics" `Quick test_pool_run;
     Alcotest.test_case "parallel scan + filter" `Quick test_parallel_scan_filter;
     Alcotest.test_case "parallel aggregate merge" `Quick test_parallel_aggregate;
+    Alcotest.test_case "partitioned grouping" `Quick test_partitioned_grouping;
+    Alcotest.test_case "float SUM/AVG bit-identical" `Quick test_float_sums_exact;
+    Alcotest.test_case "parallel DISTINCT aggregates" `Quick
+      test_distinct_aggregates;
+    Alcotest.test_case "parallel blade aggregates" `Quick test_blade_aggregates;
+    Alcotest.test_case "parallel aggregate error = sequential" `Quick
+      test_aggregate_error_matches;
     Alcotest.test_case "parallel hash join" `Quick test_parallel_join;
     Alcotest.test_case "top-k = full sort prefix" `Quick
       test_topk_matches_full_sort;

@@ -126,6 +126,16 @@ let check_wal_fsync_waits () =
       Fun.protect ~finally:(fun () -> Db.close_durable db) @@ fun () ->
       ignore (Db.exec db "CREATE TABLE wt (a INT PRIMARY KEY)");
       ignore (Db.exec db "INSERT INTO wt VALUES (1), (2), (3)");
+      (* One fsync on a fast disk can finish inside the wall clock's
+         resolution and accrue 0 ns, so commit (up to 200 times) until
+         some fsync time shows. *)
+      let rec commit_until_timed i =
+        if i < 200 && snd (find_stat Wait.WalFsync) <= fsync0_ns then begin
+          ignore (Db.exec db (Printf.sprintf "INSERT INTO wt VALUES (%d)" (10 + i)));
+          commit_until_timed (i + 1)
+        end
+      in
+      commit_until_timed 0;
       let fsync1, fsync1_ns = find_stat Wait.WalFsync in
       let append1, _ = find_stat Wait.WalAppend in
       Alcotest.(check bool) "sync-always fsyncs counted" true
