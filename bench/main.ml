@@ -1500,7 +1500,7 @@ let bench_ha () =
   Server.serve_in_background serverA;
   let rdb = Db.create () in
   Db.set_read_only rdb true;
-  let lock = Mutex.create () in
+  let lock = Tip_server.Rwlock.create () in
   let repl =
     Replication.start ~lock ~host:"127.0.0.1" ~port:(Server.port serverA) rdb
   in

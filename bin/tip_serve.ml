@@ -132,7 +132,7 @@ let main port demo load save durability sync archive_dir idle_timeout now
         let host, pport = parse_replica_of spec in
         let repl =
           Tip_server.Replication.start
-            ~lock:(Tip_server.Server.db_mutex server) ?resume ~host ~port:pport
+            ~lock:(Tip_server.Server.db_lock server) ?resume ~host ~port:pport
             db
         in
         Tip_server.Server.set_staleness_probe server (fun () ->

@@ -414,11 +414,10 @@ let install_planner_hooks ext =
       is_open = (fun tt -> Element.is_now_relative (as_element tt));
       timestamp_contains =
         (fun ~now tt at -> Element.contains_chronon ~now (as_element tt) at) };
-  Tip_engine.Extension.register_chronon_extractor ext (fun v ->
+  Tip_engine.Extension.register_chronon_extractor ext (fun ~now v ->
       match v with
       | Value.Ext (_, V_chronon c) -> Some c
-      | Value.Ext (_, V_instant i) ->
-        Some (Instant.bind ~now:(Tx_clock.now ()) i)
+      | Value.Ext (_, V_instant i) -> Some (Instant.bind ~now i)
       | _ -> None)
 
 (* Installs the TIP DataBlade into a database. Idempotent per database

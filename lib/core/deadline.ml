@@ -119,8 +119,10 @@ let exhaust t what =
   cancel t (Budget what);
   check t
 
+(* Counted on every token but [never] (one atomic add per scan or
+   morsel), so a statement's own scan tally is known without a budget. *)
 let charge_rows_scanned t n =
-  if t.has_budget && n > 0 then begin
+  if n > 0 && not (is_never t) then begin
     let total = Atomic.fetch_and_add t.rows_scanned n + n in
     if total > t.max_rows_scanned then
       exhaust t

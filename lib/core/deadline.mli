@@ -65,8 +65,9 @@ val tracks_mem : t -> bool
 
 val charge_rows_scanned : t -> int -> unit
 (** Charge [n] storage rows against the scan budget; raises
-    [Cancelled (Budget _)] once the budget is exhausted. No-op on
-    budget-free tokens. *)
+    [Cancelled (Budget _)] once the budget is exhausted. Every token but
+    {!never} counts the rows, budget or not, so {!rows_scanned} is the
+    statement's own tally. *)
 
 val charge_result : t -> rows:int -> bytes:int -> unit
 (** Charge materialized output against the result-row and memory

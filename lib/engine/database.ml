@@ -4,9 +4,15 @@
    the special symbol NOW exactly once, to the current transaction time —
    either the wall clock or a per-database override installed by
    [SET NOW = ...] (the what-if mechanism the TIP Browser exposes). The
-   binding is pushed into [Tip_core.Tx_clock] for the duration of the
-   statement so that every blade routine, cast and comparison observes
-   the same frozen instant.
+   binding travels in the statement's [Expr_eval.ctx] ([ectx.now]) and
+   nowhere else, so every blade routine, cast and comparison observes
+   the same frozen instant, and statements running side by side each
+   keep their own.
+
+   Concurrency: read-only statements ([SELECT], compound [SELECT],
+   [EXPLAIN [ANALYZE]]) write no field of [t] and keep no per-statement
+   state in globals, so a caller may run them concurrently under a
+   shared lock; every other statement needs the database to itself.
 
    Transactions are single-connection with an in-memory undo log: insert,
    delete and update are undoable; DDL auto-commits (documented in
@@ -39,13 +45,6 @@ let h_statement_ns =
 let m_cancelled =
   Metrics.counter "engine_statements_cancelled_total"
     ~help:"Statements aborted by their governance token (any reason)"
-
-(* The executor's scan counter, re-registered by name (registration is
-   idempotent and returns the same handle): reading it before and after
-   a statement yields that statement's rows-scanned tally for the
-   fingerprint store — statements execute serially per database, so the
-   delta is attributable. *)
-let m_rows_scanned = Metrics.counter "exec_rows_scanned_total"
 
 let m_timed_out =
   Metrics.counter "engine_statements_timed_out_total"
@@ -303,7 +302,7 @@ let coerce_into t ~now col_ty v =
       | Some c -> Value.Date (Tip_core.Chronon.start_of_day c)
       | None -> db_error "cannot parse %S as DATE" s)
     | Schema.T_date, v -> (
-      match Extension.to_chronon t.ext v with
+      match Extension.to_chronon t.ext ~now v with
       | Some c -> Value.Date (Tip_core.Chronon.start_of_day c)
       | None -> db_error "cannot store %s in a DATE column" (Value.type_name v))
     | _, _ ->
@@ -341,19 +340,14 @@ let run_select t ectx select =
   let rows = Executor.collect_parallel ectx plan in
   Rows { names = Array.to_list names; rows }
 
-(* EXPLAIN ANALYZE: plan under a "plan" span, wrap every operator with
-   an [Instrument] node, execute for real under an "execute" span, and
-   render the tree annotated with actual rows / time / parallel
-   markers. The whole run shares one NOW — it was bound (exactly once)
-   when [exec_statement_raw] opened the root span, and [Tx_clock] is
-   overridden with it, so an operator evaluating NOW late in a long run
+(* EXPLAIN ANALYZE: plan under a "plan" span of the statement's trace,
+   wrap every operator with an [Instrument] node, execute for real under
+   an "execute" span, and render the tree annotated with actual rows /
+   time / parallel markers. The whole run shares one NOW — it was bound
+   (exactly once) when [exec_statement_raw] opened the root span and
+   travels in [ectx], so an operator evaluating NOW late in a long run
    sees the same instant as the first (DESIGN.md §9). *)
-let run_explain_analyze t ectx ~now target =
-  let trace =
-    match Trace.ambient () with
-    | Some tr -> tr
-    | None -> Trace.start "statement"
-  in
+let run_explain_analyze t ectx ~trace ~now target =
   let plan =
     Trace.with_span trace "plan" (fun () ->
         match target with
@@ -530,645 +524,647 @@ let replica_allowed = function
     true
   | _ -> false
 
-let exec_statement_raw t ~token ~params stmt =
+(* The statements that only read: they write no field of [t], so they
+   may run concurrently with each other (DESIGN.md §17). *)
+let read_only_statement = function
+  | Ast.Select _ | Ast.Select_compound _ | Ast.Explain _ -> true
+  | _ -> false
+
+let exec_statement_raw t ~token ~trace ~params stmt =
   if t.read_only && not (replica_allowed stmt) then
     db_error "READ_ONLY: this is a read replica; send writes to the primary";
   (* The statement's NOW is read from the clock exactly once, here, and
      frozen for the whole statement: the root span opens with it, and
-     [Tx_clock.with_override] makes every later read — blade routines,
-     plan operators, EXPLAIN ANALYZE instrumentation — return the same
-     instant (the audit in DESIGN.md §9 lists the call sites). *)
+     it reaches every later reader — blade routines, plan operators,
+     EXPLAIN ANALYZE instrumentation — through [ectx.now] alone (the
+     audit in DESIGN.md §9 lists the call sites). *)
   let now = statement_now t in
-  let trace = Trace.start "statement" in
   Trace.annotate trace "now" (Tip_core.Chronon.to_string now);
   Log.debug (fun m ->
       m "executing (NOW = %s): %s"
         (Tip_core.Chronon.to_string now)
         (Tip_sql.Pretty.statement_to_string stmt));
-  Tip_core.Tx_clock.with_override now (fun () ->
-      Trace.with_ambient trace @@ fun () ->
-      Fun.protect ~finally:(fun () -> ignore (Trace.finish trace)) @@ fun () ->
-      let ectx = make_ectx ~token t ~now ~params in
-      match stmt with
-      | Ast.Select select -> run_select t ectx select
-      | Ast.Select_compound compound ->
-        let plan, names =
-          Planner.plan_union ~ext:t.ext ~ectx t.catalog compound
-        in
-        Rows
-          { names = Array.to_list names;
-            rows = Executor.collect_parallel ectx plan }
-      | Ast.Explain { analyze = false; target = Ast.Select select } ->
-        let plan, _ = Planner.plan ~ext:t.ext ~ectx t.catalog select in
-        Message (Planner.explain plan)
-      | Ast.Explain { analyze = false; target = Ast.Select_compound compound }
-        ->
-        let plan, _ = Planner.plan_union ~ext:t.ext ~ectx t.catalog compound in
-        Message (Planner.explain plan)
-      | Ast.Explain { analyze = true; target } ->
-        run_explain_analyze t ectx ~now target
-      | Ast.Explain _ -> db_error "EXPLAIN supports only SELECT"
-      | Ast.Insert { table; columns; source } -> (
-        (* A partitioned parent accepts INSERTs like a plain table; the
-           only difference is the sink, which routes each row to its
-           owning partition. *)
-        let schema, sink =
-          match Catalog.find_table t.catalog table with
-          | Some tbl ->
-            (Table.schema tbl, fun row -> ignore (insert_row t ~now tbl row))
-          | None -> (
-            match Catalog.find_partitioned t.catalog table with
-            | Some pt ->
-              (pt.Partition.pt_schema, fun row -> insert_routed t ~now pt row)
-            | None -> db_error "no such table: %s" table)
-        in
-        match source with
-        | Ast.Values rows ->
-          let n =
-            List.fold_left
-              (fun n exprs ->
-                let values = List.map (eval_standalone t ectx) exprs in
-                let row = reorder_columns schema columns values in
-                sink row;
-                n + 1)
-              0 rows
-          in
-          Affected n
-        | Ast.Query select ->
-          let plan, _ = Planner.plan ~ext:t.ext ~ectx t.catalog select in
-          let n = ref 0 in
-          Seq.iter
-            (fun produced ->
-              let row =
-                reorder_columns schema columns (Array.to_list produced)
-              in
-              sink row;
-              incr n)
-            (Executor.run ectx plan);
-          Affected !n)
-      | Ast.Update { table = tname; assignments; where } -> (
-        let compile_assignments schema =
-          let layout_resolve _q name = Schema.column_index_exn schema name in
-          let env =
-            Expr_eval.base_env ~ext:t.ext
-              ~plan_subquery:
-                (Planner.subquery_runner_for_table ~ext:t.ext ~ectx t.catalog
-                   schema)
-              ~resolve_column:layout_resolve ()
-          in
-          List.map
-            (fun (col, e) ->
-              let i = Schema.column_index_exn schema col in
-              (i, Expr_eval.compile env e))
-            assignments
-        in
-        let apply_assignments schema compiled old_row =
-          let row = Array.copy old_row in
-          List.iter
-            (fun (i, c) ->
-              row.(i) <-
-                coerce_into t ~now (Schema.column schema i).Schema.ty
-                  (c ectx old_row))
-            compiled;
-          row
-        in
-        let update_in_place table rid old_row row =
-          if Table.update table rid row then begin
-            Catalog.note_partition_write t.catalog table row;
-            log_undo t (U_update (table, rid, old_row));
-            journal_update t table ~old_row ~new_row:(Table.get_exn table rid);
-            history_close t ~now table old_row;
-            match Table.get table rid with
-            | Some stored -> history_open t ~now table stored
-            | None -> ()
-          end
-        in
-        match Catalog.find_table t.catalog tname with
-        | Some table ->
-          let schema = Table.schema table in
-          let compiled = compile_assignments schema in
-          let matches = dml_matches t ectx table where in
-          List.iter
-            (fun (rid, old_row) ->
-              Expr_eval.tick ectx;
-              update_in_place table rid old_row
-                (apply_assignments schema compiled old_row))
-            matches;
-          Affected (List.length matches)
-        | None -> (
-          match Catalog.find_partitioned t.catalog tname with
-          | None -> db_error "no such table: %s" tname
-          | Some pt ->
-            (* Children share the parent's column layout, so assignments
-               compile once against the parent schema. All matches are
-               collected before any row is touched: a row moved forward
-               into a not-yet-visited partition must not match again
-               there (the Halloween problem). *)
-            let schema = pt.Partition.pt_schema in
-            let compiled = compile_assignments schema in
-            let matches =
-              List.concat_map
-                (fun (src : Partition.part) ->
-                  List.map
-                    (fun (rid, old_row) -> (src, rid, old_row))
-                    (dml_matches t ectx src.Partition.p_table where))
-                (Partition.all_parts pt)
-            in
-            List.iter
-              (fun ((src : Partition.part), rid, old_row) ->
-                Expr_eval.tick ectx;
-                let table = src.Partition.p_table in
-                let row = apply_assignments schema compiled old_row in
-                let dst =
-                  try Partition.route pt row
-                  with Partition.Partition_error msg -> db_error "%s" msg
-                in
-                if dst.Partition.p_name = src.Partition.p_name then
-                  update_in_place table rid old_row row
-                else if Table.delete table rid then begin
-                  (* Cross-partition move, journaled as a child-table
-                     DELETE plus INSERT so recovery and replicas replay
-                     it without partition awareness. *)
-                  log_undo t (U_delete (table, old_row));
-                  journal_delete t table old_row;
-                  history_close t ~now table old_row;
-                  ignore (insert_row t ~now dst.Partition.p_table row)
-                end)
-              matches;
-            Affected (List.length matches)))
-      | Ast.Delete { table = tname; where } -> (
-        let delete_from table =
-          let matches = dml_matches t ectx table where in
-          List.iter
-            (fun (rid, old_row) ->
-              Expr_eval.tick ectx;
-              if Table.delete table rid then begin
-                log_undo t (U_delete (table, old_row));
-                journal_delete t table old_row;
-                history_close t ~now table old_row
-              end)
-            matches;
-          List.length matches
-        in
-        match Catalog.find_table t.catalog tname with
-        | Some table -> Affected (delete_from table)
-        | None -> (
-          match Catalog.find_partitioned t.catalog tname with
-          | Some pt ->
-            Affected
-              (List.fold_left
-                 (fun acc (p : Partition.part) ->
-                   acc + delete_from p.Partition.p_table)
-                 0 (Partition.all_parts pt))
-          | None -> db_error "no such table: %s" tname))
-      | Ast.Create_table { table; if_not_exists; columns; with_history; partition_by }
-        ->
-        if
-          if_not_exists
-          && (Catalog.find_table t.catalog table <> None
-             || Catalog.find_partitioned t.catalog table <> None)
-        then Message (Printf.sprintf "table %s already exists, skipped" table)
-        else begin
-          let cols =
-            List.map
-              (fun (c : Ast.column_def) ->
-                let ty = Schema.type_of_name ?param:c.col_type_param c.col_type in
-                Schema.make_column ~not_null:c.col_not_null
-                  ~primary_key:c.col_primary_key c.col_name ty)
-              columns
-          in
-          match partition_by with
-          | Some pc ->
-            if with_history then
-              db_error
-                "PARTITION BY cannot be combined with WITH HISTORY (partition \
-                 the current table and shadow it manually if both are needed)";
-            let parse_instant pname s =
-              match Tip_core.Chronon.of_string s with
-              | Some c -> Tip_core.Chronon.to_unix_seconds c
-              | None ->
-                db_error "partition %s: cannot parse instant '%s'" pname s
-            in
-            let parts =
-              List.map
-                (fun (d : Ast.partition_def) ->
-                  match d.Ast.part_range with
-                  | None -> (d.Ast.part_name, None)
-                  | Some (f, upto) ->
-                    ( d.Ast.part_name,
-                      Some
-                        ( parse_instant d.Ast.part_name f,
-                          parse_instant d.Ast.part_name upto ) ))
-                pc.Ast.part_defs
-            in
-            (try
-               ignore
-                 (Catalog.create_partitioned t.catalog
-                    (Schema.make ~table_name:table cols)
-                    ~column:pc.Ast.part_column ~parts)
-             with Partition.Partition_error msg -> db_error "%s" msg);
-            journal_ddl t
-              (Wal.Create_partitioned
-                 { table; columns = cols; column = pc.Ast.part_column; parts });
-            Message
-              (Printf.sprintf "table %s created (%d partitions)"
-                 (String.lowercase_ascii table)
-                 (List.length parts))
-          | None ->
-          (* Resolve history support before creating anything, so a
-             failure leaves no half-created table behind. *)
-          let history_cols =
-            if not with_history then None
-            else begin
-              match Extension.history_support t.ext with
-              | None ->
-                db_error
-                  "WITH HISTORY requires a temporal blade with history support"
-              | Some support ->
-                (* history rows repeat values over time, so the shadow
-                   drops uniqueness but keeps NOT NULL *)
-                Some
-                  (List.map
-                     (fun (c : Schema.column) ->
-                       Schema.make_column ~not_null:c.Schema.not_null
-                         c.Schema.name c.Schema.ty)
-                     cols
-                  @ [ Schema.make_column "_tt"
-                        (Schema.type_of_name support.Extension.timestamp_type)
-                    ])
-            end
-          in
-          ignore (Catalog.create_table t.catalog (Schema.make ~table_name:table cols));
-          journal_ddl t (Wal.Create_table { table; columns = cols });
-          Option.iter
-            (fun hcols ->
-              let table = table ^ "_history" in
-              ignore
-                (Catalog.create_table t.catalog
-                   (Schema.make ~table_name:table hcols));
-              journal_ddl t (Wal.Create_table { table; columns = hcols }))
-            history_cols;
-          Message
-            (Printf.sprintf "table %s created%s"
-               (String.lowercase_ascii table)
-               (if with_history then " (with transaction-time history)" else ""))
-        end
-      | Ast.Create_table_as { table; query } ->
-        (* Column types are inferred from the first non-NULL value in
-           each output column; all-NULL columns default to TEXT. *)
-        let plan, names = Planner.plan ~ext:t.ext ~ectx t.catalog query in
-        let rows = Executor.collect_parallel ectx plan in
-        let type_of_column i =
-          let rec probe = function
-            | [] -> Schema.T_char None
-            | row :: rest -> (
-              match row.(i) with
-              | Value.Null -> probe rest
-              | Value.Int _ -> Schema.T_int
-              | Value.Float _ -> Schema.T_float
-              | Value.Bool _ -> Schema.T_bool
-              | Value.Str _ -> Schema.T_char None
-              | Value.Date _ -> Schema.T_date
-              | Value.Ext (name, _) -> Schema.T_ext name)
-          in
-          probe rows
-        in
-        let cols =
-          Array.to_list
-            (Array.mapi
-               (fun i name -> Schema.make_column name (type_of_column i))
-               names)
-        in
-        let created =
-          Catalog.create_table t.catalog (Schema.make ~table_name:table cols)
-        in
-        journal_ddl t (Wal.Create_table { table; columns = cols });
-        (* CTAS backfill is DDL-class in the log: like the table itself
-           it is not undone by ROLLBACK. *)
-        List.iter
-          (fun row ->
-            let rid = Table.insert created row in
-            journal_insert ~ddl:true t created (Table.get_exn created rid))
-          rows;
-        Message
-          (Printf.sprintf "table %s created (%d rows)"
-             (String.lowercase_ascii table)
-             (List.length rows))
-      | Ast.Drop_table { table; if_exists } ->
-        if Catalog.drop_table t.catalog table then begin
-          journal_ddl t (Wal.Drop_table table);
-          Message (Printf.sprintf "table %s dropped" table)
-        end
-        else if if_exists then Message "no such table, skipped"
-        else db_error "no such table: %s" table
-      | Ast.Create_index { index; table; column; unique; using } -> (
-        let kind =
-          match Option.map String.lowercase_ascii using with
-          | None | Some "btree" | Some "ordered" -> Table.Ordered
-          | Some "interval" -> Table.Interval
-          | Some other -> db_error "unknown index kind %s" other
-        in
-        let journal_one ~idx_name ~table_name =
-          journal_ddl t
-            (Wal.Create_index
-               { idx_name;
-                 table = table_name;
-                 column;
-                 interval = kind = Table.Interval;
-                 unique })
-        in
+  let ectx = make_ectx ~token t ~now ~params in
+  match stmt with
+  | Ast.Select select -> run_select t ectx select
+  | Ast.Select_compound compound ->
+    let plan, names =
+      Planner.plan_union ~ext:t.ext ~ectx t.catalog compound
+    in
+    Rows
+      { names = Array.to_list names;
+        rows = Executor.collect_parallel ectx plan }
+  | Ast.Explain { analyze = false; target = Ast.Select select } ->
+    let plan, _ = Planner.plan ~ext:t.ext ~ectx t.catalog select in
+    Message (Planner.explain plan)
+  | Ast.Explain { analyze = false; target = Ast.Select_compound compound }
+    ->
+    let plan, _ = Planner.plan_union ~ext:t.ext ~ectx t.catalog compound in
+    Message (Planner.explain plan)
+  | Ast.Explain { analyze = true; target } ->
+    run_explain_analyze t ectx ~trace ~now target
+  | Ast.Explain _ -> db_error "EXPLAIN supports only SELECT"
+  | Ast.Insert { table; columns; source } -> (
+    (* A partitioned parent accepts INSERTs like a plain table; the
+       only difference is the sink, which routes each row to its
+       owning partition. *)
+    let schema, sink =
+      match Catalog.find_table t.catalog table with
+      | Some tbl ->
+        (Table.schema tbl, fun row -> ignore (insert_row t ~now tbl row))
+      | None -> (
         match Catalog.find_partitioned t.catalog table with
         | Some pt ->
-          (* One physical index per child, [<index>__<partition>]; DROP
-             INDEX on the parent-level name removes the whole family. *)
-          List.iter
-            (fun (p : Partition.part) ->
-              let idx_name = index ^ "__" ^ p.Partition.p_name in
-              let table_name = Table.name p.Partition.p_table in
-              ignore
-                (Catalog.create_index t.catalog ~idx_name ~table_name ~column
-                   ~unique ~kind);
-              journal_one ~idx_name ~table_name)
-            (Partition.all_parts pt);
-          Message
-            (Printf.sprintf "index %s created (%d partitions)" index
-               (List.length (Partition.all_parts pt)))
-        | None ->
+          (pt.Partition.pt_schema, fun row -> insert_routed t ~now pt row)
+        | None -> db_error "no such table: %s" table)
+    in
+    match source with
+    | Ast.Values rows ->
+      let n =
+        List.fold_left
+          (fun n exprs ->
+            let values = List.map (eval_standalone t ectx) exprs in
+            let row = reorder_columns schema columns values in
+            sink row;
+            n + 1)
+          0 rows
+      in
+      Affected n
+    | Ast.Query select ->
+      let plan, _ = Planner.plan ~ext:t.ext ~ectx t.catalog select in
+      let n = ref 0 in
+      Seq.iter
+        (fun produced ->
+          let row =
+            reorder_columns schema columns (Array.to_list produced)
+          in
+          sink row;
+          incr n)
+        (Executor.run ectx plan);
+      Affected !n)
+  | Ast.Update { table = tname; assignments; where } -> (
+    let compile_assignments schema =
+      let layout_resolve _q name = Schema.column_index_exn schema name in
+      let env =
+        Expr_eval.base_env ~ext:t.ext
+          ~plan_subquery:
+            (Planner.subquery_runner_for_table ~ext:t.ext ~ectx t.catalog
+               schema)
+          ~resolve_column:layout_resolve ()
+      in
+      List.map
+        (fun (col, e) ->
+          let i = Schema.column_index_exn schema col in
+          (i, Expr_eval.compile env e))
+        assignments
+    in
+    let apply_assignments schema compiled old_row =
+      let row = Array.copy old_row in
+      List.iter
+        (fun (i, c) ->
+          row.(i) <-
+            coerce_into t ~now (Schema.column schema i).Schema.ty
+              (c ectx old_row))
+        compiled;
+      row
+    in
+    let update_in_place table rid old_row row =
+      if Table.update table rid row then begin
+        Catalog.note_partition_write t.catalog table row;
+        log_undo t (U_update (table, rid, old_row));
+        journal_update t table ~old_row ~new_row:(Table.get_exn table rid);
+        history_close t ~now table old_row;
+        match Table.get table rid with
+        | Some stored -> history_open t ~now table stored
+        | None -> ()
+      end
+    in
+    match Catalog.find_table t.catalog tname with
+    | Some table ->
+      let schema = Table.schema table in
+      let compiled = compile_assignments schema in
+      let matches = dml_matches t ectx table where in
+      List.iter
+        (fun (rid, old_row) ->
+          Expr_eval.tick ectx;
+          update_in_place table rid old_row
+            (apply_assignments schema compiled old_row))
+        matches;
+      Affected (List.length matches)
+    | None -> (
+      match Catalog.find_partitioned t.catalog tname with
+      | None -> db_error "no such table: %s" tname
+      | Some pt ->
+        (* Children share the parent's column layout, so assignments
+           compile once against the parent schema. All matches are
+           collected before any row is touched: a row moved forward
+           into a not-yet-visited partition must not match again
+           there (the Halloween problem). *)
+        let schema = pt.Partition.pt_schema in
+        let compiled = compile_assignments schema in
+        let matches =
+          List.concat_map
+            (fun (src : Partition.part) ->
+              List.map
+                (fun (rid, old_row) -> (src, rid, old_row))
+                (dml_matches t ectx src.Partition.p_table where))
+            (Partition.all_parts pt)
+        in
+        List.iter
+          (fun ((src : Partition.part), rid, old_row) ->
+            Expr_eval.tick ectx;
+            let table = src.Partition.p_table in
+            let row = apply_assignments schema compiled old_row in
+            let dst =
+              try Partition.route pt row
+              with Partition.Partition_error msg -> db_error "%s" msg
+            in
+            if dst.Partition.p_name = src.Partition.p_name then
+              update_in_place table rid old_row row
+            else if Table.delete table rid then begin
+              (* Cross-partition move, journaled as a child-table
+                 DELETE plus INSERT so recovery and replicas replay
+                 it without partition awareness. *)
+              log_undo t (U_delete (table, old_row));
+              journal_delete t table old_row;
+              history_close t ~now table old_row;
+              ignore (insert_row t ~now dst.Partition.p_table row)
+            end)
+          matches;
+        Affected (List.length matches)))
+  | Ast.Delete { table = tname; where } -> (
+    let delete_from table =
+      let matches = dml_matches t ectx table where in
+      List.iter
+        (fun (rid, old_row) ->
+          Expr_eval.tick ectx;
+          if Table.delete table rid then begin
+            log_undo t (U_delete (table, old_row));
+            journal_delete t table old_row;
+            history_close t ~now table old_row
+          end)
+        matches;
+      List.length matches
+    in
+    match Catalog.find_table t.catalog tname with
+    | Some table -> Affected (delete_from table)
+    | None -> (
+      match Catalog.find_partitioned t.catalog tname with
+      | Some pt ->
+        Affected
+          (List.fold_left
+             (fun acc (p : Partition.part) ->
+               acc + delete_from p.Partition.p_table)
+             0 (Partition.all_parts pt))
+      | None -> db_error "no such table: %s" tname))
+  | Ast.Create_table { table; if_not_exists; columns; with_history; partition_by }
+    ->
+    if
+      if_not_exists
+      && (Catalog.find_table t.catalog table <> None
+         || Catalog.find_partitioned t.catalog table <> None)
+    then Message (Printf.sprintf "table %s already exists, skipped" table)
+    else begin
+      let cols =
+        List.map
+          (fun (c : Ast.column_def) ->
+            let ty = Schema.type_of_name ?param:c.col_type_param c.col_type in
+            Schema.make_column ~not_null:c.col_not_null
+              ~primary_key:c.col_primary_key c.col_name ty)
+          columns
+      in
+      match partition_by with
+      | Some pc ->
+        if with_history then
+          db_error
+            "PARTITION BY cannot be combined with WITH HISTORY (partition \
+             the current table and shadow it manually if both are needed)";
+        let parse_instant pname s =
+          match Tip_core.Chronon.of_string s with
+          | Some c -> Tip_core.Chronon.to_unix_seconds c
+          | None ->
+            db_error "partition %s: cannot parse instant '%s'" pname s
+        in
+        let parts =
+          List.map
+            (fun (d : Ast.partition_def) ->
+              match d.Ast.part_range with
+              | None -> (d.Ast.part_name, None)
+              | Some (f, upto) ->
+                ( d.Ast.part_name,
+                  Some
+                    ( parse_instant d.Ast.part_name f,
+                      parse_instant d.Ast.part_name upto ) ))
+            pc.Ast.part_defs
+        in
+        (try
+           ignore
+             (Catalog.create_partitioned t.catalog
+                (Schema.make ~table_name:table cols)
+                ~column:pc.Ast.part_column ~parts)
+         with Partition.Partition_error msg -> db_error "%s" msg);
+        journal_ddl t
+          (Wal.Create_partitioned
+             { table; columns = cols; column = pc.Ast.part_column; parts });
+        Message
+          (Printf.sprintf "table %s created (%d partitions)"
+             (String.lowercase_ascii table)
+             (List.length parts))
+      | None ->
+      (* Resolve history support before creating anything, so a
+         failure leaves no half-created table behind. *)
+      let history_cols =
+        if not with_history then None
+        else begin
+          match Extension.history_support t.ext with
+          | None ->
+            db_error
+              "WITH HISTORY requires a temporal blade with history support"
+          | Some support ->
+            (* history rows repeat values over time, so the shadow
+               drops uniqueness but keeps NOT NULL *)
+            Some
+              (List.map
+                 (fun (c : Schema.column) ->
+                   Schema.make_column ~not_null:c.Schema.not_null
+                     c.Schema.name c.Schema.ty)
+                 cols
+              @ [ Schema.make_column "_tt"
+                    (Schema.type_of_name support.Extension.timestamp_type)
+                ])
+        end
+      in
+      ignore (Catalog.create_table t.catalog (Schema.make ~table_name:table cols));
+      journal_ddl t (Wal.Create_table { table; columns = cols });
+      Option.iter
+        (fun hcols ->
+          let table = table ^ "_history" in
           ignore
-            (Catalog.create_index t.catalog ~idx_name:index ~table_name:table
-               ~column ~unique ~kind);
-          journal_one ~idx_name:index ~table_name:table;
-          Message (Printf.sprintf "index %s created" index))
-      | Ast.Drop_index { index } ->
-        if Catalog.drop_index t.catalog index then begin
-          journal_ddl t (Wal.Drop_index index);
-          Message (Printf.sprintf "index %s dropped" index)
-        end
-        else begin
-          (* A parent-level name for a per-partition index family:
-             drop every [<index>__<partition>] member that exists. *)
-          let dropped = ref 0 in
-          List.iter
-            (fun parent ->
-              match Catalog.find_partitioned t.catalog parent with
-              | None -> ()
-              | Some pt ->
-                List.iter
-                  (fun (p : Partition.part) ->
-                    let idx_name = index ^ "__" ^ p.Partition.p_name in
-                    if Catalog.drop_index t.catalog idx_name then begin
-                      journal_ddl t (Wal.Drop_index idx_name);
-                      incr dropped
-                    end)
-                  (Partition.all_parts pt))
-            (Catalog.partitioned_names t.catalog);
-          if !dropped > 0 then
-            Message
-              (Printf.sprintf "index %s dropped (%d partitions)" index !dropped)
-          else db_error "no such index: %s" index
-        end
-      | Ast.Begin_tx ->
-        if t.tx <> None then db_error "already in a transaction";
-        t.tx <- Some { undo = [] };
-        Message "BEGIN"
-      | Ast.Commit_tx ->
-        if t.tx = None then db_error "no transaction in progress";
-        t.tx <- None;
-        Message "COMMIT"
-      | Ast.Rollback_tx -> (
-        match t.tx with
-        | None -> db_error "no transaction in progress"
-        | Some tx ->
-          List.iter undo_entry tx.undo;
-          (* DML journal entries die with the rollback; DDL survives it,
-             exactly like the in-memory state. *)
-          t.pending <-
-            List.filter
-              (function P_ddl _ -> true | P_dml _ | P_mark _ -> false)
-              t.pending;
-          t.tx <- None;
-          Message "ROLLBACK")
-      | Ast.Savepoint name -> (
-        match t.tx with
-        | None -> db_error "SAVEPOINT requires a transaction"
-        | Some tx ->
-          tx.undo <- U_savepoint (String.lowercase_ascii name) :: tx.undo;
-          if journaling t then
-            t.pending <- P_mark (String.lowercase_ascii name) :: t.pending;
-          Message (Printf.sprintf "SAVEPOINT %s" name))
-      | Ast.Rollback_to name -> (
-        match t.tx with
-        | None -> db_error "no transaction in progress"
-        | Some tx ->
-          let name = String.lowercase_ascii name in
-          (* Undo back to (and keep) the marker, so the savepoint can be
-             rolled back to again. *)
-          let rec unwind = function
-            | [] -> db_error "no such savepoint: %s" name
-            | U_savepoint n :: _ as rest when n = name -> rest
-            | u :: rest ->
-              undo_entry u;
-              unwind rest
-          in
-          tx.undo <- unwind tx.undo;
-          (* Mirror on the journal: drop DML (and newer savepoint marks)
-             back to the marker, keeping it and any DDL encountered. *)
-          let rec trim = function
-            | [] -> []
-            | P_mark n :: _ as rest when n = name -> rest
-            | (P_ddl _ as e) :: rest -> e :: trim rest
-            | (P_dml _ | P_mark _) :: rest -> trim rest
-          in
-          t.pending <- trim t.pending;
-          Message (Printf.sprintf "ROLLBACK TO %s" name))
-      | Ast.Release_savepoint name -> (
-        match t.tx with
-        | None -> db_error "no transaction in progress"
-        | Some tx ->
-          let name = String.lowercase_ascii name in
-          let found = ref false in
-          tx.undo <-
-            List.filter
-              (fun u ->
-                match u with
-                | U_savepoint n when n = name && not !found ->
-                  found := true;
-                  false
-                | _ -> true)
-              tx.undo;
-          if not !found then db_error "no such savepoint: %s" name;
-          let released = ref false in
-          t.pending <-
-            List.filter
-              (fun e ->
-                match e with
-                | P_mark n when n = name && not !released ->
-                  released := true;
-                  false
-                | _ -> true)
-              t.pending;
-          Message (Printf.sprintf "RELEASE %s" name))
-      | Ast.Copy_to { table; file } ->
-        let table =
-          match Catalog.find_table t.catalog table with
-          | Some tbl -> tbl
-          | None ->
-            if Catalog.find_partitioned t.catalog table <> None then
-              db_error
-                "COPY TO a partitioned table is not supported; COPY each \
-                 partition child (%s__<partition>)"
-                table
-            else db_error "no such table: %s" table
-        in
-        let n =
-          try Csv.export table file
-          with Sys_error msg | Csv.Csv_error msg -> db_error "COPY: %s" msg
-        in
-        Message (Printf.sprintf "COPY %d rows to %s" n file)
-      | Ast.Copy_from { table; file } ->
-        let schema, sink =
-          match Catalog.find_table t.catalog table with
-          | Some tbl ->
-            (Table.schema tbl, fun row -> ignore (insert_row t ~now tbl row))
-          | None -> (
-            match Catalog.find_partitioned t.catalog table with
-            | Some pt ->
-              (pt.Partition.pt_schema, fun row -> insert_routed t ~now pt row)
-            | None -> db_error "no such table: %s" table)
-        in
-        let n =
-          try Csv.import ~schema ~insert:sink file
-          with Sys_error msg | Csv.Csv_error msg -> db_error "COPY: %s" msg
-        in
-        Affected n
-      | Ast.Set_timeout None ->
-        t.timeout_ms <- None;
-        Message "statement timeout disabled"
-      | Ast.Set_timeout (Some ms) ->
-        if ms < 0 then db_error "SET TIMEOUT expects a non-negative value";
-        if ms = 0 then begin
-          t.timeout_ms <- None;
-          Message "statement timeout disabled"
-        end
-        else begin
-          t.timeout_ms <- Some ms;
-          Message (Printf.sprintf "statement timeout set to %d ms" ms)
-        end
-      | Ast.Set_now None ->
-        t.now_override <- None;
-        Message "NOW restored to the transaction clock"
-      | Ast.Set_now (Some e) -> (
-        let v = eval_standalone t ectx e in
-        let chronon =
-          match v with
-          | Value.Str s -> Tip_core.Chronon.of_string s
-          | v -> Extension.to_chronon t.ext v
-        in
-        match chronon with
-        | Some c ->
-          t.now_override <- Some c;
-          Message
-            (Printf.sprintf "NOW set to %s" (Tip_core.Chronon.to_string c))
-        | None ->
-          db_error "SET NOW expects a time value, got %s" (Value.type_name v))
-      | Ast.Show_tables ->
-        Rows
-          { names = [ "table_name" ];
-            rows =
-              List.map
-                (fun name -> [| Value.Str name |])
-                (List.sort String.compare
-                   (Catalog.table_names t.catalog
-                   @ Catalog.partitioned_names t.catalog)) }
-      | Ast.Describe { table } ->
-        let schema =
-          match Catalog.find_table t.catalog table with
-          | Some tbl -> Table.schema tbl
-          | None -> (
-            match Catalog.find_partitioned t.catalog table with
-            | Some pt -> pt.Partition.pt_schema
-            | None -> db_error "no such table: %s" table)
-        in
-        Rows
-          { names = [ "column"; "type"; "not_null"; "primary_key" ];
-            rows =
-              List.map
-                (fun (c : Schema.column) ->
-                  [| Value.Str c.name;
-                     Value.Str (Schema.type_name c.ty);
-                     Value.Bool c.not_null;
-                     Value.Bool c.primary_key |])
-                (Schema.columns schema) }
-      | Ast.Stats pattern ->
-        let keep =
-          match pattern with
-          | None -> fun _ -> true
-          | Some pat -> Expr_eval.like_match ~pattern:pat
-        in
-        Rows
-          { names = [ "metric"; "kind"; "value" ];
-            rows =
-              List.filter_map
-                (fun (s : Metrics.sample) ->
-                  if keep s.Metrics.s_name then
-                    Some
-                      [| Value.Str s.Metrics.s_name;
-                         Value.Str s.Metrics.s_kind;
-                         Value.Int s.Metrics.s_value |]
-                  else None)
-                (Metrics.samples ()) }
-      | Ast.Analyze target ->
-        let targets =
-          match target with
-          | Some name -> (
-            match Catalog.find_table t.catalog name with
-            | Some tbl -> [ tbl ]
-            | None -> (
-              match Catalog.find_partitioned t.catalog name with
-              | Some pt ->
-                List.map
-                  (fun (p : Partition.part) -> p.Partition.p_table)
-                  (Partition.all_parts pt)
-              | None -> db_error "no such table: %s" name))
-          | None ->
-            List.filter_map
-              (Catalog.find_table t.catalog)
-              (Catalog.table_names t.catalog)
-        in
-        let analyzed_at = Tip_core.Chronon.to_string now in
-        let total =
-          List.fold_left
-            (fun acc tbl ->
-              let st = Table.analyze ~analyzed_at tbl in
-              acc + st.Stats.st_rows)
-            0 targets
-        in
+            (Catalog.create_table t.catalog
+               (Schema.make ~table_name:table hcols));
+          journal_ddl t (Wal.Create_table { table; columns = hcols }))
+        history_cols;
+      Message
+        (Printf.sprintf "table %s created%s"
+           (String.lowercase_ascii table)
+           (if with_history then " (with transaction-time history)" else ""))
+    end
+  | Ast.Create_table_as { table; query } ->
+    (* Column types are inferred from the first non-NULL value in
+       each output column; all-NULL columns default to TEXT. *)
+    let plan, names = Planner.plan ~ext:t.ext ~ectx t.catalog query in
+    let rows = Executor.collect_parallel ectx plan in
+    let type_of_column i =
+      let rec probe = function
+        | [] -> Schema.T_char None
+        | row :: rest -> (
+          match row.(i) with
+          | Value.Null -> probe rest
+          | Value.Int _ -> Schema.T_int
+          | Value.Float _ -> Schema.T_float
+          | Value.Bool _ -> Schema.T_bool
+          | Value.Str _ -> Schema.T_char None
+          | Value.Date _ -> Schema.T_date
+          | Value.Ext (name, _) -> Schema.T_ext name)
+      in
+      probe rows
+    in
+    let cols =
+      Array.to_list
+        (Array.mapi
+           (fun i name -> Schema.make_column name (type_of_column i))
+           names)
+    in
+    let created =
+      Catalog.create_table t.catalog (Schema.make ~table_name:table cols)
+    in
+    journal_ddl t (Wal.Create_table { table; columns = cols });
+    (* CTAS backfill is DDL-class in the log: like the table itself
+       it is not undone by ROLLBACK. *)
+    List.iter
+      (fun row ->
+        let rid = Table.insert created row in
+        journal_insert ~ddl:true t created (Table.get_exn created rid))
+      rows;
+    Message
+      (Printf.sprintf "table %s created (%d rows)"
+         (String.lowercase_ascii table)
+         (List.length rows))
+  | Ast.Drop_table { table; if_exists } ->
+    if Catalog.drop_table t.catalog table then begin
+      journal_ddl t (Wal.Drop_table table);
+      Message (Printf.sprintf "table %s dropped" table)
+    end
+    else if if_exists then Message "no such table, skipped"
+    else db_error "no such table: %s" table
+  | Ast.Create_index { index; table; column; unique; using } -> (
+    let kind =
+      match Option.map String.lowercase_ascii using with
+      | None | Some "btree" | Some "ordered" -> Table.Ordered
+      | Some "interval" -> Table.Interval
+      | Some other -> db_error "unknown index kind %s" other
+    in
+    let journal_one ~idx_name ~table_name =
+      journal_ddl t
+        (Wal.Create_index
+           { idx_name;
+             table = table_name;
+             column;
+             interval = kind = Table.Interval;
+             unique })
+    in
+    match Catalog.find_partitioned t.catalog table with
+    | Some pt ->
+      (* One physical index per child, [<index>__<partition>]; DROP
+         INDEX on the parent-level name removes the whole family. *)
+      List.iter
+        (fun (p : Partition.part) ->
+          let idx_name = index ^ "__" ^ p.Partition.p_name in
+          let table_name = Table.name p.Partition.p_table in
+          ignore
+            (Catalog.create_index t.catalog ~idx_name ~table_name ~column
+               ~unique ~kind);
+          journal_one ~idx_name ~table_name)
+        (Partition.all_parts pt);
+      Message
+        (Printf.sprintf "index %s created (%d partitions)" index
+           (List.length (Partition.all_parts pt)))
+    | None ->
+      ignore
+        (Catalog.create_index t.catalog ~idx_name:index ~table_name:table
+           ~column ~unique ~kind);
+      journal_one ~idx_name:index ~table_name:table;
+      Message (Printf.sprintf "index %s created" index))
+  | Ast.Drop_index { index } ->
+    if Catalog.drop_index t.catalog index then begin
+      journal_ddl t (Wal.Drop_index index);
+      Message (Printf.sprintf "index %s dropped" index)
+    end
+    else begin
+      (* A parent-level name for a per-partition index family:
+         drop every [<index>__<partition>] member that exists. *)
+      let dropped = ref 0 in
+      List.iter
+        (fun parent ->
+          match Catalog.find_partitioned t.catalog parent with
+          | None -> ()
+          | Some pt ->
+            List.iter
+              (fun (p : Partition.part) ->
+                let idx_name = index ^ "__" ^ p.Partition.p_name in
+                if Catalog.drop_index t.catalog idx_name then begin
+                  journal_ddl t (Wal.Drop_index idx_name);
+                  incr dropped
+                end)
+              (Partition.all_parts pt))
+        (Catalog.partitioned_names t.catalog);
+      if !dropped > 0 then
         Message
-          (Printf.sprintf "ANALYZE complete (%d table%s, %d rows sampled)"
-             (List.length targets)
-             (if List.length targets = 1 then "" else "s")
-             total)
-      | Ast.Checkpoint ->
-        if t.tx <> None then
-          db_error "CHECKPOINT is not allowed inside a transaction";
-        (match t.durability with
-        | None -> Message "CHECKPOINT skipped (no durable storage attached)"
-        | Some _ ->
-          let n = checkpoint t in
-          Message
-            (Printf.sprintf "CHECKPOINT complete (%d log records truncated)" n))
-      | Ast.Backup dir ->
-        let origin = backup t ~dir in
-        Message
-          (Printf.sprintf
-             "BACKUP complete: %s (generation %d, epoch %d, offset %d)" dir
-             origin.Archive.o_gen origin.Archive.o_epoch origin.Archive.o_offset)
-      | Ast.Promote ->
-        (* Promotion needs the replication client (it owns the follower
-           loop and the primary's stream position); the server installs
-           a handler that intercepts PROMOTE before execution reaches
-           here. An embedded database has nothing to promote. *)
-        db_error "PROMOTE: this database is not a replica")
+          (Printf.sprintf "index %s dropped (%d partitions)" index !dropped)
+      else db_error "no such index: %s" index
+    end
+  | Ast.Begin_tx ->
+    if t.tx <> None then db_error "already in a transaction";
+    t.tx <- Some { undo = [] };
+    Message "BEGIN"
+  | Ast.Commit_tx ->
+    if t.tx = None then db_error "no transaction in progress";
+    t.tx <- None;
+    Message "COMMIT"
+  | Ast.Rollback_tx -> (
+    match t.tx with
+    | None -> db_error "no transaction in progress"
+    | Some tx ->
+      List.iter undo_entry tx.undo;
+      (* DML journal entries die with the rollback; DDL survives it,
+         exactly like the in-memory state. *)
+      t.pending <-
+        List.filter
+          (function P_ddl _ -> true | P_dml _ | P_mark _ -> false)
+          t.pending;
+      t.tx <- None;
+      Message "ROLLBACK")
+  | Ast.Savepoint name -> (
+    match t.tx with
+    | None -> db_error "SAVEPOINT requires a transaction"
+    | Some tx ->
+      tx.undo <- U_savepoint (String.lowercase_ascii name) :: tx.undo;
+      if journaling t then
+        t.pending <- P_mark (String.lowercase_ascii name) :: t.pending;
+      Message (Printf.sprintf "SAVEPOINT %s" name))
+  | Ast.Rollback_to name -> (
+    match t.tx with
+    | None -> db_error "no transaction in progress"
+    | Some tx ->
+      let name = String.lowercase_ascii name in
+      (* Undo back to (and keep) the marker, so the savepoint can be
+         rolled back to again. *)
+      let rec unwind = function
+        | [] -> db_error "no such savepoint: %s" name
+        | U_savepoint n :: _ as rest when n = name -> rest
+        | u :: rest ->
+          undo_entry u;
+          unwind rest
+      in
+      tx.undo <- unwind tx.undo;
+      (* Mirror on the journal: drop DML (and newer savepoint marks)
+         back to the marker, keeping it and any DDL encountered. *)
+      let rec trim = function
+        | [] -> []
+        | P_mark n :: _ as rest when n = name -> rest
+        | (P_ddl _ as e) :: rest -> e :: trim rest
+        | (P_dml _ | P_mark _) :: rest -> trim rest
+      in
+      t.pending <- trim t.pending;
+      Message (Printf.sprintf "ROLLBACK TO %s" name))
+  | Ast.Release_savepoint name -> (
+    match t.tx with
+    | None -> db_error "no transaction in progress"
+    | Some tx ->
+      let name = String.lowercase_ascii name in
+      let found = ref false in
+      tx.undo <-
+        List.filter
+          (fun u ->
+            match u with
+            | U_savepoint n when n = name && not !found ->
+              found := true;
+              false
+            | _ -> true)
+          tx.undo;
+      if not !found then db_error "no such savepoint: %s" name;
+      let released = ref false in
+      t.pending <-
+        List.filter
+          (fun e ->
+            match e with
+            | P_mark n when n = name && not !released ->
+              released := true;
+              false
+            | _ -> true)
+          t.pending;
+      Message (Printf.sprintf "RELEASE %s" name))
+  | Ast.Copy_to { table; file } ->
+    let table =
+      match Catalog.find_table t.catalog table with
+      | Some tbl -> tbl
+      | None ->
+        if Catalog.find_partitioned t.catalog table <> None then
+          db_error
+            "COPY TO a partitioned table is not supported; COPY each \
+             partition child (%s__<partition>)"
+            table
+        else db_error "no such table: %s" table
+    in
+    let n =
+      try Csv.export table file
+      with Sys_error msg | Csv.Csv_error msg -> db_error "COPY: %s" msg
+    in
+    Message (Printf.sprintf "COPY %d rows to %s" n file)
+  | Ast.Copy_from { table; file } ->
+    let schema, sink =
+      match Catalog.find_table t.catalog table with
+      | Some tbl ->
+        (Table.schema tbl, fun row -> ignore (insert_row t ~now tbl row))
+      | None -> (
+        match Catalog.find_partitioned t.catalog table with
+        | Some pt ->
+          (pt.Partition.pt_schema, fun row -> insert_routed t ~now pt row)
+        | None -> db_error "no such table: %s" table)
+    in
+    let n =
+      try Csv.import ~schema ~insert:sink file
+      with Sys_error msg | Csv.Csv_error msg -> db_error "COPY: %s" msg
+    in
+    Affected n
+  | Ast.Set_timeout None ->
+    t.timeout_ms <- None;
+    Message "statement timeout disabled"
+  | Ast.Set_timeout (Some ms) ->
+    if ms < 0 then db_error "SET TIMEOUT expects a non-negative value";
+    if ms = 0 then begin
+      t.timeout_ms <- None;
+      Message "statement timeout disabled"
+    end
+    else begin
+      t.timeout_ms <- Some ms;
+      Message (Printf.sprintf "statement timeout set to %d ms" ms)
+    end
+  | Ast.Set_now None ->
+    t.now_override <- None;
+    Message "NOW restored to the transaction clock"
+  | Ast.Set_now (Some e) -> (
+    let v = eval_standalone t ectx e in
+    let chronon =
+      match v with
+      | Value.Str s -> Tip_core.Chronon.of_string s
+      | v -> Extension.to_chronon t.ext ~now v
+    in
+    match chronon with
+    | Some c ->
+      t.now_override <- Some c;
+      Message
+        (Printf.sprintf "NOW set to %s" (Tip_core.Chronon.to_string c))
+    | None ->
+      db_error "SET NOW expects a time value, got %s" (Value.type_name v))
+  | Ast.Show_tables ->
+    Rows
+      { names = [ "table_name" ];
+        rows =
+          List.map
+            (fun name -> [| Value.Str name |])
+            (List.sort String.compare
+               (Catalog.table_names t.catalog
+               @ Catalog.partitioned_names t.catalog)) }
+  | Ast.Describe { table } ->
+    let schema =
+      match Catalog.find_table t.catalog table with
+      | Some tbl -> Table.schema tbl
+      | None -> (
+        match Catalog.find_partitioned t.catalog table with
+        | Some pt -> pt.Partition.pt_schema
+        | None -> db_error "no such table: %s" table)
+    in
+    Rows
+      { names = [ "column"; "type"; "not_null"; "primary_key" ];
+        rows =
+          List.map
+            (fun (c : Schema.column) ->
+              [| Value.Str c.name;
+                 Value.Str (Schema.type_name c.ty);
+                 Value.Bool c.not_null;
+                 Value.Bool c.primary_key |])
+            (Schema.columns schema) }
+  | Ast.Stats pattern ->
+    let keep =
+      match pattern with
+      | None -> fun _ -> true
+      | Some pat -> Expr_eval.like_match ~pattern:pat
+    in
+    Rows
+      { names = [ "metric"; "kind"; "value" ];
+        rows =
+          List.filter_map
+            (fun (s : Metrics.sample) ->
+              if keep s.Metrics.s_name then
+                Some
+                  [| Value.Str s.Metrics.s_name;
+                     Value.Str s.Metrics.s_kind;
+                     Value.Int s.Metrics.s_value |]
+              else None)
+            (Metrics.samples ()) }
+  | Ast.Analyze target ->
+    let targets =
+      match target with
+      | Some name -> (
+        match Catalog.find_table t.catalog name with
+        | Some tbl -> [ tbl ]
+        | None -> (
+          match Catalog.find_partitioned t.catalog name with
+          | Some pt ->
+            List.map
+              (fun (p : Partition.part) -> p.Partition.p_table)
+              (Partition.all_parts pt)
+          | None -> db_error "no such table: %s" name))
+      | None ->
+        List.filter_map
+          (Catalog.find_table t.catalog)
+          (Catalog.table_names t.catalog)
+    in
+    let analyzed_at = Tip_core.Chronon.to_string now in
+    let total =
+      List.fold_left
+        (fun acc tbl ->
+          let st = Table.analyze ~analyzed_at tbl in
+          acc + st.Stats.st_rows)
+        0 targets
+    in
+    Message
+      (Printf.sprintf "ANALYZE complete (%d table%s, %d rows sampled)"
+         (List.length targets)
+         (if List.length targets = 1 then "" else "s")
+         total)
+  | Ast.Checkpoint ->
+    if t.tx <> None then
+      db_error "CHECKPOINT is not allowed inside a transaction";
+    (match t.durability with
+    | None -> Message "CHECKPOINT skipped (no durable storage attached)"
+    | Some _ ->
+      let n = checkpoint t in
+      Message
+        (Printf.sprintf "CHECKPOINT complete (%d log records truncated)" n))
+  | Ast.Backup dir ->
+    let origin = backup t ~dir in
+    Message
+      (Printf.sprintf
+         "BACKUP complete: %s (generation %d, epoch %d, offset %d)" dir
+         origin.Archive.o_gen origin.Archive.o_epoch origin.Archive.o_offset)
+  | Ast.Promote ->
+    (* Promotion needs the replication client (it owns the follower
+       loop and the primary's stream position); the server installs
+       a handler that intercepts PROMOTE before execution reaches
+       here. An embedded database has nothing to promote. *)
+    db_error "PROMOTE: this database is not a replica"
 
 (* Layers the database-default statement timeout (SET TIMEOUT) under
    whatever token the caller supplied: a fresh token when the caller is
@@ -1202,12 +1198,16 @@ let effective_token t token =
      transaction the undo log is rewound to the statement boundary so a
      later ROLLBACK does not double-undo. The caller sees the raised
      reason; the WAL sees a clean statement prefix. *)
-let exec_statement ?(token = Deadline.never) ?sql t ~params stmt =
+let exec_statement ?(token = Deadline.never) ?sql ?on_trace t ~params stmt =
   let token = effective_token t token in
-  let t0 = Trace.now_ns () in
-  let scanned0 =
-    if Introspect.enabled () then Metrics.counter_value m_rows_scanned else 0
+  (* The statement's rows-scanned tally comes from its own token, so a
+     statement running beside others counts only its own scans. *)
+  let token =
+    if Introspect.enabled () && Deadline.is_never token then Deadline.create ()
+    else token
   in
+  let t0 = Trace.now_ns () in
+  let scanned0 = Deadline.rows_scanned token in
   (* Fold the execution into the fingerprint store (tip_stat_statements):
      keyed by the normalized shape of the original text when the caller
      has it, else of the pretty-printed AST (identical shape — literals
@@ -1223,21 +1223,14 @@ let exec_statement ?(token = Deadline.never) ?sql t ~params stmt =
              | None -> Tip_sql.Pretty.statement_to_string stmt))
         ~elapsed_ns:(Trace.now_ns () - t0)
         ~rows_returned
-        ~rows_scanned:
-          (Stdlib.max 0 (Metrics.counter_value m_rows_scanned - scanned0))
+        ~rows_scanned:(Deadline.rows_scanned token - scanned0)
         outcome
   in
   let observe () =
     Metrics.incr m_statements;
     Metrics.observe h_statement_ns (Trace.now_ns () - t0)
   in
-  t.stmt_undo <- [];
-  let saved_tx_undo = match t.tx with Some tx -> Some tx.undo | None -> None in
-  let saved_pending = t.pending in
-  match exec_statement_raw t ~token ~params stmt with
-  | result ->
-    flush_pending t;
-    maybe_auto_checkpoint t;
+  let finished result =
     observe ();
     note Introspect.Finished
       ~rows_returned:
@@ -1245,14 +1238,8 @@ let exec_statement ?(token = Deadline.never) ?sql t ~params stmt =
         | Rows { rows; _ } -> List.length rows
         | Affected _ | Message _ -> 0);
     result
-  | exception (Failpoint.Crash _ as e) -> raise e
-  | exception (Deadline.Cancelled reason as e) ->
-    List.iter undo_entry t.stmt_undo;
-    t.stmt_undo <- [];
-    (match t.tx, saved_tx_undo with
-    | Some tx, Some saved -> tx.undo <- saved
-    | _, _ -> ());
-    t.pending <- saved_pending;
+  in
+  let cancelled reason =
     Metrics.incr m_cancelled;
     (match reason with
     | Deadline.Timeout -> Metrics.incr m_timed_out
@@ -1262,13 +1249,62 @@ let exec_statement ?(token = Deadline.never) ?sql t ~params stmt =
           (Deadline.reason_label reason)
           (Tip_sql.Pretty.statement_to_string stmt));
     observe ();
-    note Introspect.Cancelled ~rows_returned:0;
-    raise e
-  | exception e ->
-    flush_pending t;
+    note Introspect.Cancelled ~rows_returned:0
+  in
+  let errored () =
     observe ();
-    note Introspect.Errored ~rows_returned:0;
-    raise e
+    note Introspect.Errored ~rows_returned:0
+  in
+  (* The trace is the statement's own; its finished root goes back to
+     the caller ([on_trace]) whatever the outcome. *)
+  let run () =
+    let trace = Trace.start "statement" in
+    Fun.protect
+      ~finally:(fun () ->
+        let root = Trace.finish trace in
+        Option.iter (fun f -> f root) on_trace)
+      (fun () -> exec_statement_raw t ~token ~trace ~params stmt)
+  in
+  Exec_pool.with_statement @@ fun () ->
+  if read_only_statement stmt then begin
+    (* The read path touches no field of [t]: no undo or journal
+       bookkeeping, no flush, no checkpoint. *)
+    match run () with
+    | result -> finished result
+    | exception (Failpoint.Crash _ as e) -> raise e
+    | exception (Deadline.Cancelled reason as e) ->
+      cancelled reason;
+      raise e
+    | exception e ->
+      errored ();
+      raise e
+  end
+  else begin
+    t.stmt_undo <- [];
+    let saved_tx_undo =
+      match t.tx with Some tx -> Some tx.undo | None -> None
+    in
+    let saved_pending = t.pending in
+    match run () with
+    | result ->
+      flush_pending t;
+      maybe_auto_checkpoint t;
+      finished result
+    | exception (Failpoint.Crash _ as e) -> raise e
+    | exception (Deadline.Cancelled reason as e) ->
+      List.iter undo_entry t.stmt_undo;
+      t.stmt_undo <- [];
+      (match t.tx, saved_tx_undo with
+      | Some tx, Some saved -> tx.undo <- saved
+      | _, _ -> ());
+      t.pending <- saved_pending;
+      cancelled reason;
+      raise e
+    | exception e ->
+      flush_pending t;
+      errored ();
+      raise e
+  end
 
 let exec ?token ?(params = []) t sql =
   match Parser.parse sql with

@@ -63,14 +63,26 @@ val exec :
 (** Executes an already-parsed statement. [sql] is the statement's
     original text, used only to key the {!Tip_obs.Introspect}
     fingerprint store ([tip_stat_statements]); when absent the
-    pretty-printed AST is fingerprinted instead (same shape). *)
+    pretty-printed AST is fingerprinted instead (same shape).
+    [on_trace] receives the statement's own finished trace root, also
+    when the statement fails.
+
+    Read-only statements ({!read_only_statement}) write no field of the
+    database and keep no per-statement state in globals, so callers may
+    run any number of them concurrently (from threads or domains) as
+    long as no other statement runs at the same time. *)
 val exec_statement :
   ?token:Tip_core.Deadline.t ->
   ?sql:string ->
+  ?on_trace:(Tip_obs.Trace.span -> unit) ->
   t ->
   params:(string * Value.t) list ->
   Ast.statement ->
   result
+
+(** [SELECT], compound [SELECT] and [EXPLAIN [ANALYZE]]: the statements
+    that may share the database with each other. *)
+val read_only_statement : Ast.statement -> bool
 
 (** Runs a [';']-separated script; returns the last result. *)
 val exec_script :

@@ -672,7 +672,7 @@ and run_aggregate recurse ctx input keys aggs =
     done
   in
   let batch_ok =
-    !batch_enabled && (not (Failpoint.active ())) && Exec_pool.sequential ()
+    !batch_enabled && (not (Failpoint.active ())) && not (Exec_pool.engaged ())
   in
   let rec consume_plan plan =
     match
@@ -1082,7 +1082,7 @@ let par_aggregate ctx src mk keys aggs : Value.t array list =
 (* Runs [plan] on the pool when the planner marked this exact subtree
    parallel-safe and the leaf clears the size threshold. *)
 let try_parallel ctx plan : Value.t array list option =
-  if Exec_pool.sequential () || not (Plan.parallel_safe plan) then None
+  if (not (Exec_pool.engaged ())) || not (Plan.parallel_safe plan) then None
   else begin
     (* An [Instrument] wrapper at the subtree root receives the whole
        parallel execution's wall time and output row count (the fused
@@ -1153,6 +1153,6 @@ let charge_result_seq ctx seq =
 let collect_parallel ctx plan =
   Metrics.incr m_queries;
   let rows =
-    if Exec_pool.sequential () then run ctx plan else run_hybrid ctx plan
+    if Exec_pool.engaged () then run_hybrid ctx plan else run ctx plan
   in
   List.of_seq (charge_result_seq ctx rows)

@@ -217,28 +217,56 @@ let binop_applier ext op =
 
 (* --- LIKE ----------------------------------------------------------------- *)
 
-(* SQL LIKE: '%' any sequence, '_' any single character. *)
-let like_match ~pattern text =
-  let np = String.length pattern and nt = String.length text in
-  (* memoized recursion over (pattern index, text index) *)
-  let memo = Hashtbl.create 16 in
-  let rec go pi ti =
-    match Hashtbl.find_opt memo (pi, ti) with
-    | Some r -> r
-    | None ->
-      let r =
-        if pi = np then ti = nt
-        else begin
-          match pattern.[pi] with
-          | '%' -> go (pi + 1) ti || (ti < nt && go pi (ti + 1))
-          | '_' -> ti < nt && go (pi + 1) (ti + 1)
-          | c -> ti < nt && text.[ti] = c && go (pi + 1) (ti + 1)
-        end
-      in
-      Hashtbl.replace memo (pi, ti) r;
-      r
+(* SQL LIKE: '%' any sequence, '_' any single character. A pattern
+   compiles once into its '%'-separated segments. Each segment has a
+   fixed length (literal bytes and '_'), so the first is anchored at the
+   start, the last at the end, and placing every middle segment at its
+   leftmost fit decides the match: an earlier placement never leaves
+   less room for the segments after it. *)
+let segment_at seg text pos =
+  let n = String.length seg in
+  let rec go i =
+    i = n
+    || ((seg.[i] = '_' || seg.[i] = String.unsafe_get text (pos + i))
+       && go (i + 1))
   in
-  go 0 0
+  go 0
+
+let like_compile pattern =
+  match String.split_on_char '%' pattern with
+  | [] | [ _ ] ->
+    fun text ->
+      String.length text = String.length pattern && segment_at pattern text 0
+  | first :: rest ->
+    let last, middle =
+      match List.rev rest with
+      | last :: middle ->
+        (last, Array.of_list (List.rev (List.filter (( <> ) "") middle)))
+      | [] -> assert false (* [rest] holds at least one segment *)
+    in
+    let nf = String.length first and nl = String.length last in
+    fun text ->
+      let nt = String.length text in
+      let limit = nt - nl in
+      let rec place k pos =
+        k = Array.length middle
+        ||
+        let seg = middle.(k) in
+        let ns = String.length seg in
+        let rec first_fit p =
+          if p + ns > limit then -1
+          else if segment_at seg text p then p
+          else first_fit (p + 1)
+        in
+        let p = first_fit pos in
+        p >= 0 && place (k + 1) (p + ns)
+      in
+      nt >= nf + nl
+      && segment_at first text 0
+      && segment_at last text limit
+      && place 0 nf
+
+let like_match ~pattern text = like_compile pattern text
 
 (* --- Casts ------------------------------------------------------------------ *)
 
@@ -472,11 +500,24 @@ and compile_node env expr : compiled =
       | v -> v)
   | Ast.Like { negated; scrutinee; pattern } ->
     let cs = compile env scrutinee and cp = compile env pattern in
+    (* The call site keeps its last compiled pattern: a constant pattern
+       compiles once. The pair is immutable, so morsels on other domains
+       may share the slot. *)
+    let last = Atomic.make ("", like_compile "") in
+    let matcher pattern =
+      let p, m = Atomic.get last in
+      if String.equal p pattern then m
+      else begin
+        let m = like_compile pattern in
+        Atomic.set last (pattern, m);
+        m
+      end
+    in
     fun ctx row -> (
       match cs ctx row, cp ctx row with
       | Value.Null, _ | _, Value.Null -> Value.Null
       | Value.Str text, Value.Str pattern ->
-        let m = like_match ~pattern text in
+        let m = matcher pattern text in
         Value.Bool (if negated then not m else m)
       | a, b ->
         eval_error "LIKE expects strings, got %s and %s" (Value.type_name a)

@@ -108,7 +108,12 @@ val apply_binop :
   Extension.t -> now:Tip_core.Chronon.t -> Ast.binop -> Value.t -> Value.t ->
   Value.t
 
-(** SQL LIKE: ['%'] any sequence, ['_'] any one character. *)
+(** SQL LIKE: ['%'] any sequence, ['_'] any one character (one byte).
+    [like_compile pattern] splits the pattern once; the returned matcher
+    allocates nothing per call. *)
+val like_compile : string -> string -> bool
+
+(** [like_match ~pattern text] is [like_compile pattern text]. *)
 val like_match : pattern:string -> string -> bool
 
 (** Cast semantics for [expr::Type]: engine-native conversions for base

@@ -98,7 +98,8 @@ type t = {
   mutable interval_sargable : string list;
     (* routine names [f] such that [f(column, constant)] is answerable
        from an interval index on the column (with recheck) *)
-  mutable chronon_extractors : (Value.t -> Tip_core.Chronon.t option) list;
+  mutable chronon_extractors :
+    (now:Tip_core.Chronon.t -> Value.t -> Tip_core.Chronon.t option) list;
     (* how the engine gets a chronon out of a blade value, e.g. for SET NOW *)
   mutable history : history_support option;
 }
@@ -173,13 +174,14 @@ let find_implicit_cast t ~from_type ~to_type =
   | Some c when c.implicit -> Some c
   | Some _ | None -> None
 
-(* Chronon extraction: Date natively, blade types via extractors. *)
-let to_chronon t v =
+(* Chronon extraction: Date natively, blade types via extractors;
+   NOW-relative values bind to the caller's statement NOW. *)
+let to_chronon t ~now v =
   match v with
   | Value.Date c -> Some c
   | Value.Null | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Str _
   | Value.Ext _ ->
-    List.find_map (fun f -> f v) t.chronon_extractors
+    List.find_map (fun f -> f ~now v) t.chronon_extractors
 
 (* --- Overload resolution --------------------------------------------------- *)
 

@@ -108,9 +108,12 @@ val register_aggregate : t -> name:string -> aggregate -> unit
 val register_interval_sargable : t -> name:string -> unit
 
 (** Teaches the engine to read a chronon out of a blade value (used by
-    SET NOW and DATE coercions). *)
+    SET NOW, AS OF and DATE coercions). A NOW-relative value binds to
+    the [now] the caller passes: its statement's NOW. *)
 val register_chronon_extractor :
-  t -> (Value.t -> Tip_core.Chronon.t option) -> unit
+  t ->
+  (now:Tip_core.Chronon.t -> Value.t -> Tip_core.Chronon.t option) ->
+  unit
 
 (** Enables [CREATE TABLE ... WITH HISTORY] and [FROM t AS OF ...]. *)
 val register_history_support : t -> history_support -> unit
@@ -125,7 +128,8 @@ val is_interval_sargable : t -> string -> bool
 val has_routine : t -> string -> bool
 val find_cast : t -> from_type:string -> to_type:string -> cast option
 val find_implicit_cast : t -> from_type:string -> to_type:string -> cast option
-val to_chronon : t -> Value.t -> Tip_core.Chronon.t option
+val to_chronon :
+  t -> now:Tip_core.Chronon.t -> Value.t -> Tip_core.Chronon.t option
 
 (** The outcome of overload resolution: either the answer is known to be
     NULL (strict routine with a NULL argument), or a routine plus its

@@ -828,7 +828,7 @@ and build_fref pctx catalog offset table_ref : fref * int =
         let chron =
           match v with
           | Value.Str s -> Tip_core.Chronon.of_string s
-          | v -> Extension.to_chronon pctx.ext v
+          | v -> Extension.to_chronon pctx.ext ~now:pctx.ectx.Expr_eval.now v
         in
         match chron with
         | Some c -> c

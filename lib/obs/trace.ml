@@ -57,18 +57,9 @@ let annotate t key value =
   | [] -> ()
   | (sp, _) :: _ -> sp.sp_attrs <- (key, value) :: sp.sp_attrs
 
-(* The most recently finished root span, kept so a caller above the
-   engine (the server's slow-statement path) can export the trace of
-   the statement it just ran without threading the handle through
-   [Database.exec]. Like the ambient slot, statements finish one at a
-   time per process. *)
-let last_root_slot : span option ref = ref None
-let last_root () = !last_root_slot
-
 let finish t =
   List.iter (fun (sp, start_ns) -> close_span sp start_ns) t.tr_stack;
   t.tr_stack <- [];
-  last_root_slot := Some t.tr_root;
   t.tr_root
 
 let children sp = sp.sp_children
@@ -184,12 +175,3 @@ let export_chrome root =
         (fun () -> output_string oc (to_chrome_json root));
       Some path
     with Sys_error _ | Unix.Unix_error _ -> None)
-
-(* Ambient slot: single statement at a time (see .mli). *)
-let ambient_slot : t option ref = ref None
-let ambient () = !ambient_slot
-
-let with_ambient t f =
-  let saved = !ambient_slot in
-  ambient_slot := Some t;
-  Fun.protect ~finally:(fun () -> ambient_slot := saved) f

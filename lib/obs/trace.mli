@@ -5,9 +5,11 @@
     statement — bound exactly once, at root-span open); planner and
     executor phases open children with [with_span].
 
-    Spans record wall-clock nanoseconds ([now_ns]). The trace owner
-    drives the span stack from a single thread; only the finished tree
-    is safe to share. *)
+    Spans record wall-clock nanoseconds ([now_ns]). A trace belongs to
+    one statement and lives in no global: the engine passes it to the
+    phases that annotate it and hands the finished root back to its
+    caller. The trace owner drives the span stack from a single thread;
+    only the finished tree is safe to share. *)
 
 val now_ns : unit -> int
 (** Current time in integer nanoseconds (wall clock; microsecond
@@ -47,22 +49,6 @@ val render : span -> string
     {v statement (1.234 ms) [now=2001-06-01]
       plan (0.021 ms)
       execute (1.102 ms) v} *)
-
-(** {1 Ambient trace}
-
-    The engine stores the statement's trace in an ambient slot so that
-    deeply nested phases (e.g. EXPLAIN ANALYZE rendering) can reach it
-    without threading it through every signature. Statements execute
-    one at a time per process in practice (the server serializes on its
-    db lock); the slot is a plain ref with save/restore semantics. *)
-
-val ambient : unit -> t option
-val with_ambient : t -> (unit -> 'a) -> 'a
-
-val last_root : unit -> span option
-(** The most recently finished root span (set by {!finish}). Lets the
-    server export the trace of the statement it just completed without
-    threading the handle through the engine. *)
 
 (** {1 Chrome trace-event export}
 

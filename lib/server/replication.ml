@@ -73,7 +73,7 @@ type t = {
   host : string;
   port : int;
   db : Db.t;
-  lock : Mutex.t;
+  lock : Rwlock.t; (* the server's database lock; replay holds it exclusive *)
   mutable replica : Replica.t option; (* None until first bootstrap *)
   mutable state : string;
       (* "connecting" | "bootstrapping" | "subscribing" | "streaming"
@@ -91,9 +91,7 @@ type t = {
   mutable thread : Thread.t option;
 }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let with_lock t f = Rwlock.with_exclusive t.lock f
 
 (* --- Observability ------------------------------------------------------ *)
 
@@ -416,7 +414,7 @@ let start ?lock ?resume ~host ~port db =
     { host;
       port;
       db;
-      lock = (match lock with Some l -> l | None -> Mutex.create ());
+      lock = (match lock with Some l -> l | None -> Rwlock.create ());
       replica = None;
       state = "connecting";
       primary_epoch = 0;

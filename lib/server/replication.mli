@@ -16,8 +16,9 @@
 type t
 
 (** Starts replicating [db] from the primary at [host]:[port]. [lock]
-    is the mutex replay shares with readers — pass the server's
-    {!Server.db_mutex} so statements and replay serialize. The thread
+    is the database lock replay shares with readers — pass the server's
+    {!Server.db_lock}: replay, bootstrap and promotion take it
+    exclusive, so no statement runs beside them. The thread
     retries forever until {!stop}; a primary that is down at start is
     simply retried. [resume] is a rejoining node's local
     [(generation, offset, epoch)] — offered as a subscription before
@@ -26,7 +27,7 @@ type t
     [STALE_EPOCH], or [GEN_CHANGED]) and replaced by a fresh snapshot:
     the demotion path. *)
 val start :
-  ?lock:Mutex.t ->
+  ?lock:Rwlock.t ->
   ?resume:int * int * int ->
   host:string ->
   port:int ->

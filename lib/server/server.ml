@@ -2,10 +2,11 @@
    stream socket) and executes their statements against one shared
    embedded database.
 
-   One thread per client; statement execution is serialized with a
-   mutex, so clients see the same single-writer semantics as embedded
-   connections (DESIGN.md documents the concurrency scope). Parameter
-   bindings (B lines) accumulate per session and apply to the next Q.
+   One thread per client, spread over session domains. Statements take
+   the database lock shared when they only read (SELECT, EXPLAIN) and
+   exclusive otherwise, so reads run side by side while every write
+   still has the database to itself (DESIGN.md §17). Parameter bindings
+   (B lines) accumulate per session and apply to the next Q.
 
    Resource governance (DESIGN.md §10): every statement runs under a
    Deadline token — armed with the per-session timeout (SET TIMEOUT)
@@ -21,6 +22,7 @@ module Wait = Tip_obs.Wait
 module Trace = Tip_obs.Trace
 module Deadline = Tip_core.Deadline
 module Ast = Tip_sql.Ast
+module Exec_pool = Tip_engine.Exec_pool
 
 let log_src = Logs.Src.create "tip.server" ~doc:"TIP network server"
 
@@ -115,7 +117,7 @@ type replica_info = {
 
 type t = {
   db : Db.t;
-  db_lock : Mutex.t;
+  db_lock : Rwlock.t;
   listener : Unix.file_descr;
   idle_timeout : float option;
   slow_ms : float option;
@@ -263,17 +265,24 @@ let with_replicas_lock t f =
   Mutex.lock t.replicas_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.replicas_lock) f
 
-(* Acquiring the statement-serialization mutex is THE DbLock wait —
+(* Acquiring the database lock, in either mode, is THE DbLock wait —
    the number the MVCC roadmap item exists to drive down. Only the
    acquisition is attributed; time spent holding the lock lands on the
-   session's other wait classes (or Cpu). *)
-let with_db_lock t f =
-  Wait.with_wait Wait.DbLock (fun () -> Mutex.lock t.db_lock);
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.db_lock) f
+   session's other wait classes (or Cpu). [shared] is for paths that
+   only read: they run beside each other, never beside a writer. *)
+let with_db_lock ?(shared = false) t f =
+  Wait.with_wait Wait.DbLock (fun () ->
+      if shared then Rwlock.lock_shared t.db_lock else Rwlock.lock t.db_lock);
+  Fun.protect
+    ~finally:(fun () ->
+      if shared then Rwlock.unlock_shared t.db_lock
+      else Rwlock.unlock t.db_lock)
+    f
 
 (* tip_stat_replication rows, primary side: one per live subscriber.
-   Runs inside a statement, which already holds the db lock, so the
-   WAL end offset is read directly. *)
+   Runs inside a statement, which already holds the db lock (shared or
+   exclusive, either keeps writers out), so the WAL end offset is read
+   directly. *)
 let replication_rows t () =
   let module Value = Tip_storage.Value in
   let wal_end =
@@ -317,9 +326,10 @@ let rec read_some fd buf off len =
    passes through the [repl.send] failpoint so tests can drop, delay,
    truncate or bit-flip it in flight.
 
-   The WAL file is read under the db lock: a checkpoint — the only
-   truncation — holds that lock for its whole duration, so a read that
-   started under generation g cannot observe a truncated file. *)
+   The WAL file is read under the db lock, shared: a checkpoint — the
+   only truncation — holds that lock exclusive for its whole duration,
+   so a read that started under generation g cannot observe a truncated
+   file. *)
 let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
   let send_error msg =
     try
@@ -335,7 +345,7 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
      subscriber epoch means this server itself is the stale one and
      the client should go find the real primary. *)
   let fence =
-    with_db_lock t (fun () ->
+    with_db_lock ~shared:true t (fun () ->
         let own = Db.epoch t.db in
         if epoch <> own then Some own else None)
   in
@@ -420,7 +430,7 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
         send_error (Deadline.reason_message Deadline.Shutdown)
       else begin
         let status =
-          with_db_lock t (fun () ->
+          with_db_lock ~shared:true t (fun () ->
               match Db.replication_state t.db with
               | None -> `Error "REPLICATION: durable storage detached"
               | Some (cur_gen, wal_end, _) ->
@@ -531,15 +541,13 @@ let handle_snapshot_request t oc =
    caught by the final catch-all so one client cannot take the server
    down. Simulated crashes ([Failpoint.Crash]) are deliberately NOT
    caught — they stand for process death. *)
-(* Returns the response plus the finished statement trace (grabbed
-   under the db lock, so it cannot be another session's): the caller
-   exports it when the statement turns out slow and --trace-dir is on. *)
+(* Returns the response plus the statement's own finished trace, handed
+   back by the engine (none when the statement never reached it): the
+   caller exports it when the statement turns out slow and --trace-dir
+   is on. Read-only statements hold the lock shared. *)
 let execute_statement_guarded t ~token ~params ~sql stmt =
-  Wait.with_wait Wait.DbLock (fun () -> Mutex.lock t.db_lock);
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.db_lock)
-    (fun () ->
-      let root_before = Trace.last_root () in
+  with_db_lock ~shared:(Db.read_only_statement stmt) t (fun () ->
+      let root = ref None in
       let response =
         match
           Tip_storage.Failpoint.hit ~site:"server.exec" ();
@@ -547,7 +555,9 @@ let execute_statement_guarded t ~token ~params ~sql stmt =
              statement whose deadline passed while queued is answered
              without executing at all *)
           Deadline.check token;
-          Db.exec_statement ~token ~sql t.db ~params stmt
+          Db.exec_statement ~token ~sql
+            ~on_trace:(fun r -> root := Some r)
+            t.db ~params stmt
         with
         | result -> result_to_response result
         | exception Deadline.Cancelled reason ->
@@ -568,17 +578,7 @@ let execute_statement_guarded t ~token ~params ~sql stmt =
                 (Printexc.to_string e));
           Protocol.Error ("internal error: " ^ Printexc.to_string e)
       in
-      (* Only a root that appeared during THIS statement is ours to
-         export; a statement cancelled before it reached the engine
-         leaves [last_root] pointing at some earlier statement. *)
-      let root =
-        match Trace.last_root () with
-        | Some r
-          when (match root_before with Some b -> b != r | None -> true) ->
-          Some r
-        | _ -> None
-      in
-      (response, root))
+      (response, !root))
 
 let session_timeout_ms t session_timeout =
   match session_timeout with
@@ -756,7 +756,7 @@ let handle_session t fd addr =
            read under the db lock so a concurrent PROMOTE can never
            show a half-switched answer. *)
         let role, epoch =
-          with_db_lock t (fun () ->
+          with_db_lock ~shared:true t (fun () ->
               ((if Db.read_only t.db then "replica" else "primary"),
                Db.epoch t.db))
         in
@@ -823,7 +823,7 @@ let listen ?(host = "127.0.0.1") ?idle_timeout ?slow_ms ?max_sessions
   Unix.listen fd backlog;
   let t =
     { db;
-      db_lock = Mutex.create ();
+      db_lock = Rwlock.create ();
       listener = fd;
       idle_timeout;
       slow_ms;
@@ -885,6 +885,25 @@ let port t =
   | Unix.ADDR_INET (_, port) -> port
   | Unix.ADDR_UNIX _ -> invalid_arg "Server.port: unix socket"
 
+(* --- Session domains ------------------------------------------------------ *)
+
+(* Sessions are spread round-robin over the [Exec_pool.size ()] domains
+   of the pool (DESIGN.md §17): slot 0 is the accept loop's own domain,
+   the others are the pool's host domains. Each session's thread is
+   created inside its domain, so two sessions run in parallel with no
+   hand-off per statement; with one domain every session is a thread of
+   the accept loop's domain. A session its domain fails to start is
+   journaled as a [thread_crash] and its connection closed. *)
+let next_slot = Atomic.make 0
+
+let start_session t fd addr =
+  let slot = Atomic.fetch_and_add next_slot 1 mod Exec_pool.size () in
+  Exec_pool.on_domain ~slot
+    ~on_error:(fun _ ->
+      Atomic.decr t.active;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> ignore (Thread.create (fun () -> handle_session t fd addr) ()))
+
 (* Accept loop: one thread per client, bounded by admission control. *)
 let serve t =
   Log.info (fun m -> m "listening on port %d" (port t));
@@ -905,7 +924,7 @@ let serve t =
         in
         if admitted then begin
           Atomic.incr t.active;
-          ignore (Thread.create (fun () -> handle_session t client_fd addr) ())
+          start_session t client_fd addr
         end
         else begin
           Metrics.incr m_sessions_rejected;
@@ -982,9 +1001,9 @@ let drain ?(grace = 5.0) t =
 let draining t = t.draining
 let active_sessions t = Atomic.get t.active
 
-(* The statement-serialization mutex, shared with the replication
-   client on a replica so stream replay and reads interleave safely. *)
-let db_mutex t = t.db_lock
+(* The database lock, shared with the replication client on a replica
+   so stream replay (exclusive) and reads (shared) interleave safely. *)
+let db_lock t = t.db_lock
 
 (* Installed by the replication client on a replica server: lets L
    probes report how far behind the primary this server's reads are. *)

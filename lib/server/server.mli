@@ -1,9 +1,16 @@
 (** The TIP database server: accepts client connections over TCP and
     executes their statements against one shared embedded database.
 
-    One thread per client; statement execution is serialized with a
-    mutex, preserving the single-writer semantics of embedded
-    connections. Errors become [E] responses and the session survives.
+    One thread per client. Session threads are spread round-robin over
+    the [Exec_pool.size ()] domains of the pool: the accept loop's
+    domain and the pool's host domains ({!Tip_engine.Exec_pool.on_domain}).
+    Read-only statements ([SELECT], [EXPLAIN]) take the
+    database lock shared and run side by side; every other statement
+    takes it exclusive, preserving the single-writer semantics of
+    embedded connections (DESIGN.md §17). A session a host domain fails
+    to start is logged and journaled as a [thread_crash] event, and its
+    connection closed. Errors become [E] responses and the session
+    survives.
 
     Resource governance (DESIGN.md §10): every statement runs under a
     {!Tip_core.Deadline} token armed with the session's statement
@@ -77,9 +84,9 @@ val active_sessions : t -> int
     passes [repl.snapshot], so tests can drop/delay/truncate/bit-flip
     frames in flight. *)
 
-(** The statement-serialization mutex. The replication client on a
-    replica shares it so stream replay and reads interleave safely. *)
-val db_mutex : t -> Mutex.t
+(** The database lock. The replication client on a replica shares it
+    so stream replay (exclusive) and reads (shared) interleave safely. *)
+val db_lock : t -> Rwlock.t
 
 (** Installs the staleness probe answering [L] requests — on a replica,
     seconds behind the primary (a primary answers [0] by default). *)

@@ -79,14 +79,20 @@ let reset () =
 
 let active () = !armed <> []
 
+(* Sites are hit from every session's domain: the counters are bumped
+   under a lock, taken only while something is armed. *)
+let counters_lock = Mutex.create ()
+
 (* The action armed for this invocation of [site], if any; bumps the
    site's invocation counter either way. *)
 let check site =
   load_env ();
   if !armed = [] then None
   else begin
+    Mutex.lock counters_lock;
     let n = (try Hashtbl.find counters site with Not_found -> 0) + 1 in
     Hashtbl.replace counters site n;
+    Mutex.unlock counters_lock;
     match List.find_opt (fun a -> a.site = site && a.hit = n) !armed with
     | Some a -> Some a.action
     | None -> None

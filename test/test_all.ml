@@ -34,4 +34,5 @@ let () =
       ("replication", Test_replication.suite);
       ("partition", Test_partition.suite);
       ("ha", Test_ha.suite);
-      ("waits", Test_waits.suite) ]
+      ("waits", Test_waits.suite);
+      ("concurrency", Test_concurrency.suite) ]

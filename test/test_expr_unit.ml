@@ -77,6 +77,47 @@ let check_like () =
         (E.like_match ~pattern text))
     cases
 
+(* The matcher LIKE used before patterns were compiled: memoized
+   recursion over (pattern index, text index), a fresh table per call.
+   Kept as the model the compiled matcher must agree with. *)
+let like_reference ~pattern text =
+  let np = String.length pattern and nt = String.length text in
+  let memo = Hashtbl.create 16 in
+  let rec go pi ti =
+    match Hashtbl.find_opt memo (pi, ti) with
+    | Some r -> r
+    | None ->
+      let r =
+        if pi = np then ti = nt
+        else begin
+          match pattern.[pi] with
+          | '%' -> go (pi + 1) ti || (ti < nt && go pi (ti + 1))
+          | '_' -> ti < nt && go (pi + 1) (ti + 1)
+          | c -> ti < nt && text.[ti] = c && go (pi + 1) (ti + 1)
+        end
+      in
+      Hashtbl.replace memo (pi, ti) r;
+      r
+  in
+  go 0 0
+
+(* Small alphabets so wildcards, repeats and near-misses are common:
+   patterns over a b % _, texts over a b. *)
+let prop_like_matches_reference =
+  let open QCheck in
+  let gen =
+    Gen.(
+      pair
+        (string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) (int_bound 8))
+        (string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 10)))
+  in
+  Test.make ~name:"compiled LIKE = memoized reference" ~count:3000
+    (make ~print:(fun (p, t) -> Printf.sprintf "%S LIKE %S" t p) gen)
+    (fun (pattern, text) ->
+      Bool.equal
+        (E.like_compile pattern text)
+        (like_reference ~pattern text))
+
 let check_casts () =
   let ext = Lazy.force ext in
   let cast v ty = E.cast_value ext ~now v ~to_type:ty in
@@ -145,5 +186,6 @@ let suite =
       check_numeric_semantics;
     Alcotest.test_case "comparison semantics" `Quick check_comparison_semantics;
     Alcotest.test_case "LIKE matrix" `Quick check_like;
+    QCheck_alcotest.to_alcotest prop_like_matches_reference;
     Alcotest.test_case "cast semantics" `Quick check_casts;
     Alcotest.test_case "overload resolution" `Quick check_overload_resolution ]

@@ -272,15 +272,12 @@ let with_primary dir f =
 let start_replica ~port () =
   let db = Db.create () in
   Db.set_read_only db true;
-  let lock = Mutex.create () in
+  let lock = Tip_server.Rwlock.create () in
   let repl = Replication.start ~lock ~host:"127.0.0.1" ~port db in
   (db, lock, repl)
 
 let locked_fingerprint lock db =
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () -> fingerprint (Db.catalog db))
+  Tip_server.Rwlock.with_shared lock (fun () -> fingerprint (Db.catalog db))
 
 let converged ~lock ~rdb ~pdb repl () =
   Replication.state repl = "streaming"
@@ -340,7 +337,7 @@ let check_promotion_and_fencing () =
                      bootstrap, and the rogue write is discarded *)
                   Db.set_read_only pdb true;
                   let resume = Option.get (Db.replication_state pdb) in
-                  let lock2 = Mutex.create () in
+                  let lock2 = Tip_server.Rwlock.create () in
                   let repl2 =
                     Replication.start ~lock:lock2 ~resume ~host:"127.0.0.1"
                       ~port:portB pdb

@@ -188,14 +188,12 @@ let with_primary ?port dir f =
 let start_replica ~port () =
   let db = Db.create () in
   Db.set_read_only db true;
-  let lock = Mutex.create () in
+  let lock = Tip_server.Rwlock.create () in
   let repl = Replication.start ~lock ~host:"127.0.0.1" ~port db in
   (db, lock, repl)
 
 let locked_fingerprint lock db =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->
-      fingerprint (Db.catalog db))
+  Tip_server.Rwlock.with_shared lock (fun () -> fingerprint (Db.catalog db))
 
 let converged ~lock ~rdb ~pdb repl () =
   Replication.state repl = "streaming"
@@ -270,7 +268,7 @@ let check_e2e_generation_change () =
 let check_e2e_primary_loss_and_return () =
   with_dir (fun dir ->
       let port = free_port () in
-      let rdb, lock, repl = ref None, Mutex.create (), ref None in
+      let rdb, lock, repl = ref None, Tip_server.Rwlock.create (), ref None in
       Fun.protect
         ~finally:(fun () -> Option.iter Replication.stop !repl)
         (fun () ->
@@ -353,7 +351,7 @@ let check_e2e_routed_reads () =
 let check_e2e_stale_read_bound () =
   with_dir (fun dir ->
       let pport = free_port () in
-      let rdb, lock, repl = ref None, Mutex.create (), ref None in
+      let rdb, lock, repl = ref None, Tip_server.Rwlock.create (), ref None in
       let rserver = ref None in
       Fun.protect
         ~finally:(fun () ->
@@ -420,7 +418,7 @@ let run_fuzz_seed seed =
             Failpoint.arm ~site:"repl.snapshot" ~hit:1 Failpoint.Drop;
           let rdb = Db.create () in
           Db.set_read_only rdb true;
-          let lock = Mutex.create () in
+          let lock = Tip_server.Rwlock.create () in
           let repl =
             ref (Replication.start ~lock ~host:"127.0.0.1" ~port rdb)
           in
