@@ -606,64 +606,6 @@ let bench_rpc () =
   Tip_server.Server.stop server;
   print_table [ "query"; "embedded"; "remote"; "x" ] rows
 
-(* --- E16: morsel-driven parallel execution ----------------------------------------------------- *)
-
-let bench_parallel () =
-  banner "E16 parallel"
-    "Morsel-driven parallel execution: scan/filter/aggregate pipelines split\n\
-     into rid-range morsels on the domain pool (lib/engine/exec_pool.ml).\n\
-     Expect: on a multicore host the 4-domain runs approach 4x on the\n\
-     scan-heavy queries (target >= 2x); on a single-core host the extra\n\
-     domains only add scheduling overhead, so the ratio hovers around 1x\n\
-     or below. Both settings return identical rows. Aggregates are\n\
-     hash-partitioned: each group is folded once, by one domain, so the\n\
-     high-cardinality and coalescing rows pay no partial merges.";
-  let module Pool = Tip_engine.Exec_pool in
-  let n = 50_000 * scale in
-  let db = Db.create () in
-  ignore (Db.exec db "CREATE TABLE m (k INT, g INT, v INT)");
-  let table = Tip_storage.Catalog.table_exn (Db.catalog db) "m" in
-  for i = 0 to n - 1 do
-    ignore
-      (Tip_storage.Table.insert table
-         [| Tip_storage.Value.Int i; Tip_storage.Value.Int (i mod 16);
-            Tip_storage.Value.Int (i * 31 mod 1009) |])
-  done;
-  (* The coalescing shape of the tipbench analytics mix: 20,000
-     prescriptions over 2,000 patients. *)
-  let medical = medical_db ~prescriptions:(20_000 * scale) in
-  let queries =
-    [ (db, "filter scan", "SELECT k, v FROM m WHERE v < 100");
-      (db, "grouped aggregate",
-       "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM m GROUP BY g");
-      (db, "high-cardinality grouped aggregate",
-       Printf.sprintf "SELECT k %% %d, COUNT(*), SUM(v) FROM m GROUP BY k %% %d"
-         (n / 10) (n / 10));
-      (db, "grand aggregate", "SELECT COUNT(*), SUM(v) FROM m WHERE v < 900");
-      (medical, "coalesce (group_union)", Tip_workload.Layered.native_coalesce_sql);
-      (db, "top-k", "SELECT v, k FROM m ORDER BY v DESC LIMIT 20") ]
-  in
-  let rows =
-    List.map
-      (fun (db, label, sql) ->
-        let at_size k () =
-          Pool.set_size k;
-          ignore (Db.exec db sql)
-        in
-        let measured =
-          measure_tests
-            [ ("seq " ^ label, at_size 1); ("par4 " ^ label, at_size 4) ]
-        in
-        Pool.set_size (Pool.default_size ());
-        let get i = snd (List.nth measured i) in
-        [ label; ns_to_string (get 0); ns_to_string (get 1);
-          Printf.sprintf "%.2fx" (get 0 /. get 1) ])
-      queries
-  in
-  Printf.printf "(domains recommended here: %d)\n\n"
-    (Domain.recommended_domain_count ());
-  print_table [ "query"; "1 domain"; "4 domains"; "speedup" ] rows
-
 (* --- E17: write-ahead log overhead and recovery ------------------------------------------------ *)
 
 let bench_wal () =
@@ -741,10 +683,10 @@ let bench_wal () =
 
 let bench_observability () =
   banner "E18 observability"
-    "Metrics tax (DESIGN.md §9): the registry counts rows, morsels, WAL\n\
-     activity and statement latency on every query. Counters are bulk\n\
-     per-operator adds on sharded atomics, so the expected overhead of the\n\
-     instrumented path over TIP_METRICS=off is under 3% on the E16 query mix\n\
+    "Metrics tax (DESIGN.md §9): the registry counts rows, WAL activity\n\
+     and statement latency on every query. Counters are bulk per-operator\n\
+     adds on sharded atomics, so the expected overhead of the instrumented\n\
+     path over TIP_METRICS=off is under 3% on a scan/aggregate query mix\n\
      and the E17 insert path.";
   let module Metrics = Tip_obs.Metrics in
   let n = 50_000 * scale in
@@ -838,7 +780,7 @@ let bench_governance () =
      deadline is armed) and charges scanned/materialized rows against its\n\
      budgets in bulk. Expected overhead of a governed token (generous\n\
      deadline + row budgets, the server's default shape) over the shared\n\
-     never token is under 2% on the E16 query mix.";
+     never token is under 2% on a scan/aggregate query mix.";
   let module Deadline = Tip_core.Deadline in
   let n = 50_000 * scale in
   let db = Db.create () in
@@ -1757,7 +1699,6 @@ let suites =
     ("joins", bench_joins);
     ("profile", bench_profile);
     ("rpc", bench_rpc);
-    ("parallel", bench_parallel);
     ("wal", bench_wal);
     ("observability", bench_observability);
     ("governance", bench_governance);

@@ -337,16 +337,16 @@ let eval_standalone t ectx expr =
 
 let run_select t ectx select =
   let plan, names = Planner.plan ~ext:t.ext ~ectx t.catalog select in
-  let rows = Executor.collect_parallel ectx plan in
+  let rows = Executor.collect ectx plan in
   Rows { names = Array.to_list names; rows }
 
 (* EXPLAIN ANALYZE: plan under a "plan" span of the statement's trace,
    wrap every operator with an [Instrument] node, execute for real under
    an "execute" span, and render the tree annotated with actual rows /
-   time / parallel markers. The whole run shares one NOW — it was bound
-   (exactly once) when [exec_statement_raw] opened the root span and
-   travels in [ectx], so an operator evaluating NOW late in a long run
-   sees the same instant as the first (DESIGN.md §9). *)
+   time. The whole run shares one NOW — it was bound (exactly once)
+   when [exec_statement_raw] opened the root span and travels in
+   [ectx], so an operator evaluating NOW late in a long run sees the
+   same instant as the first (DESIGN.md §9). *)
 let run_explain_analyze t ectx ~trace ~now target =
   let plan =
     Trace.with_span trace "plan" (fun () ->
@@ -360,7 +360,7 @@ let run_explain_analyze t ectx ~trace ~now target =
   let plan = Plan.instrument plan in
   let rows =
     Trace.with_span trace "execute" (fun () ->
-        Executor.collect_parallel ectx plan)
+        Executor.collect ectx plan)
   in
   let span_ns name =
     match Trace.find_child (Trace.root trace) name with
@@ -553,7 +553,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
     in
     Rows
       { names = Array.to_list names;
-        rows = Executor.collect_parallel ectx plan }
+        rows = Executor.collect ectx plan }
   | Ast.Explain { analyze = false; target = Ast.Select select } ->
     let plan, _ = Planner.plan ~ext:t.ext ~ectx t.catalog select in
     Message (Planner.explain plan)
@@ -813,7 +813,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
     (* Column types are inferred from the first non-NULL value in
        each output column; all-NULL columns default to TEXT. *)
     let plan, names = Planner.plan ~ext:t.ext ~ectx t.catalog query in
-    let rows = Executor.collect_parallel ectx plan in
+    let rows = Executor.collect ectx plan in
     let type_of_column i =
       let rec probe = function
         | [] -> Schema.T_char None
@@ -1265,7 +1265,6 @@ let exec_statement ?(token = Deadline.never) ?sql ?on_trace t ~params stmt =
         Option.iter (fun f -> f root) on_trace)
       (fun () -> exec_statement_raw t ~token ~trace ~params stmt)
   in
-  Exec_pool.with_statement @@ fun () ->
   if read_only_statement stmt then begin
     (* The read path touches no field of [t]: no undo or journal
        bookkeeping, no flush, no checkpoint. *)

@@ -2,17 +2,10 @@
 
    Joins materialize their build side only; scans, filters, projections
    and limits stream. Aggregation and sorting are blocking, as they must
-   be.
-
-   A second, morsel-driven entry point ([collect_parallel]) executes
-   planner-approved subtrees on the {!Exec_pool} domain pool: leaf scans
-   split into rid-range morsels with the downstream filter/project
-   pipeline (and hash-join probes) fused into each morsel task, and
-   aggregation is hash-partitioned so that each group is folded once, in
-   input order, by one domain. Morsel outputs concatenate in rid order
-   and groups are emitted in first-appearance order, so the parallel
-   path returns exactly what the sequential one would; any plan shape it
-   does not cover falls back to the sequential operators below. *)
+   be. Pipelines over a rid-splittable leaf run chunk-at-a-time through
+   fused kernels ([run_chunked], [chunk_pipeline]); every other shape
+   runs row-at-a-time ([run_rows]). A statement runs on its session's
+   domain: sessions, not operators, are the unit of parallelism. *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -23,11 +16,11 @@ module Deadline = Tip_core.Deadline
 exception Exec_error of string
 
 (* Registry handles, created once at module init. Scan counts are added
-   in bulk (per scan / per morsel), never per row, to keep the
+   in bulk (once per scan), never per row, to keep the
    instrumented hot path within the <3% overhead budget. *)
 let m_rows_scanned =
   Metrics.counter "exec_rows_scanned_total"
-    ~help:"Rows examined by leaf scans (sequential and morsel paths)"
+    ~help:"Rows examined by leaf scans"
 
 let m_rows_joined =
   Metrics.counter "exec_rows_joined_total"
@@ -39,18 +32,11 @@ let m_rows_coalesced =
 
 let m_agg_rows =
   Metrics.counter "exec_agg_rows_total"
-    ~help:"Rows consumed by sequential aggregation"
-
-let m_morsels =
-  Metrics.counter "exec_morsels_total" ~help:"Morsel tasks executed on the pool"
-
-let m_parallel_subtrees =
-  Metrics.counter "exec_parallel_subtrees_total"
-    ~help:"Plan subtrees that took the morsel-parallel path"
+    ~help:"Rows consumed by aggregation"
 
 let m_queries =
   Metrics.counter "exec_queries_total"
-    ~help:"Plans executed through collect_parallel"
+    ~help:"Plans executed through collect"
 
 (* Hash table keyed by a list of values (group keys / join keys). *)
 module Row_key = struct
@@ -205,21 +191,16 @@ let make_runner ctx (spec : Plan.agg_spec) : runner =
 let emit_group (key, runners) =
   Array.of_list (key @ List.map (fun r -> r.final ()) runners)
 
-(* A grand aggregate over an empty input still yields one row. *)
-let grand_empty ctx aggs = emit_group ([], List.map (make_runner ctx) aggs)
-
-(* One group table, shared by the sequential aggregate and by each
-   partition of the parallel one. [step pos row] folds [row] into its
-   group, creating the group and its runners on first sight and tagging
-   it with [pos], the row's input position; [groups ()] lists
-   [(first position, (key, runners))] in first-appearance order. The
-   common single-key GROUP BY hashes the key value directly; only
-   multi-key grouping pays a key-list allocation per row. *)
+(* The group table of a hash aggregate. [step row] folds [row] into its
+   group, creating the group and its runners on first sight; [groups ()]
+   lists [(key, runners)] in first-appearance order. The common
+   single-key GROUP BY hashes the key value directly; only multi-key
+   grouping pays a key-list allocation per row. *)
 let group_table ctx keys aggs =
   let order = ref [] in
-  let create pos key =
+  let create key =
     let runners = List.map (make_runner ctx) aggs in
-    order := (pos, (key, runners)) :: !order;
+    order := (key, runners) :: !order;
     runners
   in
   let step =
@@ -227,31 +208,31 @@ let group_table ctx keys aggs =
     | [] ->
       (* A grand aggregate is one group: no table to probe. *)
       let runners = ref [] in
-      fun pos row ->
-        (match !order with [] -> runners := create pos [] | _ :: _ -> ());
+      fun row ->
+        (match !order with [] -> runners := create [] | _ :: _ -> ());
         List.iter (fun r -> r.step row) !runners
     | [ ck ] ->
       let groups : runner list Val_table.t = Val_table.create 64 in
-      fun pos row ->
+      fun row ->
         let key = ck ctx row in
         let runners =
           match Val_table.find_opt groups key with
           | Some runners -> runners
           | None ->
-            let runners = create pos [ key ] in
+            let runners = create [ key ] in
             Val_table.replace groups key runners;
             runners
         in
         List.iter (fun r -> r.step row) runners
     | _ ->
       let groups : runner list Key_table.t = Key_table.create 64 in
-      fun pos row ->
+      fun row ->
         let key = List.map (fun c -> c ctx row) keys in
         let runners =
           match Key_table.find_opt groups key with
           | Some runners -> runners
           | None ->
-            let runners = create pos key in
+            let runners = create key in
             Key_table.replace groups key runners;
             runners
         in
@@ -340,14 +321,6 @@ let top_k ctx by k input : Value.t array list =
 
 (* --- Execution -------------------------------------------------------------- *)
 
-(* The operator bodies are parameterized by the function used to run
-   child plans, so the same code serves the purely sequential executor
-   ([run] recurses with itself) and the hybrid one ([run_hybrid]
-   recurses with a function that diverts parallel-safe subtrees to the
-   domain pool). *)
-
-type recurse = Expr_eval.ctx -> Plan.t -> Value.t array Seq.t
-
 (* EXPLAIN ANALYZE support: wrap a child sequence so that every pull
    (including the first, which performs any eager work of the operator
    body) accrues wall time into [stats.actual_ns] and every produced row
@@ -358,11 +331,11 @@ let instrumented_seq (stats : Plan.op_stats) (produce : unit -> Value.t array Se
   let rec wrap force () =
     let t0 = Trace.now_ns () in
     let node = force () in
-    ignore (Atomic.fetch_and_add stats.Plan.actual_ns (Trace.now_ns () - t0));
+    stats.Plan.actual_ns <- stats.Plan.actual_ns + (Trace.now_ns () - t0);
     match node with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (row, rest) ->
-      Atomic.incr stats.Plan.actual_rows;
+      stats.Plan.actual_rows <- stats.Plan.actual_rows + 1;
       Seq.Cons (row, wrap rest)
   in
   wrap (fun () -> (produce ()) ())
@@ -373,7 +346,7 @@ let instrumented_seq (stats : Plan.op_stats) (produce : unit -> Value.t array Se
    costlier on the hot path and buys nothing here). Armed failpoints
    fall back to a poll per row so injected cancellations land at exact
    row boundaries, as the governance fuzz requires. *)
-let scan_rows ctx table n rids =
+let scan_rows ctx table n (rids : int Seq.t) =
   Metrics.add m_rows_scanned n;
   Deadline.charge_rows_scanned ctx.Expr_eval.token n;
   if Failpoint.active () then
@@ -381,7 +354,7 @@ let scan_rows ctx table n rids =
       (fun rid ->
         Expr_eval.tick ctx;
         Table.get table rid)
-      (seq_of_list rids)
+      rids
   else begin
     let k = ref 0 in
     Seq.filter_map
@@ -389,8 +362,19 @@ let scan_rows ctx table n rids =
         incr k;
         if !k land 255 = 0 then Expr_eval.poll ctx;
         Table.get table rid)
-      (seq_of_list rids)
+      rids
   end
+
+(* The rids an interval scan visits, ascending; the row and chunk paths
+   both take them from here. Multi-period values have one index entry
+   per period, so a row can match the probe window several times:
+   dedupe. When the window matches more than half the table the index
+   only adds overhead, and the recheck filter above makes a plain scan
+   equivalent, so degrade to one. *)
+let interval_rids table index ~lo ~hi =
+  let rids = Interval_index.query_overlaps index ~lo ~hi in
+  if List.length rids > Table.row_count table / 2 then Table.rids_array table
+  else Array.of_list (List.sort_uniq Int.compare rids)
 
 (* --- Chunks (batch-at-a-time execution) ---------------------------------- *)
 
@@ -457,28 +441,27 @@ let set_batch_enabled b = batch_enabled := b
 let batch_min_rows = ref 256
 let set_batch_min_rows n = batch_min_rows := max 0 n
 
-(* Sequential chunk dispatch pays off once at least one operator can
-   fuse above a rid-splittable leaf; bare leaves keep the row path
-   (scan_rows already bulk-charges). Armed failpoints force the row
-   path so per-row poll counts stay exact for the governance fuzz. *)
+(* Armed failpoints force the row path so per-row poll counts stay exact
+   for the governance fuzz. *)
+let batch_ok () = !batch_enabled && not (Failpoint.active ())
+
+(* Chunk dispatch pays off once at least one operator can fuse above a
+   rid-splittable leaf; bare leaves keep the row path (scan_rows already
+   bulk-charges). *)
 let batch_shape = function
-  | (Plan.Filter _ | Plan.Project _ | Plan.Hash_join _) as p ->
-    Plan.parallel_pipeline p
+  | (Plan.Filter _ | Plan.Project _ | Plan.Hash_join _) as p -> Plan.chunkable p
   | _ -> false
 
-(* A compiled chunk pipeline: a leaf rid snapshot plus a stage factory.
-   Calling the factory instantiates the fused chunk transform for one
-   task — stages own reusable output chunks, so every concurrent morsel
-   task needs its own instance, while the read-only state underneath
-   (compiled kernels, materialized hash-join build tables) is shared. *)
-type par_source = { par_table : Table.t; par_rids : int array }
+(* A compiled chunk pipeline reads the rows of [src_rids] from
+   [src_table], one chunk at a time, through its fused stage. *)
+type source = { src_table : Table.t; src_rids : int array }
 
-let rec run_with (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
+let rec run ctx (plan : Plan.t) : Value.t array Seq.t =
   match run_chunked ctx plan with
   | Some rows -> rows
-  | None -> run_rows recurse ctx plan
+  | None -> run_rows ctx plan
 
-and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
+and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
   match plan with
   | Plan.One_row -> Seq.return [||]
   | Plan.Virtual_scan { produce; _ } ->
@@ -494,34 +477,23 @@ and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
         row)
       (seq_of_list rows)
   | Plan.Instrument { input; stats } ->
-    instrumented_seq stats (fun () -> recurse ctx input)
+    instrumented_seq stats (fun () -> run ctx input)
   | Plan.Seq_scan { table; _ } ->
     (* Snapshot the rid list so concurrent mutation cannot skew the scan. *)
     let rids = Table.rids table in
-    scan_rows ctx table (Table.row_count table) rids
+    scan_rows ctx table (Table.row_count table) (seq_of_list rids)
   | Plan.Index_scan { table; btree; lo; hi; _ } ->
     (* Rows come back in key order — the planner relies on this to
        satisfy ORDER BY from an index. *)
     let rids = Btree.range btree ~lo ~hi in
-    scan_rows ctx table (List.length rids) rids
+    scan_rows ctx table (List.length rids) (seq_of_list rids)
   | Plan.Interval_scan { table; index; lo; hi; _ } ->
-    (* Multi-period values have one index entry per period, so a row can
-       match the probe window several times; dedupe before fetching.
-       Adaptive fallback: when the window matches most of the table the
-       index only adds overhead, and the recheck filter above makes a
-       plain scan equivalent — so degrade to one. *)
-    let rids = Interval_index.query_overlaps index ~lo ~hi in
-    if List.length rids > Table.row_count table / 2 then
-      scan_rows ctx table (Table.row_count table) (Table.rids table)
-    else begin
-      let rids = List.sort_uniq Int.compare rids in
-      scan_rows ctx table (List.length rids) rids
-    end
+    let rids = interval_rids table index ~lo ~hi in
+    scan_rows ctx table (Array.length rids) (Array.to_seq rids)
   | Plan.Filter { input; pred; _ } ->
-    Seq.filter (fun row -> Expr_eval.to_predicate pred ctx row)
-      (recurse ctx input)
+    Seq.filter (fun row -> Expr_eval.to_predicate pred ctx row) (run ctx input)
   | Plan.Nested_loop { left; right } ->
-    let right_rows = List.of_seq (recurse ctx right) in
+    let right_rows = List.of_seq (run ctx right) in
     (* Output cardinality is |left|·|right| — far beyond what the leaf
        scans charged — so tick per emitted row: a cross join over tiny
        inputs is exactly the runaway the governor must catch. *)
@@ -532,13 +504,12 @@ and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
             Expr_eval.tick ctx;
             concat_rows lrow rrow)
           (seq_of_list right_rows))
-      (recurse ctx left)
+      (run ctx left)
   | Plan.Hash_join { left; right; left_keys; right_keys; build_left; _ } ->
     (* Build on the cost-chosen side, probe from the other; NULL keys
        never join. Output rows are always left-columns ++ right-columns;
        the emission order is probe-major, so it depends on [build_left]
-       — a plan property, identical across the row, batch and morsel
-       paths. *)
+       — a plan property, identical across the row and batch paths. *)
     let build_plan, probe_plan, build_keys, probe_keys =
       if build_left then (left, right, left_keys, right_keys)
       else (right, left, right_keys, left_keys)
@@ -551,7 +522,7 @@ and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
           let existing = Option.value (Key_table.find_opt build key) ~default:[] in
           Key_table.replace build key (brow :: existing)
         end)
-      (recurse ctx build_plan);
+      (run ctx build_plan);
     Seq.concat_map
       (fun prow ->
         let key = List.map (fun c -> c ctx prow) probe_keys in
@@ -569,9 +540,9 @@ and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
                 else concat_rows prow brow)
               (seq_of_list (List.rev matches))
         end)
-      (recurse ctx probe_plan)
+      (run ctx probe_plan)
   | Plan.Left_outer_join { left; right; on; right_width; _ } ->
-    let right_rows = List.of_seq (recurse ctx right) in
+    let right_rows = List.of_seq (run ctx right) in
     let nulls = Array.make right_width Value.Null in
     Seq.concat_map
       (fun lrow ->
@@ -584,14 +555,12 @@ and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
         match matches with
         | [] -> Seq.return (concat_rows lrow nulls)
         | _ -> Seq.map (fun rrow -> concat_rows lrow rrow) (seq_of_list matches))
-      (recurse ctx left)
+      (run ctx left)
   | Plan.Project { input; exprs; _ } ->
-    Seq.map (fun row -> Array.map (fun c -> c ctx row) exprs)
-      (recurse ctx input)
-  | Plan.Aggregate { input; keys; aggs; _ } ->
-    run_aggregate recurse ctx input keys aggs
+    Seq.map (fun row -> Array.map (fun c -> c ctx row) exprs) (run ctx input)
+  | Plan.Aggregate { input; keys; aggs; _ } -> run_aggregate ctx input keys aggs
   | Plan.Sort { input; by; _ } ->
-    let rows = Array.of_seq (recurse ctx input) in
+    let rows = Array.of_seq (run ctx input) in
     (* decorate-sort-undecorate: evaluate the keys once per row *)
     let decorated =
       Array.map (fun row -> (List.map (fun (c, _) -> c ctx row) by, row)) rows
@@ -609,61 +578,51 @@ and run_rows (recurse : recurse) ctx (plan : Plan.t) : Value.t array Seq.t =
           Row_table.replace seen row ();
           true
         end)
-      (recurse ctx input)
+      (run ctx input)
   | Plan.Append inputs ->
     List.fold_left
-      (fun acc input -> Seq.append acc (recurse ctx input))
+      (fun acc input -> Seq.append acc (run ctx input))
       Seq.empty inputs
   | Plan.Partition_scan { children; _ } ->
     (* Partition-wise consumption: each surviving child pipeline goes
-       back through [recurse], so it independently takes the batch or
-       morsel-parallel path exactly as an unpartitioned scan would. *)
+       back through [run], so it independently takes the batch path
+       exactly as an unpartitioned scan would. *)
     List.fold_left
-      (fun acc child -> Seq.append acc (recurse ctx child))
+      (fun acc child -> Seq.append acc (run ctx child))
       Seq.empty children
   | Plan.Limit { input; limit; offset } ->
     let s =
       match limit with
       | Some n -> (
         let k = Stdlib.max 0 (n + Option.value offset ~default:0) in
-        match run_topk recurse ctx input k with
+        match run_topk ctx input k with
         | Some s -> s
-        | None ->
-          if Plan.parallel_pipeline input then
-            (* Streaming input under a limit: stay lazy and sequential so
-               the scan stops after [k] rows instead of materializing on
-               the pool. *)
-            run ctx input
-          else recurse ctx input)
-      | None -> recurse ctx input
+        | None -> run ctx input)
+      | None -> run ctx input
     in
     let s = match offset with Some n -> Seq.drop n s | None -> s in
     (match limit with Some n -> Seq.take n s | None -> s)
 
-and run_aggregate recurse ctx input keys aggs =
+and run_aggregate ctx input keys aggs =
   let step, groups = group_table ctx keys aggs in
   let input_rows = ref 0 in
   let consume row =
-    step !input_rows row;
+    step row;
     incr input_rows
   in
   (* Chunked consumption: when the input is a rid-splittable pipeline
      (including a bare leaf scan), drive chunks straight into the group
-     table with no row sequence in between. The pool-backed parallel
-     aggregation path is chosen upstream ([try_parallel]) before this
-     runs, so only subtrees it declined — pool off or table too small —
-     land here. *)
-  let drive_chunks (src, mk) =
-    let nrids = Array.length src.par_rids in
+     table with no row sequence in between. *)
+  let drive_chunks (src, stage) =
+    let nrids = Array.length src.src_rids in
     Metrics.add m_rows_scanned nrids;
     Deadline.charge_rows_scanned ctx.Expr_eval.token nrids;
-    let stage = mk () in
     let c = make_chunk () in
     let pos = ref 0 in
     while !pos < nrids do
       Expr_eval.poll ctx;
       let len = Stdlib.min chunk_size (nrids - !pos) in
-      fill_chunk src.par_table src.par_rids !pos len c;
+      fill_chunk src.src_table src.src_rids !pos len c;
       let out = stage c in
       for j = 0 to out.nsel - 1 do
         consume out.rows.(out.sel.(j))
@@ -671,13 +630,9 @@ and run_aggregate recurse ctx input keys aggs =
       pos := !pos + len
     done
   in
-  let batch_ok =
-    !batch_enabled && (not (Failpoint.active ())) && not (Exec_pool.engaged ())
-  in
   let rec consume_plan plan =
     match
-      if batch_ok && Plan.parallel_pipeline plan then
-        chunk_pipeline ctx ~min_rows:!batch_min_rows ~mark_parallel:false plan
+      if batch_ok () && Plan.chunkable plan then chunk_pipeline ctx plan
       else None
     with
     | Some pipeline -> drive_chunks pipeline
@@ -689,74 +644,58 @@ and run_aggregate recurse ctx input keys aggs =
            partitioned aggregate costs the same per row as the
            unpartitioned one. *)
         List.iter consume_plan children
-      | _ -> Seq.iter consume (recurse ctx plan))
+      | _ -> Seq.iter consume (run ctx plan))
   in
   consume_plan input;
   Metrics.add m_agg_rows !input_rows;
   match groups () with
-  | [] when keys = [] -> Seq.return (grand_empty ctx aggs)
-  | groups -> Seq.map (fun (_, g) -> emit_group g) (seq_of_list groups)
+  | [] when keys = [] ->
+    (* A grand aggregate over an empty input still yields one row. *)
+    Seq.return (emit_group ([], List.map (make_runner ctx) aggs))
+  | groups -> Seq.map emit_group (seq_of_list groups)
 
 (* LIMIT directly above a Sort — possibly through row-wise Projects —
    needs only the first [k] sorted rows, so a bounded heap replaces the
    full materialize-and-sort. *)
-and run_topk recurse ctx plan k : Value.t array Seq.t option =
+and run_topk ctx plan k : Value.t array Seq.t option =
   match plan with
   | Plan.Instrument { input; stats } ->
     Option.map
       (fun s -> instrumented_seq stats (fun () -> s))
-      (run_topk recurse ctx input k)
+      (run_topk ctx input k)
   | Plan.Project { input; exprs; _ } ->
     Option.map
       (Seq.map (fun row -> Array.map (fun c -> c ctx row) exprs))
-      (run_topk recurse ctx input k)
-  | Plan.Sort { input; by; _ } ->
-    Some (seq_of_list (top_k ctx by k (recurse ctx input)))
+      (run_topk ctx input k)
+  | Plan.Sort { input; by; _ } -> Some (seq_of_list (top_k ctx by k (run ctx input)))
   | _ -> None
 
-and run ctx plan = run_with run ctx plan
-
-(* Compile a rid-splittable pipeline into a chunk-stage factory. Shapes
-   mirror {!Plan.parallel_pipeline}: Seq_scan/Interval_scan leaves under
-   Filter/Project operators, Hash_join probe sides and Instrument
-   wrappers. Leaves below [min_rows] rows refuse (the morsel caller
-   passes its threshold; the sequential batch drivers pass
-   [batch_min_rows]).
-   [mark_parallel] controls the EXPLAIN ANALYZE parallel marker. *)
-and chunk_pipeline ctx ~min_rows ~mark_parallel (plan : Plan.t) :
-    (par_source * (unit -> chunk -> chunk)) option =
+(* Compile a rid-splittable pipeline into its source and a fused chunk
+   stage. Shapes mirror {!Plan.chunkable}: Seq_scan/Interval_scan leaves
+   under Filter/Project operators, Hash_join probe sides and Instrument
+   wrappers. Leaves below [batch_min_rows] rows refuse. Stages own
+   reusable output chunks, so a compiled pipeline serves one driver. *)
+and chunk_pipeline ctx (plan : Plan.t) : (source * (chunk -> chunk)) option =
+  let leaf table rids =
+    if Array.length rids < !batch_min_rows then None
+    else Some ({ src_table = table; src_rids = rids }, Fun.id)
+  in
   match plan with
-  | Plan.Seq_scan { table; _ } ->
-    let rids = Table.rids_array table in
-    if Array.length rids < min_rows then None
-    else Some ({ par_table = table; par_rids = rids }, fun () c -> c)
+  | Plan.Seq_scan { table; _ } -> leaf table (Table.rids_array table)
   | Plan.Interval_scan { table; index; lo; hi; _ } ->
-    (* Same candidate set, dedup and adaptive full-scan degradation as
-       the row operator, so chunk concatenation reproduces its output
-       exactly. *)
-    let rids = Interval_index.query_overlaps index ~lo ~hi in
-    let rids =
-      if List.length rids > Table.row_count table / 2 then
-        Table.rids_array table
-      else Array.of_list (List.sort_uniq Int.compare rids)
-    in
-    if Array.length rids < min_rows then None
-    else Some ({ par_table = table; par_rids = rids }, fun () c -> c)
+    leaf table (interval_rids table index ~lo ~hi)
   | Plan.Instrument { input; stats } ->
     (* Chunked stages have no per-operator boundaries to time; operators
        report the rows that flowed through them and the driver
        attributes wall time to the subtree root. *)
     Option.map
-      (fun (src, mk) ->
-        if mark_parallel then Atomic.set stats.Plan.ran_parallel true;
+      (fun (src, stage) ->
         ( src,
-          fun () ->
-            let stage = mk () in
-            fun c ->
-              let c = stage c in
-              ignore (Atomic.fetch_and_add stats.Plan.actual_rows c.nsel);
-              c ))
-      (chunk_pipeline ctx ~min_rows ~mark_parallel input)
+          fun c ->
+            let c = stage c in
+            stats.Plan.actual_rows <- stats.Plan.actual_rows + c.nsel;
+            c ))
+      (chunk_pipeline ctx input)
   | Plan.Filter { input; pred; bpred; _ } ->
     let kernel =
       match bpred with
@@ -764,74 +703,66 @@ and chunk_pipeline ctx ~min_rows ~mark_parallel (plan : Plan.t) :
       | None -> Expr_eval.batch_of_predicate pred
     in
     Option.map
-      (fun (src, mk) ->
+      (fun (src, stage) ->
         ( src,
-          fun () ->
-            let stage = mk () in
-            fun c ->
-              let c = stage c in
-              c.nsel <- kernel ctx c.rows ~sel:c.sel ~n:c.nsel;
-              c ))
-      (chunk_pipeline ctx ~min_rows ~mark_parallel input)
+          fun c ->
+            let c = stage c in
+            c.nsel <- kernel ctx c.rows ~sel:c.sel ~n:c.nsel;
+            c ))
+      (chunk_pipeline ctx input)
   | Plan.Project { input; exprs; _ } ->
     Option.map
-      (fun (src, mk) ->
+      (fun (src, stage) ->
+        let out = make_chunk () in
         ( src,
-          fun () ->
-            let stage = mk () in
-            let out = make_chunk () in
-            fun c ->
-              let c = stage c in
-              let n = c.nsel in
-              ensure_capacity out n;
-              for j = 0 to n - 1 do
-                let row = c.rows.(c.sel.(j)) in
-                out.rows.(j) <- Array.map (fun e -> e ctx row) exprs;
-                out.sel.(j) <- j
-              done;
-              out.len <- n;
-              out.nsel <- n;
-              out ))
-      (chunk_pipeline ctx ~min_rows ~mark_parallel input)
+          fun c ->
+            let c = stage c in
+            let n = c.nsel in
+            ensure_capacity out n;
+            for j = 0 to n - 1 do
+              let row = c.rows.(c.sel.(j)) in
+              out.rows.(j) <- Array.map (fun e -> e ctx row) exprs;
+              out.sel.(j) <- j
+            done;
+            out.len <- n;
+            out.nsel <- n;
+            out ))
+      (chunk_pipeline ctx input)
   | Plan.Hash_join { left; right; left_keys; right_keys; build_left; _ } -> (
     let build_plan, probe_plan, build_keys, probe_keys =
       if build_left then (left, right, left_keys, right_keys)
       else (right, left, right_keys, left_keys)
     in
-    match chunk_pipeline ctx ~min_rows ~mark_parallel probe_plan with
+    match chunk_pipeline ctx probe_plan with
     | None -> None
-    | Some (src, mk) ->
-      (* Sequential build, then probes fuse into the chunk stages; the
-         finished table is only read (concurrently, on the morsel
-         path). *)
+    | Some (src, stage) ->
+      (* Build first, then probes fuse into the chunk stages. *)
       let probe = build_join_table ctx build_plan build_keys probe_keys in
+      let out = make_chunk () in
       Some
         ( src,
-          fun () ->
-            let stage = mk () in
-            let out = make_chunk () in
-            fun c ->
-              let c = stage c in
-              let k = ref 0 in
-              for j = 0 to c.nsel - 1 do
-                let prow = c.rows.(c.sel.(j)) in
-                let matches = probe prow in
-                let m = Array.length matches in
-                if m > 0 then begin
-                  Metrics.add m_rows_joined m;
-                  ensure_capacity out (!k + m);
-                  for x = 0 to m - 1 do
-                    out.rows.(!k) <-
-                      (if build_left then concat_rows matches.(x) prow
-                       else concat_rows prow matches.(x));
-                    out.sel.(!k) <- !k;
-                    incr k
-                  done
-                end
-              done;
-              out.len <- !k;
-              out.nsel <- !k;
-              out ))
+          fun c ->
+            let c = stage c in
+            let k = ref 0 in
+            for j = 0 to c.nsel - 1 do
+              let prow = c.rows.(c.sel.(j)) in
+              let matches = probe prow in
+              let m = Array.length matches in
+              if m > 0 then begin
+                Metrics.add m_rows_joined m;
+                ensure_capacity out (!k + m);
+                for x = 0 to m - 1 do
+                  out.rows.(!k) <-
+                    (if build_left then concat_rows matches.(x) prow
+                     else concat_rows prow matches.(x));
+                  out.sel.(!k) <- !k;
+                  incr k
+                done
+              end
+            done;
+            out.len <- !k;
+            out.nsel <- !k;
+            out ))
   | Plan.Index_scan _ | Plan.Nested_loop _ | Plan.Left_outer_join _
   | Plan.Aggregate _ | Plan.Sort _ | Plan.Distinct _ | Plan.Limit _
   | Plan.Append _ | Plan.Partition_scan _ | Plan.One_row
@@ -889,20 +820,16 @@ and build_join_table ctx build_plan build_keys probe_keys :
         | None -> [||]
       end
 
-(* Sequential batch driver: run a qualifying pipeline chunk-at-a-time as
-   a lazy sequence — one cancellation poll and one buffer fill per
-   chunk, fused kernels in between, each chunk's survivors emitted
-   before the buffers are reused. Laziness across chunks keeps LIMIT
+(* Chunk driver as a lazy sequence: each chunk's survivors are emitted
+   before the buffers are reused, and laziness across chunks keeps LIMIT
    early-exit intact at chunk granularity. *)
 and run_chunked ctx (plan : Plan.t) : Value.t array Seq.t option =
-  if (not !batch_enabled) || Failpoint.active () || not (batch_shape plan)
-  then None
+  if not (batch_ok () && batch_shape plan) then None
   else
     Option.map
-      (fun (src, mk) ->
-        let stage = mk () in
+      (fun (src, stage) ->
         let c = make_chunk () in
-        let nrids = Array.length src.par_rids in
+        let nrids = Array.length src.src_rids in
         Metrics.add m_rows_scanned nrids;
         Deadline.charge_rows_scanned ctx.Expr_eval.token nrids;
         let rec chunks lo () =
@@ -910,7 +837,7 @@ and run_chunked ctx (plan : Plan.t) : Value.t array Seq.t option =
           else begin
             Expr_eval.poll ctx;
             let len = Stdlib.min chunk_size (nrids - lo) in
-            fill_chunk src.par_table src.par_rids lo len c;
+            fill_chunk src.src_table src.src_rids lo len c;
             let out = stage c in
             let selected = ref [] in
             for j = out.nsel - 1 downto 0 do
@@ -920,239 +847,27 @@ and run_chunked ctx (plan : Plan.t) : Value.t array Seq.t option =
           end
         in
         chunks 0)
-      (chunk_pipeline ctx ~min_rows:!batch_min_rows ~mark_parallel:false plan)
+      (chunk_pipeline ctx plan)
 
-let collect ctx plan = List.of_seq (run ctx plan)
-
-(* --- Parallel execution ------------------------------------------------------ *)
-
-(* Tables smaller than this run sequentially: morsel bookkeeping costs
-   more than it saves. Settable so tests can force tiny tables through
-   the parallel machinery. *)
-let min_parallel_rows = ref 1024
-let set_min_parallel_rows n = min_parallel_rows := Stdlib.max 1 n
-
-(* Target rows per morsel; actual morsel count is balanced against the
-   pool size so every domain gets work without oversplitting. Morsel
-   boundaries align to whole chunks whenever the table is big enough for
-   every task to get at least one full chunk, so morsel tasks and the
-   sequential batch driver see identical chunk shapes. *)
-let morsel_rows = 2048
-
-let morsel_ranges len =
-  let n = Exec_pool.size () in
-  let by_target = (len + morsel_rows - 1) / morsel_rows in
-  let ntasks = Stdlib.min (Stdlib.max n (Stdlib.min (4 * n) by_target)) len in
-  let chunk = (len + ntasks - 1) / ntasks in
-  let chunk =
-    if chunk >= chunk_size then
-      (chunk + chunk_size - 1) / chunk_size * chunk_size
-    else chunk
-  in
-  let rec go lo acc =
-    if lo >= len then List.rev acc
-    else go (lo + chunk) ((lo, Stdlib.min chunk (len - lo)) :: acc)
-  in
-  go 0 []
-
-(* Runs one morsel through its own chunk-stage instance.
-
-   Each morsel polls the statement token on entry and then once per
-   chunk — at most 1024 rows between polls, the same bound the row path
-   keeps (the shared ctx tick counter is not used off the coordinating
-   thread, and neither is the failpoint table — both are
-   unsynchronized). Together with [Exec_pool.run ?token] skipping
-   still-queued morsels once the flag is set, a cancelled parallel
-   subtree stops within one chunk, not at join-completion. *)
-let run_morsel token src (mk : unit -> chunk -> chunk) (lo, len) consume =
-  Metrics.incr m_morsels;
-  Metrics.add m_rows_scanned len;
-  Deadline.charge_rows_scanned token len;
-  let stage = mk () in
-  let c = make_chunk () in
-  let stop = lo + len in
-  let pos = ref lo in
-  while !pos < stop do
-    Deadline.check token;
-    let n = Stdlib.min chunk_size (stop - !pos) in
-    fill_chunk src.par_table src.par_rids !pos n c;
-    let out = stage c in
-    for j = 0 to out.nsel - 1 do
-      consume out.rows.(out.sel.(j))
-    done;
-    pos := !pos + n
-  done
-
-let par_collect token src mk : Value.t array list =
-  let thunks =
-    List.map
-      (fun range () ->
-        let acc = ref [] in
-        run_morsel token src mk range (fun row -> acc := row :: !acc);
-        List.rev !acc)
-      (morsel_ranges (Array.length src.par_rids))
-  in
-  List.concat (Exec_pool.run ~token thunks)
-
-(* --- Partitioned parallel aggregation ------------------------------------ *)
-
-(* The rows one morsel routed to one partition, each tagged with its
-   input position: a growable pair of arrays. *)
-type routed = {
-  mutable rows : Value.t array array;
-  mutable at : int array;
-  mutable n : int;
-}
-
-let route r pos row =
-  if r.n = Array.length r.rows then begin
-    let grow = Stdlib.max 64 r.n in
-    r.rows <- Array.append r.rows (Array.make grow [||]);
-    r.at <- Array.append r.at (Array.make grow 0)
-  end;
-  r.rows.(r.n) <- row;
-  r.at.(r.n) <- pos;
-  r.n <- r.n + 1
-
-(* A row's partition: a hash of its group key that agrees with the group
-   tables' key equality, mixed so that the partition and the buckets of
-   the partition's own table draw on different bits. *)
-let partition_of ctx keys nparts =
-  let spread h = ((h * 0x9E3779B1) lsr 16) mod nparts in
-  match keys with
-  | [] -> fun _ -> 0
-  | [ ck ] -> fun row -> spread (Value.hash (ck ctx row))
-  | _ ->
-    fun row ->
-      spread (List.fold_left (fun h c -> (h * 31) + Value.hash (c ctx row)) 17 keys)
-
-(* Hash-partitioned aggregation in two pool batches. Phase 1: the morsels
-   run the fused pipeline and route every output row, tagged with its
-   position, to partition [hash(key) mod pool size]; a grand aggregate
-   is the one-partition case. Phase 2: one task per partition folds that
-   partition's rows in input order through the sequential aggregate's
-   group table, then finalizes its groups. Each group is folded once, in
-   order, by one domain, so every aggregate (DISTINCT, float SUM/AVG,
-   user aggregates) yields exactly the sequential value, and merging the
-   partitions' groups by first position restores the sequential group
-   order. Phase 2 polls the statement token every 1024 rows, as morsels
-   poll once per chunk. *)
-let par_aggregate ctx src mk keys aggs : Value.t array list =
-  let token = ctx.Expr_eval.token in
-  let nparts = if keys = [] then 1 else Exec_pool.size () in
-  let partition = partition_of ctx keys nparts in
-  let morsels =
-    Exec_pool.run ~token
-      (List.mapi
-         (fun m range () ->
-           let parts =
-             Array.init nparts (fun _ -> { rows = [||]; at = [||]; n = 0 })
-           in
-           (* A row's position: its morsel, then its rank in the morsel's
-              output; morsels cover the input in order. *)
-           let pos = ref (m lsl 32) in
-           run_morsel token src mk range (fun row ->
-               route parts.(partition row) !pos row;
-               incr pos);
-           parts)
-         (morsel_ranges (Array.length src.par_rids)))
-  in
-  let fold p () =
-    let step, groups = group_table ctx keys aggs in
-    let folded = ref 0 in
-    List.iter
-      (fun parts ->
-        let r = parts.(p) in
-        for i = 0 to r.n - 1 do
-          if !folded land 1023 = 0 then Deadline.check token;
-          incr folded;
-          step r.at.(i) r.rows.(i)
-        done)
-      morsels;
-    List.map (fun (pos, g) -> (pos, emit_group g)) (groups ())
-  in
-  let by_first (a, _) (b, _) = Int.compare a b in
-  let parts = Exec_pool.run ~token (List.init nparts fold) in
-  match List.fold_left (List.merge by_first) [] parts with
-  | [] when keys = [] -> [ grand_empty ctx aggs ]
-  | groups -> List.map snd groups
-
-(* --- Hybrid driver ----------------------------------------------------------- *)
-
-(* Runs [plan] on the pool when the planner marked this exact subtree
-   parallel-safe and the leaf clears the size threshold. *)
-let try_parallel ctx plan : Value.t array list option =
-  if (not (Exec_pool.engaged ())) || not (Plan.parallel_safe plan) then None
-  else begin
-    (* An [Instrument] wrapper at the subtree root receives the whole
-       parallel execution's wall time and output row count (the fused
-       stages below it report rows only; see [par_pipeline]). *)
-    let target, stats =
-      match plan with
-      | Plan.Instrument { input; stats } -> (input, Some stats)
-      | p -> (p, None)
-    in
-    let t0 = Trace.now_ns () in
-    let pipeline plan =
-      chunk_pipeline ctx ~min_rows:!min_parallel_rows ~mark_parallel:true plan
-    in
-    let result =
-      match target with
-      | Plan.Aggregate { input; keys; aggs; _ } ->
-        Option.map
-          (fun (src, mk) ->
-            (* A failing aggregate re-runs sequentially, so the error the
-               statement raises is the one the sequential fold meets
-               first; cancellation propagates as is. *)
-            try par_aggregate ctx src mk keys aggs with
-            | Deadline.Cancelled _ as e -> raise e
-            | _ -> collect ctx target)
-          (pipeline input)
-      | _ ->
-        Option.map
-          (fun (src, mk) -> par_collect ctx.Expr_eval.token src mk)
-          (pipeline target)
-    in
-    (match result with
-    | Some rows ->
-      Metrics.incr m_parallel_subtrees;
-      Option.iter
-        (fun (s : Plan.op_stats) ->
-          ignore (Atomic.fetch_and_add s.Plan.actual_ns (Trace.now_ns () - t0));
-          ignore (Atomic.fetch_and_add s.Plan.actual_rows (List.length rows));
-          Atomic.set s.Plan.ran_parallel true)
-        stats
-    | None -> ());
-    result
-  end
-
-let rec run_hybrid ctx plan =
-  match try_parallel ctx plan with
-  | Some rows -> seq_of_list rows
-  | None -> run_with run_hybrid ctx plan
-
-(* Result-set budgets are charged on the client-facing collection path
-   only (subquery [collect]s are intermediate work, already bounded by
-   the scan budget). The memory estimate walks the row's object graph,
-   so it is computed only when a memory budget is actually armed. *)
-let charge_result_seq ctx seq =
-  let token = ctx.Expr_eval.token in
-  if not (Deadline.has_budget token) then seq
-  else
-    Seq.map
-      (fun row ->
-        let bytes =
-          if Deadline.tracks_mem token then
-            Obj.reachable_words (Obj.repr row) * (Sys.word_size / 8)
-          else 0
-        in
-        Deadline.charge_result token ~rows:1 ~bytes;
-        row)
-      seq
-
-let collect_parallel ctx plan =
+(* The client-facing collection: counts the query and charges result-set
+   budgets (subqueries consume [run] directly: their rows are
+   intermediate work, already bounded by the scan budget). The memory
+   estimate walks the row's object graph, so it is computed only when a
+   memory budget is actually armed. *)
+let collect ctx plan =
   Metrics.incr m_queries;
-  let rows =
-    if Exec_pool.engaged () then run_hybrid ctx plan else run ctx plan
-  in
-  List.of_seq (charge_result_seq ctx rows)
+  let rows = run ctx plan in
+  let token = ctx.Expr_eval.token in
+  if not (Deadline.has_budget token) then List.of_seq rows
+  else
+    List.of_seq
+      (Seq.map
+         (fun row ->
+           let bytes =
+             if Deadline.tracks_mem token then
+               Obj.reachable_words (Obj.repr row) * (Sys.word_size / 8)
+             else 0
+           in
+           Deadline.charge_result token ~rows:1 ~bytes;
+           row)
+         rows)

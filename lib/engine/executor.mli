@@ -3,40 +3,24 @@
     Scans, filters, projections and limits stream; joins materialize
     only their build side; aggregation and sorting are blocking. The
     sequence must be consumed within the statement whose context created
-    it (scans snapshot their rid list, but rows are shared).
-
-    {!collect_parallel} is the morsel-driven entry point: subtrees the
-    planner marks parallel-safe ({!Plan.parallel_safe}) execute on the
-    {!Exec_pool} domain pool and return exactly the rows the sequential
-    path would, in the same order; everything else falls back to the
-    sequential operators. An aggregate runs hash-partitioned: morsels
-    route their rows by group key, then one pool task per partition folds
-    its groups in input order with the sequential runners. *)
+    it (scans snapshot their rid list, but rows are shared). Chunkable
+    pipelines ({!Plan.chunkable}) run chunk-at-a-time through fused
+    kernels, everything else row-at-a-time; both return the same rows in
+    the same order. A statement runs on the calling domain. *)
 
 open Tip_storage
 
 exception Exec_error of string
 
-(** Lazy row stream for a plan (purely sequential). *)
+(** Lazy row stream for a plan. *)
 val run : Expr_eval.ctx -> Plan.t -> Value.t array Seq.t
 
-(** [run] materialized to a list. *)
+(** [run] materialized to a list: the client-facing entry point. Counts
+    the plan in [exec_queries_total] and charges each returned row to
+    the statement's result-set budgets. *)
 val collect : Expr_eval.ctx -> Plan.t -> Value.t array list
 
-(** Like {!collect}, but parallel-safe subtrees run as rid-range morsels
-    on the domain pool. Bit-for-bit equivalent to {!collect}, float
-    SUM/AVG included: each group is folded once, in input order. A
-    failing parallel aggregate re-runs sequentially, so it raises the
-    error {!collect} would. Falls back entirely to {!collect} when the
-    pool is sequential ([TIP_PARALLEL=1] or one domain). *)
-val collect_parallel : Expr_eval.ctx -> Plan.t -> Value.t array list
-
-(** Leaf row-count threshold below which {!collect_parallel} stays
-    sequential (default 1024; clamped to at least 1). Tests lower it to
-    force tiny tables through the parallel machinery. *)
-val set_min_parallel_rows : int -> unit
-
-(** Rows per execution chunk on the batch and morsel paths (1024). *)
+(** Rows per execution chunk on the batch path (1024). *)
 val chunk_size : int
 
 (** Toggle batch-at-a-time execution (default on). When off, qualifying
@@ -46,9 +30,9 @@ val chunk_size : int
     poll counts stay exact. *)
 val set_batch_enabled : bool -> unit
 
-(** Leaf row-count threshold below which sequential batch dispatch keeps
-    the row path (default 256): chunk setup costs more than it saves on
-    a handful of rows. Tests lower it to force small tables through the
+(** Leaf row-count threshold below which batch dispatch keeps the row
+    path (default 256): chunk setup costs more than it saves on a
+    handful of rows. Tests lower it to force small tables through the
     batch kernels. *)
 val set_batch_min_rows : int -> unit
 

@@ -501,15 +501,14 @@ and compile_node env expr : compiled =
   | Ast.Like { negated; scrutinee; pattern } ->
     let cs = compile env scrutinee and cp = compile env pattern in
     (* The call site keeps its last compiled pattern: a constant pattern
-       compiles once. The pair is immutable, so morsels on other domains
-       may share the slot. *)
-    let last = Atomic.make ("", like_compile "") in
+       compiles once. *)
+    let last = ref ("", like_compile "") in
     let matcher pattern =
-      let p, m = Atomic.get last in
+      let p, m = !last in
       if String.equal p pattern then m
       else begin
         let m = like_compile pattern in
-        Atomic.set last (pattern, m);
+        last := (pattern, m);
         m
       end
     in
@@ -647,8 +646,7 @@ let element_type = "element"
    when a NOW-relative endpoint could change the answer; that case,
    non-element operands (period [overlaps] is the strict Allen relation)
    and string literals still awaiting their cast take the cached routine
-   dispatch the row path uses. NULL drops the row. Nothing is written
-   per row, so morsel workers share the kernel. *)
+   dispatch the row path uses. NULL drops the row. *)
 let overlaps_kernel ca cb ext : batch_pred =
   let call = routine_caller ext "overlaps" in
   let now_free =

@@ -295,10 +295,9 @@ let apply_routine t ~now ~name args =
    rows of one statement), and cast outputs are keyed per position by
    physical identity of the input value — a literal compiles to one
    shared value, so e.g. an element constant written as a string parses
-   once instead of once per row. Both caches swap immutable pairs in a
-   single store, so racing morsel workers at worst recompute. The cast
-   cache is only sound while [now] is fixed, i.e. within one compiled
-   statement — create a fresh caller per compilation site. *)
+   once instead of once per row. The cast cache is only sound while
+   [now] is fixed, i.e. within one compiled statement — create a fresh
+   caller per compilation site. *)
 let caller t ~name =
   let resolved_cache : (string array * resolved) option ref = ref None in
   let cast_cache : (Value.t * Value.t) option array ref = ref [||] in

@@ -48,9 +48,8 @@ type cast = {
 }
 
 (** A user aggregate. The executor seeds one accumulator per group and
-    steps it with that group's inputs in input order, on one domain at a
-    time, also on the parallel path; so [agg_step] may mutate the
-    accumulator in place and return it. *)
+    steps it with that group's inputs in input order, on one domain; so
+    [agg_step] may mutate the accumulator in place and return it. *)
 type aggregate = {
   agg_init : unit -> Value.t;  (** accumulator seed *)
   agg_step : now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t;

@@ -24,21 +24,11 @@ type agg_spec = {
   agg_label : string;
 }
 
-(* Per-operator runtime counters for EXPLAIN ANALYZE. Atomics because a
-   wrapped operator may run inside parallel morsel workers; the reader
-   (the renderer) only looks after execution finishes. *)
-type op_stats = {
-  actual_rows : int Atomic.t;
-  actual_ns : int Atomic.t;
-  ran_parallel : bool Atomic.t;
-}
+(* Per-operator runtime counters for EXPLAIN ANALYZE, read by the
+   renderer after execution finishes. *)
+type op_stats = { mutable actual_rows : int; mutable actual_ns : int }
 
-let fresh_stats () =
-  {
-    actual_rows = Atomic.make 0;
-    actual_ns = Atomic.make 0;
-    ran_parallel = Atomic.make false;
-  }
+let fresh_stats () = { actual_rows = 0; actual_ns = 0 }
 
 type t =
   | Seq_scan of { table : Table.t; label : string }
@@ -116,62 +106,29 @@ type t =
       produce : unit -> Value.t array list;
       label : string;
     }
-    (* snapshot of a registered virtual table (the tip_stat relations);
-       never parallel — providers read mutable registries *)
+    (* snapshot of a registered virtual table (the tip_stat relations) *)
   | Instrument of { input : t; stats : op_stats }
     (* transparent wrapper recording actual rows / time (EXPLAIN ANALYZE) *)
 
-(* --- Parallelism-safety annotation ------------------------------------ *)
+(* --- Chunkable pipelines ----------------------------------------------- *)
 
-(* A morsel-parallel pipeline: a rid-splittable leaf scan with only
-   per-row operators (and hash-join probes) above it. Index scans stay
-   sequential — their rid order is key order, which the planner may be
-   using to satisfy ORDER BY. *)
-let rec parallel_pipeline = function
+(* A rid-splittable leaf scan with only per-row operators (and hash-join
+   probes) above it: the executor runs such a pipeline chunk-at-a-time.
+   Index scans stay row-at-a-time — their rid order is key order, which
+   the planner may be using to satisfy ORDER BY. *)
+let rec chunkable = function
   | Seq_scan _ | Interval_scan _ -> true
-  | Filter { input; _ } | Project { input; _ } -> parallel_pipeline input
+  | Filter { input; _ } | Project { input; _ } -> chunkable input
   | Hash_join { left; right; build_left; _ } ->
     (* the probe side is the streaming pipeline; the build side is
        materialized up front either way *)
-    parallel_pipeline (if build_left then right else left)
-  | Instrument { input; _ } -> parallel_pipeline input
+    chunkable (if build_left then right else left)
+  | Instrument { input; _ } -> chunkable input
   | Index_scan _ | Nested_loop _ | Left_outer_join _ | Aggregate _ | Sort _
   | Distinct _ | Limit _ | Append _ | Partition_scan _ | One_row
   | Virtual_scan _ ->
     (* a partition scan is not itself one rid-splittable source; the
-       executor recurses into each child pipeline, which parallelizes
-       partition-wise on its own *)
-    false
-
-(* Any aggregate over such a pipeline qualifies: the parallel aggregate
-   folds each group once, in input order, with the sequential runners. *)
-let rec parallel_safe = function
-  | Aggregate { input; _ } -> parallel_pipeline input
-  | Instrument { input; _ } -> parallel_safe input
-  | plan -> parallel_pipeline plan
-
-(* Does any subtree qualify? (The executor applies [parallel_safe] at
-   every node, so e.g. the aggregate under a Project still runs
-   parallel.) *)
-let rec parallel_candidate plan =
-  parallel_safe plan
-  ||
-  match plan with
-  | Filter { input; _ }
-  | Project { input; _ }
-  | Aggregate { input; _ }
-  | Sort { input; _ }
-  | Distinct input
-  | Limit { input; _ }
-  | Instrument { input; _ } ->
-    parallel_candidate input
-  | Nested_loop { left; right }
-  | Hash_join { left; right; _ }
-  | Left_outer_join { left; right; _ } ->
-    parallel_candidate left || parallel_candidate right
-  | Append inputs -> List.exists parallel_candidate inputs
-  | Partition_scan { children; _ } -> List.exists parallel_candidate children
-  | Seq_scan _ | Index_scan _ | Interval_scan _ | One_row | Virtual_scan _ ->
+       executor recurses into each child pipeline *)
     false
 
 (* Wrap every operator with an [Instrument] node (EXPLAIN ANALYZE).
@@ -216,12 +173,10 @@ let agg_name = function
   | Agg_user (_, name) -> name
 
 (* [Instrument] wrappers render as a suffix on the operator they wrap,
-   e.g. "SeqScan m (actual rows=50000 time=0.812 ms, parallel)". *)
+   e.g. "SeqScan m (actual rows=50000 time=0.812 ms)". *)
 let stats_note stats =
-  Printf.sprintf " (actual rows=%d time=%.3f ms%s)"
-    (Atomic.get stats.actual_rows)
-    (float_of_int (Atomic.get stats.actual_ns) /. 1e6)
-    (if Atomic.get stats.ran_parallel then ", parallel" else "")
+  Printf.sprintf " (actual rows=%d time=%.3f ms)" stats.actual_rows
+    (float_of_int stats.actual_ns /. 1e6)
 
 let rec pp ?(indent = 0) ppf plan = pp_suffix ~indent ~suffix:"" ppf plan
 

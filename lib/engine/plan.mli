@@ -23,13 +23,8 @@ type agg_spec = {
 }
 
 (** Per-operator runtime counters recorded by [Instrument] wrappers
-    (EXPLAIN ANALYZE). Atomic because instrumented operators may run
-    inside parallel morsel workers. *)
-type op_stats = {
-  actual_rows : int Atomic.t;
-  actual_ns : int Atomic.t;
-  ran_parallel : bool Atomic.t;
-}
+    (EXPLAIN ANALYZE). *)
+type op_stats = { mutable actual_rows : int; mutable actual_ns : int }
 
 val fresh_stats : unit -> op_stats
 
@@ -105,7 +100,7 @@ type t =
     }
       (** pruned scan over a range-partitioned table; EXPLAIN renders
           [partitions=kept/total pruned=n]. The executor concatenates
-          the children, each of which batches/parallelizes on its own
+          the children, each of which batches on its own
           (partition-wise consumption). *)
   | One_row  (** FROM-less SELECT produces a single empty row *)
   | Virtual_scan of {
@@ -113,11 +108,10 @@ type t =
       produce : unit -> Value.t array list;
       label : string;
     }
-      (** snapshot of a registered virtual table ({!Vtab}); never
-          parallel — providers read mutable registries *)
+      (** snapshot of a registered virtual table ({!Vtab}) *)
   | Instrument of { input : t; stats : op_stats }
       (** transparent wrapper recording actual rows and wall time; the
-          parallelism predicates and the executor see through it *)
+          {!chunkable} and the executor see through it *)
 
 val agg_name : agg_impl -> string
 
@@ -125,24 +119,10 @@ val instrument : t -> t
 (** Wrap every operator in the tree with an [Instrument] node
     (idempotent; used only by the EXPLAIN ANALYZE path). *)
 
-(** {1 Parallelism-safety annotation}
-
-    The planner marks plans with these; the parallel executor trusts
-    them to decide routing (and falls back to the sequential path for
-    anything unsafe). *)
-
-(** Is this exact subtree a morsel-parallel pipeline: a [Seq_scan] or
-    [Interval_scan] leaf under only [Filter]/[Project] operators and
-    [Hash_join] probe sides? *)
-val parallel_pipeline : t -> bool
-
-(** Can this exact subtree run on the parallel path: a parallel pipeline,
-    or an [Aggregate] (any aggregates, DISTINCT and user-registered ones
-    included) over one? *)
-val parallel_safe : t -> bool
-
-(** Does any subtree satisfy {!parallel_safe}? (Shown by EXPLAIN.) *)
-val parallel_candidate : t -> bool
+(** Is this exact subtree a chunkable pipeline, which the executor runs
+    chunk-at-a-time: a [Seq_scan] or [Interval_scan] leaf under only
+    [Filter]/[Project] operators and [Hash_join] probe sides? *)
+val chunkable : t -> bool
 
 (** Indented tree rendering, as shown by EXPLAIN. *)
 val pp : ?indent:int -> Format.formatter -> t -> unit

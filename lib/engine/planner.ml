@@ -473,8 +473,8 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
     | B_partitioned pt ->
       (* Pruned partition-wise scan: each surviving child carries its
          own access path and recheck filter, so each child pipeline
-         batches or parallelizes independently. The compiled predicate
-         is shared — it only ever sees rows, never the table. *)
+         batches independently. The compiled predicate is shared — it
+         only ever sees rows, never the table. *)
       let kept, pruned, implied_window, plabel =
         match partition_probe pctx layout pt binding exprs with
         | Some (lo, hi, implied) ->
@@ -750,7 +750,7 @@ and plan_subquery ?outer pctx select =
   let plan, _names = plan_select pctx pctx.catalog rewritten in
   let corr = List.rev !corr in
   if corr = [] then
-    { Expr_eval.sq_run = (fun ctx _row -> Executor.collect ctx plan);
+    { Expr_eval.sq_run = (fun ctx _row -> List.of_seq (Executor.run ctx plan));
       sq_correlated = false }
   else
     { Expr_eval.sq_run =
@@ -760,7 +760,7 @@ and plan_subquery ?outer pctx select =
               (fun acc (name, idx) -> (name, row.(idx)) :: acc)
               ctx.Expr_eval.params corr
           in
-          Executor.collect { ctx with Expr_eval.params } plan);
+          List.of_seq (Executor.run { ctx with Expr_eval.params } plan));
       sq_correlated = true }
 
 (* Builds the fref tree and layout from the FROM clause. *)
@@ -1263,25 +1263,19 @@ let subquery_runner_for_table ~ext ~ectx catalog schema =
   in
   subquery_hook ~outer:(layout, 0) pctx
 
-(* EXPLAIN output: the plan tree plus the parallelism annotation the
-   hybrid executor acts on. *)
+(* EXPLAIN output: the plan tree, without its final newline. *)
 let explain plan =
-  let note =
-    if Plan.parallel_safe plan then "Parallel: safe"
-    else if Plan.parallel_candidate plan then "Parallel: partial"
-    else "Parallel: none"
-  in
-  Plan.to_string plan ^ "\n" ^ note
+  let tree = Plan.to_string plan in
+  if String.ends_with ~suffix:"\n" tree then
+    String.sub tree 0 (String.length tree - 1)
+  else tree
 
 (* EXPLAIN ANALYZE output: the executed (instrumented) plan tree — each
-   operator annotated with actual rows, inclusive wall time and a
-   [parallel] marker where the morsel path ran — plus a footer with the
-   phase timings, total row count, and the NOW chronon the statement was
-   bound to (bound once, at root-span open; DESIGN.md §9). *)
+   operator annotated with actual rows and inclusive wall time — then,
+   after a blank line, a footer with the phase timings, total row count,
+   and the NOW chronon the statement was bound to (bound once, at
+   root-span open; DESIGN.md §9). *)
 let explain_analyze ~now ~rows ~plan_ns ~exec_ns plan =
   let ms ns = float_of_int ns /. 1e6 in
-  Printf.sprintf "%s%s\nPhases: plan %.3f ms, execute %.3f ms\nRows: %d\nNOW: %s"
-    (explain plan)
-    (if Exec_pool.sequential () then " (pool: sequential)"
-     else Printf.sprintf " (pool: %d domains)" (Exec_pool.size ()))
-    (ms plan_ns) (ms exec_ns) rows now
+  Printf.sprintf "%s\n\nPhases: plan %.3f ms, execute %.3f ms\nRows: %d\nNOW: %s"
+    (explain plan) (ms plan_ns) (ms exec_ns) rows now

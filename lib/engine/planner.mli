@@ -54,9 +54,7 @@ val subquery_runner_for_table :
   Ast.select ->
   Expr_eval.subquery_exec
 
-(** [Plan.to_string] plus a trailing parallelism annotation
-    ("Parallel: safe" — whole plan runs on the pool, "Parallel: partial"
-    — some subtree does, "Parallel: none"). *)
+(** [Plan.to_string] without its final newline. *)
 val explain : Plan.t -> string
 
 (** EXPLAIN ANALYZE rendering: {!explain} of the executed (instrumented)

@@ -6,8 +6,7 @@
    only when catalog lookup fails, so a real table always shadows a
    virtual one; the rows feed a Plan.Virtual_scan leaf that behaves
    like any other row source above it (filters, joins, ORDER BY,
-   EXPLAIN all compose). Snapshots are never parallel — they are tiny
-   and the providers read mutable registries.
+   EXPLAIN all compose).
 
    The registry is global (providers describe process-wide state);
    [produce] receives the querying database's catalog so per-database

@@ -5,8 +5,7 @@
     tip_stat_statements] plans like any other query — filters, joins,
     ORDER BY, LIMIT and EXPLAIN all compose — while a real table of the
     same name shadows the virtual one. Each query materializes a fresh
-    snapshot of the provider's rows; virtual scans never run on the
-    parallel path.
+    snapshot of the provider's rows.
 
     Built-in providers: [tip_stat_statements], [tip_stat_metrics] and
     [tip_stat_tables] (registered by {!Database}), plus

@@ -22,7 +22,7 @@ module Wait = Tip_obs.Wait
 module Trace = Tip_obs.Trace
 module Deadline = Tip_core.Deadline
 module Ast = Tip_sql.Ast
-module Exec_pool = Tip_engine.Exec_pool
+module Domains = Tip_engine.Domains
 
 let log_src = Logs.Src.create "tip.server" ~doc:"TIP network server"
 
@@ -33,6 +33,9 @@ let m_sessions =
 
 let g_sessions_active =
   Metrics.gauge "server_sessions_active" ~help:"Client sessions currently open"
+
+let g_pool_size =
+  Metrics.gauge "pool_size" ~help:"Domains the server spreads its sessions over"
 
 let m_statements =
   Metrics.counter "server_statements_total" ~help:"Statements served over the wire"
@@ -887,9 +890,9 @@ let port t =
 
 (* --- Session domains ------------------------------------------------------ *)
 
-(* Sessions are spread round-robin over the [Exec_pool.size ()] domains
-   of the pool (DESIGN.md §17): slot 0 is the accept loop's own domain,
-   the others are the pool's host domains. Each session's thread is
+(* Sessions are spread round-robin over the [Domains.size ()] domains
+   (DESIGN.md §17): slot 0 is the accept loop's own domain, the others
+   are host domains. Each session's thread is
    created inside its domain, so two sessions run in parallel with no
    hand-off per statement; with one domain every session is a thread of
    the accept loop's domain. A session its domain fails to start is
@@ -897,8 +900,8 @@ let port t =
 let next_slot = Atomic.make 0
 
 let start_session t fd addr =
-  let slot = Atomic.fetch_and_add next_slot 1 mod Exec_pool.size () in
-  Exec_pool.on_domain ~slot
+  let slot = Atomic.fetch_and_add next_slot 1 mod Domains.size () in
+  Domains.on_domain ~slot
     ~on_error:(fun _ ->
       Atomic.decr t.active;
       try Unix.close fd with Unix.Unix_error _ -> ())
@@ -907,6 +910,7 @@ let start_session t fd addr =
 (* Accept loop: one thread per client, bounded by admission control. *)
 let serve t =
   Log.info (fun m -> m "listening on port %d" (port t));
+  Metrics.gauge_set g_pool_size (Domains.size ());
   let rec accept_loop () =
     if t.running then begin
       match Unix.accept t.listener with

@@ -2,8 +2,8 @@
     executes their statements against one shared embedded database.
 
     One thread per client. Session threads are spread round-robin over
-    the [Exec_pool.size ()] domains of the pool: the accept loop's
-    domain and the pool's host domains ({!Tip_engine.Exec_pool.on_domain}).
+    the [Domains.size ()] domains: the accept loop's domain and the
+    host domains ({!Tip_engine.Domains.on_domain}).
     Read-only statements ([SELECT], [EXPLAIN]) take the
     database lock shared and run side by side; every other statement
     takes it exclusive, preserving the single-writer semantics of

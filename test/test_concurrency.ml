@@ -7,7 +7,7 @@ open Tip_storage
 module Db = Tip_engine.Database
 module Server = Tip_server.Server
 module Remote = Tip_server.Remote
-module Pool = Tip_engine.Exec_pool
+module Domains = Tip_engine.Domains
 module Chronon = Tip_core.Chronon
 module Tx_clock = Tip_core.Tx_clock
 
@@ -19,10 +19,10 @@ let with_server db f =
   Fun.protect ~finally:(fun () -> Server.stop server) (fun () ->
       f (Server.port server))
 
-let with_pool_size n f =
-  let saved = Pool.size () in
-  Pool.set_size n;
-  Fun.protect ~finally:(fun () -> Pool.set_size saved) f
+let with_domains n f =
+  let saved = Domains.size () in
+  Domains.set_size n;
+  Fun.protect ~finally:(fun () -> Domains.set_size saved) f
 
 let render_rows = function
   | Db.Rows { rows; _ } ->
@@ -65,7 +65,7 @@ let temporal_query =
 
 (* The same seeded data in any number of databases: [acct] with
    [n_acct] zero balances, and 2,000 periods in [spans] — above the
-   executor's parallel threshold, so a lone reader uses the pool. *)
+   executor's batch threshold, so readers take the chunk path. *)
 let load_stress_data db =
   exec db "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)";
   exec db
@@ -153,11 +153,11 @@ let thread_crashes () =
        (Tip_obs.Events.events ()))
 
 (* With two domains, one of any two consecutive sessions starts on the
-   pool's host domain. The failpoint makes that host's first job raise:
+   host domain. The failpoint makes that host's first job raise:
    the session is lost (its connection closes), the failure is a
    [thread_crash] event, and the host lives on to start later sessions. *)
 let check_host_crash_recorded () =
-  with_pool_size 2 @@ fun () ->
+  with_domains 2 @@ fun () ->
   let db = Db.create () in
   with_server db @@ fun port ->
   let crashes0 = thread_crashes () in

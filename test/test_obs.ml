@@ -8,7 +8,6 @@ open Tip_storage
 module Db = Tip_engine.Database
 module Metrics = Tip_obs.Metrics
 module Trace = Tip_obs.Trace
-module Pool = Tip_engine.Exec_pool
 
 (* --- registry ------------------------------------------------------------- *)
 
@@ -97,16 +96,14 @@ let check_exposition () =
 let check_cross_domain_merge () =
   let c = Metrics.counter "test_obs_sharded" in
   let before = Metrics.counter_value c in
-  Pool.set_size 4;
-  Fun.protect
-    ~finally:(fun () -> Pool.set_size (Pool.default_size ()))
-    (fun () ->
-      (* writers land on whichever domain runs the task; the read must
-         merge all shards *)
-      for _ = 1 to 4 do
-        ignore
-          (Pool.run (List.init 8 (fun _ () -> Metrics.add c 1_000)))
-      done);
+  (* writers on four domains land on different shards; the read must
+     merge all of them *)
+  List.iter Domain.join
+    (List.init 4 (fun _ ->
+         Domain.spawn (fun () ->
+             for _ = 1 to 8 do
+               Metrics.add c 1_000
+             done)));
   Alcotest.(check int) "all shards merged" (before + 32_000)
     (Metrics.counter_value c)
 
@@ -165,11 +162,6 @@ let analyze_sql =
 
 let check_explain_analyze_golden () =
   let db = coalescing_join_db () in
-  (* The footer names the pool, whose default size follows the core
-     count: pin it so the golden reads the same on any machine. *)
-  Pool.set_size 1;
-  Fun.protect ~finally:(fun () -> Pool.set_size (Pool.default_size ()))
-  @@ fun () ->
   match Db.exec db analyze_sql with
   | Db.Message text ->
     Alcotest.(check string) "normalized plan tree"
@@ -180,48 +172,10 @@ let check_explain_analyze_golden () =
       \    HashJoin (p.doctor = d.name) (actual rows=5 time=T)\n\
       \      SeqScan prescription (actual rows=5 time=T)\n\
       \      SeqScan physician (actual rows=3 time=T)\n\n\
-       Parallel: partial (pool: sequential)\n\
        Phases: plan T, execute T\n\
        Rows: 3\n\
        NOW: 1999-10-15"
       (normalize text)
-  | r -> Alcotest.failf "expected a message, got %s" (Db.render_result r)
-
-let check_explain_analyze_parallel () =
-  let db = Db.create () in
-  ignore (Db.exec db "CREATE TABLE m (k INT, g INT)");
-  let table = Catalog.table_exn (Db.catalog db) "m" in
-  for i = 0 to 199 do
-    ignore (Table.insert table [| Value.Int i; Value.Int (i mod 4) |])
-  done;
-  Pool.set_size 4;
-  Tip_engine.Executor.set_min_parallel_rows 16;
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_size (Pool.default_size ());
-      Tip_engine.Executor.set_min_parallel_rows 1024)
-    (fun () ->
-      match Db.exec db "EXPLAIN ANALYZE SELECT g, COUNT(*) FROM m GROUP BY g" with
-      | Db.Message text ->
-        let has needle =
-          try
-            ignore (Str.search_forward (Str.regexp_string needle) text 0);
-            true
-          with Not_found -> false
-        in
-        Alcotest.(check bool) "parallel subtree annotated" true
-          (has ", parallel)");
-        Alcotest.(check bool) "footer names the pool" true
-          (has "(pool: 4 domains)")
-      | r -> Alcotest.failf "expected a message, got %s" (Db.render_result r));
-  (* sequential run of the same query carries no parallel note *)
-  match Db.exec db "EXPLAIN ANALYZE SELECT g, COUNT(*) FROM m GROUP BY g" with
-  | Db.Message text ->
-    Alcotest.(check bool) "no parallel note when sequential" false
-      (try
-         ignore (Str.search_forward (Str.regexp_string ", parallel)") text 0);
-         true
-       with Not_found -> false)
   | r -> Alcotest.failf "expected a message, got %s" (Db.render_result r)
 
 let check_explain_analyze_rejects_dml () =
@@ -265,22 +219,16 @@ let check_stats_statement () =
     (fun () ->
       ignore (Db.exec db "CREATE TABLE s (k INT, g INT)");
       let fsyncs0 = stats_value db "wal_fsyncs_total" in
-      let morsels0 = stats_value db "exec_morsels_total" in
+      let queries0 = stats_value db "exec_queries_total" in
       for i = 0 to 99 do
         ignore
           (Db.exec db (Printf.sprintf "INSERT INTO s VALUES (%d, %d)" i (i mod 4)))
       done;
-      Pool.set_size 2;
-      Tip_engine.Executor.set_min_parallel_rows 16;
-      Fun.protect
-        ~finally:(fun () ->
-          Pool.set_size (Pool.default_size ());
-          Tip_engine.Executor.set_min_parallel_rows 1024)
-        (fun () -> ignore (Db.exec db "SELECT g, COUNT(*) FROM s GROUP BY g"));
+      ignore (Db.exec db "SELECT g, COUNT(*) FROM s GROUP BY g");
       Alcotest.(check bool) "WAL fsyncs counted" true
         (stats_value db "wal_fsyncs_total" > fsyncs0);
-      Alcotest.(check bool) "morsels counted" true
-        (stats_value db "exec_morsels_total" > morsels0);
+      Alcotest.(check bool) "queries counted" true
+        (stats_value db "exec_queries_total" > queries0);
       (* the alias returns the same registry *)
       let names result =
         List.filter_map
@@ -359,8 +307,6 @@ let suite =
     Alcotest.test_case "span tree" `Quick check_span_tree;
     Alcotest.test_case "explain analyze golden" `Quick
       check_explain_analyze_golden;
-    Alcotest.test_case "explain analyze parallel" `Quick
-      check_explain_analyze_parallel;
     Alcotest.test_case "explain analyze rejects DML" `Quick
       check_explain_analyze_rejects_dml;
     Alcotest.test_case "STATS and SHOW METRICS" `Quick check_stats_statement;

@@ -1,26 +1,26 @@
-(* The morsel-driven parallel executor: pool sizing and batch semantics,
-   partitioned aggregation, the top-k LIMIT fast path, and a
-   differential fuzz asserting the parallel path returns exactly the
-   sequential rows, in the same order. *)
+(* Domain budget sizing, the top-k LIMIT fast path, and scan, join and
+   aggregate shapes (NULL and multi-key groups, float sums, DISTINCT,
+   blade aggregates, errors) asserting that the batch path returns
+   exactly the row path's rows, in the same order. The suite and its
+   test names date from the morsel-parallel executor, whose
+   parallel-vs-sequential checks these cases were. *)
 
 open Tip_storage
 module Db = Tip_engine.Database
-module Exec_pool = Tip_engine.Exec_pool
+module Domains = Tip_engine.Domains
 module Executor = Tip_engine.Executor
-module Ast = Tip_sql.Ast
 
 let check = Alcotest.check
 
-(* Runs [f] with the pool forced to [size] domains and the parallel
-   engage threshold lowered to [min_rows], restoring defaults after. *)
-let with_pool ~size ~min_rows f =
-  let old = Exec_pool.size () in
-  Exec_pool.set_size size;
-  Executor.set_min_parallel_rows min_rows;
+(* Runs [f] with batch execution on or off; the small-table threshold is
+   dropped so every fixture takes the batch path when it is on. *)
+let with_batch enabled f =
+  Executor.set_batch_enabled enabled;
+  Executor.set_batch_min_rows 0;
   Fun.protect
     ~finally:(fun () ->
-      Exec_pool.set_size old;
-      Executor.set_min_parallel_rows 1024)
+      Executor.set_batch_enabled true;
+      Executor.set_batch_min_rows 256)
     f
 
 (* Floats print in hexadecimal, so equal text means equal bits. *)
@@ -36,59 +36,39 @@ let show_rows rows =
               row)))
     rows
 
-(* --- Pool unit tests -------------------------------------------------------- *)
+(* --- Domain budget ----------------------------------------------------------- *)
 
 let test_resolve_size () =
-  let r = Exec_pool.resolve_size in
+  let r = Domains.resolve_size in
   check Alcotest.int "no env -> recommended" 4 (r ~env:None ~recommended:4);
   check Alcotest.int "env wins" 6 (r ~env:(Some "6") ~recommended:4);
-  check Alcotest.int "TIP_PARALLEL=1 -> sequential" 1
+  check Alcotest.int "TIP_PARALLEL=1 -> one domain" 1
     (r ~env:(Some "1") ~recommended:4);
   check Alcotest.int "env 0 ignored" 4 (r ~env:(Some "0") ~recommended:4);
   check Alcotest.int "env negative ignored" 4 (r ~env:(Some "-3") ~recommended:4);
   check Alcotest.int "env garbage ignored" 4 (r ~env:(Some "abc") ~recommended:4);
-  check Alcotest.int "env clamped to max" Exec_pool.max_size
+  check Alcotest.int "env clamped to max" Domains.max_size
     (r ~env:(Some "1000") ~recommended:4);
-  check Alcotest.int "recommended clamped to max" Exec_pool.max_size
+  check Alcotest.int "recommended clamped to max" Domains.max_size
     (r ~env:None ~recommended:500);
   check Alcotest.int "recommended floor of 1" 1 (r ~env:None ~recommended:0)
 
 let test_set_size () =
-  let old = Exec_pool.size () in
+  let old = Domains.size () in
   Fun.protect
-    ~finally:(fun () -> Exec_pool.set_size old)
+    ~finally:(fun () -> Domains.set_size old)
     (fun () ->
-      Exec_pool.set_size 3;
-      check Alcotest.int "override" 3 (Exec_pool.size ());
-      check Alcotest.bool "3 domains is parallel" false (Exec_pool.sequential ());
-      Exec_pool.set_size 0;
-      check Alcotest.int "clamped to 1" 1 (Exec_pool.size ());
-      check Alcotest.bool "1 domain is sequential" true (Exec_pool.sequential ());
-      Exec_pool.set_size 10_000;
-      check Alcotest.int "clamped to max" Exec_pool.max_size (Exec_pool.size ()))
-
-let test_pool_run () =
-  with_pool ~size:4 ~min_rows:1024 (fun () ->
-      check
-        Alcotest.(list int)
-        "results in input order"
-        (List.init 40 (fun i -> i * i))
-        (Exec_pool.run (List.init 40 (fun i () -> i * i)));
-      check Alcotest.(list int) "empty batch" [] (Exec_pool.run []);
-      check Alcotest.(list int) "singleton runs inline" [ 7 ]
-        (Exec_pool.run [ (fun () -> 7) ]);
-      match
-        Exec_pool.run
-          [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> raise Exit) ]
-      with
-      | _ -> Alcotest.fail "expected the batch to raise"
-      | exception Failure msg ->
-        check Alcotest.string "first failure in input order" "boom" msg)
+      Domains.set_size 3;
+      check Alcotest.int "override" 3 (Domains.size ());
+      Domains.set_size 0;
+      check Alcotest.int "clamped to 1" 1 (Domains.size ());
+      Domains.set_size 10_000;
+      check Alcotest.int "clamped to max" Domains.max_size (Domains.size ()))
 
 (* --- SQL fixtures ------------------------------------------------------------- *)
 
-(* Large enough that the default executor would also engage the pool;
-   [v] carries NULLs so the aggregates see them. *)
+(* Several chunks' worth of rows; [v] carries NULLs so the aggregates
+   see them. *)
 let big_db =
   lazy
     (let db = Db.create () in
@@ -108,95 +88,77 @@ let big_db =
 
 let run_sql db sql = show_rows (Db.rows_exn (Db.exec db sql))
 
-(* Sequential (pool of 1) and parallel (pools of 2 and 4) runs of [sql]
-   must produce identical rows in identical order. *)
-let check_par_equals_seq ?(db = big_db) name sql =
+(* Row-mode and batch-mode runs of [sql] must produce identical rows in
+   identical order. *)
+let check_batch_equals_row ?(db = big_db) name sql =
   let db = Lazy.force db in
-  let seq = with_pool ~size:1 ~min_rows:1 (fun () -> run_sql db sql) in
-  List.iter
-    (fun size ->
-      let par = with_pool ~size ~min_rows:1 (fun () -> run_sql db sql) in
-      check Alcotest.(list string) (Printf.sprintf "%s (pool %d)" name size) seq par)
-    [ 2; 4 ]
+  let row = with_batch false (fun () -> run_sql db sql) in
+  let batch = with_batch true (fun () -> run_sql db sql) in
+  check Alcotest.(list string) (name ^ " (batch = row)") row batch
 
 let test_parallel_scan_filter () =
-  check_par_equals_seq "plain scan" "SELECT k, g, v FROM nums";
-  check_par_equals_seq "filtered scan" "SELECT k, v FROM nums WHERE v > 50";
-  check_par_equals_seq "filter keeps nothing" "SELECT k FROM nums WHERE k < 0";
-  check_par_equals_seq "projected arithmetic"
+  check_batch_equals_row "plain scan" "SELECT k, g, v FROM nums";
+  check_batch_equals_row "filtered scan" "SELECT k, v FROM nums WHERE v > 50";
+  check_batch_equals_row "filter keeps nothing" "SELECT k FROM nums WHERE k < 0";
+  check_batch_equals_row "projected arithmetic"
     "SELECT k * 2 + g FROM nums WHERE g <> 3"
 
 let test_parallel_aggregate () =
-  check_par_equals_seq "grouped aggregates"
+  check_batch_equals_row "grouped aggregates"
     "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) FROM nums GROUP BY g";
-  check_par_equals_seq "grouped avg" "SELECT g, AVG(v) FROM nums GROUP BY g";
-  check_par_equals_seq "grand aggregate"
+  check_batch_equals_row "grouped avg" "SELECT g, AVG(v) FROM nums GROUP BY g";
+  check_batch_equals_row "grand aggregate"
     "SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) FROM nums";
-  check_par_equals_seq "grand aggregate over empty input"
+  check_batch_equals_row "grand aggregate over empty input"
     "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM nums WHERE k < 0";
-  check_par_equals_seq "grouped aggregate over filter"
+  check_batch_equals_row "grouped aggregate over filter"
     "SELECT g, COUNT(*) FROM nums WHERE v > 10 GROUP BY g";
-  check_par_equals_seq "distinct grand aggregate"
+  check_batch_equals_row "distinct grand aggregate"
     "SELECT COUNT(DISTINCT g) FROM nums";
   (* Absolute spot-checks so both paths being wrong together would show. *)
   let db = Lazy.force big_db in
-  let par sql = with_pool ~size:4 ~min_rows:1 (fun () -> run_sql db sql) in
+  let batch sql = with_batch true (fun () -> run_sql db sql) in
   check Alcotest.(list string) "count(*)" [ "3000" ]
-    (par "SELECT COUNT(*) FROM nums");
+    (batch "SELECT COUNT(*) FROM nums");
   check Alcotest.(list string) "count skips nulls" [ "2727" ]
-    (par "SELECT COUNT(v) FROM nums");
+    (batch "SELECT COUNT(v) FROM nums");
   check
     Alcotest.(list string)
     "group order is first appearance"
     [ "0|429"; "1|429"; "2|429"; "3|429"; "4|428"; "5|428"; "6|428" ]
-    (par "SELECT g, COUNT(*) FROM nums GROUP BY g")
+    (batch "SELECT g, COUNT(*) FROM nums GROUP BY g")
 
-(* Hash partitioning spreads groups over the domains; these shapes stress
-   the routing and the first-appearance merge. *)
+(* Many groups, multi-key groups and NULL keys: these shapes stress the
+   group table and its first-appearance order. *)
 let test_partitioned_grouping () =
-  check_par_equals_seq "500 groups"
+  check_batch_equals_row "500 groups"
     "SELECT k % 500, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) \
      FROM nums GROUP BY k % 500";
-  check_par_equals_seq "a group per row" "SELECT k, COUNT(*) FROM nums GROUP BY k";
-  check_par_equals_seq "multi-key groups"
+  check_batch_equals_row "a group per row" "SELECT k, COUNT(*) FROM nums GROUP BY k";
+  check_batch_equals_row "multi-key groups"
     "SELECT g, k % 3, COUNT(*), SUM(v) FROM nums GROUP BY g, k % 3";
-  check_par_equals_seq "NULL key" "SELECT v, COUNT(*) FROM nums GROUP BY v";
-  check_par_equals_seq "NULLs in a multi-key group"
+  check_batch_equals_row "NULL key" "SELECT v, COUNT(*) FROM nums GROUP BY v";
+  check_batch_equals_row "NULLs in a multi-key group"
     "SELECT v % 5, g, COUNT(*), MAX(k) FROM nums GROUP BY v % 5, g";
-  check_par_equals_seq "high-cardinality groups over a join"
+  check_batch_equals_row "high-cardinality groups over a join"
     "SELECT nums.k % 700, lookup.label, COUNT(*) FROM nums, lookup \
      WHERE nums.g = lookup.g GROUP BY nums.k % 700, lookup.label"
 
 (* Each group is folded once, in input order, so float sums are
-   bit-identical to the sequential fold (compared in hexadecimal). *)
+   bit-identical to the row fold (compared in hexadecimal). *)
 let test_float_sums_exact () =
-  check_par_equals_seq "grouped float SUM/AVG"
+  check_batch_equals_row "grouped float SUM/AVG"
     "SELECT g, SUM(v * 0.1), AVG(k / 7.0), SUM(k * 0.001 + v) FROM nums GROUP BY g";
-  check_par_equals_seq "high-cardinality float SUM/AVG"
+  check_batch_equals_row "high-cardinality float SUM/AVG"
     "SELECT k % 97, SUM(k * 0.37), AVG(v * 1.1) FROM nums GROUP BY k % 97";
-  check_par_equals_seq "grand float SUM/AVG"
+  check_batch_equals_row "grand float SUM/AVG"
     "SELECT SUM(k * 0.1), AVG(v / 3.0) FROM nums"
 
 let test_distinct_aggregates () =
-  check_par_equals_seq "per-group DISTINCT"
+  check_batch_equals_row "per-group DISTINCT"
     "SELECT g, COUNT(DISTINCT v), SUM(DISTINCT v), COUNT(v) FROM nums GROUP BY g";
-  check_par_equals_seq "DISTINCT over 500 groups"
-    "SELECT k % 500, COUNT(DISTINCT v % 3) FROM nums GROUP BY k % 500";
-  (* The aggregate itself runs on the pool. *)
-  let db = Lazy.force big_db in
-  with_pool ~size:4 ~min_rows:1 (fun () ->
-      match
-        Db.exec db "EXPLAIN ANALYZE SELECT g, COUNT(DISTINCT v) FROM nums GROUP BY g"
-      with
-      | Db.Message text ->
-        let aggregate_line =
-          List.find
-            (fun l -> String.starts_with ~prefix:"Aggregate" (String.trim l))
-            (String.split_on_char '\n' text)
-        in
-        check Alcotest.bool "aggregate marked parallel" true
-          (Str.string_match (Str.regexp ".*, parallel)$") aggregate_line 0)
-      | r -> Alcotest.failf "expected a message, got %s" (Db.render_result r))
+  check_batch_equals_row "DISTINCT over 500 groups"
+    "SELECT k % 500, COUNT(DISTINCT v % 3) FROM nums GROUP BY k % 500"
 
 (* A blade database: 3,000 prescriptions-like rows over 300 patients,
    with NOW-relative, multi-period and empty (inverted) timestamps. *)
@@ -227,19 +189,19 @@ let blade_db =
 
 let test_blade_aggregates () =
   let db = blade_db in
-  check_par_equals_seq ~db "group_union per patient"
+  check_batch_equals_row ~db "group_union per patient"
     "SELECT patient, group_union(valid), length(group_union(valid))::INT \
      FROM rx GROUP BY patient";
-  check_par_equals_seq ~db "group_intersect per patient"
+  check_batch_equals_row ~db "group_intersect per patient"
     "SELECT patient, group_intersect(valid) FROM rx GROUP BY patient";
-  check_par_equals_seq ~db "group_profile per patient"
+  check_batch_equals_row ~db "group_profile per patient"
     "SELECT patient, max_value(group_profile(valid)) FROM rx GROUP BY patient";
-  check_par_equals_seq ~db "grand group_union"
+  check_batch_equals_row ~db "grand group_union"
     "SELECT group_union(valid), group_profile(valid) FROM rx"
 
-(* A failing parallel aggregate raises the error the sequential fold
-   meets first: SUM trips on the second row, long before the group key
-   divides by zero on the last row, which phase 1 evaluates first. *)
+(* A failing batch aggregate raises the error the row fold meets first:
+   SUM trips on the second row, long before the group key divides by
+   zero on the last row. *)
 let test_aggregate_error_matches () =
   let db = Db.create () in
   ignore (Db.exec db "CREATE TABLE e (k INT, s CHAR(4))");
@@ -252,20 +214,16 @@ let test_aggregate_error_matches () =
     | _ -> "no error"
     | exception e -> Printexc.to_string e
   in
-  let seq = with_pool ~size:1 ~min_rows:1 outcome in
-  check Alcotest.bool "sequential fold fails in SUM" true
-    (Str.string_match (Str.regexp ".*non-numeric") seq 0);
-  List.iter
-    (fun size ->
-      check Alcotest.string (Printf.sprintf "pool %d raises the same error" size) seq
-        (with_pool ~size ~min_rows:1 outcome))
-    [ 2; 4 ]
+  let row = with_batch false outcome in
+  check Alcotest.bool "row fold fails in SUM" true
+    (Str.string_match (Str.regexp ".*non-numeric") row 0);
+  check Alcotest.string "batch raises the same error" row (with_batch true outcome)
 
 let test_parallel_join () =
-  check_par_equals_seq "hash join probe"
+  check_batch_equals_row "hash join probe"
     "SELECT nums.k, lookup.label FROM nums, lookup \
      WHERE nums.g = lookup.g AND nums.k < 500";
-  check_par_equals_seq "hash join then aggregate"
+  check_batch_equals_row "hash join then aggregate"
     "SELECT lookup.label, COUNT(*) FROM nums, lookup \
      WHERE nums.g = lookup.g GROUP BY lookup.label"
 
@@ -297,39 +255,9 @@ let test_topk_matches_full_sort () =
   check Alcotest.(list string) "limit 0" []
     (run_sql db "SELECT v, k FROM nums ORDER BY v DESC LIMIT 0")
 
-(* --- Differential fuzz ---------------------------------------------------------- *)
-
-(* Random single-table queries from the engine-fuzz generator, run with
-   the pool forced past its threshold: the parallel rows must be
-   byte-identical (including order) to the sequential ones. *)
-let prop_parallel_matches_sequential =
-  QCheck.Test.make ~name:"parallel = sequential" ~count:500
-    Test_engine_fuzz.query_arb (fun q ->
-      let db = Lazy.force Test_engine_fuzz.db in
-      (* Type errors (e.g. [s * 4]) must surface identically in both
-         modes, so compare outcomes, not just rows. *)
-      let run () =
-        match
-          show_rows (Db.rows_exn (Db.exec_statement db ~params:[] (Ast.Select q)))
-        with
-        | rows -> Ok rows
-        | exception e -> Error (Printexc.to_string e)
-      in
-      let seq = with_pool ~size:1 ~min_rows:1 run in
-      let par = with_pool ~size:4 ~min_rows:1 run in
-      if seq = par then true
-      else begin
-        let show = function
-          | Ok rows -> String.concat "," rows
-          | Error e -> "raised " ^ e
-        in
-        QCheck.Test.fail_reportf "seq %s\npar %s" (show seq) (show par)
-      end)
-
 let suite =
   [ Alcotest.test_case "pool sizing from env" `Quick test_resolve_size;
     Alcotest.test_case "pool size override" `Quick test_set_size;
-    Alcotest.test_case "pool batch semantics" `Quick test_pool_run;
     Alcotest.test_case "parallel scan + filter" `Quick test_parallel_scan_filter;
     Alcotest.test_case "parallel aggregate merge" `Quick test_parallel_aggregate;
     Alcotest.test_case "partitioned grouping" `Quick test_partitioned_grouping;
@@ -341,5 +269,4 @@ let suite =
       test_aggregate_error_matches;
     Alcotest.test_case "parallel hash join" `Quick test_parallel_join;
     Alcotest.test_case "top-k = full sort prefix" `Quick
-      test_topk_matches_full_sort;
-    QCheck_alcotest.to_alcotest prop_parallel_matches_sequential ]
+      test_topk_matches_full_sort ]

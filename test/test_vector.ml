@@ -5,7 +5,6 @@
 
 open Tip_storage
 module Db = Tip_engine.Database
-module Exec_pool = Tip_engine.Exec_pool
 module Executor = Tip_engine.Executor
 module Ast = Tip_sql.Ast
 
@@ -22,16 +21,6 @@ let with_batch enabled f =
       Executor.set_batch_min_rows 256)
     f
 
-let with_pool ~size ~min_rows f =
-  let old = Exec_pool.size () in
-  Exec_pool.set_size size;
-  Executor.set_min_parallel_rows min_rows;
-  Fun.protect
-    ~finally:(fun () ->
-      Exec_pool.set_size old;
-      Executor.set_min_parallel_rows 1024)
-    f
-
 let show_rows rows =
   List.map
     (fun row ->
@@ -40,24 +29,12 @@ let show_rows rows =
 
 let run_sql db sql = show_rows (Db.rows_exn (Db.exec db sql))
 
-(* Row-mode (batch disabled, one domain) and batch-mode runs of [sql]
-   must produce identical rows in identical order; so must the
-   parallel batch path. *)
+(* Row-mode (batch disabled) and batch-mode runs of [sql] must produce
+   identical rows in identical order. *)
 let check_batch_equals_row db name sql =
-  let row =
-    with_pool ~size:1 ~min_rows:1024 (fun () ->
-        with_batch false (fun () -> run_sql db sql))
-  in
-  let batch =
-    with_pool ~size:1 ~min_rows:1024 (fun () ->
-        with_batch true (fun () -> run_sql db sql))
-  in
-  let par_batch =
-    with_pool ~size:4 ~min_rows:1 (fun () ->
-        with_batch true (fun () -> run_sql db sql))
-  in
-  check Alcotest.(list string) (name ^ " (batch)") row batch;
-  check Alcotest.(list string) (name ^ " (parallel batch)") row par_batch
+  let row = with_batch false (fun () -> run_sql db sql) in
+  let batch = with_batch true (fun () -> run_sql db sql) in
+  check Alcotest.(list string) (name ^ " (batch)") row batch
 
 (* --- Selection-vector edge cases -------------------------------------------- *)
 
@@ -167,11 +144,10 @@ let test_batched_overlaps () =
 
 (* --- Differential fuzz -------------------------------------------------------- *)
 
-(* Random queries from the engine-fuzz generator (the seeds the
-   seq-vs-parallel fuzz uses), executed row-at-a-time, batch, and
-   parallel-batch: all three outcomes must match exactly. *)
+(* Random queries from the engine-fuzz generator, executed
+   row-at-a-time and batch: both outcomes must match exactly. *)
 let prop_batch_matches_row =
-  QCheck.Test.make ~name:"batch = row = parallel batch" ~count:500
+  QCheck.Test.make ~name:"batch = row" ~count:500
     Test_engine_fuzz.query_arb (fun q ->
       let db = Lazy.force Test_engine_fuzz.db in
       let run () =
@@ -181,21 +157,15 @@ let prop_batch_matches_row =
         | rows -> Ok rows
         | exception e -> Error (Printexc.to_string e)
       in
-      let row =
-        with_pool ~size:1 ~min_rows:1024 (fun () -> with_batch false run)
-      in
-      let batch =
-        with_pool ~size:1 ~min_rows:1024 (fun () -> with_batch true run)
-      in
-      let par = with_pool ~size:4 ~min_rows:1 (fun () -> with_batch true run) in
-      if row = batch && row = par then true
+      let row = with_batch false run in
+      let batch = with_batch true run in
+      if row = batch then true
       else begin
         let show = function
           | Ok rows -> String.concat "," rows
           | Error e -> "raised " ^ e
         in
-        QCheck.Test.fail_reportf "row %s\nbatch %s\npar-batch %s" (show row)
-          (show batch) (show par)
+        QCheck.Test.fail_reportf "row %s\nbatch %s" (show row) (show batch)
       end)
 
 (* --- ANALYZE histogram math --------------------------------------------------- *)
@@ -437,8 +407,8 @@ let kernel_db =
 
 let window_text = "{[1999-03-01, 1999-03-31], [1999-08-01, 1999-08-02]}"
 
-(* Row, batch and parallel-batch runs must keep exactly the rows the
-   routine itself accepts, computed here straight from the data. *)
+(* Row and batch runs must keep exactly the rows the routine itself
+   accepts, computed here straight from the data. *)
 let test_overlaps_kernel_oracle () =
   let db = Lazy.force kernel_db in
   let overlaps x y = Element.overlaps ~now:kernel_now x y in
