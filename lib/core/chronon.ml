@@ -94,12 +94,30 @@ let year t = let y, _, _, _, _, _ = to_civil t in y
 (* Truncates to midnight of the same civil day. *)
 let start_of_day t = floor_div t Span.seconds_per_day * Span.seconds_per_day
 
-let pp ppf t =
+(* yyyy-mm-dd, plus " hh:mm:ss" off midnight: Printf's "%04d" year
+   (a sign, then at least four digits) and two-digit fields. *)
+let to_buffer b t =
   let year, month, day, hh, mm, ss = to_civil t in
-  if hh = 0 && mm = 0 && ss = 0 then Fmt.pf ppf "%04d-%02d-%02d" year month day
-  else Fmt.pf ppf "%04d-%02d-%02d %02d:%02d:%02d" year month day hh mm ss
+  Digits.add_padded b ~width:4 year;
+  Buffer.add_char b '-';
+  Digits.add_padded b ~width:2 month;
+  Buffer.add_char b '-';
+  Digits.add_padded b ~width:2 day;
+  if hh <> 0 || mm <> 0 || ss <> 0 then begin
+    Buffer.add_char b ' ';
+    Digits.add_padded b ~width:2 hh;
+    Buffer.add_char b ':';
+    Digits.add_padded b ~width:2 mm;
+    Buffer.add_char b ':';
+    Digits.add_padded b ~width:2 ss
+  end
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 20 in
+  to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* Grammar: yyyy-mm-dd [hh:mm:ss]; a leading '-' gives negative years. *)
 let scan s =

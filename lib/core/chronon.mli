@@ -60,6 +60,10 @@ val hash : t -> int
 
 (** {1 Text} *)
 
+(** Appends the literal form to a buffer; [to_string] and [pp] print
+    these same bytes. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val of_string : string -> t option

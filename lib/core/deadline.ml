@@ -120,7 +120,7 @@ let exhaust t what =
   check t
 
 (* Counted on every token but [never] (one atomic add per scan or
-   morsel), so a statement's own scan tally is known without a budget. *)
+   chunk), so a statement's own scan tally is known without a budget. *)
 let charge_rows_scanned t n =
   if n > 0 && not (is_never t) then begin
     let total = Atomic.fetch_and_add t.rows_scanned n + n in

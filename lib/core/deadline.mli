@@ -4,12 +4,12 @@
     who may want to stop it (a server signal handler, a shell Ctrl-C, an
     admission controller). Execution code polls [check] at batch
     boundaries; the poll is an atomic load plus, when a deadline is
-    armed, a clock read — cheap enough for per-morsel granularity.
+    armed, a clock read — cheap enough for per-chunk granularity.
 
     Budgets bound what a single statement may consume before it is
     forcibly cancelled: rows read from storage, rows materialized for
     the client, and an estimate of result-set memory. Charges are atomic
-    so parallel morsels can share one token. *)
+    so a token can be shared across domains. *)
 
 type reason =
   | Timeout  (** the statement deadline passed *)

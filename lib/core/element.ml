@@ -300,10 +300,21 @@ let equal a b =
 let fold f init t = List.fold_left f init t
 let iter f t = List.iter f t
 
-let pp ppf t =
-  Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") Period.pp) t
+let to_buffer b t =
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i p ->
+      if i > 0 then Buffer.add_string b ", ";
+      Period.to_buffer b p)
+    t;
+  Buffer.add_char b '}'
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 96 in
+  to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let scan s =
   Scan.expect_char s '{';

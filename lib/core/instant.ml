@@ -59,16 +59,24 @@ let compare_at ~now:current a b =
 (* Structural equality: [NOW-1] equals [NOW-1] but not yesterday's date. *)
 let equal = Int.equal
 
-let pp ppf t =
+(* NOW, NOW-<span> (the span prints its own sign) or NOW+<span>. *)
+let to_buffer b t =
   if is_now_relative t then begin
     let offset = Span.of_seconds (seconds t) in
-    if Span.equal offset Span.zero then Fmt.string ppf "NOW"
-    else if Span.is_negative offset then Fmt.pf ppf "NOW%a" Span.pp offset
-    else Fmt.pf ppf "NOW+%a" Span.pp offset
+    Buffer.add_string b "NOW";
+    if not (Span.equal offset Span.zero) then begin
+      if not (Span.is_negative offset) then Buffer.add_char b '+';
+      Span.to_buffer b offset
+    end
   end
-  else Chronon.pp ppf (Chronon.of_unix_seconds (seconds t))
+  else Chronon.to_buffer b (Chronon.of_unix_seconds (seconds t))
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 20 in
+  to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* A literal whose seconds fall outside the representable range is
    refused here rather than wrapped. *)

@@ -53,6 +53,10 @@ val equal : t -> t -> bool
 
 (** {1 Text} *)
 
+(** Appends the literal form to a buffer; [to_string] and [pp] print
+    these same bytes. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -89,8 +89,19 @@ let equal_at ~now a b =
   | Some (s1, e1), Some (s2, e2) -> Chronon.equal s1 s2 && Chronon.equal e1 e2
   | None, Some _ | Some _, None -> false
 
-let pp ppf t = Fmt.pf ppf "[%a, %a]" Instant.pp t.start_ Instant.pp t.end_
-let to_string t = Fmt.str "%a" pp t
+let to_buffer b t =
+  Buffer.add_char b '[';
+  Instant.to_buffer b t.start_;
+  Buffer.add_string b ", ";
+  Instant.to_buffer b t.end_;
+  Buffer.add_char b ']'
+
+let to_string t =
+  let b = Buffer.create 32 in
+  to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let scan s =
   Scan.expect_char s '[';

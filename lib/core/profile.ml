@@ -121,11 +121,26 @@ let equal a b =
 
 (* --- Text ------------------------------------------------------------------ *)
 
-let pp_entry ppf { span_ = (s, e); value } =
-  Fmt.pf ppf "[%a, %a]:%d" Chronon.pp s Chronon.pp e value
+let to_buffer b t =
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i { span_ = (s, e); value } ->
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_char b '[';
+      Chronon.to_buffer b s;
+      Buffer.add_string b ", ";
+      Chronon.to_buffer b e;
+      Buffer.add_string b "]:";
+      Digits.add_int b value)
+    t;
+  Buffer.add_char b '}'
 
-let pp ppf t = Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") pp_entry) t
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 96 in
+  to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let scan s =
   Scan.expect_char s '{';

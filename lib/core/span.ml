@@ -52,18 +52,27 @@ let equal = Int.equal
 let min (a : int) (b : int) = if a <= b then a else b
 let max (a : int) (b : int) = if a >= b then a else b
 
-let pp ppf t =
+let to_buffer b t =
   let magnitude = Stdlib.abs t in
   let d = magnitude / seconds_per_day in
   let rest = magnitude mod seconds_per_day in
-  let sign = if t < 0 then "-" else "" in
-  if rest = 0 then Fmt.pf ppf "%s%d" sign d
-  else
-    Fmt.pf ppf "%s%d %02d:%02d:%02d" sign d (rest / seconds_per_hour)
-      (rest mod seconds_per_hour / seconds_per_minute)
-      (rest mod seconds_per_minute)
+  if t < 0 then Buffer.add_char b '-';
+  Digits.add_int b d;
+  if rest <> 0 then begin
+    Buffer.add_char b ' ';
+    Digits.add_padded b ~width:2 (rest / seconds_per_hour);
+    Buffer.add_char b ':';
+    Digits.add_padded b ~width:2 (rest mod seconds_per_hour / seconds_per_minute);
+    Buffer.add_char b ':';
+    Digits.add_padded b ~width:2 (rest mod seconds_per_minute)
+  end
 
-let to_string t = Fmt.str "%a" pp t
+let to_string t =
+  let b = Buffer.create 16 in
+  to_buffer b t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* Grammar: ['+'|'-'] days [' ' hh ':' mm ':' ss]. The optional time part
    is bounded (hh<=23 etc.) so that the printed form round-trips. *)

@@ -56,6 +56,10 @@ val max : t -> t -> t
 
 (** {1 Text} *)
 
+(** Appends the literal form to a buffer; [to_string] and [pp] print
+    these same bytes. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

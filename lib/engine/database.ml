@@ -373,8 +373,12 @@ let run_explain_analyze t ectx ~trace ~now target =
        ~rows:(List.length rows) ~plan_ns:(span_ns "plan")
        ~exec_ns:(span_ns "execute") plan)
 
-(* Single-table DML helper: compiled predicate + matching rids. *)
-let dml_matches t ectx table where =
+(* Single-table DML helper: the matching (rid, row) pairs, in rid order,
+   all collected before the caller mutates anything. Candidates come
+   from the access path a SELECT with the same WHERE would take (a
+   B+tree range or an interval probe, else every row); the compiled
+   WHERE is rechecked on each. *)
+let dml_matches t ectx ~qual table where =
   let schema = Table.schema table in
   let layout_resolve _q name = Schema.column_index_exn schema name in
   let pred =
@@ -402,7 +406,14 @@ let dml_matches t ectx table where =
           | Some p -> Expr_eval.to_predicate p ectx row
         in
         if keep then matches := (rid, row) :: !matches)
-    (Table.rids table);
+    (match
+       Planner.dml_access_path ~ext:t.ext ~ectx t.catalog ~qual table where
+     with
+    | Plan.Index_scan { btree; lo; hi; _ } ->
+      List.sort_uniq Int.compare (Btree.range btree ~lo ~hi)
+    | Plan.Interval_scan { index; lo; hi; _ } ->
+      Array.to_list (Executor.interval_rids table index ~lo ~hi)
+    | _ -> Table.rids table);
   List.rev !matches
 
 (* The transaction-time shadow table of [table], when WITH HISTORY is
@@ -643,7 +654,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
     | Some table ->
       let schema = Table.schema table in
       let compiled = compile_assignments schema in
-      let matches = dml_matches t ectx table where in
+      let matches = dml_matches t ectx ~qual:tname table where in
       List.iter
         (fun (rid, old_row) ->
           Expr_eval.tick ectx;
@@ -667,7 +678,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
             (fun (src : Partition.part) ->
               List.map
                 (fun (rid, old_row) -> (src, rid, old_row))
-                (dml_matches t ectx src.Partition.p_table where))
+                (dml_matches t ectx ~qual:tname src.Partition.p_table where))
             (Partition.all_parts pt)
         in
         List.iter
@@ -694,7 +705,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
         Affected (List.length matches)))
   | Ast.Delete { table = tname; where } -> (
     let delete_from table =
-      let matches = dml_matches t ectx table where in
+      let matches = dml_matches t ectx ~qual:tname table where in
       List.iter
         (fun (rid, old_row) ->
           Expr_eval.tick ectx;

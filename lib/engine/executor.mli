@@ -20,6 +20,12 @@ val run : Expr_eval.ctx -> Plan.t -> Value.t array Seq.t
     the statement's result-set budgets. *)
 val collect : Expr_eval.ctx -> Plan.t -> Value.t array list
 
+(** The rids an interval scan visits, ascending and without duplicates
+    (every live rid once the probe window matches over half the
+    table). *)
+val interval_rids :
+  Table.t -> Interval_index.t -> lo:int -> hi:int -> int array
+
 (** Rows per execution chunk on the batch path (1024). *)
 val chunk_size : int
 

@@ -1263,6 +1263,31 @@ let subquery_runner_for_table ~ext ~ectx catalog schema =
   in
   subquery_hook ~outer:(layout, 0) pctx
 
+(* The access path of a single-table UPDATE/DELETE: the scan a SELECT
+   over [table] named [qual] with the same WHERE would take. Only
+   conjuncts the SELECT would push to the scan qualify; the caller
+   rechecks the whole WHERE on every row the scan yields. *)
+let dml_access_path ~ext ~ectx catalog ~qual table where =
+  let pctx = { ext; ectx; catalog } in
+  let col_names =
+    Array.map (fun c -> c.Schema.name) (Table.schema table).Schema.columns
+  in
+  let binding = { qual = Some (lc qual); col_names; offset = 0 } in
+  let layout = { bindings = [ binding ]; width = Array.length col_names } in
+  let pushable e =
+    (not (contains_agg ext e))
+    && (not (contains_subquery e))
+    && match indices_of layout e with
+       | _ -> true
+       | exception Plan_error _ -> false
+  in
+  let exprs =
+    match where with
+    | None -> []
+    | Some e -> List.filter pushable (conjuncts e)
+  in
+  fst (plan_base_table pctx table binding exprs)
+
 (* EXPLAIN output: the plan tree, without its final newline. *)
 let explain plan =
   let tree = Plan.to_string plan in

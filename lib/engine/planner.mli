@@ -54,6 +54,19 @@ val subquery_runner_for_table :
   Ast.select ->
   Expr_eval.subquery_exec
 
+(** The scan leaf ([Seq_scan], [Index_scan] or [Interval_scan]) a
+    SELECT over [table], named [qual], with this WHERE would read: the
+    candidate rows of a single-table UPDATE or DELETE. Every row the
+    WHERE accepts is among them; the caller rechecks the WHERE. *)
+val dml_access_path :
+  ext:Extension.t ->
+  ectx:Expr_eval.ctx ->
+  Catalog.t ->
+  qual:string ->
+  Table.t ->
+  Ast.expr option ->
+  Plan.t
+
 (** [Plan.to_string] without its final newline. *)
 val explain : Plan.t -> string
 

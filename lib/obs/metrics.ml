@@ -1,8 +1,8 @@
 (* Shard-and-merge metrics registry.
 
    Writers pick a shard from the current domain id, so concurrent
-   morsel workers on distinct domains touch distinct atomics most of
-   the time; readers sum the shards. This trades exactness of *when* a
+   sessions on distinct domains touch distinct atomics most of the
+   time; readers sum the shards. This trades exactness of *when* a
    read observes a concurrent write (fine for monitoring) for writes
    that are one [Atomic.fetch_and_add] with no lock.
 

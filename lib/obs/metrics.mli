@@ -1,8 +1,8 @@
 (** Process-wide metrics registry.
 
     Counters and histograms are sharded per domain (the writer picks a
-    shard from [Domain.self ()]) and merged on read, so the hot paths of
-    the morsel executor never contend on a lock. Gauges are single
+    shard from [Domain.self ()]) and merged on read, so sessions running
+    on different domains never contend on a lock. Gauges are single
     atomics: they are written rarely (pool resizes, session open/close).
 
     The registry is enabled unless the [TIP_METRICS] environment

@@ -3,7 +3,8 @@
 
    Line-oriented text over a stream socket. Every line is terminated by
    '\n'; embedded tabs/newlines/backslashes in payloads are escaped with
-   the snapshot escaping (\t, \n, \\).
+   the snapshot escaping (\t, \n, \\), and the row-cell separator
+   \x01 as \1.
 
    Client -> server, one request per exchange:
      Q <sql>                      execute a statement
@@ -16,7 +17,8 @@
    Server -> client, one response per Q:
      R <ncols> <nrows>            result rows follow:
        <name1>\t<name2>...        one header line
-       <cell>\t<cell>...          nrows data lines (NULL as \N)
+       <cell>\x01<cell>...        nrows data lines; a cell is
+                                  <type>\t<text> (NULL as null\t\N)
      A <n>                        statement affected n rows
      M <text>                     informational message
      E <text>                     error (session stays usable)
@@ -27,18 +29,16 @@
 
 open Tip_storage
 
-let escape = Persist.escape_cell
-let unescape = Persist.unescape_cell
+let escape = Persist.escape_wire
+let unescape = Persist.unescape_wire
 let null_marker = "\\N"
-
-let encode_cell v =
-  if Value.is_null v then null_marker else escape (Value.to_display_string v)
+let null_cell = "null\t" ^ null_marker
 
 (* Values travel with their type name so the client can rebuild typed
    values (the JDBC custom type mapping, one line at a time). *)
 let encode_typed v =
-  if Value.is_null v then "null\t" ^ null_marker
-  else Value.type_name v ^ "\t" ^ encode_cell v
+  if Value.is_null v then null_cell
+  else Value.type_name v ^ "\t" ^ escape (Value.to_display_string v)
 
 let decode_typed ty text =
   if String.equal text null_marker then Value.Null
@@ -138,20 +138,48 @@ type response =
   | Message of string
   | Error of string
 
+(* The server's per-statement hot path: every byte goes straight to the
+   channel, the same bytes [encode_typed] and the line layout above
+   describe, with no intermediate strings beyond each value's printed
+   form. *)
+let write_typed oc v =
+  if Value.is_null v then output_string oc null_cell
+  else begin
+    output_string oc (Value.type_name v);
+    output_char oc '\t';
+    output_string oc (escape (Value.to_display_string v))
+  end
+
+let write_line oc tag text =
+  output_char oc tag;
+  output_char oc ' ';
+  output_string oc text;
+  output_char oc '\n'
+
 let write_response oc = function
   | Rows { names; rows } ->
-    Printf.fprintf oc "R %d %d\n" (List.length names) (List.length rows);
-    output_string oc (String.concat "\t" (List.map escape names));
+    output_string oc "R ";
+    output_string oc (string_of_int (List.length names));
+    output_char oc ' ';
+    output_string oc (string_of_int (List.length rows));
+    output_char oc '\n';
+    List.iteri
+      (fun i name ->
+        if i > 0 then output_char oc '\t';
+        output_string oc (escape name))
+      names;
     output_char oc '\n';
     List.iter
       (fun row ->
-        let cells = Array.to_list (Array.map encode_typed row) in
-        output_string oc (String.concat "\x01" cells);
+        for i = 0 to Array.length row - 1 do
+          if i > 0 then output_char oc '\x01';
+          write_typed oc row.(i)
+        done;
         output_char oc '\n')
       rows
-  | Affected n -> Printf.fprintf oc "A %d\n" n
-  | Message m -> Printf.fprintf oc "M %s\n" (escape m)
-  | Error e -> Printf.fprintf oc "E %s\n" (escape e)
+  | Affected n -> write_line oc 'A' (string_of_int n)
+  | Message m -> write_line oc 'M' (escape m)
+  | Error e -> write_line oc 'E' (escape e)
 
 let read_response ic =
   let line = input_line ic in

@@ -966,7 +966,7 @@ let stop t =
   try Unix.close t.listener with Unix.Unix_error _ -> ()
 
 (* Graceful drain: stop accepting, cancel every in-flight statement
-   through its token (they abort within one morsel/batch boundary,
+   through its token (they abort within one row or chunk boundary,
    journal nothing, and answer E SHUTDOWN), then wait — up to [grace]
    seconds — for the in-flight table to empty. Sessions blocked reading
    their socket are left to the process exit; they hold no statements.

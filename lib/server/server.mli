@@ -56,7 +56,7 @@ val serve_in_background : t -> unit
 val stop : t -> unit
 
 (** Graceful drain: stop accepting, cancel every in-flight statement
-    via its token (each aborts within one morsel/batch boundary,
+    via its token (each aborts within one row or chunk boundary,
     journals nothing, and is answered [E SHUTDOWN: ...]), then wait up
     to [grace] seconds (default 5) for in-flight statements to finish
     unwinding. Returns the drain duration in seconds. The caller is

@@ -62,8 +62,8 @@ let rids t =
   iteri (fun rid _ -> acc := rid :: !acc) t;
   List.rev !acc
 
-(* Live row ids as a fresh array, ascending: the parallel executor
-   slices it into rid-range morsels. *)
+(* Live row ids as a fresh array, ascending: the batch executor's scan
+   leaves read it one chunk of rids at a time. *)
 let rids_array t =
   let out = Array.make t.live 0 in
   let i = ref 0 in

@@ -35,5 +35,5 @@ val fold : ('a -> row -> 'a) -> 'a -> t -> 'a
 val rids : t -> int list
 
 (** Live row ids, ascending, as a fresh array — the snapshot the
-    parallel executor slices into rid-range morsels. *)
+    batch executor's scan leaves read one chunk at a time. *)
 val rids_array : t -> int array

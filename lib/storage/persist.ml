@@ -20,39 +20,66 @@ let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
 
 (* --- Cell escaping ----------------------------------------------------- *)
 
-let escape_cell s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
+(* Tab, newline and backslash become \t, \n and \\. The wire also
+   joins a row's cells with \x01, so its variant escapes that byte too,
+   as \1; snapshots and WAL payloads never contain the escape. Text
+   with nothing to escape, nearly every cell, comes back as is. *)
+
+let rec first_escape ~wire s i =
+  if i >= String.length s then -1
+  else
+    match String.unsafe_get s i with
+    | '\t' | '\n' | '\\' -> i
+    | '\001' when wire -> i
+    | _ -> first_escape ~wire s (i + 1)
+
+let escape ~wire s =
+  match first_escape ~wire s 0 with
+  | -1 -> s
+  | first ->
+    let buf = Buffer.create (String.length s + 8) in
+    Buffer.add_substring buf s 0 first;
+    for i = first to String.length s - 1 do
+      match String.unsafe_get s i with
       | '\t' -> Buffer.add_string buf "\\t"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | '\001' when wire -> Buffer.add_string buf "\\1"
+      | c -> Buffer.add_char buf c
+    done;
+    Buffer.contents buf
 
-let unescape_cell s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then begin
-      (if s.[i] = '\\' && i + 1 < n then begin
-         (match s.[i + 1] with
-         | 't' -> Buffer.add_char buf '\t'
-         | 'n' -> Buffer.add_char buf '\n'
-         | '\\' -> Buffer.add_char buf '\\'
-         | c -> Buffer.add_char buf c);
-         go (i + 2)
-       end
-       else begin
-         Buffer.add_char buf s.[i];
-         go (i + 1)
-       end)
-    end
-  in
-  go 0;
-  Buffer.contents buf
+(* A backslash before any other byte is dropped and the byte kept; a
+   trailing backslash stays. *)
+let unescape ~wire s =
+  if not (String.contains s '\\') then s
+  else begin
+    let n = String.length s in
+    let buf = Buffer.create n in
+    let i = ref 0 in
+    while !i < n do
+      let c = String.unsafe_get s !i in
+      if c = '\\' && !i + 1 < n then begin
+        Buffer.add_char buf
+          (match String.unsafe_get s (!i + 1) with
+          | 't' -> '\t'
+          | 'n' -> '\n'
+          | '1' when wire -> '\001'
+          | c -> c);
+        i := !i + 2
+      end
+      else begin
+        Buffer.add_char buf c;
+        incr i
+      end
+    done;
+    Buffer.contents buf
+  end
+
+let escape_cell s = escape ~wire:false s
+let unescape_cell s = unescape ~wire:false s
+let escape_wire s = escape ~wire:true s
+let unescape_wire s = unescape ~wire:true s
 
 let null_marker = "\\N"
 

@@ -58,5 +58,11 @@ val parse_row : Schema.col_type array -> string array -> Value.t array
 val serialize_row : Value.t array -> string
 val escape_cell : string -> string
 val unescape_cell : string -> string
+
+(** The wire's cell escaping: {!escape_cell} plus [\x01] (the wire's
+    cell separator) as [\1]. *)
+val escape_wire : string -> string
+
+val unescape_wire : string -> string
 val column_line : Schema.column -> string
 val parse_column_line : string -> Schema.column
