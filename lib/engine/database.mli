@@ -41,7 +41,7 @@ val in_transaction : t -> bool
 (** {1 Execution}
 
     Every entry point accepts a governance [token]
-    ({!Tip_core.Deadline.t}). The executor polls it at batch boundaries;
+    ({!Tip_core.Deadline.t}). The executor polls it at chunk boundaries;
     when it trips — deadline, budget, client interrupt, drain — the
     statement raises [Deadline.Cancelled], its partial in-memory effects
     are reverted, and none of its records reach the WAL (the log keeps a

@@ -1,11 +1,13 @@
-(* Volcano-style pull execution: a plan runs as a lazy row sequence.
+(* Pull execution: a plan runs as a lazy row sequence.
 
-   Joins materialize their build side only; scans, filters, projections
-   and limits stream. Aggregation and sorting are blocking, as they must
-   be. Pipelines over a rid-splittable leaf run chunk-at-a-time through
-   fused kernels ([run_chunked], [chunk_pipeline]); every other shape
-   runs row-at-a-time ([run_rows]). A statement runs on its session's
-   domain: sessions, not operators, are the unit of parallelism. *)
+   Each operator has one implementation. Leaf scans are rid sources;
+   Filter, Project and the Hash_join probe are fused chunk stages above
+   a scan or above the row stream of any other operator ([pipeline]),
+   and one lazy chunk sequence ([chunks]) serves both [run] and
+   [run_aggregate]. Joins materialize their build side only; aggregation
+   and sorting are blocking, as they must be. A statement runs on its
+   session's domain: sessions, not operators, are the unit of
+   parallelism. *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -240,13 +242,6 @@ let group_table ctx keys aggs =
   in
   (step, fun () -> List.rev !order)
 
-(* --- Sequence helpers ----------------------------------------------------- *)
-
-let seq_of_list l = List.to_seq l
-
-let concat_rows left right =
-  Array.append left right
-
 (* ORDER BY comparison over pre-evaluated key lists. *)
 let compare_sort_keys by ka kb =
   let rec go ks1 ks2 dirs =
@@ -261,9 +256,11 @@ let compare_sort_keys by ka kb =
   go ka kb by
 
 (* Bounded top-k for ORDER BY ... LIMIT: keeps the k first rows of the
-   stable sort without materializing the input, using a size-k max-heap
-   ordered by (sort keys, arrival index) — arrival index makes the order
-   total, so the result is exactly the stable sort's prefix. *)
+   stable sort without materializing the input, using a max-heap of at
+   most k rows ordered by (sort keys, arrival index) — arrival index
+   makes the order total, so the result is exactly the stable sort's
+   prefix. The heap grows with the rows seen, so a LIMIT far above the
+   input's size costs only the input. *)
 let top_k ctx by k input : Value.t array list =
   if k <= 0 then []
   else begin
@@ -271,13 +268,13 @@ let top_k ctx by k input : Value.t array list =
       let c = compare_sort_keys by ka kb in
       if c <> 0 then c else Int.compare ia ib
     in
-    let heap = Array.make k None in
+    let heap = ref [||] in
     let size = ref 0 in
-    let elt i = match heap.(i) with Some e -> e | None -> assert false in
+    let elt i = !heap.(i) in
     let swap i j =
-      let tmp = heap.(i) in
-      heap.(i) <- heap.(j);
-      heap.(j) <- tmp
+      let tmp = elt i in
+      !heap.(i) <- elt j;
+      !heap.(j) <- tmp
     in
     let rec sift_up i =
       if i > 0 then begin
@@ -305,16 +302,21 @@ let top_k ctx by k input : Value.t array list =
         let e = (key, !arrival, row) in
         incr arrival;
         if !size < k then begin
-          heap.(!size) <- Some e;
+          if !size = Array.length !heap then begin
+            let grown = Array.make (Stdlib.min k (Stdlib.max 16 (2 * !size))) e in
+            Array.blit !heap 0 grown 0 !size;
+            heap := grown
+          end;
+          !heap.(!size) <- e;
           incr size;
           sift_up (!size - 1)
         end
         else if cmp_elt e (elt 0) < 0 then begin
-          heap.(0) <- Some e;
+          !heap.(0) <- e;
           sift_down 0
         end)
       input;
-    let kept = Array.init !size elt in
+    let kept = Array.sub !heap 0 !size in
     Array.sort cmp_elt kept;
     Array.to_list (Array.map (fun (_, _, row) -> row) kept)
   end
@@ -340,67 +342,37 @@ let instrumented_seq (stats : Plan.op_stats) (produce : unit -> Value.t array Se
   in
   wrap (fun () -> (produce ()) ())
 
-(* Leaf-scan body shared by the three scan operators: bulk metric +
-   budget charge once per scan, and a cancellation poll every 256 rows
-   through a scan-local counter (the shared per-row tick counter is
-   costlier on the hot path and buys nothing here). Armed failpoints
-   fall back to a poll per row so injected cancellations land at exact
-   row boundaries, as the governance fuzz requires. *)
-let scan_rows ctx table n (rids : int Seq.t) =
-  Metrics.add m_rows_scanned n;
-  Deadline.charge_rows_scanned ctx.Expr_eval.token n;
-  if Failpoint.active () then
-    Seq.filter_map
-      (fun rid ->
-        Expr_eval.tick ctx;
-        Table.get table rid)
-      rids
-  else begin
-    let k = ref 0 in
-    Seq.filter_map
-      (fun rid ->
-        incr k;
-        if !k land 255 = 0 then Expr_eval.poll ctx;
-        Table.get table rid)
-      rids
-  end
-
-(* The rids an interval scan visits, ascending; the row and chunk paths
-   both take them from here. Multi-period values have one index entry
-   per period, so a row can match the probe window several times:
-   dedupe. When the window matches more than half the table the index
-   only adds overhead, and the recheck filter above makes a plain scan
-   equivalent, so degrade to one. *)
+(* The rids an interval scan visits, ascending. Multi-period values have
+   one index entry per period, so a row can match the probe window
+   several times: dedupe. When the window matches more than half the
+   table the index only adds overhead, and the recheck filter above
+   makes a plain scan equivalent, so degrade to one. *)
 let interval_rids table index ~lo ~hi =
   let rids = Interval_index.query_overlaps index ~lo ~hi in
   if List.length rids > Table.row_count table / 2 then Table.rids_array table
   else Array.of_list (List.sort_uniq Int.compare rids)
 
-(* --- Chunks (batch-at-a-time execution) ---------------------------------- *)
+(* --- Chunks ------------------------------------------------------------------ *)
 
-(* Fixed-size chunks of row references with a selection vector: leaf
-   scans fill [rows]/[len], filters compact [sel] in place via fused
-   kernels ({!Expr_eval.batch_pred}), and projections/joins write fresh
-   rows into stage-owned output chunks. Buffers are reused across chunks
-   — safe because emitted rows are heap-row references or freshly
-   allocated operator outputs, never the chunk buffer itself. *)
+(* Chunks of row references with a selection vector: the source fills
+   [rows] and resets [sel] to identity, filters compact [sel] in place
+   via fused kernels ({!Expr_eval.batch_pred}), and projections and join
+   probes write fresh rows into stage-owned output chunks. Buffers are
+   reused across chunks — safe because emitted rows are heap-row
+   references or freshly allocated operator outputs, never the chunk
+   buffer itself. *)
 let chunk_size = 1024
 
 type chunk = {
-  mutable rows : Value.t array array; (* row buffer; first [len] filled *)
-  mutable len : int;
+  mutable rows : Value.t array array; (* row buffer *)
   mutable sel : int array; (* selection vector; first [nsel] valid *)
   mutable nsel : int;
 }
 
-let make_chunk () =
-  { rows = Array.make chunk_size [||];
-    len = 0;
-    sel = Array.make chunk_size 0;
-    nsel = 0 }
+let make_chunk n = { rows = Array.make n [||]; sel = Array.make n 0; nsel = 0 }
 
 (* Grow [rows]/[sel] to hold at least [n] entries (join fan-out can
-   exceed the fixed chunk size). *)
+   exceed the source chunk). *)
 let ensure_capacity c n =
   if Array.length c.rows < n then begin
     let rows = Array.make (Stdlib.max n (2 * Array.length c.rows)) [||] in
@@ -413,8 +385,8 @@ let ensure_capacity c n =
     c.sel <- sel
   end
 
-(* Fill [c] with the live rows of rids[lo, lo+len) (at most [chunk_size])
-   and reset the selection vector to identity. *)
+(* Fill [c] with the live rows of rids[lo, lo+len) and reset the
+   selection vector to identity. *)
 let fill_chunk table (rids : int array) lo len c =
   let n = ref 0 in
   for i = lo to lo + len - 1 do
@@ -425,44 +397,142 @@ let fill_chunk table (rids : int array) lo len c =
       incr n
     | None -> ()
   done;
-  c.len <- !n;
   c.nsel <- !n
 
-(* Batch execution toggle: the batch-vs-row differential fuzz and the
-   bench's row-mode baseline turn it off to force the row-at-a-time
-   operators. *)
-let batch_enabled = ref true
-let set_batch_enabled b = batch_enabled := b
+(* Fill [c] with up to [cap] rows pulled from [rows]; returns the rest
+   of the stream. *)
+let fill_chunk_from c cap rows =
+  let rec go n rows =
+    if n = cap then (n, rows)
+    else
+      match rows () with
+      | Seq.Nil -> (n, Seq.empty)
+      | Seq.Cons (row, rest) ->
+        ensure_capacity c (n + 1);
+        c.rows.(n) <- row;
+        c.sel.(n) <- n;
+        go (n + 1) rest
+  in
+  let n, rest = go 0 rows in
+  c.nsel <- n;
+  rest
 
-(* Tables below this stay on the row path even when batching is on:
-   chunk setup (selection-vector init, stage allocation) costs more than
-   it saves on a handful of rows. Settable so the differential fuzz can
-   push its small tables through the batch kernels. *)
-let batch_min_rows = ref 256
-let set_batch_min_rows n = batch_min_rows := max 0 n
+(* A pipeline's source: the rids of a leaf scan, read from its table, or
+   the row stream of any other operator. *)
+type source = Rids of Table.t * int array | Rows of Value.t array Seq.t
 
-(* Armed failpoints force the row path so per-row poll counts stay exact
-   for the governance fuzz. *)
-let batch_ok () = !batch_enabled && not (Failpoint.active ())
+(* A pipeline: its source, and the fused stages above it as one
+   function. Stages own reusable output chunks, so a compiled pipeline
+   serves one driver. *)
+type pipeline = source * (chunk -> chunk)
 
-(* Chunk dispatch pays off once at least one operator can fuse above a
-   rid-splittable leaf; bare leaves keep the row path (scan_rows already
-   bulk-charges). *)
-let batch_shape = function
-  | (Plan.Filter _ | Plan.Project _ | Plan.Hash_join _) as p -> Plan.chunkable p
-  | _ -> false
+(* Rows per chunk for a source of [n] rows. Armed failpoints shrink it
+   to one row, so the per-chunk poll lands at every row boundary, as the
+   governance fuzz requires. *)
+let chunk_rows n = if Failpoint.active () then 1 else Stdlib.min chunk_size n
 
-(* A compiled chunk pipeline reads the rows of [src_rids] from
-   [src_table], one chunk at a time, through its fused stage. *)
-type source = { src_table : Table.t; src_rids : int array }
+(* The chunk driver: the pipeline's output chunks as a lazy sequence,
+   polling the token once per chunk. A leaf scan is charged to the scan
+   metric and budget once, in bulk. Every chunk shares the stage's
+   buffers, so each must be consumed before the next is forced. *)
+let chunks ctx ((src, stage) : pipeline) : chunk Seq.t =
+  match src with
+  | Rids (table, rids) ->
+    let n = Array.length rids in
+    Metrics.add m_rows_scanned n;
+    Deadline.charge_rows_scanned ctx.Expr_eval.token n;
+    let cap = chunk_rows n in
+    let c = make_chunk cap in
+    let rec next lo () =
+      if lo >= n then Seq.Nil
+      else begin
+        Expr_eval.poll ctx;
+        let len = Stdlib.min cap (n - lo) in
+        fill_chunk table rids lo len c;
+        Seq.Cons (stage c, next (lo + len))
+      end
+    in
+    next 0
+  | Rows rows ->
+    (* A stream's length is unknown: the buffers grow as rows arrive. *)
+    let cap = chunk_rows chunk_size in
+    let c = make_chunk 0 in
+    let rec next rows () =
+      Expr_eval.poll ctx;
+      let rest = fill_chunk_from c cap rows in
+      if c.nsel = 0 then Seq.Nil else Seq.Cons (stage c, next rest)
+    in
+    next rows
+
+(* Chunks back to rows: each chunk's survivors are copied out before the
+   next chunk reuses the buffers, and laziness across chunks keeps
+   LIMIT's early exit at chunk granularity. *)
+let rows_of_chunks chunks =
+  Seq.flat_map
+    (fun c ->
+      let selected = ref [] in
+      for j = c.nsel - 1 downto 0 do
+        selected := c.rows.(c.sel.(j)) :: !selected
+      done;
+      List.to_seq !selected)
+    chunks
+
+let then_stage ((src, stage) : pipeline) next : pipeline =
+  (src, fun c -> next (stage c))
+
+let filter_stage ctx (kernel : Expr_eval.batch_pred) c =
+  c.nsel <- kernel ctx c.rows ~sel:c.sel ~n:c.nsel;
+  c
+
+let project_stage ctx exprs =
+  let out = make_chunk 0 in
+  fun c ->
+    let n = c.nsel in
+    ensure_capacity out n;
+    for j = 0 to n - 1 do
+      let row = c.rows.(c.sel.(j)) in
+      out.rows.(j) <- Array.map (fun e -> e ctx row) exprs;
+      out.sel.(j) <- j
+    done;
+    out.nsel <- n;
+    out
+
+(* Probes each selected row against the build side; output rows are
+   always left-columns ++ right-columns, emitted probe-major. *)
+let join_stage probe ~build_left =
+  let out = make_chunk 0 in
+  fun c ->
+    let k = ref 0 in
+    for j = 0 to c.nsel - 1 do
+      let prow = c.rows.(c.sel.(j)) in
+      let matches = probe prow in
+      let m = Array.length matches in
+      if m > 0 then begin
+        Metrics.add m_rows_joined m;
+        ensure_capacity out (!k + m);
+        for x = 0 to m - 1 do
+          out.rows.(!k) <-
+            (if build_left then Array.append matches.(x) prow
+             else Array.append prow matches.(x));
+          out.sel.(!k) <- !k;
+          incr k
+        done
+      end
+    done;
+    out.nsel <- !k;
+    out
+
+(* Saturating [n + offset]: the rows a LIMIT needs from its input. *)
+let limit_rows n offset =
+  match offset with
+  | Some o when o > 0 -> if n > max_int - o then max_int else n + o
+  | _ -> n
 
 let rec run ctx (plan : Plan.t) : Value.t array Seq.t =
-  match run_chunked ctx plan with
-  | Some rows -> rows
-  | None -> run_rows ctx plan
-
-and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
   match plan with
+  | Plan.Seq_scan _ | Plan.Index_scan _ | Plan.Interval_scan _ | Plan.Filter _
+  | Plan.Project _ | Plan.Hash_join _ ->
+    rows_of_chunks (chunks ctx (pipeline ctx plan))
   | Plan.One_row -> Seq.return [||]
   | Plan.Virtual_scan { produce; _ } ->
     (* Providers materialize a snapshot; charge it like a scan so
@@ -475,23 +545,9 @@ and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
       (fun row ->
         Expr_eval.tick ctx;
         row)
-      (seq_of_list rows)
+      (List.to_seq rows)
   | Plan.Instrument { input; stats } ->
     instrumented_seq stats (fun () -> run ctx input)
-  | Plan.Seq_scan { table; _ } ->
-    (* Snapshot the rid list so concurrent mutation cannot skew the scan. *)
-    let rids = Table.rids table in
-    scan_rows ctx table (Table.row_count table) (seq_of_list rids)
-  | Plan.Index_scan { table; btree; lo; hi; _ } ->
-    (* Rows come back in key order — the planner relies on this to
-       satisfy ORDER BY from an index. *)
-    let rids = Btree.range btree ~lo ~hi in
-    scan_rows ctx table (List.length rids) (seq_of_list rids)
-  | Plan.Interval_scan { table; index; lo; hi; _ } ->
-    let rids = interval_rids table index ~lo ~hi in
-    scan_rows ctx table (Array.length rids) (Array.to_seq rids)
-  | Plan.Filter { input; pred; _ } ->
-    Seq.filter (fun row -> Expr_eval.to_predicate pred ctx row) (run ctx input)
   | Plan.Nested_loop { left; right } ->
     let right_rows = List.of_seq (run ctx right) in
     (* Output cardinality is |left|·|right| — far beyond what the leaf
@@ -502,45 +558,9 @@ and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
         Seq.map
           (fun rrow ->
             Expr_eval.tick ctx;
-            concat_rows lrow rrow)
-          (seq_of_list right_rows))
+            Array.append lrow rrow)
+          (List.to_seq right_rows))
       (run ctx left)
-  | Plan.Hash_join { left; right; left_keys; right_keys; build_left; _ } ->
-    (* Build on the cost-chosen side, probe from the other; NULL keys
-       never join. Output rows are always left-columns ++ right-columns;
-       the emission order is probe-major, so it depends on [build_left]
-       — a plan property, identical across the row and batch paths. *)
-    let build_plan, probe_plan, build_keys, probe_keys =
-      if build_left then (left, right, left_keys, right_keys)
-      else (right, left, right_keys, left_keys)
-    in
-    let build = Key_table.create 64 in
-    Seq.iter
-      (fun brow ->
-        let key = List.map (fun c -> c ctx brow) build_keys in
-        if not (List.exists Value.is_null key) then begin
-          let existing = Option.value (Key_table.find_opt build key) ~default:[] in
-          Key_table.replace build key (brow :: existing)
-        end)
-      (run ctx build_plan);
-    Seq.concat_map
-      (fun prow ->
-        let key = List.map (fun c -> c ctx prow) probe_keys in
-        if List.exists Value.is_null key then Seq.empty
-        else begin
-          match Key_table.find_opt build key with
-          | None -> Seq.empty
-          | Some matches ->
-            Metrics.add m_rows_joined (List.length matches);
-            (* entries were prepended during build; restore scan order *)
-            Seq.map
-              (fun brow ->
-                Expr_eval.tick ctx;
-                if build_left then concat_rows brow prow
-                else concat_rows prow brow)
-              (seq_of_list (List.rev matches))
-        end)
-      (run ctx probe_plan)
   | Plan.Left_outer_join { left; right; on; right_width; _ } ->
     let right_rows = List.of_seq (run ctx right) in
     let nulls = Array.make right_width Value.Null in
@@ -549,15 +569,13 @@ and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
         Expr_eval.tick ctx;
         let matches =
           List.filter
-            (fun rrow -> Expr_eval.to_predicate on ctx (concat_rows lrow rrow))
+            (fun rrow -> Expr_eval.to_predicate on ctx (Array.append lrow rrow))
             right_rows
         in
         match matches with
-        | [] -> Seq.return (concat_rows lrow nulls)
-        | _ -> Seq.map (fun rrow -> concat_rows lrow rrow) (seq_of_list matches))
+        | [] -> Seq.return (Array.append lrow nulls)
+        | _ -> Seq.map (fun rrow -> Array.append lrow rrow) (List.to_seq matches))
       (run ctx left)
-  | Plan.Project { input; exprs; _ } ->
-    Seq.map (fun row -> Array.map (fun c -> c ctx row) exprs) (run ctx input)
   | Plan.Aggregate { input; keys; aggs; _ } -> run_aggregate ctx input keys aggs
   | Plan.Sort { input; by; _ } ->
     let rows = Array.of_seq (run ctx input) in
@@ -584,9 +602,8 @@ and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
       (fun acc input -> Seq.append acc (run ctx input))
       Seq.empty inputs
   | Plan.Partition_scan { children; _ } ->
-    (* Partition-wise consumption: each surviving child pipeline goes
-       back through [run], so it independently takes the batch path
-       exactly as an unpartitioned scan would. *)
+    (* Partition-wise consumption: each surviving child is its own
+       pipeline, exactly as an unpartitioned scan would be. *)
     List.fold_left
       (fun acc child -> Seq.append acc (run ctx child))
       Seq.empty children
@@ -594,8 +611,7 @@ and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
     let s =
       match limit with
       | Some n -> (
-        let k = Stdlib.max 0 (n + Option.value offset ~default:0) in
-        match run_topk ctx input k with
+        match run_topk ctx input (limit_rows n offset) with
         | Some s -> s
         | None -> run ctx input)
       | None -> run ctx input
@@ -603,60 +619,83 @@ and run_rows ctx (plan : Plan.t) : Value.t array Seq.t =
     let s = match offset with Some n -> Seq.drop n s | None -> s in
     (match limit with Some n -> Seq.take n s | None -> s)
 
+(* Compile [plan] into a pipeline. Leaf scans are rid sources; Filter,
+   Project and the Hash_join probe fuse as stages above their input's
+   pipeline; any other operator is the row-stream source of the
+   pipeline above it. *)
+and pipeline ctx (plan : Plan.t) : pipeline =
+  match plan with
+  | Plan.Seq_scan { table; _ } ->
+    (* The rid array is a snapshot, so concurrent mutation cannot skew
+       the scan. *)
+    (Rids (table, Table.rids_array table), Fun.id)
+  | Plan.Index_scan { table; btree; lo; hi; _ } ->
+    (* Rids come back in key order — the planner relies on this to
+       satisfy ORDER BY from an index. *)
+    (Rids (table, Array.of_list (Btree.range btree ~lo ~hi)), Fun.id)
+  | Plan.Interval_scan { table; index; lo; hi; _ } ->
+    (Rids (table, interval_rids table index ~lo ~hi), Fun.id)
+  | Plan.Filter { input; bpred; _ } ->
+    then_stage (pipeline ctx input) (filter_stage ctx bpred)
+  | Plan.Project { input; exprs; _ } ->
+    then_stage (pipeline ctx input) (project_stage ctx exprs)
+  | Plan.Hash_join { left; right; left_keys; right_keys; build_left; _ } ->
+    (* Build on the cost-chosen side first, then probe from the other.
+       The emission order is probe-major, so it depends on [build_left]:
+       a plan property. *)
+    let build_plan, probe_plan, build_keys, probe_keys =
+      if build_left then (left, right, left_keys, right_keys)
+      else (right, left, right_keys, left_keys)
+    in
+    let probe = build_join_table ctx build_plan build_keys probe_keys in
+    then_stage (pipeline ctx probe_plan) (join_stage probe ~build_left)
+  | Plan.Instrument
+      { input =
+          ( Plan.Seq_scan _ | Plan.Index_scan _ | Plan.Interval_scan _
+          | Plan.Filter _ | Plan.Project _ | Plan.Hash_join _ ) as input;
+        stats } ->
+    (* Fused stages have no per-operator boundaries to time: each counts
+       the rows that flow through it, and wall time goes to the
+       Instrument above the pipeline. *)
+    then_stage (pipeline ctx input) (fun c ->
+        stats.Plan.actual_rows <- stats.Plan.actual_rows + c.nsel;
+        c)
+  | Plan.Instrument _ | Plan.Nested_loop _ | Plan.Left_outer_join _
+  | Plan.Aggregate _ | Plan.Sort _ | Plan.Distinct _ | Plan.Limit _
+  | Plan.Append _ | Plan.Partition_scan _ | Plan.One_row
+  | Plan.Virtual_scan _ ->
+    (Rows (run ctx plan), Fun.id)
+
 and run_aggregate ctx input keys aggs =
   let step, groups = group_table ctx keys aggs in
   let input_rows = ref 0 in
-  let consume row =
-    step row;
-    incr input_rows
+  (* Chunks feed the group table directly, with no row sequence in
+     between. A partitioned input feeds it child by child, so a
+     partitioned aggregate costs the same per row as the unpartitioned
+     one. *)
+  let rec consume plan =
+    match plan with
+    | Plan.Partition_scan { children; _ } -> List.iter consume children
+    | _ ->
+      Seq.iter
+        (fun c ->
+          for j = 0 to c.nsel - 1 do
+            step c.rows.(c.sel.(j))
+          done;
+          input_rows := !input_rows + c.nsel)
+        (chunks ctx (pipeline ctx plan))
   in
-  (* Chunked consumption: when the input is a rid-splittable pipeline
-     (including a bare leaf scan), drive chunks straight into the group
-     table with no row sequence in between. *)
-  let drive_chunks (src, stage) =
-    let nrids = Array.length src.src_rids in
-    Metrics.add m_rows_scanned nrids;
-    Deadline.charge_rows_scanned ctx.Expr_eval.token nrids;
-    let c = make_chunk () in
-    let pos = ref 0 in
-    while !pos < nrids do
-      Expr_eval.poll ctx;
-      let len = Stdlib.min chunk_size (nrids - !pos) in
-      fill_chunk src.src_table src.src_rids !pos len c;
-      let out = stage c in
-      for j = 0 to out.nsel - 1 do
-        consume out.rows.(out.sel.(j))
-      done;
-      pos := !pos + len
-    done
-  in
-  let rec consume_plan plan =
-    match
-      if batch_ok () && Plan.chunkable plan then chunk_pipeline ctx plan
-      else None
-    with
-    | Some pipeline -> drive_chunks pipeline
-    | None -> (
-      match plan with
-      | Plan.Partition_scan { children; _ } ->
-        (* Partition-wise consumption: each surviving child pipeline
-           feeds the shared group table chunk-at-a-time on its own, so a
-           partitioned aggregate costs the same per row as the
-           unpartitioned one. *)
-        List.iter consume_plan children
-      | _ -> Seq.iter consume (run ctx plan))
-  in
-  consume_plan input;
+  consume input;
   Metrics.add m_agg_rows !input_rows;
   match groups () with
   | [] when keys = [] ->
     (* A grand aggregate over an empty input still yields one row. *)
     Seq.return (emit_group ([], List.map (make_runner ctx) aggs))
-  | groups -> Seq.map emit_group (seq_of_list groups)
+  | groups -> Seq.map emit_group (List.to_seq groups)
 
-(* LIMIT directly above a Sort — possibly through row-wise Projects —
-   needs only the first [k] sorted rows, so a bounded heap replaces the
-   full materialize-and-sort. *)
+(* LIMIT directly above a Sort — possibly through Projects — needs only
+   the first [k] sorted rows, so a bounded heap replaces the full
+   materialize-and-sort. *)
 and run_topk ctx plan k : Value.t array Seq.t option =
   match plan with
   | Plan.Instrument { input; stats } ->
@@ -665,109 +704,10 @@ and run_topk ctx plan k : Value.t array Seq.t option =
       (run_topk ctx input k)
   | Plan.Project { input; exprs; _ } ->
     Option.map
-      (Seq.map (fun row -> Array.map (fun c -> c ctx row) exprs))
+      (fun s -> rows_of_chunks (chunks ctx (Rows s, project_stage ctx exprs)))
       (run_topk ctx input k)
-  | Plan.Sort { input; by; _ } -> Some (seq_of_list (top_k ctx by k (run ctx input)))
+  | Plan.Sort { input; by; _ } -> Some (List.to_seq (top_k ctx by k (run ctx input)))
   | _ -> None
-
-(* Compile a rid-splittable pipeline into its source and a fused chunk
-   stage. Shapes mirror {!Plan.chunkable}: Seq_scan/Interval_scan leaves
-   under Filter/Project operators, Hash_join probe sides and Instrument
-   wrappers. Leaves below [batch_min_rows] rows refuse. Stages own
-   reusable output chunks, so a compiled pipeline serves one driver. *)
-and chunk_pipeline ctx (plan : Plan.t) : (source * (chunk -> chunk)) option =
-  let leaf table rids =
-    if Array.length rids < !batch_min_rows then None
-    else Some ({ src_table = table; src_rids = rids }, Fun.id)
-  in
-  match plan with
-  | Plan.Seq_scan { table; _ } -> leaf table (Table.rids_array table)
-  | Plan.Interval_scan { table; index; lo; hi; _ } ->
-    leaf table (interval_rids table index ~lo ~hi)
-  | Plan.Instrument { input; stats } ->
-    (* Chunked stages have no per-operator boundaries to time; operators
-       report the rows that flowed through them and the driver
-       attributes wall time to the subtree root. *)
-    Option.map
-      (fun (src, stage) ->
-        ( src,
-          fun c ->
-            let c = stage c in
-            stats.Plan.actual_rows <- stats.Plan.actual_rows + c.nsel;
-            c ))
-      (chunk_pipeline ctx input)
-  | Plan.Filter { input; pred; bpred; _ } ->
-    let kernel =
-      match bpred with
-      | Some k -> k
-      | None -> Expr_eval.batch_of_predicate pred
-    in
-    Option.map
-      (fun (src, stage) ->
-        ( src,
-          fun c ->
-            let c = stage c in
-            c.nsel <- kernel ctx c.rows ~sel:c.sel ~n:c.nsel;
-            c ))
-      (chunk_pipeline ctx input)
-  | Plan.Project { input; exprs; _ } ->
-    Option.map
-      (fun (src, stage) ->
-        let out = make_chunk () in
-        ( src,
-          fun c ->
-            let c = stage c in
-            let n = c.nsel in
-            ensure_capacity out n;
-            for j = 0 to n - 1 do
-              let row = c.rows.(c.sel.(j)) in
-              out.rows.(j) <- Array.map (fun e -> e ctx row) exprs;
-              out.sel.(j) <- j
-            done;
-            out.len <- n;
-            out.nsel <- n;
-            out ))
-      (chunk_pipeline ctx input)
-  | Plan.Hash_join { left; right; left_keys; right_keys; build_left; _ } -> (
-    let build_plan, probe_plan, build_keys, probe_keys =
-      if build_left then (left, right, left_keys, right_keys)
-      else (right, left, right_keys, left_keys)
-    in
-    match chunk_pipeline ctx probe_plan with
-    | None -> None
-    | Some (src, stage) ->
-      (* Build first, then probes fuse into the chunk stages. *)
-      let probe = build_join_table ctx build_plan build_keys probe_keys in
-      let out = make_chunk () in
-      Some
-        ( src,
-          fun c ->
-            let c = stage c in
-            let k = ref 0 in
-            for j = 0 to c.nsel - 1 do
-              let prow = c.rows.(c.sel.(j)) in
-              let matches = probe prow in
-              let m = Array.length matches in
-              if m > 0 then begin
-                Metrics.add m_rows_joined m;
-                ensure_capacity out (!k + m);
-                for x = 0 to m - 1 do
-                  out.rows.(!k) <-
-                    (if build_left then concat_rows matches.(x) prow
-                     else concat_rows prow matches.(x));
-                  out.sel.(!k) <- !k;
-                  incr k
-                done
-              end
-            done;
-            out.len <- !k;
-            out.nsel <- !k;
-            out ))
-  | Plan.Index_scan _ | Plan.Nested_loop _ | Plan.Left_outer_join _
-  | Plan.Aggregate _ | Plan.Sort _ | Plan.Distinct _ | Plan.Limit _
-  | Plan.Append _ | Plan.Partition_scan _ | Plan.One_row
-  | Plan.Virtual_scan _ ->
-    None
 
 (* Materialize a hash-join build side into a probe function returning
    matches in build-scan order. Single-key joins hash the value itself
@@ -819,35 +759,6 @@ and build_join_table ctx build_plan build_keys probe_keys :
         | Some rows -> rows
         | None -> [||]
       end
-
-(* Chunk driver as a lazy sequence: each chunk's survivors are emitted
-   before the buffers are reused, and laziness across chunks keeps LIMIT
-   early-exit intact at chunk granularity. *)
-and run_chunked ctx (plan : Plan.t) : Value.t array Seq.t option =
-  if not (batch_ok () && batch_shape plan) then None
-  else
-    Option.map
-      (fun (src, stage) ->
-        let c = make_chunk () in
-        let nrids = Array.length src.src_rids in
-        Metrics.add m_rows_scanned nrids;
-        Deadline.charge_rows_scanned ctx.Expr_eval.token nrids;
-        let rec chunks lo () =
-          if lo >= nrids then Seq.Nil
-          else begin
-            Expr_eval.poll ctx;
-            let len = Stdlib.min chunk_size (nrids - lo) in
-            fill_chunk src.src_table src.src_rids lo len c;
-            let out = stage c in
-            let selected = ref [] in
-            for j = out.nsel - 1 downto 0 do
-              selected := out.rows.(out.sel.(j)) :: !selected
-            done;
-            Seq.append (seq_of_list !selected) (chunks (lo + len)) ()
-          end
-        in
-        chunks 0)
-      (chunk_pipeline ctx plan)
 
 (* The client-facing collection: counts the query and charges result-set
    budgets (subqueries consume [run] directly: their rows are

@@ -34,7 +34,7 @@ type compiled = ctx -> Value.t array -> Value.t
 (* The executor and the DML row loops call [tick] once per row; every
    256th tick performs a real poll (atomic load + possible clock read).
    [poll] is also a failpoint site so tests can fire a cancellation at
-   an exact batch boundary: arming [exec.poll:k:fail=cancel] turns the
+   an exact chunk boundary: arming [exec.poll:k:fail=cancel] turns the
    k-th poll into [cancel token] before the check, which is how the
    differential fuzz walks the cancellation window deterministically. *)
 
@@ -646,7 +646,7 @@ let element_type = "element"
    when a NOW-relative endpoint could change the answer; that case,
    non-element operands (period [overlaps] is the strict Allen relation)
    and string literals still awaiting their cast take the cached routine
-   dispatch the row path uses. NULL drops the row. *)
+   dispatch, row by row. NULL drops the row. *)
 let overlaps_kernel ca cb ext : batch_pred =
   let call = routine_caller ext "overlaps" in
   let now_free =

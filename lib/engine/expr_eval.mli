@@ -32,7 +32,7 @@ type ctx = {
 
 val poll : ctx -> unit
 (** Check the token now (also a failpoint site, [exec.poll], so tests
-    can cancel at an exact batch boundary). Raises
+    can cancel at an exact chunk boundary). Raises
     [Tip_core.Deadline.Cancelled]. *)
 
 val tick : ctx -> unit

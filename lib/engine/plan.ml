@@ -1,9 +1,10 @@
 (* Physical query plans.
 
-   A plan is a tree of Volcano-style operators whose expressions are
-   already compiled to closures; [Executor.run] turns it into a row
-   sequence. Each node carries a human-readable label so EXPLAIN can
-   print the tree without decompiling closures. *)
+   A plan is a tree of operators whose expressions are already compiled
+   to closures; [Executor.run] turns it into a row sequence, running
+   scans, filters, projections and hash-join probes as chunk stages.
+   Each node carries a human-readable label so EXPLAIN can print the
+   tree without decompiling closures. *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -49,9 +50,9 @@ type t =
   | Filter of {
       input : t;
       pred : Expr_eval.compiled;
-      bpred : Expr_eval.batch_pred option;
-        (* fused chunk kernel for the same predicate; None when the
-           predicate was built outside the planner (subplans, rechecks) *)
+      bpred : Expr_eval.batch_pred;
+        (* the chunk kernel the executor runs for [pred]: fused by the
+           planner, or [batch_of_predicate pred] (HAVING, AS OF) *)
       label : string;
     }
   | Nested_loop of { left : t; right : t }
@@ -109,27 +110,6 @@ type t =
     (* snapshot of a registered virtual table (the tip_stat relations) *)
   | Instrument of { input : t; stats : op_stats }
     (* transparent wrapper recording actual rows / time (EXPLAIN ANALYZE) *)
-
-(* --- Chunkable pipelines ----------------------------------------------- *)
-
-(* A rid-splittable leaf scan with only per-row operators (and hash-join
-   probes) above it: the executor runs such a pipeline chunk-at-a-time.
-   Index scans stay row-at-a-time — their rid order is key order, which
-   the planner may be using to satisfy ORDER BY. *)
-let rec chunkable = function
-  | Seq_scan _ | Interval_scan _ -> true
-  | Filter { input; _ } | Project { input; _ } -> chunkable input
-  | Hash_join { left; right; build_left; _ } ->
-    (* the probe side is the streaming pipeline; the build side is
-       materialized up front either way *)
-    chunkable (if build_left then right else left)
-  | Instrument { input; _ } -> chunkable input
-  | Index_scan _ | Nested_loop _ | Left_outer_join _ | Aggregate _ | Sort _
-  | Distinct _ | Limit _ | Append _ | Partition_scan _ | One_row
-  | Virtual_scan _ ->
-    (* a partition scan is not itself one rid-splittable source; the
-       executor recurses into each child pipeline *)
-    false
 
 (* Wrap every operator with an [Instrument] node (EXPLAIN ANALYZE).
    Only the analyze path does this, so the planner and the plain

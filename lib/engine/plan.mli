@@ -1,7 +1,8 @@
-(** Physical query plans: a tree of Volcano-style operators whose
-    expressions are already compiled to closures. {!Executor.run} turns a
-    plan into a row sequence; each node carries a label so EXPLAIN can
-    print the tree without decompiling closures. *)
+(** Physical query plans: a tree of operators whose expressions are
+    already compiled to closures. {!Executor.run} turns a plan into a row
+    sequence, running leaf scans, [Filter], [Project] and the [Hash_join]
+    probe as fused chunk stages; each node carries a label so EXPLAIN
+    can print the tree without decompiling closures. *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -47,9 +48,11 @@ type t =
   | Filter of {
       input : t;
       pred : Expr_eval.compiled;
-      bpred : Expr_eval.batch_pred option;
-          (** fused chunk kernel for the same predicate; [None] when the
-              predicate was built outside the planner *)
+      bpred : Expr_eval.batch_pred;
+          (** the chunk kernel the executor runs for [pred]: the fused
+              {!Expr_eval.compile_batch} kernel, or
+              [Expr_eval.batch_of_predicate pred]; [pred] itself is the
+              row-at-a-time reference the tests evaluate *)
       label : string;
     }
   | Nested_loop of { left : t; right : t }  (** cross product *)
@@ -100,7 +103,7 @@ type t =
     }
       (** pruned scan over a range-partitioned table; EXPLAIN renders
           [partitions=kept/total pruned=n]. The executor concatenates
-          the children, each of which batches on its own
+          the children, each its own chunk pipeline
           (partition-wise consumption). *)
   | One_row  (** FROM-less SELECT produces a single empty row *)
   | Virtual_scan of {
@@ -111,18 +114,13 @@ type t =
       (** snapshot of a registered virtual table ({!Vtab}) *)
   | Instrument of { input : t; stats : op_stats }
       (** transparent wrapper recording actual rows and wall time; the
-          {!chunkable} and the executor see through it *)
+          executor sees through it *)
 
 val agg_name : agg_impl -> string
 
 val instrument : t -> t
 (** Wrap every operator in the tree with an [Instrument] node
     (idempotent; used only by the EXPLAIN ANALYZE path). *)
-
-(** Is this exact subtree a chunkable pipeline, which the executor runs
-    chunk-at-a-time: a [Seq_scan] or [Interval_scan] leaf under only
-    [Filter]/[Project] operators and [Hash_join] probe sides? *)
-val chunkable : t -> bool
 
 (** Indented tree rendering, as shown by EXPLAIN. *)
 val pp : ?indent:int -> Format.formatter -> t -> unit

@@ -472,9 +472,9 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
     (match base with
     | B_partitioned pt ->
       (* Pruned partition-wise scan: each surviving child carries its
-         own access path and recheck filter, so each child pipeline
-         batches independently. The compiled predicate is shared — it
-         only ever sees rows, never the table. *)
+         own access path and recheck filter, so each child is its own
+         chunk pipeline. The compiled predicate is shared — it only
+         ever sees rows, never the table. *)
       let kept, pruned, implied_window, plabel =
         match partition_probe pctx layout pt binding exprs with
         | Some (lo, hi, implied) ->
@@ -511,7 +511,7 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
           in
           let env = shifted_env pctx layout ~shift in
           let pred = Expr_eval.compile env combined in
-          let bpred = Some (Expr_eval.compile_batch env combined) in
+          let bpred = Expr_eval.compile_batch env combined in
           let label = label_of_exprs exprs in
           fun scan -> Plan.Filter { input = scan; pred; bpred; label }
         end
@@ -570,7 +570,7 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
         Plan.Filter
           { input = scan;
             pred = Expr_eval.compile env combined;
-            bpred = Some (Expr_eval.compile_batch env combined);
+            bpred = Expr_eval.compile_batch env combined;
             label }
       end)
   | F_join (l, Ast.Left_outer, on, r) ->
@@ -660,7 +660,7 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
       Plan.Filter
         { input = joined;
           pred = Expr_eval.compile env combined;
-          bpred = Some (Expr_eval.compile_batch env combined);
+          bpred = Expr_eval.compile_batch env combined;
           label = label_of_exprs residual }
     end
 
@@ -851,7 +851,7 @@ and build_fref pctx catalog offset table_ref : fref * int =
             Plan.Filter
               { input = Plan.Seq_scan { table = history; label = "" };
                 pred;
-                bpred = None;
+                bpred = Expr_eval.batch_of_predicate pred;
                 label =
                   Printf.sprintf "_tt contains %s"
                     (Tip_core.Chronon.to_string at) };
@@ -941,7 +941,7 @@ and plan_select pctx catalog (s : Ast.select) : Plan.t * string array =
       Plan.Filter
         { input;
           pred = Expr_eval.compile env combined;
-          bpred = Some (Expr_eval.compile_batch env combined);
+          bpred = Expr_eval.compile_batch env combined;
           label = label_of_exprs exprs }
     end
   in
@@ -1102,8 +1102,9 @@ and plan_select pctx catalog (s : Ast.select) : Plan.t * string array =
     | None -> input
     | Some e ->
       if not aggregated then plan_error "HAVING requires aggregation";
+      let pred = Expr_eval.compile post_env e in
       Plan.Filter
-        { input; pred = Expr_eval.compile post_env e; bpred = None;
+        { input; pred; bpred = Expr_eval.batch_of_predicate pred;
           label = Pretty.expr_to_string e }
   in
   (* 7. ORDER BY (pre-projection; Distinct preserves order above).

@@ -241,6 +241,23 @@ let check_cancel_journals_nothing () =
       | r -> Alcotest.failf "post-cancel insert lost: %s" (Db.render_result r));
       Db.close_durable db2)
 
+(* Armed failpoints shrink execution chunks to one row, so the executor
+   polls at every row boundary: a SELECT over the 400-row table reaches
+   its 50th poll whether it reads a plain scan or an index scan. *)
+let check_select_cancels_per_row () =
+  let db = big_db 400 in
+  Fun.protect ~finally:Failpoint.reset (fun () ->
+      List.iter
+        (fun (sql, access) ->
+          (match Db.exec db ("EXPLAIN " ^ sql) with
+          | Db.Message plan when Test_planner_shapes.contains plan access -> ()
+          | r -> Alcotest.failf "%s should plan a %s:\n%s" sql access (Db.render_result r));
+          Failpoint.reset ();
+          Failpoint.arm ~site:"exec.poll" ~hit:50 (Failpoint.Fail "cancel");
+          expect_cancelled (fun () -> Db.exec ~token:(Deadline.create ()) db sql))
+        [ ("SELECT a, b FROM big WHERE b <> 'none'", "SeqScan big");
+          ("SELECT a, b FROM big WHERE a >= 0", "IndexScan big") ])
+
 (* --- Cancellation differential fuzz -------------------------------------- *)
 
 (* One (trace, poll-hit) pair: run the trace durably with the executor
@@ -478,6 +495,8 @@ let suite =
       check_timeout_during_fold;
     Alcotest.test_case "cancelled statement journals nothing" `Quick
       check_cancel_journals_nothing;
+    Alcotest.test_case "SELECT cancels at a row boundary" `Quick
+      check_select_cancels_per_row;
     Alcotest.test_case "cancellation differential fuzz" `Slow check_cancel_fuzz;
     Alcotest.test_case "admission control rejects past max-sessions" `Quick
       check_admission_control;

@@ -1,40 +1,15 @@
-(* Domain budget sizing, the top-k LIMIT fast path, and scan, join and
-   aggregate shapes (NULL and multi-key groups, float sums, DISTINCT,
-   blade aggregates, errors) asserting that the batch path returns
-   exactly the row path's rows, in the same order. The suite and its
-   test names date from the morsel-parallel executor, whose
-   parallel-vs-sequential checks these cases were. *)
+(* Executor shapes against the reference evaluator: scans, filters,
+   projections, hash joins and aggregates (NULL and multi-key groups,
+   float sums, DISTINCT, blade aggregates, errors) over several chunks
+   of rows, each returning exactly the rows of test/plan_reference.ml in
+   the same order; the top-k LIMIT path against a full sort; and domain
+   budget sizing. *)
 
 open Tip_storage
 module Db = Tip_engine.Database
 module Domains = Tip_engine.Domains
-module Executor = Tip_engine.Executor
 
 let check = Alcotest.check
-
-(* Runs [f] with batch execution on or off; the small-table threshold is
-   dropped so every fixture takes the batch path when it is on. *)
-let with_batch enabled f =
-  Executor.set_batch_enabled enabled;
-  Executor.set_batch_min_rows 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Executor.set_batch_enabled true;
-      Executor.set_batch_min_rows 256)
-    f
-
-(* Floats print in hexadecimal, so equal text means equal bits. *)
-let show_rows rows =
-  List.map
-    (fun row ->
-      String.concat "|"
-        (Array.to_list
-           (Array.map
-              (function
-                | Value.Float f -> Printf.sprintf "%h" f
-                | v -> Value.to_display_string v)
-              row)))
-    rows
 
 (* --- Domain budget ----------------------------------------------------------- *)
 
@@ -86,78 +61,72 @@ let big_db =
      done;
      db)
 
-let run_sql db sql = show_rows (Db.rows_exn (Db.exec db sql))
-
-(* Row-mode and batch-mode runs of [sql] must produce identical rows in
-   identical order. *)
-let check_batch_equals_row ?(db = big_db) name sql =
-  let db = Lazy.force db in
-  let row = with_batch false (fun () -> run_sql db sql) in
-  let batch = with_batch true (fun () -> run_sql db sql) in
-  check Alcotest.(list string) (name ^ " (batch = row)") row batch
+let run_sql db sql = Plan_reference.show_rows (Db.rows_exn (Db.exec db sql))
+let check_reference ?(db = big_db) name sql = Plan_reference.check (Lazy.force db) name sql
 
 let test_parallel_scan_filter () =
-  check_batch_equals_row "plain scan" "SELECT k, g, v FROM nums";
-  check_batch_equals_row "filtered scan" "SELECT k, v FROM nums WHERE v > 50";
-  check_batch_equals_row "filter keeps nothing" "SELECT k FROM nums WHERE k < 0";
-  check_batch_equals_row "projected arithmetic"
+  check_reference "plain scan" "SELECT k, g, v FROM nums";
+  check_reference "filtered scan" "SELECT k, v FROM nums WHERE v > 50";
+  check_reference "filter keeps nothing" "SELECT k FROM nums WHERE k < 0";
+  check_reference "projected arithmetic"
     "SELECT k * 2 + g FROM nums WHERE g <> 3"
 
 let test_parallel_aggregate () =
-  check_batch_equals_row "grouped aggregates"
+  check_reference "grouped aggregates"
     "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) FROM nums GROUP BY g";
-  check_batch_equals_row "grouped avg" "SELECT g, AVG(v) FROM nums GROUP BY g";
-  check_batch_equals_row "grand aggregate"
+  check_reference "grouped avg" "SELECT g, AVG(v) FROM nums GROUP BY g";
+  check_reference "grand aggregate"
     "SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v) FROM nums";
-  check_batch_equals_row "grand aggregate over empty input"
+  check_reference "grand aggregate over empty input"
     "SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM nums WHERE k < 0";
-  check_batch_equals_row "grouped aggregate over filter"
+  check_reference "grouped aggregate over filter"
     "SELECT g, COUNT(*) FROM nums WHERE v > 10 GROUP BY g";
-  check_batch_equals_row "distinct grand aggregate"
+  check_reference "distinct grand aggregate"
     "SELECT COUNT(DISTINCT g) FROM nums";
-  (* Absolute spot-checks so both paths being wrong together would show. *)
+  (* Absolute spot-checks, so the executor and the reference being wrong
+     together would show. *)
   let db = Lazy.force big_db in
-  let batch sql = with_batch true (fun () -> run_sql db sql) in
+  let rows = run_sql db in
   check Alcotest.(list string) "count(*)" [ "3000" ]
-    (batch "SELECT COUNT(*) FROM nums");
+    (rows "SELECT COUNT(*) FROM nums");
   check Alcotest.(list string) "count skips nulls" [ "2727" ]
-    (batch "SELECT COUNT(v) FROM nums");
+    (rows "SELECT COUNT(v) FROM nums");
   check
     Alcotest.(list string)
     "group order is first appearance"
     [ "0|429"; "1|429"; "2|429"; "3|429"; "4|428"; "5|428"; "6|428" ]
-    (batch "SELECT g, COUNT(*) FROM nums GROUP BY g")
+    (rows "SELECT g, COUNT(*) FROM nums GROUP BY g")
 
 (* Many groups, multi-key groups and NULL keys: these shapes stress the
    group table and its first-appearance order. *)
 let test_partitioned_grouping () =
-  check_batch_equals_row "500 groups"
+  check_reference "500 groups"
     "SELECT k % 500, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) \
      FROM nums GROUP BY k % 500";
-  check_batch_equals_row "a group per row" "SELECT k, COUNT(*) FROM nums GROUP BY k";
-  check_batch_equals_row "multi-key groups"
+  check_reference "a group per row" "SELECT k, COUNT(*) FROM nums GROUP BY k";
+  check_reference "multi-key groups"
     "SELECT g, k % 3, COUNT(*), SUM(v) FROM nums GROUP BY g, k % 3";
-  check_batch_equals_row "NULL key" "SELECT v, COUNT(*) FROM nums GROUP BY v";
-  check_batch_equals_row "NULLs in a multi-key group"
+  check_reference "NULL key" "SELECT v, COUNT(*) FROM nums GROUP BY v";
+  check_reference "NULLs in a multi-key group"
     "SELECT v % 5, g, COUNT(*), MAX(k) FROM nums GROUP BY v % 5, g";
-  check_batch_equals_row "high-cardinality groups over a join"
+  check_reference "high-cardinality groups over a join"
     "SELECT nums.k % 700, lookup.label, COUNT(*) FROM nums, lookup \
      WHERE nums.g = lookup.g GROUP BY nums.k % 700, lookup.label"
 
 (* Each group is folded once, in input order, so float sums are
-   bit-identical to the row fold (compared in hexadecimal). *)
+   bit-identical to the reference's fold (compared in hexadecimal). *)
 let test_float_sums_exact () =
-  check_batch_equals_row "grouped float SUM/AVG"
+  check_reference "grouped float SUM/AVG"
     "SELECT g, SUM(v * 0.1), AVG(k / 7.0), SUM(k * 0.001 + v) FROM nums GROUP BY g";
-  check_batch_equals_row "high-cardinality float SUM/AVG"
+  check_reference "high-cardinality float SUM/AVG"
     "SELECT k % 97, SUM(k * 0.37), AVG(v * 1.1) FROM nums GROUP BY k % 97";
-  check_batch_equals_row "grand float SUM/AVG"
+  check_reference "grand float SUM/AVG"
     "SELECT SUM(k * 0.1), AVG(v / 3.0) FROM nums"
 
 let test_distinct_aggregates () =
-  check_batch_equals_row "per-group DISTINCT"
+  check_reference "per-group DISTINCT"
     "SELECT g, COUNT(DISTINCT v), SUM(DISTINCT v), COUNT(v) FROM nums GROUP BY g";
-  check_batch_equals_row "DISTINCT over 500 groups"
+  check_reference "DISTINCT over 500 groups"
     "SELECT k % 500, COUNT(DISTINCT v % 3) FROM nums GROUP BY k % 500"
 
 (* A blade database: 3,000 prescriptions-like rows over 300 patients,
@@ -189,19 +158,19 @@ let blade_db =
 
 let test_blade_aggregates () =
   let db = blade_db in
-  check_batch_equals_row ~db "group_union per patient"
+  check_reference ~db "group_union per patient"
     "SELECT patient, group_union(valid), length(group_union(valid))::INT \
      FROM rx GROUP BY patient";
-  check_batch_equals_row ~db "group_intersect per patient"
+  check_reference ~db "group_intersect per patient"
     "SELECT patient, group_intersect(valid) FROM rx GROUP BY patient";
-  check_batch_equals_row ~db "group_profile per patient"
+  check_reference ~db "group_profile per patient"
     "SELECT patient, max_value(group_profile(valid)) FROM rx GROUP BY patient";
-  check_batch_equals_row ~db "grand group_union"
+  check_reference ~db "grand group_union"
     "SELECT group_union(valid), group_profile(valid) FROM rx"
 
-(* A failing batch aggregate raises the error the row fold meets first:
-   SUM trips on the second row, long before the group key divides by
-   zero on the last row. *)
+(* A failing aggregate raises the error the reference's row-by-row fold
+   meets first: SUM trips on the second row, long before the group key
+   divides by zero on the last row. *)
 let test_aggregate_error_matches () =
   let db = Db.create () in
   ignore (Db.exec db "CREATE TABLE e (k INT, s CHAR(4))");
@@ -214,16 +183,16 @@ let test_aggregate_error_matches () =
     | _ -> "no error"
     | exception e -> Printexc.to_string e
   in
-  let row = with_batch false outcome in
-  check Alcotest.bool "row fold fails in SUM" true
-    (Str.string_match (Str.regexp ".*non-numeric") row 0);
-  check Alcotest.string "batch raises the same error" row (with_batch true outcome)
+  check Alcotest.bool "the fold fails in SUM" true
+    (Str.string_match (Str.regexp ".*non-numeric") (outcome ()) 0);
+  check_reference ~db:(lazy db) "the error is the reference's"
+    "SELECT SUM(s) FROM e GROUP BY 10 / (k - 2999)"
 
 let test_parallel_join () =
-  check_batch_equals_row "hash join probe"
+  check_reference "hash join probe"
     "SELECT nums.k, lookup.label FROM nums, lookup \
      WHERE nums.g = lookup.g AND nums.k < 500";
-  check_batch_equals_row "hash join then aggregate"
+  check_reference "hash join then aggregate"
     "SELECT lookup.label, COUNT(*) FROM nums, lookup \
      WHERE nums.g = lookup.g GROUP BY lookup.label"
 
@@ -252,8 +221,26 @@ let test_topk_matches_full_sort () =
   probe ~limit:1 ~offset:0;
   probe ~limit:5000 ~offset:0;
   probe ~limit:10 ~offset:2995;
+  (* [limit + offset] would wrap negative unless saturated *)
+  probe ~limit:max_int ~offset:1;
   check Alcotest.(list string) "limit 0" []
     (run_sql db "SELECT v, k FROM nums ORDER BY v DESC LIMIT 0")
+
+(* The top-k heap grows with the rows it sees, not to the LIMIT: a
+   LIMIT far beyond a small input returns every row, in order. *)
+let test_topk_huge_limit () =
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE t (a INT)");
+  ignore (Db.exec db "INSERT INTO t VALUES (3), (1), (2)");
+  List.iter
+    (fun limit ->
+      check Alcotest.(list string)
+        (Printf.sprintf "limit %d" limit)
+        [ "1"; "2"; "3" ]
+        (run_sql db (Printf.sprintf "SELECT a FROM t ORDER BY a LIMIT %d" limit)))
+    [ 3; 2_000_000_000; max_int ];
+  check Alcotest.(list string) "huge limit with an offset" [ "2"; "3" ]
+    (run_sql db (Printf.sprintf "SELECT a FROM t ORDER BY a LIMIT %d OFFSET 1" max_int))
 
 let suite =
   [ Alcotest.test_case "pool sizing from env" `Quick test_resolve_size;
@@ -269,4 +256,5 @@ let suite =
       test_aggregate_error_matches;
     Alcotest.test_case "parallel hash join" `Quick test_parallel_join;
     Alcotest.test_case "top-k = full sort prefix" `Quick
-      test_topk_matches_full_sort ]
+      test_topk_matches_full_sort;
+    Alcotest.test_case "top-k LIMIT beyond the input" `Quick test_topk_huge_limit ]

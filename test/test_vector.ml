@@ -1,7 +1,9 @@
-(* Batch-at-a-time execution and the cost-based temporal planner:
-   a batch-vs-row differential fuzz over the engine-fuzz generator,
-   selection-vector edge cases at chunk boundaries, ANALYZE histogram
-   math, and the stats-driven access-path / build-side choices. *)
+(* Chunk-at-a-time execution and the cost-based temporal planner: a
+   differential fuzz of the executor against the reference evaluator
+   (test/plan_reference.ml) over the engine-fuzz generator,
+   selection-vector edge cases at chunk boundaries, the fused overlaps
+   kernel, ANALYZE histogram math, and the stats-driven access-path /
+   build-side choices. *)
 
 open Tip_storage
 module Db = Tip_engine.Database
@@ -10,31 +12,7 @@ module Ast = Tip_sql.Ast
 
 let check = Alcotest.check
 
-let with_batch enabled f =
-  Executor.set_batch_enabled enabled;
-  (* Drop the small-table threshold so the fuzz and edge-case tables
-     actually take the batch path when it is on. *)
-  Executor.set_batch_min_rows 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Executor.set_batch_enabled true;
-      Executor.set_batch_min_rows 256)
-    f
-
-let show_rows rows =
-  List.map
-    (fun row ->
-      String.concat "|" (Array.to_list (Array.map Value.to_display_string row)))
-    rows
-
-let run_sql db sql = show_rows (Db.rows_exn (Db.exec db sql))
-
-(* Row-mode (batch disabled) and batch-mode runs of [sql] must produce
-   identical rows in identical order. *)
-let check_batch_equals_row db name sql =
-  let row = with_batch false (fun () -> run_sql db sql) in
-  let batch = with_batch true (fun () -> run_sql db sql) in
-  check Alcotest.(list string) (name ^ " (batch)") row batch
+let run_sql db sql = Plan_reference.show_rows (Db.rows_exn (Db.exec db sql))
 
 (* --- Selection-vector edge cases -------------------------------------------- *)
 
@@ -55,22 +33,23 @@ let test_selection_edges () =
   let db = Lazy.force edge_db in
   check Alcotest.int "chunk size is what the cases below assume" 1024
     Executor.chunk_size;
-  check_batch_equals_row db "all-pass filter" "SELECT k FROM nums WHERE k >= 0";
-  check_batch_equals_row db "all-fail filter" "SELECT k FROM nums WHERE k < 0";
-  check_batch_equals_row db "sparse filter"
+  Plan_reference.check db "all-pass filter" "SELECT k FROM nums WHERE k >= 0";
+  Plan_reference.check db "all-fail filter" "SELECT k FROM nums WHERE k < 0";
+  Plan_reference.check db "sparse filter"
     "SELECT k, v FROM nums WHERE v = 42";
-  check_batch_equals_row db "null-heavy predicate"
+  Plan_reference.check db "null-heavy predicate"
     "SELECT k FROM nums WHERE v > 50";
-  check_batch_equals_row db "fused conjunction"
+  Plan_reference.check db "fused conjunction"
     "SELECT k FROM nums WHERE v > 10 AND g = 3 AND k < 2000";
   (* LIMITs straddling chunk boundaries stop the scan mid-chunk. *)
   List.iter
     (fun (limit, offset) ->
-      check_batch_equals_row db
+      Plan_reference.check db
         (Printf.sprintf "limit %d offset %d" limit offset)
         (Printf.sprintf "SELECT k FROM nums LIMIT %d OFFSET %d" limit offset))
     [ (1023, 0); (1024, 0); (1025, 0); (2048, 1); (100, 1020); (5000, 0) ];
-  (* Absolute spot checks so both paths being wrong together would show. *)
+  (* Absolute spot checks, so the executor and the reference being wrong
+     together would show. *)
   check Alcotest.(list string) "count" [ "2500" ]
     (run_sql db "SELECT COUNT(*) FROM nums");
   check Alcotest.(list string) "empty result is empty" []
@@ -86,12 +65,12 @@ let test_batch_join_aggregate () =
         (Table.insert lk [| Value.Int g; Value.Str (Printf.sprintf "g%d" g) |])
     done
   | _ -> ());
-  check_batch_equals_row db "hash join"
+  Plan_reference.check db "hash join"
     "SELECT nums.k, lk.label FROM nums, lk WHERE nums.g = lk.g AND nums.k < 1500";
-  check_batch_equals_row db "join then aggregate"
+  Plan_reference.check db "join then aggregate"
     "SELECT lk.label, COUNT(*), SUM(nums.v) FROM nums, lk \
      WHERE nums.g = lk.g GROUP BY lk.label";
-  check_batch_equals_row db "grouped aggregate over batch scan"
+  Plan_reference.check db "grouped aggregate over batch scan"
     "SELECT g, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) \
      FROM nums GROUP BY g"
 
@@ -99,9 +78,7 @@ let test_batch_join_aggregate () =
 
 (* Elements exercising every overlaps-kernel branch: single finite
    periods (the fast path), multi-period and NOW-relative elements
-   (per-row fallback), and NULLs (dropped). 400 rows keeps the table
-   above the executor's [batch_min_rows] threshold so the batched
-   kernel actually runs. *)
+   (per-row fallback), and NULLs (dropped). *)
 let temporal_db =
   lazy
     (let db = Tip_blade.Blade.create_database () in
@@ -129,44 +106,34 @@ let temporal_db =
 
 let test_batched_overlaps () =
   let db = Lazy.force temporal_db in
-  check_batch_equals_row db "overlap filter"
+  Plan_reference.check db "overlap filter"
     "SELECT id FROM ev WHERE overlaps(valid, '{[1999-03-01, 1999-03-31]}')";
-  check_batch_equals_row db "narrow window"
+  Plan_reference.check db "narrow window"
     "SELECT id FROM ev WHERE overlaps(valid, '{[1999-06-21, 1999-06-22]}')";
-  check_batch_equals_row db "window before all data"
+  Plan_reference.check db "window before all data"
     "SELECT id FROM ev WHERE overlaps(valid, '{[1990-01-01, 1990-12-31]}')";
-  check_batch_equals_row db "overlaps AND residual comparison"
+  Plan_reference.check db "overlaps AND residual comparison"
     "SELECT id FROM ev WHERE overlaps(valid, '{[1999-05-01, 1999-07-31]}') \
      AND id > 40";
-  check_batch_equals_row db "temporal self-join"
+  Plan_reference.check db "temporal self-join"
     "SELECT e1.id, e2.id FROM ev e1, ev e2 \
      WHERE e1.id = e2.id AND overlaps(e1.valid, e2.valid)"
 
 (* --- Differential fuzz -------------------------------------------------------- *)
 
-(* Random queries from the engine-fuzz generator, executed
-   row-at-a-time and batch: both outcomes must match exactly. *)
-let prop_batch_matches_row =
-  QCheck.Test.make ~name:"batch = row" ~count:500
+(* Random queries from the engine-fuzz generator, executed and
+   evaluated by the reference: both outcomes, rows or error, must match
+   exactly. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"executor = reference" ~count:500
     Test_engine_fuzz.query_arb (fun q ->
       let db = Lazy.force Test_engine_fuzz.db in
-      let run () =
-        match
-          show_rows (Db.rows_exn (Db.exec_statement db ~params:[] (Ast.Select q)))
-        with
-        | rows -> Ok rows
-        | exception e -> Error (Printexc.to_string e)
-      in
-      let row = with_batch false run in
-      let batch = with_batch true run in
-      if row = batch then true
-      else begin
-        let show = function
-          | Ok rows -> String.concat "," rows
-          | Error e -> "raised " ^ e
-        in
-        QCheck.Test.fail_reportf "row %s\nbatch %s" (show row) (show batch)
-      end)
+      let stmt = Ast.Select q in
+      let want = Plan_reference.expected db stmt in
+      let got = Plan_reference.executed db stmt in
+      want = got
+      || QCheck.Test.fail_reportf "reference %s\nexecutor %s"
+           (Plan_reference.show_outcome want) (Plan_reference.show_outcome got))
 
 (* --- ANALYZE histogram math --------------------------------------------------- *)
 
@@ -295,7 +262,7 @@ let test_cost_access_path () =
     (run_sql db (narrow ^ " ORDER BY id"));
   check Alcotest.(list string) "wide answers unchanged" wide_rows
     (run_sql db (wide ^ " ORDER BY id"));
-  check_batch_equals_row db "cost-planned query, batch vs row" narrow;
+  Plan_reference.check db "cost-planned query" narrow;
   (* ANALYZE of a missing table fails cleanly. *)
   match Db.exec db "ANALYZE nope" with
   | exception _ -> ()
@@ -327,7 +294,7 @@ let test_cost_build_side () =
   want db flipped [ "HashJoin"; "build=right" ];
   check Alcotest.(list string) "build-side choice keeps answers" before
     (run_sql db (join ^ " ORDER BY big.k"));
-  check_batch_equals_row db "cost-planned join, batch vs row" join;
+  Plan_reference.check db "cost-planned join" join;
   (* tip_stat_tables surfaces the ANALYZE state. *)
   match
     Db.rows_exn
@@ -377,8 +344,7 @@ type kernel_row = {
   tag : string option;
 }
 
-(* 600 rows, NULLs in every column: above [batch_min_rows], so a plain
-   run takes the batch path. *)
+(* 600 rows, NULLs in every column. *)
 let kernel_rows =
   lazy
     (let st = Random.State.make [| 12 |] in
@@ -407,8 +373,8 @@ let kernel_db =
 
 let window_text = "{[1999-03-01, 1999-03-31], [1999-08-01, 1999-08-02]}"
 
-(* Row and batch runs must keep exactly the rows the routine itself
-   accepts, computed here straight from the data. *)
+(* The executor and the reference must keep exactly the rows the
+   routine itself accepts, computed here straight from the data. *)
 let test_overlaps_kernel_oracle () =
   let db = Lazy.force kernel_db in
   let overlaps x y = Element.overlaps ~now:kernel_now x y in
@@ -443,7 +409,7 @@ let test_overlaps_kernel_oracle () =
   List.iter
     (fun (name, pred, oracle) ->
       let sql = "SELECT id FROM kt WHERE " ^ pred in
-      check_batch_equals_row db name sql;
+      Plan_reference.check db name sql;
       let want =
         List.filter_map
           (fun r -> if oracle r = Some true then Some (string_of_int r.id) else None)
@@ -517,4 +483,4 @@ let suite =
     Alcotest.test_case "overlap selectivity" `Quick test_overlap_selectivity;
     Alcotest.test_case "cost-chosen access path" `Quick test_cost_access_path;
     Alcotest.test_case "cost-chosen build side" `Quick test_cost_build_side;
-    QCheck_alcotest.to_alcotest prop_batch_matches_row ]
+    QCheck_alcotest.to_alcotest prop_matches_reference ]
