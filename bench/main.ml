@@ -885,9 +885,9 @@ let bench_governance () =
 let bench_introspect () =
   banner "E20 introspection"
     "Introspection tax (DESIGN.md §11): with the statement store enabled,\n\
-     every statement is fingerprinted (one single-pass scan over its text)\n\
-     and folded into the bounded tip_stat_statements aggregate under one\n\
-     mutex. The tax is a small fixed cost per statement, independent of\n\
+     every statement is fingerprinted (one walk over the tokens its parse\n\
+     already produced) and folded into the bounded tip_stat_statements\n\
+     aggregate under one mutex. The tax is a small fixed cost per statement, independent of\n\
      the statement's work, so it is measured where it is resolvable: on\n\
      the batched single-row insert path, as the median of adjacent\n\
      enabled/disabled sample pairs (drift cancels inside a pair). Each\n\
@@ -928,7 +928,7 @@ let bench_introspect () =
   in
   let was_enabled = Introspect.enabled () in
   Introspect.reset ();
-  (* The tax is a FIXED cost per statement (fingerprint the text, fold
+  (* The tax is a FIXED cost per statement (walk the parsed tokens, fold
      into the store, two counter reads) — it does not scale with the
      statement's work. On this kind of host the run-to-run drift of a
      millisecond statement is itself tens of microseconds, orders of

@@ -44,7 +44,6 @@ let handle_error f =
   | exception Tip_core.Deadline.Cancelled reason ->
     Printf.printf "cancelled: %s\n" (Tip_core.Deadline.reason_message reason)
   | exception Tip_sql.Parser.Error msg -> Printf.printf "error: %s\n" msg
-  | exception Tip_sql.Lexer.Error msg -> Printf.printf "error: %s\n" msg
   | exception Db.Error msg -> Printf.printf "error: %s\n" msg
   | exception Tip_engine.Planner.Plan_error msg -> Printf.printf "error: %s\n" msg
   | exception Tip_engine.Expr_eval.Eval_error msg -> Printf.printf "error: %s\n" msg
@@ -56,10 +55,12 @@ let handle_error f =
   | exception Tip_storage.Schema.Schema_error msg ->
     Printf.printf "error: %s\n" msg
 
+(* Each statement is keyed in tip_stat_statements by its own tokens, as
+   if it had been run alone. *)
 let run_sql ?(interactive = false) db sql =
   handle_error (fun () ->
       List.iter
-        (fun stmt ->
+        (fun (stmt, tokens) ->
           let token =
             if interactive then Tip_core.Deadline.create ()
             else Tip_core.Deadline.never
@@ -68,7 +69,10 @@ let run_sql ?(interactive = false) db sql =
           Fun.protect
             ~finally:(fun () -> if interactive then current_token := None)
             (fun () ->
-              print_result (Db.exec_statement db ~token ~params:[] stmt)))
+              print_result
+                (Db.exec_statement db ~token
+                   ~fingerprint:(Tip_sql.Lexer.fingerprint_tokens tokens)
+                   ~params:[] stmt)))
         (Tip_sql.Parser.parse_script sql))
 
 let run_shell_command db_ref line =
@@ -137,6 +141,33 @@ let repl db =
 
 (* --- Command line -------------------------------------------------------------- *)
 
+(* Ships each statement of a script as its own source text: the script
+   is split on the parser's tokens (';' may appear inside string
+   literals), and each piece runs from its first token to the next
+   statement's, so the server keys it as if it had been sent alone. *)
+let run_remote_script remote sql =
+  let rec go = function
+    | [] -> ()
+    | (_, (tokens : Tip_sql.Token.located array)) :: rest ->
+      let first = tokens.(0).offset in
+      let stop =
+        match rest with
+        | (_, next) :: _ -> next.(0).offset
+        | [] -> String.length sql
+      in
+      (match
+         Tip_server.Remote.execute remote
+           (String.trim (String.sub sql first (stop - first)))
+       with
+      | result -> print_result result
+      | exception Tip_server.Remote.Remote_error msg ->
+        Printf.printf "error: %s\n" msg);
+      go rest
+  in
+  match Tip_sql.Parser.parse_script sql with
+  | stmts -> go stmts
+  | exception Tip_sql.Parser.Error msg -> Printf.printf "error: %s\n" msg
+
 (* Remote REPL: statements go over the wire, one per ';'. *)
 let remote_repl remote =
   print_endline "TIP shell (remote) — statements end with ';'; \\q quits.";
@@ -153,20 +184,7 @@ let remote_repl remote =
       let s = Buffer.contents buf in
       if String.contains s ';' then begin
         Buffer.clear buf;
-        (* Parse locally to split statements correctly (';' may appear
-           inside string literals), then ship the canonical text. *)
-        (match Tip_sql.Parser.parse_script s with
-        | stmts ->
-          List.iter
-            (fun stmt ->
-              let text = Tip_sql.Pretty.statement_to_string stmt in
-              match Tip_server.Remote.execute remote text with
-              | result -> print_result result
-              | exception Tip_server.Remote.Remote_error msg ->
-                Printf.printf "error: %s\n" msg)
-            stmts
-        | exception Tip_sql.Parser.Error msg -> Printf.printf "error: %s\n" msg
-        | exception Tip_sql.Lexer.Error msg -> Printf.printf "error: %s\n" msg);
+        run_remote_script remote s;
         loop ()
       end
       else loop ()
@@ -180,19 +198,7 @@ let run_remote target command stats =
     match Tip_server.Remote.connect ~host ~port:(int_of_string port) () with
     | remote ->
       (match command with
-      | Some sql -> (
-        match Tip_sql.Parser.parse_script sql with
-        | stmts ->
-          List.iter
-            (fun stmt ->
-              let text = Tip_sql.Pretty.statement_to_string stmt in
-              match Tip_server.Remote.execute remote text with
-              | result -> print_result result
-              | exception Tip_server.Remote.Remote_error msg ->
-                Printf.printf "error: %s\n" msg)
-            stmts
-        | exception Tip_sql.Parser.Error msg -> Printf.printf "error: %s\n" msg
-        | exception Tip_sql.Lexer.Error msg -> Printf.printf "error: %s\n" msg)
+      | Some sql -> run_remote_script remote sql
       | None -> if not stats then remote_repl remote);
       (* --stats in remote mode reads the server's registry (M request) *)
       if stats then begin

@@ -10,12 +10,15 @@ exception Statement_error of string
 type t = {
   conn : Connection.t;
   ast : Tip_sql.Ast.statement;
+  fingerprint : string; (* keyed once, from the prepared text's tokens *)
   mutable bindings : (string * Value.t) list;
 }
 
 let prepare conn sql =
-  match Tip_sql.Parser.parse sql with
-  | ast -> { conn; ast; bindings = [] }
+  match Tip_sql.Parser.parse_with_tokens sql with
+  | ast, tokens ->
+    { conn; ast; fingerprint = Tip_sql.Lexer.fingerprint_tokens tokens;
+      bindings = [] }
   | exception Tip_sql.Parser.Error msg -> raise (Statement_error msg)
 
 (* Binds [:name] for subsequent executions; later binds override. *)
@@ -37,7 +40,8 @@ let clear_bindings t = t.bindings <- []
 
 let execute t =
   Connection.with_session_now t.conn (fun () ->
-      Db.exec_statement (Connection.database t.conn) ~params:t.bindings t.ast)
+      Db.exec_statement ~fingerprint:t.fingerprint (Connection.database t.conn)
+        ~params:t.bindings t.ast)
 
 let query t = Result_set.of_result (execute t)
 

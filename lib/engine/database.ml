@@ -1209,7 +1209,8 @@ let effective_token t token =
      transaction the undo log is rewound to the statement boundary so a
      later ROLLBACK does not double-undo. The caller sees the raised
      reason; the WAL sees a clean statement prefix. *)
-let exec_statement ?(token = Deadline.never) ?sql ?on_trace t ~params stmt =
+let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace t ~params
+    stmt =
   let token = effective_token t token in
   (* The statement's rows-scanned tally comes from its own token, so a
      statement running beside others counts only its own scans. *)
@@ -1220,18 +1221,18 @@ let exec_statement ?(token = Deadline.never) ?sql ?on_trace t ~params stmt =
   let t0 = Trace.now_ns () in
   let scanned0 = Deadline.rows_scanned token in
   (* Fold the execution into the fingerprint store (tip_stat_statements):
-     keyed by the normalized shape of the original text when the caller
-     has it, else of the pretty-printed AST (identical shape — literals
-     collapse to ? either way). Skipped entirely while disabled, so the
-     fingerprinting tax is opt-out (benchmark E20). *)
+     keyed by the caller's fingerprint of the statement's own tokens, or
+     for a statement that never had text, of its pretty-printed AST.
+     Skipped entirely while disabled, so the fingerprinting tax is
+     opt-out (benchmark E20). *)
   let note outcome ~rows_returned =
     if Introspect.enabled () then
       Introspect.record
         ~query:
-          (Tip_sql.Lexer.fingerprint
-             (match sql with
-             | Some s -> s
-             | None -> Tip_sql.Pretty.statement_to_string stmt))
+          (match fingerprint with
+          | Some f -> f
+          | None ->
+            Tip_sql.Lexer.fingerprint (Tip_sql.Pretty.statement_to_string stmt))
         ~elapsed_ns:(Trace.now_ns () - t0)
         ~rows_returned
         ~rows_scanned:(Deadline.rows_scanned token - scanned0)
@@ -1316,9 +1317,16 @@ let exec_statement ?(token = Deadline.never) ?sql ?on_trace t ~params stmt =
       raise e
   end
 
+(* The statement store is keyed by the statement's own tokens, and only
+   while it is enabled, so E20's on/off pairs measure the whole hook. *)
+let fingerprint_of tokens =
+  if Introspect.enabled () then Some (Tip_sql.Lexer.fingerprint_tokens tokens)
+  else None
+
 let exec ?token ?(params = []) t sql =
-  match Parser.parse sql with
-  | stmt -> exec_statement ?token ~sql t ~params stmt
+  match Parser.parse_with_tokens sql with
+  | stmt, tokens ->
+    exec_statement ?token ?fingerprint:(fingerprint_of tokens) t ~params stmt
   | exception Parser.Error msg -> db_error "%s" msg
 
 (* Runs a ';'-separated script, returning the last result. *)
@@ -1327,7 +1335,9 @@ let exec_script ?token ?(params = []) t sql =
   | [] -> Message "empty script"
   | stmts ->
     List.fold_left
-      (fun _ stmt -> exec_statement ?token t ~params stmt)
+      (fun _ (stmt, tokens) ->
+        exec_statement ?token ?fingerprint:(fingerprint_of tokens) t ~params
+          stmt)
       (Message "") stmts
   | exception Parser.Error msg -> db_error "%s" msg
 

@@ -60,10 +60,13 @@ val exec :
   string ->
   result
 
-(** Executes an already-parsed statement. [sql] is the statement's
-    original text, used only to key the {!Tip_obs.Introspect}
-    fingerprint store ([tip_stat_statements]); when absent the
-    pretty-printed AST is fingerprinted instead (same shape).
+(** Executes an already-parsed statement. [fingerprint] keys the
+    {!Tip_obs.Introspect} store ([tip_stat_statements]): callers that
+    have the statement's text pass {!Tip_sql.Lexer.fingerprint_tokens}
+    of the tokens they parsed. When absent the pretty-printed AST is
+    fingerprinted instead; that is a different key for the same text
+    (the printer parenthesizes), so it serves only statements that never
+    had text.
     [on_trace] receives the statement's own finished trace root, also
     when the statement fails.
 
@@ -73,7 +76,7 @@ val exec :
     long as no other statement runs at the same time. *)
 val exec_statement :
   ?token:Tip_core.Deadline.t ->
-  ?sql:string ->
+  ?fingerprint:string ->
   ?on_trace:(Tip_obs.Trace.span -> unit) ->
   t ->
   params:(string * Value.t) list ->
@@ -84,7 +87,9 @@ val exec_statement :
     that may share the database with each other. *)
 val read_only_statement : Ast.statement -> bool
 
-(** Runs a [';']-separated script; returns the last result. *)
+(** Runs a [';']-separated script; returns the last result. Each
+    statement is keyed in the statement store by its own tokens, so it
+    shares its row with the same text run through {!exec}. *)
 val exec_script :
   ?token:Tip_core.Deadline.t ->
   ?params:(string * Value.t) list ->

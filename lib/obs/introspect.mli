@@ -2,7 +2,7 @@
     [tip_stat_statements] virtual table).
 
     Keys are normalized statement shapes produced by the caller (the
-    engine uses [Tip_sql.Lexer.fingerprint]); this module never parses
+    engine uses [Tip_sql.Lexer.fingerprint_tokens]); this module never parses
     SQL. Each key aggregates calls, latency (total/min/max plus a
     private fixed-bucket histogram aligned with {!Metrics.bounds} for
     percentile estimation), rows returned/scanned, error and

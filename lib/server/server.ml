@@ -127,9 +127,6 @@ type t = {
   statement_timeout_ms : int option;
   max_sessions : int option;
   active : int Atomic.t;
-  inflight : (int, Deadline.t) Hashtbl.t; (* statement id -> its token *)
-  inflight_lock : Mutex.t;
-  stmt_ids : int Atomic.t;
   sessions : (int, session_info) Hashtbl.t; (* session id -> live row *)
   sessions_lock : Mutex.t;
   session_ids : int Atomic.t;
@@ -158,26 +155,6 @@ let response_rows = function
   | Protocol.Affected n -> n
   | Protocol.Message _ | Protocol.Error _ -> 0
 
-(* --- In-flight statement registry -------------------------------------- *)
-
-let register_inflight t token =
-  let id = Atomic.fetch_and_add t.stmt_ids 1 in
-  Mutex.lock t.inflight_lock;
-  Hashtbl.replace t.inflight id token;
-  Mutex.unlock t.inflight_lock;
-  id
-
-let unregister_inflight t id =
-  Mutex.lock t.inflight_lock;
-  Hashtbl.remove t.inflight id;
-  Mutex.unlock t.inflight_lock
-
-let inflight_count t =
-  Mutex.lock t.inflight_lock;
-  let n = Hashtbl.length t.inflight in
-  Mutex.unlock t.inflight_lock;
-  n
-
 (* --- Session registry (tip_stat_activity) ------------------------------- *)
 
 let with_sessions_lock t f =
@@ -203,10 +180,10 @@ let unregister_session t si =
   Option.iter Wait.unregister si.si_wait;
   with_sessions_lock t (fun () -> Hashtbl.remove t.sessions si.si_id)
 
-let session_begin_statement t si ~sql ~token =
+let session_begin_statement t si ~sql ~fingerprint ~token =
   (match si.si_wait with
   | Some w ->
-    Wait.set_query w (Some (Tip_sql.Lexer.fingerprint sql));
+    Wait.set_query w (Some fingerprint);
     Wait.set_active w true
   | None -> ());
   with_sessions_lock t (fun () ->
@@ -548,7 +525,7 @@ let handle_snapshot_request t oc =
    back by the engine (none when the statement never reached it): the
    caller exports it when the statement turns out slow and --trace-dir
    is on. Read-only statements hold the lock shared. *)
-let execute_statement_guarded t ~token ~params ~sql stmt =
+let execute_statement_guarded t ~token ~params ~fingerprint stmt =
   with_db_lock ~shared:(Db.read_only_statement stmt) t (fun () ->
       let root = ref None in
       let response =
@@ -558,7 +535,7 @@ let execute_statement_guarded t ~token ~params ~sql stmt =
              statement whose deadline passed while queued is answered
              without executing at all *)
           Deadline.check token;
-          Db.exec_statement ~token ~sql
+          Db.exec_statement ~token ~fingerprint
             ~on_trace:(fun r -> root := Some r)
             t.db ~params stmt
         with
@@ -592,10 +569,9 @@ let session_timeout_ms t session_timeout =
 let execute_guarded t ~session ~session_timeout ~params sql =
   let t0 = Trace.now_ns () in
   let response, trace_root =
-    match Tip_sql.Parser.parse sql with
+    match Tip_sql.Parser.parse_with_tokens sql with
     | exception Tip_sql.Parser.Error msg -> (Protocol.Error msg, None)
-    | exception Tip_sql.Lexer.Error msg -> (Protocol.Error msg, None)
-    | Ast.Set_timeout v ->
+    | Ast.Set_timeout v, _ ->
       (* Session-scoped: the shared database's own default is left
          alone, so one client cannot re-govern the others. *)
       let setting, text =
@@ -612,7 +588,7 @@ let execute_guarded t ~session ~session_timeout ~params sql =
         session_timeout := setting;
         (Protocol.Message text, None)
       end
-    | Ast.Promote when t.promote_handler <> None ->
+    | Ast.Promote, _ when t.promote_handler <> None ->
       (* Runs the replication client's promotion outside the db lock —
          the handler stops the follower loop (which may itself be
          holding the lock to apply a batch) and takes the lock for the
@@ -631,20 +607,20 @@ let execute_guarded t ~session ~session_timeout ~params sql =
         | Error msg -> (Protocol.Error msg, None)
         | exception e ->
           (Protocol.Error ("PROMOTE failed: " ^ Printexc.to_string e), None))
-    | stmt ->
+    | stmt, tokens ->
       if t.draining then
         (Protocol.Error (Deadline.reason_message Deadline.Shutdown), None)
       else begin
         let token =
           Deadline.create ?timeout_ms:(session_timeout_ms t !session_timeout) ()
         in
-        let id = register_inflight t token in
-        session_begin_statement t session ~sql ~token;
+        (* one fingerprint keys both the ASH samples and the store *)
+        let fingerprint = Tip_sql.Lexer.fingerprint_tokens tokens in
+        session_begin_statement t session ~sql ~fingerprint ~token;
         Fun.protect
-          ~finally:(fun () ->
-            session_end_statement t session;
-            unregister_inflight t id)
-          (fun () -> execute_statement_guarded t ~token ~params ~sql stmt)
+          ~finally:(fun () -> session_end_statement t session)
+          (fun () ->
+            execute_statement_guarded t ~token ~params ~fingerprint stmt)
       end
   in
   let elapsed_ns = Trace.now_ns () - t0 in
@@ -833,9 +809,6 @@ let listen ?(host = "127.0.0.1") ?idle_timeout ?slow_ms ?max_sessions
       statement_timeout_ms;
       max_sessions;
       active = Atomic.make 0;
-      inflight = Hashtbl.create 16;
-      inflight_lock = Mutex.create ();
-      stmt_ids = Atomic.make 0;
       sessions = Hashtbl.create 16;
       sessions_lock = Mutex.create ();
       session_ids = Atomic.make 1;
@@ -966,18 +939,28 @@ let stop t =
   try Unix.close t.listener with Unix.Unix_error _ -> ()
 
 (* Graceful drain: stop accepting, cancel every in-flight statement
-   through its token (they abort within one row or chunk boundary,
-   journal nothing, and answer E SHUTDOWN), then wait — up to [grace]
-   seconds — for the in-flight table to empty. Sessions blocked reading
-   their socket are left to the process exit; they hold no statements.
-   Returns the drain duration in seconds. *)
+   through the token its session holds (they abort within one row or
+   chunk boundary, journal nothing, and answer E SHUTDOWN), then wait —
+   up to [grace] seconds — for every session to go idle. Sessions
+   blocked reading their socket are left to the process exit; they hold
+   no statements. Returns the drain duration in seconds. *)
 let drain ?(grace = 5.0) t =
   let t0 = Unix.gettimeofday () in
   t.draining <- true;
   stop t;
-  Mutex.lock t.inflight_lock;
-  Hashtbl.iter (fun _ tok -> Deadline.cancel tok Deadline.Shutdown) t.inflight;
-  Mutex.unlock t.inflight_lock;
+  (* cancels whatever is in flight on each look, so a statement that
+     slipped past the draining check is cancelled too; returns the count *)
+  let cancel_in_flight () =
+    with_sessions_lock t (fun () ->
+        Hashtbl.fold
+          (fun _ si n ->
+            match si.si_token with
+            | Some tok ->
+              Deadline.cancel tok Deadline.Shutdown;
+              n + 1
+            | None -> n)
+          t.sessions 0)
+  in
   let deadline = t0 +. grace in
   let replicas_left () =
     with_replicas_lock t (fun () -> Hashtbl.length t.replicas)
@@ -987,7 +970,7 @@ let drain ?(grace = 5.0) t =
      statements so a drained primary has told every replica goodbye. *)
   let rec wait () =
     if
-      (inflight_count t > 0 || replicas_left () > 0)
+      (cancel_in_flight () > 0 || replicas_left () > 0)
       && Unix.gettimeofday () < deadline
     then begin
       Thread.delay 0.01;
@@ -999,7 +982,7 @@ let drain ?(grace = 5.0) t =
   Metrics.gauge_set g_drain_ms (int_of_float (secs *. 1000.));
   Log.info (fun m ->
       m "drained in %.3fs (%d statement(s) still in flight)" secs
-        (inflight_count t));
+        (cancel_in_flight ()));
   secs
 
 let draining t = t.draining

@@ -63,6 +63,7 @@ let rec skip_trivia st =
   | Some _ | None -> ()
 
 let lex_number st =
+  let line = st.line and col = column st in
   let start = st.pos in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
@@ -90,57 +91,45 @@ let lex_number st =
     | Some _ | None -> is_float
   in
   let text = String.sub st.src start (st.pos - start) in
-  if is_float then Token.Float (float_of_string text)
-  else Token.Int (int_of_string text)
-
-let lex_string st =
-  let line = st.line and col = column st in
-  advance st; (* opening quote *)
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> error line col "unterminated string literal"
-    | Some '\'' when peek2 st = Some '\'' ->
-      Buffer.add_char buf '\'';
-      advance st;
-      advance st;
-      go ()
-    | Some '\'' -> advance st
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
+  let token =
+    if is_float then
+      Option.map (fun f -> Token.Float f) (float_of_string_opt text)
+    else Option.map (fun n -> Token.Int n) (int_of_string_opt text)
   in
-  go ();
-  Token.String (Buffer.contents buf)
+  match token with
+  | Some token -> token
+  | None ->
+    error line col (Printf.sprintf "malformed or out-of-range number %s" text)
 
-let lex_quoted_ident st =
+(* The contents of a [q]-delimited run ('...' strings, "..."
+   identifiers), a doubled [q] standing for one. *)
+let lex_quoted st q ~what =
   let line = st.line and col = column st in
   advance st;
   let buf = Buffer.create 16 in
   let rec go () =
     match peek st with
-    | None -> error line col "unterminated quoted identifier"
-    | Some '"' when peek2 st = Some '"' ->
-      Buffer.add_char buf '"';
+    | None -> error line col ("unterminated " ^ what)
+    | Some c when c = q && peek2 st = Some q ->
+      Buffer.add_char buf q;
       advance st;
       advance st;
       go ()
-    | Some '"' -> advance st
+    | Some c when c = q -> advance st
     | Some c ->
       Buffer.add_char buf c;
       advance st;
       go ()
   in
   go ();
-  Token.Quoted_ident (Buffer.contents buf)
+  Buffer.contents buf
 
 let lex_ident st =
   let start = st.pos in
   while (match peek st with Some c -> is_ident_char c | None -> false) do
     advance st
   done;
-  Token.Ident (String.sub st.src start (st.pos - start))
+  String.sub st.src start (st.pos - start)
 
 (* Two-character symbols first, then single-character ones. *)
 let lex_symbol st =
@@ -166,28 +155,24 @@ let lex_symbol st =
 
 let next_token st =
   skip_trivia st;
-  let line = st.line and col = column st in
+  let line = st.line and col = column st and start = st.pos in
   let token =
     match peek st with
     | None -> Token.Eof
     | Some c when is_digit c -> lex_number st
-    | Some '\'' -> lex_string st
-    | Some '"' -> lex_quoted_ident st
-    | Some c when is_ident_start c -> lex_ident st
+    | Some '\'' -> Token.String (lex_quoted st '\'' ~what:"string literal")
+    | Some '"' ->
+      Token.Quoted_ident (lex_quoted st '"' ~what:"quoted identifier")
+    | Some c when is_ident_start c -> Token.Ident (lex_ident st)
     | Some ':' when peek2 st = Some ':' -> lex_symbol st
     | Some ':' ->
       advance st;
       (match peek st with
-      | Some c when is_ident_start c ->
-        (match lex_ident st with
-        | Token.Ident name -> Token.Param name
-        | Token.Int _ | Token.Float _ | Token.String _ | Token.Quoted_ident _
-        | Token.Param _ | Token.Symbol _ | Token.Eof ->
-          assert false)
+      | Some c when is_ident_start c -> Token.Param (lex_ident st)
       | Some _ | None -> error line col "expected parameter name after ':'")
     | Some _ -> lex_symbol st
   in
-  { Token.token; line; column = col }
+  { Token.token; line; column = col; offset = start }
 
 (* Lexes the whole input; the resulting array always ends with [Eof]. *)
 let tokenize src =
@@ -204,134 +189,38 @@ let tokenize src =
 
 (* Normalized statement shape for the introspection catalog: every
    literal and host variable collapses to [?], bare identifiers and
-   keywords fold to lowercase, comments and whitespace disappear, and
-   tokens are re-joined with single spaces. Two statements differing
+   keywords fold to lowercase, comments and whitespace are already gone,
+   and tokens are re-joined with single spaces. Two statements differing
    only in constants therefore share one fingerprint, while quoted
-   identifiers keep their case (they name distinct objects). Input the
-   lexer rejects falls back to its trimmed raw text so errors are still
-   attributable to *something* in tip_stat_statements. *)
-(* Runs on EVERY statement (the engine's introspection hook), so it is a
-   hand-rolled single pass over the source — same token boundaries as
-   [tokenize], but no token array, no locations, no literal decoding:
-   the only allocation is the output buffer. *)
-let fingerprint src =
-  let len = String.length src in
-  let buf = Buffer.create len in
-  let exception Fallback in
-  let emit_sep () = if Buffer.length buf > 0 then Buffer.add_char buf ' ' in
-  try
-    let i = ref 0 in
-    (* no options, no substrings: this runs on every statement *)
-    let next_is c = !i + 1 < len && src.[!i + 1] = c in
-    while !i < len do
-      match src.[!i] with
-      | ' ' | '\t' | '\r' | '\n' -> incr i
-      | '-' when next_is '-' ->
-        while !i < len && src.[!i] <> '\n' do incr i done
-      | '/' when next_is '*' ->
-        i := !i + 2;
-        let closed = ref false in
-        while not !closed do
-          if !i >= len then raise Fallback
-          else if src.[!i] = '*' && next_is '/' then begin
-            i := !i + 2;
-            closed := true
-          end
-          else incr i
-        done
-      | '0' .. '9' ->
-        while !i < len && is_digit src.[!i] do incr i done;
-        if
-          !i < len
-          && src.[!i] = '.'
-          && !i + 1 < len
-          && is_digit src.[!i + 1]
-        then begin
-          incr i;
-          while !i < len && is_digit src.[!i] do incr i done
-        end;
-        if !i < len && (src.[!i] = 'e' || src.[!i] = 'E') then begin
-          incr i;
-          if !i < len && (src.[!i] = '+' || src.[!i] = '-') then incr i;
-          while !i < len && is_digit src.[!i] do incr i done
-        end;
-        emit_sep ();
+   identifiers keep their case (they name distinct objects). A walk over
+   the tokens the parser consumes, so a statement is lexed once. *)
+let fingerprint_tokens tokens =
+  let buf = Buffer.create 128 in
+  let sep () = if Buffer.length buf > 0 then Buffer.add_char buf ' ' in
+  Array.iter
+    (fun { Token.token; _ } ->
+      match token with
+      | Token.Int _ | Token.Float _ | Token.String _ | Token.Param _ ->
+        sep ();
         Buffer.add_char buf '?'
-      | '\'' ->
-        incr i;
-        let closed = ref false in
-        while not !closed do
-          if !i >= len then raise Fallback
-          else if src.[!i] = '\'' && next_is '\'' then i := !i + 2
-          else if src.[!i] = '\'' then begin
-            incr i;
-            closed := true
-          end
-          else incr i
-        done;
-        emit_sep ();
-        Buffer.add_char buf '?'
-      | '"' ->
-        incr i;
-        emit_sep ();
+      | Token.Ident s ->
+        sep ();
+        String.iter (fun c -> Buffer.add_char buf (Char.lowercase_ascii c)) s
+      | Token.Quoted_ident s ->
+        sep ();
         Buffer.add_char buf '"';
-        let closed = ref false in
-        while not !closed do
-          if !i >= len then raise Fallback
-          else if src.[!i] = '"' && next_is '"' then begin
-            Buffer.add_char buf '"';
-            i := !i + 2
-          end
-          else if src.[!i] = '"' then begin
-            incr i;
-            closed := true
-          end
-          else begin
-            Buffer.add_char buf src.[!i];
-            incr i
-          end
-        done;
+        Buffer.add_string buf s;
         Buffer.add_char buf '"'
-      | c when is_ident_start c ->
-        emit_sep ();
-        while !i < len && is_ident_char src.[!i] do
-          Buffer.add_char buf (Char.lowercase_ascii src.[!i]);
-          incr i
-        done
-      | ':' when next_is ':' ->
-        i := !i + 2;
-        emit_sep ();
-        Buffer.add_string buf "::"
-      | ':' ->
-        if !i + 1 < len && is_ident_start src.[!i + 1] then begin
-          incr i;
-          while !i < len && is_ident_char src.[!i] do incr i done;
-          emit_sep ();
-          Buffer.add_char buf '?'
-        end
-        else raise Fallback
-      | '<' when next_is '=' || next_is '>' ->
-        emit_sep ();
-        Buffer.add_string buf (if next_is '=' then "<=" else "<>");
-        i := !i + 2
-      | '>' when next_is '=' ->
-        i := !i + 2;
-        emit_sep ();
-        Buffer.add_string buf ">="
-      | '!' when next_is '=' ->
-        i := !i + 2;
-        emit_sep ();
-        Buffer.add_string buf "<>"
-      | '|' when next_is '|' ->
-        i := !i + 2;
-        emit_sep ();
-        Buffer.add_string buf "||"
-      | ( '(' | ')' | ',' | '.' | ';' | '+' | '-' | '*' | '/' | '%' | '='
-        | '<' | '>' ) as c ->
-        incr i;
-        emit_sep ();
-        Buffer.add_char buf c
-      | _ -> raise Fallback
-    done;
-    Buffer.contents buf
-  with Fallback -> String.trim src
+      | Token.Symbol s ->
+        sep ();
+        Buffer.add_string buf s
+      | Token.Eof -> ())
+    tokens;
+  Buffer.contents buf
+
+(* Input the lexer rejects falls back to its trimmed raw text, so errors
+   are still attributable to *something* in tip_stat_statements. *)
+let fingerprint src =
+  match tokenize src with
+  | tokens -> fingerprint_tokens tokens
+  | exception Error _ -> String.trim src

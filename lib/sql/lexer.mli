@@ -11,9 +11,14 @@ exception Error of string
     @raise Error with position information on malformed input. *)
 val tokenize : string -> Token.located array
 
-(** Normalized statement shape (the key of [tip_stat_statements]):
-    literals and [:host] variables become [?], bare identifiers fold to
-    lowercase, comments/whitespace collapse, tokens re-join with single
-    spaces. Quoted identifiers keep their case. Unlexable input returns
-    its trimmed raw text instead of raising. *)
+(** Normalized statement shape (the key of [tip_stat_statements]) of a
+    token array, read up to its {!Token.Eof} or its end: literals and
+    [:host] variables become [?], bare identifiers fold to lowercase,
+    tokens re-join with single spaces. Quoted identifiers keep their
+    case. Callers that parse the text pass the parser's tokens, so the
+    statement is lexed once. *)
+val fingerprint_tokens : Token.located array -> string
+
+(** [fingerprint_tokens (tokenize src)]; unlexable input returns its
+    trimmed raw text instead of raising. *)
 val fingerprint : string -> string

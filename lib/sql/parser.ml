@@ -829,32 +829,33 @@ and stats_like st =
 
 (* --- Entry points ------------------------------------------------------ *)
 
-let statement_of_tokens tokens =
+let tokenize sql =
+  try Lexer.tokenize sql with Lexer.Error msg -> raise (Error msg)
+
+let parse_with_tokens sql =
+  let tokens = tokenize sql in
   let st = { tokens; pos = 0 } in
   let s = parse_statement st in
   ignore (eat_sym st ";");
   (match peek st with
   | Token.Eof -> ()
   | _ -> error st "trailing input after statement");
-  s
+  (s, tokens)
 
-let parse sql =
-  match Lexer.tokenize sql with
-  | tokens -> statement_of_tokens tokens
-  | exception Lexer.Error msg -> raise (Error msg)
+let parse sql = fst (parse_with_tokens sql)
 
-(* Parses a ';'-separated script. *)
+(* Parses a ';'-separated script; each statement keeps its own tokens,
+   its closing ';' included. *)
 let parse_script sql =
-  let tokens =
-    try Lexer.tokenize sql with Lexer.Error msg -> raise (Error msg)
-  in
+  let tokens = tokenize sql in
   let st = { tokens; pos = 0 } in
   let rec loop acc =
     if peek st = Token.Eof then List.rev acc
     else begin
+      let first = st.pos in
       let s = parse_statement st in
       ignore (eat_sym st ";");
-      loop (s :: acc)
+      loop ((s, Array.sub tokens first (st.pos - first)) :: acc)
     end
   in
   loop []

@@ -13,5 +13,12 @@ exception Error of string
     @raise Error with position information. *)
 val parse : string -> Ast.statement
 
-(** Parses a [';']-separated script. *)
-val parse_script : string -> Ast.statement list
+(** {!parse}, also returning the tokens it parsed, so the caller can
+    fingerprint the statement ({!Lexer.fingerprint_tokens}) without
+    lexing it again. *)
+val parse_with_tokens : string -> Ast.statement * Token.located array
+
+(** Parses a [';']-separated script, each statement with its own slice
+    of the tokens (its closing [';'] included), so a caller keys it
+    exactly as if it had been parsed alone. *)
+val parse_script : string -> (Ast.statement * Token.located array) list

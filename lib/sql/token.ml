@@ -15,7 +15,7 @@ type t =
   | Symbol of string          (* operators and punctuation *)
   | Eof
 
-type located = { token : t; line : int; column : int }
+type located = { token : t; line : int; column : int; offset : int }
 
 let pp ppf = function
   | Int n -> Fmt.pf ppf "%d" n

@@ -14,8 +14,9 @@ type t =
   | Symbol of string  (** operators and punctuation; [!=] normalizes to [<>] *)
   | Eof
 
-(** A token with its source position (1-based). *)
-type located = { token : t; line : int; column : int }
+(** A token with its source position: 1-based [line] and [column], and
+    the 0-based byte [offset] of its first character. *)
+type located = { token : t; line : int; column : int; offset : int }
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -42,6 +42,41 @@ let check_fingerprint () =
   Alcotest.(check string) "unlexable passthrough" "SELECT 'unterminated"
     (Lexer.fingerprint "  SELECT 'unterminated  ")
 
+(* The token walk must key every lexable text exactly as the deleted
+   single-pass scanner did (test/fingerprint_reference.ml): random token
+   soup, with pieces glued directly as well as through whitespace and
+   comments, so token boundaries are exercised too. *)
+let token_soup =
+  let open QCheck.Gen in
+  let piece =
+    oneofl
+      [ "SELECT"; "select"; "From"; "WHERE"; "a"; "T1"; "_x"; "e"; "E5";
+        "0"; "42"; "007"; "1.5"; "2e10"; "3.25E-2"; "1e+5"; "'bob'";
+        "'it''s'"; "''"; "'a;b -- c'"; "\"Weird\""; "\"a\"\"b\""; "\"\"";
+        ":v"; ":Host_1"; "::"; "!="; "<>"; "<="; ">="; "||"; "("; ")"; ",";
+        "."; ";"; "+"; "-"; "*"; "/"; "%"; "="; "<"; ">" ]
+  in
+  let sep =
+    frequency
+      [ (3, return " "); (2, return ""); (1, return "\t"); (1, return "\r\n");
+        (1, return " -- note\n"); (1, return "/* c */"); (1, return "/**/") ]
+  in
+  list_size (int_range 0 12) (pair piece sep)
+  |> map (fun l -> String.concat "" (List.map (fun (p, s) -> p ^ s) l))
+
+let prop_fingerprint_reference =
+  QCheck.Test.make ~name:"token fingerprint = reference scanner" ~count:1500
+    ~max_gen:6000
+    (QCheck.make ~print:(Printf.sprintf "%S") token_soup)
+    (fun src ->
+      match Lexer.tokenize src with
+      | exception Lexer.Error _ -> QCheck.assume_fail ()
+      | _ ->
+        let got = Lexer.fingerprint src
+        and want = Fingerprint_reference.fingerprint src in
+        String.equal got want
+        || QCheck.Test.fail_reportf "got %S, reference %S" got want)
+
 (* --- Store bound / LRU eviction ------------------------------------------ *)
 
 let record_one ?(elapsed_ns = 1_000_000) query =
@@ -313,6 +348,36 @@ let check_stat_statements_wire () =
       | r -> Alcotest.failf "wire stat rows: %s" (Db.render_result r));
       Remote.close c)
 
+(* One text keys one row whichever path runs it: embedded, prepared,
+   as a script, and over the wire. *)
+let check_one_row_per_text () =
+  Introspect.reset ();
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE paths_t (a INT)");
+  ignore (Db.exec db "INSERT INTO paths_t VALUES (1)");
+  let sql = "SELECT a FROM paths_t WHERE a = 1" in
+  ignore (Db.exec db sql);
+  let conn = Tip_client.Connection.connect_to db in
+  ignore (Tip_client.Statement.execute (Tip_client.Statement.prepare conn sql));
+  ignore (Db.exec_script db sql);
+  let server = Server.listen ~port:0 db in
+  Server.serve_in_background server;
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let c = Remote.connect ~port:(Server.port server) () in
+      ignore (Remote.execute c sql);
+      Remote.close c);
+  match
+    Db.exec db
+      "SELECT query, calls FROM tip_stat_statements WHERE query LIKE \
+       '%paths_t where%'"
+  with
+  | Db.Rows { rows = [ [| Value.Str q; Value.Int 4 |] ]; _ } ->
+    Alcotest.(check string) "the text's own key"
+      "select a from paths_t where a = ?" q
+  | r -> Alcotest.failf "want one row with 4 calls: %s" (Db.render_result r)
+
 let check_activity_wire () =
   with_server ~statement_timeout_ms:10_000 (fun db port ->
       let c_idle = Remote.connect ~port () in
@@ -562,6 +627,7 @@ let check_json_log_format () =
 
 let suite =
   [ Alcotest.test_case "fingerprint normalization" `Quick check_fingerprint;
+    QCheck_alcotest.to_alcotest prop_fingerprint_reference;
     Alcotest.test_case "store LRU eviction" `Quick check_lru_eviction;
     Alcotest.test_case "store outcome aggregation" `Quick check_outcome_counts;
     Alcotest.test_case "store disable switch" `Quick check_disabled_store;
@@ -573,6 +639,8 @@ let suite =
     Alcotest.test_case "STATS LIKE filtering" `Quick check_stats_like_filter;
     Alcotest.test_case "tip_stat_statements (wire)" `Quick
       check_stat_statements_wire;
+    Alcotest.test_case "one row per text on every path" `Quick
+      check_one_row_per_text;
     Alcotest.test_case "tip_stat_activity (wire)" `Quick check_activity_wire;
     Alcotest.test_case "chrome trace json" `Quick check_chrome_trace_json;
     Alcotest.test_case "slow-statement trace export (wire)" `Quick

@@ -65,6 +65,26 @@ let check_dml_and_errors () =
   ignore (Tip_server.Remote.execute c "DROP TABLE net_t");
   Tip_server.Remote.close c
 
+(* A number the lexer rejects answers E; the same session answers the
+   next statement. *)
+let check_bad_number_keeps_session () =
+  let c = connect () in
+  List.iter
+    (fun sql ->
+      match Tip_server.Remote.execute c sql with
+      | exception Tip_server.Remote.Remote_error msg ->
+        Alcotest.(check bool) ("lexical error for " ^ sql) true
+          (try
+             ignore (Str.search_forward (Str.regexp_string "number") msg 0);
+             true
+           with Not_found -> false)
+      | _ -> Alcotest.failf "%s: want an E response" sql)
+    [ "SELECT 99999999999999999999"; "SELECT 1e"; "SELECT 1.5e+" ];
+  (match Tip_server.Remote.execute c "SELECT COUNT(*) FROM Prescription" with
+  | Db.Rows { rows = [ [| Value.Int 5 |] ]; _ } -> ()
+  | r -> Alcotest.failf "session must survive: %s" (Db.render_result r));
+  Tip_server.Remote.close c
+
 let check_parameters_over_wire () =
   let c = connect () in
   Tip_server.Remote.bind c "w" (Value.Int 1);
@@ -120,6 +140,8 @@ let suite =
   [ Alcotest.test_case "round trip with typed values" `Quick
       check_basic_roundtrip;
     Alcotest.test_case "DML and error recovery" `Quick check_dml_and_errors;
+    Alcotest.test_case "malformed number keeps the session" `Quick
+      check_bad_number_keeps_session;
     Alcotest.test_case "parameters over the wire" `Quick
       check_parameters_over_wire;
     Alcotest.test_case "concurrent clients" `Quick check_concurrent_clients ]

@@ -90,6 +90,22 @@ let check_lexer () =
     (Lexer.Error "lexical error at line 1, column 1: unterminated string literal")
     (fun () -> ignore (Lexer.tokenize "'oops"))
 
+(* A number the lexer cannot convert is a lexical error at its own
+   position, and a typed engine error: never an escaping [Failure]. *)
+let check_bad_numbers () =
+  Alcotest.check_raises "int out of range"
+    (Lexer.Error
+       "lexical error at line 1, column 8: malformed or out-of-range number \
+        99999999999999999999")
+    (fun () -> ignore (Lexer.tokenize "SELECT 99999999999999999999"));
+  let db = Tip_engine.Database.create () in
+  List.iter
+    (fun sql ->
+      match Tip_engine.Database.exec db sql with
+      | exception Tip_engine.Database.Error _ -> ()
+      | _ -> Alcotest.failf "%s: want a Database.Error" sql)
+    [ "SELECT 99999999999999999999"; "SELECT 1e"; "SELECT 1.5e+" ]
+
 (* --- Expression grammar ------------------------------------------------ *)
 
 let expr_of sql =
@@ -176,7 +192,7 @@ let check_statements () =
   (match parse "INSERT INTO t (a, b) SELECT a, b FROM s" with
   | Ast.Insert { source = Ast.Query _; columns = Some [ "a"; "b" ]; _ } -> ()
   | _ -> Alcotest.fail "insert-select");
-  (match Parser.parse_script "BEGIN; COMMIT; ROLLBACK;" with
+  (match List.map fst (Parser.parse_script "BEGIN; COMMIT; ROLLBACK;") with
   | [ Ast.Begin_tx; Ast.Commit_tx; Ast.Rollback_tx ] -> ()
   | _ -> Alcotest.fail "script")
 
@@ -219,6 +235,8 @@ let check_fixpoints () =
 let suite =
   [ Alcotest.test_case "the paper's exact queries parse" `Quick check_paper_queries;
     Alcotest.test_case "lexer" `Quick check_lexer;
+    Alcotest.test_case "malformed numbers are lexical errors" `Quick
+      check_bad_numbers;
     Alcotest.test_case "operator precedence" `Quick check_precedence;
     Alcotest.test_case "predicates" `Quick check_predicates;
     Alcotest.test_case "joins and derived tables" `Quick check_joins;
