@@ -239,7 +239,10 @@ let main port demo load save durability sync archive_dir idle_timeout now
   let secs = Tip_server.Server.drain server in
   Sink.line "tip_server: drained in %.3fs, shutting down" secs;
   if Option.is_some durability then begin
-    ignore (Db.checkpoint db);
+    (* refused (BUSY) if a session still holds a transaction the drain
+       could not roll back: its rows must not reach the snapshot *)
+    (try ignore (Db.checkpoint db)
+     with Db.Error msg -> Sink.line "tip_server: checkpoint skipped: %s" msg);
     Db.close_durable db
   end
   else

@@ -44,12 +44,13 @@ let refresh t =
     | None -> browser_error "no column %s in query result" t.time_column)
 
 let now_of t =
-  match Tip_client.Connection.session_now t.conn with
+  match
+    Db.now_override
+      ~session:(Tip_client.Connection.session t.conn)
+      (Tip_client.Connection.database t.conn)
+  with
   | Some c -> c
-  | None -> (
-    match Db.now_override (Tip_client.Connection.database t.conn) with
-    | Some c -> c
-    | None -> Tx_clock.now ())
+  | None -> Tx_clock.now ()
 
 (* Ground periods of a row's temporal attribute under the current NOW. *)
 let ground_of t row =

@@ -1,9 +1,10 @@
 (* Client connections — the OCaml analog of the TIP C/Java libraries.
 
-   A connection wraps an embedded database session. Each connection
-   carries its own NOW override (the what-if mechanism of Section 4), so
-   two clients of the same database can evaluate queries in different
-   temporal contexts; the override is installed around each statement. *)
+   A connection owns one engine session of its database: its own
+   transaction, its own NOW override (the what-if mechanism of
+   Section 4) and its own statement timeout. Two clients of the same
+   database therefore evaluate queries in different temporal contexts,
+   and neither sees the other's settings. *)
 
 module Db = Tip_engine.Database
 
@@ -11,23 +12,32 @@ exception Client_error of string
 
 type t = {
   db : Db.t;
-  mutable session_now : Tip_core.Chronon.t option;
+  session : Db.session;
+  start_now : Tip_core.Chronon.t option; (* the session's starting NOW *)
   mutable closed : bool;
 }
+
+(* Attaches to an existing database (shared embedded server). *)
+let connect_to db =
+  let session = Db.session db in
+  { db; session; start_now = Db.now_override ~session db; closed = false }
 
 (* Opens a connection to a fresh embedded database. The TIP blade is
    installed unless [blade:false] is given (useful for testing the bare
    engine). *)
 let connect ?(blade = true) () =
-  let db = if blade then Tip_blade.Blade.create_database () else Db.create () in
-  { db; session_now = None; closed = false }
+  connect_to (if blade then Tip_blade.Blade.create_database () else Db.create ())
 
-(* Attaches to an existing database (shared embedded server). *)
-let connect_to db = { db; session_now = None; closed = false }
+(* Closing rolls back the connection's open transaction, if any. *)
+let close t =
+  if not t.closed then begin
+    t.closed <- true;
+    Db.close_session t.db t.session
+  end
 
-let close t = t.closed <- true
 let is_closed t = t.closed
 let database t = t.db
+let session t = t.session
 
 let check_open t = if t.closed then raise (Client_error "connection is closed")
 
@@ -35,46 +45,24 @@ let check_open t = if t.closed then raise (Client_error "connection is closed")
    given chronon. *)
 let set_now t chronon =
   check_open t;
-  t.session_now <- Some chronon
+  Db.set_now ~session:t.session t.db (Some chronon)
 
 let clear_now t =
   check_open t;
-  t.session_now <- None
+  Db.set_now ~session:t.session t.db None
 
-let session_now t = t.session_now
-
-(* Runs [f] with this session's NOW installed in the shared database,
-   restoring the database's own override afterwards. *)
-let with_session_now t f =
-  match t.session_now with
-  | None -> f ()
-  | Some _ ->
-    let saved = Db.now_override t.db in
-    (match t.session_now with
-    | Some c ->
-      ignore (Db.exec_statement t.db ~params:[]
-                (Tip_sql.Ast.Set_now
-                   (Some (Tip_sql.Ast.Lit
-                            (Tip_sql.Ast.L_string (Tip_core.Chronon.to_string c))))))
-    | None -> ());
-    Fun.protect
-      ~finally:(fun () ->
-        match saved with
-        | Some c ->
-          ignore (Db.exec_statement t.db ~params:[]
-                    (Tip_sql.Ast.Set_now
-                       (Some (Tip_sql.Ast.Lit
-                                (Tip_sql.Ast.L_string (Tip_core.Chronon.to_string c))))))
-        | None -> ignore (Db.exec_statement t.db ~params:[] (Tip_sql.Ast.Set_now None)))
-      f
+let session_now t =
+  match Db.now_override ~session:t.session t.db with
+  | now when now = t.start_now -> None
+  | now -> now
 
 let execute ?(params = []) t sql =
   check_open t;
-  with_session_now t (fun () -> Db.exec ~params t.db sql)
+  Db.exec ~params ~session:t.session t.db sql
 
 let execute_script ?(params = []) t sql =
   check_open t;
-  with_session_now t (fun () -> Db.exec_script ~params t.db sql)
+  Db.exec_script ~params ~session:t.session t.db sql
 
 (* Convenience single-shot query returning a result set. *)
 let query ?(params = []) t sql = Result_set.of_result (execute ~params t sql)

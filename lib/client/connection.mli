@@ -1,10 +1,12 @@
 (** Client connections — the OCaml analog of the TIP C/Java libraries.
 
-    A connection wraps an embedded database session and carries its own
-    NOW override (Section 4's what-if mechanism), so two clients of the
-    same database can evaluate queries in different temporal contexts;
-    the override is installed around each statement and the database's
-    own setting restored afterwards. *)
+    A connection owns one {!Db.session} of its database: its own
+    transaction, its own NOW override (Section 4's what-if mechanism)
+    and its own statement timeout. Two clients of the same database
+    evaluate queries in different temporal contexts, from one thread
+    or several, and neither sees the other's settings. While one
+    connection has a transaction open, the others' statements fail
+    with a typed [BUSY:] error. *)
 
 module Db = Tip_engine.Database
 
@@ -16,12 +18,19 @@ type t
     installed unless [blade:false]. *)
 val connect : ?blade:bool -> unit -> t
 
-(** Attaches to an existing database (shared embedded server). *)
+(** Attaches to an existing database (shared embedded server). The new
+    session starts from the NOW override and statement timeout of the
+    database's own session. *)
 val connect_to : Db.t -> t
 
+(** Closes the connection, rolling back its open transaction, if any. *)
 val close : t -> unit
+
 val is_closed : t -> bool
 val database : t -> Db.t
+
+(** The engine session this connection owns. *)
+val session : t -> Db.session
 
 (** {1 What-if analysis} *)
 
@@ -29,13 +38,12 @@ val database : t -> Db.t
     chronon. *)
 val set_now : t -> Tip_core.Chronon.t -> unit
 
+(** Back to the NOW the connection started with. *)
 val clear_now : t -> unit
-val session_now : t -> Tip_core.Chronon.t option
 
-(** Runs [f] with this session's NOW installed in the shared database
-    (exception-safe restore). Used internally and by prepared
-    statements. *)
-val with_session_now : t -> (unit -> 'a) -> 'a
+(** The what-if NOW in force: the session's NOW override when it
+    differs from the one the connection started with. *)
+val session_now : t -> Tip_core.Chronon.t option
 
 (** {1 Execution} *)
 

@@ -39,9 +39,9 @@ let bind_element t name e = bind t name (Tip_blade.Values.element e)
 let clear_bindings t = t.bindings <- []
 
 let execute t =
-  Connection.with_session_now t.conn (fun () ->
-      Db.exec_statement ~fingerprint:t.fingerprint (Connection.database t.conn)
-        ~params:t.bindings t.ast)
+  Db.exec_statement ~fingerprint:t.fingerprint
+    ~session:(Connection.session t.conn) (Connection.database t.conn)
+    ~params:t.bindings t.ast
 
 let query t = Result_set.of_result (execute t)
 

@@ -2,21 +2,25 @@
 
    NOW handling (the paper's Section 2/4 semantics): each statement binds
    the special symbol NOW exactly once, to the current transaction time —
-   either the wall clock or a per-database override installed by
+   either the wall clock or its session's override installed by
    [SET NOW = ...] (the what-if mechanism the TIP Browser exposes). The
    binding travels in the statement's [Expr_eval.ctx] ([ectx.now]) and
    nowhere else, so every blade routine, cast and comparison observes
    the same frozen instant, and statements running side by side each
    keep their own.
 
-   Concurrency: read-only statements ([SELECT], compound [SELECT],
-   [EXPLAIN [ANALYZE]]) write no field of [t] and keep no per-statement
-   state in globals, so a caller may run them concurrently under a
-   shared lock; every other statement needs the database to itself.
+   Sessions: a [session] owns one client's transaction journal, NOW
+   override and statement timeout; [t] keeps one for callers that name
+   none. Only one session may have a transaction open ([t.tx_holder]).
 
-   Transactions are single-connection with an in-memory undo log: insert,
-   delete and update are undoable; DDL auto-commits (documented in
-   DESIGN.md). *)
+   Concurrency: read-only statements ([SELECT], compound [SELECT],
+   [EXPLAIN [ANALYZE]]) write no field of [t] or of their session and
+   keep no per-statement state in globals, so a caller may run them
+   concurrently under a shared lock; every other statement needs the
+   database to itself.
+
+   Transactions keep an in-memory journal: insert, delete and update are
+   undoable; DDL auto-commits (documented in DESIGN.md). *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -60,17 +64,27 @@ type undo =
   | U_insert of Table.t * int
   | U_delete of Table.t * Value.t array
   | U_update of Table.t * int * Value.t array
-  | U_savepoint of string (* marker; undone entries stop here *)
 
-type tx = { mutable undo : undo list }
+(* One entry of a session's journal. A row change carries its undo and,
+   when a WAL is attached, its redo record. DDL carries only its redo
+   record: DDL auto-commits, so ROLLBACK keeps it. *)
+type entry =
+  | Change of undo * Wal.record option
+  | Ddl of Wal.record
+  | Savepoint of string
 
-(* Redo records awaiting the statement/transaction boundary. DML drops
-   on ROLLBACK; DDL (and CTAS backfill) survives it, mirroring the
-   in-memory rule that DDL auto-commits and is not undoable. *)
-type pending_entry =
-  | P_dml of Wal.record
-  | P_ddl of Wal.record
-  | P_mark of string (* savepoint marker, mirrors U_savepoint *)
+(* Everything one client owns: its journal (newest first), its NOW
+   override and its statement timeout, each with the value the session
+   started with. Outside a transaction the journal holds only the
+   running statement's entries and empties at its end; inside one it
+   holds the whole transaction. *)
+type session = {
+  mutable journal : entry list;
+  now_default : Tip_core.Chronon.t option;
+  mutable now_override : Tip_core.Chronon.t option;
+  timeout_default : int option;
+  mutable timeout_ms : int option;
+}
 
 type durability = {
   dir : string;
@@ -87,17 +101,11 @@ type durability = {
 type t = {
   catalog : Catalog.t;
   ext : Extension.t;
-  mutable now_override : Tip_core.Chronon.t option;
-  mutable tx : tx option;
+  own : session; (* the session of callers that name none *)
+  mutable tx_holder : session option;
+      (* the one session with an open transaction; every other session's
+         statements are refused BUSY until it ends *)
   mutable durability : durability option;
-  mutable pending : pending_entry list; (* newest first *)
-  mutable stmt_undo : undo list;
-      (* the running statement's own undo entries (newest first), kept
-         even outside transactions so a cancelled statement can revert
-         its partial effects without touching committed state *)
-  mutable timeout_ms : int option;
-      (* default statement deadline, set by SET TIMEOUT; applied to
-         statements whose caller armed no deadline of their own *)
   mutable read_only : bool;
       (* a read replica: every mutating statement is refused with a
          typed READ_ONLY error; the replication stream bypasses the
@@ -109,6 +117,13 @@ type result =
   | Affected of int
   | Message of string
 
+let new_session ~now ~timeout_ms =
+  { journal = [];
+    now_default = now;
+    now_override = now;
+    timeout_default = timeout_ms;
+    timeout_ms }
+
 (* [catalog] lets a database be opened over a catalog restored from a
    snapshot (any extension types must be registered before loading). *)
 let create ?catalog () =
@@ -116,76 +131,138 @@ let create ?catalog () =
   Builtins.install ext;
   { catalog = (match catalog with Some c -> c | None -> Catalog.create ());
     ext;
-    now_override = None;
-    tx = None;
+    own = new_session ~now:None ~timeout_ms:None;
+    tx_holder = None;
     durability = None;
-    pending = [];
-    stmt_undo = [];
-    timeout_ms = None;
     read_only = false }
+
+(* A new session starts from the NOW override and statement timeout the
+   database's own session has at that moment; [timeout_ms] replaces the
+   latter. *)
+let session ?timeout_ms t =
+  new_session ~now:t.own.now_override
+    ~timeout_ms:(if timeout_ms = None then t.own.timeout_ms else timeout_ms)
 
 let catalog t = t.catalog
 let extension t = t.ext
-let now_override t = t.now_override
-let in_transaction t = t.tx <> None
 let durability_dir t = Option.map (fun d -> d.dir) t.durability
-let statement_timeout_ms t = t.timeout_ms
 let set_read_only t flag = t.read_only <- flag
 let read_only t = t.read_only
 
-let log_undo t u =
-  t.stmt_undo <- u :: t.stmt_undo;
-  match t.tx with Some tx -> tx.undo <- u :: tx.undo | None -> ()
+(* Per-session accessors: no [session] means the database's own. *)
+let session_of t = function Some s -> s | None -> t.own
+let now_override ?session t = (session_of t session).now_override
+let statement_timeout_ms ?session t = (session_of t session).timeout_ms
 
-(* --- Write-ahead journaling -------------------------------------------- *)
+let set_now ?session t now =
+  let s = session_of t session in
+  s.now_override <- (match now with Some _ -> now | None -> s.now_default)
 
-let journaling t = t.durability <> None
-let journal_dml t r = if journaling t then t.pending <- P_dml r :: t.pending
-let journal_ddl t r = if journaling t then t.pending <- P_ddl r :: t.pending
+let in_transaction ?session t =
+  Option.fold t.tx_holder ~none:false ~some:(fun h -> h == session_of t session)
+
+(* --- The journal ---------------------------------------------------------- *)
 
 let row_cells row = Array.map Persist.serialize_value row
 
-let journal_insert ?(ddl = false) t table row =
-  let r = Wal.Insert { table = Table.name table; cells = row_cells row } in
-  if ddl then journal_ddl t r else journal_dml t r
+(* Records a row change; with a WAL attached, its redo record is built
+   from the undo and the row as it now stands. *)
+let log_change t s undo =
+  let redo =
+    if t.durability = None then None
+    else
+      Some
+        (match undo with
+        | U_insert (table, rid) ->
+          Wal.Insert
+            { table = Table.name table;
+              cells = row_cells (Table.get_exn table rid) }
+        | U_delete (table, row) ->
+          Wal.Delete { table = Table.name table; cells = row_cells row }
+        | U_update (table, rid, old_row) ->
+          Wal.Update
+            { table = Table.name table;
+              old_cells = row_cells old_row;
+              new_cells = row_cells (Table.get_exn table rid) })
+  in
+  s.journal <- Change (undo, redo) :: s.journal
 
-let journal_delete t table row =
-  journal_dml t (Wal.Delete { table = Table.name table; cells = row_cells row })
+let log_ddl t s r = if t.durability <> None then s.journal <- Ddl r :: s.journal
 
-let journal_update t table ~old_row ~new_row =
-  journal_dml t
-    (Wal.Update
-       { table = Table.name table;
-         old_cells = row_cells old_row;
-         new_cells = row_cells new_row })
+let undo_change = function
+  | U_insert (table, rid) -> ignore (Table.delete table rid)
+  | U_delete (table, row) -> ignore (Table.insert table row)
+  | U_update (table, rid, old_row) -> ignore (Table.update table rid old_row)
 
-(* Appends the statement's records (plus a commit marker) to the log.
-   Only called at a commit boundary: outside a transaction. The marker
-   is stamped with the statement's NOW (so SET NOW keeps replay
-   deterministic) — the transaction-time instant point-in-time recovery
-   stops on. *)
-let flush_pending t =
-  match t.durability with
-  | None -> ()
-  | Some d ->
-    if t.tx = None && t.pending <> [] then begin
+(* Undoes the journal's row changes, newest first, back to the savepoint
+   [upto] (which stays) or all of them. Savepoints passed on the way go;
+   DDL entries stay, as DDL is not undoable. *)
+let unwind ?upto journal =
+  let rec go kept = function
+    | Savepoint n :: _ as rest when Some n = upto -> List.rev_append kept rest
+    | [] -> List.rev kept
+    | Change (u, _) :: rest ->
+      undo_change u;
+      go kept rest
+    | Savepoint _ :: rest -> go kept rest
+    | (Ddl _ as e) :: rest -> go (e :: kept) rest
+  in
+  go [] journal
+
+(* Undoes every entry newer than [mark], a suffix of the journal: what a
+   cancelled statement added, DDL records included. *)
+let rec revert_to mark = function
+  | l when l == mark -> l
+  | Change (u, _) :: rest ->
+    undo_change u;
+    revert_to mark rest
+  | (Ddl _ | Savepoint _) :: rest -> revert_to mark rest
+  | [] -> []
+
+let rollback t s =
+  s.journal <- unwind s.journal;
+  t.tx_holder <- None
+
+(* The commit boundary: outside a transaction, the session's journal is
+   appended to the WAL as one batch plus a commit marker, then emptied.
+   The marker is stamped with the session's NOW (so SET NOW keeps
+   replay deterministic) — the transaction-time instant point-in-time
+   recovery stops on. *)
+let end_of_statement t s =
+  if not (in_transaction ~session:s t) then begin
+    (match t.durability with
+    | Some d ->
       let records =
-        List.filter_map
-          (function P_dml r | P_ddl r -> Some r | P_mark _ -> None)
-          (List.rev t.pending)
+        List.fold_left
+          (fun acc e ->
+            match e with
+            | Change (_, Some r) | Ddl r -> r :: acc
+            | Change (_, None) | Savepoint _ -> acc)
+          [] s.journal
       in
-      t.pending <- [];
       if records <> [] then begin
         let at =
           Tip_core.Chronon.to_unix_seconds
-            (match t.now_override with
+            (match s.now_override with
             | Some c -> c
             | None -> Tip_core.Tx_clock.now ())
         in
         Wal.commit ~at d.wal records;
         d.last_commit_at <- Some at
       end
-    end
+    | None -> ());
+    s.journal <- []
+  end
+
+(* Rolls back the session's open transaction, if any; its DDL records
+   still reach the WAL. *)
+let close_session t s =
+  if in_transaction ~session:s t then begin
+    rollback t s;
+    end_of_statement t s
+  end
+
+let busy what = db_error "BUSY: cannot %s while a transaction is open" what
 
 (* Atomic checkpoint: render the catalog to snapshot.tmp, fsync, rename
    over the old snapshot, then truncate the log — both stamped with the
@@ -194,13 +271,14 @@ let flush_pending t =
    attached, the closing generation is sealed *before* the snapshot
    rename: any stale log a crash can leave behind is therefore already
    in the archive, so the chain never loses a generation to the
-   crash window. *)
+   crash window. Refused while a transaction is open: the snapshot
+   would hold its uncommitted rows. *)
 let checkpoint t =
   match t.durability with
   | None -> 0
   | Some d ->
+    if t.tx_holder <> None then busy "checkpoint";
     Wait.with_wait Wait.Checkpoint @@ fun () ->
-    flush_pending t;
     (* Bring the durability point current before rendering the
        snapshot: an Every_n policy may be holding up to n-1 commits it
        has not fsynced, and a checkpoint is an explicit durability
@@ -228,7 +306,7 @@ let maybe_auto_checkpoint t =
   match t.durability with
   | Some d
     when d.checkpoint_every > 0
-         && t.tx = None
+         && t.tx_holder = None
          && Wal.record_count d.wal >= d.checkpoint_every ->
     Log.info (fun m ->
         m "auto checkpoint (%d log records)" (Wal.record_count d.wal));
@@ -245,9 +323,7 @@ let backup t ~dir =
   match t.durability with
   | None -> db_error "BACKUP requires a durable database (--durability)"
   | Some d ->
-    if t.tx <> None then
-      db_error "BUSY: cannot render a backup inside an open transaction";
-    flush_pending t;
+    if t.tx_holder <> None then busy "render a backup";
     if Wal.pending_sync d.wal then Wal.sync d.wal;
     let origin =
       { Archive.o_gen = d.gen;
@@ -265,12 +341,6 @@ let backup t ~dir =
         (Printf.sprintf "to %s at gen %d offset %d epoch %d" dir d.gen
            origin.Archive.o_offset d.epoch);
     origin
-
-let undo_entry = function
-  | U_insert (table, rid) -> ignore (Table.delete table rid)
-  | U_delete (table, row) -> ignore (Table.insert table row)
-  | U_update (table, rid, old_row) -> ignore (Table.update table rid old_row)
-  | U_savepoint _ -> ()
 
 (* --- Value coercion into a column ---------------------------------------- *)
 
@@ -311,8 +381,8 @@ let coerce_into t ~now col_ty v =
 
 (* --- Statement execution ----------------------------------------------------- *)
 
-let statement_now t =
-  match t.now_override with
+let statement_now s =
+  match s.now_override with
   | Some c -> c
   | None -> Tip_core.Tx_clock.now ()
 
@@ -335,10 +405,13 @@ let eval_standalone t ectx expr =
   in
   (Expr_eval.compile env expr) ectx [||]
 
-let run_select t ectx select =
-  let plan, names = Planner.plan ~ext:t.ext ~ectx t.catalog select in
-  let rows = Executor.collect ectx plan in
-  Rows { names = Array.to_list names; rows }
+(* Plans a query: a SELECT or a compound SELECT, the only statements
+   EXPLAIN takes. *)
+let plan_query t ectx ~what = function
+  | Ast.Select select -> Planner.plan ~ext:t.ext ~ectx t.catalog select
+  | Ast.Select_compound compound ->
+    Planner.plan_union ~ext:t.ext ~ectx t.catalog compound
+  | _ -> db_error "%s supports only SELECT" what
 
 (* EXPLAIN ANALYZE: plan under a "plan" span of the statement's trace,
    wrap every operator with an [Instrument] node, execute for real under
@@ -350,12 +423,7 @@ let run_select t ectx select =
 let run_explain_analyze t ectx ~trace ~now target =
   let plan =
     Trace.with_span trace "plan" (fun () ->
-        match target with
-        | Ast.Select select ->
-          fst (Planner.plan ~ext:t.ext ~ectx t.catalog select)
-        | Ast.Select_compound compound ->
-          fst (Planner.plan_union ~ext:t.ext ~ectx t.catalog compound)
-        | _ -> db_error "EXPLAIN ANALYZE supports only SELECT")
+        fst (plan_query t ectx ~what:"EXPLAIN ANALYZE" target))
   in
   let plan = Plan.instrument plan in
   let rows =
@@ -432,17 +500,16 @@ let history_of t table =
     else None
 
 (* Appends an open history row for a freshly current [row]. *)
-let history_open t ~now table row =
+let history_open t s ~now table row =
   match history_of t table, Extension.history_support t.ext with
   | Some (h, _), Some support ->
     let hrow = Array.append row [| support.Extension.open_timestamp ~now |] in
     let hrid = Table.insert h hrow in
-    log_undo t (U_insert (h, hrid));
-    journal_insert t h (Table.get_exn h hrid)
+    log_change t s (U_insert (h, hrid))
   | _, _ -> ()
 
 (* Closes the open history row matching [row] (all columns equal). *)
-let history_close t ~now table row =
+let history_close t s ~now table row =
   match history_of t table, Extension.history_support t.ext with
   | Some (h, tt), Some support ->
     let closed = ref false in
@@ -460,17 +527,15 @@ let history_close t ~now table row =
           if same then begin
             let hrow' = Array.copy hrow in
             hrow'.(tt) <- support.Extension.close_timestamp ~now hrow.(tt);
-            if Table.update h hrid hrow' then begin
-              log_undo t (U_update (h, hrid, hrow));
-              journal_update t h ~old_row:hrow ~new_row:(Table.get_exn h hrid)
-            end;
+            if Table.update h hrid hrow' then
+              log_change t s (U_update (h, hrid, hrow));
             closed := true
           end
         end)
       h
   | _, _ -> ()
 
-let insert_row t ~now table values =
+let insert_row t s ~now table values =
   let schema = Table.schema table in
   let row =
     Array.mapi
@@ -479,9 +544,8 @@ let insert_row t ~now table values =
   in
   let rid = Table.insert table row in
   Catalog.note_partition_write t.catalog table row;
-  log_undo t (U_insert (table, rid));
-  journal_insert t table (Table.get_exn table rid);
-  history_open t ~now table row;
+  log_change t s (U_insert (table, rid));
+  history_open t s ~now table row;
   rid
 
 (* Coerce a value row against the partitioned parent's schema, route it
@@ -489,7 +553,7 @@ let insert_row t ~now table values =
    coercion must happen before routing (string literals only gain an
    extent once they become period values); [insert_row] re-coercing the
    already-typed row is a no-op. *)
-let insert_routed t ~now pt values =
+let insert_routed t s ~now pt values =
   let schema = pt.Partition.pt_schema in
   if Array.length values <> Schema.arity schema then
     db_error "INSERT arity mismatch: expected %d values, got %d"
@@ -503,7 +567,20 @@ let insert_routed t ~now pt values =
     try Partition.route pt row
     with Partition.Partition_error msg -> db_error "%s" msg
   in
-  ignore (insert_row t ~now part.Partition.p_table row)
+  ignore (insert_row t s ~now part.Partition.p_table row)
+
+(* Where INSERT and COPY FROM put rows. A partitioned parent accepts
+   them like a plain table; its sink routes each row to its owning
+   partition. *)
+let insert_target t s ~now name =
+  match Catalog.find_table t.catalog name with
+  | Some tbl ->
+    (Table.schema tbl, fun row -> ignore (insert_row t s ~now tbl row))
+  | None -> (
+    match Catalog.find_partitioned t.catalog name with
+    | Some pt ->
+      (pt.Partition.pt_schema, fun row -> insert_routed t s ~now pt row)
+    | None -> db_error "no such table: %s" name)
 
 let reorder_columns schema columns values =
   match columns with
@@ -535,21 +612,31 @@ let replica_allowed = function
     true
   | _ -> false
 
-(* The statements that only read: they write no field of [t], so they
-   may run concurrently with each other (DESIGN.md §17). *)
+(* The statements that only read: they write no field of [t] (SET NOW
+   and SET TIMEOUT write only their own session), so they may run
+   concurrently with each other (DESIGN.md §17). *)
 let read_only_statement = function
-  | Ast.Select _ | Ast.Select_compound _ | Ast.Explain _ -> true
+  | Ast.Select _ | Ast.Select_compound _ | Ast.Explain _ | Ast.Set_now _
+  | Ast.Set_timeout _ ->
+    true
   | _ -> false
 
-let exec_statement_raw t ~token ~trace ~params stmt =
+let exec_statement_raw t s ~token ~trace ~params stmt =
   if t.read_only && not (replica_allowed stmt) then
     db_error "READ_ONLY: this is a read replica; send writes to the primary";
+  (* One open transaction at a time, and nobody else reads or writes
+     beside it: a wire session holding it also holds the server's
+     database lock, so only embedded callers can get here. *)
+  (match t.tx_holder with
+  | Some h when h != s ->
+    db_error "BUSY: another session has a transaction open"
+  | Some _ | None -> ());
   (* The statement's NOW is read from the clock exactly once, here, and
      frozen for the whole statement: the root span opens with it, and
      it reaches every later reader — blade routines, plan operators,
      EXPLAIN ANALYZE instrumentation — through [ectx.now] alone (the
      audit in DESIGN.md §9 lists the call sites). *)
-  let now = statement_now t in
+  let now = statement_now s in
   Trace.annotate trace "now" (Tip_core.Chronon.to_string now);
   Log.debug (fun m ->
       m "executing (NOW = %s): %s"
@@ -557,38 +644,15 @@ let exec_statement_raw t ~token ~trace ~params stmt =
         (Tip_sql.Pretty.statement_to_string stmt));
   let ectx = make_ectx ~token t ~now ~params in
   match stmt with
-  | Ast.Select select -> run_select t ectx select
-  | Ast.Select_compound compound ->
-    let plan, names =
-      Planner.plan_union ~ext:t.ext ~ectx t.catalog compound
-    in
-    Rows
-      { names = Array.to_list names;
-        rows = Executor.collect ectx plan }
-  | Ast.Explain { analyze = false; target = Ast.Select select } ->
-    let plan, _ = Planner.plan ~ext:t.ext ~ectx t.catalog select in
-    Message (Planner.explain plan)
-  | Ast.Explain { analyze = false; target = Ast.Select_compound compound }
-    ->
-    let plan, _ = Planner.plan_union ~ext:t.ext ~ectx t.catalog compound in
-    Message (Planner.explain plan)
+  | (Ast.Select _ | Ast.Select_compound _) as query ->
+    let plan, names = plan_query t ectx ~what:"EXPLAIN" query in
+    Rows { names = Array.to_list names; rows = Executor.collect ectx plan }
+  | Ast.Explain { analyze = false; target } ->
+    Message (Planner.explain (fst (plan_query t ectx ~what:"EXPLAIN" target)))
   | Ast.Explain { analyze = true; target } ->
     run_explain_analyze t ectx ~trace ~now target
-  | Ast.Explain _ -> db_error "EXPLAIN supports only SELECT"
   | Ast.Insert { table; columns; source } -> (
-    (* A partitioned parent accepts INSERTs like a plain table; the
-       only difference is the sink, which routes each row to its
-       owning partition. *)
-    let schema, sink =
-      match Catalog.find_table t.catalog table with
-      | Some tbl ->
-        (Table.schema tbl, fun row -> ignore (insert_row t ~now tbl row))
-      | None -> (
-        match Catalog.find_partitioned t.catalog table with
-        | Some pt ->
-          (pt.Partition.pt_schema, fun row -> insert_routed t ~now pt row)
-        | None -> db_error "no such table: %s" table)
-    in
+    let schema, sink = insert_target t s ~now table in
     match source with
     | Ast.Values rows ->
       let n =
@@ -642,11 +706,10 @@ let exec_statement_raw t ~token ~trace ~params stmt =
     let update_in_place table rid old_row row =
       if Table.update table rid row then begin
         Catalog.note_partition_write t.catalog table row;
-        log_undo t (U_update (table, rid, old_row));
-        journal_update t table ~old_row ~new_row:(Table.get_exn table rid);
-        history_close t ~now table old_row;
+        log_change t s (U_update (table, rid, old_row));
+        history_close t s ~now table old_row;
         match Table.get table rid with
-        | Some stored -> history_open t ~now table stored
+        | Some stored -> history_open t s ~now table stored
         | None -> ()
       end
     in
@@ -696,10 +759,9 @@ let exec_statement_raw t ~token ~trace ~params stmt =
               (* Cross-partition move, journaled as a child-table
                  DELETE plus INSERT so recovery and replicas replay
                  it without partition awareness. *)
-              log_undo t (U_delete (table, old_row));
-              journal_delete t table old_row;
-              history_close t ~now table old_row;
-              ignore (insert_row t ~now dst.Partition.p_table row)
+              log_change t s (U_delete (table, old_row));
+              history_close t s ~now table old_row;
+              ignore (insert_row t s ~now dst.Partition.p_table row)
             end)
           matches;
         Affected (List.length matches)))
@@ -710,9 +772,8 @@ let exec_statement_raw t ~token ~trace ~params stmt =
         (fun (rid, old_row) ->
           Expr_eval.tick ectx;
           if Table.delete table rid then begin
-            log_undo t (U_delete (table, old_row));
-            journal_delete t table old_row;
-            history_close t ~now table old_row
+            log_change t s (U_delete (table, old_row));
+            history_close t s ~now table old_row
           end)
         matches;
       List.length matches
@@ -774,7 +835,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
                 (Schema.make ~table_name:table cols)
                 ~column:pc.Ast.part_column ~parts)
          with Partition.Partition_error msg -> db_error "%s" msg);
-        journal_ddl t
+        log_ddl t s
           (Wal.Create_partitioned
              { table; columns = cols; column = pc.Ast.part_column; parts });
         Message
@@ -806,14 +867,14 @@ let exec_statement_raw t ~token ~trace ~params stmt =
         end
       in
       ignore (Catalog.create_table t.catalog (Schema.make ~table_name:table cols));
-      journal_ddl t (Wal.Create_table { table; columns = cols });
+      log_ddl t s (Wal.Create_table { table; columns = cols });
       Option.iter
         (fun hcols ->
           let table = table ^ "_history" in
           ignore
             (Catalog.create_table t.catalog
                (Schema.make ~table_name:table hcols));
-          journal_ddl t (Wal.Create_table { table; columns = hcols }))
+          log_ddl t s (Wal.Create_table { table; columns = hcols }))
         history_cols;
       Message
         (Printf.sprintf "table %s created%s"
@@ -849,13 +910,16 @@ let exec_statement_raw t ~token ~trace ~params stmt =
     let created =
       Catalog.create_table t.catalog (Schema.make ~table_name:table cols)
     in
-    journal_ddl t (Wal.Create_table { table; columns = cols });
+    log_ddl t s (Wal.Create_table { table; columns = cols });
     (* CTAS backfill is DDL-class in the log: like the table itself
        it is not undone by ROLLBACK. *)
     List.iter
       (fun row ->
         let rid = Table.insert created row in
-        journal_insert ~ddl:true t created (Table.get_exn created rid))
+        log_ddl t s
+          (Wal.Insert
+             { table = Table.name created;
+               cells = row_cells (Table.get_exn created rid) }))
       rows;
     Message
       (Printf.sprintf "table %s created (%d rows)"
@@ -863,7 +927,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
          (List.length rows))
   | Ast.Drop_table { table; if_exists } ->
     if Catalog.drop_table t.catalog table then begin
-      journal_ddl t (Wal.Drop_table table);
+      log_ddl t s (Wal.Drop_table table);
       Message (Printf.sprintf "table %s dropped" table)
     end
     else if if_exists then Message "no such table, skipped"
@@ -876,7 +940,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
       | Some other -> db_error "unknown index kind %s" other
     in
     let journal_one ~idx_name ~table_name =
-      journal_ddl t
+      log_ddl t s
         (Wal.Create_index
            { idx_name;
              table = table_name;
@@ -908,7 +972,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
       Message (Printf.sprintf "index %s created" index))
   | Ast.Drop_index { index } ->
     if Catalog.drop_index t.catalog index then begin
-      journal_ddl t (Wal.Drop_index index);
+      log_ddl t s (Wal.Drop_index index);
       Message (Printf.sprintf "index %s dropped" index)
     end
     else begin
@@ -924,7 +988,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
               (fun (p : Partition.part) ->
                 let idx_name = index ^ "__" ^ p.Partition.p_name in
                 if Catalog.drop_index t.catalog idx_name then begin
-                  journal_ddl t (Wal.Drop_index idx_name);
+                  log_ddl t s (Wal.Drop_index idx_name);
                   incr dropped
                 end)
               (Partition.all_parts pt))
@@ -935,86 +999,45 @@ let exec_statement_raw t ~token ~trace ~params stmt =
       else db_error "no such index: %s" index
     end
   | Ast.Begin_tx ->
-    if t.tx <> None then db_error "already in a transaction";
-    t.tx <- Some { undo = [] };
+    if t.tx_holder <> None then db_error "already in a transaction";
+    t.tx_holder <- Some s;
     Message "BEGIN"
   | Ast.Commit_tx ->
-    if t.tx = None then db_error "no transaction in progress";
-    t.tx <- None;
+    if not (in_transaction ~session:s t) then
+      db_error "no transaction in progress";
+    t.tx_holder <- None;
     Message "COMMIT"
-  | Ast.Rollback_tx -> (
-    match t.tx with
-    | None -> db_error "no transaction in progress"
-    | Some tx ->
-      List.iter undo_entry tx.undo;
-      (* DML journal entries die with the rollback; DDL survives it,
-         exactly like the in-memory state. *)
-      t.pending <-
-        List.filter
-          (function P_ddl _ -> true | P_dml _ | P_mark _ -> false)
-          t.pending;
-      t.tx <- None;
-      Message "ROLLBACK")
-  | Ast.Savepoint name -> (
-    match t.tx with
-    | None -> db_error "SAVEPOINT requires a transaction"
-    | Some tx ->
-      tx.undo <- U_savepoint (String.lowercase_ascii name) :: tx.undo;
-      if journaling t then
-        t.pending <- P_mark (String.lowercase_ascii name) :: t.pending;
-      Message (Printf.sprintf "SAVEPOINT %s" name))
-  | Ast.Rollback_to name -> (
-    match t.tx with
-    | None -> db_error "no transaction in progress"
-    | Some tx ->
-      let name = String.lowercase_ascii name in
-      (* Undo back to (and keep) the marker, so the savepoint can be
-         rolled back to again. *)
-      let rec unwind = function
-        | [] -> db_error "no such savepoint: %s" name
-        | U_savepoint n :: _ as rest when n = name -> rest
-        | u :: rest ->
-          undo_entry u;
-          unwind rest
-      in
-      tx.undo <- unwind tx.undo;
-      (* Mirror on the journal: drop DML (and newer savepoint marks)
-         back to the marker, keeping it and any DDL encountered. *)
-      let rec trim = function
-        | [] -> []
-        | P_mark n :: _ as rest when n = name -> rest
-        | (P_ddl _ as e) :: rest -> e :: trim rest
-        | (P_dml _ | P_mark _) :: rest -> trim rest
-      in
-      t.pending <- trim t.pending;
-      Message (Printf.sprintf "ROLLBACK TO %s" name))
-  | Ast.Release_savepoint name -> (
-    match t.tx with
-    | None -> db_error "no transaction in progress"
-    | Some tx ->
-      let name = String.lowercase_ascii name in
-      let found = ref false in
-      tx.undo <-
-        List.filter
-          (fun u ->
-            match u with
-            | U_savepoint n when n = name && not !found ->
-              found := true;
-              false
-            | _ -> true)
-          tx.undo;
-      if not !found then db_error "no such savepoint: %s" name;
-      let released = ref false in
-      t.pending <-
-        List.filter
-          (fun e ->
-            match e with
-            | P_mark n when n = name && not !released ->
-              released := true;
-              false
-            | _ -> true)
-          t.pending;
-      Message (Printf.sprintf "RELEASE %s" name))
+  | Ast.Rollback_tx ->
+    if not (in_transaction ~session:s t) then
+      db_error "no transaction in progress";
+    rollback t s;
+    Message "ROLLBACK"
+  | Ast.Savepoint name ->
+    if not (in_transaction ~session:s t) then
+      db_error "SAVEPOINT requires a transaction";
+    s.journal <- Savepoint (String.lowercase_ascii name) :: s.journal;
+    Message (Printf.sprintf "SAVEPOINT %s" name)
+  | Ast.Rollback_to name ->
+    if not (in_transaction ~session:s t) then
+      db_error "no transaction in progress";
+    let name = String.lowercase_ascii name in
+    if not (List.exists (function Savepoint n -> n = name | _ -> false) s.journal)
+    then
+      db_error "no such savepoint: %s" name;
+    (* the savepoint stays, so it can be rolled back to again *)
+    s.journal <- unwind ~upto:name s.journal;
+    Message (Printf.sprintf "ROLLBACK TO %s" name)
+  | Ast.Release_savepoint name ->
+    if not (in_transaction ~session:s t) then
+      db_error "no transaction in progress";
+    let name = String.lowercase_ascii name in
+    let rec release newer = function
+      | [] -> db_error "no such savepoint: %s" name
+      | Savepoint n :: rest when n = name -> List.rev_append newer rest
+      | e :: rest -> release (e :: newer) rest
+    in
+    s.journal <- release [] s.journal;
+    Message (Printf.sprintf "RELEASE %s" name)
   | Ast.Copy_to { table; file } ->
     let table =
       match Catalog.find_table t.catalog table with
@@ -1033,51 +1056,43 @@ let exec_statement_raw t ~token ~trace ~params stmt =
     in
     Message (Printf.sprintf "COPY %d rows to %s" n file)
   | Ast.Copy_from { table; file } ->
-    let schema, sink =
-      match Catalog.find_table t.catalog table with
-      | Some tbl ->
-        (Table.schema tbl, fun row -> ignore (insert_row t ~now tbl row))
-      | None -> (
-        match Catalog.find_partitioned t.catalog table with
-        | Some pt ->
-          (pt.Partition.pt_schema, fun row -> insert_routed t ~now pt row)
-        | None -> db_error "no such table: %s" table)
-    in
+    let schema, sink = insert_target t s ~now table in
     let n =
       try Csv.import ~schema ~insert:sink file
       with Sys_error msg | Csv.Csv_error msg -> db_error "COPY: %s" msg
     in
     Affected n
-  | Ast.Set_timeout None ->
-    t.timeout_ms <- None;
-    Message "statement timeout disabled"
-  | Ast.Set_timeout (Some ms) ->
-    if ms < 0 then db_error "SET TIMEOUT expects a non-negative value";
-    if ms = 0 then begin
-      t.timeout_ms <- None;
-      Message "statement timeout disabled"
-    end
-    else begin
-      t.timeout_ms <- Some ms;
-      Message (Printf.sprintf "statement timeout set to %d ms" ms)
-    end
-  | Ast.Set_now None ->
-    t.now_override <- None;
-    Message "NOW restored to the transaction clock"
-  | Ast.Set_now (Some e) -> (
-    let v = eval_standalone t ectx e in
-    let chronon =
-      match v with
-      | Value.Str s -> Tip_core.Chronon.of_string s
-      | v -> Extension.to_chronon t.ext ~now v
-    in
-    match chronon with
+  | Ast.Set_timeout ms -> (
+    (* DEFAULT restores the timeout the session started with *)
+    s.timeout_ms <-
+      (match ms with
+      | None -> s.timeout_default
+      | Some ms when ms < 0 ->
+        db_error "SET TIMEOUT expects a non-negative value"
+      | Some 0 -> None
+      | Some _ -> ms);
+    match s.timeout_ms with
+    | None -> Message "statement timeout disabled"
+    | Some ms -> Message (Printf.sprintf "statement timeout set to %d ms" ms))
+  | Ast.Set_now e -> (
+    (* DEFAULT restores the NOW the session started with *)
+    s.now_override <-
+      (match e with
+      | None -> s.now_default
+      | Some e ->
+        let v = eval_standalone t ectx e in
+        let c =
+          match v with
+          | Value.Str text -> Tip_core.Chronon.of_string text
+          | v -> Extension.to_chronon t.ext ~now v
+        in
+        if c = None then
+          db_error "SET NOW expects a time value, got %s" (Value.type_name v);
+        c);
+    match s.now_override with
+    | None -> Message "NOW restored to the transaction clock"
     | Some c ->
-      t.now_override <- Some c;
-      Message
-        (Printf.sprintf "NOW set to %s" (Tip_core.Chronon.to_string c))
-    | None ->
-      db_error "SET NOW expects a time value, got %s" (Value.type_name v))
+      Message (Printf.sprintf "NOW set to %s" (Tip_core.Chronon.to_string c)))
   | Ast.Show_tables ->
     Rows
       { names = [ "table_name" ];
@@ -1156,7 +1171,7 @@ let exec_statement_raw t ~token ~trace ~params stmt =
          (if List.length targets = 1 then "" else "s")
          total)
   | Ast.Checkpoint ->
-    if t.tx <> None then
+    if in_transaction ~session:s t then
       db_error "CHECKPOINT is not allowed inside a transaction";
     (match t.durability with
     | None -> Message "CHECKPOINT skipped (no durable storage attached)"
@@ -1177,13 +1192,12 @@ let exec_statement_raw t ~token ~trace ~params stmt =
        here. An embedded database has nothing to promote. *)
     db_error "PROMOTE: this database is not a replica"
 
-(* Layers the database-default statement timeout (SET TIMEOUT) under
-   whatever token the caller supplied: a fresh token when the caller is
+(* Layers the session's statement timeout (SET TIMEOUT) under whatever
+   token the caller supplied: a fresh token when the caller is
    ungoverned, otherwise arm the caller's token unless it already
-   carries a deadline of its own (the server's per-session timeout
-   wins over the embedded default). *)
-let effective_token t token =
-  match t.timeout_ms with
+   carries a deadline of its own. *)
+let effective_token s token =
+  match s.timeout_ms with
   | None -> token
   | Some ms ->
     if Deadline.is_never token then Deadline.create ~timeout_ms:ms ()
@@ -1203,15 +1217,14 @@ let effective_token t token =
      so nothing may run after it.
 
    - A cancelled statement ([Deadline.Cancelled]: deadline, budget,
-     Ctrl-C, drain) must leave no trace at all: its in-memory effects
-     are reverted through the statement-scoped undo list, its journal
-     entries are dropped before they reach the WAL, and inside a
-     transaction the undo log is rewound to the statement boundary so a
-     later ROLLBACK does not double-undo. The caller sees the raised
-     reason; the WAL sees a clean statement prefix. *)
-let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace t ~params
-    stmt =
-  let token = effective_token t token in
+     Ctrl-C, drain) must leave no trace at all: the journal entries it
+     added are undone and dropped, so neither memory, the WAL nor a
+     later ROLLBACK sees them. The caller sees the raised reason; the
+     WAL sees a clean statement prefix. *)
+let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace ?session t
+    ~params stmt =
+  let s = session_of t session in
+  let token = effective_token s token in
   (* The statement's rows-scanned tally comes from its own token, so a
      statement running beside others counts only its own scans. *)
   let token =
@@ -1275,11 +1288,11 @@ let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace t ~params
       ~finally:(fun () ->
         let root = Trace.finish trace in
         Option.iter (fun f -> f root) on_trace)
-      (fun () -> exec_statement_raw t ~token ~trace ~params stmt)
+      (fun () -> exec_statement_raw t s ~token ~trace ~params stmt)
   in
   if read_only_statement stmt then begin
-    (* The read path touches no field of [t]: no undo or journal
-       bookkeeping, no flush, no checkpoint. *)
+    (* The read path writes no field of [t]: no journal, no flush, no
+       checkpoint. *)
     match run () with
     | result -> finished result
     | exception (Failpoint.Crash _ as e) -> raise e
@@ -1291,28 +1304,19 @@ let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace t ~params
       raise e
   end
   else begin
-    t.stmt_undo <- [];
-    let saved_tx_undo =
-      match t.tx with Some tx -> Some tx.undo | None -> None
-    in
-    let saved_pending = t.pending in
+    let mark = s.journal in
     match run () with
     | result ->
-      flush_pending t;
+      end_of_statement t s;
       maybe_auto_checkpoint t;
       finished result
     | exception (Failpoint.Crash _ as e) -> raise e
     | exception (Deadline.Cancelled reason as e) ->
-      List.iter undo_entry t.stmt_undo;
-      t.stmt_undo <- [];
-      (match t.tx, saved_tx_undo with
-      | Some tx, Some saved -> tx.undo <- saved
-      | _, _ -> ());
-      t.pending <- saved_pending;
+      s.journal <- revert_to mark s.journal;
       cancelled reason;
       raise e
     | exception e ->
-      flush_pending t;
+      end_of_statement t s;
       errored ();
       raise e
   end
@@ -1323,21 +1327,22 @@ let fingerprint_of tokens =
   if Introspect.enabled () then Some (Tip_sql.Lexer.fingerprint_tokens tokens)
   else None
 
-let exec ?token ?(params = []) t sql =
+let exec ?token ?(params = []) ?session t sql =
   match Parser.parse_with_tokens sql with
   | stmt, tokens ->
-    exec_statement ?token ?fingerprint:(fingerprint_of tokens) t ~params stmt
+    exec_statement ?token ?fingerprint:(fingerprint_of tokens) ?session t
+      ~params stmt
   | exception Parser.Error msg -> db_error "%s" msg
 
 (* Runs a ';'-separated script, returning the last result. *)
-let exec_script ?token ?(params = []) t sql =
+let exec_script ?token ?(params = []) ?session t sql =
   match Parser.parse_script sql with
   | [] -> Message "empty script"
   | stmts ->
     List.fold_left
       (fun _ (stmt, tokens) ->
-        exec_statement ?token ?fingerprint:(fingerprint_of tokens) t ~params
-          stmt)
+        exec_statement ?token ?fingerprint:(fingerprint_of tokens) ?session t
+          ~params stmt)
       (Message "") stmts
   | exception Parser.Error msg -> db_error "%s" msg
 
@@ -1412,7 +1417,6 @@ let close_durable t =
   | None -> ()
   | Some d ->
     t.durability <- None;
-    t.pending <- [];
     (try if Wal.pending_sync d.wal then Wal.sync d.wal with _ -> ());
     Wal.close d.wal
 
@@ -1449,8 +1453,7 @@ let replication_snapshot t =
   match t.durability with
   | None -> None
   | Some d ->
-    if t.tx <> None then
-      db_error "BUSY: cannot bootstrap a replica inside an open transaction";
+    if t.tx_holder <> None then busy "bootstrap a replica";
     Some
       ( d.gen,
         Persist.snapshot_string ~wal_gen:d.gen ~epoch:d.epoch
@@ -1471,7 +1474,6 @@ let promote_replica ?(sync = Wal.Always) ?(checkpoint_every = 10_000)
   (match t.durability with
   | Some d -> (
     t.durability <- None;
-    t.pending <- [];
     try Wal.close d.wal with _ -> ())
   | None -> ());
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -1552,11 +1554,10 @@ let render_result result =
 
 let ms ns = Value.Float (float_of_int ns /. 1e6)
 
-(* Typed temporal values for the observability vtabs: the engine cannot
-   depend on the blade, so it renders the text form and parses it
-   through the registered type vtable (the same trick the server uses
-   for tip_stat_activity), degrading gracefully when the blade is not
-   installed. *)
+(* Typed temporal values for the observability vtabs (the server's
+   tip_stat_activity included): the engine cannot depend on the blade,
+   so it renders the text form and parses it through the registered
+   type vtable, degrading gracefully when the blade is not installed. *)
 let typed_value type_name text fallback =
   match Value.lookup_type type_name with
   | Some vt -> (

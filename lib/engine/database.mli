@@ -1,15 +1,23 @@
 (** The database facade: parse, bind NOW, plan, execute.
 
+    Sessions: everything one client owns — its open transaction and
+    that transaction's journal, its NOW override, its statement timeout
+    — lives in a {!session}. Every entry point takes an optional
+    [session]; without one it uses the database's own session, so
+    embedded callers that never open a second session see one
+    connection's worth of state. A server opens one session per client.
+
     NOW handling (the paper's Sections 2/4): each statement binds the
     special symbol NOW exactly once, to the current transaction time —
-    the wall clock, or a per-database override installed by
-    [SET NOW = ...] (the browser's what-if mechanism). The binding is
-    pushed into {!Tip_core.Tx_clock} for the statement's duration so
-    every blade routine, cast and comparison observes the same frozen
-    instant.
+    the wall clock, or the session's override installed by
+    [SET NOW = ...] (the browser's what-if mechanism). The binding
+    travels in the statement's evaluation context, so every blade
+    routine, cast and comparison observes the same frozen instant.
 
-    Transactions are single-connection with an in-memory undo log
-    (insert/delete/update are undoable; DDL auto-commits). *)
+    Transactions keep an in-memory journal (insert/delete/update are
+    undoable; DDL auto-commits). One session at a time may have a
+    transaction open; while it does, every other session's statement
+    is refused with a typed [BUSY:] {!Error}. *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -17,6 +25,10 @@ module Ast = Tip_sql.Ast
 exception Error of string
 
 type t
+
+(** One client's state: open transaction, journal, NOW override and
+    statement timeout. *)
+type session
 
 type result =
   | Rows of { names : string list; rows : Value.t array list }
@@ -33,10 +45,24 @@ val catalog : t -> Catalog.t
 (** The registry a DataBlade installs into. *)
 val extension : t -> Extension.t
 
-(** The [SET NOW] override currently in force, if any. *)
-val now_override : t -> Tip_core.Chronon.t option
+(** A new session. It starts from the NOW override and statement
+    timeout that the database's own session has now; [timeout_ms]
+    replaces the timeout. [SET NOW DEFAULT] and [SET TIMEOUT DEFAULT]
+    restore these starting values. *)
+val session : ?timeout_ms:int -> t -> session
 
-val in_transaction : t -> bool
+(** Ends a session: rolls back its open transaction, if any. *)
+val close_session : t -> session -> unit
+
+(** The session's [SET NOW] override, if any. *)
+val now_override : ?session:session -> t -> Tip_core.Chronon.t option
+
+(** Sets the session's NOW override, as [SET NOW] does; [None] restores
+    the NOW the session started with, as [SET NOW DEFAULT] does. *)
+val set_now : ?session:session -> t -> Tip_core.Chronon.t option -> unit
+
+(** Whether the session has a transaction open. *)
+val in_transaction : ?session:session -> t -> bool
 
 (** {1 Execution}
 
@@ -45,7 +71,7 @@ val in_transaction : t -> bool
     when it trips — deadline, budget, client interrupt, drain — the
     statement raises [Deadline.Cancelled], its partial in-memory effects
     are reverted, and none of its records reach the WAL (the log keeps a
-    clean statement prefix). A [SET TIMEOUT n] default deadline is
+    clean statement prefix). The session's [SET TIMEOUT n] deadline is
     layered under ungoverned callers and under tokens with no deadline
     of their own. *)
 
@@ -56,6 +82,7 @@ val in_transaction : t -> bool
 val exec :
   ?token:Tip_core.Deadline.t ->
   ?params:(string * Value.t) list ->
+  ?session:session ->
   t ->
   string ->
   result
@@ -78,13 +105,15 @@ val exec_statement :
   ?token:Tip_core.Deadline.t ->
   ?fingerprint:string ->
   ?on_trace:(Tip_obs.Trace.span -> unit) ->
+  ?session:session ->
   t ->
   params:(string * Value.t) list ->
   Ast.statement ->
   result
 
-(** [SELECT], compound [SELECT] and [EXPLAIN [ANALYZE]]: the statements
-    that may share the database with each other. *)
+(** [SELECT], compound [SELECT], [EXPLAIN [ANALYZE]], [SET NOW] and
+    [SET TIMEOUT]: the statements that may share the database with each
+    other (the last two write only their own session). *)
 val read_only_statement : Ast.statement -> bool
 
 (** Runs a [';']-separated script; returns the last result. Each
@@ -93,13 +122,14 @@ val read_only_statement : Ast.statement -> bool
 val exec_script :
   ?token:Tip_core.Deadline.t ->
   ?params:(string * Value.t) list ->
+  ?session:session ->
   t ->
   string ->
   result
 
-(** The default statement deadline currently in force ([SET TIMEOUT]),
-    in milliseconds. *)
-val statement_timeout_ms : t -> int option
+(** The session's statement deadline ([SET TIMEOUT]), in
+    milliseconds. *)
+val statement_timeout_ms : ?session:session -> t -> int option
 
 (** {1 Durability}
 
@@ -134,10 +164,10 @@ val open_durable :
 (** Directory backing this database, if opened with {!open_durable}. *)
 val durability_dir : t -> string option
 
-(** Forces a checkpoint: flushes pending records, writes the snapshot
-    atomically, truncates the WAL. Returns the number of log records
-    truncated. No-op (returning [0]) without durable storage.
-    @raise Error inside an open transaction. *)
+(** Forces a checkpoint: writes the snapshot atomically, truncates the
+    WAL. Returns the number of log records truncated. No-op (returning
+    [0]) without durable storage.
+    @raise Error (typed [BUSY:]) while a transaction is open. *)
 val checkpoint : t -> int
 
 (** Detaches and closes the WAL without checkpointing; safe after a
@@ -184,15 +214,15 @@ val archive_generation : t -> int option
 
 (** The bootstrap payload: [(generation, snapshot_text, wal_offset,
     epoch)], mutually consistent. [None] without durable storage.
-    @raise Error (typed [BUSY:]) inside an open transaction — the
+    @raise Error (typed [BUSY:]) while a transaction is open — the
     snapshot would leak uncommitted rows. *)
 val replication_snapshot : t -> (int * string * int * int) option
 
 (** Renders an online backup into [dir] ([BACKUP TO 'dir']): the
     consistent snapshot plus its {!Archive.origin} stamp. Must run
     under the server's database lock.
-    @raise Error without durable storage, or (typed [BUSY:]) inside an
-    open transaction. *)
+    @raise Error without durable storage, or (typed [BUSY:]) while a
+    transaction is open. *)
 val backup : t -> dir:string -> Archive.origin
 
 (** Turns a read-only replica into a writable primary rooted at [dir]:
@@ -223,3 +253,7 @@ val affected_exn : result -> int
 
 (** Aligned text table (psql-style) for shells and examples. *)
 val render_result : result -> string
+
+(** A unix time as a TIP Instant when the blade has registered the type
+    (the engine cannot depend on the blade), as a DATE otherwise. *)
+val instant_value : float -> Value.t

@@ -24,9 +24,7 @@ type provider = {
 let lock = Mutex.create ()
 let providers : (string, provider) Hashtbl.t = Hashtbl.create 8
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let with_lock f = Mutex.protect lock f
 
 let register p =
   with_lock (fun () ->

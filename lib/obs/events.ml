@@ -13,9 +13,7 @@ let mem : event list ref = ref [] (* newest first *)
 let count = ref 0
 let path : string option ref = ref None
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let locked f = Mutex.protect lock f
 
 let escape s =
   let buf = Buffer.create (String.length s) in

@@ -62,9 +62,7 @@ let enabled_flag =
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let with_lock f = Mutex.protect lock f
 
 let capacity () = !capacity_ref
 

@@ -29,9 +29,7 @@ let timestamp () =
 (* The whole line is built before the lock is taken; the lock only
    covers handing it to the sink, so sessions can never interleave
    fragments of two lines. *)
-let emit_raw line =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> !sink line)
+let emit_raw line = Mutex.protect lock (fun () -> !sink line)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in

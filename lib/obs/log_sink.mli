@@ -43,3 +43,6 @@ val reporter : unit -> Logs.reporter
 (** A [Logs] reporter that routes every log message through the sink
     (so [Logs]-based server logging and direct [line] calls share the
     mutex and the format). *)
+
+val json_escape : string -> string
+(** The text escaped for the inside of a JSON string literal. *)

@@ -47,9 +47,7 @@ type metric =
 let registry : (string, metric * string) Hashtbl.t = Hashtbl.create 64
 let registry_lock = Mutex.create ()
 
-let with_lock f =
-  Mutex.lock registry_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_lock) f
+let with_lock f = Mutex.protect registry_lock f
 
 let atomic_cells n = Array.init n (fun _ -> Atomic.make 0)
 

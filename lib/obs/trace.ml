@@ -89,22 +89,6 @@ let render sp =
 
 (* --- Chrome trace-event export ----------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* A finished span tree as a Chrome trace-event JSON array: one
    complete ("ph":"X") event per span, timestamps in microseconds
    relative to the root's start, attributes carried as "args". The
@@ -131,14 +115,14 @@ let to_chrome_json root =
           (String.concat ","
              (List.map
                 (fun (k, v) ->
-                  Printf.sprintf "\"%s\":\"%s\"" (json_escape k)
-                    (json_escape v))
+                  Printf.sprintf "\"%s\":\"%s\"" (Log_sink.json_escape k)
+                    (Log_sink.json_escape v))
                 kvs))
     in
     Buffer.add_string buf
       (Printf.sprintf
          "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f%s}"
-         (json_escape sp.sp_name) ts dur args);
+         (Log_sink.json_escape sp.sp_name) ts dur args);
     List.iter go sp.sp_children
   in
   go root;

@@ -62,9 +62,7 @@ type session = {
 let sessions_lock = Mutex.create ()
 let by_thread : (int, session) Hashtbl.t = Hashtbl.create 32
 
-let locked f =
-  Mutex.lock sessions_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock sessions_lock) f
+let locked f = Mutex.protect sessions_lock f
 
 let register ~id ~kind =
   let s =
@@ -135,9 +133,7 @@ let ring : sample option array ref = ref (Array.make (env_int "TIP_ASH_RING" 409
 let ring_next = ref 0 (* next write slot *)
 let ring_seq = ref 0
 
-let ring_locked f =
-  Mutex.lock ring_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ring_lock) f
+let ring_locked f = Mutex.protect ring_lock f
 
 let ring_capacity () = ring_locked (fun () -> Array.length !ring)
 

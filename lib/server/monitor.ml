@@ -22,22 +22,6 @@ type t = {
   mutable thread : Thread.t option;
 }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let ash_json () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
@@ -49,11 +33,11 @@ let ash_json () =
            "{\"seq\":%d,\"at\":%.3f,\"interval_ms\":%d,\"session\":%d,\
             \"kind\":\"%s\",\"query\":%s,\"state\":\"%s\"}"
            sa.Wait.sa_seq sa.sa_at sa.sa_interval_ms sa.sa_session
-           (json_escape sa.sa_kind)
+           (Tip_obs.Log_sink.json_escape sa.sa_kind)
            (match sa.sa_query with
-           | Some q -> Printf.sprintf "\"%s\"" (json_escape q)
+           | Some q -> Printf.sprintf "\"%s\"" (Tip_obs.Log_sink.json_escape q)
            | None -> "null")
-           (json_escape sa.sa_state)))
+           (Tip_obs.Log_sink.json_escape sa.sa_state)))
     (Wait.samples ());
   Buffer.add_string buf "]\n";
   Buffer.contents buf

@@ -2,19 +2,24 @@
    stream socket) and executes their statements against one shared
    embedded database.
 
-   One thread per client, spread over session domains. Statements take
-   the database lock shared when they only read (SELECT, EXPLAIN) and
-   exclusive otherwise, so reads run side by side while every write
-   still has the database to itself (DESIGN.md §17). Parameter bindings
-   (B lines) accumulate per session and apply to the next Q.
+   One thread per client, spread over session domains; each client owns
+   one engine session (its transaction, NOW and statement timeout).
+   Statements take the database lock shared when they only read
+   (SELECT, EXPLAIN, SET NOW/TIMEOUT) and exclusive otherwise, so reads run side by side
+   while every write still has the database to itself (DESIGN.md §17).
+   A session that opens a transaction keeps the lock exclusive from
+   BEGIN to COMMIT or ROLLBACK; ending the session (disconnect, idle
+   drop, drain) rolls the transaction back and releases the lock.
+   Parameter bindings (B lines) accumulate per session and apply to the
+   next Q.
 
    Resource governance (DESIGN.md §10): every statement runs under a
-   Deadline token — armed with the per-session timeout (SET TIMEOUT)
-   or the server-wide --statement-timeout-ms default — and registered
-   in an in-flight table so a drain can cancel everything currently
-   executing. Admission control caps concurrent sessions: beyond
-   --max-sessions, a new connection is answered E OVERLOADED and
-   closed instead of queueing behind the db lock forever. *)
+   Deadline token armed with its session's statement timeout (which
+   starts at --statement-timeout-ms), held in the session table so a
+   drain can cancel everything currently executing. Admission control
+   caps concurrent sessions: beyond --max-sessions, a new connection is
+   answered E OVERLOADED and closed instead of queueing behind the db
+   lock forever. *)
 
 module Db = Tip_engine.Database
 module Metrics = Tip_obs.Metrics
@@ -83,18 +88,15 @@ let m_promotions =
   Metrics.counter "ha_promotions_total"
     ~help:"Replica promotions performed by this server"
 
-(* Per-session statement-timeout override (SET TIMEOUT n):
-   [Inherit] uses the server-wide default, [Off] disables deadlines for
-   this session, [Ms n] arms n milliseconds. *)
-type session_timeout = Inherit | Off | Ms of int
-
 (* Live session row for tip_stat_activity. The owning session thread
    writes; the activity snapshot reads under [sessions_lock], so a
    half-updated statement entry can never be observed. *)
 type session_info = {
   si_id : int;
   si_addr : string;
-  mutable si_state : string; (* "idle" | "active" *)
+  si_fd : Unix.file_descr;
+  si_session : Db.session; (* the engine session; only its thread uses it *)
+  mutable si_state : string; (* "idle" | "active" | "idle in transaction" *)
   mutable si_query : string option; (* statement currently executing *)
   mutable si_started : float; (* unix time: statement start (session
                                  start while idle) *)
@@ -157,16 +159,16 @@ let response_rows = function
 
 (* --- Session registry (tip_stat_activity) ------------------------------- *)
 
-let with_sessions_lock t f =
-  Mutex.lock t.sessions_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.sessions_lock) f
+let with_sessions_lock t f = Mutex.protect t.sessions_lock f
 
 (* Runs on the session's own thread, so the ASH slot binds to it. *)
-let register_session t addr =
+let register_session t fd addr =
   let id = Atomic.fetch_and_add t.session_ids 1 in
   let si =
     { si_id = id;
       si_addr = addr;
+      si_fd = fd;
+      si_session = Db.session ?timeout_ms:t.statement_timeout_ms t.db;
       si_state = "idle";
       si_query = None;
       si_started = Unix.gettimeofday ();
@@ -198,22 +200,12 @@ let session_end_statement t si =
     Wait.set_active w false;
     Wait.set_query w None
   | None -> ());
+  let in_tx = Db.in_transaction ~session:si.si_session t.db in
   with_sessions_lock t (fun () ->
-      si.si_state <- "idle";
+      si.si_state <- (if in_tx then "idle in transaction" else "idle");
       si.si_query <- None;
       si.si_started <- Unix.gettimeofday ();
       si.si_token <- None)
-
-(* The current-statement start time as a TIP Instant when the blade has
-   registered the type (the server cannot depend on the blade
-   directly); plain DATE otherwise. *)
-let started_value unix_time =
-  let chronon = Tip_core.Chronon.of_unix_seconds (int_of_float unix_time) in
-  match Tip_storage.Value.lookup_type "instant" with
-  | Some vt -> (
-    try vt.Tip_storage.Value.parse (Tip_core.Chronon.to_string chronon)
-    with Tip_storage.Value.Type_error _ -> Tip_storage.Value.Date chronon)
-  | None -> Tip_storage.Value.Date chronon
 
 let activity_rows t () =
   let module Value = Tip_storage.Value in
@@ -226,7 +218,7 @@ let activity_rows t () =
              (match si.si_query with
              | Some q -> Value.Str q
              | None -> Value.Null);
-             started_value si.si_started;
+             Db.instant_value si.si_started;
              (match Option.map Deadline.remaining_ms si.si_token with
              | Some (Some ms) -> Value.Float ms
              | Some None | None -> Value.Null) |]
@@ -241,22 +233,33 @@ let activity_rows t () =
 
 module Failpoint = Tip_storage.Failpoint
 
-let with_replicas_lock t f =
-  Mutex.lock t.replicas_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.replicas_lock) f
+let with_replicas_lock t f = Mutex.protect t.replicas_lock f
 
 (* Acquiring the database lock, in either mode, is THE DbLock wait —
    the number the MVCC roadmap item exists to drive down. Only the
    acquisition is attributed; time spent holding the lock lands on the
    session's other wait classes (or Cpu). [shared] is for paths that
-   only read: they run beside each other, never beside a writer. *)
-let with_db_lock ?(shared = false) t f =
-  Wait.with_wait Wait.DbLock (fun () ->
-      if shared then Rwlock.lock_shared t.db_lock else Rwlock.lock t.db_lock);
+   only read: they run beside each other, never beside a writer.
+   A client [session] inside a transaction already holds the lock
+   exclusive and takes nothing; one that leaves [f] inside a
+   transaction (BEGIN) keeps the lock, one that leaves it outside
+   (COMMIT, ROLLBACK) gives it back. *)
+let with_db_lock ?(shared = false) ?session t f =
+  let in_tx () =
+    match session with
+    | Some si -> Db.in_transaction ~session:si.si_session t.db
+    | None -> false
+  in
+  let held = in_tx () in
+  let shared = shared && not held in
+  if not held then
+    Wait.with_wait Wait.DbLock (fun () ->
+        if shared then Rwlock.lock_shared t.db_lock else Rwlock.lock t.db_lock);
   Fun.protect
     ~finally:(fun () ->
-      if shared then Rwlock.unlock_shared t.db_lock
-      else Rwlock.unlock t.db_lock)
+      if not (in_tx ()) then
+        if shared then Rwlock.unlock_shared t.db_lock
+        else Rwlock.unlock t.db_lock)
     f
 
 (* tip_stat_replication rows, primary side: one per live subscriber.
@@ -486,7 +489,7 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
    lock). Returns whether the session should continue — a failpoint
    killing the bootstrap mid-flight ends the session, which is exactly
    how a real mid-bootstrap crash presents to the replica. *)
-let handle_snapshot_request t oc =
+let handle_snapshot_request t session oc =
   let reply r =
     try
       Protocol.write_response oc r;
@@ -494,7 +497,7 @@ let handle_snapshot_request t oc =
       true
     with Sys_error _ | Unix.Unix_error _ -> false
   in
-  match with_db_lock t (fun () -> Db.replication_snapshot t.db) with
+  match with_db_lock ~session t (fun () -> Db.replication_snapshot t.db) with
   | exception Db.Error msg -> reply (Protocol.Error msg)
   | None ->
     reply (Protocol.Error "REPLICATION: this server has no durable WAL to ship")
@@ -525,8 +528,8 @@ let handle_snapshot_request t oc =
    back by the engine (none when the statement never reached it): the
    caller exports it when the statement turns out slow and --trace-dir
    is on. Read-only statements hold the lock shared. *)
-let execute_statement_guarded t ~token ~params ~fingerprint stmt =
-  with_db_lock ~shared:(Db.read_only_statement stmt) t (fun () ->
+let execute_statement_guarded t si ~token ~params ~fingerprint stmt =
+  with_db_lock ~shared:(Db.read_only_statement stmt) ~session:si t (fun () ->
       let root = ref None in
       let response =
         match
@@ -537,7 +540,7 @@ let execute_statement_guarded t ~token ~params ~fingerprint stmt =
           Deadline.check token;
           Db.exec_statement ~token ~fingerprint
             ~on_trace:(fun r -> root := Some r)
-            t.db ~params stmt
+            ~session:si.si_session t.db ~params stmt
         with
         | result -> result_to_response result
         | exception Deadline.Cancelled reason ->
@@ -560,34 +563,11 @@ let execute_statement_guarded t ~token ~params ~fingerprint stmt =
       in
       (response, !root))
 
-let session_timeout_ms t session_timeout =
-  match session_timeout with
-  | Ms ms -> Some ms
-  | Off -> None
-  | Inherit -> t.statement_timeout_ms
-
-let execute_guarded t ~session ~session_timeout ~params sql =
+let execute_guarded t ~session ~params sql =
   let t0 = Trace.now_ns () in
   let response, trace_root =
     match Tip_sql.Parser.parse_with_tokens sql with
     | exception Tip_sql.Parser.Error msg -> (Protocol.Error msg, None)
-    | Ast.Set_timeout v, _ ->
-      (* Session-scoped: the shared database's own default is left
-         alone, so one client cannot re-govern the others. *)
-      let setting, text =
-        match v with
-        | None -> (Inherit, "statement timeout restored to the server default")
-        | Some 0 -> (Off, "statement timeout disabled for this session")
-        | Some ms when ms > 0 ->
-          (Ms ms, Printf.sprintf "statement timeout set to %d ms" ms)
-        | Some _ -> (Inherit, "")
-      in
-      if String.equal text "" then
-        (Protocol.Error "SET TIMEOUT expects a non-negative value", None)
-      else begin
-        session_timeout := setting;
-        (Protocol.Message text, None)
-      end
     | Ast.Promote, _ when t.promote_handler <> None ->
       (* Runs the replication client's promotion outside the db lock —
          the handler stops the follower loop (which may itself be
@@ -611,8 +591,11 @@ let execute_guarded t ~session ~session_timeout ~params sql =
       if t.draining then
         (Protocol.Error (Deadline.reason_message Deadline.Shutdown), None)
       else begin
+        (* armed before the lock: time queued for it counts *)
         let token =
-          Deadline.create ?timeout_ms:(session_timeout_ms t !session_timeout) ()
+          Deadline.create
+            ?timeout_ms:(Db.statement_timeout_ms ~session:session.si_session t.db)
+            ()
         in
         (* one fingerprint keys both the ASH samples and the store *)
         let fingerprint = Tip_sql.Lexer.fingerprint_tokens tokens in
@@ -620,7 +603,8 @@ let execute_guarded t ~session ~session_timeout ~params sql =
         Fun.protect
           ~finally:(fun () -> session_end_statement t session)
           (fun () ->
-            execute_statement_guarded t ~token ~params ~fingerprint stmt)
+            execute_statement_guarded t session ~token ~params ~fingerprint
+              stmt)
       end
   in
   let elapsed_ns = Trace.now_ns () - t0 in
@@ -663,8 +647,8 @@ let handle_session t fd addr =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let params = ref [] in
-  let session_timeout = ref Inherit in
-  let session = register_session t addr in
+  let session = register_session t fd addr in
+  let in_tx () = Db.in_transaction ~session:session.si_session t.db in
   let reply response =
     try
       Wait.with_wait Wait.ClientWrite (fun () ->
@@ -707,7 +691,7 @@ let handle_session t fd addr =
         loop ()
       | Ok (Some (Protocol.Execute sql)) ->
         let response =
-          execute_guarded t ~session ~session_timeout ~params:!params sql
+          execute_guarded t ~session ~params:!params sql
         in
         params := [];
         if reply response then loop ()
@@ -718,11 +702,13 @@ let handle_session t fd addr =
            ends (drain, gen change, broken link) so does the session *)
         if t.draining then
           ignore (reply (Protocol.Error (Deadline.reason_message Deadline.Shutdown)))
+        else if in_tx () then
+          ignore (reply (Protocol.Error "BUSY: cannot stream the WAL inside a transaction"))
         else handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch
       | Ok (Some Protocol.Snapshot_request) ->
         if t.draining then
           ignore (reply (Protocol.Error (Deadline.reason_message Deadline.Shutdown)))
-        else if handle_snapshot_request t oc then loop ()
+        else if handle_snapshot_request t session oc then loop ()
       | Ok (Some (Protocol.Ack _)) ->
         (* an ack outside a subscription has nothing to update *)
         loop ()
@@ -735,7 +721,7 @@ let handle_session t fd addr =
            read under the db lock so a concurrent PROMOTE can never
            show a half-switched answer. *)
         let role, epoch =
-          with_db_lock ~shared:true t (fun () ->
+          with_db_lock ~shared:true ~session t (fun () ->
               ((if Db.read_only t.db then "replica" else "primary"),
                Db.epoch t.db))
         in
@@ -751,6 +737,13 @@ let handle_session t fd addr =
   Metrics.gauge_add g_sessions_active 1;
   Fun.protect
     ~finally:(fun () ->
+      (* the session's open transaction dies with it, and the lock it
+         held goes back *)
+      if in_tx () then begin
+        (try Db.close_session t.db session.si_session
+         with e -> Log.err (fun m -> m "rollback: %s" (Printexc.to_string e)));
+        Rwlock.unlock t.db_lock
+      end;
       unregister_session t session;
       Metrics.gauge_add g_sessions_active (-1);
       Atomic.decr t.active;
@@ -785,8 +778,8 @@ let reject_session fd reason =
    [max_sessions] rejects connections beyond that many concurrent
    sessions with E OVERLOADED; the kernel accept backlog is bounded to
    match, so refused load queues shallowly instead of piling up.
-   [statement_timeout_ms] is the default deadline for every statement
-   (sessions can override it with SET TIMEOUT). *)
+   [statement_timeout_ms] is the deadline every session starts with
+   (sessions change it with SET TIMEOUT). *)
 let listen ?(host = "127.0.0.1") ?idle_timeout ?slow_ms ?max_sessions
     ?statement_timeout_ms ~port db =
   (* a client vanishing mid-response must surface as EPIPE on the write,
@@ -940,16 +933,19 @@ let stop t =
 
 (* Graceful drain: stop accepting, cancel every in-flight statement
    through the token its session holds (they abort within one row or
-   chunk boundary, journal nothing, and answer E SHUTDOWN), then wait —
-   up to [grace] seconds — for every session to go idle. Sessions
-   blocked reading their socket are left to the process exit; they hold
-   no statements. Returns the drain duration in seconds. *)
+   chunk boundary, journal nothing, and answer E SHUTDOWN), close the
+   socket of every session idle inside a transaction (it wakes, rolls
+   back and releases the db lock), then wait — up to [grace] seconds —
+   for all of that to finish. Other sessions blocked reading their
+   socket are left to the process exit; they hold neither statements
+   nor transactions. Returns the drain duration in seconds. *)
 let drain ?(grace = 5.0) t =
   let t0 = Unix.gettimeofday () in
   t.draining <- true;
   stop t;
   (* cancels whatever is in flight on each look, so a statement that
-     slipped past the draining check is cancelled too; returns the count *)
+     slipped past the draining check is cancelled too, and closes the
+     sockets of sessions idle in a transaction; returns the count *)
   let cancel_in_flight () =
     with_sessions_lock t (fun () ->
         Hashtbl.fold
@@ -957,6 +953,10 @@ let drain ?(grace = 5.0) t =
             match si.si_token with
             | Some tok ->
               Deadline.cancel tok Deadline.Shutdown;
+              n + 1
+            | None when String.equal si.si_state "idle in transaction" ->
+              (try Unix.shutdown si.si_fd Unix.SHUTDOWN_ALL
+               with Unix.Unix_error _ -> ());
               n + 1
             | None -> n)
           t.sessions 0)

@@ -1,20 +1,25 @@
 (** The TIP database server: accepts client connections over TCP and
     executes their statements against one shared embedded database.
 
-    One thread per client. Session threads are spread round-robin over
-    the [Domains.size ()] domains: the accept loop's domain and the
-    host domains ({!Tip_engine.Domains.on_domain}).
+    One thread per client, each owning one {!Tip_engine.Database.session}
+    (its transaction, NOW override and statement timeout). Session
+    threads are spread round-robin over the [Domains.size ()] domains:
+    the accept loop's domain and the host domains
+    ({!Tip_engine.Domains.on_domain}).
     Read-only statements ([SELECT], [EXPLAIN]) take the
     database lock shared and run side by side; every other statement
     takes it exclusive, preserving the single-writer semantics of
-    embedded connections (DESIGN.md §17). A session a host domain fails
+    embedded connections (DESIGN.md §17). A session that runs [BEGIN]
+    keeps the lock exclusive until its [COMMIT] or [ROLLBACK]; a
+    disconnect, an idle drop or a drain rolls its transaction back and
+    releases the lock. A session a host domain fails
     to start is logged and journaled as a [thread_crash] event, and its
     connection closed. Errors become [E] responses and the session
     survives.
 
     Resource governance (DESIGN.md §10): every statement runs under a
     {!Tip_core.Deadline} token armed with the session's statement
-    timeout ([SET TIMEOUT n], defaulting to [statement_timeout_ms]);
+    timeout ([SET TIMEOUT n], starting at [statement_timeout_ms]);
     tripped tokens answer typed errors ([E TIMEOUT: ...],
     [E BUDGET: ...]). Admission control caps concurrent sessions
     ([max_sessions]; beyond it connections are answered
@@ -31,9 +36,9 @@ type t
     that many milliseconds are reported through {!Tip_obs.Log_sink}
     with their text, latency, and row count. [max_sessions] bounds
     concurrent sessions (the kernel accept backlog is clamped to
-    match). [statement_timeout_ms] is the default per-statement
-    deadline; sessions override it with [SET TIMEOUT n] ([0] disables,
-    [DEFAULT] restores the server default). *)
+    match). [statement_timeout_ms] is the per-statement deadline every
+    session starts with; sessions change it with [SET TIMEOUT n] ([0]
+    disables, [DEFAULT] restores the starting value). *)
 val listen :
   ?host:string ->
   ?idle_timeout:float ->
@@ -57,9 +62,10 @@ val stop : t -> unit
 
 (** Graceful drain: stop accepting, cancel every in-flight statement
     via its token (each aborts within one row or chunk boundary,
-    journals nothing, and is answered [E SHUTDOWN: ...]), then wait up
-    to [grace] seconds (default 5) for in-flight statements to finish
-    unwinding. Returns the drain duration in seconds. The caller is
+    journals nothing, and is answered [E SHUTDOWN: ...]), close the
+    connection of every session idle inside a transaction (it rolls
+    back and releases the db lock), then wait up to [grace] seconds
+    (default 5) for both to finish. Returns the drain duration in seconds. The caller is
     expected to checkpoint the database afterwards. *)
 val drain : ?grace:float -> t -> float
 

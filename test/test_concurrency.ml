@@ -324,6 +324,214 @@ let check_trace_and_scans_per_statement () =
   Alcotest.(check int) "small statement's own scans" (runs * small_each)
     (statement_scans small - small0)
 
+(* --- sessions own their state (DESIGN.md §17) ------------------------------ *)
+
+let int_rows db sql =
+  List.map
+    (function [| Value.Int n |] -> n | _ -> Alcotest.fail "expected one INT")
+    (Db.rows_exn (Db.exec db sql))
+
+let remote_ints c sql =
+  List.map
+    (function [| Value.Int n |] -> n | _ -> Alcotest.fail "expected one INT")
+    (Db.rows_exn (Remote.execute ~deadline:30. c sql))
+
+(* A served table [t] holding row 1, and session A with [BEGIN; INSERT
+   (2)] open. *)
+let with_open_transaction ?idle_timeout db f =
+  exec db "CREATE TABLE t (a INT PRIMARY KEY)";
+  exec db "INSERT INTO t VALUES (1)";
+  let server = Server.listen ?idle_timeout ~port:0 db in
+  Server.serve_in_background server;
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let port = Server.port server in
+  let a = Remote.connect ~port () in
+  ignore (Remote.execute a "BEGIN");
+  ignore (Remote.execute a "INSERT INTO t VALUES (2)");
+  f server port a
+
+(* Runs [f] on a thread; [wait] joins it and returns its outcome, [done_]
+   tells whether it has finished. *)
+let background f =
+  let result = ref None and finished = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        result := Some (try Ok (f ()) with e -> Error (Printexc.to_string e));
+        Atomic.set finished true)
+      ()
+  in
+  let wait () =
+    Thread.join th;
+    match !result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> Alcotest.failf "background statement raised %s" e
+    | None -> Alcotest.fail "background statement never ran"
+  in
+  (wait, fun () -> Atomic.get finished)
+
+let check_no_dirty_read () =
+  with_open_transaction (Db.create ()) @@ fun _ port a ->
+  let b = Remote.connect ~port () in
+  let wait, finished =
+    background (fun () -> remote_ints b "SELECT a FROM t ORDER BY a")
+  in
+  Unix.sleepf 0.2;
+  Alcotest.(check bool) "B waits for A's transaction" false (finished ());
+  ignore (Remote.execute a "ROLLBACK");
+  Alcotest.(check (list int)) "B never sees A's uncommitted row" [ 1 ] (wait ());
+  Remote.close a;
+  Remote.close b
+
+let check_acked_write_survives_rollback () =
+  with_open_transaction (Db.create ()) @@ fun _ port a ->
+  let b = Remote.connect ~port () in
+  let wait, _ =
+    background (fun () -> Remote.execute ~deadline:30. b "INSERT INTO t VALUES (3)")
+  in
+  Unix.sleepf 0.2;
+  ignore (Remote.execute a "ROLLBACK");
+  (match wait () with
+  | Db.Affected 1 -> ()
+  | r -> Alcotest.failf "B's insert: %s" (Db.render_result r));
+  Alcotest.(check (list int)) "B's acknowledged row survives" [ 1; 3 ]
+    (remote_ints b "SELECT a FROM t ORDER BY a");
+  Remote.close a;
+  Remote.close b
+
+let check_settings_stay_with_their_connection () =
+  let db = Tip_blade.Blade.create_database () in
+  with_server db @@ fun port ->
+  let now_of c =
+    match Remote.execute c "SELECT 'NOW'::Instant::Chronon::CHAR" with
+    | Db.Rows { rows = [ [| Value.Str s |] ]; _ } -> String.trim s
+    | r -> Alcotest.failf "NOW: %s" (Db.render_result r)
+  in
+  let deadline_of c =
+    match
+      Remote.execute c
+        "SELECT deadline_remaining_ms FROM tip_stat_activity WHERE state = \
+         'active'"
+    with
+    | Db.Rows { rows = [ [| v |] ]; _ } -> Value.is_null v
+    | r -> Alcotest.failf "activity: %s" (Db.render_result r)
+  in
+  let first = Remote.connect ~port () in
+  ignore (Remote.execute first "SET NOW = '1999-01-01'");
+  ignore (Remote.execute first "SET TIMEOUT 60000");
+  Alcotest.(check string) "the setter sees its NOW" "1999-01-01" (now_of first);
+  Alcotest.(check bool) "the setter's statements carry a deadline" false
+    (deadline_of first);
+  Remote.close first;
+  let later = Remote.connect ~port () in
+  Alcotest.(check bool) "a later connection keeps the clock" true
+    (now_of later <> "1999-01-01");
+  Alcotest.(check bool) "a later connection has no deadline" true
+    (deadline_of later);
+  Alcotest.(check bool) "the database's own NOW is untouched" true
+    (Db.now_override db = None);
+  Remote.close later
+
+(* Two connections on one embedded database, each driven by its own
+   domain with its own what-if NOW: every answer is at its own NOW. *)
+let check_embedded_connections_keep_their_now () =
+  let db = Tip_blade.Blade.create_database () in
+  let run day =
+    let conn = Tip_client.Connection.connect_to db in
+    Tip_client.Connection.set_now conn (Chronon.of_string_exn day);
+    let bad = ref 0 in
+    for _ = 1 to 1000 do
+      match
+        Tip_client.Connection.execute conn "SELECT 'NOW'::Instant::Chronon::CHAR"
+      with
+      | Db.Rows { rows = [ [| Value.Str s |] ]; _ }
+        when String.equal (String.trim s) day -> ()
+      | _ -> incr bad
+    done;
+    !bad
+  in
+  let d = Domain.spawn (fun () -> run "1999-03-01") in
+  let here = run "2003-12-01" in
+  Alcotest.(check (pair int int)) "every answer at its own NOW" (0, 0)
+    (here, Domain.join d);
+  Alcotest.(check bool) "the database's own NOW is untouched" true
+    (Db.now_override db = None)
+
+let check_disconnect_rolls_back () =
+  with_open_transaction (Db.create ()) @@ fun _ port a ->
+  Remote.close a;
+  let b = Remote.connect ~port () in
+  let t0 = Unix.gettimeofday () in
+  ignore (Remote.execute ~deadline:5. b "INSERT INTO t VALUES (3)");
+  Alcotest.(check bool) "B writes at once" true (Unix.gettimeofday () -. t0 < 5.);
+  Alcotest.(check (list int)) "A's row is gone" [ 1; 3 ]
+    (remote_ints b "SELECT a FROM t ORDER BY a");
+  Remote.close b
+
+let check_idle_drop_rolls_back () =
+  with_open_transaction ~idle_timeout:0.3 (Db.create ()) @@ fun _ port a ->
+  let b = Remote.connect ~port () in
+  ignore (Remote.execute ~deadline:10. b "INSERT INTO t VALUES (3)");
+  Alcotest.(check (list int)) "A's row is gone" [ 1; 3 ]
+    (remote_ints b "SELECT a FROM t ORDER BY a");
+  (match Remote.execute a "COMMIT" with
+  | r -> Alcotest.failf "A survived its idle drop: %s" (Db.render_result r)
+  | exception Remote.Remote_error _ -> ());
+  Remote.close a;
+  Remote.close b
+
+let scratch_dir () =
+  let dir = Filename.temp_file "tip_drain" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+let rm_dir dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* tip_serve's shutdown: drain, checkpoint, close. A transaction left
+   open by an idle session must reach neither the snapshot nor the WAL. *)
+let check_drain_rolls_back () =
+  let dir = scratch_dir () in
+  Fun.protect ~finally:(fun () -> rm_dir dir) @@ fun () ->
+  let db, _ = Db.open_durable ~dir () in
+  with_open_transaction db (fun server _ a ->
+      ignore (Server.drain ~grace:5. server);
+      (try ignore (Db.checkpoint db)
+       with Db.Error msg -> Alcotest.failf "shutdown checkpoint: %s" msg);
+      Db.close_durable db;
+      Remote.close a);
+  Alcotest.(check (list int)) "not in memory" [ 1 ] (int_rows db "SELECT a FROM t");
+  let snapshot = Persist.load (Recovery.snapshot_path ~dir) in
+  Alcotest.(check int) "not in the snapshot" 1
+    (Table.row_count (Catalog.table_exn snapshot "t"));
+  let scan = Wal.scan (Recovery.wal_path ~dir) in
+  Alcotest.(check int) "not in the WAL" 0 (List.length scan.Wal.batches);
+  let reopened, _ = Db.open_durable ~dir () in
+  Fun.protect ~finally:(fun () -> Db.close_durable reopened) @@ fun () ->
+  Alcotest.(check (list int)) "not after reopening" [ 1 ]
+    (int_rows reopened "SELECT a FROM t")
+
+(* The lock holder shows in tip_stat_activity between its statements. The
+   relation is process-wide, so a second database in the process can read
+   it while the holder keeps the served one locked. *)
+let check_idle_in_transaction_visible () =
+  with_open_transaction (Db.create ()) @@ fun _ _ a ->
+  let states () =
+    List.map
+      (function
+        | [| Value.Str s |] -> s
+        | _ -> Alcotest.fail "expected a state")
+      (Db.rows_exn
+         (Db.exec (Db.create ()) "SELECT state FROM tip_stat_activity"))
+  in
+  Alcotest.(check (list string)) "A is idle in transaction"
+    [ "idle in transaction" ] (states ());
+  ignore (Remote.execute a "COMMIT");
+  Alcotest.(check (list string)) "A is idle after COMMIT" [ "idle" ] (states ());
+  Remote.close a
+
 let suite =
   [ Alcotest.test_case "readers never see a half-applied write" `Quick
       check_atomic_reads;
@@ -332,4 +540,19 @@ let suite =
     Alcotest.test_case "NOW per statement across domains" `Quick
       check_now_per_statement;
     Alcotest.test_case "trace root and rows scanned per statement" `Quick
-      check_trace_and_scans_per_statement ]
+      check_trace_and_scans_per_statement;
+    Alcotest.test_case "no dirty read over the wire" `Quick check_no_dirty_read;
+    Alcotest.test_case "an acknowledged write survives another's ROLLBACK"
+      `Quick check_acked_write_survives_rollback;
+    Alcotest.test_case "SET NOW and SET TIMEOUT stay with their connection"
+      `Quick check_settings_stay_with_their_connection;
+    Alcotest.test_case "embedded connections keep their own NOW" `Quick
+      check_embedded_connections_keep_their_now;
+    Alcotest.test_case "a disconnect rolls back" `Quick
+      check_disconnect_rolls_back;
+    Alcotest.test_case "an idle drop rolls back" `Quick
+      check_idle_drop_rolls_back;
+    Alcotest.test_case "drain rolls back before the checkpoint" `Quick
+      check_drain_rolls_back;
+    Alcotest.test_case "the lock holder is idle in transaction" `Quick
+      check_idle_in_transaction_visible ]

@@ -134,10 +134,29 @@ let check_full_rollback_through_savepoints () =
   Alcotest.check value "plain rollback crosses markers" (Value.Int 0)
     (one db "SELECT COUNT(*) FROM t")
 
+(* A failed ROLLBACK TO leaves the transaction exactly as it was: nothing
+   undone, so a later ROLLBACK still undoes every row once. *)
+let check_unknown_savepoint_undoes_nothing () =
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE t (a INT PRIMARY KEY)");
+  ignore (Db.exec db "INSERT INTO t VALUES (0)");
+  ignore (Db.exec db "BEGIN");
+  ignore (Db.exec db "INSERT INTO t VALUES (1)");
+  (match Db.exec db "ROLLBACK TO missing" with
+  | exception Db.Error _ -> ()
+  | _ -> Alcotest.fail "unknown savepoint must fail");
+  Alcotest.check value "the insert stands" (Value.Int 2)
+    (one db "SELECT COUNT(*) FROM t");
+  ignore (Db.exec db "ROLLBACK");
+  Alcotest.check value "ROLLBACK undoes it once" (Value.Int 1)
+    (one db "SELECT COUNT(*) FROM t")
+
 let suite =
   [ Alcotest.test_case "COPY round trip (incl. NOW)" `Quick check_copy_roundtrip;
     Alcotest.test_case "CSV quoting corners" `Quick check_csv_quoting;
     Alcotest.test_case "COPY error paths" `Quick check_copy_errors;
     Alcotest.test_case "savepoints" `Quick check_savepoints;
     Alcotest.test_case "rollback crosses savepoints" `Quick
-      check_full_rollback_through_savepoints ]
+      check_full_rollback_through_savepoints;
+    Alcotest.test_case "an unknown savepoint undoes nothing" `Quick
+      check_unknown_savepoint_undoes_nothing ]

@@ -523,6 +523,118 @@ let check_crash_fuzz () =
     done
   done
 
+(* Oracle for the session journal: transactions with SAVEPOINT, ROLLBACK
+   TO and RELEASE, and statements cancelled mid-way (an armed exec.poll
+   failpoint, or a token tripped before the statement starts), inside
+   and outside transactions. After every statement the live database
+   must equal a reference that skipped the cancelled statements, and
+   the state recovered from disk must equal the live state at its last
+   commit boundary. *)
+type cancel = At_poll of int | Tripped
+
+let gen_savepoint_trace seed =
+  let st = Random.State.make [| 0x5a7e; seed |] in
+  let steps = ref [] in
+  let emit ?cancel sql = steps := (sql, cancel) :: !steps in
+  emit "CREATE TABLE t0 (a INT PRIMARY KEY, b CHAR(12))";
+  emit "CREATE TABLE t1 (a INT PRIMARY KEY, b CHAR(12))";
+  let in_tx = ref false and savepoints = ref 0 and key = ref 0 in
+  for _ = 1 to 30 + Random.State.int st 10 do
+    incr key;
+    let tbl = Random.State.int st 2 and pick = Random.State.int st 100 in
+    let k = (seed * 1000) + (!key * 3) in
+    let cancel () =
+      match Random.State.int st 3 with
+      | 0 -> Some Tripped
+      | _ -> Some (At_poll (1 + Random.State.int st 12))
+    in
+    let sp () = Printf.sprintf "sp%d" (Random.State.int st (!savepoints + 1)) in
+    if !in_tx && pick < 8 then begin
+      emit (if pick < 5 then "COMMIT" else "ROLLBACK");
+      in_tx := false
+    end
+    else if (not !in_tx) && pick < 25 then begin
+      emit "BEGIN";
+      in_tx := true;
+      savepoints := 0
+    end
+    else if !in_tx && pick < 38 then begin
+      emit (Printf.sprintf "SAVEPOINT sp%d" !savepoints);
+      incr savepoints
+    end
+    else if !in_tx && pick < 48 then emit ("ROLLBACK TO " ^ sp ())
+    else if !in_tx && pick < 53 then emit ("RELEASE " ^ sp ())
+    else if pick < 68 then
+      emit
+        (Printf.sprintf "INSERT INTO t%d VALUES (%d, 'v%d'), (%d, 'w%d')" tbl k
+           !key (k + 1) !key)
+    else if pick < 80 then
+      emit ?cancel:(cancel ())
+        (Printf.sprintf "UPDATE t%d SET b = 'u%d' WHERE a > %d" tbl !key
+           ((seed * 1000) + Random.State.int st (k - (seed * 1000) + 1)))
+    else if pick < 88 then
+      emit ?cancel:(cancel ())
+        (Printf.sprintf "INSERT INTO t%d SELECT a + 100000 * %d, b FROM t%d" tbl
+           !key (1 - tbl))
+    else if pick < 96 then
+      emit ?cancel:(cancel ())
+        (Printf.sprintf "DELETE FROM t%d WHERE a > %d" tbl
+           ((seed * 1000) + Random.State.int st (k - (seed * 1000) + 1)))
+    else if not !in_tx then emit "CHECKPOINT"
+  done;
+  if !in_tx then emit "COMMIT";
+  List.rev !steps
+
+(* Runs [sql] on [db] under [cancel]; whether the statement was cancelled. *)
+let run_cancelled db sql cancel =
+  Failpoint.reset ();
+  let token =
+    match cancel with
+    | Some Tripped ->
+      let tok = Tip_core.Deadline.create () in
+      Tip_core.Deadline.cancel tok Tip_core.Deadline.Client_gone;
+      tok
+    | Some (At_poll hit) ->
+      Failpoint.arm ~site:"exec.poll" ~hit (Failpoint.Fail "cancel");
+      Tip_core.Deadline.never
+    | None -> Tip_core.Deadline.never
+  in
+  Fun.protect ~finally:Failpoint.reset @@ fun () ->
+  match Db.exec ~token db sql with
+  | _ -> false
+  | exception Tip_core.Deadline.Cancelled _ -> true
+  | exception _ -> false
+
+let check_savepoint_cancel_recovery () =
+  let cancelled_in_tx = ref 0 in
+  for seed = 1 to 20 do
+    with_dir (fun dir ->
+        let db, _ = Db.open_durable ~sync:Wal.Always ~checkpoint_every:50 ~dir () in
+        let reference = Db.create () in
+        let committed = ref (fingerprint (Db.catalog db)) in
+        List.iteri
+          (fun i (sql, cancel) ->
+            if run_cancelled db sql cancel then begin
+              if Db.in_transaction db then incr cancelled_in_tx
+            end
+            else apply_stmt reference sql;
+            let live = fingerprint (Db.catalog db) in
+            if not (String.equal live (fingerprint (Db.catalog reference))) then
+              Alcotest.failf "seed %d step %d (%s): live state differs from the \
+                              reference" seed i sql;
+            if not (Db.in_transaction db) then committed := live;
+            let recovered, _ = Recovery.recover ~dir in
+            if not (String.equal !committed (fingerprint recovered)) then
+              Alcotest.failf
+                "seed %d step %d (%s): recovered state is not the committed state"
+                seed i sql)
+          (gen_savepoint_trace seed);
+        Db.close_durable db)
+  done;
+  if !cancelled_in_tx < 20 then
+    Alcotest.failf "only %d statements cancelled inside a transaction"
+      !cancelled_in_tx
+
 (* --- Server robustness --------------------------------------------------- *)
 
 let with_server ?idle_timeout f =
@@ -656,6 +768,8 @@ let suite =
     Alcotest.test_case "relaxed sync modes recover after clean close" `Quick
       check_relaxed_sync_modes;
     Alcotest.test_case "crash-recovery fuzz (200 pairs)" `Quick check_crash_fuzz;
+    Alcotest.test_case "savepoints and cancels: recovered = committed" `Quick
+      check_savepoint_cancel_recovery;
     Alcotest.test_case "poison statement becomes E response" `Quick
       check_poison_statement;
     Alcotest.test_case "malformed bind line survives" `Quick
