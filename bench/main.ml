@@ -1460,12 +1460,11 @@ let bench_ha () =
   Server.set_promote_handler serverB (fun () ->
       Replication.promote repl ~dir:dirB ());
   let ha =
-    Remote.connect_ha
-      [ ("127.0.0.1", Server.port serverA);
-        ("127.0.0.1", Server.port serverB) ]
+    Remote.connect ~port:(Server.port serverA)
+      ~group:[ ("127.0.0.1", Server.port serverB) ] ()
   in
   for i = 1 to 50 do
-    ignore (Remote.execute_ha ha (Printf.sprintf "INSERT INTO f VALUES (%d)" i))
+    ignore (Remote.execute ha (Printf.sprintf "INSERT INTO f VALUES (%d)" i))
   done;
   let caught_up () =
     Replication.state repl = "streaming" && Replication.lag_bytes repl = 0
@@ -1478,7 +1477,7 @@ let bench_ha () =
     (match Server.promote serverB with
     | Ok _ -> ()
     | Error e -> failwith ("promotion failed: " ^ e));
-    ignore (Remote.execute_ha ha "INSERT INTO f VALUES (1000)");
+    ignore (Remote.execute ha "INSERT INTO f VALUES (1000)");
     let failover_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     records :=
       !records @ [ (!current_suite, "failover commit-to-writable", failover_ns) ];
@@ -1486,7 +1485,7 @@ let bench_ha () =
       [ [ "failover: demote -> acked write on new primary";
           ns_to_string failover_ns ] ]
   end;
-  Remote.close_ha ha;
+  Remote.close ha;
   Server.stop serverA;
   Server.stop serverB;
   Replication.stop repl;

@@ -1,23 +1,16 @@
-(* The remote client: the same API shape as an embedded connection, over
-   the wire protocol. Typed values cross the network in literal syntax
-   and are rebuilt on this side (register the blade types first).
+(* The remote client: one handle type over the wire protocol, in three
+   shapes (direct, group, routed; see remote.mli). Every call is one
+   request/response [exchange] on a [link]. Its transport failures come
+   back as [Lost], which the direct path turns straight into
+   [Remote_error] and the group/routed path weighs against the replay
+   rule before it either re-sends or raises. A deadline installs
+   SO_SNDTIMEO/SO_RCVTIMEO, so a hung server fails a call with a typed
+   [TIMEOUT:] instead of blocking it forever. *)
 
-   Deadlines: [connect ?deadline] bounds the whole connect (retries
-   included) and installs SO_SNDTIMEO/SO_RCVTIMEO on the socket, so a
-   hung server cannot block this client forever; [execute ?deadline]
-   tightens the socket timeouts for one call. A timed-out wire
-   operation raises [Remote_error "TIMEOUT: ..."], which {!error_code}
-   classifies alongside the server's own typed E responses. *)
+module Db = Tip_engine.Database
+module Ast = Tip_sql.Ast
 
 exception Remote_error of string
-
-type t = {
-  fd : Unix.file_descr;
-  ic : in_channel;
-  oc : out_channel;
-  default_deadline : float option; (* connect-time per-call bound, secs *)
-  mutable closed : bool;
-}
 
 (* --- Typed error classification ----------------------------------------- *)
 
@@ -32,26 +25,60 @@ type error_code =
   | Stale_read
   | Stale_epoch
   | Failover
+  | Session_lost
   | Other
 
 (* Typed server errors are "CODE: human text"; everything else (engine
-   errors, parse errors, transport failures we did not tag) is Other. *)
+   errors, parse errors, a lost connection) is Other. *)
+let prefixes =
+  [ ("TIMEOUT:", Timeout); ("OVERLOADED:", Overloaded); ("BUDGET:", Budget);
+    ("SHUTDOWN:", Shutdown); ("IDLE_TIMEOUT:", Idle_timeout);
+    ("CANCELLED:", Cancelled); ("READ_ONLY:", Read_only);
+    ("STALE_READ:", Stale_read); ("STALE_EPOCH:", Stale_epoch);
+    ("FAILOVER:", Failover); ("SESSION_LOST:", Session_lost) ]
+
 let error_code msg =
-  let prefixed p =
-    String.length msg >= String.length p
-    && String.equal (String.sub msg 0 (String.length p)) p
+  match List.find_opt (fun (prefix, _) -> String.starts_with ~prefix msg) prefixes with
+  | Some (_, code) -> code
+  | None -> Other
+
+let plural n = if n = 1 then "" else "s"
+
+(* Runs [once] up to [attempts] times, [retry_delay] seconds apart at
+   first and doubling, plus up to 50% random jitter so a herd of
+   clients does not retry in lockstep. [once] answers [Error msg] to
+   ask for another try. [until] (an absolute time) ends the retries
+   early and is never slept past. [eager] makes the first retry
+   immediate: a request turned away from a live server goes straight
+   to the next one. *)
+let retrying ?(eager = false) ~attempts ~retry_delay ?until once =
+  let out_of_time () =
+    match until with Some at -> Unix.gettimeofday () >= at | None -> false
   in
-  if prefixed "TIMEOUT:" then Timeout
-  else if prefixed "OVERLOADED:" then Overloaded
-  else if prefixed "BUDGET:" then Budget
-  else if prefixed "SHUTDOWN:" then Shutdown
-  else if prefixed "IDLE_TIMEOUT:" then Idle_timeout
-  else if prefixed "CANCELLED:" then Cancelled
-  else if prefixed "READ_ONLY:" then Read_only
-  else if prefixed "STALE_READ:" then Stale_read
-  else if prefixed "STALE_EPOCH:" then Stale_epoch
-  else if prefixed "FAILOVER:" then Failover
-  else Other
+  let rec go n delay =
+    match once () with
+    | Ok v -> v
+    | Error msg when n >= attempts || out_of_time () ->
+      raise
+        (Remote_error
+           (Printf.sprintf "%s%s (after %d attempt%s)"
+              (if out_of_time () && error_code msg <> Timeout then "TIMEOUT: "
+               else "")
+              msg n (plural n)))
+    | Error _ when eager && n = 1 -> go 2 delay
+    | Error _ ->
+      let pause = delay +. Random.float (delay /. 2.) in
+      Unix.sleepf
+        (match until with
+        | Some at -> Float.min pause (Float.max 0. (at -. Unix.gettimeofday ()))
+        | None -> pause);
+      go (n + 1) (delay *. 2.)
+  in
+  go 1 (Float.max 0.001 retry_delay)
+
+(* --- One socket --------------------------------------------------------- *)
+
+type link = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 (* Transient connect failures — the server not up yet, or the network
    hiccuping — are worth retrying; anything else (bad address, no
@@ -72,427 +99,411 @@ let set_socket_timeouts fd secs =
     Unix.setsockopt_float fd Unix.SO_SNDTIMEO secs
   with Unix.Unix_error _ | Invalid_argument _ -> ()
 
-(* Connects with bounded retries: [attempts] tries in total, starting
-   [retry_delay] seconds apart and doubling each time, plus up to 50%
-   random jitter so a herd of clients does not reconnect in lockstep.
-   [deadline] (seconds) caps the whole procedure — a retry loop never
-   outlives it — and becomes the socket send/receive timeout for later
-   calls. *)
+(* A transport failure. [sent] is false when the request provably never
+   reached the server. *)
+exception Lost of { sent : bool; msg : string }
+
+(* One TCP connect. @raise Lost on a transient failure, to be retried. *)
+let open_link ?deadline ~host ~port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (set_socket_timeouts fd) deadline;
+  match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)) with
+  | () ->
+    { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+  | exception Unix.Unix_error (e, _, _) ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    let msg = Unix.error_message e in
+    raise (if transient e then Lost { sent = false; msg } else Remote_error msg)
+
+(* [f ()] as one try for {!retrying}. *)
+let attempt f = match f () with v -> Ok v | exception Lost { msg; _ } -> Error msg
+
+(* Says goodbye ([polite]) and closes. The shutdown comes first so a
+   request a failed exchange left in the buffer never reaches the
+   server, and so a thread blocked reading the socket wakes up. *)
+let close_link ?(polite = true) l =
+  if polite then
+    (try
+       output_string l.oc (Protocol.encode_request Protocol.Quit);
+       output_char l.oc '\n';
+       flush l.oc
+     with Sys_error _ | Sys_blocked_io -> ());
+  (try Unix.shutdown l.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  close_out_noerr l.oc
+
+(* Between exchanges the server sends nothing, so a readable idle link
+   holds its farewell or its FIN: the session is gone. *)
+let alive l =
+  match Unix.select [ l.fd ] [] [] 0. with
+  | [], _, _ -> true
+  | _ -> false
+  | exception Unix.Unix_error _ -> true
+
+(* --- Answers ------------------------------------------------------------ *)
+
+let result = function
+  | Protocol.Rows { names; rows } -> Db.Rows { names; rows }
+  | Protocol.Affected n -> Db.Affected n
+  | Protocol.Message m -> Db.Message m
+  | Protocol.Error e -> raise (Remote_error e)
+
+let answer what parse = function
+  | Protocol.Message m -> (
+    match parse m with
+    | Some v -> v
+    | None -> raise (Remote_error (Printf.sprintf "bad %s response: %s" what m)))
+  | Protocol.Error e -> raise (Remote_error e)
+  | Protocol.Rows _ | Protocol.Affected _ ->
+    raise (Remote_error ("unexpected response to a " ^ what ^ " request"))
+
+let role_answer =
+  answer "role" (fun m ->
+      match String.split_on_char ' ' m with
+      | [ "role"; r; e ] -> (
+        match r, int_of_string_opt e with
+        | "primary", Some e -> Some (`Primary, e)
+        | "replica", Some e -> Some (`Replica, e)
+        | _ -> None)
+      | _ -> None)
+
+let staleness_answer =
+  answer "staleness" (fun m ->
+      match String.split_on_char ' ' m with
+      | [ "staleness"; s ] -> float_of_string_opt s
+      | _ -> None)
+
+(* --- The handle ---------------------------------------------------------- *)
+
+type t = {
+  host : string;
+  port : int;
+  attempts : int;
+  retry_delay : float;
+  deadline : float option; (* per-call wire bound, secs *)
+  group : (string * int) list option; (* the other members: discover *)
+  smart : bool; (* group or routed: parse, track, replay *)
+  max_staleness : float option;
+  on_stale : [ `Primary | `Error ];
+  mutable primary : link option;
+  mutable replica : link option;
+  mutable binds : (string * Tip_storage.Value.t) list; (* newest first *)
+  mutable in_tx : bool; (* a BEGIN was acknowledged, no COMMIT/ROLLBACK yet *)
+  mutable settings : (string * string) list; (* SET NOW/TIMEOUT to replay *)
+  mutable epoch : int; (* newest promotion epoch seen *)
+  mutable opened : int; (* primary links opened *)
+  mutable probed_at : float; (* unix time of the cached staleness probe *)
+  mutable staleness_seen : float;
+  mutable closed : bool;
+}
+
+let check_open t = if t.closed then raise (Remote_error "connection is closed")
+
+let drop_primary t =
+  Option.iter (close_link ~polite:false) t.primary;
+  t.primary <- None
+
+let drop_replica t =
+  Option.iter (close_link ~polite:false) t.replica;
+  t.replica <- None
+
+(* Sends [requests] and reads the one response, under [deadline]
+   (seconds) for this call, restoring the handle's own bound after. *)
+let exchange ?deadline t l requests =
+  let sent = ref false in
+  let io () =
+    try
+      List.iter
+        (fun r ->
+          output_string l.oc (Protocol.encode_request r);
+          output_char l.oc '\n')
+        requests;
+      flush l.oc;
+      sent := true;
+      Protocol.read_response l.ic
+    with
+    | Sys_blocked_io ->
+      (* buffered channels surface an EAGAIN as Sys_blocked_io; a
+         half-written request may still go out, so count it as sent *)
+      raise (Lost { sent = true; msg = "TIMEOUT: server did not respond in time" })
+    | End_of_file -> raise (Lost { sent = !sent; msg = "server closed the connection" })
+    | Sys_error m -> raise (Lost { sent = !sent; msg = "connection lost: " ^ m })
+    | Failure m -> raise (Lost { sent = true; msg = "protocol error: " ^ m })
+  in
+  match deadline with
+  | None -> io ()
+  | Some d ->
+    set_socket_timeouts l.fd d;
+    Fun.protect io ~finally:(fun () ->
+        set_socket_timeouts l.fd (Option.value t.deadline ~default:0.))
+
+(* One discovery pass: probe every member, keep the writable primary
+   with the newest epoch (ties broken by endpoint order). A "primary"
+   answering with an epoch older than one already seen is a fenced
+   ex-primary that has not noticed the promotion yet — never route
+   writes to it. *)
+let discover t others =
+  let members = (t.host, t.port) :: others in
+  let best =
+    List.fold_left
+      (fun best (host, port) ->
+        match open_link ?deadline:t.deadline ~host ~port () with
+        | exception (Lost _ | Remote_error _) -> best
+        | l -> (
+          match role_answer (exchange t l [ Protocol.Role_probe ]) with
+          | `Primary, e
+            when e >= t.epoch
+                 && (match best with Some (_, be) -> e > be | None -> true) ->
+            Option.iter (fun (bl, _) -> close_link bl) best;
+            Some (l, e)
+          | _ ->
+            close_link l;
+            best
+          | exception (Lost _ | Remote_error _) ->
+            close_link ~polite:false l;
+            best))
+      None members
+  in
+  match best with
+  | Some (l, e) ->
+    t.epoch <- max t.epoch e;
+    l
+  | None ->
+    let n = List.length members in
+    raise
+      (Lost
+         { sent = false;
+           msg = Printf.sprintf "FAILOVER: no writable primary among %d endpoint%s" n (plural n) })
+
+(* One try at the primary link: the held one while it is alive, else a
+   fresh one — one connect to host:port, or one discovery pass over
+   the group — with the session's settings replayed on it.
+   @raise Lost (never sent) when none is to be had. *)
+let rec primary_link t =
+  match t.primary with
+  | Some l when (not t.smart) || alive l -> l
+  | Some _ ->
+    drop_primary t;
+    if t.in_tx then raise (Lost { sent = false; msg = "server closed the connection" });
+    primary_link t
+  | None ->
+    let l =
+      match t.group with
+      | Some others -> discover t others
+      | None -> open_link ?deadline:t.deadline ~host:t.host ~port:t.port ()
+    in
+    List.iter
+      (fun (_, sql) ->
+        match exchange t l [ Protocol.Execute sql ] with
+        | Protocol.Error msg | (exception Lost { msg; _ }) ->
+          close_link ~polite:false l;
+          raise (Lost { sent = false; msg })
+        | _ -> ())
+      (List.rev t.settings);
+    t.primary <- Some l;
+    t.opened <- t.opened + 1;
+    l
+
+(* The direct path: whatever the one socket answers. A transport
+   failure closes it for good. *)
+let direct ?deadline t requests =
+  match t.primary with
+  | None -> raise (Remote_error "connection lost: the session is closed; reconnect")
+  | Some l -> (
+    match exchange ?deadline t l requests with
+    | response -> response
+    | exception Lost { msg; _ } ->
+      drop_primary t;
+      raise (Remote_error msg))
+
+(* The server turned the request away without running it, and another
+   session — a new one, or the group's new primary — may take it. *)
+let refused t e =
+  match error_code e with
+  | Shutdown | Idle_timeout -> true
+  | Read_only | Stale_epoch -> t.group <> None
+  | _ -> false
+
+let lose_tx t msg =
+  t.in_tx <- false;
+  raise
+    (Remote_error
+       ("SESSION_LOST: the transaction's session is gone (" ^ msg
+      ^ "); the server rolls back what it had not committed, so restart \
+         the transaction"))
+
+(* The replay rule: re-send [requests] on a fresh primary link when
+   the server refused them unrun, when they never left, or — for a
+   [replayable] read outside a transaction — when the link died under
+   them. A write's wire TIMEOUT or lost socket raises instead. *)
+let on_primary ?deadline t ~replayable requests =
+  retrying ~eager:true ~attempts:t.attempts ~retry_delay:t.retry_delay (fun () ->
+      match primary_link t with
+      | exception Lost { msg; _ } -> if t.in_tx then lose_tx t msg else Error msg
+      | l -> (
+        match exchange ?deadline t l requests with
+        | Protocol.Error e when refused t e ->
+          drop_primary t;
+          if t.in_tx then lose_tx t e else Error e
+        | response -> Ok response
+        | exception Lost { sent; msg } ->
+          drop_primary t;
+          if t.in_tx then lose_tx t msg
+          else if (not sent) || (replayable && error_code msg <> Timeout) then
+            Error msg
+          else raise (Remote_error msg)))
+
+let probe_cache_secs = 0.2
+
+(* Whether reads may go to the replica: always without [max_staleness],
+   else while its (briefly cached) staleness is within the bound. An
+   unreachable replica is dropped. *)
+let fresh_enough ?deadline t rep =
+  match t.max_staleness with
+  | None -> true
+  | Some bound -> (
+    let now = Unix.gettimeofday () in
+    let seen =
+      if now -. t.probed_at <= probe_cache_secs then Some t.staleness_seen
+      else
+        match staleness_answer (exchange ?deadline t rep [ Protocol.Lag_probe ]) with
+        | s ->
+          t.probed_at <- now;
+          t.staleness_seen <- s;
+          Some s
+        | exception (Lost _ | Remote_error _) ->
+          drop_replica t;
+          None
+    in
+    match seen, t.on_stale with
+    | None, _ -> false
+    | Some s, _ when s <= bound -> true
+    | Some _, `Primary -> false
+    | Some s, `Error ->
+      raise
+        (Remote_error
+           (Printf.sprintf "STALE_READ: replica is %.3fs behind (max_staleness %gs)"
+              s bound)))
+
+(* The replica's answer to a read, or [None] to ask the primary. *)
+let from_replica ?deadline t requests =
+  match t.replica with
+  | Some rep when fresh_enough ?deadline t rep -> (
+    match exchange ?deadline t rep requests with
+    | Protocol.Error e when error_code e = Other ->
+      None (* engine errors replay identically on the primary *)
+    | Protocol.Error e when refused t e ->
+      drop_replica t;
+      None
+    | response -> Some response
+    | exception Lost { msg; _ } ->
+      drop_replica t;
+      if error_code msg = Timeout then raise (Remote_error msg) else None)
+  | Some _ | None -> None
+
+type route = Read | Setting of string | Begin | End | Write
+
+let route sql =
+  match Tip_sql.Parser.parse sql with
+  | Ast.Begin_tx -> Begin
+  | Ast.Commit_tx | Ast.Rollback_tx -> End
+  | Ast.Set_now _ -> Setting "now"
+  | Ast.Set_timeout _ -> Setting "timeout"
+  | stmt -> if Db.read_only_statement stmt then Read else Write
+  | exception Tip_sql.Parser.Error _ -> Write (* the server says why *)
+
+(* The group/routed path: classify once, route, and track what the
+   statement did to the session. *)
+let routed ?deadline t sql requests =
+  let route = route sql in
+  let response =
+    match route with
+    | Read when not t.in_tx -> (
+      match from_replica ?deadline t requests with
+      | Some response -> response
+      | None -> on_primary ?deadline t ~replayable:true requests)
+    | Read | Setting _ -> on_primary ?deadline t ~replayable:true requests
+    | Begin | End | Write -> on_primary ?deadline t ~replayable:false requests
+  in
+  (match route, response with
+  | Begin, Protocol.Message _ -> t.in_tx <- true
+  | End, _ -> t.in_tx <- false
+  | Setting kind, (Protocol.Message _ | Protocol.Affected _) -> (
+    t.settings <- (kind, sql) :: List.remove_assoc kind t.settings;
+    match t.replica with
+    | Some rep -> (
+      match exchange ?deadline t rep [ Protocol.Execute sql ] with
+      | Protocol.Error _ | (exception Lost _) -> drop_replica t
+      | _ -> ())
+    | None -> ())
+  | _ -> ());
+  response
+
+(* --- Public calls -------------------------------------------------------- *)
+
 let connect ?(host = "127.0.0.1") ?(attempts = 5) ?(retry_delay = 0.05)
-    ?deadline ~port () =
+    ?deadline ?group ?replica ?max_staleness ?(on_stale = `Primary) ~port () =
   (* the server dropping the connection must surface as an exception on
      our write, not kill the client process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let attempts = max 1 attempts in
-  let give_up_at =
-    Option.map (fun d -> Unix.gettimeofday () +. d) deadline
+  let t =
+    { host; port; attempts = max 1 attempts; retry_delay; deadline; group;
+      smart = group <> None || replica <> None;
+      max_staleness; on_stale; primary = None; replica = None; binds = [];
+      in_tx = false; settings = []; epoch = 0; opened = 0; probed_at = 0.;
+      staleness_seen = 0.; closed = false }
   in
-  let out_of_time () =
-    match give_up_at with
-    | Some at -> Unix.gettimeofday () >= at
-    | None -> false
-  in
-  let rec try_connect attempt delay =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Option.iter (fun d -> set_socket_timeouts fd d) deadline;
-    match
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-    with
-    | () -> fd
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      if transient e && attempt < attempts && not (out_of_time ()) then begin
-        let pause = delay +. Random.float (delay /. 2.) in
-        let pause =
-          (* never sleep past the overall deadline *)
-          match give_up_at with
-          | Some at -> Float.min pause (Float.max 0. (at -. Unix.gettimeofday ()))
-          | None -> pause
-        in
-        Unix.sleepf pause;
-        try_connect (attempt + 1) (delay *. 2.)
-      end
-      else
-        raise
-          (Remote_error
-             (Printf.sprintf "%s%s (after %d attempt%s)"
-                (if out_of_time () then "TIMEOUT: " else "")
-                (Unix.error_message e) attempt
-                (if attempt = 1 then "" else "s")))
-  in
-  let fd = try_connect 1 (Float.max 0.001 retry_delay) in
-  { fd;
-    ic = Unix.in_channel_of_descr fd;
-    oc = Unix.out_channel_of_descr fd;
-    default_deadline = deadline;
-    closed = false }
+  let until = Option.map (fun d -> Unix.gettimeofday () +. d) deadline in
+  ignore
+    (retrying ~attempts:t.attempts ~retry_delay ?until (fun () ->
+         attempt (fun () -> primary_link t)));
+  (* a dead replica at connect time is degradation, not failure *)
+  (t.replica <-
+     match replica with
+     | None -> None
+     | Some (host, port) -> (
+       try Some (retrying ~attempts:2 ~retry_delay (fun () ->
+             attempt (open_link ?deadline ~host ~port)))
+       with Remote_error _ -> None));
+  t
 
-let check_open t = if t.closed then raise (Remote_error "connection is closed")
-
-let send t request =
-  output_string t.oc (Protocol.encode_request request);
-  output_char t.oc '\n';
-  flush t.oc
-
-(* Runs one request/response exchange under a per-call deadline: the
-   socket timeouts are tightened for the call and restored after.
-   EAGAIN and friends surface from the buffered channel as [Sys_error]
-   or [Unix_error]; both become a typed TIMEOUT Remote_error. *)
-let with_deadline t deadline f =
-  let applied =
-    match deadline with
-    | Some d ->
-      set_socket_timeouts t.fd d;
-      true
-    | None -> false
-  in
-  let governed = applied || t.default_deadline <> None in
-  Fun.protect
-    ~finally:(fun () ->
-      if applied then
-        match t.default_deadline with
-        | Some d -> set_socket_timeouts t.fd d
-        | None -> set_socket_timeouts t.fd 0. (* 0 = no timeout *))
-    (fun () ->
-      match f () with
-      | v -> v
-      | exception Sys_error msg when governed ->
-        raise (Remote_error ("TIMEOUT: wire operation failed: " ^ msg))
-      | exception Sys_blocked_io when governed ->
-        (* buffered channels surface an EAGAIN read as Sys_blocked_io *)
-        raise (Remote_error "TIMEOUT: server did not respond in time")
-      | exception Unix.Unix_error
-          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-        when governed ->
-        raise (Remote_error "TIMEOUT: server did not respond in time"))
-
-(* Binds a [:name] parameter for the next [execute]. *)
 let bind t name value =
   check_open t;
-  send t (Protocol.Bind (name, value))
+  t.binds <- (name, value) :: t.binds
 
-(* Executes one statement and returns the embedded-style result.
-   [deadline] (seconds) bounds this call's wire I/O.
-   @raise Remote_error when the server reports an error (use
-   {!error_code} on the message to classify typed failures). *)
 let execute ?deadline t sql =
   check_open t;
-  with_deadline t deadline @@ fun () ->
-  send t (Protocol.Execute sql);
-  match Protocol.read_response t.ic with
-  | Protocol.Rows { names; rows } -> Tip_engine.Database.Rows { names; rows }
-  | Protocol.Affected n -> Tip_engine.Database.Affected n
-  | Protocol.Message m -> Tip_engine.Database.Message m
-  | Protocol.Error e -> raise (Remote_error e)
-  | exception End_of_file -> raise (Remote_error "server closed the connection")
+  let requests =
+    List.fold_left
+      (fun rest (name, v) -> Protocol.Bind (name, v) :: rest)
+      [ Protocol.Execute sql ] t.binds
+  in
+  t.binds <- [];
+  result
+    (if t.smart then routed ?deadline t sql requests
+     else direct ?deadline t requests)
 
-(* Fetches the server's metrics registry as a text dump (M request).
-   @raise Remote_error when the server reports an error. *)
-let metrics ?deadline t =
+(* A probe for the server itself — on a group handle, its primary. *)
+let call ?deadline t request =
   check_open t;
-  with_deadline t deadline @@ fun () ->
-  send t Protocol.Metrics;
-  match Protocol.read_response t.ic with
-  | Protocol.Message m -> m
-  | Protocol.Error e -> raise (Remote_error e)
-  | Protocol.Rows _ | Protocol.Affected _ ->
-    raise (Remote_error "unexpected response to a metrics request")
-  | exception End_of_file -> raise (Remote_error "server closed the connection")
+  if t.smart then on_primary ?deadline t ~replayable:true [ request ]
+  else direct ?deadline t [ request ]
 
-(* How far behind the primary the server's reads are, in seconds (L
-   probe). A primary answers 0; a replica that lost its primary answers
-   a growing number.
-   @raise Remote_error on a malformed answer or server-side error. *)
-let staleness ?deadline t =
-  check_open t;
-  with_deadline t deadline @@ fun () ->
-  send t Protocol.Lag_probe;
-  match Protocol.read_response t.ic with
-  | Protocol.Message m -> (
-    match String.split_on_char ' ' m with
-    | [ "staleness"; s ] -> (
-      match float_of_string_opt s with
-      | Some s -> s
-      | None -> raise (Remote_error ("bad staleness response: " ^ m)))
-    | _ -> raise (Remote_error ("unexpected staleness response: " ^ m)))
-  | Protocol.Error e -> raise (Remote_error e)
-  | Protocol.Rows _ | Protocol.Affected _ ->
-    raise (Remote_error "unexpected response to a lag probe")
-  | exception End_of_file -> raise (Remote_error "server closed the connection")
-
-(* Which role the server is playing right now (W probe): [`Primary] or
-   [`Replica], plus its promotion epoch. The HA client uses this to
-   discover the writable member of a group.
-   @raise Remote_error on a malformed answer or server-side error. *)
-let role ?deadline t =
-  check_open t;
-  with_deadline t deadline @@ fun () ->
-  send t Protocol.Role_probe;
-  match Protocol.read_response t.ic with
-  | Protocol.Message m -> (
-    match String.split_on_char ' ' m with
-    | [ "role"; r; e ] -> (
-      match r, int_of_string_opt e with
-      | "primary", Some e -> (`Primary, e)
-      | "replica", Some e -> (`Replica, e)
-      | _ -> raise (Remote_error ("bad role response: " ^ m)))
-    | _ -> raise (Remote_error ("unexpected role response: " ^ m)))
-  | Protocol.Error e -> raise (Remote_error e)
-  | Protocol.Rows _ | Protocol.Affected _ ->
-    raise (Remote_error "unexpected response to a role probe")
-  | exception End_of_file -> raise (Remote_error "server closed the connection")
+let metrics ?deadline t = answer "metrics" Option.some (call ?deadline t Protocol.Metrics)
+let staleness ?deadline t = staleness_answer (call ?deadline t Protocol.Lag_probe)
+let role ?deadline t = role_answer (call ?deadline t Protocol.Role_probe)
+let epoch t = t.epoch
+let failovers t = max 0 (t.opened - 1)
+let on_replica t = t.replica <> None
 
 let close t =
   if not t.closed then begin
-    (try send t Protocol.Quit with Sys_error _ | Remote_error _ -> ());
     t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+    Option.iter close_link t.primary;
+    Option.iter close_link t.replica
   end
 
-let channels t = (t.ic, t.oc)
-
-(* --- Read routing ------------------------------------------------------- *)
-
-(* A routed connection: writes always go to the primary; reads prefer
-   the replica while it is reachable and — when [max_staleness] is set
-   — provably fresh enough. Staleness probes are cheap (one L
-   round-trip) and cached briefly so a burst of reads does not probe
-   per statement. *)
-
-type routed = {
-  r_primary : t;
-  mutable r_replica : t option;
-  r_max_staleness : float option;
-  r_on_stale : [ `Primary | `Error ];
-  mutable r_last_probe : float; (* unix time of the cached probe *)
-  mutable r_last_staleness : float;
-}
-
-let probe_cache_secs = 0.2
-
-let connect_routed ?max_staleness ?(on_stale = `Primary) ?replica
-    ~primary:(phost, pport) () =
-  let p = connect ~host:phost ~port:pport () in
-  let r =
-    match replica with
-    | None -> None
-    | Some (host, port) -> (
-      (* a dead replica at connect time is degradation, not failure *)
-      try Some (connect ~host ~attempts:2 ~port ()) with Remote_error _ -> None)
-  in
-  { r_primary = p;
-    r_replica = r;
-    r_max_staleness = max_staleness;
-    r_on_stale = on_stale;
-    r_last_probe = 0.;
-    r_last_staleness = 0. }
-
-(* Reads are routable; everything else (DML, DDL, transactions, SET,
-   COPY FROM ...) must see the primary. *)
-let is_read sql =
-  let sql = String.trim sql in
-  let n = String.length sql in
-  let rec word_end i =
-    if i < n && (sql.[i] = '_' ||
-                 (sql.[i] >= 'a' && sql.[i] <= 'z') ||
-                 (sql.[i] >= 'A' && sql.[i] <= 'Z'))
-    then word_end (i + 1)
-    else i
-  in
-  match String.lowercase_ascii (String.sub sql 0 (word_end 0)) with
-  | "select" | "show" | "describe" | "explain" | "stats" -> true
-  | _ -> false
-
-let replica_fresh ?deadline r =
-  match r.r_max_staleness, r.r_replica with
-  | None, Some _ -> `Fresh
-  | _, None -> `Gone
-  | Some bound, Some rep ->
-    let now = Unix.gettimeofday () in
-    let s =
-      if now -. r.r_last_probe <= probe_cache_secs then r.r_last_staleness
-      else begin
-        match staleness ?deadline rep with
-        | s ->
-          r.r_last_probe <- now;
-          r.r_last_staleness <- s;
-          s
-        | exception Remote_error _ ->
-          (* unreachable replica: drop it; reads fall back to primary *)
-          (try close rep with _ -> ());
-          r.r_replica <- None;
-          infinity
-      end
-    in
-    if r.r_replica = None then `Gone
-    else if s <= bound then `Fresh
-    else `Stale s
-
-let execute_routed ?deadline r sql =
-  let on_primary () = execute ?deadline r.r_primary sql in
-  if not (is_read sql) then on_primary ()
-  else
-    match replica_fresh ?deadline r with
-    | `Gone -> on_primary ()
-    | `Stale s -> (
-      match r.r_on_stale with
-      | `Primary -> on_primary ()
-      | `Error ->
-        raise
-          (Remote_error
-             (Printf.sprintf
-                "STALE_READ: replica is %.3fs behind (max_staleness %gs)" s
-                (Option.value r.r_max_staleness ~default:0.))))
-    | `Fresh -> (
-      match r.r_replica with
-      | None -> on_primary ()
-      | Some rep -> (
-        match execute ?deadline rep sql with
-        | v -> v
-        | exception Remote_error msg when error_code msg = Other ->
-          (* engine errors replay identically on the primary; transport
-             failures mean the replica is gone — either way the primary
-             is the answer, and a dead replica connection is dropped *)
-          (match execute ~deadline:1.0 rep "SELECT 1;" with
-          | _ -> ()
-          | exception Remote_error _ ->
-            (try close rep with _ -> ());
-            r.r_replica <- None);
-          on_primary ()))
-
-let routed_primary r = r.r_primary
-let routed_replica r = r.r_replica
-
-let close_routed r =
-  (match r.r_replica with Some rep -> (try close rep with _ -> ()) | None -> ());
-  r.r_replica <- None;
-  close r.r_primary
-
-(* --- High-availability client failover (DESIGN.md §15) ------------------ *)
-
-(* An HA connection: a list of candidate endpoints, exactly one of
-   which should be a writable primary at any moment. [connect_ha]
-   probes every endpoint (W), connects to the primary with the newest
-   promotion epoch, and remembers that epoch; when the connection dies
-   — or the server answers READ_ONLY (demoted under us) or STALE_EPOCH
-   — the client re-runs discovery under bounded backoff, riding out
-   the promotion window where no member is writable yet. Exhausting
-   the rounds raises a typed [FAILOVER:] error. *)
-
-type ha = {
-  ha_endpoints : (string * int) list;
-  ha_rounds : int; (* discovery passes before giving up *)
-  ha_backoff : float; (* base pause between passes, doubling *)
-  ha_deadline : float option;
-  mutable ha_conn : t option;
-  mutable ha_epoch : int; (* newest promotion epoch seen *)
-  mutable ha_failovers : int; (* re-discoveries after the first *)
-}
-
-let ha_drop h =
-  (match h.ha_conn with Some c -> (try close c with _ -> ()) | None -> ());
-  h.ha_conn <- None
-
-(* One discovery pass: probe every endpoint, keep the writable primary
-   with the newest epoch (ties broken by endpoint order). A "primary"
-   answering with an epoch older than one we have already seen is a
-   fenced ex-primary that has not noticed the promotion yet — never
-   route writes to it. *)
-let ha_discover_once h =
-  let best = ref None in
-  List.iter
-    (fun (host, port) ->
-      match connect ~host ~attempts:1 ?deadline:h.ha_deadline ~port () with
-      | exception Remote_error _ -> ()
-      | c -> (
-        match role ?deadline:h.ha_deadline c with
-        | `Primary, e when e >= h.ha_epoch -> (
-          match !best with
-          | Some (_, be) when be >= e -> ( try close c with _ -> ())
-          | Some (bc, _) ->
-            (try close bc with _ -> ());
-            best := Some (c, e)
-          | None -> best := Some (c, e))
-        | _ -> ( try close c with _ -> ())
-        | exception Remote_error _ -> ( try close c with _ -> ())))
-    h.ha_endpoints;
-  !best
-
-let ha_discover h =
-  let rec pass n delay =
-    match ha_discover_once h with
-    | Some (c, e) ->
-      h.ha_epoch <- max h.ha_epoch e;
-      h.ha_conn <- Some c;
-      c
-    | None ->
-      if n >= h.ha_rounds then
-        raise
-          (Remote_error
-             (Printf.sprintf
-                "FAILOVER: no writable primary among %d endpoint%s after %d \
-                 discovery pass%s"
-                (List.length h.ha_endpoints)
-                (if List.length h.ha_endpoints = 1 then "" else "s")
-                n
-                (if n = 1 then "" else "es")))
-      else begin
-        Unix.sleepf (delay +. Random.float (delay /. 2.));
-        pass (n + 1) (delay *. 2.)
-      end
-  in
-  pass 1 (Float.max 0.001 h.ha_backoff)
-
-let connect_ha ?(rounds = 8) ?(retry_delay = 0.05) ?deadline endpoints =
-  if endpoints = [] then raise (Remote_error "FAILOVER: empty endpoint list");
-  let h =
-    { ha_endpoints = endpoints;
-      ha_rounds = max 1 rounds;
-      ha_backoff = retry_delay;
-      ha_deadline = deadline;
-      ha_conn = None;
-      ha_epoch = 0;
-      ha_failovers = 0 }
-  in
-  ignore (ha_discover h);
-  h
-
-(* Failover-eligible failures: the connection is gone, the server is
-   going away (SHUTDOWN / IDLE_TIMEOUT / a wire TIMEOUT), or it
-   stopped being a writable primary (READ_ONLY after a demotion,
-   STALE_EPOCH). Engine errors are not — they would fail identically
-   on any member. *)
-let ha_should_failover msg =
-  match error_code msg with
-  | Read_only | Stale_epoch | Shutdown | Idle_timeout | Timeout -> true
-  | _ -> String.equal msg "server closed the connection"
-
-let execute_ha ?deadline h sql =
-  let rec go attempt =
-    let c =
-      match h.ha_conn with
-      | Some c -> c
-      | None ->
-        let c = ha_discover h in
-        h.ha_failovers <- h.ha_failovers + 1;
-        c
-    in
-    match execute ?deadline c sql with
-    | v -> v
-    | exception Remote_error msg when ha_should_failover msg && attempt < 3 ->
-      ha_drop h;
-      go (attempt + 1)
-    | exception (Sys_error _ | End_of_file) when attempt < 3 ->
-      ha_drop h;
-      go (attempt + 1)
-    | exception Unix.Unix_error (e, _, _) when transient e && attempt < 3 ->
-      ha_drop h;
-      go (attempt + 1)
-  in
-  go 1
-
-let ha_primary h = h.ha_conn
-let ha_epoch h = h.ha_epoch
-let ha_failovers h = h.ha_failovers
-let close_ha h = ha_drop h
+let channels t =
+  match t.primary with
+  | Some l -> (l.ic, l.oc)
+  | None -> raise (Remote_error "connection is closed")

@@ -1,7 +1,39 @@
-(** The remote client: an embedded-connection-shaped API over the wire
-    protocol. Typed values are rebuilt on this side, so register the
-    blade types ({!Tip_blade.Values.register_types}) before connecting
-    when results contain temporal columns. *)
+(** The remote client: one connection handle over the wire protocol,
+    shaped like an embedded connection. Typed values are rebuilt on
+    this side, so register the blade types
+    ({!Tip_blade.Values.register_types}) before connecting when results
+    contain temporal columns.
+
+    A handle comes in one of three shapes, all driven through the same
+    {!execute}/{!bind}/{!close}:
+    - {b direct} ([connect ~port ()]): one socket, every statement sent
+      as is. No role probe, no routing, no replay, no client-side parse.
+      A lost connection stays lost: every later call raises.
+    - {b group} ([~group]): [host:port] and the [group] endpoints form
+      one HA group (DESIGN.md §15). The handle probes every member's
+      role and promotion epoch ([W]) and uses the writable primary with
+      the newest epoch; a primary claiming an epoch older than one
+      already seen is a fenced ex-primary and is never used.
+    - {b routed} ([~replica]): reads ([SELECT], [EXPLAIN]: the
+      statements {!Tip_engine.Database.read_only_statement} runs under
+      a shared lock) go to the replica while it is reachable and —
+      with [max_staleness] — fresh enough (probes cached for 0.2 s).
+      Everything else, SHOW/DESCRIBE/STATS included, goes to the
+      primary. A too-stale replica falls back to the primary, or raises
+      [STALE_READ:] under [on_stale = `Error]; a dead one is dropped.
+
+    Group and routed handles classify each statement once with the SQL
+    parser. They track BEGIN/COMMIT/ROLLBACK, so inside a transaction
+    every statement goes to the primary, and they replay [SET NOW] and
+    [SET TIMEOUT] on every connection they hold or later open. They
+    re-send a statement only when it is a read outside a transaction,
+    or when the server refused it without running it ([SHUTDOWN], the
+    [IDLE_TIMEOUT] farewell, a connection found dead before the send,
+    and on a group [READ_ONLY] and [STALE_EPOCH]). A write whose fate
+    is unknown — a wire [TIMEOUT], or a socket lost after the send —
+    raises instead of running twice; inside a transaction a lost
+    session raises [SESSION_LOST:] and leaves the handle out of the
+    transaction. *)
 
 exception Remote_error of string
 
@@ -9,7 +41,8 @@ exception Remote_error of string
     governance layer prefixes typed failures ([TIMEOUT: ...],
     [OVERLOADED: ...], [BUDGET: ...], [SHUTDOWN: ...],
     [IDLE_TIMEOUT: ...], [CANCELLED: ...]); client-side wire timeouts
-    use the same [TIMEOUT:] prefix. Anything else is [Other]. *)
+    use the same [TIMEOUT:] prefix. Anything else — engine errors and a
+    lost connection — is [Other]. *)
 type error_code =
   | Timeout
   | Overloaded
@@ -21,34 +54,49 @@ type error_code =
       (** the statement would write and the server is a read replica *)
   | Stale_read
       (** a routed read refused because the replica exceeds the
-          [max_staleness] bound (client-side, {!execute_routed}) *)
+          [max_staleness] bound (client-side) *)
   | Stale_epoch
       (** a replication subscription fenced: the peer's promotion epoch
           is older than the server's (split-brain protection) *)
   | Failover
-      (** the HA client exhausted its discovery passes without finding
-          a writable primary ({!connect_ha} / {!execute_ha}) *)
+      (** a group handle found no writable primary within its budget *)
+  | Session_lost
+      (** the session running the handle's transaction is gone; the
+          server rolls back what it had not committed, so the caller
+          restarts the transaction *)
   | Other
 
 val error_code : string -> error_code
 
 type t
 
-(** Connects with bounded retries on transient failures (connection
-    refused, timed out, network unreachable, reset): [attempts] tries
-    in total (default 5), the first retry after [retry_delay] seconds
-    (default 0.05), doubling each time with random jitter. This rides
-    out a server that is still starting up. [deadline] (seconds) caps
-    the whole procedure, retries included, and becomes the socket
-    send/receive timeout for subsequent calls — a hung server then
-    fails calls with [Remote_error "TIMEOUT: ..."] instead of blocking
-    forever.
-    @raise Remote_error when the server stays unreachable. *)
+(** Opens a handle on the server at [host:port] (default host
+    127.0.0.1). Transient failures are retried: [attempts] tries in
+    total (default 5) — TCP connects for a direct or routed handle,
+    discovery passes over the whole group for a group handle — the
+    first retry after [retry_delay] seconds (default 0.05), doubling
+    with random jitter. The same budget bounds each {!execute}'s
+    re-sends, the first of which goes out at once. [deadline] (seconds)
+    caps the whole connect, retries included, and becomes the per-call
+    wire bound: a hung server then fails calls with
+    [Remote_error "TIMEOUT: ..."] instead of blocking forever.
+
+    [group] (the other members of [host:port]'s HA group, possibly
+    none) makes a group handle. [replica] makes a routed handle; a
+    replica that cannot be reached leaves it primary-only.
+    [max_staleness] and [on_stale] (default [`Primary]) bound its
+    reads.
+    @raise Remote_error when the server stays unreachable, or with a
+    [FAILOVER:] message when a group has no writable primary. *)
 val connect :
   ?host:string ->
   ?attempts:int ->
   ?retry_delay:float ->
   ?deadline:float ->
+  ?group:(string * int) list ->
+  ?replica:string * int ->
+  ?max_staleness:float ->
+  ?on_stale:[ `Primary | `Error ] ->
   port:int ->
   unit ->
   t
@@ -58,113 +106,34 @@ val bind : t -> string -> Tip_storage.Value.t -> unit
 
 (** Executes one statement. [deadline] (seconds) bounds this call's
     wire I/O (overriding the connect-time default for the call).
-    @raise Remote_error on server-side errors or a lost connection;
-    use {!error_code} to classify. *)
+    @raise Remote_error on server-side errors and on every transport
+    failure; use {!error_code} to classify. *)
 val execute : ?deadline:float -> t -> string -> Tip_engine.Database.result
 
-(** The server's metrics registry as a text dump ([M] request).
-    @raise Remote_error on server-side errors or a lost connection. *)
+(** The server's metrics registry as a text dump ([M] request). *)
 val metrics : ?deadline:float -> t -> string
 
 (** Seconds the server's reads are behind its primary ([L] probe): a
     primary answers [0.], a replica its measured lag — growing without
-    bound once it loses its primary.
-    @raise Remote_error on a malformed answer or lost connection. *)
+    bound once it loses its primary. *)
 val staleness : ?deadline:float -> t -> float
 
-(** The server's current role ([W] probe) and its promotion epoch —
-    the HA client's primary-discovery primitive.
-    @raise Remote_error on a malformed answer or lost connection. *)
+(** The server's current role ([W] probe) and its promotion epoch. *)
 val role : ?deadline:float -> t -> [ `Primary | `Replica ] * int
+
+(** The newest promotion epoch a group handle has observed. *)
+val epoch : t -> int
+
+(** Primary connections the handle re-opened after its first. *)
+val failovers : t -> int
+
+(** Whether a routed handle still holds its replica connection. *)
+val on_replica : t -> bool
 
 val close : t -> unit
 
-(** {1 Read routing}
-
-    A routed connection sends writes to the primary and routes reads
-    (SELECT/SHOW/DESCRIBE/EXPLAIN/STATS) to a replica while it is
-    reachable and fresh enough. With [max_staleness] set, each read
-    first checks the replica's staleness (probes are cached for 0.2 s);
-    a too-stale replica either falls back to the primary (default) or
-    raises a typed [STALE_READ:] error ([on_stale = `Error]) so the
-    caller can decide. A replica that dies mid-session is dropped and
-    every read falls back to the primary — graceful degradation, not
-    failure. *)
-
-type routed
-
-(** Connects to the primary (required) and optionally a replica; a
-    replica that cannot be reached leaves the routed connection in
-    primary-only mode.
-    @raise Remote_error when the primary is unreachable. *)
-val connect_routed :
-  ?max_staleness:float ->
-  ?on_stale:[ `Primary | `Error ] ->
-  ?replica:string * int ->
-  primary:string * int ->
-  unit ->
-  routed
-
-(** Executes one statement on the routed connection.
-    @raise Remote_error on server errors; [STALE_READ: ...] when a
-    bounded read found the replica too stale under [on_stale = `Error]. *)
-val execute_routed :
-  ?deadline:float -> routed -> string -> Tip_engine.Database.result
-
-val routed_primary : routed -> t
-
-(** The replica connection still in use, if any. *)
-val routed_replica : routed -> t option
-
-val close_routed : routed -> unit
-
-(** {1 High-availability failover}
-
-    An HA connection holds a list of candidate endpoints — one group of
-    servers of which exactly one should be the writable primary at any
-    moment (DESIGN.md §15). Discovery probes every endpoint's role ([W])
-    and connects to the primary with the newest promotion epoch; an
-    endpoint claiming primacy under an epoch older than one already
-    seen is a fenced ex-primary and is never used. When the connection
-    is lost — or the server answers [READ_ONLY:] (demoted under us) or
-    [STALE_EPOCH:] — the client transparently re-runs discovery with
-    doubling backoff, riding out the promotion window in which no
-    member is writable yet. *)
-
-type ha
-
-(** Discovers and connects to the group's writable primary. [rounds]
-    (default 8) bounds discovery passes; [retry_delay] (default 0.05 s)
-    is the pause after the first failed pass, doubling with jitter.
-    @raise Remote_error with a [FAILOVER:] message when no writable
-    primary is found within the budget (classified {!Failover}). *)
-val connect_ha :
-  ?rounds:int ->
-  ?retry_delay:float ->
-  ?deadline:float ->
-  (string * int) list ->
-  ha
-
-(** Executes one statement on the current primary, failing over (up to
-    two re-discoveries per call) when the connection drops or the
-    server stops being a writable primary. Engine errors pass through
-    untouched — they would fail identically on any member.
-    @raise Remote_error on engine errors or failed failover. *)
-val execute_ha : ?deadline:float -> ha -> string -> Tip_engine.Database.result
-
-(** The live primary connection, if one is currently established. *)
-val ha_primary : ha -> t option
-
-(** The newest promotion epoch this client has observed. *)
-val ha_epoch : ha -> int
-
-(** Completed re-discoveries (0 right after {!connect_ha}). *)
-val ha_failovers : ha -> int
-
-val close_ha : ha -> unit
-
 (**/**)
 
-(** The raw buffered channels over the socket — the replication
-    client's entry to stream framing. *)
+(** The raw buffered channels over the primary socket — the
+    replication client's entry to stream framing. *)
 val channels : t -> in_channel * out_channel

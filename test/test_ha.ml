@@ -259,9 +259,9 @@ let check_ha_error_codes () =
 
 (* --- Promotion + epoch fencing over the wire ------------------------------ *)
 
-let with_primary dir f =
+let with_primary ?idle_timeout dir f =
   let db, _ = Db.open_durable ~sync:Wal.Always ~dir () in
-  let server = Server.listen ~port:0 db in
+  let server = Server.listen ?idle_timeout ~port:0 db in
   Server.serve_in_background server;
   Fun.protect
     ~finally:(fun () ->
@@ -289,6 +289,10 @@ let check_promotion_and_fencing () =
       with_dir (fun dirB ->
           with_primary dirA (fun pdb _pserver portA ->
               let rdb, lock, repl = start_replica ~port:portA () in
+              (* these writes bypass the server's lock: a bootstrap
+                 snapshot taken in the middle of one re-ships it *)
+              Alcotest.(check bool) "replica streams before the writes" true
+                (wait_until (fun () -> Replication.state repl = "streaming"));
               ignore (exec pdb "CREATE TABLE f (a INT PRIMARY KEY)");
               for i = 1 to 5 do
                 ignore (exec pdb (Printf.sprintf "INSERT INTO f VALUES (%d)" i))
@@ -375,68 +379,151 @@ let check_promotion_and_fencing () =
 
 (* --- Client failover ------------------------------------------------------ *)
 
-let check_client_failover () =
+(* A durable primary A (dropping sessions idle past [idle_timeout])
+   and a streaming replica B, served and ready to promote. *)
+let with_promotable ?idle_timeout f =
   with_dir (fun dirA ->
       with_dir (fun dirB ->
-          with_primary dirA (fun pdb _pserver portA ->
+          with_primary ?idle_timeout dirA (fun pdb _pserver portA ->
               let rdb, lock, repl = start_replica ~port:portA () in
               let serverB = Server.listen ~port:0 rdb in
               Server.serve_in_background serverB;
               Server.set_promote_handler serverB (fun () ->
                   Replication.promote repl ~dir:dirB ());
-              let portB = Server.port serverB in
               Fun.protect
                 ~finally:(fun () ->
                   Server.stop serverB;
                   try Db.close_durable rdb with _ -> ())
                 (fun () ->
-                  let endpoints =
-                    [ ("127.0.0.1", portA); ("127.0.0.1", portB) ]
-                  in
-                  let ha = Remote.connect_ha endpoints in
-                  (match
-                     Remote.execute_ha ha "CREATE TABLE c (a INT PRIMARY KEY)"
-                   with
-                  | Db.Message _ | Db.Affected _ -> ()
-                  | r -> Alcotest.failf "DDL via HA: %s" (Db.render_result r));
-                  (match Remote.execute_ha ha "INSERT INTO c VALUES (1)" with
-                  | Db.Affected 1 -> ()
-                  | r -> Alcotest.failf "write via HA: %s" (Db.render_result r));
-                  Alcotest.(check int) "no failover yet" 0
-                    (Remote.ha_failovers ha);
-                  Alcotest.(check bool) "replica sees the write" true
-                    (wait_until (converged ~lock ~rdb ~pdb repl));
-                  (* the primary is demoted under the client; the
-                     replica is promoted — the next write must follow *)
-                  Db.set_read_only pdb true;
-                  (match Server.promote serverB with
-                  | Ok (_, epoch) -> Alcotest.(check int) "epoch 1" 1 epoch
-                  | Error e -> Alcotest.fail e);
-                  (match Remote.execute_ha ha "INSERT INTO c VALUES (2)" with
-                  | Db.Affected 1 -> ()
-                  | r ->
-                    Alcotest.failf "write after failover: %s"
-                      (Db.render_result r));
-                  Alcotest.(check int) "one failover" 1
-                    (Remote.ha_failovers ha);
-                  Alcotest.(check int) "client tracked the new epoch" 1
-                    (Remote.ha_epoch ha);
-                  (match Db.exec rdb "SELECT COUNT(*) FROM c" with
-                  | Db.Rows { rows = [ [| Tip_storage.Value.Int 2 |] ]; _ } ->
-                    ()
-                  | r ->
-                    Alcotest.failf "failover write landed elsewhere: %s"
-                      (Db.render_result r));
-                  Remote.close_ha ha;
-                  (* no writable member anywhere: a typed FAILOVER error *)
-                  match
-                    Remote.connect_ha ~rounds:2 ~retry_delay:0.01
-                      [ ("127.0.0.1", portA) ]
-                  with
-                  | _ -> Alcotest.fail "expected FAILOVER"
-                  | exception Remote.Remote_error msg ->
-                    Alcotest.(check bool) "typed FAILOVER" true
-                      (Remote.error_code msg = Remote.Failover)))))
+                  f ~pdb ~rdb ~portA ~serverB ~portB:(Server.port serverB)
+                    ~converged:(converged ~lock ~rdb ~pdb repl)))))
+
+let promote serverB =
+  match Server.promote serverB with
+  | Ok (_, epoch) -> Alcotest.(check int) "epoch 1" 1 epoch
+  | Error e -> Alcotest.fail e
+
+let check_client_failover () =
+  with_promotable (fun ~pdb ~rdb ~portA ~serverB ~portB ~converged ->
+      let ha = Remote.connect ~port:portA ~group:[ ("127.0.0.1", portB) ] () in
+      (match Remote.execute ha "CREATE TABLE c (a INT PRIMARY KEY)" with
+      | Db.Message _ | Db.Affected _ -> ()
+      | r -> Alcotest.failf "DDL via HA: %s" (Db.render_result r));
+      (match Remote.execute ha "INSERT INTO c VALUES (1)" with
+      | Db.Affected 1 -> ()
+      | r -> Alcotest.failf "write via HA: %s" (Db.render_result r));
+      Alcotest.(check int) "no failover yet" 0 (Remote.failovers ha);
+      Alcotest.(check bool) "replica sees the write" true (wait_until converged);
+      (* the primary is demoted under the client; the replica is
+         promoted — the next write must follow *)
+      Db.set_read_only pdb true;
+      promote serverB;
+      (match Remote.execute ha "INSERT INTO c VALUES (2)" with
+      | Db.Affected 1 -> ()
+      | r -> Alcotest.failf "write after failover: %s" (Db.render_result r));
+      Alcotest.(check int) "one failover" 1 (Remote.failovers ha);
+      Alcotest.(check int) "client tracked the new epoch" 1 (Remote.epoch ha);
+      (match Db.exec rdb "SELECT COUNT(*) FROM c" with
+      | Db.Rows { rows = [ [| Tip_storage.Value.Int 2 |] ]; _ } -> ()
+      | r ->
+        Alcotest.failf "failover write landed elsewhere: %s"
+          (Db.render_result r));
+      Remote.close ha;
+      (* no writable member anywhere: a typed FAILOVER error *)
+      match
+        Remote.connect ~attempts:2 ~retry_delay:0.01 ~group:[] ~port:portA ()
+      with
+      | _ -> Alcotest.fail "expected FAILOVER"
+      | exception Remote.Remote_error msg ->
+        Alcotest.(check bool) "typed FAILOVER" true
+          (Remote.error_code msg = Remote.Failover))
+
+let now_of c =
+  match Remote.execute c "SELECT 'NOW'::Instant::Chronon::CHAR" with
+  | Db.Rows { rows = [ [| Tip_storage.Value.Str s |] ]; _ } -> String.trim s
+  | r -> Alcotest.failf "NOW: %s" (Db.render_result r)
+
+(* SET NOW reaches the new primary: the old one drops the idle session
+   after the promotion, so the first read rediscovers the group. *)
+let check_settings_follow_failover () =
+  with_promotable ~idle_timeout:0.5
+    (fun ~pdb ~rdb ~portA ~serverB ~portB ~converged ->
+      Tip_blade.Blade.install pdb;
+      Tip_blade.Blade.install rdb;
+      Alcotest.(check bool) "replica converges" true (wait_until converged);
+      let ha = Remote.connect ~port:portA ~group:[ ("127.0.0.1", portB) ] () in
+      ignore (Remote.execute ha "SET NOW = '1999-01-01'");
+      Alcotest.(check string) "NOW on the first primary" "1999-01-01" (now_of ha);
+      Db.set_read_only pdb true;
+      promote serverB;
+      Unix.sleepf 1.0;
+      Alcotest.(check string) "first read after the promotion" "1999-01-01"
+        (now_of ha);
+      Alcotest.(check int) "read on the promoted member" 1 (Remote.epoch ha);
+      Remote.close ha)
+
+let with_server ?idle_timeout db f =
+  let server = Server.listen ?idle_timeout ~port:0 db in
+  Server.serve_in_background server;
+  Fun.protect ~finally:(fun () -> Server.stop server) (fun () ->
+      f (Server.port server))
+
+let count c table =
+  match Remote.execute c ("SELECT COUNT(*) FROM " ^ table) with
+  | Db.Rows { rows = [ [| Tip_storage.Value.Int n |] ]; _ } -> n
+  | r -> Alcotest.failf "count %s: %s" table (Db.render_result r)
+
+(* An idle drop rolls the server-side transaction back; the statement
+   that finds the session gone must raise, not run in autocommit. *)
+let check_lost_transaction_not_replayed () =
+  with_server ~idle_timeout:1.0 (Db.create ()) @@ fun port ->
+  let ha = Remote.connect ~group:[] ~port () in
+  ignore (Remote.execute ha "CREATE TABLE t (a INT PRIMARY KEY)");
+  ignore (Remote.execute ha "BEGIN");
+  ignore (Remote.execute ha "INSERT INTO t VALUES (1)");
+  Unix.sleepf 2.5;
+  (match Remote.execute ha "INSERT INTO t VALUES (2)" with
+  | r -> Alcotest.failf "INSERT (2) ran: %s" (Db.render_result r)
+  | exception Remote.Remote_error msg ->
+    if Remote.error_code msg <> Remote.Session_lost then
+      Alcotest.failf "not SESSION_LOST: %S" msg);
+  (try ignore (Remote.execute ha "ROLLBACK") with Remote.Remote_error _ -> ());
+  Alcotest.(check int) "neither row committed" 0 (count ha "t");
+  Remote.close ha
+
+(* A write that outlives the wire deadline has an unknown fate, so the
+   group handle raises TIMEOUT instead of re-sending it. The write is
+   sized in process to take five times the deadline. *)
+let check_timed_out_write_runs_at_most_once () =
+  let db = Db.create () in
+  ignore (exec db "CREATE TABLE src (x INT)");
+  ignore (exec db "CREATE TABLE sink (n INT)");
+  ignore (exec db "INSERT INTO src VALUES (1), (2), (3), (4), (5), (6), (7), (8)");
+  let heavy = "SELECT COUNT(*) FROM src AS a, src AS b WHERE a.x <> b.x" in
+  let rec calibrate () =
+    let t0 = Unix.gettimeofday () in
+    ignore (exec db heavy);
+    let secs = Unix.gettimeofday () -. t0 in
+    if secs >= 0.25 then secs
+    else begin
+      ignore (exec db "INSERT INTO src SELECT x + 1 FROM src");
+      calibrate ()
+    end
+  in
+  let secs = calibrate () in
+  with_server db @@ fun port ->
+  let ha = Remote.connect ~deadline:0.05 ~group:[] ~port () in
+  (match Remote.execute ha ("INSERT INTO sink " ^ heavy) with
+  | r -> Alcotest.failf "the slow write beat its deadline: %s" (Db.render_result r)
+  | exception Remote.Remote_error msg ->
+    if Remote.error_code msg <> Remote.Timeout then
+      Alcotest.failf "not a wire TIMEOUT: %S" msg);
+  Remote.close ha;
+  let c = Remote.connect ~port () in
+  ignore (wait_until (fun () -> count c "sink" >= 1));
+  Unix.sleepf (3. *. secs);
+  Alcotest.(check bool) "the write ran at most once" true (count c "sink" <= 1);
+  Remote.close c
 
 (* --- Differential failover fuzz ------------------------------------------ *)
 
@@ -550,6 +637,12 @@ let suite =
       check_promotion_and_fencing;
     Alcotest.test_case "client failover across a promotion" `Quick
       check_client_failover;
+    Alcotest.test_case "SET NOW follows the group to its new primary" `Quick
+      check_settings_follow_failover;
+    Alcotest.test_case "a lost transaction is never replayed" `Quick
+      check_lost_transaction_not_replayed;
+    Alcotest.test_case "a timed-out write runs at most once" `Quick
+      check_timed_out_write_runs_at_most_once;
     Alcotest.test_case "differential failover fuzz" `Slow check_failover_fuzz;
     Alcotest.test_case "BACKUP TO / PROMOTE statement surfaces" `Quick
       check_statement_surfaces ]

@@ -305,48 +305,79 @@ let check_e2e_primary_loss_and_return () =
                 (wait_until ~timeout:15. (converged ~lock ~rdb:db ~pdb r));
               Remote.close c)))
 
-let check_e2e_routed_reads () =
+(* A durable primary and a served replica streaming from it, both with
+   the blade installed. *)
+let with_routed_pair f =
   with_dir (fun dir ->
       let pport = free_port () in
       with_primary ~port:pport dir (fun pdb _ _ ->
           let rdb, lock, repl = start_replica ~port:pport () in
+          Tip_blade.Blade.install pdb;
+          Tip_blade.Blade.install rdb;
           let rserver = Server.listen ~port:0 rdb in
           Server.set_staleness_probe rserver (fun () ->
               Replication.staleness_seconds repl);
           Server.serve_in_background rserver;
-          let rport = Server.port rserver in
           Fun.protect
             ~finally:(fun () ->
               Server.stop rserver;
               Replication.stop repl)
             (fun () ->
-              (* over the wire, the replica's refusal is typed *)
-              let rc = Remote.connect ~port:rport () in
-              (match Remote.execute rc "CREATE TABLE w (a INT)" with
-              | exception Remote.Remote_error msg ->
-                Alcotest.(check bool) "wire READ_ONLY" true
-                  (Remote.error_code msg = Remote.Read_only)
-              | r -> Alcotest.failf "replica accepted a write: %s" (Db.render_result r));
-              Remote.close rc;
-              let routed =
-                Remote.connect_routed ~max_staleness:30. ~on_stale:`Error
-                  ~replica:("127.0.0.1", rport) ~primary:("127.0.0.1", pport) ()
-              in
-              (* writes go to the primary *)
-              ignore (Remote.execute_routed routed "CREATE TABLE t (a INT PRIMARY KEY)");
-              ignore (Remote.execute_routed routed "INSERT INTO t VALUES (7)");
-              Alcotest.(check bool) "replica converges" true
-                (wait_until (converged ~lock ~rdb ~pdb repl));
-              (* reads route to the replica and see the replicated row *)
-              (match Remote.execute_routed routed "SELECT a FROM t" with
-              | Db.Rows { rows = [ [| Tip_storage.Value.Int 7 |] ]; _ } -> ()
-              | r -> Alcotest.failf "routed read: %s" (Db.render_result r));
-              Alcotest.(check bool) "replica link in use" true
-                (Remote.routed_replica routed <> None);
-              Remote.close_routed routed));
-      (* primary now gone; a strict staleness bound must refuse reads
-         against the stale replica with the typed STALE_READ class *)
-      ())
+              f ~pport ~rport:(Server.port rserver)
+                ~converged:(converged ~lock ~rdb ~pdb repl))))
+
+let check_e2e_routed_reads () =
+  with_routed_pair (fun ~pport ~rport ~converged ->
+      (* over the wire, the replica's refusal is typed *)
+      let rc = Remote.connect ~port:rport () in
+      (match Remote.execute rc "CREATE TABLE w (a INT)" with
+      | exception Remote.Remote_error msg ->
+        Alcotest.(check bool) "wire READ_ONLY" true
+          (Remote.error_code msg = Remote.Read_only)
+      | r -> Alcotest.failf "replica accepted a write: %s" (Db.render_result r));
+      Remote.close rc;
+      let routed =
+        Remote.connect ~max_staleness:30. ~on_stale:`Error
+          ~replica:("127.0.0.1", rport) ~port:pport ()
+      in
+      (* writes go to the primary *)
+      ignore (Remote.execute routed "CREATE TABLE t (a INT PRIMARY KEY)");
+      ignore (Remote.execute routed "INSERT INTO t VALUES (7)");
+      Alcotest.(check bool) "replica converges" true (wait_until converged);
+      (* reads route to the replica and see the replicated row *)
+      (match Remote.execute routed "SELECT a FROM t" with
+      | Db.Rows { rows = [ [| Tip_storage.Value.Int 7 |] ]; _ } -> ()
+      | r -> Alcotest.failf "routed read: %s" (Db.render_result r));
+      Alcotest.(check bool) "replica link in use" true (Remote.on_replica routed);
+      Remote.close routed)
+
+(* Inside a transaction every statement goes to the primary, so a read
+   sees the transaction's own uncommitted row. *)
+let check_routed_transaction_reads_its_writes () =
+  with_routed_pair (fun ~pport ~rport ~converged ->
+      let routed = Remote.connect ~replica:("127.0.0.1", rport) ~port:pport () in
+      ignore (Remote.execute routed "CREATE TABLE t (a INT PRIMARY KEY)");
+      Alcotest.(check bool) "replica converges" true (wait_until converged);
+      ignore (Remote.execute routed "BEGIN");
+      ignore (Remote.execute routed "INSERT INTO t VALUES (1)");
+      (match Remote.execute routed "SELECT a FROM t" with
+      | Db.Rows { rows = [ [| Tip_storage.Value.Int 1 |] ]; _ } -> ()
+      | r -> Alcotest.failf "the transaction's own row: %s" (Db.render_result r));
+      ignore (Remote.execute routed "COMMIT");
+      Remote.close routed)
+
+(* SET NOW reaches the replica too, so routed reads share the session's
+   clock. *)
+let check_routed_settings_reach_the_replica () =
+  with_routed_pair (fun ~pport ~rport ~converged:_ ->
+      let routed = Remote.connect ~replica:("127.0.0.1", rport) ~port:pport () in
+      ignore (Remote.execute routed "SET NOW = '1999-01-01'");
+      (match Remote.execute routed "SELECT 'NOW'::Instant::Chronon::CHAR" with
+      | Db.Rows { rows = [ [| Tip_storage.Value.Str s |] ]; _ } ->
+        Alcotest.(check string) "routed read's NOW" "1999-01-01" (String.trim s)
+      | r -> Alcotest.failf "NOW: %s" (Db.render_result r));
+      Alcotest.(check bool) "read on the replica" true (Remote.on_replica routed);
+      Remote.close routed)
 
 let check_e2e_stale_read_bound () =
   with_dir (fun dir ->
@@ -381,15 +412,15 @@ let check_e2e_stale_read_bound () =
           Thread.delay 0.6;
           let rport = Server.port (Option.get !rserver) in
           let routed =
-            Remote.connect_routed ~max_staleness:0.2 ~on_stale:`Error
-              ~replica:("127.0.0.1", rport) ~primary:("127.0.0.1", rport) ()
+            Remote.connect ~max_staleness:0.2 ~on_stale:`Error
+              ~replica:("127.0.0.1", rport) ~port:rport ()
           in
-          (match Remote.execute_routed routed "SELECT a FROM t" with
+          (match Remote.execute routed "SELECT a FROM t" with
           | exception Remote.Remote_error msg ->
             Alcotest.(check bool) "typed STALE_READ" true
               (Remote.error_code msg = Remote.Stale_read)
           | _r -> Alcotest.fail "stale replica served a bounded read");
-          Remote.close_routed routed))
+          Remote.close routed))
 
 (* --- Differential replication fuzz --------------------------------------- *)
 
@@ -489,6 +520,10 @@ let suite =
       `Quick check_e2e_primary_loss_and_return;
     Alcotest.test_case "routed reads hit the replica" `Quick
       check_e2e_routed_reads;
+    Alcotest.test_case "routed transaction reads its own writes" `Quick
+      check_routed_transaction_reads_its_writes;
+    Alcotest.test_case "routed SET NOW reaches the replica" `Quick
+      check_routed_settings_reach_the_replica;
     Alcotest.test_case "max_staleness bounds routed reads" `Quick
       check_e2e_stale_read_bound;
     Alcotest.test_case "differential replication fuzz (6 seeds)" `Quick

@@ -136,6 +136,25 @@ let check_concurrent_clients () =
   ignore (Tip_server.Remote.execute c "DROP TABLE counter");
   Tip_server.Remote.close c
 
+(* After an idle drop, every later call on the direct handle fails
+   with the typed [Remote_error] — the farewell first, then the lost
+   connection — never a raw transport exception. *)
+let check_lost_connection_is_typed () =
+  let server = Tip_server.Server.listen ~idle_timeout:0.2 ~port:0 (Db.create ()) in
+  Tip_server.Server.serve_in_background server;
+  Fun.protect ~finally:(fun () -> Tip_server.Server.stop server) @@ fun () ->
+  let c = Tip_server.Remote.connect ~port:(Tip_server.Server.port server) () in
+  ignore (Tip_server.Remote.execute c "SELECT 1");
+  Unix.sleepf 0.6;
+  for i = 1 to 3 do
+    match Tip_server.Remote.execute c "SELECT 1" with
+    | (_ : Db.result) -> Alcotest.failf "call %d after the drop answered" i
+    | exception Tip_server.Remote.Remote_error _ -> ()
+    | exception e ->
+      Alcotest.failf "call %d after the drop raised %s" i (Printexc.to_string e)
+  done;
+  Tip_server.Remote.close c
+
 let suite =
   [ Alcotest.test_case "round trip with typed values" `Quick
       check_basic_roundtrip;
@@ -144,4 +163,6 @@ let suite =
       check_bad_number_keeps_session;
     Alcotest.test_case "parameters over the wire" `Quick
       check_parameters_over_wire;
-    Alcotest.test_case "concurrent clients" `Quick check_concurrent_clients ]
+    Alcotest.test_case "concurrent clients" `Quick check_concurrent_clients;
+    Alcotest.test_case "a lost connection raises Remote_error" `Quick
+      check_lost_connection_is_typed ]
