@@ -126,7 +126,7 @@ let register_types () =
     Value.register_type ~name:chronon_type
       { Value.parse =
           (fun s -> chronon (parse_error_to_type_error Chronon.of_string_exn s));
-        print = (fun v -> Chronon.to_string (as_chronon v));
+        print = (fun b v -> Chronon.to_buffer b (as_chronon v));
         compare = Some (fun a b -> Chronon.compare (as_chronon a) (as_chronon b));
         extents =
           Some
@@ -137,7 +137,7 @@ let register_types () =
     Value.register_type ~name:span_type
       { Value.parse =
           (fun s -> span (parse_error_to_type_error Span.of_string_exn s));
-        print = (fun v -> Span.to_string (as_span v));
+        print = (fun b v -> Span.to_buffer b (as_span v));
         compare = Some (fun a b -> Span.compare (as_span a) (as_span b));
         extents = None;
         overlaps = None };
@@ -147,7 +147,7 @@ let register_types () =
     Value.register_type ~name:instant_type
       { Value.parse =
           (fun s -> instant (parse_error_to_type_error Instant.of_string_exn s));
-        print = (fun v -> Instant.to_string (as_instant v));
+        print = (fun b v -> Instant.to_buffer b (as_instant v));
         compare = None;
         extents = Some (fun v -> [ instant_extent (as_instant v) ]);
         overlaps = None };
@@ -155,7 +155,7 @@ let register_types () =
     Value.register_type ~name:period_type
       { Value.parse =
           (fun s -> period (parse_error_to_type_error Period.of_string_exn s));
-        print = (fun v -> Period.to_string (as_period v));
+        print = (fun b v -> Period.to_buffer b (as_period v));
         compare = None;
         extents =
           Some (fun v -> Option.to_list (period_extent (as_period v)));
@@ -163,14 +163,14 @@ let register_types () =
     Value.register_type ~name:element_type
       { Value.parse =
           (fun s -> element (parse_error_to_type_error Element.of_string_exn s));
-        print = (fun v -> Element.to_string (as_element v));
+        print = (fun b v -> Element.to_buffer b (as_element v));
         compare = None;
         extents = Some (fun v -> element_extents (as_element v));
         overlaps = Some element_overlap };
     Value.register_type ~name:profile_type
       { Value.parse =
           (fun s -> profile (parse_error_to_type_error Profile.of_string_exn s));
-        print = (fun v -> Profile.to_string (as_profile v));
+        print = (fun b v -> Profile.to_buffer b (as_profile v));
         compare = None;
         extents =
           Some

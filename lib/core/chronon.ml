@@ -45,6 +45,8 @@ let days_from_civil ~year ~month ~day =
   let doe = (yoe * 365) + (yoe / 4) - (yoe / 100) + doy in
   (era * 146_097) + doe - 719_468
 
+(* The civil date of a day number packed into an immediate int (year,
+   4 bits of month, 5 of day), so that printing builds no tuple. *)
 let civil_from_days z =
   let z = z + 719_468 in
   let era = (if z >= 0 then z else z - 146_096) / 146_097 in
@@ -56,7 +58,11 @@ let civil_from_days z =
   let day = doy - (((153 * mp) + 2) / 5) + 1 in
   let month = if mp < 10 then mp + 3 else mp - 9 in
   let year = if month <= 2 then y + 1 else y in
-  (year, month, day)
+  (year lsl 9) lor (month lsl 5) lor day
+
+let civil_year packed = packed asr 9
+let civil_month packed = (packed lsr 5) land 15
+let civil_day packed = packed land 31
 
 let is_leap_year y = (y mod 4 = 0 && y mod 100 <> 0) || y mod 400 = 0
 
@@ -86,8 +92,9 @@ let of_ymd year month day =
 let to_civil t =
   let days = floor_div t Span.seconds_per_day in
   let rest = floor_mod t Span.seconds_per_day in
-  let year, month, day = civil_from_days days in
-  (year, month, day, rest / 3_600, rest mod 3_600 / 60, rest mod 60)
+  let civil = civil_from_days days in
+  ( civil_year civil, civil_month civil, civil_day civil,
+    rest / 3_600, rest mod 3_600 / 60, rest mod 60 )
 
 let year t = let y, _, _, _, _, _ = to_civil t in y
 
@@ -97,19 +104,20 @@ let start_of_day t = floor_div t Span.seconds_per_day * Span.seconds_per_day
 (* yyyy-mm-dd, plus " hh:mm:ss" off midnight: Printf's "%04d" year
    (a sign, then at least four digits) and two-digit fields. *)
 let to_buffer b t =
-  let year, month, day, hh, mm, ss = to_civil t in
-  Digits.add_padded b ~width:4 year;
+  let civil = civil_from_days (floor_div t Span.seconds_per_day) in
+  let rest = floor_mod t Span.seconds_per_day in
+  Digits.add_padded b ~width:4 (civil_year civil);
   Buffer.add_char b '-';
-  Digits.add_padded b ~width:2 month;
+  Digits.add_padded b ~width:2 (civil_month civil);
   Buffer.add_char b '-';
-  Digits.add_padded b ~width:2 day;
-  if hh <> 0 || mm <> 0 || ss <> 0 then begin
+  Digits.add_padded b ~width:2 (civil_day civil);
+  if rest <> 0 then begin
     Buffer.add_char b ' ';
-    Digits.add_padded b ~width:2 hh;
+    Digits.add_padded b ~width:2 (rest / 3_600);
     Buffer.add_char b ':';
-    Digits.add_padded b ~width:2 mm;
+    Digits.add_padded b ~width:2 (rest mod 3_600 / 60);
     Buffer.add_char b ':';
-    Digits.add_padded b ~width:2 ss
+    Digits.add_padded b ~width:2 (rest mod 60)
   end
 
 let to_string t =
@@ -118,6 +126,12 @@ let to_string t =
   Buffer.contents b
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
+
+(* The optional " hh:mm:ss" after a date; a space not followed by a
+   digit belongs to the surrounding context. *)
+let time_field s ~timed ~sep =
+  if not timed then 0
+  else (if sep then Scan.expect_char s ':'; Scan.unsigned_int s)
 
 (* Grammar: yyyy-mm-dd [hh:mm:ss]; a leading '-' gives negative years. *)
 let scan s =
@@ -129,22 +143,11 @@ let scan s =
   Scan.expect_char s '-';
   let day = Scan.unsigned_int s in
   let saved = s.Scan.pos in
-  let hour, minute, second =
-    if Scan.eat_char s ' ' then begin
-      match Scan.peek s with
-      | Some c when Scan.is_digit c ->
-        let hh = Scan.unsigned_int s in
-        Scan.expect_char s ':';
-        let mm = Scan.unsigned_int s in
-        Scan.expect_char s ':';
-        let ss = Scan.unsigned_int s in
-        (hh, mm, ss)
-      | Some _ | None ->
-        s.Scan.pos <- saved;
-        (0, 0, 0)
-    end
-    else (0, 0, 0)
-  in
+  let timed = Scan.eat_char s ' ' && Scan.at_digit s in
+  if not timed then s.Scan.pos <- saved;
+  let hour = time_field s ~timed ~sep:false in
+  let minute = time_field s ~timed ~sep:true in
+  let second = time_field s ~timed ~sep:true in
   try of_civil ~year ~month ~day ~hour ~minute ~second
   with Invalid_argument msg -> Scan.fail s msg
 

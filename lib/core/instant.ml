@@ -86,16 +86,15 @@ let scan s =
   in
   if Scan.eat_keyword s "NOW" then begin
     Scan.skip_ws s;
-    match Scan.peek s with
-    | Some '+' ->
-      Scan.advance s;
+    if Scan.eat_char s '+' then begin
       Scan.skip_ws s;
       checked relative (Span.to_seconds (Span.scan s))
-    | Some '-' ->
-      Scan.advance s;
+    end
+    else if Scan.eat_char s '-' then begin
       Scan.skip_ws s;
       checked relative (Span.to_seconds (Span.neg (Span.scan s)))
-    | Some _ | None -> now
+    end
+    else now
   end
   else checked fixed (Chronon.to_unix_seconds (Chronon.scan s))
 

@@ -1,4 +1,5 @@
-(** Minimal character scanner shared by the temporal-literal parsers. *)
+(** Minimal character scanner shared by the temporal-literal parsers.
+    The primitives read the source in place and allocate nothing. *)
 
 exception Parse_error of string
 
@@ -10,12 +11,6 @@ val of_string : string -> t
 val fail : t -> string -> 'a
 
 val eof : t -> bool
-val peek : t -> char option
-val advance : t -> unit
-
-(** @raise Parse_error at end of input. *)
-val next : t -> char
-
 val skip_ws : t -> unit
 val eat_char : t -> char -> bool
 
@@ -24,11 +19,16 @@ val expect_char : t -> char -> unit
 
 val is_digit : char -> bool
 
+(** The next character is a decimal digit. *)
+val at_digit : t -> bool
+
 (** One or more decimal digits as an integer.
-    @raise Parse_error when none are present. *)
+    @raise Parse_error when none are present, or when the value exceeds
+    [max_int]. *)
 val unsigned_int : t -> int
 
-(** Case-insensitive keyword match; consumes it when present. *)
+(** Case-insensitive match of an upper-case keyword; consumes it when
+    present. *)
 val eat_keyword : t -> string -> bool
 
 (** @raise Parse_error on trailing input. *)

@@ -87,24 +87,24 @@ let scan s =
   let d = Scan.unsigned_int s in
   let saved = s.Scan.pos in
   let time_part =
-    if Scan.eat_char s ' ' then begin
-      match Scan.peek s with
-      | Some c when Scan.is_digit c ->
-        let hh = Scan.unsigned_int s in
-        Scan.expect_char s ':';
-        let mm = Scan.unsigned_int s in
-        Scan.expect_char s ':';
-        let ss = Scan.unsigned_int s in
-        if hh > 23 || mm > 59 || ss > 59 then
-          Scan.fail s "time-of-day component out of range";
-        hh * seconds_per_hour + mm * seconds_per_minute + ss
-      | Some _ | None ->
-        (* The space belonged to the surrounding context, not to us. *)
-        s.Scan.pos <- saved;
-        0
+    if Scan.eat_char s ' ' && Scan.at_digit s then begin
+      let hh = Scan.unsigned_int s in
+      Scan.expect_char s ':';
+      let mm = Scan.unsigned_int s in
+      Scan.expect_char s ':';
+      let ss = Scan.unsigned_int s in
+      if hh > 23 || mm > 59 || ss > 59 then
+        Scan.fail s "time-of-day component out of range";
+      hh * seconds_per_hour + mm * seconds_per_minute + ss
     end
-    else 0
+    else begin
+      (* A space belongs to the surrounding context, not to us. *)
+      s.Scan.pos <- saved;
+      0
+    end
   in
+  if d > (max_int - time_part) / seconds_per_day then
+    Scan.fail s "span out of range";
   let magnitude = d * seconds_per_day + time_part in
   if negative then -magnitude else magnitude
 

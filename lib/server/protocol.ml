@@ -40,24 +40,27 @@ let encode_typed v =
   if Value.is_null v then null_cell
   else Value.type_name v ^ "\t" ^ escape (Value.to_display_string v)
 
-let decode_typed ty text =
-  if String.equal text null_marker then Value.Null
-  else begin
-    let text = unescape text in
-    match ty with
-    | "int" -> Value.Int (int_of_string text)
-    | "float" -> Value.Float (float_of_string text)
-    | "boolean" -> Value.Bool (String.equal text "t")
-    | "char" | "string" -> Value.Str text
-    | "date" -> (
+(* How to rebuild a non-NULL cell of a wire type from its unescaped
+   text. An unregistered type fails only when one of its values
+   arrives. *)
+let decoder = function
+  | "int" -> fun text -> Value.Int (int_of_string text)
+  | "float" -> fun text -> Value.Float (float_of_string text)
+  | "boolean" -> fun text -> Value.Bool (String.equal text "t")
+  | "char" | "string" -> fun text -> Value.Str text
+  | "date" -> (
+    fun text ->
       match Tip_core.Chronon.of_string text with
       | Some c -> Value.Date c
       | None -> failwith ("bad date on the wire: " ^ text))
-    | ext -> (
-      match Value.lookup_type ext with
-      | Some vt -> vt.Value.parse text
-      | None -> failwith ("unregistered wire type: " ^ ext))
-  end
+  | ext -> (
+    match Value.lookup_type ext with
+    | Some vt -> vt.Value.parse
+    | None -> fun _ -> failwith ("unregistered wire type: " ^ ext))
+
+let decode_typed ty text =
+  if String.equal text null_marker then Value.Null
+  else decoder ty (unescape text)
 
 (* --- Requests --------------------------------------------------------------- *)
 
@@ -138,16 +141,18 @@ type response =
   | Message of string
   | Error of string
 
-(* The server's per-statement hot path: every byte goes straight to the
-   channel, the same bytes [encode_typed] and the line layout above
-   describe, with no intermediate strings beyond each value's printed
-   form. *)
-let write_typed oc v =
-  if Value.is_null v then output_string oc null_cell
+(* The server's per-statement hot path: each row is printed, and its
+   cells escaped in place, into one small buffer reused across the
+   rows, then leaves in one channel write. The bytes are those
+   [encode_typed] and the line layout above describe. *)
+let add_typed b scratch v =
+  if Value.is_null v then Buffer.add_string b null_cell
   else begin
-    output_string oc (Value.type_name v);
-    output_char oc '\t';
-    output_string oc (escape (Value.to_display_string v))
+    Buffer.add_string b (Value.type_name v);
+    Buffer.add_char b '\t';
+    let start = Buffer.length b in
+    Value.to_buffer b v;
+    Persist.escape_wire_from scratch b start
   end
 
 let write_line oc tag text =
@@ -169,17 +174,60 @@ let write_response oc = function
         output_string oc (escape name))
       names;
     output_char oc '\n';
+    let b = Buffer.create 256 and scratch = ref (Bytes.create 128) in
     List.iter
       (fun row ->
+        Buffer.clear b;
         for i = 0 to Array.length row - 1 do
-          if i > 0 then output_char oc '\x01';
-          write_typed oc row.(i)
+          if i > 0 then Buffer.add_char b '\x01';
+          add_typed b scratch row.(i)
         done;
-        output_char oc '\n')
+        Buffer.add_char b '\n';
+        Buffer.output_buffer oc b)
       rows
   | Affected n -> write_line oc 'A' (string_of_int n)
   | Message m -> write_line oc 'M' (escape m)
   | Error e -> write_line oc 'E' (escape e)
+
+(* The first [c] in [s] from [i] on, or [stop]. *)
+let rec index_before s c i stop =
+  if i >= stop || String.unsafe_get s i = c then i
+  else index_before s c (i + 1) stop
+
+(* [s] from [pos] to [stop] spells [name]. *)
+let spelled s pos stop name =
+  let n = String.length name and i = ref 0 in
+  while stop - pos = n && !i < n && s.[pos + !i] = name.[!i] do incr i done;
+  stop - pos = n && !i = n
+
+(* Each column's type name and decoder, kept from row to row: a cell's
+   name is compared in place and looked up only when it changes. *)
+type column = { mutable ty : string; mutable decode : string -> Value.t }
+
+(* One row line in one pass: per cell, one copy of its unescaped text. *)
+let read_row ic columns =
+  let line = input_line ic in
+  let ncols = Array.length columns and stop = String.length line in
+  let row = Array.make ncols Value.Null in
+  let rec cell col pos =
+    if col >= ncols then failwith "protocol: row arity";
+    let cell_end = index_before line '\x01' pos stop in
+    let tab = index_before line '\t' pos cell_end in
+    if tab = cell_end then failwith "protocol: bad cell";
+    if not (spelled line (tab + 1) cell_end null_marker) then begin
+      let c = columns.(col) in
+      if not (spelled line pos tab c.ty) then begin
+        c.ty <- String.sub line pos (tab - pos);
+        c.decode <- decoder c.ty
+      end;
+      row.(col) <-
+        c.decode (Persist.unescape_wire_sub line (tab + 1) (cell_end - tab - 1))
+    end;
+    if cell_end < stop then cell (col + 1) (cell_end + 1)
+    else if col + 1 <> ncols then failwith "protocol: row arity"
+  in
+  cell 0 0;
+  row
 
 let read_response ic =
   let line = input_line ic in
@@ -193,20 +241,10 @@ let read_response ic =
         List.map unescape (String.split_on_char '\t' (input_line ic))
       in
       if List.length names <> ncols then failwith "protocol: header arity";
-      let rows =
-        List.init nrows (fun _ ->
-            let cells = String.split_on_char '\x01' (input_line ic) in
-            Array.of_list
-              (List.map
-                 (fun cell ->
-                   match String.index_opt cell '\t' with
-                   | Some i ->
-                     decode_typed
-                       (String.sub cell 0 i)
-                       (String.sub cell (i + 1) (String.length cell - i - 1))
-                   | None -> failwith "protocol: bad cell")
-                 cells))
+      let columns =
+        Array.init ncols (fun _ -> { ty = ""; decode = decoder "" })
       in
+      let rows = List.init nrows (fun _ -> read_row ic columns) in
       Rows { names; rows }
     | _ -> failwith "protocol: bad R header"
   end

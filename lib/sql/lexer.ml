@@ -19,76 +19,70 @@ type state = {
 
 let column st = st.pos - st.bol + 1
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* Characters are read in place; past the end of input [char_at] gives
+   '\000', which no token starts with, so few callers test [eof]. *)
+let eof st = st.pos >= String.length st.src
 
-let peek2 st =
-  if st.pos + 1 < String.length st.src then Some st.src.[st.pos + 1] else None
+let char_at st i =
+  if i < String.length st.src then String.unsafe_get st.src i else '\000'
+
+let cur st = char_at st st.pos
+let ahead st = char_at st (st.pos + 1)
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if cur st = '\n' then begin
     st.line <- st.line + 1;
     st.bol <- st.pos + 1
-  | Some _ | None -> ());
+  end;
   st.pos <- st.pos + 1
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+let skip_digits st = while is_digit (cur st) do advance st done
+
 let rec skip_trivia st =
-  match peek st with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match cur st with
+  | ' ' | '\t' | '\r' | '\n' ->
     advance st;
     skip_trivia st
-  | Some '-' when peek2 st = Some '-' ->
-    while peek st <> None && peek st <> Some '\n' do advance st done;
+  | '-' when ahead st = '-' ->
+    while (not (eof st)) && cur st <> '\n' do advance st done;
     skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when ahead st = '*' ->
     let start_line = st.line and start_col = column st in
     advance st;
     advance st;
-    let rec close () =
-      match peek st with
-      | None -> error start_line start_col "unterminated block comment"
-      | Some '*' when peek2 st = Some '/' ->
-        advance st;
-        advance st
-      | Some _ ->
-        advance st;
-        close ()
-    in
-    close ();
+    while not (cur st = '*' && ahead st = '/') do
+      if eof st then error start_line start_col "unterminated block comment";
+      advance st
+    done;
+    advance st;
+    advance st;
     skip_trivia st
-  | Some _ | None -> ()
+  | _ -> ()
 
 let lex_number st =
   let line = st.line and col = column st in
   let start = st.pos in
-  while (match peek st with Some c -> is_digit c | None -> false) do
-    advance st
-  done;
+  skip_digits st;
   let is_float =
-    if peek st = Some '.' && (match peek2 st with Some c -> is_digit c | None -> false)
-    then begin
+    if cur st = '.' && is_digit (ahead st) then begin
       advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done;
+      skip_digits st;
       true
     end
     else false
   in
   let is_float =
-    match peek st with
-    | Some ('e' | 'E') ->
+    match cur st with
+    | 'e' | 'E' ->
       advance st;
-      (match peek st with Some ('+' | '-') -> advance st | Some _ | None -> ());
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done;
+      (match cur st with '+' | '-' -> advance st | _ -> ());
+      skip_digits st;
       true
-    | Some _ | None -> is_float
+    | _ -> is_float
   in
   let text = String.sub st.src start (st.pos - start) in
   let token =
@@ -108,25 +102,18 @@ let lex_quoted st q ~what =
   advance st;
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek st with
-    | None -> error line col ("unterminated " ^ what)
-    | Some c when c = q && peek2 st = Some q ->
-      Buffer.add_char buf q;
-      advance st;
-      advance st;
-      go ()
-    | Some c when c = q -> advance st
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      go ()
+    if eof st then error line col ("unterminated " ^ what);
+    let c = cur st in
+    advance st;
+    if c <> q then (Buffer.add_char buf c; go ())
+    else if cur st = q then (Buffer.add_char buf q; advance st; go ())
   in
   go ();
   Buffer.contents buf
 
 let lex_ident st =
   let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
+  while is_ident_char (cur st) do
     advance st
   done;
   String.sub st.src start (st.pos - start)
@@ -135,42 +122,38 @@ let lex_ident st =
 let lex_symbol st =
   let line = st.line and col = column st in
   let two =
-    if st.pos + 1 < String.length st.src then
-      Some (String.sub st.src st.pos 2)
-    else None
+    if st.pos + 1 < String.length st.src then String.sub st.src st.pos 2 else ""
   in
   match two with
-  | Some (("::" | "<=" | ">=" | "<>" | "!=" | "||") as s) ->
+  | "::" | "<=" | ">=" | "<>" | "!=" | "||" ->
     advance st;
     advance st;
-    Token.Symbol (if s = "!=" then "<>" else s)
-  | Some _ | None ->
-    (match peek st with
-    | Some (('(' | ')' | ',' | '.' | ';' | '+' | '-' | '*' | '/' | '%'
-            | '=' | '<' | '>') as c) ->
+    Token.Symbol (if two = "!=" then "<>" else two)
+  | _ -> (
+    match cur st with
+    | ('(' | ')' | ',' | '.' | ';' | '+' | '-' | '*' | '/' | '%' | '=' | '<'
+      | '>') as c ->
       advance st;
       Token.Symbol (String.make 1 c)
-    | Some c -> error line col (Printf.sprintf "unexpected character %C" c)
-    | None -> Token.Eof)
+    | c -> error line col (Printf.sprintf "unexpected character %C" c))
 
 let next_token st =
   skip_trivia st;
   let line = st.line and col = column st and start = st.pos in
   let token =
-    match peek st with
-    | None -> Token.Eof
-    | Some c when is_digit c -> lex_number st
-    | Some '\'' -> Token.String (lex_quoted st '\'' ~what:"string literal")
-    | Some '"' ->
-      Token.Quoted_ident (lex_quoted st '"' ~what:"quoted identifier")
-    | Some c when is_ident_start c -> Token.Ident (lex_ident st)
-    | Some ':' when peek2 st = Some ':' -> lex_symbol st
-    | Some ':' ->
-      advance st;
-      (match peek st with
-      | Some c when is_ident_start c -> Token.Param (lex_ident st)
-      | Some _ | None -> error line col "expected parameter name after ':'")
-    | Some _ -> lex_symbol st
+    if eof st then Token.Eof
+    else
+      match cur st with
+      | c when is_digit c -> lex_number st
+      | '\'' -> Token.String (lex_quoted st '\'' ~what:"string literal")
+      | '"' -> Token.Quoted_ident (lex_quoted st '"' ~what:"quoted identifier")
+      | c when is_ident_start c -> Token.Ident (lex_ident st)
+      | ':' when ahead st = ':' -> lex_symbol st
+      | ':' ->
+        advance st;
+        if is_ident_start (cur st) then Token.Param (lex_ident st)
+        else error line col "expected parameter name after ':'"
+      | _ -> lex_symbol st
   in
   { Token.token; line; column = col; offset = start }
 

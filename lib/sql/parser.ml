@@ -33,8 +33,17 @@ let next st =
 
 (* --- Keyword helpers -------------------------------------------------- *)
 
+(* [s] spells the upper-case keyword [kw] in any case, compared in
+   place: the parser probes keywords at nearly every token. *)
+let rec same_upper s kw i =
+  i >= String.length kw
+  || Char.uppercase_ascii (String.unsafe_get s i) = String.unsafe_get kw i
+     && same_upper s kw (i + 1)
+
+let kw_equal s kw = String.length s = String.length kw && same_upper s kw 0
+
 let is_kw kw = function
-  | Token.Ident s -> String.uppercase_ascii s = kw
+  | Token.Ident s -> kw_equal s kw
   | Token.Int _ | Token.Float _ | Token.String _ | Token.Quoted_ident _
   | Token.Param _ | Token.Symbol _ | Token.Eof -> false
 
@@ -72,12 +81,15 @@ let reserved =
     "DESCRIBE"; "ASC"; "DESC"; "CASE"; "WHEN"; "THEN"; "ELSE"; "END"; "TRUE";
     "FALSE"; "PRIMARY"; "KEY"; "IF"; "EXISTS"; "CAST" ]
 
-let is_reserved s = List.mem (String.uppercase_ascii s) reserved
+let rec mem_kw s = function
+  | [] -> false
+  | kw :: rest -> kw_equal s kw || mem_kw s rest
+
+let is_reserved s = mem_kw s reserved
 
 (* Words that terminate a SELECT body and therefore cannot be bare
    aliases, even though they stay usable as routine names. *)
-let ends_select s =
-  match String.uppercase_ascii s with "UNION" -> true | _ -> false
+let ends_select s = kw_equal s "UNION"
 
 (* Any identifier, including quoted ones (which are never keywords). *)
 let ident st =
@@ -294,7 +306,7 @@ and parse_name_or_call st =
   if at_sym st "(" then begin
     advance st;
     if eat_sym st ")" then Ast.Call (name, [])
-    else if at_sym st "*" && String.uppercase_ascii name = "COUNT" then begin
+    else if at_sym st "*" && kw_equal name "COUNT" then begin
       advance st;
       expect_sym st ")";
       Ast.Count_star
@@ -405,7 +417,7 @@ and parse_table_primary st =
         match peek st with
         | Token.Ident s
           when (not (is_reserved s)) && (not (ends_select s))
-               && String.uppercase_ascii s <> "OF" ->
+               && not (kw_equal s "OF") ->
           advance st;
           Some s
         | Token.Quoted_ident s ->
@@ -769,14 +781,14 @@ let rec parse_statement st =
   end
   else if eat_kw st "SET" then begin
     match peek st with
-    | Token.Ident s when String.uppercase_ascii s = "NOW" ->
+    | Token.Ident s when kw_equal s "NOW" ->
       advance st;
       if eat_kw st "DEFAULT" then Ast.Set_now None
       else begin
         expect_sym st "=";
         Ast.Set_now (Some (parse_expr st))
       end
-    | Token.Ident s when String.uppercase_ascii s = "TIMEOUT" ->
+    | Token.Ident s when kw_equal s "TIMEOUT" ->
       (* SET TIMEOUT n — statement deadline in milliseconds; 0 or
          DEFAULT disables. The [=] is optional for symmetry with NOW. *)
       advance st;
@@ -791,10 +803,10 @@ let rec parse_statement st =
   end
   else if eat_kw st "SHOW" then begin
     match peek st with
-    | Token.Ident s when String.uppercase_ascii s = "TABLES" ->
+    | Token.Ident s when kw_equal s "TABLES" ->
       advance st;
       Ast.Show_tables
-    | Token.Ident s when String.uppercase_ascii s = "METRICS" ->
+    | Token.Ident s when kw_equal s "METRICS" ->
       advance st;
       Ast.Stats (stats_like st)
     | _ -> error st "expected TABLES or METRICS"

@@ -25,41 +25,72 @@ let format_error fmt = Format.kasprintf (fun s -> raise (Format_error s)) fmt
    as \1; snapshots and WAL payloads never contain the escape. Text
    with nothing to escape, nearly every cell, comes back as is. *)
 
-let rec first_escape ~wire s i =
-  if i >= String.length s then -1
+let needs_escape ~wire = function
+  | '\t' | '\n' | '\\' -> true
+  | '\001' -> wire
+  | _ -> false
+
+(* Every byte to escape is a control byte or the backslash, so most
+   bytes are passed over with two comparisons. *)
+let rec first_escape ~wire s i stop =
+  if i >= stop then -1
   else
+    let c = String.unsafe_get s i in
+    if (c < ' ' || c = '\\') && needs_escape ~wire c then i
+    else first_escape ~wire s (i + 1) stop
+
+(* Appends [s] from [first] to [stop], escaped. *)
+let add_escaped ~wire b s first stop =
+  for i = first to stop - 1 do
     match String.unsafe_get s i with
-    | '\t' | '\n' | '\\' -> i
-    | '\001' when wire -> i
-    | _ -> first_escape ~wire s (i + 1)
+    | '\t' -> Buffer.add_string b "\\t"
+    | '\n' -> Buffer.add_string b "\\n"
+    | '\\' -> Buffer.add_string b "\\\\"
+    | '\001' when wire -> Buffer.add_string b "\\1"
+    | c -> Buffer.add_char b c
+  done
 
 let escape ~wire s =
-  match first_escape ~wire s 0 with
+  let n = String.length s in
+  match first_escape ~wire s 0 n with
   | -1 -> s
   | first ->
-    let buf = Buffer.create (String.length s + 8) in
-    Buffer.add_substring buf s 0 first;
-    for i = first to String.length s - 1 do
-      match String.unsafe_get s i with
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\001' when wire -> Buffer.add_string buf "\\1"
-      | c -> Buffer.add_char buf c
-    done;
-    Buffer.contents buf
+    let b = Buffer.create (n + 8) in
+    Buffer.add_substring b s 0 first;
+    add_escaped ~wire b s first n;
+    Buffer.contents b
 
-(* A backslash before any other byte is dropped and the byte kept; a
+(* Escapes in place what [b] holds from [start] on, such as a cell
+   printed straight into a wire row. The bytes are scanned in a copy in
+   [scratch]: reading a buffer byte by byte costs a call per byte. *)
+let escape_wire_from scratch b start =
+  let n = Buffer.length b - start in
+  if Bytes.length !scratch < n then scratch := Bytes.create n;
+  Buffer.blit b start !scratch 0 n;
+  let copy = Bytes.unsafe_to_string !scratch in
+  match first_escape ~wire:true copy 0 n with
+  | -1 -> ()
+  | first ->
+    Buffer.truncate b (start + first);
+    add_escaped ~wire:true b copy first n
+
+let rec backslash_free s i stop =
+  i >= stop || (String.unsafe_get s i <> '\\' && backslash_free s (i + 1) stop)
+
+(* The [len] bytes of [s] from [pos], unescaped: one copy, or [s]
+   itself when it is the whole range and has nothing to unescape. A
+   backslash before any other byte is dropped and the byte kept; a
    trailing backslash stays. *)
-let unescape ~wire s =
-  if not (String.contains s '\\') then s
+let unescape_sub ~wire s pos len =
+  let stop = pos + len in
+  if backslash_free s pos stop then
+    if pos = 0 && len = String.length s then s else String.sub s pos len
   else begin
-    let n = String.length s in
-    let buf = Buffer.create n in
-    let i = ref 0 in
-    while !i < n do
+    let buf = Buffer.create len in
+    let i = ref pos in
+    while !i < stop do
       let c = String.unsafe_get s !i in
-      if c = '\\' && !i + 1 < n then begin
+      if c = '\\' && !i + 1 < stop then begin
         Buffer.add_char buf
           (match String.unsafe_get s (!i + 1) with
           | 't' -> '\t'
@@ -76,10 +107,13 @@ let unescape ~wire s =
     Buffer.contents buf
   end
 
+let unescape ~wire s = unescape_sub ~wire s 0 (String.length s)
+
 let escape_cell s = escape ~wire:false s
 let unescape_cell s = unescape ~wire:false s
 let escape_wire s = escape ~wire:true s
 let unescape_wire s = unescape ~wire:true s
+let unescape_wire_sub s pos len = unescape_sub ~wire:true s pos len
 
 let null_marker = "\\N"
 

@@ -64,5 +64,12 @@ val unescape_cell : string -> string
 val escape_wire : string -> string
 
 val unescape_wire : string -> string
+
+(** [escape_wire] in place over a buffer's bytes from a position on,
+    scanned in a reusable scratch that grows as needed. *)
+val escape_wire_from : Bytes.t ref -> Buffer.t -> int -> unit
+
+(** [unescape_wire (String.sub s pos len)] with one copy at most. *)
+val unescape_wire_sub : string -> int -> int -> string
 val column_line : Schema.column -> string
 val parse_column_line : string -> Schema.column

@@ -143,13 +143,26 @@ let update t rid row =
   | None -> false
   | Some old_row ->
     let row = validate_row t row in
-    List.iter (fun idx -> index_remove idx old_row rid) t.indexes;
-    (match List.iter (fun idx -> index_insert idx row rid) t.indexes with
+    (* An index whose key keeps its slot keeps its entry, so updating
+       other columns copies no B-tree path: for a B-tree an equal key
+       (its own order, the same on a primary and a WAL replay), for an
+       interval index the very same value. *)
+    let moved =
+      List.filter
+        (fun idx ->
+          let v = row.(idx.idx_column) and old_v = old_row.(idx.idx_column) in
+          match idx.impl with
+          | Ordered_impl _ -> Value.compare v old_v <> 0
+          | Interval_impl _ -> v != old_v)
+        t.indexes
+    in
+    List.iter (fun idx -> index_remove idx old_row rid) moved;
+    (match List.iter (fun idx -> index_insert idx row rid) moved with
     | () -> ignore (Heap.update t.heap rid row)
     | exception e ->
       (* Restore the old index entries before re-raising. *)
-      List.iter (fun idx -> index_remove idx row rid) t.indexes;
-      List.iter (fun idx -> index_insert idx old_row rid) t.indexes;
+      List.iter (fun idx -> index_remove idx row rid) moved;
+      List.iter (fun idx -> index_insert idx old_row rid) moved;
       raise e);
     ignore (Atomic.fetch_and_add t.writes 1);
     true

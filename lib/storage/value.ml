@@ -31,7 +31,8 @@ type overlap = Tip_core.Element.overlap = Hit | Miss | Not_finite
 type vtable = {
   parse : string -> t;
     (* from a SQL string literal; raises Type_error on bad input *)
-  print : t -> string;
+  print : Buffer.t -> t -> unit;
+    (* appends the display / literal form; must round-trip *)
   compare : (t -> t -> int) option; (* total order, when the type has one *)
   extents : (t -> (int * int) list) option;
     (* conservative [lo, hi] bounds in seconds on the chronons the value
@@ -89,14 +90,22 @@ let vtable_of_ext name =
     | Some vt -> vt
     | None -> type_error "unregistered extension type %s" name)
 
+(* The one printer, behind the wire codec and [to_display_string]. *)
+let to_buffer b = function
+  | Null -> Buffer.add_string b "NULL"
+  | Int n -> Tip_core.Digits.add_int b n
+  | Float f -> Buffer.add_string b (Printf.sprintf "%g" f)
+  | Bool x -> Buffer.add_char b (if x then 't' else 'f')
+  | Str s -> Buffer.add_string b s
+  | Date c -> Tip_core.Chronon.to_buffer b c
+  | Ext (name, _) as v -> (vtable_of_ext name).print b v
+
 let to_display_string = function
-  | Null -> "NULL"
-  | Int n -> string_of_int n
-  | Float f -> Printf.sprintf "%g" f
-  | Bool b -> if b then "t" else "f"
   | Str s -> s
-  | Date c -> Tip_core.Chronon.to_string c
-  | Ext (name, _) as v -> (vtable_of_ext name).print v
+  | v ->
+    let b = Buffer.create 32 in
+    to_buffer b v;
+    Buffer.contents b
 
 let pp ppf v = Fmt.string ppf (to_display_string v)
 
@@ -141,7 +150,7 @@ let equal a b =
     match (vtable_of_ext n).compare with
     | Some cmp -> cmp a b = 0
     | None ->
-      String.equal ((vtable_of_ext n).print a) ((vtable_of_ext n).print b))
+      String.equal (to_display_string a) (to_display_string b))
   | Ext _, (Null | Int _ | Float _ | Bool _ | Str _ | Date _)
   | (Null | Int _ | Float _ | Bool _ | Str _ | Date _), _ -> (
     match compare a b with
@@ -159,7 +168,7 @@ let hash v =
   | Bool b -> Hashtbl.hash b
   | Str s -> Hashtbl.hash s
   | Date c -> Tip_core.Chronon.hash c
-  | Ext (name, _) -> Hashtbl.hash (name, (vtable_of_ext name).print v)
+  | Ext (name, _) -> Hashtbl.hash (name, to_display_string v)
 
 (* Conservative chronon extents, for interval indexes: one [lo, hi]
    entry per covered period. *)

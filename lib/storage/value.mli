@@ -31,7 +31,9 @@ type vtable = {
   parse : string -> t;
       (** build a value from a SQL string literal; raises {!Type_error}
           on malformed input *)
-  print : t -> string;  (** display / literal form; must round-trip *)
+  print : Buffer.t -> t -> unit;
+      (** appends the display / literal form, which must round-trip
+          through [parse]; the wire codec prints each row with it *)
   compare : (t -> t -> int) option;
       (** a NOW-independent total order, when the type has one (types
           whose order moves with NOW must leave this [None] and register
@@ -64,7 +66,14 @@ val canonical_type_name : string -> string
 val type_name : t -> string
 
 val is_null : t -> bool
+
+(** Appends the display form: {!vtable.print} for extension values,
+    else [NULL], ["%d"], ["%g"], [t]/[f], the string, or [yyyy-mm-dd]. *)
+val to_buffer : Buffer.t -> t -> unit
+
+(** {!to_buffer}'s bytes as a string. *)
 val to_display_string : t -> string
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Ordering, equality, hashing}

@@ -89,6 +89,19 @@ let check_complement () =
     (norm e)
     (Element.complement ~now ~within gaps)
 
+(* Over-long numbers anywhere in an element literal are parse errors. *)
+let check_literal_overflow () =
+  List.iter
+    (fun text ->
+      Alcotest.(check (option reject)) text None (Element.of_string text);
+      match Element.of_string_exn text with
+      | _ -> Alcotest.failf "%S accepted" text
+      | exception Scan.Parse_error _ -> ())
+    [ "{[99999999999999999999-01-01, 2000-01-01]}";
+      "{[1999-01-01, 2000-01-99999999999999999999]}";
+      "{[1999-01-01, NOW-99999999999999999999]}";
+      "{[1999-01-01, 2000-01-01], [2001-01-01 99999999999999999999:00:00, NOW]}" ]
+
 (* --- Differential testing against the naive quadratic oracle -------- *)
 
 let ground_set_arb =
@@ -202,6 +215,7 @@ let suite =
     Alcotest.test_case "NOW-relative elements" `Quick check_now_relative;
     Alcotest.test_case "observers" `Quick check_observers;
     Alcotest.test_case "complement" `Quick check_complement;
+    Alcotest.test_case "numbers past max_int" `Quick check_literal_overflow;
     QCheck_alcotest.to_alcotest prop_normalize_matches_naive;
     QCheck_alcotest.to_alcotest prop_union_matches;
     QCheck_alcotest.to_alcotest prop_intersect_matches;

@@ -13,9 +13,9 @@ let mood_registered =
     (Value.register_type ~name:"Mood"
        { Value.parse = (fun s -> mood s);
          print =
-           (fun v ->
+           (fun b v ->
              match v with
-             | Value.Ext ("mood", Mood s) -> s
+             | Value.Ext ("mood", Mood s) -> Buffer.add_string b s
              | _ -> raise (Value.Type_error "not a mood"));
          compare =
            Some
@@ -304,6 +304,15 @@ let check_table_index_maintenance () =
   Alcotest.(check (list int)) "old key gone" [] (Btree.find bt (Value.Str "Ann"));
   Alcotest.(check (list int)) "new key present" [ rid ]
     (Btree.find bt (Value.Str "Anna"));
+  (* An update that keeps the indexed value, the same one or an equal
+     copy, keeps the row findable under it exactly once. *)
+  let entries = Btree.entry_count bt in
+  ignore (Table.update t rid [| Value.Int 10; Value.Str "Anna"; Value.Null |]);
+  let kept = Table.get_exn t rid in
+  ignore (Table.update t rid [| Value.Int 11; kept.(1); Value.Null |]);
+  Alcotest.(check (list int)) "unchanged key still indexed" [ rid ]
+    (Btree.find bt (Value.Str "Anna"));
+  Alcotest.(check int) "no entry added or lost" entries (Btree.entry_count bt);
   ignore (Table.delete t rid);
   Alcotest.(check (list int)) "delete maintains index" []
     (Btree.find bt (Value.Str "Anna"));
@@ -318,6 +327,46 @@ let check_table_index_maintenance () =
     | exception Table.Constraint_violation _ -> true)
 
 (* --- Catalog & persistence ---------------------------------------------------- *)
+
+(* An update that keeps a B-tree key leaves that key's rids in their
+   order, whether it runs live (reusing the old value, as UPDATE does)
+   or is replayed from the WAL with every cell parsed afresh, so a
+   primary and a replica list equal keys the same way. *)
+let check_replayed_update_keeps_index () =
+  let cells row = Array.map Persist.serialize_value row in
+  let ann = Value.Str "Ann" in
+  let open_side () =
+    let cat = Catalog.create () in
+    List.iter (Wal.apply cat)
+      [ Wal.Create_table
+          { table = "patients"; columns = Schema.columns (patient_schema ()) };
+        Wal.Create_index
+          { idx_name = "by_name"; table = "patients"; column = "name";
+            interval = false; unique = false };
+        Wal.Insert
+          { table = "patients"; cells = cells [| Value.Int 1; ann; Value.Float 60. |] };
+        Wal.Insert
+          { table = "patients"; cells = cells [| Value.Int 2; ann; Value.Float 70. |] } ];
+    let t = Option.get (Catalog.find_table cat "patients") in
+    match Table.find_index t "by_name" with
+    | Some { Table.impl = Table.Ordered_impl bt; _ } -> (cat, t, bt)
+    | Some _ | None -> Alcotest.fail "no B-tree index"
+  in
+  let _, live, live_bt = open_side () in
+  let replica, _, replica_bt = open_side () in
+  let before = Btree.find live_bt ann in
+  Alcotest.(check int) "two rids under one key" 2 (List.length before);
+  let rid = List.find (fun rid -> (Table.get_exn live rid).(0) = Value.Int 1) before in
+  let old_row = Table.get_exn live rid in
+  let new_row = [| old_row.(0); old_row.(1); Value.Float 61. |] in
+  ignore (Table.update live rid new_row);
+  Wal.apply replica
+    (Wal.Update
+       { table = "patients"; old_cells = cells old_row; new_cells = cells new_row });
+  Alcotest.(check (list int)) "live update keeps the rid order" before
+    (Btree.find live_bt ann);
+  Alcotest.(check (list int)) "replayed update keeps the rid order" before
+    (Btree.find replica_bt ann)
 
 let check_catalog () =
   let cat = Catalog.create () in
@@ -387,6 +436,22 @@ let check_persist_roundtrip () =
   Alcotest.(check bool) "pkey index restored" true
     (Table.find_index t' "t_pkey" <> None)
 
+(* A snapshot cell whose literal holds a number too long for an int is
+   corrupt input: [Format_error], not a bare [Failure]. *)
+let check_overflowing_cell () =
+  Tip_blade.Values.register_types ();
+  let snapshot cell =
+    "tipdb 1\ntable t\ncolumn v EXT:element - 0 0\nrows 1\n" ^ cell ^ "\nend\n"
+  in
+  ignore (Persist.load_string (snapshot "{[1999-01-01, 2000-01-01]}"));
+  List.iter
+    (fun cell ->
+      match Persist.load_string (snapshot cell) with
+      | _ -> Alcotest.failf "%S loaded" cell
+      | exception Persist.Format_error _ -> ())
+    [ "{[99999999999999999999-01-01, 2000-01-01]}";
+      "{[1999-01-01, NOW+99999999999999999999]}" ]
+
 let suite =
   [ Alcotest.test_case "value comparison" `Quick check_value_compare;
     Alcotest.test_case "extension types via registry" `Quick check_ext_type;
@@ -400,5 +465,9 @@ let suite =
     Alcotest.test_case "table constraints" `Quick check_table_constraints;
     Alcotest.test_case "table index maintenance" `Quick
       check_table_index_maintenance;
+    Alcotest.test_case "replayed update keeps the index" `Quick
+      check_replayed_update_keeps_index;
     Alcotest.test_case "catalog" `Quick check_catalog;
-    Alcotest.test_case "persistence roundtrip" `Quick check_persist_roundtrip ]
+    Alcotest.test_case "persistence roundtrip" `Quick check_persist_roundtrip;
+    Alcotest.test_case "over-long number in a snapshot cell" `Quick
+      check_overflowing_cell ]

@@ -93,6 +93,43 @@ let prop_printers =
     matches "element" element_gen Element.to_string Fmt_reference.element;
     matches "profile" profile_gen Profile.to_string Fmt_reference.profile ]
 
+(* Chronons whose years straddle the four-digit field: negative years,
+   0000, 1-999, 9999 and 10000 and beyond, where the "%04d" year is
+   padded, signed or wider than four digits. *)
+let edge_year_chronon_gen =
+  let open QCheck.Gen in
+  let* year =
+    frequency
+      [ (3, oneofl [ -10_001; -10_000; -9_999; -1_000; -999; -1; 0; 1; 9; 99;
+                     999; 1_000; 9_999; 10_000; 10_001; 99_999 ]);
+        (2, int_range (-99_999) 999);
+        (2, int_range 9_999 99_999) ]
+  in
+  let* month = int_range 1 12 in
+  let* day = int_range 1 (Chronon.days_in_month year month) in
+  let* hour, minute, second =
+    frequency
+      [ (1, return (0, 0, 0));
+        (1, triple (int_range 0 23) (int_range 0 59) (int_range 0 59)) ]
+  in
+  return (Chronon.of_civil ~year ~month ~day ~hour ~minute ~second)
+
+let edge_year_period_gen =
+  QCheck.Gen.map2
+    (fun s e -> Period.of_chronons s e)
+    edge_year_chronon_gen edge_year_chronon_gen
+
+let prop_edge_year_printers =
+  [ matches "chronon, years outside 1000-9999" edge_year_chronon_gen
+      Chronon.to_string Fmt_reference.chronon;
+    matches "instant, years outside 1000-9999"
+      (QCheck.Gen.map Instant.of_chronon edge_year_chronon_gen)
+      Instant.to_string Fmt_reference.instant;
+    matches "element, years outside 1000-9999"
+      QCheck.Gen.(
+        map Element.of_periods (list_size (int_range 1 4) edge_year_period_gen))
+      Element.to_string Fmt_reference.element ]
+
 let check_printer_edges () =
   let check name got want = Alcotest.(check string) name want got in
   let c = Chronon.of_civil in
@@ -174,6 +211,10 @@ let prop_roundtrips =
       Element.to_string Element.of_string Element.equal;
     roundtrip "profile" profile_gen Profile.to_string Profile.of_string
       Profile.equal ]
+
+let prop_edge_year_roundtrip =
+  roundtrip "chronon, years outside 1000-9999" edge_year_chronon_gen
+    Chronon.to_string Chronon.of_string Chronon.equal
 
 (* --- Rows through write_response / read_response -------------------------------- *)
 
@@ -285,6 +326,35 @@ let check_separator_in_strings () =
   Alcotest.(check string) "snapshot unescape leaves \\1" "1"
     (Persist.unescape_cell "\\1")
 
+(* A row line with fewer or more cells than the header's columns is a
+   protocol error, not a short or long row. *)
+let check_row_arity () =
+  let read text =
+    let path = Filename.temp_file "tip_wire" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        output_string oc text;
+        close_out oc;
+        let ic = open_in_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> Protocol.read_response ic))
+  in
+  (match read "R 2 1\na\tb\nint\t1\001int\t2\n" with
+  | Protocol.Rows { rows = [ [| Value.Int 1; Value.Int 2 |] ]; _ } -> ()
+  | _ -> Alcotest.fail "well-formed row");
+  List.iter
+    (fun text ->
+      match read text with
+      | _ -> Alcotest.failf "accepted %S" text
+      | exception Failure msg ->
+        Alcotest.(check string) "message" "protocol: row arity" msg)
+    [ "R 2 1\na\tb\nint\t1\n";
+      "R 2 1\na\tb\nint\t1\001int\t2\001int\t3\n";
+      "R 1 2\na\nint\t1\nint\t1\001null\t\\N\n" ]
+
 let check_escape_fast_path () =
   let clean = "{[1999-01-01, NOW]}" in
   Alcotest.(check bool) "escape_cell returns clean text itself" true
@@ -319,33 +389,108 @@ let lookup_result () =
   Protocol.Rows
     { names = [ "drug"; "dosage"; "valid" ]; rows = List.init 11 row }
 
-(* Measured at 1,058 minor words on OCaml 5.1.1; the ceiling is twice
-   that, low enough that a Format or Printf call per cell, or a
-   list-and-concat per row, would cross it. *)
-let minor_words_ceiling = 2_116
+(* Minor words [f] allocates, from its second call on. *)
+let minor_words f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float (Gc.minor_words () -. before)
 
+let within_ceiling what ~ceiling f =
+  let words = minor_words f in
+  if words > ceiling then
+    Alcotest.failf "%s allocated %d minor words (ceiling %d)" what words ceiling
+
+(* Each ceiling is twice the count measured on OCaml 5.1.1 (131, 1,164,
+   36 and 418 words), low enough that a Format or Printf call per cell,
+   a string per row, or a copy per keyword probe or scanned number
+   would cross it. *)
 let check_write_allocation () =
   let response = lookup_result () in
   let oc = open_out_bin Filename.null in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      Protocol.write_response oc response;
-      let before = Gc.minor_words () in
-      Protocol.write_response oc response;
-      let words = int_of_float (Gc.minor_words () -. before) in
-      if words > minor_words_ceiling then
-        Alcotest.failf
-          "write_response allocated %d minor words for an 11-row lookup \
-           result (ceiling %d)"
-          words minor_words_ceiling)
+      within_ceiling "write_response, 11-row lookup result" ~ceiling:262
+        (fun () -> Protocol.write_response oc response))
+
+let check_read_allocation () =
+  let path = Filename.temp_file "tip_wire" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      Protocol.write_response oc (lookup_result ());
+      close_out oc;
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          within_ceiling "read_response, 11-row lookup result" ~ceiling:2_328
+            (fun () ->
+              seek_in ic 0;
+              Protocol.read_response ic)))
+
+(* The scanner's primitives allocate nothing at all. *)
+let check_scan_allocation () =
+  let src = "  1999-06-30 12:00:00, NOW]" in
+  let s = Scan.of_string src in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 100 do
+          s.Scan.pos <- 0;
+          Scan.skip_ws s;
+          ignore (Scan.unsigned_int s);
+          Scan.expect_char s '-';
+          ignore (Scan.at_digit s);
+          ignore (Scan.unsigned_int s);
+          ignore (Scan.eat_char s '-');
+          ignore (Scan.unsigned_int s);
+          ignore (Scan.eat_char s ' ');
+          ignore (Scan.unsigned_int s);
+          ignore (Scan.eat_char s ':');
+          ignore (Scan.unsigned_int s);
+          ignore (Scan.eat_char s ':');
+          ignore (Scan.unsigned_int s);
+          ignore (Scan.eat_char s ',');
+          Scan.skip_ws s;
+          ignore (Scan.eat_keyword s "NOW");
+          ignore (Scan.eat_keyword s "NOW");
+          ignore (Scan.eof s)
+        done)
+  in
+  Alcotest.(check int) "minor words for 100 passes" 0 words
+
+let three_periods =
+  "{[1999-01-01, 1999-02-28], [1999-04-01, 1999-06-30 12:00:00], [2000-01-01, NOW]}"
+
+let check_literal_allocation () =
+  within_ceiling "Element.of_string, 3 periods" ~ceiling:72 (fun () ->
+      Element.of_string three_periods)
+
+let lookup_sql =
+  "SELECT drug, dosage, valid FROM Prescription WHERE patient = 'Patient0042'"
+
+let check_parse_allocation () =
+  within_ceiling "Parser.parse_with_tokens, lookup" ~ceiling:836 (fun () ->
+      Tip_sql.Parser.parse_with_tokens lookup_sql)
 
 let suite =
   [ Alcotest.test_case "printer edge cases" `Quick check_printer_edges;
     Alcotest.test_case "\\x01, tab, newline, backslash round trip" `Quick
       check_separator_in_strings;
     Alcotest.test_case "escape fast path" `Quick check_escape_fast_path;
+    Alcotest.test_case "row arity" `Quick check_row_arity;
     Alcotest.test_case "write_response allocation ceiling" `Quick
-      check_write_allocation ]
+      check_write_allocation;
+    Alcotest.test_case "read_response allocation ceiling" `Quick
+      check_read_allocation;
+    Alcotest.test_case "scanner primitives allocate nothing" `Quick
+      check_scan_allocation;
+    Alcotest.test_case "element literal allocation ceiling" `Quick
+      check_literal_allocation;
+    Alcotest.test_case "statement parse allocation ceiling" `Quick
+      check_parse_allocation ]
   @ List.map QCheck_alcotest.to_alcotest
-      (prop_printers @ prop_roundtrips @ [ prop_rows_roundtrip ])
+      (prop_printers @ prop_edge_year_printers @ prop_roundtrips
+      @ [ prop_edge_year_roundtrip; prop_rows_roundtrip ])
