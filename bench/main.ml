@@ -678,16 +678,59 @@ let bench_wal () =
       end)
     !dirs
 
-(* --- E18: observability overhead --------------------------------------------------------------- *)
+(* --- E18: observability overhead (the one switch) -------------------------------------------- *)
+
+(* Host facts recorded beside a suite's figures: the suite's timings
+   are only comparable on the same kind of machine. *)
+let record_host () =
+  let read_first path prefix =
+    match open_in path with
+    | exception Sys_error _ -> None
+    | ic ->
+      let rec go () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line when String.starts_with ~prefix line -> Some line
+        | _ -> go ()
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) go
+  in
+  let value line =
+    match String.index_opt line ':' with
+    | Some i -> String.trim (String.sub line (i + 1) (String.length line - i - 1))
+    | None -> String.trim line
+  in
+  let facts =
+    [ ("host cpu", Option.map value (read_first "/proc/cpuinfo" "model name"));
+      ("host kernel", read_first "/proc/sys/kernel/osrelease" "");
+      ("host ocaml", Some Sys.ocaml_version) ]
+  in
+  records :=
+    !records
+    @ [ (!current_suite, "host domains",
+         float_of_int (Domain.recommended_domain_count ())) ]
+    @ List.filter_map
+        (fun (k, v) -> Option.map (fun v -> (!current_suite, k ^ " " ^ v, nan)) v)
+        facts;
+  Printf.printf "host: %d domains, %s\n"
+    (Domain.recommended_domain_count ())
+    (String.concat ", " (List.filter_map snd facts))
 
 let bench_observability () =
   banner "E18 observability"
-    "Metrics tax (DESIGN.md §9): the registry counts rows, WAL activity\n\
-     and statement latency on every query. Counters are bulk per-operator\n\
-     adds on sharded atomics, so the expected overhead of the instrumented\n\
-     path over TIP_METRICS=off is under 3% on a scan/aggregate query mix\n\
-     and the E17 insert path.";
-  let module Metrics = Tip_obs.Metrics in
+    "Observability tax (DESIGN.md §9, §11): the one switch (Tip_obs.Switch)\n\
+     turns the metrics registry and the statement store (fingerprint and\n\
+     tip_stat_statements fold) on and off together; spans time every\n\
+     statement either way. Two lines, each on a paired on/off run:\n\
+     - on the scan/aggregate/join mix, per-round minima of alternating\n\
+       batches: within 3% (the insert row is shown too; on a microsecond\n\
+       statement the fixed tax below dominates, so the next line holds it);\n\
+     - the fixed per-statement tax, measured where it resolves (the\n\
+       batched single-row insert, median of adjacent pairs) and set\n\
+       against each mix statement's own baseline: under 2 us and 2%.";
+  record_host ();
+  let switch = Tip_obs.Switch.set in
+  let was_on = Tip_obs.Switch.on () in
   let n = 50_000 * scale in
   let db = Db.create () in
   ignore (Db.exec db "CREATE TABLE m (k INT, g INT, v INT)");
@@ -718,13 +761,13 @@ let bench_observability () =
               "SELECT COUNT(*) FROM m a, m b WHERE a.k = b.k AND a.v < 20"));
       ("insert", insert) ]
   in
-  let was_enabled = Metrics.enabled () in
-  (* Paired comparison, not bechamel: alternate on/off within each round
-     and keep the per-round minimum, so drift on a busy (single-core CI)
-     host cancels instead of landing on one side of the split. *)
+  Fun.protect ~finally:(fun () -> switch was_on) @@ fun () ->
+  (* Line 1. Paired comparison, not bechamel: alternate on/off within
+     each round and keep the per-round minimum, so drift on a busy
+     (single-core CI) host cancels instead of landing on one side. *)
   let paired_ns thunk =
     let time_batch flag iters =
-      Metrics.set_enabled flag;
+      switch flag;
       let t0 = Unix.gettimeofday () in
       for _ = 1 to iters do thunk () done;
       (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
@@ -753,22 +796,96 @@ let bench_observability () =
     List.map
       (fun (label, thunk) ->
         let on, off = paired_ns thunk in
-        Metrics.set_enabled was_enabled;
         let overhead = 100. *. (on /. off -. 1.) in
-        if overhead > !worst then worst := overhead;
+        if label <> "insert" && overhead > !worst then worst := overhead;
         records :=
           !records
-          @ [ (!current_suite, "metrics on " ^ label, on);
-              (!current_suite, "metrics off " ^ label, off);
+          @ [ (!current_suite, "on " ^ label, on);
+              (!current_suite, "off " ^ label, off);
               (!current_suite, "overhead_pct " ^ label, overhead) ];
         [ label; ns_to_string off; ns_to_string on;
           Printf.sprintf "%+.2f%%" overhead ])
       workloads
   in
-  Metrics.set_enabled was_enabled;
-  print_table [ "workload"; "metrics off"; "metrics on"; "overhead" ] rows;
-  Printf.printf "\nworst-case overhead: %+.2f%% — budget 3%%: %s\n" !worst
-    (if !worst < 3. then "PASS" else "FAIL (rerun; single-run noise can exceed it)")
+  print_table [ "workload"; "switch off"; "switch on"; "overhead" ] rows;
+  Printf.printf "\nquery-mix worst-case overhead: %+.2f%% — budget 3%%: %s\n"
+    !worst
+    (if !worst < 3. then "PASS" else "FAIL (rerun; single-run noise can exceed it)");
+  (* Line 2. The tax is a FIXED cost per statement (fingerprint the
+     parsed tokens, fold into the store, bump the counters): it does not
+     scale with the statement's work, and a millisecond statement
+     drifts by tens of microseconds between runs, far above the tax. So
+     the tax is measured where it resolves, on the microsecond insert
+     path: batched so a sample amortizes timer resolution, on/off
+     samples adjacent in time (order alternating per pair), and the
+     median per-pair difference taken so drift cancels inside each
+     pair. The mix rows then set that tax against each statement's own
+     baseline. *)
+  Tip_obs.Introspect.reset ();
+  let batch =
+    switch false;
+    insert ();
+    switch true;
+    insert ();
+    switch false;
+    let t0 = Unix.gettimeofday () in
+    insert ();
+    let once = Unix.gettimeofday () -. t0 in
+    max 1 (int_of_float (0.001 /. Float.max 1e-6 once))
+  in
+  let sample flag =
+    switch flag;
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to batch do insert () done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
+  in
+  let median a =
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let pairs = 31 in
+  let deltas = Array.make pairs 0. and offs = Array.make pairs 0. in
+  for p = 0 to pairs - 1 do
+    let first_on = p mod 2 = 0 in
+    let a = sample first_on in
+    let b = sample (not first_on) in
+    let on, off = if first_on then (a, b) else (b, a) in
+    deltas.(p) <- on -. off;
+    offs.(p) <- off
+  done;
+  let tax_ns = median deltas and insert_base = median offs in
+  let baseline_ns thunk =
+    switch false;
+    thunk ();
+    median
+      (Array.init 9 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           thunk ();
+           (Unix.gettimeofday () -. t0) *. 1e9))
+  in
+  let worst_tax = ref 0. in
+  let rows =
+    List.map
+      (fun (label, thunk) ->
+        let base = if label = "insert" then insert_base else baseline_ns thunk in
+        let share = 100. *. tax_ns /. base in
+        if label <> "insert" && share > !worst_tax then worst_tax := share;
+        records :=
+          !records
+          @ [ (!current_suite, "tax base " ^ label, base);
+              (!current_suite, "tax_pct " ^ label, share) ];
+        [ label; ns_to_string base; Printf.sprintf "%+.0f ns" tax_ns;
+          Printf.sprintf "%+.4f%%" share ])
+      workloads
+  in
+  records := !records @ [ (!current_suite, "tax_ns per statement", tax_ns) ];
+  print_table [ "workload"; "switch off"; "fixed tax"; "share" ] rows;
+  Printf.printf
+    "\nper-statement tax: %+.0f ns; query-mix worst-case share: %+.4f%% — \
+     budget 2 us and 2%%: %s\n"
+    tax_ns !worst_tax
+    (if tax_ns < 2000. && !worst_tax < 2. then "PASS"
+     else "FAIL (rerun; single-run noise can exceed it)")
 
 (* --- E19: resource governance overhead --------------------------------------------------------- *)
 
@@ -879,152 +996,6 @@ let bench_governance () =
   print_table [ "workload"; "ungoverned"; "governed"; "overhead" ] rows;
   Printf.printf "\nworst-case overhead: %+.2f%% — budget 2%%: %s\n" !worst
     (if !worst < 2. then "PASS" else "FAIL (rerun; single-run noise can exceed it)")
-
-(* --- E20: introspection overhead ---------------------------------------------------------------- *)
-
-let bench_introspect () =
-  banner "E20 introspection"
-    "Introspection tax (DESIGN.md §11): with the statement store enabled,\n\
-     every statement is fingerprinted (one walk over the tokens its parse\n\
-     already produced) and folded into the bounded tip_stat_statements\n\
-     aggregate under one mutex. The tax is a small fixed cost per statement, independent of\n\
-     the statement's work, so it is measured where it is resolvable: on\n\
-     the batched single-row insert path, as the median of adjacent\n\
-     enabled/disabled sample pairs (drift cancels inside a pair). Each\n\
-     query-mix row then reports that per-statement tax against the\n\
-     statement's own baseline; the gate requires the tax under 2 us\n\
-     absolute and under 2% of every mix statement.";
-  let module Introspect = Tip_obs.Introspect in
-  let n = 50_000 * scale in
-  let db = Db.create () in
-  ignore (Db.exec db "CREATE TABLE m (k INT, g INT, v INT)");
-  let table = Tip_storage.Catalog.table_exn (Db.catalog db) "m" in
-  for i = 0 to n - 1 do
-    ignore
-      (Tip_storage.Table.insert table
-         [| Tip_storage.Value.Int i; Tip_storage.Value.Int (i mod 16);
-            Tip_storage.Value.Int (i * 31 mod 1009) |])
-  done;
-  let plain = Db.create () in
-  ignore (Db.exec plain "CREATE TABLE w (a INT PRIMARY KEY, b CHAR(12))");
-  let key = ref 0 in
-  let workloads =
-    [ ("filter scan", fun () -> ignore (Db.exec db "SELECT k, v FROM m WHERE v < 100"));
-      ("grouped aggregate",
-       fun () ->
-         ignore
-           (Db.exec db "SELECT g, COUNT(*), SUM(v), MIN(v), MAX(v) FROM m GROUP BY g"));
-      ("hash join",
-       fun () ->
-         ignore
-           (Db.exec db
-              "SELECT COUNT(*) FROM m a, m b WHERE a.k = b.k AND a.v < 20"));
-      ("insert",
-       fun () ->
-         incr key;
-         ignore
-           (Db.exec plain
-              (Printf.sprintf "INSERT INTO w VALUES (%d, 'payload')" !key))) ]
-  in
-  let was_enabled = Introspect.enabled () in
-  Introspect.reset ();
-  (* The tax is a FIXED cost per statement (walk the parsed tokens, fold
-     into the store, two counter reads) — it does not scale with the
-     statement's work. On this kind of host the run-to-run drift of a
-     millisecond statement is itself tens of microseconds, orders of
-     magnitude above the tax, so timing the mix on/off directly only
-     measures noise. Instead the tax is measured where it is
-     resolvable — the microsecond insert path, batched so each sample
-     amortizes timer resolution, enabled/disabled samples adjacent in
-     time (order alternating per pair) and the median per-pair
-     difference taken so drift cancels inside each pair. The mix rows
-     then report that measured per-statement tax against each
-     statement's own measured baseline. *)
-  let paired_tax thunk =
-    let batch =
-      Introspect.set_enabled false;
-      thunk ();
-      Introspect.set_enabled true;
-      thunk ();
-      Introspect.set_enabled false;
-      let t0 = Unix.gettimeofday () in
-      thunk ();
-      let once = Unix.gettimeofday () -. t0 in
-      max 1 (int_of_float (0.001 /. Float.max 1e-6 once))
-    in
-    let sample enabled =
-      Introspect.set_enabled enabled;
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to batch do thunk () done;
-      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int batch
-    in
-    let pairs = 31 in
-    let deltas = Array.make pairs 0. in
-    let offs = Array.make pairs 0. in
-    for p = 0 to pairs - 1 do
-      let first_on = p mod 2 = 0 in
-      let a = sample first_on in
-      let b = sample (not first_on) in
-      let on, off = if first_on then (a, b) else (b, a) in
-      deltas.(p) <- on -. off;
-      offs.(p) <- off
-    done;
-    Array.sort compare deltas;
-    Array.sort compare offs;
-    (deltas.(pairs / 2), offs.(pairs / 2))
-  in
-  let baseline_ns thunk =
-    Introspect.set_enabled false;
-    thunk ();
-    let rounds = 9 in
-    let samples = Array.make rounds 0. in
-    for r = 0 to rounds - 1 do
-      let t0 = Unix.gettimeofday () in
-      thunk ();
-      samples.(r) <- (Unix.gettimeofday () -. t0) *. 1e9
-    done;
-    Array.sort compare samples;
-    samples.(rounds / 2)
-  in
-  let tax_ns, insert_base =
-    paired_tax (List.assoc "insert" workloads)
-  in
-  let worst = ref 0. in
-  let rows =
-    List.map
-      (fun (label, thunk) ->
-        if label = "insert" then begin
-          records :=
-            !records
-            @ [ (!current_suite, "introspect on insert", insert_base +. tax_ns);
-                (!current_suite, "introspect off insert", insert_base);
-                (!current_suite, "tax_ns insert", tax_ns) ];
-          [ label; ns_to_string insert_base;
-            ns_to_string (insert_base +. tax_ns);
-            Printf.sprintf "%+.0f ns fixed" tax_ns ]
-        end
-        else begin
-          let base = baseline_ns thunk in
-          let overhead = 100. *. tax_ns /. base in
-          if overhead > !worst then worst := overhead;
-          records :=
-            !records
-            @ [ (!current_suite, "introspect on " ^ label, base +. tax_ns);
-                (!current_suite, "introspect off " ^ label, base);
-                (!current_suite, "overhead_pct " ^ label, overhead) ];
-          [ label; ns_to_string base; ns_to_string (base +. tax_ns);
-            Printf.sprintf "%+.4f%%" overhead ]
-        end)
-      workloads
-  in
-  Introspect.set_enabled was_enabled;
-  print_table [ "workload"; "introspect off"; "introspect on"; "overhead" ] rows;
-  Printf.printf
-    "\nper-statement tax: %+.0f ns; query-mix worst-case overhead: %+.4f%% — \
-     budget 2%%: %s\n"
-    tax_ns !worst
-    (if tax_ns < 2000. && !worst < 2. then "PASS"
-     else "FAIL (rerun; single-run noise can exceed it)")
 
 (* --- Driver --------------------------------------------------------------------------------- *)
 
@@ -1553,13 +1524,15 @@ let bench_ha () =
 let bench_waits () =
   banner "E25 waits"
     "Wait-event profiling and the ASH sampler (DESIGN.md §16): each wait\n\
-     site is a pair of atomic adds around the blocking call, and the\n\
-     sampler wakes 10x a second to copy the (tiny) session registry into\n\
-     the ring — so a paired sampler-on/off run must agree within noise\n\
-     (gate: < 2%). The second table drives concurrent clients through a\n\
-     mixed read/write run over loopback TCP and reports — not gates —\n\
-     how much of the clients' wall time the one database lock absorbs.";
-  let module Wait = Tip_obs.Wait in
+     site is a span, two clock reads and a pair of atomic adds around the\n\
+     blocking call, and the sampler wakes 10x a second to copy the (tiny)\n\
+     session table into the ring — so a paired sampler-on/off run must\n\
+     agree within noise (gate: < 2%). The second table drives concurrent\n\
+     clients through a mixed read/write run over loopback TCP and\n\
+     reports — not gates — how much of the clients' wall time the one\n\
+     database lock absorbs.";
+  let module Span = Tip_obs.Span in
+  let module Ash = Tip_obs.Ash in
   let db = medical_db ~prescriptions:(2000 * scale) in
   ignore (Db.exec db "CREATE TABLE wb (a INT PRIMARY KEY, b CHAR(12))");
   ignore (Db.exec db "INSERT INTO wb VALUES (1, 'seed')");
@@ -1580,16 +1553,17 @@ let bench_waits () =
                '{[1997-01-01, 1997-12-31]}'::Element)"));
       ("point update", update) ]
   in
-  let was_running = Wait.sampler_running () in
+  let was_running = Ash.sampler_running () in
   (* the bench thread registers as a session and stays active, so the
      sampler-on side really does copy a sample every tick *)
-  let session = Wait.register ~id:777 ~kind:"bench" in
-  Wait.set_active session true;
+  let session = Span.register ~id:777 ~kind:"bench" () in
+  Span.begin_statement session ~query:"bench" ~fingerprint:"bench"
+    ~token:Tip_core.Deadline.never;
   (* Paired comparison (same shape as E18): alternate sampler-on/off
      within each round, keep per-round minima, so host drift cancels. *)
   let paired_ns thunk =
     let time_batch flag iters =
-      if flag then Wait.start_sampler () else Wait.stop_sampler ();
+      if flag then Ash.start_sampler () else Ash.stop_sampler ();
       let t0 = Unix.gettimeofday () in
       for _ = 1 to iters do thunk () done;
       (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
@@ -1643,9 +1617,8 @@ let bench_waits () =
           Printf.sprintf "%+.2f%%" overhead ])
       workloads
   in
-  Wait.set_active session false;
-  Wait.unregister session;
-  if was_running then Wait.start_sampler () else Wait.stop_sampler ();
+  Span.unregister session;
+  if was_running then Ash.start_sampler () else Ash.stop_sampler ();
   print_table [ "workload"; "sampler off"; "sampler on"; "overhead" ] rows;
   Printf.printf "\nworst-case overhead: %+.2f%% — budget 2%%: %s\n" !worst
     (if !worst < 2. then "PASS" else "FAIL (rerun; single-run noise can exceed it)");
@@ -1655,7 +1628,7 @@ let bench_waits () =
   let port = Tip_server.Server.port server in
   let n_clients = 8 and per_client = 20 * scale in
   let dblock_before =
-    let _, _, ns = List.find (fun (c, _, _) -> c = Wait.DbLock) (Wait.stats ()) in
+    let _, _, ns = List.find (fun (c, _, _) -> c = Span.DbLock) (Span.wait_stats ()) in
     ns
   in
   let t0 = Unix.gettimeofday () in
@@ -1682,7 +1655,7 @@ let bench_waits () =
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
   Tip_server.Server.stop server;
   let dblock_after =
-    let _, _, ns = List.find (fun (c, _, _) -> c = Wait.DbLock) (Wait.stats ()) in
+    let _, _, ns = List.find (fun (c, _, _) -> c = Span.DbLock) (Span.wait_stats ()) in
     ns
   in
   let dblock_ns = float_of_int (dblock_after - dblock_before) in
@@ -1714,7 +1687,6 @@ let suites =
     ("wal", bench_wal);
     ("observability", bench_observability);
     ("governance", bench_governance);
-    ("introspect", bench_introspect);
     ("vector", bench_vector);
     ("replication", bench_replication);
     ("partition", bench_partition);

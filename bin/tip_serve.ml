@@ -67,7 +67,7 @@ let main port demo load save durability sync archive_dir idle_timeout now
   (* every server log line — Logs sources and our own announcements —
      goes through the one mutex-guarded timestamped sink *)
   Option.iter (fun s -> Sink.set_format (parse_log_format s)) log_format;
-  Option.iter (fun d -> Tip_obs.Trace.set_trace_dir (Some d)) trace_dir;
+  Option.iter (fun d -> Tip_obs.Span.set_trace_dir (Some d)) trace_dir;
   Logs.set_reporter (Sink.reporter ());
   if Option.is_some archive_dir && Option.is_none durability then begin
     Printf.eprintf
@@ -226,12 +226,10 @@ let main port demo load save durability sync archive_dir idle_timeout now
       (Sys.Signal_handle
          (fun _ ->
            ignore
-             (Thread.create
-                (fun () ->
+             (Tip_obs.Events.spawn ~name:"promotion" (fun () ->
                   match Tip_server.Server.promote server with
                   | Ok _ -> ()
-                  | Error e -> Sink.line "tip_server: %s" e)
-                ())));
+                  | Error e -> Sink.line "tip_server: %s" e))));
   Tip_server.Server.serve server;
   Sink.line "tip_server: draining";
   Option.iter Tip_server.Monitor.stop monitor;

@@ -2,8 +2,9 @@
    and optional resource budgets, polled by the executor at batch
    boundaries.
 
-   The deadline is wall-clock ([Unix.gettimeofday], the same clock the
-   tracer uses — there is no monotonic-clock dependency in this tree).
+   The deadline is wall-clock ([Unix.gettimeofday], through [now_ns],
+   the clock every span reads too — there is no monotonic-clock
+   dependency in this tree).
    A backwards clock step can therefore extend a deadline; that is an
    accepted trade-off for a zero-dependency implementation, and the
    budgets (which count work, not time) are unaffected.

@@ -21,6 +21,12 @@ exception Cancelled of reason
 
 type t
 
+val now_ns : unit -> int
+(** The process's one clock: wall-clock time in integer nanoseconds
+    ([Unix.gettimeofday], so microsecond resolution). Deadlines, spans
+    ({!Tip_obs.Span}) and EXPLAIN ANALYZE operator timings all read
+    it. *)
+
 val never : t
 (** A shared token that is never cancelled and carries no budgets.
     [check never] is a single atomic load. Never mutate it. *)

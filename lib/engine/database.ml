@@ -26,8 +26,7 @@ open Tip_storage
 module Ast = Tip_sql.Ast
 module Parser = Tip_sql.Parser
 module Metrics = Tip_obs.Metrics
-module Wait = Tip_obs.Wait
-module Trace = Tip_obs.Trace
+module Span = Tip_obs.Span
 module Introspect = Tip_obs.Introspect
 module Deadline = Tip_core.Deadline
 
@@ -35,16 +34,8 @@ exception Error of string
 
 let db_error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-let m_statements =
-  Metrics.counter "engine_statements_total"
-    ~help:"Statements executed by the embedded engine"
-
 let m_checkpoints =
   Metrics.counter "checkpoints_total" ~help:"Durable checkpoints taken"
-
-let h_statement_ns =
-  Metrics.histogram "engine_statement_ns"
-    ~help:"Per-statement latency (parse excluded), nanoseconds"
 
 let m_cancelled =
   Metrics.counter "engine_statements_cancelled_total"
@@ -278,7 +269,7 @@ let checkpoint t =
   | None -> 0
   | Some d ->
     if t.tx_holder <> None then busy "checkpoint";
-    Wait.with_wait Wait.Checkpoint @@ fun () ->
+    Span.with_ Span.Checkpoint @@ fun () ->
     (* Bring the durability point current before rendering the
        snapshot: an Every_n policy may be holding up to n-1 commits it
        has not fsynced, and a checkpoint is an explicit durability
@@ -413,33 +404,30 @@ let plan_query t ectx ~what = function
     Planner.plan_union ~ext:t.ext ~ectx t.catalog compound
   | _ -> db_error "%s supports only SELECT" what
 
-(* EXPLAIN ANALYZE: plan under a "plan" span of the statement's trace,
-   wrap every operator with an [Instrument] node, execute for real under
-   an "execute" span, and render the tree annotated with actual rows /
-   time. The whole run shares one NOW — it was bound (exactly once)
-   when [exec_statement_raw] opened the root span and travels in
-   [ectx], so an operator evaluating NOW late in a long run sees the
-   same instant as the first (DESIGN.md §9). *)
-let run_explain_analyze t ectx ~trace ~now target =
+(* EXPLAIN ANALYZE: plan under a [Plan] child of the statement's
+   engine span, wrap every operator with an [Instrument] node, execute
+   for real under an [Execute] child, and render the tree annotated
+   with actual rows / time. The whole run shares one NOW — it was bound
+   (exactly once) by [exec_statement_raw] and travels in [ectx], so an
+   operator evaluating NOW late in a long run sees the same instant as
+   the first (DESIGN.md §9). *)
+let run_explain_analyze t ectx ~span ~now target =
   let plan =
-    Trace.with_span trace "plan" (fun () ->
+    Span.with_ ~parent:span Span.Plan (fun () ->
         fst (plan_query t ectx ~what:"EXPLAIN ANALYZE" target))
   in
   let plan = Plan.instrument plan in
   let rows =
-    Trace.with_span trace "execute" (fun () ->
-        Executor.collect ectx plan)
+    Span.with_ ~parent:span Span.Execute (fun () -> Executor.collect ectx plan)
   in
-  let span_ns name =
-    match Trace.find_child (Trace.root trace) name with
-    | Some sp -> sp.Trace.sp_elapsed_ns
-    | None -> 0
+  let span_ns kind =
+    Option.fold ~none:0 ~some:Span.elapsed_ns (Span.find_child span kind)
   in
   Message
     (Planner.explain_analyze
        ~now:(Tip_core.Chronon.to_string now)
-       ~rows:(List.length rows) ~plan_ns:(span_ns "plan")
-       ~exec_ns:(span_ns "execute") plan)
+       ~rows:(List.length rows) ~plan_ns:(span_ns Span.Plan)
+       ~exec_ns:(span_ns Span.Execute) plan)
 
 (* Single-table DML helper: the matching (rid, row) pairs, in rid order,
    all collected before the caller mutates anything. Candidates come
@@ -621,7 +609,7 @@ let read_only_statement = function
     true
   | _ -> false
 
-let exec_statement_raw t s ~token ~trace ~params stmt =
+let exec_statement_raw t s ~token ~span ~params stmt =
   if t.read_only && not (replica_allowed stmt) then
     db_error "READ_ONLY: this is a read replica; send writes to the primary";
   (* One open transaction at a time, and nobody else reads or writes
@@ -632,12 +620,12 @@ let exec_statement_raw t s ~token ~trace ~params stmt =
     db_error "BUSY: another session has a transaction open"
   | Some _ | None -> ());
   (* The statement's NOW is read from the clock exactly once, here, and
-     frozen for the whole statement: the root span opens with it, and
-     it reaches every later reader — blade routines, plan operators,
-     EXPLAIN ANALYZE instrumentation — through [ectx.now] alone (the
-     audit in DESIGN.md §9 lists the call sites). *)
+     frozen for the whole statement: the root span of its trace carries
+     it, and it reaches every later reader — blade routines, plan
+     operators, EXPLAIN ANALYZE instrumentation — through [ectx.now]
+     alone (the audit in DESIGN.md §9 lists the call sites). *)
   let now = statement_now s in
-  Trace.annotate trace "now" (Tip_core.Chronon.to_string now);
+  Span.annotate (Span.root span) "now" (Span.Chronon now);
   Log.debug (fun m ->
       m "executing (NOW = %s): %s"
         (Tip_core.Chronon.to_string now)
@@ -650,7 +638,7 @@ let exec_statement_raw t s ~token ~trace ~params stmt =
   | Ast.Explain { analyze = false; target } ->
     Message (Planner.explain (fst (plan_query t ectx ~what:"EXPLAIN" target)))
   | Ast.Explain { analyze = true; target } ->
-    run_explain_analyze t ectx ~trace ~now target
+    run_explain_analyze t ectx ~span ~now target
   | Ast.Insert { table; columns; source } -> (
     let schema, sink = insert_target t s ~now table in
     match source with
@@ -1221,42 +1209,38 @@ let effective_token s token =
      added are undone and dropped, so neither memory, the WAL nor a
      later ROLLBACK sees them. The caller sees the raised reason; the
      WAL sees a clean statement prefix. *)
-let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace ?session t
-    ~params stmt =
+let exec_statement ?(token = Deadline.never) ?fingerprint ?session t ~params
+    stmt =
   let s = session_of t session in
   let token = effective_token s token in
   (* The statement's rows-scanned tally comes from its own token, so a
      statement running beside others counts only its own scans. *)
   let token =
-    if Introspect.enabled () && Deadline.is_never token then Deadline.create ()
+    if Tip_obs.Switch.on () && Deadline.is_never token then Deadline.create ()
     else token
   in
-  let t0 = Trace.now_ns () in
   let scanned0 = Deadline.rows_scanned token in
-  (* Fold the execution into the fingerprint store (tip_stat_statements):
-     keyed by the caller's fingerprint of the statement's own tokens, or
-     for a statement that never had text, of its pretty-printed AST.
-     Skipped entirely while disabled, so the fingerprinting tax is
-     opt-out (benchmark E20). *)
+  let span = Span.start Span.Engine in
+  (* Stops the engine span and folds the execution into the fingerprint
+     store (tip_stat_statements): keyed by the caller's fingerprint of
+     the statement's own tokens, or for a statement that never had
+     text, of its pretty-printed AST. The store is skipped entirely
+     while the switch is off, fingerprint included (benchmark E18). *)
   let note outcome ~rows_returned =
-    if Introspect.enabled () then
+    Span.stop span;
+    if Tip_obs.Switch.on () then
       Introspect.record
         ~query:
           (match fingerprint with
           | Some f -> f
           | None ->
             Tip_sql.Lexer.fingerprint (Tip_sql.Pretty.statement_to_string stmt))
-        ~elapsed_ns:(Trace.now_ns () - t0)
+        ~elapsed_ns:(Span.elapsed_ns span)
         ~rows_returned
         ~rows_scanned:(Deadline.rows_scanned token - scanned0)
         outcome
   in
-  let observe () =
-    Metrics.incr m_statements;
-    Metrics.observe h_statement_ns (Trace.now_ns () - t0)
-  in
   let finished result =
-    observe ();
     note Introspect.Finished
       ~rows_returned:
         (match result with
@@ -1273,29 +1257,22 @@ let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace ?session t
         m "statement cancelled (%s): %s"
           (Deadline.reason_label reason)
           (Tip_sql.Pretty.statement_to_string stmt));
-    observe ();
     note Introspect.Cancelled ~rows_returned:0
   in
-  let errored () =
-    observe ();
-    note Introspect.Errored ~rows_returned:0
+  let errored () = note Introspect.Errored ~rows_returned:0 in
+  (* a simulated crash stands for process death: the span is only
+     closed, so the session's open-span chain stays sound *)
+  let crashed e =
+    Span.stop span;
+    raise e
   in
-  (* The trace is the statement's own; its finished root goes back to
-     the caller ([on_trace]) whatever the outcome. *)
-  let run () =
-    let trace = Trace.start "statement" in
-    Fun.protect
-      ~finally:(fun () ->
-        let root = Trace.finish trace in
-        Option.iter (fun f -> f root) on_trace)
-      (fun () -> exec_statement_raw t s ~token ~trace ~params stmt)
-  in
+  let run () = exec_statement_raw t s ~token ~span ~params stmt in
   if read_only_statement stmt then begin
     (* The read path writes no field of [t]: no journal, no flush, no
        checkpoint. *)
     match run () with
     | result -> finished result
-    | exception (Failpoint.Crash _ as e) -> raise e
+    | exception (Failpoint.Crash _ as e) -> crashed e
     | exception (Deadline.Cancelled reason as e) ->
       cancelled reason;
       raise e
@@ -1310,7 +1287,7 @@ let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace ?session t
       end_of_statement t s;
       maybe_auto_checkpoint t;
       finished result
-    | exception (Failpoint.Crash _ as e) -> raise e
+    | exception (Failpoint.Crash _ as e) -> crashed e
     | exception (Deadline.Cancelled reason as e) ->
       s.journal <- revert_to mark s.journal;
       cancelled reason;
@@ -1322,9 +1299,9 @@ let exec_statement ?(token = Deadline.never) ?fingerprint ?on_trace ?session t
   end
 
 (* The statement store is keyed by the statement's own tokens, and only
-   while it is enabled, so E20's on/off pairs measure the whole hook. *)
+   while the switch is on, so E18's on/off pairs measure the whole hook. *)
 let fingerprint_of tokens =
-  if Introspect.enabled () then Some (Tip_sql.Lexer.fingerprint_tokens tokens)
+  if Tip_obs.Switch.on () then Some (Tip_sql.Lexer.fingerprint_tokens tokens)
   else None
 
 let exec ?token ?(params = []) ?session t sql =
@@ -1401,7 +1378,7 @@ let open_durable ?(sync = Wal.Always) ?(checkpoint_every = 10_000) ?archive_dir
          (match info.Recovery.stopped with
          | Some reason -> Printf.sprintf " (log tail dropped: %s)" reason
          | None -> ""));
-  Tip_obs.Wait.start_sampler ();
+  Tip_obs.Ash.start_sampler ();
   (t, info)
 
 (* Detaches and closes the WAL without checkpointing — on-disk state is
@@ -1489,7 +1466,7 @@ let promote_replica ?(sync = Wal.Always) ?(checkpoint_every = 10_000)
     ~detail:(Printf.sprintf "writable at %s, gen %d epoch %d" dir gen epoch);
   Tip_obs.Events.record ~kind:"epoch_change"
     ~detail:(Printf.sprintf "epoch now %d" epoch);
-  Tip_obs.Wait.start_sampler ()
+  Tip_obs.Ash.start_sampler ()
 
 (* --- Result helpers ----------------------------------------------------------- *)
 
@@ -1710,8 +1687,8 @@ let () =
         (fun _catalog ->
           List.map
             (fun (cls, count, total_ns) ->
-              [| Value.Str (Wait.label cls); Value.Int count; ms total_ns |])
-            (Wait.stats ())) };
+              [| Value.Str (Span.label cls); Value.Int count; ms total_ns |])
+            (Span.wait_stats ())) };
   Vtab.register
     { Vtab.vt_name = "tip_stat_ash";
       vt_cols =
@@ -1723,7 +1700,7 @@ let () =
       vt_rows =
         (fun _catalog ->
           List.map
-            (fun (sa : Tip_obs.Wait.sample) ->
+            (fun (sa : Tip_obs.Ash.sample) ->
               [| Value.Int sa.sa_seq;
                  instant_value sa.sa_at;
                  Value.Int sa.sa_session;
@@ -1734,7 +1711,7 @@ let () =
                  Value.Str sa.sa_state;
                  period_value ~from_s:sa.sa_at
                    ~to_s:(sa.sa_at +. (float_of_int sa.sa_interval_ms /. 1000.)) |])
-            (Wait.samples ())) };
+            (Tip_obs.Ash.samples ())) };
   Vtab.register
     { Vtab.vt_name = "tip_stat_events";
       vt_cols = [| "seq"; "at"; "kind"; "detail" |];

@@ -94,8 +94,6 @@ val exec :
     fingerprinted instead; that is a different key for the same text
     (the printer parenthesizes), so it serves only statements that never
     had text.
-    [on_trace] receives the statement's own finished trace root, also
-    when the statement fails.
 
     Read-only statements ({!read_only_statement}) write no field of the
     database and keep no per-statement state in globals, so callers may
@@ -104,7 +102,6 @@ val exec :
 val exec_statement :
   ?token:Tip_core.Deadline.t ->
   ?fingerprint:string ->
-  ?on_trace:(Tip_obs.Trace.span -> unit) ->
   ?session:session ->
   t ->
   params:(string * Value.t) list ->

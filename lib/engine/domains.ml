@@ -11,8 +11,6 @@ let max_size = 64
 
 let clamp n = if n < 1 then 1 else if n > max_size then max_size else n
 
-module Metrics = Tip_obs.Metrics
-
 let resolve_size ~env ~recommended =
   match env with
   | Some s -> (
@@ -70,26 +68,14 @@ let host slot =
   Mutex.unlock hosts_lock;
   h
 
-let log_src = Logs.Src.create "tip.domains" ~doc:"TIP session domains"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-let m_thread_crashes =
-  Metrics.counter "thread_crashes_total"
-    ~help:"Jobs lost to an exception on a host domain"
-
 let on_domain ~slot ~on_error job =
   let guarded () =
-    try
-      if slot > 0 then Tip_storage.Failpoint.hit ~site:"pool.domain" ();
-      job ()
-    with e ->
-      let msg = Printexc.to_string e in
-      Log.err (fun m -> m "job on domain %d raised: %s" slot msg);
-      Metrics.incr m_thread_crashes;
-      Tip_obs.Events.record ~kind:"thread_crash"
-        ~detail:(Printf.sprintf "domain %d: %s" slot msg);
-      try on_error e with _ -> ()
+    Tip_obs.Events.guard
+      ~name:(Printf.sprintf "domain %d" slot)
+      ~on_crash:on_error
+      (fun () ->
+        if slot > 0 then Tip_storage.Failpoint.hit ~site:"pool.domain" ();
+        job ())
   in
   if slot = 0 then guarded ()
   else begin

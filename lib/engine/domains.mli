@@ -36,8 +36,9 @@ val set_size : int -> unit
     and kept for the life of the process, whose host thread runs its
     jobs in order. Jobs should be short — typically [Thread.create] of
     the real work, so that the thread lives in that domain. A job that
-    raises is logged, counted ([thread_crashes_total]) and journaled as
-    a [thread_crash] event, then [on_error] cleans up after it; the host
+    raises goes through {!Tip_obs.Events.guard} (logged, counted in
+    [thread_crashes_total], journaled as a [thread_crash] event), then
+    [on_error] cleans up after it; the host
     lives on. On host slots the [pool.domain] failpoint fires before
     each job. *)
 val on_domain : slot:int -> on_error:(exn -> unit) -> (unit -> unit) -> unit

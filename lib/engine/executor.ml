@@ -12,7 +12,6 @@
 open Tip_storage
 module Ast = Tip_sql.Ast
 module Metrics = Tip_obs.Metrics
-module Trace = Tip_obs.Trace
 module Deadline = Tip_core.Deadline
 
 exception Exec_error of string
@@ -331,9 +330,9 @@ let top_k ctx by k input : Value.t array list =
 let instrumented_seq (stats : Plan.op_stats) (produce : unit -> Value.t array Seq.t) :
     Value.t array Seq.t =
   let rec wrap force () =
-    let t0 = Trace.now_ns () in
+    let t0 = Deadline.now_ns () in
     let node = force () in
-    stats.Plan.actual_ns <- stats.Plan.actual_ns + (Trace.now_ns () - t0);
+    stats.Plan.actual_ns <- stats.Plan.actual_ns + (Deadline.now_ns () - t0);
     match node with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (row, rest) ->

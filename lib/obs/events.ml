@@ -128,3 +128,25 @@ let reset () =
       mem := [];
       count := 0;
       path := None)
+
+(* --- supervised threads ---------------------------------------------- *)
+
+let log_src = Logs.Src.create "tip.threads" ~doc:"TIP background threads"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
+let m_thread_crashes =
+  Metrics.counter "thread_crashes_total"
+    ~help:"Threads and domain jobs ended by an exception"
+
+let guard ~name ?(on_crash = ignore) f =
+  try f ()
+  with e ->
+    let msg = Printexc.to_string e in
+    Log.err (fun m -> m "%s raised: %s" name msg);
+    Metrics.incr m_thread_crashes;
+    record ~kind:"thread_crash" ~detail:(Printf.sprintf "%s: %s" name msg);
+    (try on_crash e with _ -> ())
+
+let spawn ~name ?on_crash f =
+  Thread.create (fun () -> guard ~name ?on_crash f) ()

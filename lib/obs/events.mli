@@ -33,3 +33,15 @@ val events : unit -> event list
 
 (** Drops the in-memory window and detaches the journal (tests). *)
 val reset : unit -> unit
+
+(** {1 Supervised threads} *)
+
+val guard : name:string -> ?on_crash:(exn -> unit) -> (unit -> unit) -> unit
+(** [guard ~name f] runs [f] on the calling thread. An exception that
+    escapes it is logged, counted in [thread_crashes_total] and
+    journaled as a [thread_crash] event (["<name>: <exception>"]); then
+    [on_crash] cleans up after it, and [guard] returns. *)
+
+val spawn : name:string -> ?on_crash:(exn -> unit) -> (unit -> unit) -> Thread.t
+(** [Thread.create] of {!guard}: the one way this code base starts a
+    thread. *)

@@ -53,15 +53,6 @@ let default_capacity =
 
 let capacity_ref = ref default_capacity
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "TIP_STAT_STATEMENTS" with
-    | Some ("off" | "0" | "false" | "OFF") -> false
-    | _ -> true)
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
 let with_lock f = Mutex.protect lock f
 
 let capacity () = !capacity_ref
@@ -87,14 +78,8 @@ let set_capacity n =
         evict_lru ()
       done)
 
-let bucket_of ns =
-  let bounds = Metrics.bounds in
-  let n = Array.length bounds in
-  let rec go i = if i >= n || ns <= bounds.(i) then i else go (i + 1) in
-  go 0
-
 let record ~query ~elapsed_ns ~rows_returned ~rows_scanned outcome =
-  if Atomic.get enabled_flag then
+  if Switch.on () then
     with_lock (fun () ->
         incr clock;
         let e =
@@ -128,7 +113,7 @@ let record ~query ~elapsed_ns ~rows_returned ~rows_scanned outcome =
         | Finished -> ()
         | Errored -> e.e_errors <- e.e_errors + 1
         | Cancelled -> e.e_cancelled <- e.e_cancelled + 1);
-        let b = bucket_of elapsed_ns in
+        let b = Metrics.bucket_of elapsed_ns in
         e.e_buckets.(b) <- e.e_buckets.(b) + 1;
         e.e_stamp <- !clock)
 

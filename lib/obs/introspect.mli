@@ -13,9 +13,8 @@
     process-wide mutex — statements execute serially per database, so
     the lock is effectively uncontended (benchmark E20 bounds the cost).
 
-    Recording is on unless [TIP_STAT_STATEMENTS] is set to
-    [off]/[0]/[false]; the default capacity of 512 is overridden by
-    [TIP_STAT_STATEMENTS_CAP]. *)
+    Recording follows {!Switch}; the default capacity of 512 is
+    overridden by [TIP_STAT_STATEMENTS_CAP]. *)
 
 type outcome = Finished | Errored | Cancelled
 
@@ -44,7 +43,7 @@ val record :
   outcome ->
   unit
 (** Folds one execution into the entry for [query] (creating or
-    evicting as needed). No-op while disabled. *)
+    evicting as needed). No-op while {!Switch} is off. *)
 
 val snapshot : unit -> stat list
 (** Copies of every entry, sorted by descending total time. *)
@@ -60,6 +59,3 @@ val capacity : unit -> int
 val set_capacity : int -> unit
 (** Sets the bound, evicting LRU entries if currently above it.
     @raise Invalid_argument on a non-positive capacity. *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit

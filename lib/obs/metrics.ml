@@ -12,15 +12,6 @@
 let shard_count = 16 (* power of two: shard pick is a mask *)
 let shard () = (Domain.self () :> int) land (shard_count - 1)
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "TIP_METRICS" with
-    | Some ("off" | "0" | "false" | "OFF") -> false
-    | _ -> true)
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
 type counter = { c_cells : int Atomic.t array }
 type gauge = { g_cell : int Atomic.t }
 
@@ -71,7 +62,7 @@ let counter ?help name =
     (function M_counter c -> Some c | _ -> None)
 
 let add c n =
-  if Atomic.get enabled_flag then
+  if Switch.on () then
     ignore (Atomic.fetch_and_add c.c_cells.(shard ()) n)
 
 let incr c = add c 1
@@ -85,10 +76,10 @@ let gauge ?help name =
       (g, M_gauge g))
     (function M_gauge g -> Some g | _ -> None)
 
-let gauge_set g v = if Atomic.get enabled_flag then Atomic.set g.g_cell v
+let gauge_set g v = if Switch.on () then Atomic.set g.g_cell v
 
 let gauge_add g n =
-  if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add g.g_cell n)
+  if Switch.on () then ignore (Atomic.fetch_and_add g.g_cell n)
 
 let gauge_value g = Atomic.get g.g_cell
 
@@ -113,7 +104,7 @@ let bucket_of ns =
   go 0
 
 let observe h ns =
-  if Atomic.get enabled_flag then begin
+  if Switch.on () then begin
     let s = shard () in
     ignore (Atomic.fetch_and_add h.h_cells.(s).(bucket_of ns) 1);
     ignore (Atomic.fetch_and_add h.h_sum.(s) ns);
@@ -164,18 +155,12 @@ let percentile h q = percentile_of_buckets (raw_buckets h) q
 (* Per-bucket counts merged across shards, made cumulative (Prometheus
    histogram semantics: bucket le=X counts every observation <= X). *)
 let histogram_buckets h =
-  let nbuckets = Array.length bounds + 1 in
-  let merged = Array.make nbuckets 0 in
-  Array.iter
-    (fun cells ->
-      Array.iteri (fun i a -> merged.(i) <- merged.(i) + Atomic.get a) cells)
-    h.h_cells;
   let acc = ref 0 in
   Array.map
     (fun v ->
       acc := !acc + v;
       !acc)
-    merged
+    (raw_buckets h)
 
 type sample = { s_name : string; s_kind : string; s_value : int }
 
@@ -235,17 +220,11 @@ let infos () =
   |> List.map (fun (name, m, _) ->
          match m with
          | M_counter c ->
-           { i_name = name;
-             i_kind = "counter";
-             i_value = counter_value c;
-             i_sum_ns = None;
-             i_percentiles = None }
+           { i_name = name; i_kind = "counter"; i_value = counter_value c;
+             i_sum_ns = None; i_percentiles = None }
          | M_gauge g ->
-           { i_name = name;
-             i_kind = "gauge";
-             i_value = gauge_value g;
-             i_sum_ns = None;
-             i_percentiles = None }
+           { i_name = name; i_kind = "gauge"; i_value = gauge_value g;
+             i_sum_ns = None; i_percentiles = None }
          | M_histogram h ->
            let raw = raw_buckets h in
            let pct q = percentile_of_buckets raw q in

@@ -5,13 +5,8 @@
     on different domains never contend on a lock. Gauges are single
     atomics: they are written rarely (pool resizes, session open/close).
 
-    The registry is enabled unless the [TIP_METRICS] environment
-    variable is set to [off]/[0]/[false]; [set_enabled] toggles it at
-    runtime (used by the overhead benchmark). When disabled, writes are
-    a single atomic load and branch. *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit
+    While {!Switch} is off, writes are a single atomic load and
+    branch. *)
 
 (** {1 Counters} — monotonically increasing integers. *)
 
@@ -56,6 +51,9 @@ val bucket_labels : string array
 val bounds : int array
 (** Finite bucket upper bounds in nanoseconds (one shorter than
     {!bucket_labels}: the overflow bucket has no bound). *)
+
+val bucket_of : int -> int
+(** The bucket a latency of that many nanoseconds lands in. *)
 
 val histogram_buckets : histogram -> int array
 (** Cumulative per-bucket counts, merged across shards. *)

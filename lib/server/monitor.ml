@@ -10,7 +10,7 @@
    lock, which is exactly when an operator needs it. *)
 
 module Metrics = Tip_obs.Metrics
-module Wait = Tip_obs.Wait
+module Ash = Tip_obs.Ash
 
 let log_src = Logs.Src.create "tip.monitor" ~doc:"TIP monitoring endpoint"
 
@@ -26,19 +26,19 @@ let ash_json () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
   List.iteri
-    (fun i (sa : Wait.sample) ->
+    (fun i (sa : Ash.sample) ->
       if i > 0 then Buffer.add_string buf ",";
       Buffer.add_string buf
         (Printf.sprintf
            "{\"seq\":%d,\"at\":%.3f,\"interval_ms\":%d,\"session\":%d,\
             \"kind\":\"%s\",\"query\":%s,\"state\":\"%s\"}"
-           sa.Wait.sa_seq sa.sa_at sa.sa_interval_ms sa.sa_session
+           sa.Ash.sa_seq sa.sa_at sa.sa_interval_ms sa.sa_session
            (Tip_obs.Log_sink.json_escape sa.sa_kind)
            (match sa.sa_query with
            | Some q -> Printf.sprintf "\"%s\"" (Tip_obs.Log_sink.json_escape q)
            | None -> "null")
            (Tip_obs.Log_sink.json_escape sa.sa_state)))
-    (Wait.samples ());
+    (Ash.samples ());
   Buffer.add_string buf "]\n";
   Buffer.contents buf
 
@@ -116,7 +116,9 @@ let start ~port:requested ~ready () =
     if t.running then begin
       match Unix.accept t.listener with
       | fd, _ ->
-        ignore (Thread.create (fun () -> handle_connection ready fd) ());
+        ignore
+          (Tip_obs.Events.spawn ~name:"monitor connection" (fun () ->
+               handle_connection ready fd));
         accept_loop ()
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
         () (* listener closed by [stop] *)
@@ -124,7 +126,7 @@ let start ~port:requested ~ready () =
         accept_loop ()
     end
   in
-  t.thread <- Some (Thread.create accept_loop ());
+  t.thread <- Some (Tip_obs.Events.spawn ~name:"monitor accept" accept_loop);
   Log.info (fun m -> m "monitoring endpoint on port %d" (port t));
   t
 

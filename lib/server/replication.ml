@@ -42,7 +42,7 @@
 
 module Db = Tip_engine.Database
 module Metrics = Tip_obs.Metrics
-module Wait = Tip_obs.Wait
+module Span = Tip_obs.Span
 module Replica = Tip_storage.Replica
 module Failpoint = Tip_storage.Failpoint
 
@@ -77,7 +77,7 @@ type t = {
   mutable replica : Replica.t option; (* None until first bootstrap *)
   mutable state : string;
       (* "connecting" | "bootstrapping" | "subscribing" | "streaming"
-         | "disconnected" | "promoted" | "stopped" *)
+         | "disconnected" | "promoted" | "stopped" | "crashed" *)
   mutable primary_epoch : int; (* newest epoch the primary has shown us *)
   mutable fenced : int; (* STALE_EPOCH rejections suffered *)
   mutable known_primary_offset : int;
@@ -254,7 +254,7 @@ let stream t ic oc r =
         recv := !recv + String.length bytes;
         t.known_primary_offset <- Stdlib.max t.known_primary_offset !recv;
         match
-          Wait.with_wait Wait.ReplicaApply (fun () ->
+          Span.with_ Span.ReplicaApply (fun () ->
               with_lock t (fun () -> Replica.feed r bytes))
         with
         | Ok () ->
@@ -330,8 +330,11 @@ let max_backoff = 2.0
 let run t =
   (* the follower is a session too: its apply waits show up in the ASH
      under kind "replication" *)
-  let wait_slot = Wait.register ~id:(-1) ~kind:"replication" in
-  Wait.set_query wait_slot (Some (Printf.sprintf "replica of %s:%d" t.host t.port));
+  let live =
+    Span.register ~id:(-1) ~kind:"replication"
+      ~fingerprint:(Printf.sprintf "replica of %s:%d" t.host t.port) ()
+  in
+  Fun.protect ~finally:(fun () -> Span.unregister live) @@ fun () ->
   let rec round delay =
     if not t.stopping then begin
       t.state <- (if t.replica = None then "connecting" else "disconnected");
@@ -404,7 +407,6 @@ let run t =
     end
   in
   round 0.05;
-  Wait.unregister wait_slot;
   t.state <- "stopped"
 
 (* --- Lifecycle ---------------------------------------------------------- *)
@@ -464,7 +466,17 @@ let start ?lock ?resume ~host ~port db =
           | Some p -> p.Tip_engine.Vtab.vt_rows catalog
           | None -> [])
           @ replication_rows t ()) };
-  t.thread <- Some (Thread.create (fun () -> run t) ());
+  (* a follower that dies of an exception (a failing apply, an armed
+     [repl.apply] crash) is journaled as a thread_crash and stops
+     claiming a live state *)
+  t.thread <-
+    Some
+      (Tip_obs.Events.spawn ~name:"replication follower"
+         ~on_crash:(fun _ ->
+           t.state <- "crashed";
+           Option.iter (fun c -> try Remote.close c with _ -> ()) t.conn;
+           t.conn <- None)
+         (fun () -> run t));
   t
 
 (* Severs the current connection without stopping the loop — the

@@ -15,16 +15,17 @@
 
    Resource governance (DESIGN.md §10): every statement runs under a
    Deadline token armed with its session's statement timeout (which
-   starts at --statement-timeout-ms), held in the session table so a
-   drain can cancel everything currently executing. Admission control
+   starts at --statement-timeout-ms), held in the session's row of the
+   process's one session table (Tip_obs.Span) so a drain can cancel
+   everything currently executing. Admission control
    caps concurrent sessions: beyond --max-sessions, a new connection is
    answered E OVERLOADED and closed instead of queueing behind the db
    lock forever. *)
 
 module Db = Tip_engine.Database
 module Metrics = Tip_obs.Metrics
-module Wait = Tip_obs.Wait
-module Trace = Tip_obs.Trace
+module Span = Tip_obs.Span
+module Events = Tip_obs.Events
 module Deadline = Tip_core.Deadline
 module Ast = Tip_sql.Ast
 module Domains = Tip_engine.Domains
@@ -42,9 +43,6 @@ let g_sessions_active =
 let g_pool_size =
   Metrics.gauge "pool_size" ~help:"Domains the server spreads its sessions over"
 
-let m_statements =
-  Metrics.counter "server_statements_total" ~help:"Statements served over the wire"
-
 let m_errors =
   Metrics.counter "server_errors_total" ~help:"Statements answered with an E response"
 
@@ -59,10 +57,6 @@ let m_idle_drops =
 let g_drain_ms =
   Metrics.gauge "server_drain_seconds"
     ~help:"Duration of the last graceful drain, milliseconds"
-
-let h_statement_ns =
-  Metrics.histogram "server_statement_ns"
-    ~help:"Wire statement latency (ns), queueing on the db lock included"
 
 let g_replicas =
   Metrics.gauge "repl_subscribers_active"
@@ -88,22 +82,10 @@ let m_promotions =
   Metrics.counter "ha_promotions_total"
     ~help:"Replica promotions performed by this server"
 
-(* Live session row for tip_stat_activity. The owning session thread
-   writes; the activity snapshot reads under [sessions_lock], so a
-   half-updated statement entry can never be observed. *)
-type session_info = {
-  si_id : int;
-  si_addr : string;
-  si_fd : Unix.file_descr;
-  si_session : Db.session; (* the engine session; only its thread uses it *)
-  mutable si_state : string; (* "idle" | "active" | "idle in transaction" *)
-  mutable si_query : string option; (* statement currently executing *)
-  mutable si_started : float; (* unix time: statement start (session
-                                 start while idle) *)
-  mutable si_token : Deadline.t option; (* current statement's token *)
-  mutable si_wait : Wait.session option; (* ASH slot, bound in the
-                                            session's own thread *)
-}
+(* A client session: its engine session (only its thread uses it) and
+   its row in the process's one session table, which tip_stat_activity,
+   the ASH sampler and [drain] read. *)
+type session = { engine : Db.session; live : Span.session }
 
 (* Live subscriber row for tip_stat_replication (primary side). The
    streaming thread writes sent/state; the ack-reader thread writes
@@ -121,6 +103,7 @@ type replica_info = {
 }
 
 type t = {
+  id : int; (* owner tag of this server's rows in the session table *)
   db : Db.t;
   db_lock : Rwlock.t;
   listener : Unix.file_descr;
@@ -129,8 +112,6 @@ type t = {
   statement_timeout_ms : int option;
   max_sessions : int option;
   active : int Atomic.t;
-  sessions : (int, session_info) Hashtbl.t; (* session id -> live row *)
-  sessions_lock : Mutex.t;
   session_ids : int Atomic.t;
   replicas : (int, replica_info) Hashtbl.t; (* subscriber id -> live row *)
   replicas_lock : Mutex.t;
@@ -157,77 +138,35 @@ let response_rows = function
   | Protocol.Affected n -> n
   | Protocol.Message _ | Protocol.Error _ -> 0
 
-(* --- Session registry (tip_stat_activity) ------------------------------- *)
+(* --- Sessions in the one session table (tip_stat_activity) ------------- *)
 
-let with_sessions_lock t f = Mutex.protect t.sessions_lock f
-
-(* Runs on the session's own thread, so the ASH slot binds to it. *)
+(* Runs on the session's own thread, so the row binds to it. *)
 let register_session t fd addr =
-  let id = Atomic.fetch_and_add t.session_ids 1 in
-  let si =
-    { si_id = id;
-      si_addr = addr;
-      si_fd = fd;
-      si_session = Db.session ?timeout_ms:t.statement_timeout_ms t.db;
-      si_state = "idle";
-      si_query = None;
-      si_started = Unix.gettimeofday ();
-      si_token = None;
-      si_wait = Some (Wait.register ~id ~kind:"client") }
-  in
-  with_sessions_lock t (fun () -> Hashtbl.replace t.sessions si.si_id si);
-  si
+  { engine = Db.session ?timeout_ms:t.statement_timeout_ms t.db;
+    live =
+      Span.register ~owner:t.id ~addr ~fd
+        ~id:(Atomic.fetch_and_add t.session_ids 1)
+        ~kind:"client" () }
 
-let unregister_session t si =
-  Option.iter Wait.unregister si.si_wait;
-  with_sessions_lock t (fun () -> Hashtbl.remove t.sessions si.si_id)
-
-let session_begin_statement t si ~sql ~fingerprint ~token =
-  (match si.si_wait with
-  | Some w ->
-    Wait.set_query w (Some fingerprint);
-    Wait.set_active w true
-  | None -> ());
-  with_sessions_lock t (fun () ->
-      si.si_state <- "active";
-      si.si_query <- Some sql;
-      si.si_started <- Unix.gettimeofday ();
-      si.si_token <- Some token)
-
-let session_end_statement t si =
-  (match si.si_wait with
-  | Some w ->
-    Wait.set_active w false;
-    Wait.set_query w None
-  | None -> ());
-  let in_tx = Db.in_transaction ~session:si.si_session t.db in
-  with_sessions_lock t (fun () ->
-      si.si_state <- (if in_tx then "idle in transaction" else "idle");
-      si.si_query <- None;
-      si.si_started <- Unix.gettimeofday ();
-      si.si_token <- None)
+(* This server's client rows, by session id. *)
+let own_sessions t =
+  List.filter (fun (s : Span.session) -> s.owner = t.id) (Span.sessions ())
+  |> List.sort (fun (a : Span.session) b -> Int.compare a.id b.id)
 
 let activity_rows t () =
   let module Value = Tip_storage.Value in
-  with_sessions_lock t (fun () ->
-      Hashtbl.fold
-        (fun _ si acc ->
-          [| Value.Int si.si_id;
-             Value.Str si.si_addr;
-             Value.Str si.si_state;
-             (match si.si_query with
-             | Some q -> Value.Str q
-             | None -> Value.Null);
-             Db.instant_value si.si_started;
-             (match Option.map Deadline.remaining_ms si.si_token with
-             | Some (Some ms) -> Value.Float ms
-             | Some None | None -> Value.Null) |]
-          :: acc)
-        t.sessions [])
-  |> List.sort (fun a b ->
-         match a.(0), b.(0) with
-         | Tip_storage.Value.Int x, Tip_storage.Value.Int y -> Int.compare x y
-         | _ -> 0)
+  List.map
+    (fun (s : Span.session) ->
+      let a = s.activity in
+      [| Value.Int s.id;
+         Value.Str s.addr;
+         Value.Str a.state;
+         (match a.query with Some q -> Value.Str q | None -> Value.Null);
+         Db.instant_value a.since;
+         (match Option.map Deadline.remaining_ms a.token with
+         | Some (Some ms) -> Value.Float ms
+         | Some None | None -> Value.Null) |])
+    (own_sessions t)
 
 (* --- Replication stream (primary side) ---------------------------------- *)
 
@@ -247,13 +186,13 @@ let with_replicas_lock t f = Mutex.protect t.replicas_lock f
 let with_db_lock ?(shared = false) ?session t f =
   let in_tx () =
     match session with
-    | Some si -> Db.in_transaction ~session:si.si_session t.db
+    | Some s -> Db.in_transaction ~session:s.engine t.db
     | None -> false
   in
   let held = in_tx () in
   let shared = shared && not held in
   if not held then
-    Wait.with_wait Wait.DbLock (fun () ->
+    Span.with_ Span.DbLock (fun () ->
         if shared then Rwlock.lock_shared t.db_lock else Rwlock.lock t.db_lock);
   Fun.protect
     ~finally:(fun () ->
@@ -371,8 +310,7 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
     (* Ack reader: owns all reads on this socket from here on. Exits
        when the peer closes (or the session teardown closes the fd). *)
     ignore
-      (Thread.create
-         (fun () ->
+      (Events.spawn ~name:"replication ack reader" (fun () ->
            let rec go () =
              match input_line ic with
              | exception _ -> ()
@@ -387,8 +325,7 @@ let handle_replication_stream t fd ic oc ~addr ~gen ~offset ~epoch =
                | Some Protocol.Quit -> ()
                | _ -> go ())
            in
-           go ())
-         ());
+           go ()));
     let wal_fd =
       try Some (Unix.openfile wal_path [ Unix.O_RDONLY ] 0)
       with Unix.Unix_error _ -> None
@@ -523,113 +460,104 @@ let handle_snapshot_request t session oc =
    CANCELLED: prefix); anything else (a bug, a poison statement) is
    caught by the final catch-all so one client cannot take the server
    down. Simulated crashes ([Failpoint.Crash]) are deliberately NOT
-   caught — they stand for process death. *)
-(* Returns the response plus the statement's own finished trace, handed
-   back by the engine (none when the statement never reached it): the
-   caller exports it when the statement turns out slow and --trace-dir
-   is on. Read-only statements hold the lock shared. *)
-let execute_statement_guarded t si ~token ~params ~fingerprint stmt =
-  with_db_lock ~shared:(Db.read_only_statement stmt) ~session:si t (fun () ->
-      let root = ref None in
-      let response =
-        match
-          Tip_storage.Failpoint.hit ~site:"server.exec" ();
-          (* waiting in the lock queue counts against the deadline: a
-             statement whose deadline passed while queued is answered
-             without executing at all *)
-          Deadline.check token;
-          Db.exec_statement ~token ~fingerprint
-            ~on_trace:(fun r -> root := Some r)
-            ~session:si.si_session t.db ~params stmt
-        with
-        | result -> result_to_response result
-        | exception Deadline.Cancelled reason ->
-          Protocol.Error (Deadline.reason_message reason)
-        | exception Db.Error msg -> Protocol.Error msg
-        | exception Tip_engine.Planner.Plan_error msg -> Protocol.Error msg
-        | exception Tip_engine.Expr_eval.Eval_error msg -> Protocol.Error msg
-        | exception Tip_storage.Value.Type_error msg -> Protocol.Error msg
-        | exception Tip_storage.Table.Constraint_violation msg ->
-          Protocol.Error msg
-        | exception Tip_storage.Catalog.Catalog_error msg -> Protocol.Error msg
-        | exception Tip_storage.Schema.Schema_error msg -> Protocol.Error msg
-        | exception (Tip_storage.Failpoint.Crash _ as e) -> raise e
-        | exception e ->
-          Log.err (fun m ->
-              m "internal error executing %S: %s"
-                (Tip_sql.Pretty.statement_to_string stmt)
-                (Printexc.to_string e));
-          Protocol.Error ("internal error: " ^ Printexc.to_string e)
-      in
-      (response, !root))
+   caught — they stand for process death. Read-only statements hold
+   the lock shared. *)
+let execute_statement_guarded t session ~token ~params ~fingerprint stmt =
+  with_db_lock ~shared:(Db.read_only_statement stmt) ~session t (fun () ->
+      match
+        Tip_storage.Failpoint.hit ~site:"server.exec" ();
+        (* waiting in the lock queue counts against the deadline: a
+           statement whose deadline passed while queued is answered
+           without executing at all *)
+        Deadline.check token;
+        Db.exec_statement ~token ~fingerprint ~session:session.engine t.db
+          ~params stmt
+      with
+      | result -> result_to_response result
+      | exception Deadline.Cancelled reason ->
+        Protocol.Error (Deadline.reason_message reason)
+      | exception Db.Error msg -> Protocol.Error msg
+      | exception Tip_engine.Planner.Plan_error msg -> Protocol.Error msg
+      | exception Tip_engine.Expr_eval.Eval_error msg -> Protocol.Error msg
+      | exception Tip_storage.Value.Type_error msg -> Protocol.Error msg
+      | exception Tip_storage.Table.Constraint_violation msg ->
+        Protocol.Error msg
+      | exception Tip_storage.Catalog.Catalog_error msg -> Protocol.Error msg
+      | exception Tip_storage.Schema.Schema_error msg -> Protocol.Error msg
+      | exception (Tip_storage.Failpoint.Crash _ as e) -> raise e
+      | exception e ->
+        Log.err (fun m ->
+            m "internal error executing %S: %s"
+              (Tip_sql.Pretty.statement_to_string stmt)
+              (Printexc.to_string e));
+        Protocol.Error ("internal error: " ^ Printexc.to_string e))
 
+(* The statement span is the wire statement's one clock: it times the
+   statement for /metrics and the slow log, and is the root of the tree
+   a slow statement exports when --trace-dir is on. *)
 let execute_guarded t ~session ~params sql =
-  let t0 = Trace.now_ns () in
-  let response, trace_root =
+  let span = Span.start Span.Statement in
+  let response =
+    Fun.protect ~finally:(fun () -> Span.stop span) @@ fun () ->
     match Tip_sql.Parser.parse_with_tokens sql with
-    | exception Tip_sql.Parser.Error msg -> (Protocol.Error msg, None)
+    | exception Tip_sql.Parser.Error msg -> Protocol.Error msg
     | Ast.Promote, _ when t.promote_handler <> None ->
       (* Runs the replication client's promotion outside the db lock —
          the handler stops the follower loop (which may itself be
          holding the lock to apply a batch) and takes the lock for the
          switch itself. *)
       if t.draining then
-        (Protocol.Error (Deadline.reason_message Deadline.Shutdown), None)
+        Protocol.Error (Deadline.reason_message Deadline.Shutdown)
       else (
         match (Option.get t.promote_handler) () with
         | Ok (gen, epoch) ->
           Metrics.incr m_promotions;
-          ( Protocol.Message
-              (Printf.sprintf
-                 "PROMOTE complete: now primary (generation %d, epoch %d)" gen
-                 epoch),
-            None )
-        | Error msg -> (Protocol.Error msg, None)
+          Protocol.Message
+            (Printf.sprintf
+               "PROMOTE complete: now primary (generation %d, epoch %d)" gen
+               epoch)
+        | Error msg -> Protocol.Error msg
         | exception e ->
-          (Protocol.Error ("PROMOTE failed: " ^ Printexc.to_string e), None))
+          Protocol.Error ("PROMOTE failed: " ^ Printexc.to_string e))
     | stmt, tokens ->
       if t.draining then
-        (Protocol.Error (Deadline.reason_message Deadline.Shutdown), None)
+        Protocol.Error (Deadline.reason_message Deadline.Shutdown)
       else begin
         (* armed before the lock: time queued for it counts *)
         let token =
           Deadline.create
-            ?timeout_ms:(Db.statement_timeout_ms ~session:session.si_session t.db)
+            ?timeout_ms:(Db.statement_timeout_ms ~session:session.engine t.db)
             ()
         in
         (* one fingerprint keys both the ASH samples and the store *)
         let fingerprint = Tip_sql.Lexer.fingerprint_tokens tokens in
-        session_begin_statement t session ~sql ~fingerprint ~token;
+        Span.begin_statement session.live ~query:sql ~fingerprint ~token;
         Fun.protect
-          ~finally:(fun () -> session_end_statement t session)
+          ~finally:(fun () ->
+            Span.end_statement session.live
+              ~in_transaction:(Db.in_transaction ~session:session.engine t.db))
           (fun () ->
             execute_statement_guarded t session ~token ~params ~fingerprint
               stmt)
       end
   in
-  let elapsed_ns = Trace.now_ns () - t0 in
-  Metrics.incr m_statements;
-  Metrics.observe h_statement_ns elapsed_ns;
   (match response with
   | Protocol.Error _ -> Metrics.incr m_errors
   | _ -> ());
+  let ms = float_of_int (Span.elapsed_ns span) /. 1e6 in
   (match t.slow_ms with
-  | Some threshold when float_of_int elapsed_ns /. 1e6 >= threshold ->
-    let ms = float_of_int elapsed_ns /. 1e6 in
+  | Some threshold when ms >= threshold ->
     let rows = response_rows response in
-    Tip_obs.Log_sink.event ~session:session.si_id ~event:"slow_query"
+    Tip_obs.Log_sink.event ~session:session.live.id ~event:"slow_query"
       ~text:(Printf.sprintf "SLOW %.3f ms rows=%d stmt=%s" ms rows sql)
       [ ("ms", Printf.sprintf "%.3f" ms);
         ("rows", string_of_int rows);
         ("stmt", sql) ];
     (* Slow statements additionally export their span tree as a Chrome
        trace-event file when --trace-dir / TIP_TRACE_DIR is set. *)
-    (match trace_root with
-    | Some root when Trace.trace_dir () <> None -> (
-      match Trace.export_chrome root with
-      | Some path -> Log.debug (fun m -> m "trace exported to %s" path)
-      | None -> ())
-    | _ -> ())
+    Option.iter
+      (fun path -> Log.debug (fun m -> m "trace exported to %s" path))
+      (Span.export_chrome span)
   | _ -> ());
   response
 
@@ -648,10 +576,10 @@ let handle_session t fd addr =
   let oc = Unix.out_channel_of_descr fd in
   let params = ref [] in
   let session = register_session t fd addr in
-  let in_tx () = Db.in_transaction ~session:session.si_session t.db in
+  let in_tx () = Db.in_transaction ~session:session.engine t.db in
   let reply response =
     try
-      Wait.with_wait Wait.ClientWrite (fun () ->
+      Span.with_ Span.ClientWrite (fun () ->
           Protocol.write_response oc response;
           flush oc);
       true
@@ -667,7 +595,7 @@ let handle_session t fd addr =
     Log.debug (fun m -> m "dropping idle session")
   in
   let rec loop () =
-    match Wait.with_wait Wait.ClientRead (fun () -> input_line ic) with
+    match Span.with_ Span.ClientRead (fun () -> input_line ic) with
     | exception End_of_file -> ()
     | exception Sys_error _ ->
       (* read timed out (SO_RCVTIMEO); if the socket is actually broken
@@ -740,11 +668,11 @@ let handle_session t fd addr =
       (* the session's open transaction dies with it, and the lock it
          held goes back *)
       if in_tx () then begin
-        (try Db.close_session t.db session.si_session
+        (try Db.close_session t.db session.engine
          with e -> Log.err (fun m -> m "rollback: %s" (Printexc.to_string e)));
         Rwlock.unlock t.db_lock
       end;
-      unregister_session t session;
+      Span.unregister session.live;
       Metrics.gauge_add g_sessions_active (-1);
       Atomic.decr t.active;
       (* shutdown before close: a replication stream's ack-reader thread
@@ -754,12 +682,7 @@ let handle_session t fd addr =
          itself, waking both the blocked reader and the remote end. *)
       (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
       try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try loop ()
-      with e ->
-        (* last-ditch guard: a session bug must never unwind into the
-           accept loop's thread machinery with an unhandled exception *)
-        Log.err (fun m -> m "session aborted: %s" (Printexc.to_string e)))
+    loop
 
 (* Admission rejection: one short write, then close. Runs on its own
    thread so a slow or unresponsive peer cannot stall the accept loop. *)
@@ -771,6 +694,8 @@ let reject_session fd reason =
      flush oc
    with Sys_error _ | Unix.Unix_error _ | Invalid_argument _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
+
+let server_ids = Atomic.make 1
 
 (* Creates a listening socket; port 0 picks an ephemeral port.
    [idle_timeout] (seconds) drops sessions that stay silent that long.
@@ -794,7 +719,8 @@ let listen ?(host = "127.0.0.1") ?idle_timeout ?slow_ms ?max_sessions
   in
   Unix.listen fd backlog;
   let t =
-    { db;
+    { id = Atomic.fetch_and_add server_ids 1;
+      db;
       db_lock = Rwlock.create ();
       listener = fd;
       idle_timeout;
@@ -802,8 +728,6 @@ let listen ?(host = "127.0.0.1") ?idle_timeout ?slow_ms ?max_sessions
       statement_timeout_ms;
       max_sessions;
       active = Atomic.make 0;
-      sessions = Hashtbl.create 16;
-      sessions_lock = Mutex.create ();
       session_ids = Atomic.make 1;
       replicas = Hashtbl.create 4;
       replicas_lock = Mutex.create ();
@@ -871,7 +795,10 @@ let start_session t fd addr =
     ~on_error:(fun _ ->
       Atomic.decr t.active;
       try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> ignore (Thread.create (fun () -> handle_session t fd addr) ()))
+    (fun () ->
+      ignore
+        (Events.spawn ~name:("session " ^ addr) (fun () ->
+             handle_session t fd addr)))
 
 (* Accept loop: one thread per client, bounded by admission control. *)
 let serve t =
@@ -903,15 +830,13 @@ let serve t =
                 (Atomic.get t.active)
                 (Option.value t.max_sessions ~default:0));
           ignore
-            (Thread.create
-               (fun () ->
-                 Wait.with_wait Wait.Admission (fun () ->
+            (Events.spawn ~name:"admission" (fun () ->
+                 Span.with_ Span.Admission (fun () ->
                      reject_session client_fd
                        (Printf.sprintf
                           "OVERLOADED: %d sessions active (max %d), retry later"
                           (Atomic.get t.active)
-                          (Option.value t.max_sessions ~default:0))))
-               ())
+                          (Option.value t.max_sessions ~default:0)))))
         end;
         accept_loop ()
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
@@ -925,7 +850,8 @@ let serve t =
   accept_loop ()
 
 (* Runs the accept loop on a background thread; returns immediately. *)
-let serve_in_background t = ignore (Thread.create (fun () -> serve t) ())
+let serve_in_background t =
+  ignore (Events.spawn ~name:"accept loop" (fun () -> serve t))
 
 let stop t =
   t.running <- false;
@@ -947,19 +873,18 @@ let drain ?(grace = 5.0) t =
      slipped past the draining check is cancelled too, and closes the
      sockets of sessions idle in a transaction; returns the count *)
   let cancel_in_flight () =
-    with_sessions_lock t (fun () ->
-        Hashtbl.fold
-          (fun _ si n ->
-            match si.si_token with
-            | Some tok ->
-              Deadline.cancel tok Deadline.Shutdown;
-              n + 1
-            | None when String.equal si.si_state "idle in transaction" ->
-              (try Unix.shutdown si.si_fd Unix.SHUTDOWN_ALL
-               with Unix.Unix_error _ -> ());
-              n + 1
-            | None -> n)
-          t.sessions 0)
+    List.fold_left
+      (fun n (s : Span.session) ->
+        match s.activity.token, s.fd with
+        | Some tok, _ ->
+          Deadline.cancel tok Deadline.Shutdown;
+          n + 1
+        | None, Some fd when String.equal s.activity.state "idle in transaction"
+          ->
+          (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+          n + 1
+        | None, _ -> n)
+      0 (own_sessions t)
   in
   let deadline = t0 +. grace in
   let replicas_left () =

@@ -31,7 +31,7 @@
    itself recovered onto. *)
 
 module Metrics = Tip_obs.Metrics
-module Wait = Tip_obs.Wait
+module Span = Tip_obs.Span
 
 let log_src = Logs.Src.create "tip.archive" ~doc:"TIP WAL archiving"
 
@@ -163,7 +163,7 @@ let load_manifest_lenient dir =
    would have replayed anyway. Must run before the truncation it
    protects, under the same lock as the checkpoint. *)
 let seal ~dir ~wal_path ~gen =
-  Wait.with_wait Wait.ArchiveSeal @@ fun () ->
+  Span.with_ Span.ArchiveSeal @@ fun () ->
   ensure_dir dir;
   let bytes = if Sys.file_exists wal_path then read_file wal_path else "" in
   write_file_atomic (segment_path dir gen) bytes;

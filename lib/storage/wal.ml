@@ -30,7 +30,7 @@
    statement boundary. *)
 
 module Metrics = Tip_obs.Metrics
-module Wait = Tip_obs.Wait
+module Span = Tip_obs.Span
 
 let m_appends =
   Metrics.counter "wal_appends_total" ~help:"Redo records appended to the log"
@@ -242,7 +242,7 @@ let write_frames w records =
   List.iter (fun r -> Buffer.add_string buf (frame r)) records;
   Metrics.add m_appends (List.length records);
   Metrics.add m_bytes (Buffer.length buf);
-  Wait.with_wait Wait.WalAppend (fun () ->
+  Span.with_ Span.WalAppend (fun () ->
       Failpoint.write ~site:"wal.write" w.fd (Buffer.to_bytes buf));
   w.bytes <- w.bytes + Buffer.length buf
 
@@ -250,7 +250,7 @@ let write_frames w records =
    WalFsync wait attribution) cannot drift from the failpoint site. *)
 let fsync_fd fd =
   Metrics.incr m_fsyncs;
-  Wait.with_wait Wait.WalFsync (fun () ->
+  Span.with_ Span.WalFsync (fun () ->
       Failpoint.fsync ~site:"wal.fsync" fd)
 
 (* Creates (or truncates) the log and stamps it with [gen]/[epoch]. *)

@@ -287,14 +287,14 @@ let check_trace_and_scans_per_statement () =
   let dir = Filename.temp_file "tip_traces" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let was_enabled = Tip_obs.Introspect.enabled () in
-  let saved_dir = Tip_obs.Trace.trace_dir () in
-  Tip_obs.Introspect.set_enabled true;
-  Tip_obs.Trace.set_trace_dir (Some dir);
+  let was_enabled = Tip_obs.Switch.on () in
+  let saved_dir = Tip_obs.Span.trace_dir () in
+  Tip_obs.Switch.set true;
+  Tip_obs.Span.set_trace_dir (Some dir);
   Fun.protect
     ~finally:(fun () ->
-      Tip_obs.Trace.set_trace_dir saved_dir;
-      Tip_obs.Introspect.set_enabled was_enabled;
+      Tip_obs.Span.set_trace_dir saved_dir;
+      Tip_obs.Switch.set was_enabled;
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
   @@ fun () ->

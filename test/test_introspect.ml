@@ -8,7 +8,7 @@ module Db = Tip_engine.Database
 module Lexer = Tip_sql.Lexer
 module Introspect = Tip_obs.Introspect
 module Metrics = Tip_obs.Metrics
-module Trace = Tip_obs.Trace
+module Span = Tip_obs.Span
 module Log_sink = Tip_obs.Log_sink
 module Server = Tip_server.Server
 module Remote = Tip_server.Remote
@@ -85,15 +85,15 @@ let record_one ?(elapsed_ns = 1_000_000) query =
 
 let with_store_capacity cap f =
   let old_cap = Introspect.capacity () in
-  let old_enabled = Introspect.enabled () in
-  Introspect.set_enabled true;
+  let old_enabled = Tip_obs.Switch.on () in
+  Tip_obs.Switch.set true;
   Introspect.reset ();
   Introspect.set_capacity cap;
   Fun.protect
     ~finally:(fun () ->
       Introspect.reset ();
       Introspect.set_capacity old_cap;
-      Introspect.set_enabled old_enabled)
+      Tip_obs.Switch.set old_enabled)
     f
 
 let check_lru_eviction () =
@@ -148,10 +148,10 @@ let check_outcome_counts () =
 
 let check_disabled_store () =
   with_store_capacity 8 (fun () ->
-      Introspect.set_enabled false;
+      Tip_obs.Switch.set false;
       record_one "ghost";
       Alcotest.(check int) "disabled store stays empty" 0 (Introspect.size ());
-      Introspect.set_enabled true)
+      Tip_obs.Switch.set true)
 
 (* --- Percentile estimation ----------------------------------------------- *)
 
@@ -464,12 +464,15 @@ let check_activity_wire () =
 (* --- Trace export --------------------------------------------------------- *)
 
 let check_chrome_trace_json () =
-  let tr = Trace.start "statement" in
-  Trace.annotate tr "now" "2001-06-01";
-  Trace.with_span tr "plan" (fun () -> ());
-  Trace.with_span tr "execute" (fun () -> Trace.annotate tr "rows" "3");
-  let root = Trace.finish tr in
-  let json = Trace.to_chrome_json root in
+  let root = Span.start Span.Statement in
+  Span.annotate root "now"
+    (Span.Chronon (Option.get (Tip_core.Chronon.of_string "2001-06-01")));
+  Span.with_ ~parent:root Span.Plan (fun () -> ());
+  let execute = Span.start ~parent:root Span.Execute in
+  Span.annotate execute "rows" (Span.Text "3");
+  Span.stop execute;
+  Span.stop root;
+  let json = Span.to_chrome_json root in
   let trimmed = String.trim json in
   Alcotest.(check bool) "array brackets" true
     (String.length trimmed > 2
@@ -492,11 +495,11 @@ let check_chrome_trace_json () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "tip_trace_test_%d" (Unix.getpid ()))
   in
-  let old_dir = Trace.trace_dir () in
-  Trace.set_trace_dir (Some dir);
+  let old_dir = Span.trace_dir () in
+  Span.set_trace_dir (Some dir);
   Fun.protect
     ~finally:(fun () ->
-      Trace.set_trace_dir old_dir;
+      Span.set_trace_dir old_dir;
       if Sys.file_exists dir then begin
         Array.iter
           (fun f -> Sys.remove (Filename.concat dir f))
@@ -504,7 +507,7 @@ let check_chrome_trace_json () =
         Unix.rmdir dir
       end)
     (fun () ->
-      match Trace.export_chrome root with
+      match Span.export_chrome root with
       | None -> Alcotest.fail "export returned no path"
       | Some path ->
         Alcotest.(check bool) "file exists" true (Sys.file_exists path);
@@ -519,11 +522,11 @@ let check_slow_trace_export_wire () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "tip_trace_wire_%d" (Unix.getpid ()))
   in
-  let old_dir = Trace.trace_dir () in
-  Trace.set_trace_dir (Some dir);
+  let old_dir = Span.trace_dir () in
+  Span.set_trace_dir (Some dir);
   Fun.protect
     ~finally:(fun () ->
-      Trace.set_trace_dir old_dir;
+      Span.set_trace_dir old_dir;
       if Sys.file_exists dir then begin
         Array.iter
           (fun f -> Sys.remove (Filename.concat dir f))
@@ -570,6 +573,83 @@ let check_slow_trace_export_wire () =
             (contains "\"ph\":\"X\"");
           Alcotest.(check bool) "has the statement root" true
             (contains "\"name\":\"statement\"")))
+
+(* A durable INSERT's span tree: [engine] under [statement], and the
+   WAL append and fsync under [engine], both as the test's own session
+   sees it and as a slow wire statement exports it. *)
+let check_durable_insert_span_tree () =
+  Test_durability.with_dir @@ fun dir ->
+  let db, _ = Db.open_durable ~sync:Wal.Always ~dir () in
+  Fun.protect ~finally:(fun () -> Db.close_durable db) @@ fun () ->
+  ignore (Db.exec db "CREATE TABLE st (a INT PRIMARY KEY)");
+  let names sp = List.map (fun c -> Span.label (Span.kind c)) (Span.children sp) in
+  let session = Span.register ~id:9102 ~kind:"test" () in
+  let root =
+    Fun.protect ~finally:(fun () -> Span.unregister session) @@ fun () ->
+    let root = Span.start Span.Statement in
+    ignore (Db.exec db "INSERT INTO st VALUES (1)");
+    Span.stop root;
+    root
+  in
+  Alcotest.(check (list string)) "engine under statement" [ "engine" ]
+    (names root);
+  (match Span.find_child root Span.Engine with
+  | Some engine ->
+    Alcotest.(check (list string)) "WAL waits under engine"
+      [ "WalAppend"; "WalFsync" ] (names engine)
+  | None -> Alcotest.fail "no engine span");
+  Alcotest.(check bool) "NOW on the root" true
+    (List.mem_assoc "now" (Span.attrs root));
+  (* the exported tree of the same statement over the wire *)
+  let trace_dir = Filename.concat dir "traces" in
+  let old_dir = Span.trace_dir () in
+  Span.set_trace_dir (Some trace_dir);
+  Fun.protect ~finally:(fun () -> Span.set_trace_dir old_dir) @@ fun () ->
+  let server = Server.listen ~slow_ms:0. ~port:0 db in
+  Server.serve_in_background server;
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let c = Remote.connect ~port:(Server.port server) () in
+  ignore (Remote.execute c "INSERT INTO st VALUES (2)");
+  Remote.close c;
+  let files = if Sys.file_exists trace_dir then Sys.readdir trace_dir else [||] in
+  Alcotest.(check int) "one exported tree" 1 (Array.length files);
+  let ic = open_in (Filename.concat trace_dir files.(0)) in
+  let json = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (* events come depth first: (name, start, end) in microseconds *)
+  let event_re =
+    Str.regexp
+      "\"name\":\"\\([A-Za-z]+\\)\",\"ts\":\\([0-9.]+\\),\"dur\":\\([0-9.]+\\)"
+  in
+  let rec events pos =
+    match Str.search_forward event_re json pos with
+    | exception Not_found -> []
+    | _ ->
+      let ts = float_of_string (Str.matched_group 2 json) in
+      let ev =
+        (Str.matched_group 1 json, ts, ts +. float_of_string (Str.matched_group 3 json))
+      in
+      ev :: events (Str.match_end ())
+  in
+  let evs = events 0 in
+  let index name =
+    let rec go i = function
+      | (n, _, _) :: _ when n = name -> i
+      | _ :: rest -> go (i + 1) rest
+      | [] -> Alcotest.failf "%s missing from the export" name
+    in
+    go 0 evs
+  in
+  let _, s0, s1 = List.nth evs (index "engine") in
+  let under_engine name =
+    let _, t0, t1 = List.nth evs (index name) in
+    index name > index "engine" && t0 >= s0 && t1 <= s1
+  in
+  Alcotest.(check int) "statement is the root" 0 (index "statement");
+  Alcotest.(check bool) "root carries NOW" true
+    (Str.string_match (Str.regexp ".*\"name\":\"statement\"[^}]*\"args\":{\"now\":\"") json 0);
+  Alcotest.(check bool) "WalAppend under engine" true (under_engine "WalAppend");
+  Alcotest.(check bool) "WalFsync under engine" true (under_engine "WalFsync")
 
 (* --- JSON log format ------------------------------------------------------ *)
 
@@ -645,4 +725,6 @@ let suite =
     Alcotest.test_case "chrome trace json" `Quick check_chrome_trace_json;
     Alcotest.test_case "slow-statement trace export (wire)" `Quick
       check_slow_trace_export_wire;
+    Alcotest.test_case "durable INSERT span tree" `Quick
+      check_durable_insert_span_tree;
     Alcotest.test_case "json log format" `Quick check_json_log_format ]

@@ -7,7 +7,7 @@
 open Tip_storage
 module Db = Tip_engine.Database
 module Metrics = Tip_obs.Metrics
-module Trace = Tip_obs.Trace
+module Span = Tip_obs.Span
 
 (* --- registry ------------------------------------------------------------- *)
 
@@ -25,10 +25,10 @@ let check_counters () =
   (match Metrics.gauge "test_obs_c" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind clash must raise");
-  (* disabled registries drop writes *)
-  Metrics.set_enabled false;
+  (* with the switch off the registry drops writes *)
+  Tip_obs.Switch.set false;
   Metrics.add c 1000;
-  Metrics.set_enabled true;
+  Tip_obs.Switch.set true;
   Alcotest.(check int) "disabled writes dropped" 43 (Metrics.counter_value c)
 
 let check_gauges () =
@@ -109,28 +109,34 @@ let check_cross_domain_merge () =
 
 (* --- trace spans ------------------------------------------------------------ *)
 
+(* Spans nest through the thread's session: no parent is passed. *)
 let check_span_tree () =
-  let tr = Trace.start "statement" in
-  Trace.annotate tr "now" "1999-10-15";
+  let session = Span.register ~id:9101 ~kind:"test" () in
+  Fun.protect ~finally:(fun () -> Span.unregister session) @@ fun () ->
+  let root = Span.start Span.Statement in
+  Span.annotate root "now"
+    (Span.Chronon (Option.get (Tip_core.Chronon.of_string "1999-10-15")));
   let x =
-    Trace.with_span tr "plan" (fun () ->
-        Trace.with_span tr "bind" (fun () -> ());
+    Span.with_ Span.Plan (fun () ->
+        Span.with_ Span.WalAppend (fun () -> ());
         17)
   in
-  Alcotest.(check int) "with_span returns the thunk's value" 17 x;
-  Trace.with_span tr "execute" (fun () -> ());
-  let root = Trace.finish tr in
-  Alcotest.(check string) "root name" "statement" root.Trace.sp_name;
+  Alcotest.(check int) "with_ returns the thunk's value" 17 x;
+  Span.with_ Span.Execute (fun () -> ());
+  Span.stop root;
+  let names sp = List.map (fun c -> Span.label (Span.kind c)) (Span.children sp) in
+  Alcotest.(check string) "root name" "statement" (Span.label (Span.kind root));
   Alcotest.(check (list string)) "children in start order" [ "plan"; "execute" ]
-    (List.map (fun s -> s.Trace.sp_name) (Trace.children root));
-  (match Trace.find_child root "plan" with
+    (names root);
+  (match Span.find_child root Span.Plan with
   | Some plan ->
-    Alcotest.(check (list string)) "nested child" [ "bind" ]
-      (List.map (fun s -> s.Trace.sp_name) (Trace.children plan))
+    Alcotest.(check (list string)) "nested child" [ "WalAppend" ] (names plan)
   | None -> Alcotest.fail "plan span missing");
   Alcotest.(check bool) "root annotated" true
-    (List.mem_assoc "now" root.Trace.sp_attrs);
-  let rendered = Trace.render root in
+    (List.mem_assoc "now" (Span.attrs root));
+  Alcotest.(check bool) "no span left open on the session" true
+    (session.Span.current = None);
+  let rendered = Span.render root in
   Alcotest.(check bool) "render shows the tree" true
     (try
        ignore (Str.search_forward (Str.regexp "statement (.*now=1999-10-15") rendered 0);
@@ -290,6 +296,40 @@ let check_server_observability () =
       Tip_server.Remote.close c;
       Tip_server.Server.stop server)
 
+(* --- the switch's allocation budget ----------------------------------------------- *)
+
+(* What the one switch buys on a pre-parsed indexed point lookup: the
+   minor words per statement with it on, less those with it off. Spans
+   time the statement either way. *)
+let switch_words_per_statement () =
+  let db = Db.create () in
+  ignore (Db.exec db "CREATE TABLE pl (k INT PRIMARY KEY, v INT)");
+  ignore
+    (Db.exec db
+       ("INSERT INTO pl VALUES "
+       ^ String.concat ", " (List.init 1000 (fun i -> Printf.sprintf "(%d, %d)" i i))));
+  let stmt, tokens = Tip_sql.Parser.parse_with_tokens "SELECT v FROM pl WHERE k = 500" in
+  let fingerprint = Tip_sql.Lexer.fingerprint_tokens tokens in
+  let run () = ignore (Db.exec_statement ~fingerprint db ~params:[] stmt) in
+  let words on =
+    Tip_obs.Switch.set on;
+    for _ = 1 to 200 do run () done;
+    let n = 2000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do run () done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  Fun.protect ~finally:(fun () -> Tip_obs.Switch.set true) @@ fun () ->
+  let on = words true in
+  let off = words false in
+  (on, off)
+
+let check_switch_allocation_budget () =
+  let on, off = switch_words_per_statement () in
+  if on -. off > 75. then
+    Alcotest.failf "switch on costs %.1f minor words per statement (on %.1f, off %.1f); budget 75"
+      (on -. off) on off
+
 (* --- reset ----------------------------------------------------------------------- *)
 
 let check_reset_all () =
@@ -312,4 +352,6 @@ let suite =
     Alcotest.test_case "STATS and SHOW METRICS" `Quick check_stats_statement;
     Alcotest.test_case "slow-query log and M request" `Quick
       check_server_observability;
+    Alcotest.test_case "switch allocation budget" `Quick
+      check_switch_allocation_budget;
     Alcotest.test_case "reset_all" `Quick check_reset_all ]

@@ -4,7 +4,8 @@
 
 open Tip_storage
 module Db = Tip_engine.Database
-module Wait = Tip_obs.Wait
+module Span = Tip_obs.Span
+module Ash = Tip_obs.Ash
 module Events = Tip_obs.Events
 module Server = Tip_server.Server
 module Remote = Tip_server.Remote
@@ -18,83 +19,90 @@ let wait_until = Test_replication.wait_until
    [cap], restoring both afterwards so the suite leaves the global
    registry the way other suites expect it. *)
 let with_quiet_sampler ?cap f =
-  let was_running = Wait.sampler_running () in
-  let old_cap = Wait.ring_capacity () in
-  Wait.stop_sampler ();
-  (match cap with Some n -> Wait.set_ring_capacity n | None -> Wait.clear_samples ());
+  let was_running = Ash.sampler_running () in
+  let old_cap = Ash.ring_capacity () in
+  Ash.stop_sampler ();
+  (match cap with Some n -> Ash.set_ring_capacity n | None -> Ash.clear_samples ());
   Fun.protect
     ~finally:(fun () ->
-      Wait.set_ring_capacity old_cap;
-      if was_running then Wait.start_sampler ())
+      Ash.set_ring_capacity old_cap;
+      if was_running then Ash.start_sampler ())
     f
 
-(* --- with_wait accounting ------------------------------------------------ *)
+(* --- wait-span accounting ------------------------------------------------ *)
 
 let find_stat cls =
-  let _, n, total_ns = List.find (fun (c, _, _) -> c = cls) (Wait.stats ()) in
+  let _, n, total_ns =
+    List.find (fun (c, _, _) -> c = cls) (Span.wait_stats ())
+  in
   (n, total_ns)
+
+let set_active s active =
+  if active then
+    Span.begin_statement s ~query:"SELECT 1" ~fingerprint:"SELECT ?"
+      ~token:Tip_core.Deadline.never
+  else Span.end_statement s ~in_transaction:false
 
 let check_with_wait_accounting () =
   with_quiet_sampler ~cap:64 (fun () ->
-      let s = Wait.register ~id:9001 ~kind:"test" in
-      Fun.protect ~finally:(fun () -> Wait.unregister s) @@ fun () ->
-      Wait.set_query s (Some "SELECT 9001");
-      let ckpt0, _ = find_stat Wait.Checkpoint in
-      let fsync0, fsync0_ns = find_stat Wait.WalFsync in
+      let s = Span.register ~id:9001 ~kind:"test" ~fingerprint:"SELECT 9001" () in
+      Fun.protect ~finally:(fun () -> Span.unregister s) @@ fun () ->
+      let ckpt0, _ = find_stat Span.Checkpoint in
+      let fsync0, fsync0_ns = find_stat Span.WalFsync in
       (* nested waits: the inner class shows while it runs, the outer
          class is restored when it returns *)
-      Wait.with_wait Wait.Checkpoint (fun () ->
-          Wait.sample_now ();
-          Wait.with_wait Wait.WalFsync (fun () ->
-              Wait.sample_now ();
+      Span.with_ Span.Checkpoint (fun () ->
+          Ash.sample_now ();
+          Span.with_ Span.WalFsync (fun () ->
+              Ash.sample_now ();
               Thread.delay 0.002);
-          Wait.sample_now ());
-      let ckpt1, _ = find_stat Wait.Checkpoint in
-      let fsync1, fsync1_ns = find_stat Wait.WalFsync in
+          Ash.sample_now ());
+      let ckpt1, _ = find_stat Span.Checkpoint in
+      let fsync1, fsync1_ns = find_stat Span.WalFsync in
       Alcotest.(check int) "checkpoint counted once" (ckpt0 + 1) ckpt1;
       Alcotest.(check int) "fsync counted once" (fsync0 + 1) fsync1;
       Alcotest.(check bool) "fsync wait time accrued" true
         (fsync1_ns - fsync0_ns >= 1_000_000);
       let mine =
-        Wait.samples ()
-        |> List.filter (fun sa -> sa.Wait.sa_session = 9001)
+        Ash.samples ()
+        |> List.filter (fun sa -> sa.Ash.sa_session = 9001)
       in
       Alcotest.(check (list string)) "nested wait visible, outer restored"
         [ "Checkpoint"; "WalFsync"; "Checkpoint" ]
-        (List.map (fun sa -> sa.Wait.sa_state) mine);
+        (List.map (fun sa -> sa.Ash.sa_state) mine);
       List.iter
         (fun sa ->
-          Alcotest.(check string) "kind follows the session" "test" sa.Wait.sa_kind;
+          Alcotest.(check string) "kind follows the session" "test" sa.Ash.sa_kind;
           Alcotest.(check (option string)) "query fingerprint on the sample"
-            (Some "SELECT 9001") sa.Wait.sa_query)
+            (Some "SELECT 9001") sa.Ash.sa_query)
         mine)
 
 let check_idle_sessions_not_sampled () =
   with_quiet_sampler ~cap:64 (fun () ->
-      let s = Wait.register ~id:9002 ~kind:"test" in
-      Fun.protect ~finally:(fun () -> Wait.unregister s) @@ fun () ->
-      Wait.sample_now ();
+      let s = Span.register ~id:9002 ~kind:"test" () in
+      Fun.protect ~finally:(fun () -> Span.unregister s) @@ fun () ->
+      Ash.sample_now ();
       let mine () =
-        List.filter (fun sa -> sa.Wait.sa_session = 9002) (Wait.samples ())
+        List.filter (fun sa -> sa.Ash.sa_session = 9002) (Ash.samples ())
       in
       Alcotest.(check int) "idle session invisible" 0 (List.length (mine ()));
-      Wait.set_active s true;
-      Wait.sample_now ();
+      set_active s true;
+      Ash.sample_now ();
       (match mine () with
-      | [ sa ] -> Alcotest.(check string) "on-cpu state" "Cpu" sa.Wait.sa_state
+      | [ sa ] -> Alcotest.(check string) "on-cpu state" "Cpu" sa.Ash.sa_state
       | l -> Alcotest.failf "expected 1 sample, got %d" (List.length l));
-      Wait.set_active s false)
+      set_active s false)
 
 let check_ring_eviction () =
   with_quiet_sampler ~cap:4 (fun () ->
-      let s = Wait.register ~id:9003 ~kind:"test" in
-      Fun.protect ~finally:(fun () -> Wait.unregister s) @@ fun () ->
-      Wait.set_active s true;
+      let s = Span.register ~id:9003 ~kind:"test" () in
+      Fun.protect ~finally:(fun () -> Span.unregister s) @@ fun () ->
+      set_active s true;
       for _ = 1 to 7 do
-        Wait.sample_now ()
+        Ash.sample_now ()
       done;
-      Wait.set_active s false;
-      let seqs = List.map (fun sa -> sa.Wait.sa_seq) (Wait.samples ()) in
+      set_active s false;
+      let seqs = List.map (fun sa -> sa.Ash.sa_seq) (Ash.samples ()) in
       Alcotest.(check int) "ring holds exactly its capacity" 4
         (List.length seqs);
       Alcotest.(check (list int)) "oldest first, newest 4 survive"
@@ -103,25 +111,25 @@ let check_ring_eviction () =
         (List.nth seqs 3 - List.nth seqs 0))
 
 let check_sampler_thread_toggles () =
-  let was_running = Wait.sampler_running () in
+  let was_running = Ash.sampler_running () in
   Fun.protect
-    ~finally:(fun () -> if was_running then Wait.start_sampler () else Wait.stop_sampler ())
+    ~finally:(fun () -> if was_running then Ash.start_sampler () else Ash.stop_sampler ())
     (fun () ->
-      Wait.stop_sampler ();
-      Alcotest.(check bool) "stopped" false (Wait.sampler_running ());
-      Wait.start_sampler ();
-      Wait.start_sampler ();
+      Ash.stop_sampler ();
+      Alcotest.(check bool) "stopped" false (Ash.sampler_running ());
+      Ash.start_sampler ();
+      Ash.start_sampler ();
       (* idempotent *)
-      Alcotest.(check bool) "running" true (Wait.sampler_running ());
-      Wait.stop_sampler ();
-      Alcotest.(check bool) "stopped again" false (Wait.sampler_running ()))
+      Alcotest.(check bool) "running" true (Ash.sampler_running ());
+      Ash.stop_sampler ();
+      Alcotest.(check bool) "stopped again" false (Ash.sampler_running ()))
 
 (* --- real wait sites ----------------------------------------------------- *)
 
 let check_wal_fsync_waits () =
   with_dir (fun dir ->
-      let fsync0, fsync0_ns = find_stat Wait.WalFsync in
-      let append0, _ = find_stat Wait.WalAppend in
+      let fsync0, fsync0_ns = find_stat Span.WalFsync in
+      let append0, _ = find_stat Span.WalAppend in
       let db, _ = Db.open_durable ~sync:Wal.Always ~dir () in
       Fun.protect ~finally:(fun () -> Db.close_durable db) @@ fun () ->
       ignore (Db.exec db "CREATE TABLE wt (a INT PRIMARY KEY)");
@@ -130,14 +138,14 @@ let check_wal_fsync_waits () =
          resolution and accrue 0 ns, so commit (up to 200 times) until
          some fsync time shows. *)
       let rec commit_until_timed i =
-        if i < 200 && snd (find_stat Wait.WalFsync) <= fsync0_ns then begin
+        if i < 200 && snd (find_stat Span.WalFsync) <= fsync0_ns then begin
           ignore (Db.exec db (Printf.sprintf "INSERT INTO wt VALUES (%d)" (10 + i)));
           commit_until_timed (i + 1)
         end
       in
       commit_until_timed 0;
-      let fsync1, fsync1_ns = find_stat Wait.WalFsync in
-      let append1, _ = find_stat Wait.WalAppend in
+      let fsync1, fsync1_ns = find_stat Span.WalFsync in
+      let append1, _ = find_stat Span.WalAppend in
       Alcotest.(check bool) "sync-always fsyncs counted" true
         (fsync1 - fsync0 >= 2);
       Alcotest.(check bool) "fsync wall time accrued" true
@@ -179,7 +187,7 @@ let check_dblock_contention () =
   with_two_clients @@ fun c1 c2 ->
   ignore (Remote.execute c1 "CREATE TABLE sink (n INT)");
   with_quiet_sampler ~cap:4096 (fun () ->
-      let _, dblock0_ns = find_stat Wait.DbLock in
+      let _, dblock0_ns = find_stat Span.DbLock in
       (* fine-grained sampling thread so a sub-second collision is
          still observed *)
       let sampling = Atomic.make true in
@@ -187,7 +195,7 @@ let check_dblock_contention () =
         Thread.create
           (fun () ->
             while Atomic.get sampling do
-              Wait.sample_now ();
+              Ash.sample_now ();
               Thread.delay 0.004
             done)
           ()
@@ -202,13 +210,13 @@ let check_dblock_contention () =
       Thread.join racer;
       Atomic.set sampling false;
       Thread.join sampler;
-      let _, dblock1_ns = find_stat Wait.DbLock in
+      let _, dblock1_ns = find_stat Span.DbLock in
       Alcotest.(check bool) "queued client charged to DbLock" true
         (dblock1_ns - dblock0_ns >= 10_000_000);
       let dblock_samples =
-        Wait.samples ()
+        Ash.samples ()
         |> List.filter (fun sa ->
-               sa.Wait.sa_state = "DbLock" && sa.Wait.sa_kind = "client")
+               sa.Ash.sa_state = "DbLock" && sa.Ash.sa_kind = "client")
       in
       Alcotest.(check bool) "ASH caught the queued session" true
         (dblock_samples <> []);
@@ -234,7 +242,7 @@ let check_readers_overlap () =
       ()
   in
   Thread.delay 0.05;
-  let _, dblock0_ns = find_stat Wait.DbLock in
+  let _, dblock0_ns = find_stat Span.DbLock in
   (match
      Remote.execute c2 "SELECT COUNT(*) FROM big b1, big b2 WHERE b1.a < b2.a"
    with
@@ -242,7 +250,7 @@ let check_readers_overlap () =
     Alcotest.(check int) "second reader's answer" (200 * 199 / 2) n
   | r -> Alcotest.failf "unexpected: %s" (Db.render_result r));
   let second_first = not (Atomic.get first_done) in
-  let _, dblock1_ns = find_stat Wait.DbLock in
+  let _, dblock1_ns = find_stat Span.DbLock in
   Thread.join racer;
   Alcotest.(check bool) "the second reader finished first" true second_first;
   Alcotest.(check bool) "no DbLock wait between readers" true
@@ -253,13 +261,13 @@ let check_readers_overlap () =
 let check_ash_periods_filterable () =
   let db = Tip_workload.Medical.demo_database () in
   with_quiet_sampler ~cap:64 (fun () ->
-      let s = Wait.register ~id:9004 ~kind:"test" in
-      Fun.protect ~finally:(fun () -> Wait.unregister s) @@ fun () ->
-      Wait.set_active s true;
+      let s = Span.register ~id:9004 ~kind:"test" () in
+      Fun.protect ~finally:(fun () -> Span.unregister s) @@ fun () ->
+      set_active s true;
       for _ = 1 to 3 do
-        Wait.sample_now ()
+        Ash.sample_now ()
       done;
-      Wait.set_active s false;
+      set_active s false;
       let count sql =
         match Db.exec db sql with
         | Db.Rows { rows = [ [| Value.Int n |] ]; _ } -> n
@@ -305,6 +313,74 @@ let check_event_journal_persists () =
       with
       | Db.Rows { rows = [ [| Value.Int n |] ]; _ } ->
         Alcotest.(check bool) "vtab surfaces the journal" true (n >= 1)
+      | r -> Alcotest.failf "unexpected: %s" (Db.render_result r))
+
+(* --- supervised threads ---------------------------------------------------- *)
+
+let thread_crash_events () =
+  List.filter
+    (fun e -> String.equal e.Events.ev_kind "thread_crash")
+    (Events.events ())
+
+let check_thread_crash_journaled () =
+  let crashes = Tip_obs.Metrics.counter "thread_crashes_total" in
+  let counted0 = Tip_obs.Metrics.counter_value crashes in
+  let journaled0 = List.length (thread_crash_events ()) in
+  let cleaned_up = ref None in
+  Thread.join
+    (Events.spawn ~name:"test body"
+       ~on_crash:(fun e -> cleaned_up := Some e)
+       (fun () -> failwith "boom"));
+  Alcotest.(check int) "counted" (counted0 + 1)
+    (Tip_obs.Metrics.counter_value crashes);
+  (match List.rev (thread_crash_events ()) with
+  | e :: _ when List.length (thread_crash_events ()) = journaled0 + 1 ->
+    Alcotest.(check string) "journaled with its name" "test body: Failure(\"boom\")"
+      e.Events.ev_detail
+  | _ -> Alcotest.fail "no thread_crash event");
+  Alcotest.(check bool) "on_crash saw the exception" true
+    (!cleaned_up = Some (Failure "boom"))
+
+(* An armed [repl.apply] crash kills the follower mid-apply: its death
+   is an event row, and tip_stat_replication stops calling it live. *)
+let check_follower_crash_visible () =
+  with_dir (fun dir ->
+      let pdb, _ = Db.open_durable ~sync:Wal.Always ~dir () in
+      let pserver = Server.listen ~port:0 pdb in
+      Server.serve_in_background pserver;
+      let port = Server.port pserver in
+      let rdb, _lock, repl = Test_replication.start_replica ~port () in
+      Fun.protect
+        ~finally:(fun () ->
+          Failpoint.reset ();
+          Replication.stop repl;
+          Server.stop pserver;
+          try Db.close_durable pdb with _ -> ())
+      @@ fun () ->
+      let c = Remote.connect ~port () in
+      Fun.protect ~finally:(fun () -> Remote.close c) @@ fun () ->
+      ignore (Remote.execute c "CREATE TABLE fc (a INT PRIMARY KEY)");
+      Alcotest.(check bool) "follower streams" true
+        (wait_until (fun () -> Replication.state repl = "streaming"));
+      let journaled0 = List.length (thread_crash_events ()) in
+      Failpoint.arm ~site:"repl.apply" ~hit:1 Failpoint.Crash_now;
+      ignore (Remote.execute c "INSERT INTO fc VALUES (1)");
+      Alcotest.(check bool) "the death is journaled" true
+        (wait_until (fun () ->
+             List.exists
+               (fun e ->
+                 String.starts_with ~prefix:"replication follower"
+                   e.Events.ev_detail)
+               (List.filteri (fun i _ -> i >= journaled0) (thread_crash_events ()))));
+      match
+        Db.exec rdb
+          (Printf.sprintf
+             "SELECT state FROM tip_stat_replication WHERE peer_addr = \
+              '127.0.0.1:%d'"
+             port)
+      with
+      | Db.Rows { rows = [ [| Value.Str state |] ]; _ } ->
+        Alcotest.(check string) "no longer a live state" "crashed" state
       | r -> Alcotest.failf "unexpected: %s" (Db.render_result r))
 
 (* --- the HTTP endpoint --------------------------------------------------- *)
@@ -479,6 +555,10 @@ let suite =
       check_ash_periods_filterable;
     Alcotest.test_case "event journal persists across reopen" `Quick
       check_event_journal_persists;
+    Alcotest.test_case "a thread that raises is journaled" `Quick
+      check_thread_crash_journaled;
+    Alcotest.test_case "a crashed follower is visible" `Quick
+      check_follower_crash_visible;
     Alcotest.test_case "monitor endpoints over a socket" `Quick
       check_monitor_endpoints;
     Alcotest.test_case "readyz flips on a stalled replica" `Quick
