@@ -747,6 +747,130 @@ let check_connect_retries_exhausted () =
       (try ignore (Str.search_forward (Str.regexp_string "2 attempts") msg 0); true
        with Not_found -> false)
 
+(* --- Byte identity of the log ---------------------------------------- *)
+
+(* One fixed script through a durable database: the WAL it leaves and
+   the snapshot a checkpoint then renders must stay byte-for-byte what
+   they were when the values below were recorded. A refactor of the
+   statement path that reorders journal entries, drops one or changes
+   a record's cells fails here even when recovery would still agree.
+   Every write runs under a SET NOW: commit markers carry the session's
+   NOW, so the bytes do not depend on the clock. *)
+let byte_identity_script =
+  [ "SET NOW = '2020-01-01'";
+    "CREATE TABLE acct (id INT PRIMARY KEY, bal INT) WITH HISTORY";
+    "INSERT INTO acct VALUES (1, 100), (2, 200), (3, 300)";
+    "UPDATE acct SET bal = bal + 5 WHERE id >= 2";
+    "DELETE FROM acct WHERE id = 1";
+    "BEGIN";
+    "INSERT INTO acct VALUES (4, 400)";
+    "SAVEPOINT s1";
+    "UPDATE acct SET bal = 0 WHERE id = 4";
+    "ROLLBACK TO SAVEPOINT s1";
+    "SAVEPOINT s2";
+    "DELETE FROM acct WHERE id = 2";
+    "RELEASE SAVEPOINT s2";
+    "COMMIT";
+    "BEGIN";
+    "CREATE TABLE scratch (x INT)";
+    "INSERT INTO acct VALUES (5, 500)";
+    "ROLLBACK";
+    "CREATE INDEX acct_bal ON acct (bal)";
+    "DROP INDEX acct_bal";
+    "CREATE TABLE rich AS SELECT id, bal FROM acct WHERE bal > 250";
+    "SET NOW = '2021-06-15'";
+    "UPDATE acct SET bal = bal * 2 WHERE id = 3";
+    "CREATE TABLE ev (id INT, valid Element) PARTITION BY RANGE (valid) \
+     (PARTITION y2020 FOR VALUES FROM '2020-01-01' TO '2021-01-01', \
+     PARTITION y2021 FOR VALUES FROM '2021-01-01' TO '2022-01-01', \
+     PARTITION rest DEFAULT)";
+    "INSERT INTO ev VALUES (1, '{[2020-03-01, 2020-06-01]}'), \
+     (2, '{[2021-03-01, 2021-06-01]}')";
+    "UPDATE ev SET valid = '{[2021-02-01, 2021-04-01]}' WHERE id = 1";
+    "ANALYZE" ]
+
+(* Recorded from the script above; a change that moves these bytes
+   must say why. *)
+let expected_wal_bytes = 2759
+let expected_wal_digest = "0766da20441c2aed2ff374c97e65988b"
+
+let expected_snapshot =
+  String.concat "\n"
+    [ "tipdb 1";
+      "walgen 2";
+      "epoch 0";
+      "asof 1623715200";
+      "table acct";
+      "column id INT - 1 1";
+      "column bal INT - 0 0";
+      "index acct_pkey id ordered 1";
+      "rows 2";
+      "4\t400";
+      "3\t610";
+      "end";
+      "table acct_history";
+      "column id INT - 1 0";
+      "column bal INT - 0 0";
+      "column _tt EXT:element - 0 0";
+      "rows 7";
+      "1\t100\t{[2020-01-01, 2020-01-01]}";
+      "2\t200\t{[2020-01-01, 2020-01-01]}";
+      "3\t300\t{[2020-01-01, 2020-01-01]}";
+      "2\t205\t{[2020-01-01, 2020-01-01]}";
+      "3\t305\t{[2020-01-01, 2021-06-15]}";
+      "4\t400\t{[2020-01-01, NOW]}";
+      "3\t610\t{[2021-06-15, NOW]}";
+      "end";
+      "table ev__rest";
+      "column id INT - 0 0";
+      "column valid EXT:element - 0 0";
+      "rows 0";
+      "end";
+      "table ev__y2020";
+      "column id INT - 0 0";
+      "column valid EXT:element - 0 0";
+      "rows 0";
+      "end";
+      "table ev__y2021";
+      "column id INT - 0 0";
+      "column valid EXT:element - 0 0";
+      "rows 2";
+      "2\t{[2021-03-01, 2021-06-01]}";
+      "1\t{[2021-02-01, 2021-04-01]}";
+      "end";
+      "table rich";
+      "column id INT - 0 0";
+      "column bal INT - 0 0";
+      "rows 2";
+      "4\t400";
+      "3\t305";
+      "end";
+      "table scratch";
+      "column x INT - 0 0";
+      "rows 0";
+      "end";
+      "partitioned ev valid";
+      "part y2020 1577836800 1609459200";
+      "part y2021 1609459200 1640995200";
+      "part rest default";
+      "end";
+      "" ]
+
+let check_byte_identity () =
+  with_dir (fun dir ->
+      Tip_blade.Values.register_types ();
+      let db, _ = Db.open_durable ~checkpoint_every:0 ~dir () in
+      Tip_blade.Blade.install db;
+      List.iter (fun sql -> ignore (Db.exec db sql)) byte_identity_script;
+      let wal = read_file (Recovery.wal_path ~dir) in
+      ignore (Db.checkpoint db);
+      let snapshot = read_file (Recovery.snapshot_path ~dir) in
+      Db.close_durable db;
+      Alcotest.(check int) "WAL length" expected_wal_bytes (String.length wal);
+      Alcotest.(check string) "WAL digest" expected_wal_digest
+        (Digest.to_hex (Digest.string wal));
+      Alcotest.(check string) "checkpoint snapshot" expected_snapshot snapshot)
+
 let suite =
   [ Alcotest.test_case "crc32 vectors" `Quick check_crc32;
     Alcotest.test_case "WAL record round-trip" `Quick check_record_roundtrip;
@@ -767,6 +891,8 @@ let suite =
       check_sync_always_durable;
     Alcotest.test_case "relaxed sync modes recover after clean close" `Quick
       check_relaxed_sync_modes;
+    Alcotest.test_case "script leaves byte-identical WAL and snapshot" `Quick
+      check_byte_identity;
     Alcotest.test_case "crash-recovery fuzz (200 pairs)" `Quick check_crash_fuzz;
     Alcotest.test_case "savepoints and cancels: recovered = committed" `Quick
       check_savepoint_cancel_recovery;
