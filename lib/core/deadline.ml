@@ -145,7 +145,6 @@ let charge_result t ~rows ~bytes =
   end
 
 let rows_scanned t = Atomic.get t.rows_scanned
-let result_rows t = Atomic.get t.result_rows
 let mem_bytes t = Atomic.get t.mem_bytes
 
 let reason_label = function

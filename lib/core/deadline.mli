@@ -80,7 +80,6 @@ val charge_result : t -> rows:int -> bytes:int -> unit
     budgets. *)
 
 val rows_scanned : t -> int
-val result_rows : t -> int
 val mem_bytes : t -> int
 
 val reason_label : reason -> string

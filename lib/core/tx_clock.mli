@@ -8,9 +8,6 @@
 (** Current transaction time: the override if set, else the wall clock. *)
 val now : unit -> Chronon.t
 
-(** The machine's wall clock as a chronon (UTC). *)
-val wall_clock : unit -> Chronon.t
-
 val set_override : Chronon.t -> unit
 val clear_override : unit -> unit
 

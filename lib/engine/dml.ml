@@ -1,0 +1,297 @@
+(* A flat table and a partitioned parent take the same path; each change
+   is journaled in the session as it happens. *)
+
+open Tip_storage
+module Ast = Tip_sql.Ast
+
+exception Error of string
+
+let db_error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
+
+type cx = {
+  catalog : Catalog.t;
+  session : Journal.session;
+  redo : bool;
+  ectx : Expr_eval.ctx;
+}
+
+let log_change cx undo = Journal.log_change ~redo:cx.redo cx.session undo
+
+(* Implements the blade's "automatic casts from SQL strings": a string
+   arriving in a Chronon/Span/.../DATE column is parsed as a literal of
+   that type; other mismatches go through registered implicit casts. *)
+let coerce_into ext ~now col_ty v =
+  match Schema.coerce col_ty v with
+  | Some v -> v
+  | None -> (
+    match col_ty, v with
+    | Schema.T_ext target, Value.Str s -> (
+      match Value.lookup_type target with
+      | Some vt -> (
+        match vt.Value.parse s with
+        | v -> v
+        | exception _ -> db_error "cannot parse %S as %s" s target)
+      | None -> db_error "type %s not registered" target)
+    | Schema.T_ext target, v -> (
+      match
+        Extension.find_implicit_cast ext ~from_type:(Value.type_name v)
+          ~to_type:target
+      with
+      | Some cast -> cast.Extension.cast_impl ~now v
+      | None ->
+        db_error "cannot store %s in a %s column" (Value.type_name v) target)
+    | Schema.T_date, Value.Str s -> (
+      match Tip_core.Chronon.of_string s with
+      | Some c -> Value.Date (Tip_core.Chronon.start_of_day c)
+      | None -> db_error "cannot parse %S as DATE" s)
+    | Schema.T_date, v -> (
+      match Extension.to_chronon ext ~now v with
+      | Some c -> Value.Date (Tip_core.Chronon.start_of_day c)
+      | None -> db_error "cannot store %s in a DATE column" (Value.type_name v))
+    | _, _ ->
+      db_error "cannot store %s in a %s column" (Value.type_name v)
+        (Schema.type_name col_ty))
+
+let coerce { ectx; _ } schema i v =
+  coerce_into ectx.Expr_eval.ext ~now:ectx.now (Schema.column schema i).Schema.ty
+    v
+
+(* Evaluates an expression that may reference parameters and subqueries
+   but no columns (INSERT values, SET NOW). *)
+let eval_standalone catalog (ectx : Expr_eval.ctx) expr =
+  let ext = ectx.ext in
+  let env =
+    Expr_eval.base_env ~ext
+      ~plan_subquery:(Planner.subquery_runner ~ext ~ectx catalog)
+      ~resolve_column:(fun _ name ->
+        db_error "column reference %s not allowed here" name)
+      ()
+  in
+  (Expr_eval.compile env expr) ectx [||]
+
+(* Compiles an expression over a row of [schema] (WHERE, SET). *)
+let compile_on { catalog; ectx; _ } schema e =
+  let ext = ectx.Expr_eval.ext in
+  Expr_eval.compile
+    (Expr_eval.base_env ~ext
+       ~plan_subquery:
+         (Planner.subquery_runner_for_table ~ext ~ectx catalog schema)
+       ~resolve_column:(fun _q name -> Schema.column_index_exn schema name)
+       ())
+    e
+
+(* The matching (rid, row) pairs of one physical table, in rid order,
+   all collected before the caller mutates anything. Candidates come
+   from the access path a SELECT with the same WHERE would take (a
+   B+tree range or an interval probe, else every row); the compiled
+   WHERE is rechecked on each. *)
+let dml_matches cx ~qual table where =
+  let ectx = cx.ectx in
+  let pred = Option.map (compile_on cx (Table.schema table)) where in
+  let matches = ref [] in
+  List.iter
+    (fun rid ->
+      Expr_eval.tick ectx;
+      match Table.get table rid with
+      | None -> ()
+      | Some row ->
+        let keep =
+          match pred with
+          | None -> true
+          | Some p -> Expr_eval.to_predicate p ectx row
+        in
+        if keep then matches := (rid, row) :: !matches)
+    (match
+       Planner.dml_access_path ~ext:ectx.ext ~ectx cx.catalog ~qual table where
+     with
+    | Plan.Index_scan { btree; lo; hi; _ } ->
+      List.sort_uniq Int.compare (Btree.range btree ~lo ~hi)
+    | Plan.Interval_scan { index; lo; hi; _ } ->
+      Array.to_list (Executor.interval_rids table index ~lo ~hi)
+    | _ -> Table.rids table);
+  List.rev !matches
+
+let history cx table =
+  match
+    Catalog.history_of cx.catalog (Table.name table),
+    Extension.history_support cx.ectx.Expr_eval.ext
+  with
+  | Some (h, tt), Some support -> Some (h, tt, support)
+  | _, _ -> None
+
+(* Appends an open history row for a freshly current [row]. *)
+let history_open cx table row =
+  match history cx table with
+  | None -> ()
+  | Some (h, _, support) ->
+    let now = cx.ectx.Expr_eval.now in
+    let hrow = Array.append row [| support.Extension.open_timestamp ~now |] in
+    log_change cx (Journal.U_insert (h, Table.insert h hrow))
+
+(* Closes the open history row matching [row] (all columns equal). *)
+let history_close cx table row =
+  match history cx table with
+  | None -> ()
+  | Some (h, tt, support) ->
+    let closed = ref false in
+    Table.iteri
+      (fun hrid hrow ->
+        if not !closed then begin
+          let same =
+            support.Extension.is_open hrow.(tt)
+            &&
+            let rec all i =
+              i >= tt || (Value.equal hrow.(i) row.(i) && all (i + 1))
+            in
+            all 0
+          in
+          if same then begin
+            let hrow' = Array.copy hrow in
+            hrow'.(tt) <-
+              support.Extension.close_timestamp ~now:cx.ectx.Expr_eval.now
+                hrow.(tt);
+            if Table.update h hrid hrow' then
+              log_change cx (Journal.U_update (h, hrid, hrow));
+            closed := true
+          end
+        end)
+      h
+
+(* Lands an already-coerced row in one physical table. *)
+let insert_row cx table row =
+  let rid = Table.insert table row in
+  Catalog.note_partition_write cx.catalog table row;
+  log_change cx (Journal.U_insert (table, rid));
+  history_open cx table row
+
+let route (target : Catalog.target) row =
+  try target.Catalog.tg_route row
+  with Partition.Partition_error msg -> db_error "%s" msg
+
+let target cx name =
+  match Catalog.target cx.catalog name with
+  | Some target -> target
+  | None -> db_error "no such table: %s" name
+
+(* Where INSERT and COPY FROM put rows of the target's arity: each is
+   coerced against the target's schema, then routed. Coercion comes
+   first because string literals only gain an extent once they become
+   period values. *)
+let sink cx (target : Catalog.target) values =
+  let row = Array.mapi (coerce cx target.Catalog.tg_schema) values in
+  insert_row cx (route target row) row
+
+let reorder_columns schema columns values =
+  match columns with
+  | None ->
+    if List.length values <> Schema.arity schema then
+      db_error "INSERT arity mismatch: expected %d values, got %d"
+        (Schema.arity schema) (List.length values);
+    Array.of_list values
+  | Some cols ->
+    if List.length cols <> List.length values then
+      db_error "INSERT column list and VALUES differ in length";
+    let row = Array.make (Schema.arity schema) Value.Null in
+    List.iter2
+      (fun col v -> row.(Schema.column_index_exn schema col) <- v)
+      cols values;
+    row
+
+let insert cx ~table ~columns source =
+  let target = target cx table in
+  let put values =
+    sink cx target (reorder_columns target.Catalog.tg_schema columns values)
+  in
+  match source with
+  | Ast.Values rows ->
+    List.iter
+      (fun exprs ->
+        put (List.map (eval_standalone cx.catalog cx.ectx) exprs))
+      rows;
+    List.length rows
+  | Ast.Query select ->
+    let plan, _ =
+      Planner.plan ~ext:cx.ectx.Expr_eval.ext ~ectx:cx.ectx cx.catalog select
+    in
+    Seq.fold_left
+      (fun n produced ->
+        put (Array.to_list produced);
+        n + 1)
+      0
+      (Executor.run cx.ectx plan)
+
+let copy_from cx ~table ~file =
+  let target = target cx table in
+  try Csv.import ~schema:target.Catalog.tg_schema ~insert:(sink cx target) file
+  with Sys_error msg | Csv.Csv_error msg -> db_error "COPY: %s" msg
+
+(* Every match in every physical table is collected before any row is
+   touched: a row moved forward into a not-yet-visited partition must
+   not match again there (the Halloween problem). Assignments compile
+   once against the target's schema, which partitions share. *)
+let update cx ~table:name ~assignments ~where =
+  let target = target cx name in
+  let schema = target.Catalog.tg_schema in
+  let compiled =
+    List.map
+      (fun (col, e) ->
+        (Schema.column_index_exn schema col, compile_on cx schema e))
+      assignments
+  in
+  let update_row table (rid, old_row) =
+    Expr_eval.tick cx.ectx;
+    let row = Array.copy old_row in
+    List.iter
+      (fun (i, c) -> row.(i) <- coerce cx schema i (c cx.ectx old_row))
+      compiled;
+    let dst = route target row in
+    if dst == table then begin
+      if Table.update table rid row then begin
+        Catalog.note_partition_write cx.catalog table row;
+        log_change cx (Journal.U_update (table, rid, old_row));
+        history_close cx table old_row;
+        match Table.get table rid with
+        | Some stored -> history_open cx table stored
+        | None -> ()
+      end
+    end
+    else if Table.delete table rid then begin
+      (* A cross-partition move, journaled as a child-table DELETE plus
+         INSERT so recovery and replicas replay it without partition
+         awareness. *)
+      log_change cx (Journal.U_delete (table, old_row));
+      history_close cx table old_row;
+      insert_row cx dst row
+    end
+  in
+  let matches =
+    List.map
+      (fun table -> (table, dml_matches cx ~qual:name table where))
+      target.Catalog.tg_tables
+  in
+  List.iter (fun (table, rows) -> List.iter (update_row table) rows) matches;
+  List.fold_left (fun n (_, rows) -> n + List.length rows) 0 matches
+
+let delete cx ~table:name ~where =
+  List.fold_left
+    (fun n table ->
+      let matches = dml_matches cx ~qual:name table where in
+      List.iter
+        (fun (rid, old_row) ->
+          Expr_eval.tick cx.ectx;
+          if Table.delete table rid then begin
+            log_change cx (Journal.U_delete (table, old_row));
+            history_close cx table old_row
+          end)
+        matches;
+      n + List.length matches)
+    0 (target cx name).Catalog.tg_tables
+
+(* The row-change family: the number of rows changed. *)
+let exec cx = function
+  | Ast.Insert { table; columns; source } -> insert cx ~table ~columns source
+  | Ast.Update { table; assignments; where } ->
+    update cx ~table ~assignments ~where
+  | Ast.Delete { table; where } -> delete cx ~table ~where
+  | Ast.Copy_from { table; file } -> copy_from cx ~table ~file
+  | _ -> invalid_arg "Dml.exec: not a row change"

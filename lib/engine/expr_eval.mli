@@ -122,9 +122,3 @@ val like_match : pattern:string -> string -> bool
     @raise Eval_error when no cast applies. *)
 val cast_value :
   Extension.t -> now:Tip_core.Chronon.t -> Value.t -> to_type:string -> Value.t
-
-val literal_value : Ast.literal -> Value.t
-
-(** Is the expression independent of the current row (and aggregate
-    slots)? Such expressions are constant within one statement. *)
-val row_free : env -> Ast.expr -> bool

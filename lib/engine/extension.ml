@@ -30,16 +30,6 @@ let ptype_name = function
   | P_ext n -> n
   | P_any -> "any"
 
-(* The runtime type tag of a value, as a ptype for matching. *)
-let ptype_of_value = function
-  | Value.Null -> P_any
-  | Value.Int _ -> P_int
-  | Value.Float _ -> P_float
-  | Value.Bool _ -> P_bool
-  | Value.Str _ -> P_string
-  | Value.Date _ -> P_date
-  | Value.Ext (name, _) -> P_ext name
-
 let value_matches ptype v =
   match ptype, v with
   | P_any, _ -> true
@@ -174,13 +164,14 @@ let find_implicit_cast t ~from_type ~to_type =
   | Some c when c.implicit -> Some c
   | Some _ | None -> None
 
-(* Chronon extraction: Date natively, blade types via extractors;
-   NOW-relative values bind to the caller's statement NOW. *)
+(* Chronon extraction: Date natively, strings as chronon literals, blade
+   types via extractors; NOW-relative values bind to the caller's
+   statement NOW. *)
 let to_chronon t ~now v =
   match v with
   | Value.Date c -> Some c
-  | Value.Null | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Str _
-  | Value.Ext _ ->
+  | Value.Str s -> Tip_core.Chronon.of_string s
+  | Value.Null | Value.Int _ | Value.Float _ | Value.Bool _ | Value.Ext _ ->
     List.find_map (fun f -> f ~now v) t.chronon_extractors
 
 (* --- Overload resolution --------------------------------------------------- *)
@@ -347,8 +338,6 @@ let caller t ~name =
           argv
       in
       r.impl ~now args
-
-let has_routine t name = Hashtbl.mem t.routines (canonical name)
 
 (* Applies a cast (for [expr::Type]); any registered cast qualifies, and
    identity casts succeed trivially. *)

@@ -21,13 +21,6 @@ type ptype =
   | P_ext of string  (** a registered extension type, by canonical name *)
   | P_any
 
-val ptype_name : ptype -> string
-val ptype_of_value : Value.t -> ptype
-
-(** Does the value inhabit the parameter type with no conversion?
-    NULL inhabits everything. *)
-val value_matches : ptype -> Value.t -> bool
-
 type routine = {
   params : ptype list;
   strict : bool;
@@ -124,32 +117,14 @@ val history_support : t -> history_support option
 val find_aggregate : t -> string -> aggregate option
 val is_aggregate : t -> string -> bool
 val is_interval_sargable : t -> string -> bool
-val has_routine : t -> string -> bool
-val find_cast : t -> from_type:string -> to_type:string -> cast option
 val find_implicit_cast : t -> from_type:string -> to_type:string -> cast option
 val to_chronon :
   t -> now:Tip_core.Chronon.t -> Value.t -> Tip_core.Chronon.t option
 
-(** The outcome of overload resolution: either the answer is known to be
-    NULL (strict routine with a NULL argument), or a routine plus its
-    argument casts. Resolution depends only on the arguments' type
-    names, so call sites may cache a [resolved] keyed by those names and
-    skip re-scoring on every row. *)
-type resolved
-
 (** Resolves the cheapest overload of [name] for the argument values
     (exact match 0, int→float widening 1, implicit casts at their
-    registered cost) without applying it.
-    @raise Resolution_error on no match or an ambiguous tie. *)
-val resolve_routine : t -> name:string -> Value.t array -> resolved
-
-(** Applies a previously resolved overload to arguments whose type names
-    match the ones it was resolved for. *)
-val apply_resolved :
-  now:Tip_core.Chronon.t -> resolved -> Value.t array -> Value.t
-
-(** {!resolve_routine} and {!apply_resolved} in one step. Strict
-    routines short-circuit to NULL on NULL arguments.
+    registered cost) and applies it. Strict routines short-circuit to
+    NULL on NULL arguments.
     @raise Resolution_error on no match or an ambiguous tie. *)
 val apply_routine :
   t -> now:Tip_core.Chronon.t -> name:string -> Value.t array -> Value.t

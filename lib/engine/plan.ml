@@ -143,15 +143,6 @@ let rec instrument plan =
     in
     Instrument { input; stats = fresh_stats () }
 
-let agg_name = function
-  | Agg_count_star -> "count(*)"
-  | Agg_count -> "count"
-  | Agg_sum -> "sum"
-  | Agg_avg -> "avg"
-  | Agg_min -> "min"
-  | Agg_max -> "max"
-  | Agg_user (_, name) -> name
-
 (* [Instrument] wrappers render as a suffix on the operator they wrap,
    e.g. "SeqScan m (actual rows=50000 time=0.812 ms)". *)
 let stats_note stats =

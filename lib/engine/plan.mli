@@ -27,8 +27,6 @@ type agg_spec = {
     (EXPLAIN ANALYZE). *)
 type op_stats = { mutable actual_rows : int; mutable actual_ns : int }
 
-val fresh_stats : unit -> op_stats
-
 type t =
   | Seq_scan of { table : Table.t; label : string }
   | Index_scan of {
@@ -115,8 +113,6 @@ type t =
   | Instrument of { input : t; stats : op_stats }
       (** transparent wrapper recording actual rows and wall time; the
           executor sees through it *)
-
-val agg_name : agg_impl -> string
 
 val instrument : t -> t
 (** Wrap every operator in the tree with an [Instrument] node

@@ -767,26 +767,23 @@ and plan_subquery ?outer pctx select =
 and build_fref pctx catalog offset table_ref : fref * int =
   match table_ref with
   | Ast.Table { name; alias; as_of = None } -> (
-    match Catalog.find_table catalog name with
-    | Some table ->
-      let schema = Table.schema table in
-      let col_names =
-        Array.map (fun c -> c.Schema.name) schema.Schema.columns
-      in
+    let bind col_names =
       let qual = Some (lc (Option.value alias ~default:name)) in
-      let binding = { qual; col_names; offset } in
-      (F_base (B_table table, binding), offset + Array.length col_names)
+      ({ qual; col_names; offset }, offset + Array.length col_names)
+    in
+    match Catalog.target catalog name with
+    | Some target ->
+      let schema = target.Catalog.tg_schema in
+      let binding, next =
+        bind (Array.map (fun c -> c.Schema.name) schema.Schema.columns)
+      in
+      let base =
+        match target.Catalog.tg_partitioned with
+        | Some pt -> B_partitioned pt
+        | None -> B_table (List.hd target.Catalog.tg_tables)
+      in
+      (F_base (base, binding), next)
     | None -> (
-      match Catalog.find_partitioned catalog name with
-      | Some pt ->
-        let schema = pt.Partition.pt_schema in
-        let col_names =
-          Array.map (fun c -> c.Schema.name) schema.Schema.columns
-        in
-        let qual = Some (lc (Option.value alias ~default:name)) in
-        let binding = { qual; col_names; offset } in
-        (F_base (B_partitioned pt, binding), offset + Array.length col_names)
-      | None -> (
       (* Catalog miss: the name may be a registered virtual table (a
          tip_stat relation). A real table always shadows a virtual one. *)
       match Vtab.find name with
@@ -798,10 +795,8 @@ and build_fref pctx catalog offset table_ref : fref * int =
               produce = (fun () -> p.Vtab.vt_rows catalog);
               label = "" }
         in
-        let col_names = p.Vtab.vt_cols in
-        let qual = Some (lc (Option.value alias ~default:name)) in
-        let binding = { qual; col_names; offset } in
-        (F_base (B_derived plan, binding), offset + Array.length col_names))))
+        let binding, next = bind p.Vtab.vt_cols in
+        (F_base (B_derived plan, binding), next)))
   | Ast.Table { name; alias; as_of = Some at_expr } ->
     (* Time travel: read the WITH HISTORY shadow table as it was at the
        given instant. The scan filters rows whose transaction-time
@@ -813,24 +808,15 @@ and build_fref pctx catalog offset table_ref : fref * int =
       | None ->
         plan_error "AS OF requires a temporal blade with history support"
     in
-    let history =
-      match Catalog.find_table catalog (name ^ "_history") with
-      | Some t -> t
+    let history, tt_index =
+      match Catalog.history_of catalog name with
+      | Some link -> link
       | None -> plan_error "table %s has no transaction-time history" name
     in
-    let schema = Table.schema history in
-    let tt_index = Schema.arity schema - 1 in
-    if (Schema.column schema tt_index).Schema.name <> "_tt" then
-      plan_error "table %s has no transaction-time history" name;
     let at =
       match const_eval pctx at_expr with
       | Some v -> (
-        let chron =
-          match v with
-          | Value.Str s -> Tip_core.Chronon.of_string s
-          | v -> Extension.to_chronon pctx.ext ~now:pctx.ectx.Expr_eval.now v
-        in
-        match chron with
+        match Extension.to_chronon pctx.ext ~now:pctx.ectx.Expr_eval.now v with
         | Some c -> c
         | None -> plan_error "AS OF expects a time instant")
       | None -> plan_error "AS OF expects a constant expression"
@@ -843,7 +829,8 @@ and build_fref pctx catalog offset table_ref : fref * int =
       Array.init tt_index (fun i _ctx (row : Value.t array) -> row.(i))
     in
     let col_names =
-      Array.init tt_index (fun i -> (Schema.column schema i).Schema.name)
+      Array.init tt_index (fun i ->
+          (Schema.column (Table.schema history) i).Schema.name)
     in
     let plan =
       Plan.Project

@@ -7,8 +7,7 @@
     same name shadows the virtual one. Each query materializes a fresh
     snapshot of the provider's rows.
 
-    Built-in providers: [tip_stat_statements], [tip_stat_metrics] and
-    [tip_stat_tables] (registered by {!Database}), plus
+    Built-in providers: the engine's (registered by {!Stat_tables}), plus
     [tip_stat_activity] (registered by the server, which owns the
     session table). *)
 

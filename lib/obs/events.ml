@@ -92,8 +92,6 @@ let set_journal p =
              with End_of_file -> ()))
       | Some _ -> ())
 
-let journal_path () = locked (fun () -> !path)
-
 let record ~kind ~detail =
   locked (fun () ->
       let ev =

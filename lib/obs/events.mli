@@ -22,8 +22,6 @@ type event = {
     events already recorded in it, newest [window] retained. *)
 val set_journal : string option -> unit
 
-val journal_path : unit -> string option
-
 (** Appends an event: into memory, and into the journal when attached.
     Never raises — a full disk degrades to memory-only. *)
 val record : kind:string -> detail:string -> unit

@@ -171,10 +171,6 @@ let wait_stats () =
       (k, Atomic.get counts.(i), Atomic.get totals.(i)))
     waits
 
-let reset_stats () =
-  Array.iter (fun a -> Atomic.set a 0) counts;
-  Array.iter (fun a -> Atomic.set a 0) totals
-
 (* --- spans ------------------------------------------------------------ *)
 
 let self () =

@@ -117,8 +117,6 @@ val wait_stats : unit -> (kind * int * int) list
 (** [(class, completed waits, total ns)] per wait class, in {!waits}
     order. *)
 
-val reset_stats : unit -> unit
-
 (** {1 Chrome trace-event export}
 
     A finished tree as an array of complete (["ph":"X"]) events, [ts]

@@ -68,17 +68,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* tmp + fsync + rename, so a crash mid-seal leaves either the old file
-   or the new one; the three steps are the archive failpoint sites. *)
-let write_file_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Failpoint.write ~site:"archive.write" fd (Bytes.of_string content);
-      Failpoint.fsync ~site:"archive.fsync" fd);
-  Failpoint.rename ~site:"archive.rename" tmp path
+let write_file_atomic = Failpoint.write_file_atomic ~sites:"archive"
 
 (* --- The chain manifest -------------------------------------------------- *)
 

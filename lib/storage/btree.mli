@@ -29,10 +29,6 @@ val find : t -> Value.t -> rid list
 
 type bound = Unbounded | Inclusive of Value.t | Exclusive of Value.t
 
-(** In-order traversal clipped to the bounds; touches
-    O(log n + answer) nodes. *)
-val iter_range : t -> lo:bound -> hi:bound -> (Value.t -> rid -> unit) -> unit
-
 (** Rids of every entry within the bounds, in key order. *)
 val range : t -> lo:bound -> hi:bound -> rid list
 

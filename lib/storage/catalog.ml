@@ -41,12 +41,51 @@ let partitioned_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.partitions []
   |> List.sort String.compare
 
-let partition_of_child t name = Hashtbl.find_opt t.part_parent (key name)
-
 let note_partition_write t table row =
   match Hashtbl.find_opt t.part_parent (key (Table.name table)) with
   | Some (pt, part) -> Partition.note_row part pt row
   | None -> ()
+
+type target = {
+  tg_schema : Schema.t;
+  tg_tables : Table.t list;
+  tg_route : Value.t array -> Table.t;
+  tg_partitioned : Partition.t option;
+}
+
+let target t name =
+  match find_table t name with
+  | Some table ->
+    Some
+      { tg_schema = Table.schema table;
+        tg_tables = [ table ];
+        tg_route = (fun _ -> table);
+        tg_partitioned = None }
+  | None ->
+    Option.map
+      (fun pt ->
+        { tg_schema = pt.Partition.pt_schema;
+          tg_tables =
+            List.map (fun p -> p.Partition.p_table) (Partition.all_parts pt);
+          tg_route = (fun row -> (Partition.route pt row).Partition.p_table);
+          tg_partitioned = Some pt })
+      (find_partitioned t name)
+
+(* By name and shape, so the link survives snapshots. *)
+let history_of t name =
+  match find_table t (name ^ "_history") with
+  | None -> None
+  | Some h ->
+    let schema = Table.schema h in
+    let n = Schema.arity schema in
+    let arity_fits =
+      match find_table t name with
+      | Some base -> n = Schema.arity (Table.schema base) + 1
+      | None -> true
+    in
+    if n > 0 && arity_fits && (Schema.column schema (n - 1)).Schema.name = "_tt"
+    then Some (h, n - 1)
+    else None
 
 let create_table t schema =
   let name = key schema.Schema.table_name in

@@ -16,6 +16,25 @@ val table_exn : t -> string -> Table.t
 (** All table names, sorted. *)
 val table_names : t -> string list
 
+(** What a statement naming a table reads and writes: the schema it
+    sees, the physical tables holding its rows, and the table a row
+    belongs in. A flat table is one table routed to itself; a
+    partitioned parent is its children, routed by {!Partition.route}. *)
+type target = {
+  tg_schema : Schema.t;
+  tg_tables : Table.t list;
+  tg_route : Value.t array -> Table.t;
+      (** @raise Partition.Partition_error when no partition owns the row *)
+  tg_partitioned : Partition.t option;
+}
+
+val target : t -> string -> target option
+
+(** The WITH HISTORY shadow of table [name] and the position of its
+    [_tt] column: [<name>_history], holding [name]'s columns plus a
+    trailing [_tt]. It stays linked after [name] is dropped. *)
+val history_of : t -> string -> (Table.t * int) option
+
 (** @raise Catalog_error on duplicate table name. *)
 val create_table : t -> Schema.t -> Table.t
 
@@ -37,10 +56,6 @@ val find_partitioned : t -> string -> Partition.t option
 
 (** Parent names, sorted. *)
 val partitioned_names : t -> string list
-
-(** The descriptor and part owning a child table name, if the name is a
-    partition child. *)
-val partition_of_child : t -> string -> (Partition.t * Partition.part) option
 
 (** Raises the owning part's end watermark when [table] is a partition
     child and [row] has a temporal extent; no-op otherwise. Every path

@@ -165,6 +165,19 @@ let rename ~site src dst =
   | Some Crash_now -> crash site
   | Some (Fail msg) -> failwith msg
 
+(* tmp + fsync + rename, so a crash at any point leaves either the old
+   file or the new one; the steps are the sites [<sites>.write],
+   [<sites>.fsync] and [<sites>.rename]. *)
+let write_file_atomic ~sites path content =
+  let tmp = path ^ ".tmp" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      write ~site:(sites ^ ".write") fd (Bytes.of_string content);
+      fsync ~site:(sites ^ ".fsync") fd);
+  rename ~site:(sites ^ ".rename") tmp path
+
 (* A replication-stream site: decides what (if anything) of [payload]
    actually goes on the wire and whether the link dies afterwards.
    Returns [payload_to_send option * kill_connection_after].  [Drop]

@@ -45,6 +45,10 @@ val write : site:string -> Unix.file_descr -> Bytes.t -> unit
 val fsync : site:string -> Unix.file_descr -> unit
 val rename : site:string -> string -> string -> unit
 
+(** Writes [path] through [path.tmp], fsync and rename, at the sites
+    [<sites>.write], [<sites>.fsync] and [<sites>.rename]. *)
+val write_file_atomic : sites:string -> string -> string -> unit
+
 (** A replication-stream site. Decides what, if anything, of [payload]
     goes on the wire and whether the connection is killed afterwards:
     returns [(what_to_send, kill_link_after)]. [Drop] yields

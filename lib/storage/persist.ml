@@ -240,18 +240,9 @@ let snapshot_string ?wal_gen ?epoch ?asof catalog =
     (Catalog.partitioned_names catalog);
   Buffer.contents buf
 
-(* Write-to-temp, fsync, rename: a crash at any point leaves either the
-   old snapshot or the new one, never a truncated mix. *)
 let save ?wal_gen ?epoch ?asof catalog path =
-  let content = snapshot_string ?wal_gen ?epoch ?asof catalog in
-  let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Failpoint.write ~site:"snapshot.write" fd (Bytes.of_string content);
-      Failpoint.fsync ~site:"snapshot.fsync" fd);
-  Failpoint.rename ~site:"snapshot.rename" tmp path
+  Failpoint.write_file_atomic ~sites:"snapshot" path
+    (snapshot_string ?wal_gen ?epoch ?asof catalog)
 
 (* --- Loading ------------------------------------------------------------- *)
 
@@ -458,10 +449,6 @@ let load_meta path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> load_from (reader_of_channel ic))
-
-let load_full path =
-  let catalog, meta = load_meta path in
-  (catalog, meta.m_wal_gen)
 
 let load path = fst (load_meta path)
 let load_string s = load_from (reader_of_string s)

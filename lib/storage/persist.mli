@@ -42,9 +42,6 @@ val load : string -> Catalog.t
 (** Like {!load}, also returning the header stamps. *)
 val load_meta : string -> Catalog.t * meta
 
-(** Like {!load_meta}, returning only the WAL generation. *)
-val load_full : string -> Catalog.t * int option
-
 (** Like {!load_meta} but from snapshot text in memory — the inverse of
     {!snapshot_string}, used by replication bootstrap where the snapshot
     arrives over the wire rather than from a file. *)

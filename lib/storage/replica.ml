@@ -58,7 +58,6 @@ type t = {
   mutable pending : Wal.record list; (* current batch, newest first *)
   mutable applied_offset : int; (* confirmed WAL byte position *)
   mutable applied_commits : int;
-  mutable applied_records : int;
   mutable last_commit_at : int option; (* newest applied commit instant *)
 }
 
@@ -73,14 +72,12 @@ let create ?(max_pending = default_max_pending) catalog ~generation ~epoch
     pending = [];
     applied_offset = offset;
     applied_commits = 0;
-    applied_records = 0;
     last_commit_at = None }
 
 let generation t = t.generation
 let epoch t = t.epoch
 let applied_offset t = t.applied_offset
 let applied_commits t = t.applied_commits
-let applied_records t = t.applied_records
 let last_commit_at t = t.last_commit_at
 let catalog t = t.catalog
 
@@ -115,7 +112,6 @@ let apply_batch t records =
   Failpoint.hit ~site:"repl.apply" ();
   List.iter (Wal.apply t.catalog) records;
   t.applied_commits <- t.applied_commits + 1;
-  t.applied_records <- t.applied_records + List.length records;
   Metrics.incr m_batches;
   Metrics.add m_records (List.length records)
 

@@ -55,7 +55,6 @@ val generation : t -> int
 val epoch : t -> int
 val applied_offset : t -> int
 val applied_commits : t -> int
-val applied_records : t -> int
 
 (** Instant (unix seconds) of the newest stamped commit applied from
     the stream — the replica's applied-state clock. *)

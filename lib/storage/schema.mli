@@ -60,7 +60,6 @@ val value_conforms : col_type -> Value.t -> bool
     columns, truncates over-width CHAR(n)); [None] on mismatch. *)
 val coerce : col_type -> Value.t -> Value.t option
 
-val pp_column : Format.formatter -> column -> unit
 val pp : Format.formatter -> t -> unit
 
 (**/**)

@@ -199,8 +199,6 @@ let write_count t = Atomic.get t.writes
 (* --- Optimizer statistics (ANALYZE) ----------------------------------- *)
 
 let stats t = t.stats
-let set_stats t s = t.stats <- s
-
 (* One pass over the heap: for every column whose values expose temporal
    extents, gather (start, length) per finite period and count the
    NOW-relative ones. Columns that never produced an extent get no

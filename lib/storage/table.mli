@@ -75,8 +75,6 @@ val write_count : t -> int
 (** The last ANALYZE result; [None] until one runs. *)
 val stats : t -> Stats.t option
 
-val set_stats : t -> Stats.t option -> unit
-
 (** One heap pass building fresh statistics: row count plus period
     start/length histograms for every column whose values expose
     temporal extents. Stores and returns the result. [analyzed_at] is

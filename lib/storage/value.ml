@@ -63,10 +63,6 @@ let lookup_type name =
   | Some _ as found -> found
   | None -> Hashtbl.find_opt registry (canonical_type_name name)
 
-let registered_types () =
-  Hashtbl.fold (fun name _ acc -> name :: acc) registry []
-  |> List.sort String.compare
-
 (* --- Observers -------------------------------------------------------- *)
 
 let type_name = function

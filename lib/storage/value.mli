@@ -56,7 +56,6 @@ type vtable = {
 val register_type : name:string -> vtable -> unit
 
 val lookup_type : string -> vtable option
-val registered_types : unit -> string list
 val canonical_type_name : string -> string
 
 (** {1 Observers} *)

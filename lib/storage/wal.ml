@@ -221,11 +221,6 @@ let sync_policy_of_string s =
       | _ | (exception Failure _) -> None
     else None
 
-let sync_policy_to_string = function
-  | Always -> "always"
-  | Never -> "never"
-  | Every_n n -> Printf.sprintf "every=%d" n
-
 type writer = {
   path : string;
   fd : Unix.file_descr;
@@ -296,7 +291,6 @@ let commit ?at w records =
 let record_count w = w.appended
 let offset w = w.bytes
 let pending_sync w = w.unsynced_commits > 0
-let writer_epoch w = w.epoch
 
 (* Empties the log and stamps the new generation (the checkpoint's
    second half; the snapshot carrying [gen] must already be in place).

@@ -70,8 +70,6 @@ type sync_policy = Always | Every_n of int | Never
 (** Parses "always", "never" or "every=N" (N > 0). *)
 val sync_policy_of_string : string -> sync_policy option
 
-val sync_policy_to_string : sync_policy -> string
-
 type writer
 
 (** Creates (or truncates) the log at [path], stamped with generation
@@ -102,9 +100,6 @@ val pending_sync : writer -> bool
     place). [epoch] bumps the writer's promotion epoch — only a replica
     promotion passes it. *)
 val truncate : ?epoch:int -> writer -> gen:int -> unit
-
-(** The promotion epoch stamped into this writer's generation frames. *)
-val writer_epoch : writer -> int
 
 (** Forces an fsync regardless of policy. *)
 val sync : writer -> unit

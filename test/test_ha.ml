@@ -555,7 +555,11 @@ let check_failover_fuzz () =
                 let split = (n / 2) + (seed mod 3) in
                 let i = ref 0 in
                 while !i < n && (!i < split || Db.in_transaction pdb) do
-                  apply_stmt pdb arr.(!i);
+                  (* under the served lock, as a wire write would be:
+                     a replica bootstrap must not pair a snapshot with
+                     a later WAL offset *)
+                  Tip_server.Rwlock.with_exclusive (Server.db_lock serverA)
+                    (fun () -> apply_stmt pdb arr.(!i));
                   incr i;
                   (* a dropped connection mid-stream must not change the
                      outcome: the client resumes from its confirmed

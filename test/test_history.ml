@@ -166,6 +166,65 @@ let check_history_snapshot_roundtrip () =
     (Db.rows_exn
        (Db.exec db2 "SELECT name FROM staff AS OF '2000-01-01'"))
 
+(* A history shadow is linked to its table by name, so a create that
+   would adopt an existing [<t>_history] is refused before anything is
+   created: WITH HISTORY beside a table already holding the name, and a
+   plain table re-created over the audit log its dropped namesake left. *)
+let check_history_name_clashes () =
+  let refused db sql ~names =
+    match Db.exec db sql with
+    | exception Db.Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %s" msg names)
+        true
+        (try
+           ignore (Str.search_forward (Str.regexp_string names) msg 0);
+           true
+         with Not_found -> false)
+    | r -> Alcotest.failf "%s was accepted: %s" sql (Db.render_result r)
+  in
+  let table_names db =
+    List.map
+      (fun r -> Value.to_display_string r.(0))
+      (Db.rows_exn (Db.exec db "SHOW TABLES"))
+  in
+  Test_durability.with_dir (fun dir ->
+      Tip_blade.Values.register_types ();
+      let db, _ = Db.open_durable ~dir () in
+      Tip_blade.Blade.install db;
+      ignore (Db.exec db "CREATE TABLE b_history (x INT)");
+      refused db "CREATE TABLE b (id INT PRIMARY KEY) WITH HISTORY"
+        ~names:"b_history";
+      Alcotest.(check bool) "b was not created" false
+        (List.mem "b" (table_names db));
+      Db.close_durable db;
+      let db, _ = Db.open_durable ~dir () in
+      Tip_blade.Blade.install db;
+      Alcotest.(check (list string)) "nor logged" [ "b_history" ]
+        (table_names db);
+      Db.close_durable db);
+  let db = Tip_blade.Blade.create_database () in
+  at db "2000-01-01";
+  ignore (Db.exec db "CREATE TABLE acct (id INT PRIMARY KEY, bal INT) WITH HISTORY");
+  ignore (Db.exec db "INSERT INTO acct VALUES (1, 100)");
+  ignore (Db.exec db "DROP TABLE acct");
+  at db "2000-02-01";
+  refused db "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)"
+    ~names:"acct_history";
+  refused db "CREATE TABLE acct AS SELECT id, bal FROM acct_history"
+    ~names:"acct_history";
+  Alcotest.(check bool) "acct was not created" false
+    (List.mem "acct" (table_names db));
+  (* the audit log stays queryable, and once dropped the name is free *)
+  check_row_list "AS OF still reads the audit log"
+    [ [ int 1; int 100 ] ]
+    (Db.rows_exn (Db.exec db "SELECT id, bal FROM acct AS OF '2000-01-15'"));
+  ignore (Db.exec db "DROP TABLE acct_history");
+  ignore (Db.exec db "CREATE TABLE acct (id INT PRIMARY KEY, bal INT)");
+  ignore (Db.exec db "INSERT INTO acct VALUES (2, 200)");
+  Alcotest.(check bool) "the new acct has no history" true
+    (Catalog.find_table (Db.catalog db) "acct_history" = None)
+
 let suite =
   [ Alcotest.test_case "shadow table creation" `Quick check_shadow_table_created;
     Alcotest.test_case "AS OF time travel" `Quick check_as_of;
@@ -174,4 +233,6 @@ let suite =
     Alcotest.test_case "AS OF error paths" `Quick check_as_of_errors;
     Alcotest.test_case "rollback restores history" `Quick check_history_rollback;
     Alcotest.test_case "history survives snapshots" `Quick
-      check_history_snapshot_roundtrip ]
+      check_history_snapshot_roundtrip;
+    Alcotest.test_case "creates never adopt an existing _history" `Quick
+      check_history_name_clashes ]
