@@ -616,7 +616,10 @@ let check_durable_insert_span_tree () =
   let ic = open_in (Filename.concat trace_dir files.(0)) in
   let json = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  (* events come depth first: (name, start, end) in microseconds *)
+  (* events come depth first: (name, start, end) in nanoseconds, read
+     exactly from the microsecond fields' three decimals: float sums
+     of those fields can misorder two spans that end on the same clock
+     tick *)
   let event_re =
     Str.regexp
       "\"name\":\"\\([A-Za-z]+\\)\",\"ts\":\\([0-9.]+\\),\"dur\":\\([0-9.]+\\)"
@@ -625,10 +628,11 @@ let check_durable_insert_span_tree () =
     match Str.search_forward event_re json pos with
     | exception Not_found -> []
     | _ ->
-      let ts = float_of_string (Str.matched_group 2 json) in
-      let ev =
-        (Str.matched_group 1 json, ts, ts +. float_of_string (Str.matched_group 3 json))
+      let ns group =
+        Float.to_int (Float.round (float_of_string (Str.matched_group group json) *. 1e3))
       in
+      let ts = ns 2 in
+      let ev = (Str.matched_group 1 json, ts, ts + ns 3) in
       ev :: events (Str.match_end ())
   in
   let evs = events 0 in
