@@ -83,23 +83,7 @@ let main backup archive_dir tail until out =
       (* the restored root gets a fresh generation past everything in
          the chain, so a server opened on it (even one re-attached to
          the same archive) never collides with a sealed segment *)
-      let last_gen =
-        let sealed =
-          match archive_dir with
-          | Some d -> ( try Archive.sealed_generations d with _ -> [])
-          | None -> []
-        in
-        List.fold_left Stdlib.max info.Archive.r_base_gen sealed
-      in
-      let last_gen =
-        match tail with
-        | Some p when Sys.file_exists p -> (
-          let scan = Tip_storage.Wal.scan p in
-          match scan.Tip_storage.Wal.generation with
-          | Some g -> Stdlib.max last_gen g
-          | None -> last_gen)
-        | _ -> last_gen
-      in
+      let last_gen = info.Archive.r_last_gen in
       Tip_storage.Persist.save ~wal_gen:(last_gen + 1)
         ~epoch:info.Archive.r_epoch
         ?asof:info.Archive.r_last_commit_at catalog

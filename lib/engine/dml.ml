@@ -111,17 +111,9 @@ let dml_matches cx ~qual table where =
     | _ -> Table.rids table);
   List.rev !matches
 
-let history cx table =
-  match
-    Catalog.history_of cx.catalog (Table.name table),
-    Extension.history_support cx.ectx.Expr_eval.ext
-  with
-  | Some (h, tt), Some support -> Some (h, tt, support)
-  | _, _ -> None
-
 (* Appends an open history row for a freshly current [row]. *)
-let history_open cx table row =
-  match history cx table with
+let history_open cx hist row =
+  match hist with
   | None -> ()
   | Some (h, _, support) ->
     let now = cx.ectx.Expr_eval.now in
@@ -129,8 +121,8 @@ let history_open cx table row =
     log_change cx (Journal.U_insert (h, Table.insert h hrow))
 
 (* Closes the open history row matching [row] (all columns equal). *)
-let history_close cx table row =
-  match history cx table with
+let history_close cx hist row =
+  match hist with
   | None -> ()
   | Some (h, tt, support) ->
     let closed = ref false in
@@ -158,11 +150,11 @@ let history_close cx table row =
       h
 
 (* Lands an already-coerced row in one physical table. *)
-let insert_row cx table row =
+let insert_row cx hist table row =
   let rid = Table.insert table row in
   Catalog.note_partition_write cx.catalog table row;
   log_change cx (Journal.U_insert (table, rid));
-  history_open cx table row
+  history_open cx hist row
 
 let route (target : Catalog.target) row =
   try target.Catalog.tg_route row
@@ -173,13 +165,30 @@ let target cx name =
   | Some target -> target
   | None -> db_error "no such table: %s" name
 
+(* The statement's target and its transaction-time history (the
+   [_history] table, its [_tt] column and the blade's timestamp
+   routines), resolved once per statement. A partitioned target has
+   none: DDL refuses PARTITION BY with WITH HISTORY. *)
+let target_with_history cx name =
+  let target = target cx name in
+  let hist =
+    match
+      target.Catalog.tg_partitioned,
+      Catalog.history_of cx.catalog name,
+      Extension.history_support cx.ectx.Expr_eval.ext
+    with
+    | None, Some (h, tt), Some support -> Some (h, tt, support)
+    | _, _, _ -> None
+  in
+  (target, hist)
+
 (* Where INSERT and COPY FROM put rows of the target's arity: each is
    coerced against the target's schema, then routed. Coercion comes
    first because string literals only gain an extent once they become
    period values. *)
-let sink cx (target : Catalog.target) values =
+let sink cx ((target : Catalog.target), hist) values =
   let row = Array.mapi (coerce cx target.Catalog.tg_schema) values in
-  insert_row cx (route target row) row
+  insert_row cx hist (route target row) row
 
 let reorder_columns schema columns values =
   match columns with
@@ -198,9 +207,9 @@ let reorder_columns schema columns values =
     row
 
 let insert cx ~table ~columns source =
-  let target = target cx table in
+  let ((target, _) as dest) = target_with_history cx table in
   let put values =
-    sink cx target (reorder_columns target.Catalog.tg_schema columns values)
+    sink cx dest (reorder_columns target.Catalog.tg_schema columns values)
   in
   match source with
   | Ast.Values rows ->
@@ -221,8 +230,8 @@ let insert cx ~table ~columns source =
       (Executor.run cx.ectx plan)
 
 let copy_from cx ~table ~file =
-  let target = target cx table in
-  try Csv.import ~schema:target.Catalog.tg_schema ~insert:(sink cx target) file
+  let ((target, _) as dest) = target_with_history cx table in
+  try Csv.import ~schema:target.Catalog.tg_schema ~insert:(sink cx dest) file
   with Sys_error msg | Csv.Csv_error msg -> db_error "COPY: %s" msg
 
 (* Every match in every physical table is collected before any row is
@@ -230,7 +239,7 @@ let copy_from cx ~table ~file =
    not match again there (the Halloween problem). Assignments compile
    once against the target's schema, which partitions share. *)
 let update cx ~table:name ~assignments ~where =
-  let target = target cx name in
+  let target, hist = target_with_history cx name in
   let schema = target.Catalog.tg_schema in
   let compiled =
     List.map
@@ -249,9 +258,9 @@ let update cx ~table:name ~assignments ~where =
       if Table.update table rid row then begin
         Catalog.note_partition_write cx.catalog table row;
         log_change cx (Journal.U_update (table, rid, old_row));
-        history_close cx table old_row;
+        history_close cx hist old_row;
         match Table.get table rid with
-        | Some stored -> history_open cx table stored
+        | Some stored -> history_open cx hist stored
         | None -> ()
       end
     end
@@ -260,8 +269,8 @@ let update cx ~table:name ~assignments ~where =
          INSERT so recovery and replicas replay it without partition
          awareness. *)
       log_change cx (Journal.U_delete (table, old_row));
-      history_close cx table old_row;
-      insert_row cx dst row
+      history_close cx hist old_row;
+      insert_row cx hist dst row
     end
   in
   let matches =
@@ -273,6 +282,7 @@ let update cx ~table:name ~assignments ~where =
   List.fold_left (fun n (_, rows) -> n + List.length rows) 0 matches
 
 let delete cx ~table:name ~where =
+  let target, hist = target_with_history cx name in
   List.fold_left
     (fun n table ->
       let matches = dml_matches cx ~qual:name table where in
@@ -281,11 +291,11 @@ let delete cx ~table:name ~where =
           Expr_eval.tick cx.ectx;
           if Table.delete table rid then begin
             log_change cx (Journal.U_delete (table, old_row));
-            history_close cx table old_row
+            history_close cx hist old_row
           end)
         matches;
       n + List.length matches)
-    0 (target cx name).Catalog.tg_tables
+    0 target.Catalog.tg_tables
 
 (* The row-change family: the number of rows changed. *)
 let exec cx = function

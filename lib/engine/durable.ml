@@ -57,10 +57,10 @@ let recover ?sync ?checkpoint_every ?archive_dir ~dir () =
           stopped);
   Option.iter
     (fun adir ->
-      let wal_path = Recovery.wal_path ~dir in
       Option.iter
-        (fun gen -> Archive.seal ~dir:adir ~wal_path ~gen)
-        (Wal.scan wal_path).Wal.generation)
+        (fun gen ->
+          Archive.seal ~dir:adir ~wal_path:(Recovery.wal_path ~dir) ~gen)
+        info.Recovery.wal_generation)
     archive_dir;
   let gen = info.Recovery.generation + 1 and epoch = info.Recovery.epoch in
   let d =

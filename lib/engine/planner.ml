@@ -256,28 +256,29 @@ let ordered_index_scan pctx table binding conjunct_exprs =
   in
   List.find_map try_conjunct conjunct_exprs
 
+(* A plan-time constant as a value with an extent, for a column of type
+   [ty]: a bare string is re-read as a literal of that type (the same
+   automatic string cast the blade registers). *)
+let typed_const ty v =
+  match Value.extent v, v, ty with
+  | Some _, _, _ -> Some v
+  | None, Value.Str s, Schema.T_ext target -> (
+    match Value.lookup_type target with
+    | Some vt -> ( try Some (vt.Value.parse s) with _ -> None)
+    | None -> None)
+  | None, _, _ -> None
+
 let interval_index_scan pctx table binding conjunct_exprs =
   let layout1 = { bindings = [ binding ]; width = Array.length binding.col_names } in
   let col_of = function
     | Ast.Column (q, name) -> Some (resolve_in layout1 q name - binding.offset)
     | _ -> None
   in
-  (* A plan-time constant's conservative chronon extent; a bare string is
-     re-read as a literal of the column's type first (the same automatic
-     string cast the blade registers). *)
+  (* A plan-time constant's conservative chronon extent. *)
   let probe_extent col v =
-    match Value.extent v with
-    | Some _ as extent -> extent
-    | None -> (
-      match v, (Schema.column (Table.schema table) col).Schema.ty with
-      | Value.Str s, Schema.T_ext target -> (
-        match Value.lookup_type target with
-        | Some vt -> (
-          match vt.Value.parse s with
-          | parsed -> Value.extent parsed
-          | exception _ -> None)
-        | None -> None)
-      | _, _ -> None)
+    Option.bind
+      (typed_const (Schema.column (Table.schema table) col).Schema.ty v)
+      Value.extent
   in
   let attempt label col_side const_side =
     match col_of col_side with
@@ -405,24 +406,10 @@ let partition_probe pctx layout (pt : Partition.t) binding exprs =
   let col_ty =
     (Schema.column pt.Partition.pt_schema pt.Partition.pt_column).Schema.ty
   in
-  let typed_const v =
-    match Value.extent v with
-    | Some _ -> Some v
-    | None -> (
-      match v, col_ty with
-      | Value.Str s, Schema.T_ext target -> (
-        match Value.lookup_type target with
-        | Some vt -> (
-          match vt.Value.parse s with
-          | parsed -> Some parsed
-          | exception _ -> None)
-        | None -> None)
-      | _, _ -> None)
-  in
   let attempt col_side const_side =
     if not (is_part_col col_side) then None
     else
-      match Option.bind (const_eval pctx const_side) typed_const with
+      match Option.bind (const_eval pctx const_side) (typed_const col_ty) with
       | None -> None
       | Some v -> (
         match Value.extent v with
@@ -501,21 +488,7 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
           && p.Partition.p_to <= hi + 1
           && Atomic.get p.Partition.p_max_end < max_int
       in
-      let wrap =
-        if exprs = [] then fun scan -> scan
-        else begin
-          let shift = binding.offset in
-          let combined =
-            List.fold_left (fun a b -> Ast.Binop (Ast.And, a, b))
-              (List.hd exprs) (List.tl exprs)
-          in
-          let env = shifted_env pctx layout ~shift in
-          let pred = Expr_eval.compile env combined in
-          let bpred = Expr_eval.compile_batch env combined in
-          let label = label_of_exprs exprs in
-          fun scan -> Plan.Filter { input = scan; pred; bpred; label }
-        end
-      in
+      let wrap = filter_over pctx layout ~shift:binding.offset exprs in
       let elided = ref 0 in
       let children =
         List.map
@@ -550,29 +523,12 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
         | B_derived plan -> (plan, None)
         | B_partitioned _ -> assert false
       in
-      if exprs = [] then scan
-      else begin
-        (* All pushed conjuncts recheck above the scan — index scans may
-           over-approximate (interval probes always do). *)
-        let shift = binding.offset in
-        let combined =
-          List.fold_left (fun a b -> Ast.Binop (Ast.And, a, b)) (List.hd exprs)
-            (List.tl exprs)
-        in
-        let env = shifted_env pctx layout ~shift in
-        let label =
-          label_of_exprs exprs
-          ^
-          match filter_est with
-          | Some est -> Printf.sprintf " (est rows=%d)" est
-          | None -> ""
-        in
-        Plan.Filter
-          { input = scan;
-            pred = Expr_eval.compile env combined;
-            bpred = Expr_eval.compile_batch env combined;
-            label }
-      end)
+      (* All pushed conjuncts recheck above the scan — index scans may
+         over-approximate (interval probes always do). *)
+      filter_over pctx layout ~shift:binding.offset
+        ?suffix:
+          (Option.map (fun est -> Printf.sprintf " (est rows=%d)" est) filter_est)
+        exprs scan)
   | F_join (l, Ast.Left_outer, on, r) ->
     let lplan = plan_fref pctx layout pool protected l in
     let rplan = plan_fref pctx layout pool protected r in
@@ -649,20 +605,21 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
             label }
       end
     in
-    if residual = [] then joined
-    else begin
-      let combined =
-        List.fold_left
-          (fun a b -> Ast.Binop (Ast.And, a, b))
-          (List.hd residual) (List.tl residual)
-      in
-      let env = shifted_env pctx layout ~shift:start in
-      Plan.Filter
-        { input = joined;
-          pred = Expr_eval.compile env combined;
-          bpred = Expr_eval.compile_batch env combined;
-          label = label_of_exprs residual }
-    end
+    filter_over pctx layout ~shift:start residual joined
+
+(* A filter ANDing [exprs] over its input, compiled once against
+   [layout] at [shift] and labelled by the conjuncts (plus [suffix]);
+   no conjuncts, no filter. *)
+and filter_over pctx layout ~shift ?(suffix = "") exprs =
+  match exprs with
+  | [] -> Fun.id
+  | e :: rest ->
+    let combined = List.fold_left (fun a b -> Ast.Binop (Ast.And, a, b)) e rest in
+    let env = shifted_env pctx layout ~shift in
+    let pred = Expr_eval.compile env combined in
+    let bpred = Expr_eval.compile_batch env combined in
+    let label = label_of_exprs exprs ^ suffix in
+    fun input -> Plan.Filter { input; pred; bpred; label }
 
 (* Compiles [e] against [layout], with row offsets shifted down by
    [shift] (the subtree's starting offset). Subqueries are planned with
@@ -917,20 +874,7 @@ and plan_select pctx catalog (s : Ast.select) : Plan.t * string array =
      as a final filter. *)
   let leftovers = List.filter (fun c -> not c.used) pool in
   let input =
-    if leftovers = [] then input
-    else begin
-      let exprs = List.map (fun c -> c.expr) leftovers in
-      let combined =
-        List.fold_left (fun a b -> Ast.Binop (Ast.And, a, b)) (List.hd exprs)
-          (List.tl exprs)
-      in
-      let env = shifted_env pctx layout ~shift:0 in
-      Plan.Filter
-        { input;
-          pred = Expr_eval.compile env combined;
-          bpred = Expr_eval.compile_batch env combined;
-          label = label_of_exprs exprs }
-    end
+    filter_over pctx layout ~shift:0 (List.map (fun c -> c.expr) leftovers) input
   in
   (* 4. ORDER BY rewriting: ordinals and output aliases. *)
   let item_exprs =

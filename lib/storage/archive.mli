@@ -65,6 +65,10 @@ type restore_info = {
           chain walk there *)
   r_segments : int;  (** archived segments replayed *)
   r_tail_replayed : bool;
+  r_last_gen : int;
+      (** the newest generation in the chain: the backup's, a sealed
+          segment's or the live tail's leading frame — a restored root
+          starts past it *)
   r_applied_batches : int;
   r_applied_records : int;  (** commit markers excluded *)
   r_last_commit_at : int option;
@@ -79,7 +83,9 @@ type restore_info = {
 (** Rebuilds a catalog from [backup], replaying the archived chain in
     [archive_dir] and then the live log [tail] (a path; missing file =
     no tail), stopping just before the first commit stamped after
-    [until] (unix seconds). Segments are re-hashed against the manifest
+    [until] (unix seconds). Every generation replays through
+    {!Wal.replay}, the loop crash recovery and replicas drive too, and
+    the tail is read once. Segments are re-hashed against the manifest
     before replay; a torn tail inside a sealed segment (a generation
     sealed from a crashed log) stops that segment cleanly and replay
     continues with the next — the same prefix the primary itself

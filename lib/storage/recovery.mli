@@ -3,10 +3,10 @@
 
     A durable database directory holds [snapshot] (the last checkpoint)
     and [wal] (redo records appended since). {!recover} discards an
-    interrupted [snapshot.tmp], loads the snapshot, and replays the
-    log's committed batches when the generations agree — a stale log
-    left by a crash mid-checkpoint is skipped rather than applied
-    twice. Replay stops cleanly at the first torn or corrupt frame,
+    interrupted [snapshot.tmp], loads the snapshot, reads the log once
+    and replays its committed batches through {!Wal.replay} when the
+    generations agree — a stale log left by a crash mid-checkpoint is
+    skipped rather than applied twice. Replay stops cleanly at the first torn or corrupt frame,
     keeping every committed batch before it, so the recovered state is a
     committed-statement prefix of the pre-crash history. *)
 
@@ -16,6 +16,9 @@ val wal_path : dir:string -> string
 type info = {
   snapshot_loaded : bool;
   generation : int;  (** snapshot's WAL generation (0 when fresh) *)
+  wal_generation : int option;
+      (** the log's leading generation frame; [None] when the log is
+          missing or its first frame is not an intact generation frame *)
   epoch : int;  (** promotion epoch recovered with the snapshot/log *)
   replayed_records : int;
       (** redo records applied from the log (commit markers excluded) *)

@@ -1,11 +1,14 @@
 (** Incremental replay of a shipped WAL stream (DESIGN.md §13).
 
-    Buffers raw WAL bytes as they arrive from the primary, cuts them
-    into CRC-checked frames, and applies only whole committed batches
-    to the catalog. The confirmed position ({!applied_offset}) moves
-    exclusively at commit boundaries, so a disconnect mid-batch costs
-    nothing: {!reset_stream} drops the open fragment and the subscriber
-    resumes from the last statement boundary.
+    Buffers raw WAL bytes as they arrive from the primary and drives
+    {!Wal.replay} over them — the one loop crash recovery and restore
+    drive too — so only whole committed batches reach the catalog and
+    no frame is cut twice. The buffer is compacted to the last commit
+    boundary once per {!feed}. The confirmed position
+    ({!applied_offset}) moves exclusively at commit boundaries, so a
+    disconnect mid-batch costs nothing: {!reset_stream} drops the open
+    fragment and the subscriber resumes from the last statement
+    boundary.
 
     A generation frame that does not match the replica's bootstrap
     generation means the primary checkpointed and truncated its log;
@@ -36,11 +39,13 @@ type t
 val create :
   ?max_pending:int -> Catalog.t -> generation:int -> epoch:int -> offset:int -> t
 
-(** Ingests stream bytes, applying every complete committed batch.
-    On [Error] the replica's confirmed state is still consistent (the
-    failing batch was not partially applied unless the failure came
-    from mid-batch [Wal.apply], which only happens on a stream that
-    lies about its base state — re-bootstrap repairs both cases). *)
+(** Ingests stream bytes, applying every complete committed batch; the
+    failpoint site [repl.apply] is hit once before each. On [Error] the
+    replica's confirmed state is still consistent (the failing batch
+    was not partially applied unless the failure came from mid-batch
+    [Wal.apply], which only happens on a stream that lies about its
+    base state — re-bootstrap repairs both cases). A batch that breaks
+    a constraint or does not fit the catalog is [Apply_failed]. *)
 val feed : t -> string -> (unit, error) result
 
 (** Drops the half-received tail, keeping all confirmed state. *)

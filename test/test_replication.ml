@@ -117,6 +117,123 @@ let check_feed_generation_mismatch () =
       | Error (Replica.Stream_corrupt m) ->
         Alcotest.failf "want apply-failed, got corrupt: %s" m)
 
+(* A shipped batch that breaks a unique key is an apply failure the
+   caller can act on, not an exception that kills the follower. *)
+let check_feed_constraint_violation () =
+  let frames records = String.concat "" (List.map Wal.frame records) in
+  let insert = Wal.Insert { table = "u"; cells = [| "1" |] } in
+  let stream =
+    frames
+      [ Wal.Generation { gen = 1; epoch = 0 };
+        Wal.Create_table
+          { table = "u";
+            columns =
+              [ Tip_storage.Schema.make_column ~not_null:false
+                  ~primary_key:true "a" Tip_storage.Schema.T_int ] };
+        Wal.Commit None;
+        insert;
+        Wal.Commit None;
+        insert;
+        Wal.Commit None ]
+  in
+  let r = Replica.create (Catalog.create ()) ~generation:1 ~epoch:0 ~offset:0 in
+  (match Replica.feed r stream with
+  | Error (Replica.Apply_failed _) -> ()
+  | Ok () -> Alcotest.fail "a duplicate key must not apply"
+  | Error (Replica.Stream_corrupt m) ->
+    Alcotest.failf "want apply-failed, got corrupt: %s" m);
+  Alcotest.(check int) "the batches before it applied" 2
+    (Replica.applied_commits r)
+
+(* One log, three readers: at every byte cut, crash recovery of the
+   truncated file, a replica fed the same bytes in random chunks, and a
+   restore with that tail leave the same snapshot and batch count, and
+   that state is the primary's after exactly that many commits. The
+   log holds DDL, DML, WITH HISTORY rows, a multi-statement
+   transaction and a cross-partition move. *)
+let check_readers_agree_at_every_cut () =
+  with_dir (fun dir ->
+      with_dir (fun bdir ->
+          Tip_blade.Values.register_types ();
+          let db, _ = Db.open_durable ~sync:Wal.Always ~dir () in
+          Tip_blade.Blade.install db;
+          (* one commit each *)
+          let commits =
+            [ [ "CREATE TABLE h (a INT PRIMARY KEY, b CHAR(8)) WITH HISTORY" ];
+              [ "INSERT INTO h VALUES (1, 'one'), (2, 'two')" ];
+              [ "UPDATE h SET b = 'uno' WHERE a = 1" ];
+              [ "CREATE TABLE p (id INT, valid Element) PARTITION BY RANGE \
+                 (valid) (PARTITION y20 FOR VALUES FROM '2020-01-01' TO \
+                 '2021-01-01', PARTITION y21 FOR VALUES FROM '2021-01-01' TO \
+                 '2022-01-01', PARTITION pd DEFAULT)" ];
+              [ "INSERT INTO p VALUES (1, '{[2020-03-01, 2020-06-01]}')" ];
+              [ "BEGIN";
+                "DELETE FROM h WHERE a = 2";
+                "INSERT INTO p VALUES (2, '{[2021-03-01, 2021-06-01]}')";
+                "COMMIT" ];
+              [ "UPDATE p SET valid = '{[2021-05-01, 2021-07-01]}' WHERE id = 1" ];
+              [ "CREATE INDEX h_b ON h (b)" ] ]
+          in
+          let empty = fingerprint (Db.catalog db) in
+          let prefixes =
+            Array.of_list
+              (empty
+              :: List.map
+                   (fun stmts ->
+                     List.iter (fun sql -> ignore (Db.exec db sql)) stmts;
+                     fingerprint (Db.catalog db))
+                   commits)
+          in
+          Db.close_durable db;
+          let wal = read_file (Recovery.wal_path ~dir) in
+          let snapshot = read_file (Recovery.snapshot_path ~dir) in
+          Tip_storage.Archive.write_backup ~dir:bdir ~snapshot
+            { Tip_storage.Archive.o_gen = 1; o_offset = 0; o_epoch = 0;
+              o_asof = None };
+          let render catalog =
+            Persist.snapshot_string ~wal_gen:1 ~epoch:0 catalog
+          in
+          let rng = Random.State.make [| 25 |] in
+          for cut = 0 to String.length wal do
+            let bytes = String.sub wal 0 cut in
+            Out_channel.with_open_bin (Recovery.wal_path ~dir) (fun oc ->
+                output_string oc bytes);
+            let recovered, info = Recovery.recover ~dir in
+            let r =
+              Replica.create
+                (fst (Persist.load_string snapshot))
+                ~generation:1 ~epoch:0 ~offset:0
+            in
+            let pos = ref 0 in
+            while !pos < cut do
+              let n = min (1 + Random.State.int rng 97) (cut - !pos) in
+              (match Replica.feed r (String.sub bytes !pos n) with
+              | Ok () -> ()
+              | Error _ -> Alcotest.failf "cut %d: the replica refused" cut);
+              pos := !pos + n
+            done;
+            let restored, rinfo =
+              Tip_storage.Archive.restore ~backup:bdir
+                ~tail:(Recovery.wal_path ~dir) ()
+            in
+            let want = render recovered in
+            let batches = info.Recovery.replayed_batches in
+            if
+              render (Replica.catalog r) <> want
+              || render restored <> want
+              || Replica.applied_commits r <> batches
+              || rinfo.Tip_storage.Archive.r_applied_batches <> batches
+              || fingerprint recovered <> prefixes.(batches)
+            then
+              Alcotest.failf
+                "cut %d: recovery %d, replica %d, restore %d batch(es)" cut
+                batches (Replica.applied_commits r)
+                rinfo.Tip_storage.Archive.r_applied_batches
+          done;
+          Alcotest.(check int) "the whole log replays"
+            (List.length commits)
+            (snd (Recovery.recover ~dir)).Recovery.replayed_batches))
+
 (* --- Every_n flush satellites -------------------------------------------- *)
 
 let check_every_n_flush_on_close () =
@@ -506,6 +623,10 @@ let suite =
       check_feed_bitflip_resume;
     Alcotest.test_case "foreign generation refuses to apply" `Quick
       check_feed_generation_mismatch;
+    Alcotest.test_case "a duplicate key is an apply failure" `Quick
+      check_feed_constraint_violation;
+    Alcotest.test_case "three readers agree at every cut" `Quick
+      check_readers_agree_at_every_cut;
     Alcotest.test_case "Every_n tail flushed on close" `Quick
       check_every_n_flush_on_close;
     Alcotest.test_case "Every_n tail flushed by CHECKPOINT" `Quick
