@@ -165,6 +165,10 @@ let rename ~site src dst =
   | Some Crash_now -> crash site
   | Some (Fail msg) -> failwith msg
 
+(* The whole file as a string. Reads are never armed: a crash or a
+   torn byte is injected where the bytes are written. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 (* tmp + fsync + rename, so a crash at any point leaves either the old
    file or the new one; the steps are the sites [<sites>.write],
    [<sites>.fsync] and [<sites>.rename]. *)

@@ -45,6 +45,11 @@ val write : site:string -> Unix.file_descr -> Bytes.t -> unit
 val fsync : site:string -> Unix.file_descr -> unit
 val rename : site:string -> string -> string -> unit
 
+(** The whole contents of [path]. No failpoint site: faults are
+    injected where the bytes are written.
+    @raise Sys_error when the file cannot be read. *)
+val read_file : string -> string
+
 (** Writes [path] through [path.tmp], fsync and rename, at the sites
     [<sites>.write], [<sites>.fsync] and [<sites>.rename]. *)
 val write_file_atomic : sites:string -> string -> string -> unit
