@@ -334,9 +334,9 @@ let install_aggregates ext =
      ones' endpoints to the accumulator's buffers in place, so no value
      is allocated per row; the finalizer coalesces the two endpoint
      multisets in one sort-and-sweep per group. *)
-  let push ~now b (p : Period.t) =
-    let s = Chronon.to_unix_seconds (Instant.bind ~now p.Period.start_)
-    and e = Chronon.to_unix_seconds (Instant.bind ~now p.Period.end_) in
+  let push ~now b s e =
+    let s = Chronon.to_unix_seconds (Instant.bind ~now s)
+    and e = Chronon.to_unix_seconds (Instant.bind ~now e) in
     if s <= e then begin
       if b.n = Array.length b.starts then begin
         let grow = max 8 b.n in
@@ -357,8 +357,8 @@ let install_aggregates ext =
         (fun ~now acc v ->
           let b = as_bounds acc in
           (match v with
-          | Value.Ext (_, V_period p) -> push ~now b p
-          | v -> Element.iter (push ~now b) (to_element_value v));
+          | Value.Ext (_, V_period p) -> push ~now b p.start_ p.end_
+          | v -> Element.iter_bounds (push ~now b) (to_element_value v));
           acc);
       agg_final =
         (fun ~now:_ acc ->

@@ -95,21 +95,22 @@ let endpoint (i : Instant.t) ~unbounded =
 let instant_extent i =
   (endpoint i ~unbounded:min_int, endpoint i ~unbounded:max_int)
 
-let period_extent (p : Period.t) =
-  let lo = endpoint p.Period.start_ ~unbounded:min_int
-  and hi = endpoint p.Period.end_ ~unbounded:max_int in
+let bounds_extent s e =
+  let lo = endpoint s ~unbounded:min_int and hi = endpoint e ~unbounded:max_int in
   if lo > hi then None else Some (lo, hi)
+
+let period_extent (p : Period.t) = bounds_extent p.Period.start_ p.Period.end_
 
 (* One index entry per period: an interval index over elements then
    prunes on each period separately rather than on one bounding box
    spanning the gaps — the difference between a useful and a useless
    index for multi-period timestamps. *)
 let element_extents e =
-  Element.fold
-    (fun acc p ->
-      match period_extent p with Some ext -> ext :: acc | None -> acc)
-    [] e
-  |> List.rev
+  let acc = ref [] in
+  Element.iter_bounds
+    (fun s e -> Option.iter (fun ext -> acc := ext :: !acc) (bounds_extent s e))
+    e;
+  List.rev !acc
 
 (* The element type's NOW-free [overlaps] (see [Value.vtable]). *)
 let element_overlap a b =

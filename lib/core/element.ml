@@ -1,71 +1,94 @@
 (* An [Element] is a set of periods — the paper's general tuple timestamp
    ("from January to April, and then from July to October").
 
-   Representation: the list of periods exactly as written, possibly
-   NOW-relative and possibly overlapping. Observation is always under a
-   NOW binding: [ground] normalizes to a sorted list of disjoint,
-   maximal ground periods (adjacent periods coalesce, since time is
-   discrete), and every set operation is a linear two-pointer merge over
-   normalized inputs. This is the "time linear in the number of periods"
-   implementation claimed in Section 3 of the paper. *)
+   Representation: one flat int array [|s0; e0; s1; e1; ...|] holding
+   the raw encodings of the periods' instants (see Instant) exactly as
+   written, possibly NOW-relative, overlapping or out of order. An
+   element is one heap block: a scan reads its endpoints without
+   following a pointer.
 
-type t = Period.t list
+   Observation is always under a NOW binding: [view] yields the bound
+   form, the sorted, disjoint, maximal ground periods in a second flat
+   array [|s0; e0; ...|] of unix seconds (adjacent periods coalesce,
+   since time is discrete), and every set operation is a linear
+   two-pointer walk over bound forms. This is the "time linear in the
+   number of periods" implementation claimed in Section 3 of the paper.
+   An element that is already normalized — fixed, nonempty, sorted
+   periods separated by gaps, as every result of the set algebra is — is
+   its own bound form under every NOW, read in place, so it skips the
+   sort-and-sweep. *)
 
-let empty = []
-let of_periods ps = ps
-let of_period p = [ p ]
-let of_ground_list gs = List.map Period.of_ground gs
-let periods t = t
-let add_period p t = t @ [ p ]
+type t = int array
 
-(* Raw period count, before normalization. *)
-let raw_count t = List.length t
+let raw (i : Instant.t) = (i :> int)
 
-let is_now_relative t = List.exists Period.is_now_relative t
+let empty = [||]
 
-(* --- Normalization ------------------------------------------------- *)
+let of_period (p : Period.t) = [| raw p.start_; raw p.end_ |]
 
-(* Merges a sorted-by-start list of ground periods into disjoint maximal
-   ones. Two closed periods coalesce when the later one starts no more
-   than one chronon after the earlier one ends. *)
-let sweep sorted =
-  let flush (s, e) acc = (s, e) :: acc in
-  let rec go current acc = function
-    | [] -> List.rev (flush current acc)
-    | (s, e) :: rest ->
-      let cs, ce = current in
-      if Chronon.compare s (Chronon.succ ce) <= 0 then
-        go (cs, Chronon.max ce e) acc rest
-      else go (s, e) (flush current acc) rest
-  in
-  match sorted with
-  | [] -> []
-  | first :: rest -> go first [] rest
+let of_periods ps =
+  let t = Array.make (2 * List.length ps) 0 in
+  List.iteri
+    (fun i (p : Period.t) ->
+      t.(2 * i) <- raw p.start_;
+      t.((2 * i) + 1) <- raw p.end_)
+    ps;
+  t
 
-let compare_ground (s1, _) (s2, _) = Chronon.compare s1 s2
+(* The raw fixed instant at [seconds] (its seconds shifted left one bit;
+   see Instant), inline. Seconds outside the instant range are refused,
+   as by [Instant.of_chronon]. *)
+let encode seconds =
+  if seconds < Instant.min_seconds || seconds > Instant.max_seconds then
+    invalid_arg "Instant.of_chronon: out of range"
+  else seconds lsl 1
 
-(* Elements are usually written (and always produced) in start order, so
-   probe the common case before paying for a sort; when one is needed,
-   the in-place array sort beats [List.sort]'s allocation churn. *)
-let rec sorted_asc = function
-  | a :: (b :: _ as rest) -> compare_ground a b <= 0 && sorted_asc rest
-  | [] | [ _ ] -> true
+let period_at t i =
+  Period.of_instants
+    (Instant.of_encoding t.(2 * i))
+    (Instant.of_encoding t.((2 * i) + 1))
 
-let ground ~now t =
-  let bound = List.filter_map (Period.ground ~now) t in
-  let sorted =
-    if sorted_asc bound then bound
-    else begin
-      let arr = Array.of_list bound in
-      Array.sort compare_ground arr;
-      Array.to_list arr
-    end
-  in
-  sweep sorted
+let raw_count t = Array.length t / 2
+let periods t = List.init (raw_count t) (period_at t)
+let add_period p t = Array.append t (of_period p)
 
-let normalize ~now t = of_ground_list (ground ~now t)
+let iter_bounds f t =
+  for i = 0 to raw_count t - 1 do
+    f (Instant.of_encoding t.(2 * i)) (Instant.of_encoding t.((2 * i) + 1))
+  done
 
-let coalesce = normalize
+let rec relative_from t i =
+  i < Array.length t && (t.(i) land 1 = 1 || relative_from t (i + 1))
+let is_now_relative t = relative_from t 0
+
+(* --- Bound form ------------------------------------------------------ *)
+
+(* A raw instant's unix seconds under NOW (bit 0 is the NOW-relative
+   tag; see Instant). *)
+let bind now x = if x land 1 = 0 then x asr 1 else now + (x asr 1)
+
+(* Is [t] normalized as written: every endpoint fixed, every period
+   nonempty, and each period starting more than one chronon after the
+   previous one ends? Such an element binds to itself under every NOW.
+   The walks here are top-level functions so that they allocate no
+   closure. *)
+let rec normal_from t i prev_end =
+  i >= Array.length t
+  ||
+  let s = t.(i) and e = t.(i + 1) in
+  (s lor e) land 1 = 0
+  && s <= e
+  && s asr 1 > prev_end + 1
+  && normal_from t (i + 2) (e asr 1)
+
+let normal t =
+  Array.length t = 0
+  ||
+  let s = t.(0) and e = t.(1) in
+  (s lor e) land 1 = 0 && s <= e && normal_from t 2 (e asr 1)
+
+(* The first [k] words of a fresh array. *)
+let trim a k = if k = Array.length a then a else Array.sub a 0 k
 
 (* In-place ascending sort of a.(lo .. hi-1), monomorphic so every
    comparison is an inline int compare: Hoare quicksort around the middle
@@ -100,11 +123,13 @@ let rec sort_ints (a : int array) lo hi =
 (* Coverage of a set of periods depends only on the multisets of their
    starts and of their ends, so the two sort separately and one sweep
    with a depth counter recovers the union: a start no later than one
-   chronon after the next pending end extends the open period. *)
-let coalesce_bounds ~starts ~ends n =
+   chronon after the next pending end extends the open period. Returns
+   the bound form, in seconds. *)
+let sweep ~starts ~ends n =
   sort_ints starts 0 n;
   sort_ints ends 0 n;
-  let out = ref [] and depth = ref 0 and opened = ref 0 and i = ref 0 in
+  let out = Array.make (2 * n) 0 in
+  let k = ref 0 and depth = ref 0 and opened = ref 0 and i = ref 0 in
   for j = 0 to n - 1 do
     while !i < n && starts.(!i) <= ends.(j) + 1 do
       if !depth = 0 then opened := starts.(!i);
@@ -112,201 +137,288 @@ let coalesce_bounds ~starts ~ends n =
       incr i
     done;
     decr depth;
-    if !depth = 0 then
-      out :=
-        Period.of_chronons (Chronon.of_unix_seconds !opened)
-          (Chronon.of_unix_seconds ends.(j))
-        :: !out
+    if !depth = 0 then begin
+      out.(!k) <- !opened;
+      out.(!k + 1) <- ends.(j);
+      k := !k + 2
+    end
   done;
-  List.rev !out
+  trim out !k
 
-(* --- Ground-level set algebra (linear two-pointer merges) ---------- *)
+(* The bound form of a written element that is not [normal], under
+   [now]: a fresh array of unix seconds. *)
+let bind_sweep ~now t =
+  let now = Chronon.to_unix_seconds now and n = raw_count t in
+  let starts = Array.make n 0 and ends = Array.make n 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    let s = bind now t.(2 * i) and e = bind now t.((2 * i) + 1) in
+    if s <= e then begin
+      starts.(!k) <- s;
+      ends.(!k) <- e;
+      incr k
+    end
+  done;
+  sweep ~starts ~ends !k
 
-let ground_union a b =
-  (* Both inputs are sorted and disjoint; a plain merge keeps the result
-     sorted, and one sweep restores disjointness. *)
-  let rec merge a b acc =
-    match a, b with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: ta, y :: tb ->
-      if compare_ground x y <= 0 then merge ta b (x :: acc)
-      else merge a tb (y :: acc)
+(* A bound form as the set algebra reads it: word [i] is
+   [g.(i) asr shift]. A normalized element is read in place, as its
+   encodings (shift 1); any other is bound and swept into seconds
+   (shift 0). *)
+type view = { g : int array; shift : int }
+
+let view ~now t =
+  if normal t then { g = t; shift = 1 } else { g = bind_sweep ~now t; shift = 0 }
+
+let seconds g = { g; shift = 0 }
+let at v i = v.g.(i) asr v.shift
+let words v = Array.length v.g
+let chronon v i = Chronon.of_unix_seconds (at v i)
+
+(* Encodes fresh bound seconds in place as the element they denote. *)
+let of_bound g =
+  for i = 0 to Array.length g - 1 do
+    g.(i) <- encode g.(i)
+  done;
+  g
+
+let normalize ~now t = if normal t then t else of_bound (bind_sweep ~now t)
+let coalesce = normalize
+
+let coalesce_bounds ~starts ~ends n = of_bound (sweep ~starts ~ends n)
+
+(* --- Bound-form set algebra (linear two-pointer merges) -------------- *)
+
+(* Each walk reads two views and calls [emit s e] on the periods of its
+   result, in order. [collect] runs a walk twice, first to count the
+   periods and then to fill an array of exactly that size: a large
+   result is allocated once, with no oversized buffer to trim. *)
+let collect walk a b =
+  let n = ref 0 in
+  walk a b (fun _ _ -> n := !n + 2);
+  let out = Array.make !n 0 and k = ref 0 in
+  walk a b (fun s e ->
+      out.(!k) <- s;
+      out.(!k + 1) <- e;
+      k := !k + 2);
+  out
+
+(* Merges the two inputs in start order, holding back the pending
+   period [cs, ce] while the next one overlaps or abuts it. *)
+let union_walk a b emit =
+  let na = words a and nb = words b in
+  let i = ref 0 and j = ref 0 and cs = ref 0 and ce = ref 0 and pending = ref false in
+  let add s e =
+    if !pending && s <= !ce + 1 then ce := Int.max !ce e
+    else begin
+      if !pending then emit !cs !ce;
+      pending := true;
+      cs := s;
+      ce := e
+    end
   in
-  sweep (merge a b [])
+  while !i < na || !j < nb do
+    if !j >= nb || (!i < na && at a !i <= at b !j) then begin
+      add (at a !i) (at a (!i + 1));
+      i := !i + 2
+    end
+    else begin
+      add (at b !j) (at b (!j + 1));
+      j := !j + 2
+    end
+  done;
+  if !pending then emit !cs !ce
 
-let ground_intersect a b =
-  let rec go a b acc =
-    match a, b with
-    | [], _ | _, [] -> List.rev acc
-    | (s1, e1) :: ta, (s2, e2) :: tb ->
-      let s = Chronon.max s1 s2 and e = Chronon.min e1 e2 in
-      let acc = if Chronon.compare s e <= 0 then (s, e) :: acc else acc in
-      if Chronon.compare e1 e2 < 0 then go ta b acc else go a tb acc
+let intersect_walk a b emit =
+  let na = words a and nb = words b in
+  let i = ref 0 and j = ref 0 in
+  while !i < na && !j < nb do
+    let e1 = at a (!i + 1) and e2 = at b (!j + 1) in
+    let s = Int.max (at a !i) (at b !j) and e = Int.min e1 e2 in
+    if s <= e then emit s e;
+    if e1 < e2 then i := !i + 2 else j := !j + 2
+  done
+
+let difference_walk a b emit =
+  let na = words a and nb = words b in
+  (* [s1] is what is left of the start of a's current period once the
+     b-periods before it have been cut away. *)
+  let i = ref 0 and j = ref 0 and s1 = ref (if na > 0 then at a 0 else 0) in
+  let next_a () =
+    i := !i + 2;
+    if !i < na then s1 := at a !i
   in
-  go a b []
+  while !i < na do
+    let e1 = at a (!i + 1) in
+    if !j >= nb then begin
+      emit !s1 e1;
+      next_a ()
+    end
+    else begin
+      let s2 = at b !j and e2 = at b (!j + 1) in
+      if e2 < !s1 then j := !j + 2
+      else if e1 < s2 then begin
+        emit !s1 e1;
+        next_a ()
+      end
+      else begin
+        (* The two overlap: keep any prefix of a's period before b's,
+           then continue with whatever of it extends past b's. *)
+        if !s1 < s2 then emit !s1 (s2 - 1);
+        if e1 <= e2 then next_a () else s1 := e2 + 1
+      end
+    end
+  done
 
-let ground_difference a b =
-  let rec go a b acc =
-    match a with
-    | [] -> List.rev acc
-    | (s1, e1) :: ta ->
-      match b with
-      | [] -> List.rev_append acc a
-      | (s2, e2) :: tb ->
-        if Chronon.compare e2 s1 < 0 then go a tb acc
-        else if Chronon.compare e1 s2 < 0 then go ta b ((s1, e1) :: acc)
-        else begin
-          (* The two heads overlap; keep any prefix of the a-head before
-             the b-head, then continue with whatever of the a-head
-             extends past the b-head. *)
-          let acc =
-            if Chronon.compare s1 s2 < 0 then (s1, Chronon.pred s2) :: acc
-            else acc
-          in
-          if Chronon.compare e1 e2 <= 0 then go ta b acc
-          else go ((Chronon.succ e2, e1) :: ta) b acc
-        end
-  in
-  go a b []
+let union_v = collect union_walk
+let intersect_v = collect intersect_walk
+let difference_v = collect difference_walk
 
-let ground_overlaps a b =
-  let rec go a b =
-    match a, b with
-    | [], _ | _, [] -> false
-    | (s1, e1) :: ta, (s2, e2) :: tb ->
-      if Chronon.compare (Chronon.max s1 s2) (Chronon.min e1 e2) <= 0 then true
-      else if Chronon.compare e1 e2 < 0 then go ta b
-      else go a tb
-  in
-  go a b
+let rec overlaps_from a b i j =
+  i < words a
+  && j < words b
+  &&
+  let e1 = at a (i + 1) and e2 = at b (j + 1) in
+  Int.max (at a i) (at b j) <= Int.min e1 e2
+  || if e1 < e2 then overlaps_from a b (i + 2) j else overlaps_from a b i (j + 2)
 
-(* a ⊇ b: every b-period lies inside a single a-period. Both inputs are
-   normalized, so a linear walk suffices. *)
-let ground_contains a b =
-  let rec go a b =
-    match b with
-    | [] -> true
-    | (s2, e2) :: tb ->
-      match a with
-      | [] -> false
-      | (s1, e1) :: ta ->
-        if Chronon.compare e1 s2 < 0 then go ta b
-        else Chronon.compare s1 s2 <= 0 && Chronon.compare e2 e1 <= 0 && go a tb
-  in
-  go a b
+(* a ⊇ b: every b-period lies inside a single a-period. *)
+let rec contains_from a b i j =
+  j >= words b
+  || i < words a
+     &&
+     let e1 = at a (i + 1) and s2 = at b j in
+     if e1 < s2 then contains_from a b (i + 2) j
+     else at a i <= s2 && at b (j + 1) <= e1 && contains_from a b i (j + 2)
 
-let ground_complement ~within:(lo, hi) a =
-  ground_difference [ (lo, hi) ] a
+let overlaps_v a b = overlaps_from a b 0 0
+let contains_v a b = contains_from a b 0 0
 
-let ground_length gs =
-  let add acc (s, e) = Span.add acc (Chronon.diff e s) in
-  List.fold_left add Span.zero gs
+let length_v v =
+  let sum = ref 0 in
+  for i = 0 to (words v / 2) - 1 do
+    sum := !sum + (at v ((2 * i) + 1) - at v (2 * i))
+  done;
+  Span.of_seconds !sum
+
+(* --- Ground lists ------------------------------------------------------ *)
+
+let view_of_ground gs =
+  let g = Array.make (2 * List.length gs) 0 in
+  List.iteri
+    (fun i (s, e) ->
+      g.(2 * i) <- Chronon.to_unix_seconds s;
+      g.((2 * i) + 1) <- Chronon.to_unix_seconds e)
+    gs;
+  seconds g
+
+let ground_of_view v =
+  List.init (words v / 2) (fun i -> (chronon v (2 * i), chronon v ((2 * i) + 1)))
+
+let ground ~now t = ground_of_view (view ~now t)
+let lift2 op a b = ground_of_view (seconds (op (view_of_ground a) (view_of_ground b)))
+let ground_union = lift2 union_v
+let ground_intersect = lift2 intersect_v
+let ground_difference = lift2 difference_v
+let ground_overlaps a b = overlaps_v (view_of_ground a) (view_of_ground b)
+let ground_length gs = length_v (view_of_ground gs)
 
 (* --- Element-level API --------------------------------------------- *)
 
-let union ~now a b = of_ground_list (ground_union (ground ~now a) (ground ~now b))
-let intersect ~now a b =
-  of_ground_list (ground_intersect (ground ~now a) (ground ~now b))
-let difference ~now a b =
-  of_ground_list (ground_difference (ground ~now a) (ground ~now b))
+let of_ground_list gs = of_bound (view_of_ground gs).g
+let union ~now a b = of_bound (union_v (view ~now a) (view ~now b))
+let intersect ~now a b = of_bound (intersect_v (view ~now a) (view ~now b))
+let difference ~now a b = of_bound (difference_v (view ~now a) (view ~now b))
+
 let complement ~now ~within t =
   match Period.ground ~now within with
   | None -> empty
-  | Some g -> of_ground_list (ground_complement ~within:g (ground ~now t))
-
-let overlaps ~now a b = ground_overlaps (ground ~now a) (ground ~now b)
-let contains ~now a b = ground_contains (ground ~now a) (ground ~now b)
+  | Some g -> of_bound (difference_v (view_of_ground [ g ]) (view ~now t))
 
 (* --- NOW-free overlap (the batch executor's per-row test) ----------- *)
 
 type overlap = Hit | Miss | Not_finite
 
-(* Raw instants are read through [:> int]: bit 0 is the NOW-relative
-   tag, and two fixed instants compare like their chronons (see
-   Instant). Empty (inverted) periods never match. *)
-let rec meets_fixed s1 e1 = function
-  | [] -> false
-  | { Period.start_; end_ } :: rest ->
-    let s2 = (start_ :> int) and e2 = (end_ :> int) in
-    ((s2 lor e2) land 1 = 0 && s2 <= e2 && s1 <= e2 && s2 <= e1)
-    || meets_fixed s1 e1 rest
-
-let rec has_now_relative = function
-  | [] -> false
-  | { Period.start_; end_ } :: rest ->
-    ((start_ :> int) lor (end_ :> int)) land 1 = 1 || has_now_relative rest
+(* Raw instants: bit 0 is the NOW-relative tag, and two fixed instants
+   compare like their chronons (see Instant). Empty (inverted) periods
+   never match. *)
+let rec meets_fixed s1 e1 b j =
+  j < Array.length b
+  &&
+  let s2 = b.(j) and e2 = b.(j + 1) in
+  ((s2 lor e2) land 1 = 0 && s2 <= e2 && s1 <= e2 && s2 <= e1)
+  || meets_fixed s1 e1 b (j + 2)
 
 (* A hit between fixed periods holds under any NOW; a miss is final only
    when no period of either side has a NOW-relative endpoint. *)
-let rec overlap_from ~relative a b =
-  match a with
-  | [] -> if relative || has_now_relative b then Not_finite else Miss
-  | { Period.start_; end_ } :: rest ->
-    let s1 = (start_ :> int) and e1 = (end_ :> int) in
-    if (s1 lor e1) land 1 = 1 then overlap_from ~relative:true rest b
-    else if s1 <= e1 && meets_fixed s1 e1 b then Hit
-    else overlap_from ~relative rest b
+let rec overlap_from a b i relative =
+  if i >= Array.length a then
+    if relative || is_now_relative b then Not_finite else Miss
+  else
+    let s1 = a.(i) and e1 = a.(i + 1) in
+    if (s1 lor e1) land 1 = 1 then overlap_from a b (i + 2) true
+    else if s1 <= e1 && meets_fixed s1 e1 b 0 then Hit
+    else overlap_from a b (i + 2) relative
 
-let overlap a b = overlap_from ~relative:false a b
+let overlap a b = overlap_from a b 0 false
+
+let overlaps ~now a b =
+  match overlap a b with
+  | Hit -> true
+  | Miss -> false
+  | Not_finite -> overlaps_v (view ~now a) (view ~now b)
+
+let contains ~now a b = contains_v (view ~now a) (view ~now b)
+
+(* --- Observations ---------------------------------------------------- *)
 
 let contains_chronon ~now t c =
-  List.exists (fun p -> Period.contains_chronon ~now p c) t
+  let c = Chronon.to_unix_seconds c in
+  contains_v (view ~now t) (seconds [| c; c |])
 
 let contains_period ~now t p =
   match Period.ground ~now p with
   | None -> true
-  | Some g -> ground_contains (ground ~now t) [ g ]
+  | Some g -> contains_v (view ~now t) (view_of_ground [ g ])
 
-let is_empty ~now t = ground ~now t = []
+let is_empty ~now t = words (view ~now t) = 0
+let count ~now t = words (view ~now t) / 2
+let length ~now t = length_v (view ~now t)
 
-(* Number of periods after normalization. *)
-let count ~now t = List.length (ground ~now t)
+(* [t]'s bound form and its word count; [None] for an empty element. *)
+let ends ~now t =
+  let v = view ~now t in
+  let n = words v in
+  if n = 0 then None else Some (v, n)
 
-let length ~now t = ground_length (ground ~now t)
-
-let start ~now t =
-  match ground ~now t with [] -> None | (s, _) :: _ -> Some s
-
-let end_ ~now t =
-  match ground ~now t with
-  | [] -> None
-  | gs -> let _, e = List.nth gs (List.length gs - 1) in Some e
-
-let first ~now t =
-  match ground ~now t with [] -> None | g :: _ -> Some (Period.of_ground g)
-
-let last ~now t =
-  match ground ~now t with
-  | [] -> None
-  | gs -> Some (Period.of_ground (List.nth gs (List.length gs - 1)))
+let start ~now t = Option.map (fun (v, _) -> chronon v 0) (ends ~now t)
+let end_ ~now t = Option.map (fun (v, n) -> chronon v (n - 1)) (ends ~now t)
+let period v i j = Period.of_chronons (chronon v i) (chronon v j)
+let first ~now t = Option.map (fun (v, _) -> period v 0 1) (ends ~now t)
+let last ~now t = Option.map (fun (v, n) -> period v (n - 2) (n - 1)) (ends ~now t)
 
 (* Smallest single period covering the whole element. *)
-let extent ~now t =
-  match start ~now t, end_ ~now t with
-  | Some s, Some e -> Some (Period.of_chronons s e)
-  | _, _ -> None
+let extent ~now t = Option.map (fun (v, n) -> period v 0 (n - 1)) (ends ~now t)
 
 let equal_at ~now a b =
-  let ga = ground ~now a and gb = ground ~now b in
-  List.length ga = List.length gb
-  && List.for_all2
-       (fun (s1, e1) (s2, e2) -> Chronon.equal s1 s2 && Chronon.equal e1 e2)
-       ga gb
+  let va = view ~now a and vb = view ~now b in
+  let rec same i = i >= words va || (at va i = at vb i && same (i + 1)) in
+  words va = words vb && same 0
 
 (* Structural equality of the written representation. *)
-let equal a b =
-  List.length a = List.length b && List.for_all2 Period.equal a b
+let equal (a : t) b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
-let fold f init t = List.fold_left f init t
-let iter f t = List.iter f t
+(* --- Text -------------------------------------------------------------- *)
 
 let to_buffer b t =
   Buffer.add_char b '{';
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_string b ", ";
-      Period.to_buffer b p)
-    t;
+  for i = 0 to raw_count t - 1 do
+    if i > 0 then Buffer.add_string b ", ";
+    Buffer.add_char b '[';
+    Instant.to_buffer b (Instant.of_encoding t.(2 * i));
+    Buffer.add_string b ", ";
+    Instant.to_buffer b (Instant.of_encoding t.((2 * i) + 1));
+    Buffer.add_char b ']'
+  done;
   Buffer.add_char b '}'
 
 let to_string t =
@@ -319,21 +431,26 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 let scan s =
   Scan.expect_char s '{';
   Scan.skip_ws s;
-  if Scan.eat_char s '}' then []
+  if Scan.eat_char s '}' then empty
   else begin
+    (* The raw endpoints, newest first. *)
     let rec loop acc =
       let p = Period.scan s in
+      let acc = raw p.end_ :: raw p.start_ :: acc in
       Scan.skip_ws s;
       if Scan.eat_char s ',' then begin
         Scan.skip_ws s;
-        loop (p :: acc)
+        loop acc
       end
       else begin
         Scan.expect_char s '}';
-        List.rev (p :: acc)
+        acc
       end
     in
-    loop []
+    let acc = loop [] in
+    let t = Array.make (List.length acc) 0 in
+    List.iteri (fun i x -> t.(Array.length t - 1 - i) <- x) acc;
+    t
   end
 
 let of_string str =

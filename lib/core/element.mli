@@ -4,10 +4,12 @@
     [{[1999-01-01, 1999-04-30], [1999-07-01, 1999-10-31]}].
 
     An element is stored as written — its periods may be NOW-relative,
-    overlapping or out of order — and is {e normalized} under a NOW
-    binding into sorted, disjoint, maximal ground periods (adjacent
-    periods coalesce, since time is discrete). All set operations run in
-    time linear in the number of periods of their normalized inputs. *)
+    overlapping or out of order — in one flat block of raw instants, and
+    is {e normalized} under a NOW binding into sorted, disjoint, maximal
+    ground periods (adjacent periods coalesce, since time is discrete).
+    All set operations run in time linear in the number of periods of
+    their normalized inputs; an element that is normalized as written,
+    as every result of the set algebra is, skips the normalizing sort. *)
 
 type t
 
@@ -20,6 +22,10 @@ val add_period : Period.t -> t -> t
 
 (** Period count before normalization. *)
 val raw_count : t -> int
+
+(** [iter_bounds f t] calls [f start end_] on each period as written, in
+    order, and allocates nothing. *)
+val iter_bounds : (Instant.t -> Instant.t -> unit) -> t -> unit
 
 val is_now_relative : t -> bool
 
@@ -100,12 +106,9 @@ val equal_at : now:Chronon.t -> t -> t -> bool
 (** Structural equality of the written representation. *)
 val equal : t -> t -> bool
 
-val fold : ('a -> Period.t -> 'a) -> 'a -> t -> 'a
-val iter : (Period.t -> unit) -> t -> unit
-
 (** {1 Ground-level algebra}
 
-    Exposed for testing and benchmarking; inputs must be sorted, disjoint
+    Exposed for testing; inputs must be sorted, disjoint
     and maximal (as produced by {!ground}). *)
 
 val ground_union : Period.ground list -> Period.ground list -> Period.ground list
@@ -113,10 +116,7 @@ val ground_intersect :
   Period.ground list -> Period.ground list -> Period.ground list
 val ground_difference :
   Period.ground list -> Period.ground list -> Period.ground list
-val ground_complement :
-  within:Period.ground -> Period.ground list -> Period.ground list
 val ground_overlaps : Period.ground list -> Period.ground list -> bool
-val ground_contains : Period.ground list -> Period.ground list -> bool
 val ground_length : Period.ground list -> Span.t
 
 (** {1 Text} *)

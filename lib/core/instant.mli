@@ -21,6 +21,9 @@ val max_seconds : int
 (** @raise Invalid_argument outside {!min_seconds}..{!max_seconds}. *)
 val of_chronon : Chronon.t -> t
 
+(** [of_encoding (t :> int)] is [t]: every int encodes an instant. *)
+val of_encoding : int -> t
+
 (** The symbol NOW itself. *)
 val now : t
 

@@ -107,7 +107,9 @@ let dml_matches cx ~qual table where =
     | Plan.Index_scan { btree; lo; hi; _ } ->
       List.sort_uniq Int.compare (Btree.range btree ~lo ~hi)
     | Plan.Interval_scan { index; lo; hi; _ } ->
-      Array.to_list (Executor.interval_rids table index ~lo ~hi)
+      (match Executor.interval_rids table index ~lo ~hi with
+      | Table.Slots n -> List.init n Fun.id
+      | Table.Rids rids -> Array.to_list rids)
     | _ -> Table.rids table);
   List.rev !matches
 

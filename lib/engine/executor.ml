@@ -188,6 +188,15 @@ let make_runner ctx (spec : Plan.agg_spec) : runner =
 
 (* --- Hash aggregation --------------------------------------------------------- *)
 
+(* Folds [row] into every runner: a loop rather than [List.iter] over a
+   fresh closure, so a step allocates nothing of its own. *)
+let rec step_all runners row =
+  match runners with
+  | [] -> ()
+  | r :: rest ->
+    r.step row;
+    step_all rest row
+
 (* A group's output row: its key, then each aggregate's final value. *)
 let emit_group (key, runners) =
   Array.of_list (key @ List.map (fun r -> r.final ()) runners)
@@ -211,20 +220,20 @@ let group_table ctx keys aggs =
       let runners = ref [] in
       fun row ->
         (match !order with [] -> runners := create [] | _ :: _ -> ());
-        List.iter (fun r -> r.step row) !runners
+        step_all !runners row
     | [ ck ] ->
       let groups : runner list Val_table.t = Val_table.create 64 in
       fun row ->
         let key = ck ctx row in
         let runners =
-          match Val_table.find_opt groups key with
-          | Some runners -> runners
-          | None ->
+          match Val_table.find groups key with
+          | runners -> runners
+          | exception Not_found ->
             let runners = create [ key ] in
             Val_table.replace groups key runners;
             runners
         in
-        List.iter (fun r -> r.step row) runners
+        step_all runners row
     | _ ->
       let groups : runner list Key_table.t = Key_table.create 64 in
       fun row ->
@@ -237,7 +246,7 @@ let group_table ctx keys aggs =
             Key_table.replace groups key runners;
             runners
         in
-        List.iter (fun r -> r.step row) runners
+        step_all runners row
   in
   (step, fun () -> List.rev !order)
 
@@ -348,8 +357,8 @@ let instrumented_seq (stats : Plan.op_stats) (produce : unit -> Value.t array Se
    makes a plain scan equivalent, so degrade to one. *)
 let interval_rids table index ~lo ~hi =
   let rids = Interval_index.query_overlaps index ~lo ~hi in
-  if List.length rids > Table.row_count table / 2 then Table.rids_array table
-  else Array.of_list (List.sort_uniq Int.compare rids)
+  if List.length rids > Table.row_count table / 2 then Table.scan table
+  else Table.Rids (Array.of_list (List.sort_uniq Int.compare rids))
 
 (* --- Chunks ------------------------------------------------------------------ *)
 
@@ -386,10 +395,11 @@ let ensure_capacity c n =
 
 (* Fill [c] with the live rows of rids[lo, lo+len) and reset the
    selection vector to identity. *)
-let fill_chunk table (rids : int array) lo len c =
+let fill_chunk table (scan : Table.scan) lo len c =
   let n = ref 0 in
   for i = lo to lo + len - 1 do
-    match Table.get table rids.(i) with
+    let rid = match scan with Table.Slots _ -> i | Table.Rids rids -> rids.(i) in
+    match Table.get table rid with
     | Some row ->
       c.rows.(!n) <- row;
       c.sel.(!n) <- !n;
@@ -418,7 +428,7 @@ let fill_chunk_from c cap rows =
 
 (* A pipeline's source: the rids of a leaf scan, read from its table, or
    the row stream of any other operator. *)
-type source = Rids of Table.t * int array | Rows of Value.t array Seq.t
+type source = Rids of Table.t * Table.scan | Rows of Value.t array Seq.t
 
 (* A pipeline: its source, and the fused stages above it as one
    function. Stages own reusable output chunks, so a compiled pipeline
@@ -437,7 +447,7 @@ let chunk_rows n = if Failpoint.active () then 1 else Stdlib.min chunk_size n
 let chunks ctx ((src, stage) : pipeline) : chunk Seq.t =
   match src with
   | Rids (table, rids) ->
-    let n = Array.length rids in
+    let n = match rids with Table.Slots n -> n | Table.Rids rids -> Array.length rids in
     Metrics.add m_rows_scanned n;
     Deadline.charge_rows_scanned ctx.Expr_eval.token n;
     let cap = chunk_rows n in
@@ -625,13 +635,13 @@ let rec run ctx (plan : Plan.t) : Value.t array Seq.t =
 and pipeline ctx (plan : Plan.t) : pipeline =
   match plan with
   | Plan.Seq_scan { table; _ } ->
-    (* The rid array is a snapshot, so concurrent mutation cannot skew
-       the scan. *)
-    (Rids (table, Table.rids_array table), Fun.id)
+    (* The rid set is fixed when the scan starts, so concurrent mutation
+       cannot skew it. *)
+    (Rids (table, Table.scan table), Fun.id)
   | Plan.Index_scan { table; btree; lo; hi; _ } ->
     (* Rids come back in key order — the planner relies on this to
        satisfy ORDER BY from an index. *)
-    (Rids (table, Array.of_list (Btree.range btree ~lo ~hi)), Fun.id)
+    (Rids (table, Table.Rids (Array.of_list (Btree.range btree ~lo ~hi))), Fun.id)
   | Plan.Interval_scan { table; index; lo; hi; _ } ->
     (Rids (table, interval_rids table index ~lo ~hi), Fun.id)
   | Plan.Filter { input; bpred; _ } ->

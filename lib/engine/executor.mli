@@ -24,10 +24,10 @@ val run : Expr_eval.ctx -> Plan.t -> Value.t array Seq.t
 val collect : Expr_eval.ctx -> Plan.t -> Value.t array list
 
 (** The rids an interval scan visits, ascending and without duplicates
-    (every live rid once the probe window matches over half the
+    (a full {!Table.scan} once the probe window matches over half the
     table). *)
 val interval_rids :
-  Table.t -> Interval_index.t -> lo:int -> hi:int -> int array
+  Table.t -> Interval_index.t -> lo:int -> hi:int -> Table.scan
 
 (** Most rows a chunk holds (1024). *)
 val chunk_size : int

@@ -617,6 +617,13 @@ let cmp_kernel op ca cb ext : batch_pred =
     | Ast.Ge -> ( >= )
     | _ -> assert false
   in
+  (* String (in)equality needs no ordering. *)
+  let test_str : string -> string -> bool =
+    match op with
+    | Ast.Eq -> String.equal
+    | Ast.Neq -> fun x y -> not (String.equal x y)
+    | _ -> fun x y -> test (String.compare x y) 0
+  in
   let app = binop_applier ext op in
   fun ctx rows ~sel ~n ->
     let k = ref 0 in
@@ -627,7 +634,7 @@ let cmp_kernel op ca cb ext : batch_pred =
       let keep =
         match a, b with
         | Value.Int x, Value.Int y -> test x y
-        | Value.Str x, Value.Str y -> test (String.compare x y) 0
+        | Value.Str x, Value.Str y -> test_str x y
         | Value.Null, _ | _, Value.Null -> false
         | _, _ -> pred_truth (app ~now:ctx.now a b)
       in

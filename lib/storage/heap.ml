@@ -14,6 +14,7 @@ type t = {
 let create () = { slots = Vec.create ~dummy:None; free = []; live = 0 }
 
 let live_count t = t.live
+let slot_count t = Vec.length t.slots
 
 let insert t row =
   t.live <- t.live + 1;

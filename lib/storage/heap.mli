@@ -10,6 +10,9 @@ type t
 val create : unit -> t
 val live_count : t -> int
 
+(** Slots ever used, live or tombstoned: every row id is below it. *)
+val slot_count : t -> int
+
 (** Stores a row, reusing a tombstone slot when one is free; returns the
     row id. *)
 val insert : t -> row -> int

@@ -180,9 +180,14 @@ let rids t =
   charge_scan t;
   Heap.rids t.heap
 
-let rids_array t =
+type scan = Slots of int | Rids of int array
+
+(* A heap without tombstones is dense: its first [n] slots are its rows,
+   so the scan needs no rid array. *)
+let scan t =
   charge_scan t;
-  Heap.rids_array t.heap
+  let n = Heap.slot_count t.heap in
+  if Heap.live_count t.heap = n then Slots n else Rids (Heap.rids_array t.heap)
 
 let iteri f t =
   charge_scan t;

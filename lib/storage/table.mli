@@ -48,8 +48,14 @@ val get : t -> int -> Value.t array option
 val get_exn : t -> int -> Value.t array
 val rids : t -> int list
 
-(** Live row ids, ascending, as a fresh array (see {!Heap.rids_array}). *)
-val rids_array : t -> int array
+(** The row ids a full scan visits, fixed when it starts. *)
+type scan =
+  | Slots of int  (** every id below this count: the heap has no tombstones *)
+  | Rids of int array  (** these live ids, ascending (see {!Heap.rids_array}) *)
+
+(** A full scan's row ids. A row deleted after the call reads as absent,
+    and a slot first used after it is not visited. *)
+val scan : t -> scan
 val iteri : (int -> Value.t array -> unit) -> t -> unit
 val fold : ('a -> Value.t array -> 'a) -> 'a -> t -> 'a
 
@@ -59,7 +65,7 @@ val fold : ('a -> Value.t array -> 'a) -> 'a -> t -> 'a
     charged in bulk (one atomic add per scan entry, one per mutation),
     never per row. *)
 
-(** Full-scan entries ({!rids}, {!rids_array}, {!iteri}, {!fold}). *)
+(** Full-scan entries ({!rids}, {!scan}, {!iteri}, {!fold}). *)
 val scan_count : t -> int
 
 (** Cumulative live rows visible to those scans. *)

@@ -139,6 +139,8 @@ let compare a b =
 
 let equal a b =
   match a, b with
+  | Int x, Int y -> Int.equal x y
+  | Str x, Str y -> String.equal x y
   | Ext (n1, _), Ext (n2, _) when not (String.equal n1 n2) -> false
   | Ext (n, _), Ext (_, _) -> (
     (* Same extension type: use its ordering when it has one, otherwise

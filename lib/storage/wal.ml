@@ -373,24 +373,40 @@ let leading_generation log =
 
 (* --- Replay ------------------------------------------------------------ *)
 
-(* Finds the first (lowest-rid) live row equal to [row]. *)
+(* Finds the first (lowest-rid) live row equal to [row]. An ordered
+   index on a column where [row] is not NULL narrows the candidates to
+   the rows sharing that key; only a table without one pays a full scan. *)
 let find_row table row =
-  let exception Found of int in
-  match
-    Table.iteri
-      (fun rid stored ->
-        if
-          Array.length stored = Array.length row
-          && (let rec eq i =
-                i >= Array.length row
-                || (Value.equal stored.(i) row.(i) && eq (i + 1))
-              in
-              eq 0)
-        then raise (Found rid))
-      table
-  with
-  | () -> None
-  | exception Found rid -> Some rid
+  let equal stored =
+    Array.length stored = Array.length row && Array.for_all2 Value.equal stored row
+  in
+  let probe =
+    List.find_map
+      (fun idx ->
+        let c = idx.Table.idx_column in
+        match idx.Table.impl with
+        | Table.Ordered_impl bt
+          when c < Array.length row && not (Value.is_null row.(c)) ->
+          Some (Btree.find bt row.(c))
+        | Table.Ordered_impl _ | Table.Interval_impl _ -> None)
+      (Table.indexes table)
+  in
+  match probe with
+  | Some rids ->
+    List.fold_left
+      (fun best rid ->
+        let lower = match best with Some b -> rid < b | None -> true in
+        match Table.get table rid with
+        | Some stored when lower && equal stored -> Some rid
+        | Some _ | None -> best)
+      None rids
+  | None -> (
+    let exception Found of int in
+    match
+      Table.iteri (fun rid stored -> if equal stored then raise (Found rid)) table
+    with
+    | () -> None
+    | exception Found rid -> Some rid)
 
 let row_types table =
   Array.map (fun c -> c.Schema.ty) (Table.schema table).Schema.columns

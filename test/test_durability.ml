@@ -139,6 +139,43 @@ let sample_catalog () =
     (Catalog.create_table catalog (Schema.make ~table_name:"t" sample_columns));
   catalog
 
+(* Replayed DELETEs and UPDATEs find their row through an ordered index
+   when the table has one, with no full scan, and still pick the lowest
+   rid among equal rows. *)
+let check_replay_probes_index () =
+  let catalog = Catalog.create () in
+  let columns ~key =
+    [ Schema.make_column ~primary_key:key "a" Schema.T_int;
+      Schema.make_column "b" (Schema.T_char (Some 8)) ]
+  in
+  List.iter (Wal.apply catalog)
+    ([ Wal.Create_table { table = "kv"; columns = columns ~key:true };
+       Wal.Create_table { table = "dup"; columns = columns ~key:false };
+       Wal.Create_index
+         { idx_name = "dup_a"; table = "dup"; column = "a"; interval = false;
+           unique = false } ]
+    @ List.init 200 (fun i ->
+          Wal.Insert { table = "kv"; cells = [| string_of_int i; "v" |] })
+    @ List.init 3 (fun _ -> Wal.Insert { table = "dup"; cells = [| "7"; "x" |] }));
+  let kv = Catalog.table_exn catalog "kv" and dup = Catalog.table_exn catalog "dup" in
+  let scans_before = Table.scan_count kv + Table.scan_count dup in
+  for i = 0 to 199 do
+    Wal.apply catalog
+      (Wal.Update
+         { table = "kv";
+           old_cells = [| string_of_int i; "v" |];
+           new_cells = [| string_of_int i; "w" |] })
+  done;
+  Wal.apply catalog (Wal.Delete { table = "kv"; cells = [| "5"; "w" |] });
+  Wal.apply catalog (Wal.Delete { table = "dup"; cells = [| "7"; "x" |] });
+  Alcotest.(check int) "no full scan" scans_before
+    (Table.scan_count kv + Table.scan_count dup);
+  Alcotest.(check int) "kv rows" 199 (Table.row_count kv);
+  Alcotest.(check bool) "every update applied" true
+    (Table.fold (fun ok row -> ok && row.(1) = Value.Str "w") true kv);
+  Alcotest.(check (option reject)) "lowest equal rid deleted" None (Table.get dup 0);
+  Alcotest.(check int) "other equal rows kept" 2 (Table.row_count dup)
+
 (* A log with 3 committed batches for the torn-tail tests. *)
 let write_sample_log path =
   let w = Wal.create ~sync:Wal.Always ~gen:1 path in
@@ -912,6 +949,8 @@ let suite =
   [ Alcotest.test_case "crc32 vectors" `Quick check_crc32;
     Alcotest.test_case "WAL record round-trip" `Quick check_record_roundtrip;
     Alcotest.test_case "sync policy parsing" `Quick check_sync_policy_parse;
+    Alcotest.test_case "replay probes an index, lowest rid first" `Quick
+      check_replay_probes_index;
     Alcotest.test_case "torn tail never raises" `Quick check_torn_tail;
     Alcotest.test_case "bit flip caught by CRC" `Quick check_bit_flip_detected;
     Alcotest.test_case "snapshot save is atomic" `Quick check_atomic_snapshot;

@@ -45,6 +45,11 @@ let check_set_ops () =
     (norm (el "{[1999-01-01, 1999-02-28 23:59:59]}"))
     (Element.difference ~now a b);
   Alcotest.(check bool) "overlaps" true (Element.overlaps ~now a b);
+  (* Closed periods sharing one chronon overlap, with or without NOW. *)
+  let upto = el "{[1999-01-01, 1999-03-01]}" and from = el "{[1999-03-01, 1999-06-30]}" in
+  Alcotest.(check bool) "shared endpoint: NOW-free hit" true
+    (Element.overlap upto from = Element.Hit && Element.overlap from upto = Element.Hit);
+  Alcotest.(check bool) "shared endpoint: overlaps" true (Element.overlaps ~now upto from);
   Alcotest.(check bool) "contains" true
     (Element.contains ~now (el "{[1998-01-01, 2000-01-01]}") a);
   Alcotest.(check bool) "not contains" false (Element.contains ~now a b)
@@ -156,6 +161,126 @@ let prop_overlaps_matches =
       Element.ground_overlaps (via_element a) (via_element b)
       = Element_naive.overlaps (via_naive a) (via_naive b))
 
+(* --- Written elements against the naive oracle ------------------------ *)
+
+(* Elements as written: up to 8 periods, unsorted, overlapping, inverted
+   or NOW-relative, over a span of seconds that several NOW bindings
+   below straddle. Endpoints fall on a coarse grid, so periods often
+   touch, abut or share an endpoint. *)
+let written_arb =
+  let open QCheck in
+  let grid lo hi = Gen.map (fun k -> k * 50) (Gen.int_range (lo / 50) (hi / 50)) in
+  let instant =
+    Gen.(
+      frequency
+        [ (3, map (fun s -> Instant.of_chronon (Chronon.of_unix_seconds s)) (grid 0 6_000));
+          (1, map (fun d -> Instant.now_plus (Span.of_seconds d)) (grid (-3_000) 3_000)) ])
+  in
+  let period = Gen.map2 Period.of_instants instant instant in
+  make ~print:Element.to_string
+    Gen.(map Element.of_periods (list_size (int_range 0 8) period))
+
+let nows = List.map Chronon.of_unix_seconds [ 0; 1_500; 3_000; 6_500 ]
+
+(* The oracle's normalization: bind each written period under [now], drop
+   the empty ones, then merge by repeated insertion. *)
+let naive_ground ~now e =
+  Element_naive.normalized
+    (List.fold_left Element_naive.insert_period []
+       (List.filter_map (Period.ground ~now) (Element.periods e)))
+
+let at_every_now f = List.for_all (fun now -> f ~now) nows
+
+let prop_overlap_matches_overlaps =
+  QCheck.Test.make ~name:"NOW-free overlap agrees with overlaps at every NOW"
+    ~count:1000 (QCheck.pair written_arb written_arb) (fun (a, b) ->
+      at_every_now (fun ~now ->
+          let expected =
+            Element_naive.overlaps (naive_ground ~now a) (naive_ground ~now b)
+          in
+          Element.overlaps ~now a b = expected
+          &&
+          match Element.overlap a b with
+          | Element.Hit -> expected
+          | Element.Miss -> not expected
+          | Element.Not_finite -> Element.is_now_relative a || Element.is_now_relative b))
+
+let prop_coalesce_bounds_is_normalize =
+  QCheck.Test.make ~name:"coalesce_bounds = normalize" ~count:1000 ground_set_arb
+    (fun ps ->
+      let n = List.length ps in
+      let starts = Array.of_list (List.map (fun (s, _) -> Chronon.to_unix_seconds s) ps)
+      and ends = Array.of_list (List.map (fun (_, e) -> Chronon.to_unix_seconds e) ps) in
+      Element.equal
+        (Element.coalesce_bounds ~starts ~ends n)
+        (Element.normalize ~now (Element.of_ground_list ps)))
+
+let chronon_opt = Alcotest.(option (testable Chronon.pp Chronon.equal))
+
+let prop_observers_match =
+  QCheck.Test.make ~name:"observers = naive oracle at every NOW" ~count:1000
+    written_arb (fun e ->
+      at_every_now (fun ~now ->
+          let g = naive_ground ~now e in
+          let ends = List.rev g in
+          Element.ground ~now e = g
+          && Element.ground ~now (Element.normalize ~now e) = g
+          && Element.count ~now e = List.length g
+          && Element.is_empty ~now e = (g = [])
+          && Span.equal (Element.length ~now e)
+               (List.fold_left (fun acc (s, e) -> Span.add acc (Chronon.diff e s)) Span.zero g)
+          && Alcotest.equal chronon_opt (Element.start ~now e)
+               (match g with (s, _) :: _ -> Some s | [] -> None)
+          && Alcotest.equal chronon_opt (Element.end_ ~now e)
+               (match ends with (_, e) :: _ -> Some e | [] -> None)
+          && Option.map (Period.ground ~now) (Element.extent ~now e)
+             = (match g, ends with
+               | (s, _) :: _, (_, e) :: _ -> Some (Some (s, e))
+               | _, _ -> None)
+          && Option.map (Period.ground ~now) (Element.first ~now e)
+             = Option.map Option.some (List.nth_opt g 0)
+          && Option.map (Period.ground ~now) (Element.last ~now e)
+             = Option.map Option.some (List.nth_opt ends 0)))
+
+let prop_contains_match =
+  QCheck.Test.make ~name:"contains* and complement = naive oracle at every NOW"
+    ~count:1000 (QCheck.pair written_arb written_arb) (fun (a, b) ->
+      let within = Period.of_chronons (Chronon.of_unix_seconds 500) (Chronon.of_unix_seconds 5_000) in
+      at_every_now (fun ~now ->
+          let ga = naive_ground ~now a and gb = naive_ground ~now b in
+          let covered (s, e) =
+            List.exists
+              (fun (s', e') -> Chronon.compare s' s <= 0 && Chronon.compare e e' <= 0)
+              ga
+          in
+          Element.contains ~now a b = List.for_all covered gb
+          && List.for_all
+               (fun c ->
+                 let c = Chronon.of_unix_seconds c in
+                 Element.contains_chronon ~now a c
+                 = List.exists
+                     (fun (s, e) -> Chronon.compare s c <= 0 && Chronon.compare c e <= 0)
+                     ga)
+               [ 0; 1; 499; 500; 2_999; 3_000; 6_000; 9_000 ]
+          && List.for_all
+               (fun p ->
+                 Element.contains_period ~now a p
+                 = match Period.ground ~now p with None -> true | Some g -> covered g)
+               (Element.periods b)
+          && Element.ground ~now (Element.complement ~now ~within a)
+             = Element_naive.normalized
+                 (Element_naive.difference (Option.to_list (Period.ground ~now within)) ga)))
+
+(* Printing returns the literal exactly as written, whatever its order,
+   overlaps, inverted periods or NOW-relative endpoints. *)
+let prop_text_as_written =
+  QCheck.Test.make ~name:"to_string (of_string_exn s) = s as written" ~count:1000
+    written_arb (fun e ->
+      let text =
+        "{" ^ String.concat ", " (List.map Period.to_string (Element.periods e)) ^ "}"
+      in
+      String.equal (Element.to_string (Element.of_string_exn text)) text)
+
 (* --- Algebraic laws -------------------------------------------------- *)
 
 let to_el ps = Element.of_ground_list ps
@@ -221,6 +346,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_intersect_matches;
     QCheck_alcotest.to_alcotest prop_difference_matches;
     QCheck_alcotest.to_alcotest prop_overlaps_matches;
+    QCheck_alcotest.to_alcotest prop_overlap_matches_overlaps;
+    QCheck_alcotest.to_alcotest prop_coalesce_bounds_is_normalize;
+    QCheck_alcotest.to_alcotest prop_observers_match;
+    QCheck_alcotest.to_alcotest prop_contains_match;
+    QCheck_alcotest.to_alcotest prop_text_as_written;
     QCheck_alcotest.to_alcotest prop_union_commutes;
     QCheck_alcotest.to_alcotest prop_intersect_subset;
     QCheck_alcotest.to_alcotest prop_difference_disjoint;

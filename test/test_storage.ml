@@ -259,6 +259,42 @@ let check_heap () =
 
 (* --- Table ------------------------------------------------------------------ *)
 
+(* A full scan reads a heap without tombstones slot by slot and one with
+   tombstones through its live rids; both see the same rows. Each table
+   spans several executor chunks. *)
+let check_dense_scan () =
+  let module Db = Tip_engine.Database in
+  let db = Db.create () in
+  let exec sql = ignore (Db.exec db sql) in
+  exec "CREATE TABLE dense (id INT, tag CHAR(8))";
+  exec "CREATE TABLE holey (id INT, tag CHAR(8))";
+  for i = 0 to 2_999 do
+    let row = Printf.sprintf "(%d, 't%d')" i (i mod 7) in
+    exec ("INSERT INTO dense VALUES " ^ row);
+    exec (Printf.sprintf "INSERT INTO holey VALUES %s, (-1, 'gone')" row)
+  done;
+  exec "DELETE FROM holey WHERE id = -1";
+  let table name = Catalog.table_exn (Db.catalog db) name in
+  let kind t = match Table.scan t with Table.Slots _ -> "slots" | Table.Rids _ -> "rids" in
+  Alcotest.(check string) "no tombstones: slot scan" "slots" (kind (table "dense"));
+  Alcotest.(check string) "tombstones: rid scan" "rids" (kind (table "holey"));
+  let rows sql =
+    List.map
+      (fun row -> String.concat "|" (Array.to_list (Array.map Value.to_display_string row)))
+      (Db.rows_exn (Db.exec db sql))
+  in
+  List.iter
+    (fun (select, where) ->
+      Alcotest.(check (list string)) (select ^ where)
+        (rows (select ^ " FROM dense" ^ where))
+        (rows (select ^ " FROM holey" ^ where)))
+    [ ("SELECT *", ""); ("SELECT COUNT(*)", ""); ("SELECT id", " WHERE tag = 't3'") ];
+  (* Refilling every tombstone makes the heap dense again. *)
+  for _ = 0 to 2_999 do
+    exec "INSERT INTO holey VALUES (-2, 'new')"
+  done;
+  Alcotest.(check string) "tombstones refilled: slot scan" "slots" (kind (table "holey"))
+
 let patient_schema () =
   Schema.make ~table_name:"patients"
     [ Schema.make_column ~primary_key:true "id" Schema.T_int;
@@ -462,6 +498,7 @@ let suite =
     Alcotest.test_case "interval index basics" `Quick check_interval_basics;
     QCheck_alcotest.to_alcotest prop_interval_matches_bruteforce;
     Alcotest.test_case "heap rid recycling" `Quick check_heap;
+    Alcotest.test_case "dense scan = rid scan" `Quick check_dense_scan;
     Alcotest.test_case "table constraints" `Quick check_table_constraints;
     Alcotest.test_case "table index maintenance" `Quick
       check_table_index_maintenance;
