@@ -245,13 +245,18 @@ let medical_db ~prescriptions =
 
 (* --- E5: coalescing -------------------------------------------------------------- *)
 
+(* Largest cost of group_union relative to SUM(length) over the same
+   grouping that [--gate] accepts, a same-run ratio. *)
+let coalesce_ratio_bound = 1.5
+
 let bench_coalesce () =
   banner "E5 coalesce"
     "Claim (Section 2): temporal coalescing is expressible as\n\
      length(group_union(valid)) with no new SQL constructs, at a cost\n\
      comparable to the (semantically wrong) SUM(length(valid)).\n\
      Expect: both scale linearly; group_union within a small factor of SUM;\n\
-     the naive total over-counts whenever prescriptions overlap.";
+     the naive total over-counts whenever prescriptions overlap.\n\
+     Gate: the cost ratio (best of 5 each) is at most 1.5 at every size.";
   let sizes = List.map (fun n -> n * scale) [ 200; 1000; 5000 ] in
   let rows =
     List.map
@@ -276,15 +281,21 @@ let bench_coalesce () =
           *. (float_of_int (total naive) /. float_of_int (total coalesced) -. 1.)
         in
         let measured =
-          measure_tests
+          measure_best ~rounds:5
             [ (Printf.sprintf "group_union %d" n,
                fun () -> ignore (Db.exec db coalesced));
               (Printf.sprintf "sum_length %d" n,
                fun () -> ignore (Db.exec db naive)) ]
         in
         let get i = snd (List.nth measured i) in
+        let ratio = get 0 /. get 1 in
+        if !gate && not (ratio <= coalesce_ratio_bound) then
+          gate_failures :=
+            Printf.sprintf "coalesce %d rows: group_union costs %.2fx SUM(length) (bound %.1fx)"
+              n ratio coalesce_ratio_bound
+            :: !gate_failures;
         [ string_of_int n; ns_to_string (get 0); ns_to_string (get 1);
-          Printf.sprintf "%.2f" (get 0 /. get 1);
+          Printf.sprintf "%.2f" ratio;
           Printf.sprintf "+%.0f%%" over ])
       sizes
   in
@@ -597,7 +608,7 @@ let bench_profile () =
            GROUP BY patient"
         in
         let measured =
-          measure_tests
+          measure_best ~rounds:5
             [ (Printf.sprintf "group_union %d" n,
                fun () -> ignore (Db.exec db union_sql));
               (Printf.sprintf "group_profile %d" n,

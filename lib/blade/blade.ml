@@ -22,12 +22,6 @@ let bool_value b = Value.Bool b
 
 let option_value f = function None -> Value.Null | Some x -> f x
 
-(* group_union's accumulator, private to the aggregate: the bound ends
-   (unix seconds) of its nonempty inputs in two growable buffers. *)
-type bounds = { mutable starts : int array; mutable ends : int array; mutable n : int }
-
-type Value.ext += V_bounds of bounds
-
 (* --- Installation ------------------------------------------------------------ *)
 
 let install_casts ext =
@@ -326,72 +320,89 @@ let install_routines ext =
       Value.Int (Profile.integral (as_profile a.(0))));
   ignore p_span
 
+(* group_union's state: per group, its inputs' elements (references to
+   the stored arrays, one word each) in a small array grown by doubling
+   from 8, [counts.(gid)] of them used. The finalizer binds a group's
+   periods under NOW into two scratch buffers that every group of the
+   statement reuses, and coalesces them there in place. So the live
+   state is a word per input row, no array grows with the whole input,
+   and the finalizer reads each input's periods with no box between.
+   The element is taken out of its value at step time, while the row is
+   still in cache: keeping the [Value.t] and unboxing it in the
+   finalizer measured slower on element inputs. A period (or other
+   timestamp) input becomes a fresh one-period element, three words. *)
+let group_union ~now =
+  let inputs = ref [||] and counts = ref [||] in
+  let starts = ref [||] and ends = ref [||] in
+  let step gid v =
+    let e = to_element_value v in
+    Tip_engine.Extension.reserve counts gid 0;
+    Tip_engine.Extension.reserve inputs gid [||];
+    let k = !counts.(gid) and buf = !inputs.(gid) in
+    if k = Array.length buf then begin
+      let grown = Array.make (Int.max 8 (2 * k)) Element.empty in
+      Array.blit buf 0 grown 0 k;
+      !inputs.(gid) <- grown
+    end;
+    !inputs.(gid).(k) <- e;
+    !counts.(gid) <- k + 1
+  in
+  let final gid =
+    if gid >= Array.length !counts then element Element.empty
+    else begin
+      let buf = !inputs.(gid) and n = !counts.(gid) in
+      let room = ref 0 in
+      for i = 0 to n - 1 do
+        room := !room + Element.raw_count buf.(i)
+      done;
+      if !room > Array.length !starts then begin
+        starts := Array.make (Int.max !room (2 * Array.length !starts)) 0;
+        ends := Array.make (Array.length !starts) 0
+      end;
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        k := Element.bind_bounds ~now buf.(i) ~starts:!starts ~ends:!ends !k
+      done;
+      element (Element.coalesce_bounds ~starts:!starts ~ends:!ends !k)
+    end
+  in
+  { Tip_engine.Extension.step; final }
+
 let install_aggregates ext =
   let open Tip_engine.Extension in
   (* group_union: the temporal coalescing aggregate of the paper's
-     Section 2 — union of a collection of elements. Each step binds the
-     input's periods under the statement's NOW and appends the nonempty
-     ones' endpoints to the accumulator's buffers in place, so no value
-     is allocated per row; the finalizer coalesces the two endpoint
-     multisets in one sort-and-sweep per group. *)
-  let push ~now b s e =
-    let s = Chronon.to_unix_seconds (Instant.bind ~now s)
-    and e = Chronon.to_unix_seconds (Instant.bind ~now e) in
-    if s <= e then begin
-      if b.n = Array.length b.starts then begin
-        let grow = max 8 b.n in
-        b.starts <- Array.append b.starts (Array.make grow 0);
-        b.ends <- Array.append b.ends (Array.make grow 0)
-      end;
-      b.starts.(b.n) <- s;
-      b.ends.(b.n) <- e;
-      b.n <- b.n + 1
-    end
-  in
-  let as_bounds = function Value.Ext (_, V_bounds b) -> b | _ -> invalid_arg "group_union" in
-  register_aggregate ext ~name:"group_union"
-    { agg_init =
-        (fun () ->
-          Value.Ext ("group_union", V_bounds { starts = [||]; ends = [||]; n = 0 }));
-      agg_step =
-        (fun ~now acc v ->
-          let b = as_bounds acc in
-          (match v with
-          | Value.Ext (_, V_period p) -> push ~now b p.start_ p.end_
-          | v -> Element.iter_bounds (push ~now b) (to_element_value v));
-          acc);
-      agg_final =
-        (fun ~now:_ acc ->
-          let b = as_bounds acc in
-          element (Element.coalesce_bounds ~starts:b.starts ~ends:b.ends b.n)) };
+     Section 2 — union of a collection of elements. A step records its
+     input in its group, allocating nothing per row; the finalizer binds
+     the group's periods under the statement's NOW and coalesces the two
+     bound multisets in place, in one sort-and-sweep. *)
+  register_aggregate ext ~name:"group_union" { create = group_union };
   (* group_intersect: chronons common to every input element. *)
   register_aggregate ext ~name:"group_intersect"
-    { agg_init = (fun () -> Value.Null); (* no input yet *)
-      agg_step =
-        (fun ~now acc v ->
-          if Value.is_null acc then element (to_element_value v)
-          else
-            element (Element.intersect ~now (as_element acc) (to_element_value v)));
-      agg_final = (fun ~now:_ acc -> acc) };
+    (fold_aggregate
+       ~init:(fun () -> Value.Null) (* no input yet *)
+       ~step:(fun ~now acc v ->
+         if Value.is_null acc then element (to_element_value v)
+         else element (Element.intersect ~now (as_element acc) (to_element_value v)))
+       ~final:(fun ~now:_ acc -> acc));
   (* group_profile: per-instant COUNT — the sequenced aggregation that
      plain element routines cannot express (see EXPERIMENTS.md E12). The
      accumulator collects the grounded inputs; the final sweep builds the
      step function. *)
   register_aggregate ext ~name:"group_profile"
-    { agg_init = (fun () -> profile Profile.empty);
-      agg_step =
-        (fun ~now acc v ->
-          (* represent the pending inputs as a profile and merge by
-             re-sweeping; inputs per group are typically small *)
-          let current = as_profile acc in
-          let weighted =
-            (Element.ground ~now (to_element_value v), 1)
-            :: List.map
-                 (fun e -> ([ e.Profile.span_ ], e.Profile.value))
-                 (Profile.entries current)
-          in
-          profile (Profile.of_weighted_ground weighted));
-      agg_final = (fun ~now:_ acc -> acc) }
+    (fold_aggregate
+       ~init:(fun () -> profile Profile.empty)
+       ~step:(fun ~now acc v ->
+         (* represent the pending inputs as a profile and merge by
+            re-sweeping; inputs per group are typically small *)
+         let current = as_profile acc in
+         let weighted =
+           (Element.ground ~now (to_element_value v), 1)
+           :: List.map
+                (fun e -> ([ e.Profile.span_ ], e.Profile.value))
+                (Profile.entries current)
+         in
+         profile (Profile.of_weighted_ground weighted))
+       ~final:(fun ~now:_ acc -> acc))
 
 let install_planner_hooks ext =
   Tip_engine.Extension.register_interval_sargable ext ~name:"overlaps";

@@ -87,21 +87,21 @@ let normal t =
   let s = t.(0) and e = t.(1) in
   (s lor e) land 1 = 0 && s <= e && normal_from t 2 (e asr 1)
 
-(* The first [k] words of a fresh array. *)
-let trim a k = if k = Array.length a then a else Array.sub a 0 k
-
 (* In-place ascending sort of a.(lo .. hi-1), monomorphic so every
    comparison is an inline int compare: Hoare quicksort around the middle
-   element, insertion sort below 16 elements. *)
+   element, insertion sort up to 32 elements, which a coalesced group's
+   bounds usually fit in (EXPERIMENTS.md E38 measures it against 16). The
+   insertion sort reads and writes only inside [lo, hi), which [sweep]
+   keeps within [a]: unchecked. *)
 let rec sort_ints (a : int array) lo hi =
-  if hi - lo <= 16 then
+  if hi - lo <= 32 then
     for i = lo + 1 to hi - 1 do
-      let x = a.(i) and j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
+      let x = Array.unsafe_get a i and j = ref (i - 1) in
+      while !j >= lo && Array.unsafe_get a !j > x do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
         decr j
       done;
-      a.(!j + 1) <- x
+      Array.unsafe_set a (!j + 1) x
     done
   else begin
     let p = a.(lo + ((hi - lo) / 2)) and i = ref lo and j = ref (hi - 1) in
@@ -123,12 +123,15 @@ let rec sort_ints (a : int array) lo hi =
 (* Coverage of a set of periods depends only on the multisets of their
    starts and of their ends, so the two sort separately and one sweep
    with a depth counter recovers the union: a start no later than one
-   chronon after the next pending end extends the open period. Returns
-   the bound form, in seconds. *)
+   chronon after the next pending end extends the open period. The
+   sweep runs in place: its [k]-th period overwrites [starts.(k)] and
+   [ends.(k)], which it has already read (each period consumes at least
+   one start and one end). Returns the number of periods. *)
 let sweep ~starts ~ends n =
+  if n < 0 || n > Array.length starts || n > Array.length ends then
+    invalid_arg "Element.coalesce_bounds: count out of range";
   sort_ints starts 0 n;
   sort_ints ends 0 n;
-  let out = Array.make (2 * n) 0 in
   let k = ref 0 and depth = ref 0 and opened = ref 0 and i = ref 0 in
   for j = 0 to n - 1 do
     while !i < n && starts.(!i) <= ends.(j) + 1 do
@@ -138,19 +141,26 @@ let sweep ~starts ~ends n =
     done;
     decr depth;
     if !depth = 0 then begin
-      out.(!k) <- !opened;
-      out.(!k + 1) <- ends.(j);
-      k := !k + 2
+      starts.(!k) <- !opened;
+      ends.(!k) <- ends.(j);
+      incr k
     end
   done;
-  trim out !k
+  !k
 
-(* The bound form of a written element that is not [normal], under
-   [now]: a fresh array of unix seconds. *)
-let bind_sweep ~now t =
-  let now = Chronon.to_unix_seconds now and n = raw_count t in
-  let starts = Array.make n 0 and ends = Array.make n 0 and k = ref 0 in
-  for i = 0 to n - 1 do
+(* The first [k] periods of [starts]/[ends] interleaved into an exact
+   array, each bound mapped through [f]. *)
+let pack f ~starts ~ends k =
+  let out = Array.make (2 * k) 0 in
+  for p = 0 to k - 1 do
+    out.(2 * p) <- f starts.(p);
+    out.((2 * p) + 1) <- f ends.(p)
+  done;
+  out
+
+let bind_bounds ~now t ~starts ~ends at =
+  let now = Chronon.to_unix_seconds now and k = ref at in
+  for i = 0 to raw_count t - 1 do
     let s = bind now t.(2 * i) and e = bind now t.((2 * i) + 1) in
     if s <= e then begin
       starts.(!k) <- s;
@@ -158,7 +168,15 @@ let bind_sweep ~now t =
       incr k
     end
   done;
-  sweep ~starts ~ends !k
+  !k
+
+(* The bound form of a written element that is not [normal], under
+   [now]: a fresh array of unix seconds. *)
+let bind_sweep ~now t =
+  let n = raw_count t in
+  let starts = Array.make n 0 and ends = Array.make n 0 in
+  let k = sweep ~starts ~ends (bind_bounds ~now t ~starts ~ends 0) in
+  pack Fun.id ~starts ~ends k
 
 (* A bound form as the set algebra reads it: word [i] is
    [g.(i) asr shift]. A normalized element is read in place, as its
@@ -184,7 +202,7 @@ let of_bound g =
 let normalize ~now t = if normal t then t else of_bound (bind_sweep ~now t)
 let coalesce = normalize
 
-let coalesce_bounds ~starts ~ends n = of_bound (sweep ~starts ~ends n)
+let coalesce_bounds ~starts ~ends n = pack encode ~starts ~ends (sweep ~starts ~ends n)
 
 (* --- Bound-form set algebra (linear two-pointer merges) -------------- *)
 

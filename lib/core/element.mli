@@ -43,9 +43,19 @@ val coalesce : now:Chronon.t -> t -> t
 
 (** [coalesce_bounds ~starts ~ends n] is the normalized union of the [n]
     ground periods [[starts.(i), ends.(i)]] (unix seconds, each start no
-    later than its end). Only the two multisets matter: both arrays are
-    sorted in place, then swept once. *)
+    later than its end). Only the two multisets matter: the first [n]
+    entries of both arrays are sorted and swept in place (their contents
+    are unspecified afterwards), and the result is the one array
+    allocated. *)
 val coalesce_bounds : starts:int array -> ends:int array -> int -> t
+
+(** [bind_bounds ~now t ~starts ~ends at] binds [t]'s periods as
+    written under [now] and stores the nonempty ones' bounds (unix
+    seconds) at [starts.(at)], [ends.(at)] onwards, in order; returns
+    the next free index. Both arrays need room for {!raw_count}[ t]
+    more entries from [at]. Allocates nothing. *)
+val bind_bounds :
+  now:Chronon.t -> t -> starts:int array -> ends:int array -> int -> int
 
 (** {1 Set algebra}
 

@@ -87,9 +87,13 @@ end
 
 module Val_table = Hashtbl.Make (Val_key)
 
-(* --- Aggregate runners -------------------------------------------------- *)
+(* --- Grouped aggregation ---------------------------------------------------- *)
 
-type runner = { step : Value.t array -> unit; final : unit -> Value.t }
+(* Each group has a dense id (gid), and each aggregate keeps the state
+   of every group in gid-indexed columns: a built-in aggregate in the
+   columns below, a blade's behind {!Extension.grouped}. A column grows
+   on demand, since a group whose inputs are all NULL is never
+   stepped. *)
 
 let numeric_add a b =
   match a, b with
@@ -100,168 +104,181 @@ let numeric_add a b =
     raise (Exec_error (Printf.sprintf "SUM/AVG over non-numeric %s"
                          (Value.type_name b)))
 
-let make_runner ctx (spec : Plan.agg_spec) : runner =
-  let eval_arg row =
-    match spec.arg with
-    | Some c -> c ctx row
-    | None -> Value.Null
-  in
-  (* DISTINCT: wrap the runner so each argument value steps once. *)
-  let distinct_wrap runner =
-    if not spec.Plan.distinct then runner
-    else begin
-      let seen = Key_table.create 16 in
-      { runner with
-        step =
-          (fun row ->
-            let v = eval_arg row in
-            if not (Value.is_null v) then begin
-              if not (Key_table.mem seen [ v ]) then begin
-                Key_table.replace seen [ v ] ();
-                runner.step row
-              end
-            end) }
-    end
-  in
-  distinct_wrap
-  @@
+(* [Extension.reserve], with the common case (room already) inline. *)
+let[@inline] reserve col gid fill =
+  if gid >= Array.length !col then Extension.reserve col gid fill
+
+(* Slot [gid] of a column, or [default] past its end. *)
+let read col gid default = if gid < Array.length !col then !col.(gid) else default
+
+type builtin =
+  | Count of int array ref
+  | Sum of Value.t array ref
+  | Avg of Value.t array ref * int array ref (* sums, counts *)
+  | Extremum of Value.t array ref * bool (* MIN when true, MAX when false *)
+
+type agg = Builtin of builtin | User of Extension.grouped
+
+let agg_state ctx (spec : Plan.agg_spec) =
   match spec.impl with
-  | Plan.Agg_count_star ->
-    let n = ref 0 in
-    { step = (fun _ -> incr n); final = (fun () -> Value.Int !n) }
-  | Plan.Agg_count ->
-    let n = ref 0 in
-    { step = (fun row -> if not (Value.is_null (eval_arg row)) then incr n);
-      final = (fun () -> Value.Int !n) }
-  | Plan.Agg_sum ->
-    let acc = ref Value.Null in
-    { step =
-        (fun row ->
-          let v = eval_arg row in
-          if not (Value.is_null v) then
-            acc := if Value.is_null !acc then v else numeric_add !acc v);
-      final = (fun () -> !acc) }
-  | Plan.Agg_avg ->
-    let acc = ref Value.Null and n = ref 0 in
-    { step =
-        (fun row ->
-          let v = eval_arg row in
-          if not (Value.is_null v) then begin
-            acc := (if Value.is_null !acc then v else numeric_add !acc v);
-            incr n
-          end);
-      final =
-        (fun () ->
-          if !n = 0 then Value.Null
-          else Value.Float (Value.to_float !acc /. float_of_int !n)) }
-  | Plan.Agg_min | Plan.Agg_max ->
-    let keep_smaller = spec.impl = Plan.Agg_min in
-    let acc = ref Value.Null in
-    { step =
-        (fun row ->
-          let v = eval_arg row in
-          if not (Value.is_null v) then
-            if Value.is_null !acc then acc := v
-            else begin
-              let c = Value.compare v !acc in
-              if (keep_smaller && c < 0) || ((not keep_smaller) && c > 0) then
-                acc := v
-            end);
-      final = (fun () -> !acc) }
-  | Plan.Agg_user (agg, _) ->
-    let acc = ref (agg.Extension.agg_init ()) in
-    let steps = ref 0 in
-    (* The coalesce counter is flushed at finalization rather than paying
-       an atomic per input row. *)
-    { step =
-        (fun row ->
-          let v = eval_arg row in
-          if not (Value.is_null v) then begin
-            incr steps;
-            acc := agg.Extension.agg_step ~now:ctx.Expr_eval.now !acc v
-          end);
-      final =
-        (fun () ->
-          Metrics.add m_rows_coalesced !steps;
-          steps := 0;
-          agg.Extension.agg_final ~now:ctx.Expr_eval.now !acc) }
+  | Plan.Agg_count_star | Plan.Agg_count -> Builtin (Count (ref [||]))
+  | Plan.Agg_sum -> Builtin (Sum (ref [||]))
+  | Plan.Agg_avg -> Builtin (Avg (ref [||], ref [||]))
+  | Plan.Agg_min -> Builtin (Extremum (ref [||], true))
+  | Plan.Agg_max -> Builtin (Extremum (ref [||], false))
+  | Plan.Agg_user (agg, _) -> User (agg.Extension.create ~now:ctx.Expr_eval.now)
 
-(* --- Hash aggregation --------------------------------------------------------- *)
+let[@inline] incr_at col gid =
+  reserve col gid 0;
+  let a = !col in
+  a.(gid) <- a.(gid) + 1
 
-(* Folds [row] into every runner: a loop rather than [List.iter] over a
-   fresh closure, so a step allocates nothing of its own. *)
-let rec step_all runners row =
-  match runners with
-  | [] -> ()
-  | r :: rest ->
-    r.step row;
-    step_all rest row
+(* Folds [v] into a value column: NULL is the empty state, and MIN/MAX
+   keep the first of equal values. *)
+let[@inline] sum_at col gid v =
+  reserve col gid Value.Null;
+  let a = !col in
+  let cur = a.(gid) in
+  a.(gid) <- (if Value.is_null cur then v else numeric_add cur v)
 
-(* A group's output row: its key, then each aggregate's final value. *)
-let emit_group (key, runners) =
-  Array.of_list (key @ List.map (fun r -> r.final ()) runners)
+let[@inline] keep_at col gid v ~smaller =
+  reserve col gid Value.Null;
+  let a = !col in
+  let cur = a.(gid) in
+  if Value.is_null cur then a.(gid) <- v
+  else begin
+    let c = Value.compare v cur in
+    if (smaller && c < 0) || ((not smaller) && c > 0) then a.(gid) <- v
+  end
 
-(* The group table of a hash aggregate. [step row] folds [row] into its
-   group, creating the group and its runners on first sight; [groups ()]
-   lists [(key, runners)] in first-appearance order. The common
-   single-key GROUP BY hashes the key value directly; only multi-key
-   grouping pays a key-list allocation per row. *)
-let group_table ctx keys aggs =
-  let order = ref [] in
-  let create key =
-    let runners = List.map (make_runner ctx) aggs in
-    order := (key, runners) :: !order;
-    runners
+let[@inline] step_builtin b gid v =
+  match b with
+  | Count n -> incr_at n gid
+  | Sum acc -> sum_at acc gid v
+  | Avg (acc, n) ->
+    sum_at acc gid v;
+    incr_at n gid
+  | Extremum (acc, smaller) -> keep_at acc gid v ~smaller
+
+let final agg gid =
+  match agg with
+  | Builtin (Count n) -> Value.Int (read n gid 0)
+  | Builtin (Sum acc | Extremum (acc, _)) -> read acc gid Value.Null
+  | Builtin (Avg (acc, n)) -> (
+    match read n gid 0 with
+    | 0 -> Value.Null
+    | k -> Value.Float (Value.to_float (read acc gid Value.Null) /. float_of_int k))
+  | User g -> g.final gid
+
+(* How a row steps one aggregate: COUNT( * ) counts every row; any other
+   evaluates its argument and skips NULL, and DISTINCT also skips a
+   value its group has seen (one seen-set per group). [counted] tallies
+   the steps of blade aggregates for [exec_rows_coalesced_total]. *)
+let stepper ctx (spec : Plan.agg_spec) agg counted : int -> Value.t array -> unit =
+  match spec.arg, agg with
+  | None, Builtin b -> fun gid _ -> step_builtin b gid Value.Null
+  | None, User _ -> invalid_arg "Executor.stepper: a blade aggregate with no argument"
+  | Some arg, Builtin b when not spec.distinct ->
+    (* the common case, with the built-in step inline *)
+    fun gid row ->
+      let v = arg ctx row in
+      if not (Value.is_null v) then step_builtin b gid v
+  | Some arg, _ ->
+    let step =
+      match agg with
+      | Builtin b -> step_builtin b
+      | User g ->
+        fun gid v ->
+          incr counted;
+          g.step gid v
+    in
+    if not spec.distinct then (fun gid row ->
+      let v = arg ctx row in
+      if not (Value.is_null v) then step gid v)
+    else begin
+      let seen = ref [||] in
+      fun gid row ->
+        let v = arg ctx row in
+        if not (Value.is_null v) then begin
+          reserve seen gid None;
+          let set =
+            match !seen.(gid) with
+            | Some set -> set
+            | None ->
+              let set = Val_table.create 16 in
+              !seen.(gid) <- Some set;
+              set
+          in
+          if not (Val_table.mem set v) then begin
+            Val_table.replace set v ();
+            step gid v
+          end
+        end
+    end
+
+(* The group table of a hash aggregate: [gid row] is the dense id of
+   [row]'s group, numbered in first-appearance order, and [key gid i]
+   its [i]-th key value. A grand aggregate is gid 0, with no table; the
+   common single-key GROUP BY hashes the key value itself, and only
+   multi-key grouping pays a key list per row. [count ()] is the number
+   of groups so far. *)
+type group_table = {
+  gid : Value.t array -> int;
+  count : unit -> int;
+  key : int -> int -> Value.t;
+}
+
+let group_table ctx keys =
+  let n = ref 0 and cols = Array.of_list (List.map (fun _ -> ref [||]) keys) in
+  let add key_at =
+    let g = !n in
+    incr n;
+    Array.iteri
+      (fun i col ->
+        reserve col g Value.Null;
+        !col.(g) <- key_at i)
+      cols;
+    g
   in
-  let step =
+  let gid =
     match keys with
     | [] ->
-      (* A grand aggregate is one group: no table to probe. *)
-      let runners = ref [] in
-      fun row ->
-        (match !order with [] -> runners := create [] | _ :: _ -> ());
-        step_all !runners row
+      n := 1;
+      fun _ -> 0
     | [ ck ] ->
-      let groups : runner list Val_table.t = Val_table.create 64 in
+      let groups : int Val_table.t = Val_table.create 64 in
       fun row ->
         let key = ck ctx row in
-        let runners =
-          match Val_table.find groups key with
-          | runners -> runners
-          | exception Not_found ->
-            let runners = create [ key ] in
-            Val_table.replace groups key runners;
-            runners
-        in
-        step_all runners row
+        (match Val_table.find groups key with
+        | g -> g
+        | exception Not_found ->
+          let g = add (fun _ -> key) in
+          Val_table.replace groups key g;
+          g)
     | _ ->
-      let groups : runner list Key_table.t = Key_table.create 64 in
+      let groups : int Key_table.t = Key_table.create 64 in
       fun row ->
         let key = List.map (fun c -> c ctx row) keys in
-        let runners =
-          match Key_table.find_opt groups key with
-          | Some runners -> runners
-          | None ->
-            let runners = create key in
-            Key_table.replace groups key runners;
-            runners
-        in
-        step_all runners row
+        (match Key_table.find groups key with
+        | g -> g
+        | exception Not_found ->
+          let g = add (List.nth key) in
+          Key_table.replace groups key g;
+          g)
   in
-  (step, fun () -> List.rev !order)
+  { gid; count = (fun () -> !n); key = (fun g i -> !(cols.(i)).(g)) }
 
-(* ORDER BY comparison over pre-evaluated key lists. *)
-let compare_sort_keys by ka kb =
-  let rec go ks1 ks2 dirs =
-    match ks1, ks2, dirs with
-    | [], [], [] -> 0
-    | k1 :: t1, k2 :: t2, (_, dir) :: td ->
-      let c = Value.compare k1 k2 in
-      let c = match dir with Ast.Asc -> c | Ast.Desc -> -c in
-      if c <> 0 then c else go t1 t2 td
-    | _, _, _ -> 0
-  in
-  go ka kb by
+(* ORDER BY comparison over pre-evaluated keys: the keys of one row are
+   [ka.(oa) .. ka.(oa + w - 1)], one per [by] entry. *)
+let rec compare_sort_keys_from by ka oa kb ob k =
+  if k = Array.length by then 0
+  else begin
+    let c = Value.compare ka.(oa + k) kb.(ob + k) in
+    let c = match snd by.(k) with Ast.Asc -> c | Ast.Desc -> -c in
+    if c <> 0 then c else compare_sort_keys_from by ka oa kb ob (k + 1)
+  end
+
+let compare_sort_keys by ka oa kb ob = compare_sort_keys_from by ka oa kb ob 0
 
 (* Bounded top-k for ORDER BY ... LIMIT: keeps the k first rows of the
    stable sort without materializing the input, using a max-heap of at
@@ -272,8 +289,9 @@ let compare_sort_keys by ka kb =
 let top_k ctx by k input : Value.t array list =
   if k <= 0 then []
   else begin
+    let by = Array.of_list by in
     let cmp_elt (ka, ia, _) (kb, ib, _) =
-      let c = compare_sort_keys by ka kb in
+      let c = compare_sort_keys by ka 0 kb 0 in
       if c <> 0 then c else Int.compare ia ib
     in
     let heap = ref [||] in
@@ -306,7 +324,7 @@ let top_k ctx by k input : Value.t array list =
     let arrival = ref 0 in
     Seq.iter
       (fun row ->
-        let key = List.map (fun (c, _) -> c ctx row) by in
+        let key = Array.map (fun (c, _) -> c ctx row) by in
         let e = (key, !arrival, row) in
         incr arrival;
         if !size < k then begin
@@ -588,14 +606,20 @@ let rec run ctx (plan : Plan.t) : Value.t array Seq.t =
   | Plan.Aggregate { input; keys; aggs; _ } -> run_aggregate ctx input keys aggs
   | Plan.Sort { input; by; _ } ->
     let rows = Array.of_seq (run ctx input) in
-    (* decorate-sort-undecorate: evaluate the keys once per row *)
-    let decorated =
-      Array.map (fun row -> (List.map (fun (c, _) -> c ctx row) by, row)) rows
-    in
-    Array.stable_sort
-      (fun (ka, _) (kb, _) -> compare_sort_keys by ka kb)
-      decorated;
-    Seq.map snd (Array.to_seq decorated)
+    (* decorate-sort-undecorate: the keys are evaluated once per row,
+       into one flat array, and a stable sort orders row indices *)
+    let by = Array.of_list by in
+    let w = Array.length by in
+    let keys = Array.make (Array.length rows * w) Value.Null in
+    Array.iteri
+      (fun i row ->
+        for k = 0 to w - 1 do
+          keys.((i * w) + k) <- fst by.(k) ctx row
+        done)
+      rows;
+    let order = Array.init (Array.length rows) Fun.id in
+    Array.stable_sort (fun i j -> compare_sort_keys by keys (i * w) keys (j * w)) order;
+    Seq.map (fun i -> rows.(i)) (Array.to_seq order)
   | Plan.Distinct input ->
     let seen = Row_table.create 64 in
     Seq.filter
@@ -676,7 +700,13 @@ and pipeline ctx (plan : Plan.t) : pipeline =
     (Rows (run ctx plan), Fun.id)
 
 and run_aggregate ctx input keys aggs =
-  let step, groups = group_table ctx keys aggs in
+  let table = group_table ctx keys in
+  let states = Array.of_list (List.map (agg_state ctx) aggs) in
+  let counted = ref 0 in
+  let steppers =
+    Array.of_list (List.mapi (fun i spec -> stepper ctx spec states.(i) counted) aggs)
+  in
+  let naggs = Array.length steppers and grand = List.is_empty keys in
   let input_rows = ref 0 in
   (* Chunks feed the group table directly, with no row sequence in
      between. A partitioned input feeds it child by child, so a
@@ -689,18 +719,32 @@ and run_aggregate ctx input keys aggs =
       Seq.iter
         (fun c ->
           for j = 0 to c.nsel - 1 do
-            step c.rows.(c.sel.(j))
+            let row = c.rows.(c.sel.(j)) in
+            let gid = if grand then 0 else table.gid row in
+            for a = 0 to naggs - 1 do
+              steppers.(a) gid row
+            done
           done;
           input_rows := !input_rows + c.nsel)
         (chunks ctx (pipeline ctx plan))
   in
   consume input;
   Metrics.add m_agg_rows !input_rows;
-  match groups () with
-  | [] when keys = [] ->
-    (* A grand aggregate over an empty input still yields one row. *)
-    Seq.return (emit_group ([], List.map (make_runner ctx) aggs))
-  | groups -> Seq.map emit_group (List.to_seq groups)
+  (* The coalesce counter is flushed once, rather than paying an atomic
+     per input row. *)
+  Metrics.add m_rows_coalesced !counted;
+  (* A group's output row: its keys, then each aggregate's final value.
+     A grand aggregate is one row even over an empty input. *)
+  let nkeys = List.length keys in
+  Seq.init (table.count ()) (fun g ->
+      let row = Array.make (nkeys + naggs) Value.Null in
+      for i = 0 to nkeys - 1 do
+        row.(i) <- table.key g i
+      done;
+      for a = 0 to naggs - 1 do
+        row.(nkeys + a) <- final states.(a) g
+      done;
+      row)
 
 (* LIMIT directly above a Sort — possibly through Projects — needs only
    the first [k] sorted rows, so a bounded heap replaces the full

@@ -31,10 +31,3 @@ val interval_rids :
 
 (** Most rows a chunk holds (1024). *)
 val chunk_size : int
-
-(**/**)
-
-(** One aggregate accumulator instance (exposed for tests). *)
-type runner = { step : Value.t array -> unit; final : unit -> Value.t }
-
-val make_runner : Expr_eval.ctx -> Plan.agg_spec -> runner

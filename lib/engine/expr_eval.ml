@@ -270,10 +270,12 @@ let like_match ~pattern text = like_compile pattern text
 
 (* --- Casts ------------------------------------------------------------------ *)
 
-let cast_value ext ~now v ~to_type =
+(* [expr::to_type], given [to_type] in upper case as [upper]; a cast
+   through the registry is remembered in the call site's [cache]. *)
+let cast_with ext cache ~upper ~to_type ~now v =
   if Value.is_null v then Value.Null
   else begin
-    match String.uppercase_ascii to_type with
+    match upper with
     | "INT" | "INTEGER" | "BIGINT" | "SMALLINT" -> (
       match v with
       | Value.Int _ -> v
@@ -283,7 +285,7 @@ let cast_value ext ~now v ~to_type =
         | Some n -> Value.Int n
         | None -> eval_error "cannot cast %S to INT" s)
       | Value.Bool b -> Value.Int (if b then 1 else 0)
-      | Value.Ext _ -> Extension.apply_cast ext ~now v ~to_type:"int"
+      | Value.Ext _ -> Extension.cached_cast ext cache ~now v ~to_type:"int"
       | _ -> eval_error "cannot cast %s to INT" (Value.type_name v))
     | "FLOAT" | "REAL" | "DOUBLE" | "DECIMAL" | "NUMERIC" -> (
       match v with
@@ -293,7 +295,7 @@ let cast_value ext ~now v ~to_type =
         match float_of_string_opt (String.trim s) with
         | Some f -> Value.Float f
         | None -> eval_error "cannot cast %S to FLOAT" s)
-      | Value.Ext _ -> Extension.apply_cast ext ~now v ~to_type:"float"
+      | Value.Ext _ -> Extension.cached_cast ext cache ~now v ~to_type:"float"
       | _ -> eval_error "cannot cast %s to FLOAT" (Value.type_name v))
     | "CHAR" | "VARCHAR" | "TEXT" | "STRING" | "CHARACTER" ->
       Value.Str (Value.to_display_string v)
@@ -310,11 +312,11 @@ let cast_value ext ~now v ~to_type =
         match Tip_core.Chronon.of_string s with
         | Some c -> Value.Date (Tip_core.Chronon.start_of_day c)
         | None -> eval_error "cannot cast %S to DATE" s)
-      | Value.Ext _ -> Extension.apply_cast ext ~now v ~to_type:"date"
+      | Value.Ext _ -> Extension.cached_cast ext cache ~now v ~to_type:"date"
       | _ -> eval_error "cannot cast %s to DATE" (Value.type_name v))
     | _ -> (
       (* Extension type: registered casts, or parsing a string literal. *)
-      match Extension.apply_cast ext ~now v ~to_type with
+      match Extension.cached_cast ext cache ~now v ~to_type with
       | v -> v
       | exception Extension.Resolution_error _ -> (
         match v, Value.lookup_type to_type with
@@ -322,6 +324,10 @@ let cast_value ext ~now v ~to_type =
         | _, _ ->
           eval_error "no cast from %s to %s" (Value.type_name v) to_type))
   end
+
+let cast_value ext ~now v ~to_type =
+  cast_with ext (Extension.cast_cache ()) ~upper:(String.uppercase_ascii to_type)
+    ~to_type ~now v
 
 (* --- Compilation --------------------------------------------------------------- *)
 
@@ -432,10 +438,13 @@ and compile_node env expr : compiled =
         | exception Extension.Resolution_error _ ->
           eval_error "cannot negate %s" (Value.type_name v)))
   | Ast.Call (name, args) ->
-    let cargs = List.map (compile env) args in
+    let cargs = Array.of_list (List.map (compile env) args) in
     let call = routine_caller env.ext name in
     fun ctx row ->
-      let argv = Array.of_list (List.map (fun c -> c ctx row) cargs) in
+      let argv = Array.make (Array.length cargs) Value.Null in
+      for i = 0 to Array.length cargs - 1 do
+        argv.(i) <- cargs.(i) ctx row
+      done;
       (match call ~now:ctx.now argv with
       | v -> v
       | exception Extension.Resolution_error msg -> eval_error "%s" msg)
@@ -445,9 +454,10 @@ and compile_node env expr : compiled =
   | Ast.Count_star ->
     fun _ _ -> eval_error "COUNT(*) outside aggregation context"
   | Ast.Cast (e, ty) ->
-    let ce = compile env e in
-    let ext = env.ext in
-    fun ctx row -> cast_value ext ~now:ctx.now (ce ctx row) ~to_type:ty
+    (* the target and the registry lookup resolve once per call site *)
+    let ce = compile env e and ext = env.ext in
+    let upper = String.uppercase_ascii ty and cache = Extension.cast_cache () in
+    fun ctx row -> cast_with ext cache ~upper ~to_type:ty ~now:ctx.now (ce ctx row)
   | Ast.Case (arms, else_) ->
     let carms = List.map (fun (c, v) -> (compile env c, compile env v)) arms in
     let celse = Option.map (compile env) else_ in
@@ -650,10 +660,9 @@ let element_type = "element"
 (* [overlaps] of two elements asks the element type's NOW-free test
    ([Value.vtable.overlaps]), resolved once here: it reads the stored
    periods in place and allocates nothing. It declines ([Not_finite])
-   when a NOW-relative endpoint could change the answer; that case,
+   when a NOW-relative endpoint could change the answer; that case and
    non-element operands (period [overlaps] is the strict Allen relation)
-   and string literals still awaiting their cast take the cached routine
-   dispatch, row by row. NULL drops the row. *)
+   take the cached routine dispatch, row by row. NULL drops the row. *)
 let overlaps_kernel ca cb ext : batch_pred =
   let call = routine_caller ext "overlaps" in
   let now_free =
@@ -690,6 +699,35 @@ let overlaps_kernel ca cb ext : batch_pred =
     done;
     !k
 
+(* A string literal [lit] opposite [other] in [overlaps]. The element
+   overload is the only one an element and a string reach (no cast
+   narrows an element to a period), through the implicit string-to-element
+   cast; so once [other] reads an element, the literal is cast there,
+   once, and the element serves every later row, which then takes the
+   kernel's NOW-free path like the [::Element] spelling. Which way to go
+   is settled by [other]'s first non-NULL value, since a column holds
+   one type. *)
+let literal_element ext lit other : compiled =
+  let settled = ref None in
+  fun ctx row ->
+    match !settled with
+    | Some v -> v
+    | None -> (
+      let v = lit ctx row in
+      match other ctx row with
+      | Value.Null -> v
+      | Value.Ext (t, _) when String.equal t element_type ->
+        let e =
+          match Extension.find_implicit_cast ext ~from_type:"char" ~to_type:element_type with
+          | Some c -> c.Extension.cast_impl ~now:ctx.now v
+          | None -> v
+        in
+        settled := Some e;
+        e
+      | _ ->
+        settled := Some v;
+        v)
+
 let rec compile_batch env expr : batch_pred =
   match expr with
   | Ast.Binop (Ast.And, a, b) ->
@@ -701,5 +739,9 @@ let rec compile_batch env expr : batch_pred =
     ->
     cmp_kernel op (compile env a) (compile env b) env.ext
   | Ast.Call (name, [ a; b ]) when String.lowercase_ascii name = "overlaps" ->
-    overlaps_kernel (compile env a) (compile env b) env.ext
+    let ca = compile env a and cb = compile env b and ext = env.ext in
+    (match a, b with
+    | Ast.Lit (Ast.L_string _), _ -> overlaps_kernel (literal_element ext ca cb) cb ext
+    | _, Ast.Lit (Ast.L_string _) -> overlaps_kernel ca (literal_element ext cb ca) ext
+    | _ -> overlaps_kernel ca cb ext)
   | _ -> batch_of_predicate (compile env expr)

@@ -58,11 +58,46 @@ type cast = {
   cast_impl : now:Tip_core.Chronon.t -> Value.t -> Value.t;
 }
 
-type aggregate = {
-  agg_init : unit -> Value.t;         (* accumulator seed *)
-  agg_step : now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t;
-  agg_final : now:Tip_core.Chronon.t -> Value.t -> Value.t;
-}
+(* A user aggregate over dense group ids: [create ~now] makes one
+   statement's state for every group at once, [step gid v] folds a
+   non-NULL input into group [gid] and [final gid] reads the group's
+   result once, after its last step. *)
+type grouped = { step : int -> Value.t -> unit; final : int -> Value.t }
+type aggregate = { create : now:Tip_core.Chronon.t -> grouped }
+
+(* Makes room for slot [gid] in a gid-indexed column, at least doubling
+   it; new slots hold [fill]. *)
+let reserve col gid fill =
+  let a = !col in
+  if gid >= Array.length a then begin
+    let b = Array.make (Int.max (gid + 1) (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    col := b
+  end
+
+(* The Informix INIT/ITER/FINAL shape as a grouped aggregate: one
+   accumulator per group in a gid-indexed column. *)
+let fold_aggregate ~init ~step ~final =
+  { create =
+      (fun ~now ->
+        let accs = ref [||] in
+        let grow gid =
+          let n = Array.length !accs in
+          if gid >= n then begin
+            reserve accs gid Value.Null;
+            for i = n to Array.length !accs - 1 do
+              !accs.(i) <- init ()
+            done
+          end
+        in
+        { step =
+            (fun gid v ->
+              grow gid;
+              !accs.(gid) <- step ~now !accs.(gid) v);
+          final =
+            (fun gid ->
+              grow gid;
+              final ~now !accs.(gid)) }) }
 
 (* Transaction-time support, registered by a temporal blade: how to
    create, close and probe the tuple timestamps of WITH HISTORY shadow
@@ -210,7 +245,8 @@ let arg_cost t p v =
    [resolved] keyed by those names and skip re-scoring per row. *)
 type resolved =
   | R_null  (* strict routine with a NULL argument, or the null-tie rule *)
-  | R_apply of cast option array * routine
+  | R_direct of routine  (* every argument passes as it is *)
+  | R_cast of cast option array * routine  (* some argument casts first *)
 
 (* Resolves the best overload of [name] for [args] without applying it.
    Raises [Resolution_error] when nothing (or too many things) match. *)
@@ -260,21 +296,26 @@ let resolve_routine t ~name args =
       resolution_error "ambiguous call to %s" name
     | (_, casts, r) :: _ ->
       if r.strict && Array.exists Value.is_null args then R_null
-      else R_apply (Array.of_list casts, r))
+      else if List.for_all Option.is_none casts then R_direct r
+      else R_cast (Array.of_list casts, r))
+
+(* The arguments with their casts applied, in a fresh array; [cast i c v]
+   applies cast [c] to argument [i]. *)
+let cast_args casts args cast =
+  let out = Array.copy args in
+  for i = 0 to Array.length args - 1 do
+    match casts.(i) with
+    | Some c -> out.(i) <- cast i c args.(i)
+    | None -> ()
+  done;
+  out
 
 let apply_resolved ~now resolved args =
   match resolved with
   | R_null -> Value.Null
-  | R_apply (casts, r) ->
-    let args =
-      Array.mapi
-        (fun i v ->
-          match casts.(i) with
-          | Some cast -> cast.cast_impl ~now v
-          | None -> v)
-        args
-    in
-    r.impl ~now args
+  | R_direct r -> r.impl ~now args
+  | R_cast (casts, r) ->
+    r.impl ~now (cast_args casts args (fun _ c v -> c.cast_impl ~now v))
 
 (* Resolves and applies in one step (resolution cost per call; hot paths
    cache the [resolved] instead). *)
@@ -289,6 +330,11 @@ let apply_routine t ~now ~name args =
    once instead of once per row. The cast cache is only sound while
    [now] is fixed, i.e. within one compiled statement — create a fresh
    caller per compilation site. *)
+(* Do [argv]'s type names from [i] on equal [tys]'s? *)
+let rec same_types tys argv i =
+  i >= Array.length tys
+  || (String.equal tys.(i) (Value.type_name argv.(i)) && same_types tys argv (i + 1))
+
 let caller t ~name =
   let resolved_cache : (string array * resolved) option ref = ref None in
   let cast_cache : (Value.t * Value.t) option array ref = ref [||] in
@@ -296,16 +342,7 @@ let caller t ~name =
     let n = Array.length argv in
     let resolved =
       match !resolved_cache with
-      | Some (tys, r)
-        when Array.length tys = n
-             &&
-             let rec ok i =
-               i >= n
-               || (String.equal tys.(i) (Value.type_name argv.(i))
-                  && ok (i + 1))
-             in
-             ok 0 ->
-        r
+      | Some (tys, r) when Array.length tys = n && same_types tys argv 0 -> r
       | _ ->
         let r = resolve_routine t ~name argv in
         resolved_cache := Some (Array.map Value.type_name argv, r);
@@ -313,7 +350,8 @@ let caller t ~name =
     in
     match resolved with
     | R_null -> Value.Null
-    | R_apply (casts, r) ->
+    | R_direct r -> r.impl ~now argv
+    | R_cast (casts, r) ->
       let cache =
         let c = !cast_cache in
         if Array.length c = n then c
@@ -323,31 +361,43 @@ let caller t ~name =
           c
         end
       in
-      let args =
-        Array.mapi
-          (fun i v ->
-            match casts.(i) with
-            | None -> v
-            | Some cast -> (
-              match cache.(i) with
-              | Some (vin, vout) when vin == v -> vout
-              | _ ->
-                let out = cast.cast_impl ~now v in
-                cache.(i) <- Some (v, out);
-                out))
-          argv
-      in
-      r.impl ~now args
+      r.impl ~now
+        (cast_args casts argv (fun i cast v ->
+             match cache.(i) with
+             | Some (vin, vout) when vin == v -> vout
+             | _ ->
+               let out = cast.cast_impl ~now v in
+               cache.(i) <- Some (v, out);
+               out))
 
-(* Applies a cast (for [expr::Type]); any registered cast qualifies, and
-   identity casts succeed trivially. *)
-let apply_cast t ~now v ~to_type =
-  let from_type = Value.type_name v in
-  if Value.is_null v then Value.Null
-  else if String.equal (canonical from_type) (canonical to_type) then v
-  else begin
+(* The cast from [from_type] to [to_type]: identity casts succeed
+   trivially, and a missing cast raises [Resolution_error] when
+   applied. *)
+let cast_fn t ~from_type ~to_type =
+  if String.equal (canonical from_type) (canonical to_type) then fun ~now:_ v -> v
+  else
     match find_cast t ~from_type ~to_type with
-    | Some cast -> cast.cast_impl ~now v
+    | Some cast -> cast.cast_impl
     | None ->
-      resolution_error "no cast from %s to %s" from_type (canonical to_type)
+      fun ~now:_ _ ->
+        resolution_error "no cast from %s to %s" from_type (canonical to_type)
+
+(* A call site casts to one target type, so its cache is keyed by the
+   source type name alone. *)
+type cast_cache = {
+  mutable from_name : string;
+  mutable cast : now:Tip_core.Chronon.t -> Value.t -> Value.t;
+}
+
+let cast_cache () = { from_name = ""; cast = (fun ~now:_ v -> v) }
+
+let cached_cast t cache ~now v ~to_type =
+  if Value.is_null v then Value.Null
+  else begin
+    let from_type = Value.type_name v in
+    if not (String.equal cache.from_name from_type) then begin
+      cache.cast <- cast_fn t ~from_type ~to_type;
+      cache.from_name <- from_type
+    end;
+    cache.cast ~now v
   end

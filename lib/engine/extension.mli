@@ -40,15 +40,36 @@ type cast = {
   cast_impl : now:Tip_core.Chronon.t -> Value.t -> Value.t;
 }
 
-(** A user aggregate. The executor seeds one accumulator per group and
-    steps it with that group's inputs in input order, on one domain; so
-    [agg_step] may mutate the accumulator in place and return it. *)
-type aggregate = {
-  agg_init : unit -> Value.t;  (** accumulator seed *)
-  agg_step : now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t;
-      (** [step acc v]; NULL inputs are skipped by the executor *)
-  agg_final : now:Tip_core.Chronon.t -> Value.t -> Value.t;
+(** One statement's state of an aggregate, over every group at once.
+    Groups are dense ids from 0, numbered in first-appearance order. *)
+type grouped = {
+  step : int -> Value.t -> unit;
+      (** [step gid v] folds [v] into group [gid]. NULL inputs are
+          skipped by the executor, so a group may never be stepped, and
+          ids may arrive in any order. *)
+  final : int -> Value.t;
+      (** [final gid], once per group after its last step: the result
+          ([gid] may never have been stepped, e.g. the one group of a
+          grand aggregate over no rows). *)
 }
+
+(** A user aggregate. [create ~now] runs once per statement, with the
+    statement's NOW; the executor steps each group with its inputs in
+    input order, on one domain, so the state may be mutated in place. *)
+type aggregate = { create : now:Tip_core.Chronon.t -> grouped }
+
+(** The Informix INIT/ITER/FINAL shape as an {!aggregate}: one
+    accumulator per group, seeded by [init ()], replaced by
+    [step ~now acc v] on every input and read by [final ~now acc]. *)
+val fold_aggregate :
+  init:(unit -> Value.t) ->
+  step:(now:Tip_core.Chronon.t -> Value.t -> Value.t -> Value.t) ->
+  final:(now:Tip_core.Chronon.t -> Value.t -> Value.t) ->
+  aggregate
+
+(** [reserve col gid fill] makes room for slot [gid] in the gid-indexed
+    column [col], at least doubling it; the new slots hold [fill]. *)
+val reserve : 'a array ref -> int -> 'a -> unit
 
 (** Transaction-time support, registered by a temporal blade: how to
     create, close and probe the tuple timestamps of WITH HISTORY shadow
@@ -133,14 +154,24 @@ val apply_routine :
     resolution is reused while the argument type names repeat, and cast
     outputs are reused while the input value is physically the same — so
     a literal argument (one shared value per compiled statement) casts
-    once, not once per row. Create a fresh caller per compilation site;
-    the cast cache assumes [now] does not change across calls.
+    once, not once per row. The argument array is passed to the routine
+    as it is when no argument needs a cast. Create a fresh caller per
+    compilation site; the cast cache assumes [now] does not change
+    across calls.
     @raise Resolution_error on no match or an ambiguous tie. *)
 val caller :
   t -> name:string -> now:Tip_core.Chronon.t -> Value.t array -> Value.t
 
-(** Applies a registered cast ([expr::Type]); identity casts succeed
-    trivially, NULL passes through.
+(** One call site's memory of its last cast. A site casts to one
+    target type, so give every site its own. *)
+type cast_cache
+
+val cast_cache : unit -> cast_cache
+
+(** [cached_cast t cache ~now v ~to_type] applies a registered cast
+    ([expr::Type]); identity casts succeed trivially, NULL passes
+    through. The cast found for [v]'s type name is reused while that
+    name repeats.
     @raise Resolution_error when no cast exists. *)
-val apply_cast :
-  t -> now:Tip_core.Chronon.t -> Value.t -> to_type:string -> Value.t
+val cached_cast :
+  t -> cast_cache -> now:Tip_core.Chronon.t -> Value.t -> to_type:string -> Value.t

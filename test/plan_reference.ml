@@ -3,8 +3,8 @@
    input as a list and works row by row. Filters go through
    [Expr_eval.to_predicate] on [Filter.pred], never the fused chunk
    kernels; joins, grouping, sorting, DISTINCT and LIMIT are written out
-   here. It shares only the plan's compiled closures and
-   [Executor.make_runner] with the engine. *)
+   here, aggregates included. It shares only the plan's compiled
+   closures (and a blade aggregate's own [create]) with the engine. *)
 
 open Tip_storage
 module Db = Tip_engine.Database
@@ -12,6 +12,7 @@ module Plan = Tip_engine.Plan
 module Planner = Tip_engine.Planner
 module Expr_eval = Tip_engine.Expr_eval
 module Executor = Tip_engine.Executor
+module Extension = Tip_engine.Extension
 module Ast = Tip_sql.Ast
 
 module Key = Hashtbl.Make (struct
@@ -37,6 +38,68 @@ let compare_keys by ka kb =
     | _ -> 0
   in
   go ka kb by
+
+(* --- Aggregates ----------------------------------------------------------- *)
+
+(* One aggregate's accumulator for one group, folded row by row in input
+   order, so an error surfaces at the row where the executor's fold
+   meets it. A blade aggregate gets an instance of its own per group,
+   stepped as group 0. *)
+type acc = {
+  spec : Plan.agg_spec;
+  mutable n : int; (* inputs folded *)
+  mutable sum : Value.t; (* SUM/AVG: running sum; MIN/MAX: best so far *)
+  mutable seen : Value.t list; (* DISTINCT: inputs folded so far *)
+  user : Extension.grouped option;
+}
+
+let new_acc ctx (spec : Plan.agg_spec) =
+  { spec; n = 0; sum = Value.Null; seen = [];
+    user =
+      (match spec.impl with
+      | Plan.Agg_user (agg, _) -> Some (agg.Extension.create ~now:ctx.Expr_eval.now)
+      | _ -> None) }
+
+let add a b =
+  match a, b with
+  | Value.Int x, Value.Int y -> Value.Int (x + y)
+  | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) ->
+    Value.Float (Value.to_float a +. Value.to_float b)
+  | _ ->
+    raise
+      (Executor.Exec_error
+         (Printf.sprintf "SUM/AVG over non-numeric %s" (Value.type_name b)))
+
+let fold_acc ctx acc row =
+  match acc.spec.arg with
+  | None -> acc.n <- acc.n + 1 (* COUNT( * ) *)
+  | Some arg ->
+    let v = arg ctx row in
+    if (not (Value.is_null v))
+       && not (acc.spec.distinct && List.exists (Value.equal v) acc.seen)
+    then begin
+      if acc.spec.distinct then acc.seen <- v :: acc.seen;
+      acc.n <- acc.n + 1;
+      let better c =
+        match acc.spec.impl with Plan.Agg_min -> c < 0 | _ -> c > 0
+      in
+      match acc.spec.impl with
+      | Plan.Agg_count_star | Plan.Agg_count -> ()
+      | Plan.Agg_sum | Plan.Agg_avg ->
+        acc.sum <- (if Value.is_null acc.sum then v else add acc.sum v)
+      | Plan.Agg_min | Plan.Agg_max ->
+        if Value.is_null acc.sum || better (Value.compare v acc.sum) then acc.sum <- v
+      | Plan.Agg_user _ -> (Option.get acc.user).step 0 v
+    end
+
+let final_acc acc =
+  match acc.spec.impl with
+  | Plan.Agg_count_star | Plan.Agg_count -> Value.Int acc.n
+  | Plan.Agg_sum | Plan.Agg_min | Plan.Agg_max -> acc.sum
+  | Plan.Agg_avg ->
+    if acc.n = 0 then Value.Null
+    else Value.Float (Value.to_float acc.sum /. float_of_int acc.n)
+  | Plan.Agg_user _ -> (Option.get acc.user).final 0
 
 let rec eval ctx (plan : Plan.t) : Value.t array list =
   match plan with
@@ -91,29 +154,28 @@ let rec eval ctx (plan : Plan.t) : Value.t array list =
       (eval ctx left)
   | Plan.Aggregate { input; keys; aggs; _ } ->
     let groups = Key.create 16 and order = ref [] in
+    let group key =
+      let accs = List.map (new_acc ctx) aggs in
+      order := (key, accs) :: !order;
+      accs
+    in
     List.iter
       (fun row ->
         let key = eval_all ctx keys row in
-        let runners =
+        let accs =
           match Key.find_opt groups key with
-          | Some runners -> runners
+          | Some accs -> accs
           | None ->
-            let runners = List.map (Executor.make_runner ctx) aggs in
-            Key.add groups key runners;
-            order := (key, runners) :: !order;
-            runners
+            let accs = group key in
+            Key.add groups key accs;
+            accs
         in
-        List.iter (fun r -> r.Executor.step row) runners)
+        List.iter (fun acc -> fold_acc ctx acc row) accs)
       (eval ctx input);
-    let order =
-      match !order, keys with
-      | [], [] -> [ ([], List.map (Executor.make_runner ctx) aggs) ]
-      | order, _ -> List.rev order
-    in
+    (match !order, keys with [], [] -> ignore (group []) | _ -> ());
     List.map
-      (fun (key, runners) ->
-        Array.of_list (key @ List.map (fun r -> r.Executor.final ()) runners))
-      order
+      (fun (key, accs) -> Array.of_list (key @ List.map final_acc accs))
+      (List.rev !order)
   | Plan.Sort { input; by; _ } ->
     let by_exprs = List.map fst by in
     List.map snd

@@ -29,12 +29,14 @@ let fresh_dir () =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   dir
 
-let rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  end
+(* Removes [path] and, for a directory, everything under it. *)
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
 
 let with_dir f =
   let dir = fresh_dir () in
@@ -945,8 +947,25 @@ let check_byte_identity () =
         (Digest.to_hex (Digest.string wal));
       Alcotest.(check string) "checkpoint snapshot" expected_snapshot snapshot)
 
+(* A scratch directory is gone after [with_dir], nested directories
+   included. *)
+let check_with_dir_cleans_up () =
+  let kept = ref "" in
+  with_dir (fun dir ->
+      kept := dir;
+      let nested = Filename.concat (Filename.concat dir "traces") "deeper" in
+      Unix.mkdir (Filename.concat dir "traces") 0o755;
+      Unix.mkdir nested 0o755;
+      Out_channel.with_open_bin (Filename.concat nested "trace.json") (fun oc ->
+          output_string oc "{}");
+      Out_channel.with_open_bin (Filename.concat dir "top.txt") (fun oc ->
+          output_string oc "x"));
+  Alcotest.(check bool) "scratch directory removed" false (Sys.file_exists !kept)
+
 let suite =
   [ Alcotest.test_case "crc32 vectors" `Quick check_crc32;
+    Alcotest.test_case "scratch directories are removed" `Quick
+      check_with_dir_cleans_up;
     Alcotest.test_case "WAL record round-trip" `Quick check_record_roundtrip;
     Alcotest.test_case "sync policy parsing" `Quick check_sync_policy_parse;
     Alcotest.test_case "replay probes an index, lowest rid first" `Quick

@@ -196,13 +196,13 @@ let check_timeout_during_fold () =
   done;
   let steps = Atomic.make 0 in
   Tip_engine.Extension.register_aggregate (Db.extension db) ~name:"slow_count"
-    { agg_init = (fun () -> Value.Int 0);
-      agg_step =
-        (fun ~now:_ acc _ ->
-          (* the first step outlasts the statement's deadline *)
-          if Atomic.fetch_and_add steps 1 = 0 then Unix.sleepf 0.4;
-          Value.Int (Value.to_int acc + 1));
-      agg_final = (fun ~now:_ acc -> acc) };
+    (Tip_engine.Extension.fold_aggregate
+       ~init:(fun () -> Value.Int 0)
+       ~step:(fun ~now:_ acc _ ->
+         (* the first step outlasts the statement's deadline *)
+         if Atomic.fetch_and_add steps 1 = 0 then Unix.sleepf 0.4;
+         Value.Int (Value.to_int acc + 1))
+       ~final:(fun ~now:_ acc -> acc));
   let token = Deadline.create ~timeout_ms:200 () in
   expect_cancelled ~reason:Deadline.Timeout (fun () ->
       Db.exec ~token db "SELECT slow_count(a) FROM big");

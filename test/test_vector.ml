@@ -102,6 +102,18 @@ let temporal_db =
        in
        ignore (Db.exec db sql)
      done;
+     (* Periods, where [overlaps] is the strict Allen relation; the first
+        row is NULL. *)
+     ignore (Db.exec db "CREATE TABLE pv (id INT, p Period)");
+     for i = 0 to 59 do
+       let m = 1 + (i mod 12) in
+       ignore
+         (Db.exec db
+            (if i mod 13 = 0 then Printf.sprintf "INSERT INTO pv VALUES (%d, NULL)" i
+             else
+               Printf.sprintf "INSERT INTO pv VALUES (%d, '[1999-%02d-%02d, 1999-%02d-28]')"
+                 i m (1 + (i mod 20)) m))
+     done;
      db)
 
 let test_batched_overlaps () =
@@ -117,7 +129,11 @@ let test_batched_overlaps () =
      AND id > 40";
   Plan_reference.check db "temporal self-join"
     "SELECT e1.id, e2.id FROM ev e1, ev e2 \
-     WHERE e1.id = e2.id AND overlaps(e1.valid, e2.valid)"
+     WHERE e1.id = e2.id AND overlaps(e1.valid, e2.valid)";
+  Plan_reference.check db "period overlaps a bare literal"
+    "SELECT id FROM pv WHERE overlaps(p, '[1999-03-10, 1999-04-15]')";
+  Plan_reference.check db "bare literal overlaps a period"
+    "SELECT id FROM pv WHERE overlaps('[1999-06-10, 1999-07-15]', p)"
 
 (* --- Differential fuzz -------------------------------------------------------- *)
 
@@ -468,9 +484,59 @@ let test_overlaps_kernel_allocation () =
             [ Ast.Column (None, "a");
               Ast.Cast (Ast.Lit (Ast.L_string window_text), "Element") ] ),
         count (fun a _ -> Element.overlaps ~now:kernel_now a window) );
+      ( "bare string literal",
+        Ast.Call
+          ( "overlaps",
+            [ Ast.Column (None, "a"); Ast.Lit (Ast.L_string window_text) ] ),
+        count (fun a _ -> Element.overlaps ~now:kernel_now a window) );
       ( "column x column",
         Ast.Call ("overlaps", [ Ast.Column (None, "a"); Ast.Column (None, "b") ]),
         count (fun a b -> Element.overlaps ~now:kernel_now a b) ) ]
+
+(* A routine call or a cast in a projection allocates little beyond its
+   result: a call fills one argument array per row (three words for two
+   arguments) and passes it on uncopied, and a cast resolves its target
+   and its registry lookup once per call site. Measured over a chunk of
+   rows, with the budget in words per row. *)
+let test_call_and_cast_allocation () =
+  let db = Tip_blade.Blade.create_database () in
+  let ext = Db.extension db in
+  Tip_engine.Extension.register_routine ext ~name:"second" ~params:[ P_int; P_int ]
+    (fun ~now:_ a -> a.(1));
+  let n = Executor.chunk_size in
+  let rows =
+    Array.init n (fun i ->
+        [| Value.Int i; Value.Int (2 * i); Values.span (Span.of_seconds (60 * i)) |])
+  in
+  let env =
+    Expr_eval.base_env ~ext
+      ~resolve_column:(fun _ name -> match name with "a" -> 0 | "b" -> 1 | _ -> 2)
+      ()
+  in
+  let ctx =
+    { Expr_eval.now = kernel_now; params = []; ext; token = Tip_core.Deadline.never;
+      poll_tick = 0 }
+  in
+  List.iter
+    (fun (name, expr, expected, budget) ->
+      let f = Expr_eval.compile env expr in
+      let run () = Array.map (fun row -> f ctx row) rows in
+      check Alcotest.bool (name ^ ": values") true (run () = expected);
+      let before = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        ignore (Sys.opaque_identity (f ctx rows.(i)))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      if words > budget then
+        Alcotest.failf "%s: %.1f minor words per row (budget: %.0f)" name words budget)
+    [ ( "routine call",
+        Ast.Call ("second", [ Ast.Column (None, "a"); Ast.Column (None, "b") ]),
+        Array.init n (fun i -> Value.Int (2 * i)),
+        3. );
+      ( "cast through the registry",
+        Ast.Cast (Ast.Column (None, "s"), "INT"),
+        Array.init n (fun i -> Value.Int (60 * i)),
+        2. ) ]
 
 let suite =
   [ Alcotest.test_case "selection-vector edge cases" `Quick test_selection_edges;
@@ -479,6 +545,8 @@ let suite =
     Alcotest.test_case "overlaps kernel = routine" `Quick test_overlaps_kernel_oracle;
     Alcotest.test_case "overlaps kernel allocation" `Quick
       test_overlaps_kernel_allocation;
+    Alcotest.test_case "routine call and cast allocation" `Quick
+      test_call_and_cast_allocation;
     Alcotest.test_case "histogram math" `Quick test_histogram_math;
     Alcotest.test_case "overlap selectivity" `Quick test_overlap_selectivity;
     Alcotest.test_case "cost-chosen access path" `Quick test_cost_access_path;
