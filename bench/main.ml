@@ -408,11 +408,17 @@ let bench_now () =
 
 (* --- E8: interval index ---------------------------------------------------------------- *)
 
+(* Smallest speedup of the interval probe over the seq scan at the
+   1-day window that [--gate] accepts, a same-run ratio. *)
+let index_speedup_bound = 1.5
+
 let bench_index () =
   banner "E8 index"
     "Claim (related work [2]): a period index answers window-overlap queries\n\
      without a full scan. Expect: the interval index wins at low selectivity\n\
-     and converges with the sequential scan as the window covers everything.";
+     and loses to the sequential scan as the window covers more of the table.\n\
+     Gate: at the 1-day window the probe (best of 5 each) is at least 1.5x\n\
+     faster than the scan.";
   let n = 20_000 * scale in
   let db = medical_db ~prescriptions:n in
   ignore
@@ -440,16 +446,22 @@ let bench_index () =
           | _ -> 0
         in
         let measured =
-          measure_tests
+          measure_best ~rounds:5
             [ ("indexed " ^ label, fun () -> ignore (Db.exec db sql));
               ("scan " ^ label, fun () -> ignore (Db.exec db_noindex sql)) ]
         in
         let get i = snd (List.nth measured i) in
+        let speedup = get 1 /. get 0 in
+        if !gate && label = "1 day" && not (speedup >= index_speedup_bound) then
+          gate_failures :=
+            Printf.sprintf "index 1 day: the probe is %.2fx the scan (bound %.1fx)"
+              speedup index_speedup_bound
+            :: !gate_failures;
         [ label;
           Printf.sprintf "%.1f%%"
             (100. *. float_of_int matching /. float_of_int n);
           ns_to_string (get 0); ns_to_string (get 1);
-          Printf.sprintf "%.1fx" (get 1 /. get 0) ])
+          Printf.sprintf "%.1fx" speedup ])
       windows
   in
   print_table [ "window"; "selectivity"; "interval index"; "seq scan"; "x" ] rows

@@ -368,6 +368,22 @@ let group_union ~now =
   in
   { Tip_engine.Extension.step; final }
 
+(* group_profile's state: per group, its inputs' periods grounded under
+   the statement's NOW at step time. The finalizer sweeps a group's
+   endpoints once, so a group of n inputs costs O(n log n). *)
+let group_profile ~now =
+  let inputs = ref [||] in
+  let step gid v =
+    Tip_engine.Extension.reserve inputs gid [];
+    !inputs.(gid) <- (Element.ground ~now (to_element_value v), 1) :: !inputs.(gid)
+  in
+  let final gid =
+    profile
+      (Profile.of_weighted_ground
+         (if gid < Array.length !inputs then !inputs.(gid) else []))
+  in
+  { Tip_engine.Extension.step; final }
+
 let install_aggregates ext =
   let open Tip_engine.Extension in
   (* group_union: the temporal coalescing aggregate of the paper's
@@ -385,24 +401,8 @@ let install_aggregates ext =
          else element (Element.intersect ~now (as_element acc) (to_element_value v)))
        ~final:(fun ~now:_ acc -> acc));
   (* group_profile: per-instant COUNT — the sequenced aggregation that
-     plain element routines cannot express (see EXPERIMENTS.md E12). The
-     accumulator collects the grounded inputs; the final sweep builds the
-     step function. *)
-  register_aggregate ext ~name:"group_profile"
-    (fold_aggregate
-       ~init:(fun () -> profile Profile.empty)
-       ~step:(fun ~now acc v ->
-         (* represent the pending inputs as a profile and merge by
-            re-sweeping; inputs per group are typically small *)
-         let current = as_profile acc in
-         let weighted =
-           (Element.ground ~now (to_element_value v), 1)
-           :: List.map
-                (fun e -> ([ e.Profile.span_ ], e.Profile.value))
-                (Profile.entries current)
-         in
-         profile (Profile.of_weighted_ground weighted))
-       ~final:(fun ~now:_ acc -> acc))
+     plain element routines cannot express (see EXPERIMENTS.md E12). *)
+  register_aggregate ext ~name:"group_profile" { create = group_profile }
 
 let install_planner_hooks ext =
   Tip_engine.Extension.register_interval_sargable ext ~name:"overlaps";

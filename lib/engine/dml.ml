@@ -17,44 +17,14 @@ type cx = {
 
 let log_change cx undo = Journal.log_change ~redo:cx.redo cx.session undo
 
-(* Implements the blade's "automatic casts from SQL strings": a string
-   arriving in a Chronon/Span/.../DATE column is parsed as a literal of
-   that type; other mismatches go through registered implicit casts. *)
-let coerce_into ext ~now col_ty v =
-  match Schema.coerce col_ty v with
-  | Some v -> v
-  | None -> (
-    match col_ty, v with
-    | Schema.T_ext target, Value.Str s -> (
-      match Value.lookup_type target with
-      | Some vt -> (
-        match vt.Value.parse s with
-        | v -> v
-        | exception _ -> db_error "cannot parse %S as %s" s target)
-      | None -> db_error "type %s not registered" target)
-    | Schema.T_ext target, v -> (
-      match
-        Extension.find_implicit_cast ext ~from_type:(Value.type_name v)
-          ~to_type:target
-      with
-      | Some cast -> cast.Extension.cast_impl ~now v
-      | None ->
-        db_error "cannot store %s in a %s column" (Value.type_name v) target)
-    | Schema.T_date, Value.Str s -> (
-      match Tip_core.Chronon.of_string s with
-      | Some c -> Value.Date (Tip_core.Chronon.start_of_day c)
-      | None -> db_error "cannot parse %S as DATE" s)
-    | Schema.T_date, v -> (
-      match Extension.to_chronon ext ~now v with
-      | Some c -> Value.Date (Tip_core.Chronon.start_of_day c)
-      | None -> db_error "cannot store %s in a DATE column" (Value.type_name v))
-    | _, _ ->
-      db_error "cannot store %s in a %s column" (Value.type_name v)
-        (Schema.type_name col_ty))
-
+(* Coerces a value into column [i] of [schema] for storage. *)
 let coerce { ectx; _ } schema i v =
-  coerce_into ectx.Expr_eval.ext ~now:ectx.now (Schema.column schema i).Schema.ty
-    v
+  match
+    Access_path.coerce ectx.Expr_eval.ext ~now:ectx.now
+      (Schema.column schema i).Schema.ty v
+  with
+  | Ok v -> v
+  | Error msg -> db_error "%s" msg
 
 (* Evaluates an expression that may reference parameters and subqueries
    but no columns (INSERT values, SET NOW). *)
@@ -102,15 +72,13 @@ let dml_matches cx ~qual table where =
         in
         if keep then matches := (rid, row) :: !matches)
     (match
-       Planner.dml_access_path ~ext:ectx.ext ~ectx cx.catalog ~qual table where
+       snd
+         (Executor.leaf_rids
+            (Planner.dml_access_path ~ext:ectx.ext ~ectx cx.catalog ~qual table
+               where))
      with
-    | Plan.Index_scan { btree; lo; hi; _ } ->
-      List.sort_uniq Int.compare (Btree.range btree ~lo ~hi)
-    | Plan.Interval_scan { index; lo; hi; _ } ->
-      (match Executor.interval_rids table index ~lo ~hi with
-      | Table.Slots n -> List.init n Fun.id
-      | Table.Rids rids -> Array.to_list rids)
-    | _ -> Table.rids table);
+    | Table.Slots n -> List.init n Fun.id
+    | Table.Rids rids -> List.sort_uniq Int.compare (Array.to_list rids));
   List.rev !matches
 
 (* Appends an open history row for a freshly current [row]. *)

@@ -378,6 +378,18 @@ let interval_rids table index ~lo ~hi =
   if List.length rids > Table.row_count table / 2 then Table.scan table
   else Table.Rids (Array.of_list (List.sort_uniq Int.compare rids))
 
+(* The table and rids a leaf scan reads. The rid set is fixed when the
+   scan starts, so concurrent mutation cannot skew it. An index scan's
+   rids come back in key order — the planner relies on this to satisfy
+   ORDER BY from an index. *)
+let leaf_rids = function
+  | Plan.Seq_scan { table; _ } -> (table, Table.scan table)
+  | Plan.Index_scan { table; btree; lo; hi; _ } ->
+    (table, Table.Rids (Array.of_list (Btree.range btree ~lo ~hi)))
+  | Plan.Interval_scan { table; index; lo; hi; _ } ->
+    (table, interval_rids table index ~lo ~hi)
+  | _ -> invalid_arg "Executor.leaf_rids: not a leaf scan"
+
 (* --- Chunks ------------------------------------------------------------------ *)
 
 (* Chunks of row references with a selection vector: the source fills
@@ -658,16 +670,9 @@ let rec run ctx (plan : Plan.t) : Value.t array Seq.t =
    pipeline above it. *)
 and pipeline ctx (plan : Plan.t) : pipeline =
   match plan with
-  | Plan.Seq_scan { table; _ } ->
-    (* The rid set is fixed when the scan starts, so concurrent mutation
-       cannot skew it. *)
-    (Rids (table, Table.scan table), Fun.id)
-  | Plan.Index_scan { table; btree; lo; hi; _ } ->
-    (* Rids come back in key order — the planner relies on this to
-       satisfy ORDER BY from an index. *)
-    (Rids (table, Table.Rids (Array.of_list (Btree.range btree ~lo ~hi))), Fun.id)
-  | Plan.Interval_scan { table; index; lo; hi; _ } ->
-    (Rids (table, interval_rids table index ~lo ~hi), Fun.id)
+  | Plan.Seq_scan _ | Plan.Index_scan _ | Plan.Interval_scan _ ->
+    let table, rids = leaf_rids plan in
+    (Rids (table, rids), Fun.id)
   | Plan.Filter { input; bpred; _ } ->
     then_stage (pipeline ctx input) (filter_stage ctx bpred)
   | Plan.Project { input; exprs; _ } ->

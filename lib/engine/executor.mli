@@ -23,11 +23,12 @@ val run : Expr_eval.ctx -> Plan.t -> Value.t array Seq.t
     the statement's result-set budgets. *)
 val collect : Expr_eval.ctx -> Plan.t -> Value.t array list
 
-(** The rids an interval scan visits, ascending and without duplicates
-    (a full {!Table.scan} once the probe window matches over half the
-    table). *)
-val interval_rids :
-  Table.t -> Interval_index.t -> lo:int -> hi:int -> Table.scan
+(** The table and rids a leaf scan ([Seq_scan], [Index_scan] in key
+    order, [Interval_scan] ascending without duplicates, or a full
+    {!Table.scan} once its window matches over half the table) reads:
+    the pipeline's rid source.
+    @raise Invalid_argument on any other operator. *)
+val leaf_rids : Plan.t -> Table.t * Table.scan
 
 (** Most rows a chunk holds (1024). *)
 val chunk_size : int

@@ -2,11 +2,11 @@
 
    The optimizer is deliberately simple but not a strawman: WHERE
    conjuncts are pushed down to the scans they cover, equality conjuncts
-   across two join inputs become hash joins, sargable conjuncts over
-   indexed columns become B+tree range scans, and interval-sargable
-   routine calls (registered by the blade, e.g. [overlaps]) over columns
-   with an interval index become interval-index scans with an exact
-   recheck on top. Everything else is a nested loop plus filters.
+   across two join inputs become hash joins, and {!Access_path} chooses
+   how each stored table is read from the conjuncts pushed to it (a
+   B+tree range, an interval-index probe with an exact recheck on top,
+   partition pruning, or a full scan). Everything else is a nested loop
+   plus filters.
 
    Compilation detail: bindings get global column offsets left-to-right
    across the FROM list, and every expression attached to a plan node is
@@ -118,20 +118,6 @@ let contains_subquery e =
 
 type pctx = { ext : Extension.t; ectx : Expr_eval.ctx; catalog : Catalog.t }
 
-(* Evaluates [e] at plan time if it references no columns (subqueries
-   are deliberately excluded — they are not plan-time constants). *)
-exception Not_const
-
-let const_eval pctx e =
-  let env =
-    Expr_eval.base_env ~ext:pctx.ext
-      ~resolve_column:(fun _ _ -> raise Not_const)
-      ()
-  in
-  match (Expr_eval.compile env e) pctx.ectx [||] with
-  | v -> Some v
-  | exception (Not_const | Expr_eval.Eval_error _) -> None
-
 (* --- FROM planning ------------------------------------------------------------ *)
 
 type fbase =
@@ -167,153 +153,7 @@ let pool_of exprs = List.map (fun expr -> { expr; used = false }) exprs
 let indices_within (lo, hi) idxs = List.for_all (fun i -> i >= lo && i < hi) idxs
 let touches (lo, hi) idxs = List.exists (fun i -> i >= lo && i < hi) idxs
 
-(* --- Index selection for base scans --------------------------------------------- *)
-
-let ordered_index_scan pctx table binding conjunct_exprs =
-  let layout1 = { bindings = [ binding ]; width = Array.length binding.col_names } in
-  let col_of = function
-    | Ast.Column (q, name) -> Some (resolve_in layout1 q name - binding.offset)
-    | _ -> None
-  in
-  let try_conjunct e =
-    let attempt op lhs rhs =
-      match col_of lhs with
-      | None -> None
-      | Some col -> (
-        match Table.index_on_column table ~kind:Table.Ordered col with
-        | None -> None
-        | Some idx -> (
-          match const_eval pctx rhs with
-          | None -> None
-          | Some key ->
-            let col_ty = (Schema.column (Table.schema table) col).Schema.ty in
-            (* Make sure the probe key lives in the column's type so the
-               B+tree comparison is meaningful; try an implicit cast. *)
-            let key =
-              if Schema.value_conforms col_ty key then Some key
-              else begin
-                match col_ty with
-                | Schema.T_ext target -> (
-                  match
-                    Extension.find_implicit_cast pctx.ext
-                      ~from_type:(Value.type_name key) ~to_type:target
-                  with
-                  | Some cast ->
-                    Some (cast.Extension.cast_impl ~now:pctx.ectx.Expr_eval.now key)
-                  | None -> None)
-                | Schema.T_date -> (
-                  match key with
-                  | Value.Str s ->
-                    Option.map
-                      (fun c -> Value.Date (Tip_core.Chronon.start_of_day c))
-                      (Tip_core.Chronon.of_string s)
-                  | _ -> None)
-                | _ -> None
-              end
-            in
-            match key, idx.Table.impl with
-            | Some key, Table.Ordered_impl bt ->
-              let range =
-                match op with
-                | Ast.Eq -> Some (Btree.Inclusive key, Btree.Inclusive key)
-                | Ast.Lt -> Some (Btree.Unbounded, Btree.Exclusive key)
-                | Ast.Le -> Some (Btree.Unbounded, Btree.Inclusive key)
-                | Ast.Gt -> Some (Btree.Exclusive key, Btree.Unbounded)
-                | Ast.Ge -> Some (Btree.Inclusive key, Btree.Unbounded)
-                | _ -> None
-              in
-              Option.map
-                (fun (lo, hi) ->
-                  Plan.Index_scan
-                    { table; btree = bt; lo; hi;
-                      label = Printf.sprintf "on %s" (Pretty.expr_to_string e) })
-                range
-            | _, _ -> None))
-    in
-    let flip = function
-      | Ast.Lt -> Ast.Gt
-      | Ast.Le -> Ast.Ge
-      | Ast.Gt -> Ast.Lt
-      | Ast.Ge -> Ast.Le
-      | op -> op
-    in
-    match e with
-    | Ast.Binop (((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), lhs, rhs) -> (
-      match attempt op lhs rhs with
-      | Some plan -> Some plan
-      | None -> attempt (flip op) rhs lhs)
-    (* BETWEEN decomposes into a two-sided range on the same index. *)
-    | Ast.Between { negated = false; scrutinee; low; high } -> (
-      match attempt Ast.Ge scrutinee low, attempt Ast.Le scrutinee high with
-      | Some (Plan.Index_scan ge), Some (Plan.Index_scan le) ->
-        Some
-          (Plan.Index_scan
-             { ge with
-               hi = le.hi;
-               label = Printf.sprintf "on %s" (Pretty.expr_to_string e) })
-      | _, _ -> None)
-    | _ -> None
-  in
-  List.find_map try_conjunct conjunct_exprs
-
-(* A plan-time constant as a value with an extent, for a column of type
-   [ty]: a bare string is re-read as a literal of that type (the same
-   automatic string cast the blade registers). *)
-let typed_const ty v =
-  match Value.extent v, v, ty with
-  | Some _, _, _ -> Some v
-  | None, Value.Str s, Schema.T_ext target -> (
-    match Value.lookup_type target with
-    | Some vt -> ( try Some (vt.Value.parse s) with _ -> None)
-    | None -> None)
-  | None, _, _ -> None
-
-let interval_index_scan pctx table binding conjunct_exprs =
-  let layout1 = { bindings = [ binding ]; width = Array.length binding.col_names } in
-  let col_of = function
-    | Ast.Column (q, name) -> Some (resolve_in layout1 q name - binding.offset)
-    | _ -> None
-  in
-  (* A plan-time constant's conservative chronon extent. *)
-  let probe_extent col v =
-    Option.bind
-      (typed_const (Schema.column (Table.schema table) col).Schema.ty v)
-      Value.extent
-  in
-  let attempt label col_side const_side =
-    match col_of col_side with
-    | None -> None
-    | Some col -> (
-      match Table.index_on_column table ~kind:Table.Interval col with
-      | Some { Table.impl = Table.Interval_impl idx; _ } -> (
-        match Option.map (probe_extent col) (const_eval pctx const_side) with
-        | Some (Some (lo, hi)) ->
-          Some (Plan.Interval_scan { table; index = idx; lo; hi; label }, col)
-        | Some None | None -> None)
-      | Some _ | None -> None)
-  in
-  let try_conjunct e =
-    match e with
-    | Ast.Call (name, [ a; b ]) when Extension.is_interval_sargable pctx.ext name ->
-      let label = Printf.sprintf "probe %s" (Pretty.expr_to_string e) in
-      (match attempt label a b with
-      | Some p -> Some p
-      | None -> attempt label b a)
-    | _ -> None
-  in
-  List.find_map try_conjunct conjunct_exprs
-
 (* --- Cost model ----------------------------------------------------------- *)
-
-(* The executor degrades an interval scan to a full scan once the probe
-   window matches over half the table, so an index access path is only
-   worth choosing below that selectivity. With ANALYZE statistics the
-   planner makes the same call up front, from histograms instead of a
-   materialized candidate list. *)
-let interval_selectivity_threshold = 0.5
-
-let est_count st sel =
-  int_of_float ((sel *. float_of_int st.Stats.st_rows) +. 0.5)
 
 (* Estimated output cardinality of a pipeline, for hash-join build-side
    choice: leaf scans read ANALYZE row counts; filters apply the classic
@@ -336,105 +176,15 @@ let rec pipeline_est = function
 let label_of_exprs exprs =
   String.concat " AND " (List.map Pretty.expr_to_string exprs)
 
-(* Access path for one stored table: a selective interval probe when a
-   conjunct is sargable, else an ordered index range, else a full scan.
-   Also returns the estimated rows surviving the recheck filter when
-   ANALYZE statistics exist. (Shared by plain scans and by each child
-   of a partitioned scan.) *)
-let plan_base_table pctx table binding exprs =
-  let stats = Table.stats table in
-  match interval_index_scan pctx table binding exprs with
-  | Some (scan, col) -> (
-    let cost =
-      match stats, scan with
-      | Some st, Plan.Interval_scan { lo; hi; _ } ->
-        Option.map
-          (fun cs ->
-            let sel = Stats.overlap_selectivity cs ~lo ~hi in
-            (st, sel, est_count st sel))
-          (Stats.find_col st col)
-      | _ -> None
-    in
-    match cost, scan with
-    | Some (_, sel, est), Plan.Interval_scan r
-      when sel <= interval_selectivity_threshold ->
-      ( Plan.Interval_scan
-          { r with label = Printf.sprintf "%s (est rows=%d)" r.label est },
-        Some est )
-    | Some (st, sel, est), _ ->
-      (* The probe window matches most of the table: a full scan avoids
-         the candidate sort/dedup the executor would fall back to
-         anyway. *)
-      ( Plan.Seq_scan
-          { table;
-            label =
-              Printf.sprintf
-                " (est rows=%d, interval probe rejected at selectivity %.2f)"
-                st.Stats.st_rows sel },
-        Some est )
-    | None, _ -> (scan, None))
-  | None -> (
-    match ordered_index_scan pctx table binding exprs with
-    | Some scan -> (scan, None)
-    | None -> (
-      match stats with
-      | Some st ->
-        ( Plan.Seq_scan
-            { table; label = Printf.sprintf " (est rows=%d)" st.Stats.st_rows },
-          Some (Stdlib.max 1 (st.Stats.st_rows / 3)) )
-      | None -> (Plan.Seq_scan { table; label = "" }, None)))
-
-(* The finite chronon window the pushed conjuncts probe the partition
-   column with, if any: the first interval-sargable call pairing the
-   column with a plan-time constant whose extent is known. A bare
-   string constant is re-read as a literal of the column's type first,
-   mirroring {!interval_index_scan}.
-
-   The third component reports whether the probe also proves the whole
-   filter for fully-covered partitions (filter elision): the probing
-   call is [overlaps], it is the only conjunct pushed to this table,
-   and the constant is one solid bounded period — so any row whose
-   period start falls inside [lo, hi] overlaps it by construction. *)
-let partition_probe pctx layout (pt : Partition.t) binding exprs =
-  let is_part_col = function
-    | Ast.Column (q, name) -> (
-      match resolve_in layout q name with
-      | i -> i = binding.offset + pt.Partition.pt_column
-      | exception _ -> false)
-    | _ -> false
+(* The sargs of the conjuncts pushed to the table bound by [binding]. *)
+let table_sargs pctx binding schema exprs =
+  let layout1 = { bindings = [ binding ]; width = Array.length binding.col_names } in
+  let col_of q name =
+    match resolve_in layout1 q name with
+    | i -> Some (i - binding.offset)
+    | exception Plan_error _ -> None
   in
-  let col_ty =
-    (Schema.column pt.Partition.pt_schema pt.Partition.pt_column).Schema.ty
-  in
-  let attempt col_side const_side =
-    if not (is_part_col col_side) then None
-    else
-      match Option.bind (const_eval pctx const_side) (typed_const col_ty) with
-      | None -> None
-      | Some v -> (
-        match Value.extent v with
-        | None -> None
-        | Some (lo, hi) ->
-          let solid =
-            match Value.extents v with
-            | [ _ ] -> lo > min_int && hi < max_int
-            | _ -> false
-          in
-          Some (lo, hi, solid))
-  in
-  List.find_map
-    (fun e ->
-      match e with
-      | Ast.Call (name, [ a; b ])
-        when Extension.is_interval_sargable pctx.ext name -> (
-        let sole = String.lowercase_ascii name = "overlaps" && exprs = [ e ] in
-        match
-          match attempt a b with Some w -> Some w | None -> attempt b a
-        with
-        | Some (lo, hi, solid) -> Some (lo, hi, solid && sole)
-        | None -> None)
-      | _ -> None)
-    exprs
+  Access_path.sargs pctx.ectx ~col_of schema exprs
 
 let rec plan_fref pctx layout pool protected fref : Plan.t =
   match fref with
@@ -456,79 +206,28 @@ let rec plan_fref pctx layout pool protected fref : Plan.t =
     in
     List.iter (fun c -> c.used <- true) mine;
     let exprs = List.map (fun c -> c.expr) mine in
+    let recheck ?suffix () =
+      filter_over pctx layout ~shift:binding.offset ?suffix exprs
+    in
     (match base with
     | B_partitioned pt ->
-      (* Pruned partition-wise scan: each surviving child carries its
-         own access path and recheck filter, so each child is its own
-         chunk pipeline. The compiled predicate is shared — it only
-         ever sees rows, never the table. *)
-      let kept, pruned, implied_window, plabel =
-        match partition_probe pctx layout pt binding exprs with
-        | Some (lo, hi, implied) ->
-          let kept, pruned = Partition.prune pt ~lo ~hi in
-          ( kept, pruned,
-            (if implied then Some (lo, hi) else None),
-            Printf.sprintf " probe [%s, %s]"
-              (Partition.bound_to_string lo)
-              (Partition.bound_to_string hi) )
-        | None -> (Partition.all_parts pt, 0, None, "")
-      in
-      (* Filter elision: when the sole conjunct is [overlaps] against
-         one solid bounded window, a non-default child whose start
-         range sits inside the window and whose rows are all fixed
-         periods (finite end watermark; NOW-relative starts route to
-         DEFAULT) passes the filter by construction — its scan runs
-         bare. *)
-      let elide (p : Partition.part) =
-        match implied_window with
-        | None -> false
-        | Some (lo, hi) ->
-          (not p.Partition.p_default)
-          && p.Partition.p_from >= lo
-          && p.Partition.p_to <= hi + 1
-          && Atomic.get p.Partition.p_max_end < max_int
-      in
-      let wrap = filter_over pctx layout ~shift:binding.offset exprs in
-      let elided = ref 0 in
-      let children =
-        List.map
-          (fun (p : Partition.part) ->
-            if elide p then begin
-              incr elided;
-              fst (plan_base_table pctx p.Partition.p_table binding [])
-            end
-            else
-              wrap
-                (fst (plan_base_table pctx p.Partition.p_table binding exprs)))
-          kept
-      in
-      let plabel =
-        if !elided = 0 then plabel
-        else Printf.sprintf "%s filter-elided=%d" plabel !elided
-      in
-      Plan.Partition_scan
-        { parent = pt.Partition.pt_name;
-          children;
-          total = Array.length pt.Partition.pt_parts;
-          pruned;
-          label = plabel }
-    | B_table _ | B_derived _ ->
-      (* [filter_est]: estimated rows surviving the recheck filter, when
-         the table has ANALYZE statistics. All labels below only gain
-         estimate suffixes when stats exist, so un-analyzed planning
-         (and the EXPLAIN shape tests) stay byte-identical. *)
-      let scan, filter_est =
-        match base with
-        | B_table table -> plan_base_table pctx table binding exprs
-        | B_derived plan -> (plan, None)
-        | B_partitioned _ -> assert false
-      in
+      (* Each surviving child is its own chunk pipeline under its own
+         recheck filter; the compiled predicate is shared — it only ever
+         sees rows, never the table. *)
+      Access_path.partition_scan pt
+        (table_sargs pctx binding pt.Partition.pt_schema exprs)
+        ~conjuncts:(List.length exprs) ~recheck:(recheck ())
+    | B_table table ->
       (* All pushed conjuncts recheck above the scan — index scans may
-         over-approximate (interval probes always do). *)
-      filter_over pctx layout ~shift:binding.offset
-        ?suffix:
-          (Option.map (fun est -> Printf.sprintf " (est rows=%d)" est) filter_est)
-        exprs scan)
+         over-approximate (interval probes always do). The filter's
+         label gains the estimate only when ANALYZE statistics exist,
+         so un-analyzed plans (and the EXPLAIN shape tests) stay
+         byte-identical. *)
+      let scan, est =
+        Access_path.choose table (table_sargs pctx binding (Table.schema table) exprs)
+      in
+      recheck ?suffix:(Option.map (Printf.sprintf " (est rows=%d)") est) () scan
+    | B_derived plan -> recheck () plan)
   | F_join (l, Ast.Left_outer, on, r) ->
     let lplan = plan_fref pctx layout pool protected l in
     let rplan = plan_fref pctx layout pool protected r in
@@ -771,7 +470,7 @@ and build_fref pctx catalog offset table_ref : fref * int =
       | None -> plan_error "table %s has no transaction-time history" name
     in
     let at =
-      match const_eval pctx at_expr with
+      match Access_path.const_eval pctx.ectx at_expr with
       | Some v -> (
         match Extension.to_chronon pctx.ext ~now:pctx.ectx.Expr_eval.now v with
         | Some c -> c
@@ -818,7 +517,6 @@ and build_fref pctx catalog offset table_ref : fref * int =
 (* --- SELECT planning ------------------------------------------------------------------ *)
 
 and plan_select pctx catalog (s : Ast.select) : Plan.t * string array =
-  let ordered_scan_replacement = ref None in
   (* 1. FROM: build refs and the full layout. *)
   let frefs, width =
     List.fold_left
@@ -1038,48 +736,23 @@ and plan_select pctx catalog (s : Ast.select) : Plan.t * string array =
         { input; pred; bpred = Expr_eval.batch_of_predicate pred;
           label = Pretty.expr_to_string e }
   in
-  (* 7. ORDER BY (pre-projection; Distinct preserves order above).
-     Optimization: a single-table, non-aggregated query ordered by one
-     ascending column with an ordered index reads the index instead of
-     sorting — the B+tree scan yields key order. NULL handling matches
-     the sort (nulls-first) because NULL keys are never indexed and the
-     indexed column is only substituted when it is NOT NULL. *)
-  let order_satisfied_by_index =
-    (not aggregated) && s.Ast.distinct = false
-    &&
-    match order_by, s.Ast.from, input with
-    | [ (order_expr, Ast.Asc) ], [ Ast.Table _ ],
-      (Plan.Seq_scan { table; _ } as _scan) -> (
-      match order_expr with
-      | Ast.Column (q, n) -> (
-        match resolve_in layout q n with
-        | col -> (
-          let column = Schema.column (Table.schema table) col in
-          column.Schema.not_null
-          &&
-          match Table.index_on_column table ~kind:Table.Ordered col with
-          | Some { Table.impl = Table.Ordered_impl bt; _ } ->
-            ordered_scan_replacement := Some (table, bt);
-            true
-          | Some _ | None -> false)
-        | exception Plan_error _ -> false)
-      | _ -> false)
-    | _, _, _ -> false
+  (* 7. ORDER BY (pre-projection; Distinct preserves order above). A
+     lone table with no WHERE, ordered by one ascending column, may be
+     read through an index in that order instead of sorted. *)
+  let sorted_scan =
+    match order_by, frefs, pool with
+    | [ (Ast.Column (q, n), Ast.Asc) ], [ F_base (B_table table, _) ], []
+      when (not aggregated) && not s.Ast.distinct -> (
+      match resolve_in layout q n with
+      | col -> Access_path.ordered_scan table col
+      | exception Plan_error _ -> None)
+    | _ -> None
   in
   let input =
-    if order_satisfied_by_index then begin
-      match !ordered_scan_replacement with
-      | Some (table, bt) ->
-        Plan.Index_scan
-          { table; btree = bt; lo = Btree.Unbounded; hi = Btree.Unbounded;
-            label = "(satisfies ORDER BY)" }
-      | None -> input
-    end
-    else input
-  in
-  let input =
-    if order_by = [] || order_satisfied_by_index then input
-    else begin
+    match sorted_scan with
+    | Some scan -> scan
+    | None when order_by = [] -> input
+    | None -> begin
       let by =
         List.map (fun (e, d) -> (Expr_eval.compile post_env e, d)) order_by
       in
@@ -1200,25 +873,15 @@ let subquery_runner_for_table ~ext ~ectx catalog schema =
    conjuncts the SELECT would push to the scan qualify; the caller
    rechecks the whole WHERE on every row the scan yields. *)
 let dml_access_path ~ext ~ectx catalog ~qual table where =
-  let pctx = { ext; ectx; catalog } in
   let col_names =
     Array.map (fun c -> c.Schema.name) (Table.schema table).Schema.columns
   in
   let binding = { qual = Some (lc qual); col_names; offset = 0 } in
-  let layout = { bindings = [ binding ]; width = Array.length col_names } in
-  let pushable e =
-    (not (contains_agg ext e))
-    && (not (contains_subquery e))
-    && match indices_of layout e with
-       | _ -> true
-       | exception Plan_error _ -> false
-  in
-  let exprs =
-    match where with
-    | None -> []
-    | Some e -> List.filter pushable (conjuncts e)
-  in
-  fst (plan_base_table pctx table binding exprs)
+  let pushable e = not (contains_agg ext e || contains_subquery e) in
+  let exprs = List.filter pushable (Option.fold ~none:[] ~some:conjuncts where) in
+  fst
+    (Access_path.choose table
+       (table_sargs { ext; ectx; catalog } binding (Table.schema table) exprs))
 
 (* EXPLAIN output: the plan tree, without its final newline. *)
 let explain plan =

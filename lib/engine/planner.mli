@@ -2,11 +2,10 @@
 
     The optimizer is deliberately simple but not a strawman: WHERE
     conjuncts push down to the scans they cover; equality conjuncts
-    across two join inputs become hash joins; sargable conjuncts over
-    B+tree-indexed columns become index range scans; interval-sargable
-    routine calls (e.g. [overlaps(col, const)] once the blade registers
-    them) over interval-indexed columns become interval scans with an
-    exact recheck. Everything else is nested loops plus filters.
+    across two join inputs become hash joins; {!Access_path} reads each
+    stored table by a B+tree range, an interval probe with an exact
+    recheck, partition pruning or a full scan. Everything else is nested
+    loops plus filters.
     Aggregation follows SQL scoping: group keys and aggregate calls get
     slots, and post-aggregation expressions may reference only those. *)
 
@@ -55,7 +54,8 @@ val subquery_runner_for_table :
   Expr_eval.subquery_exec
 
 (** The scan leaf ([Seq_scan], [Index_scan] or [Interval_scan]) a
-    SELECT over [table], named [qual], with this WHERE would read: the
+    SELECT over [table], named [qual], with this WHERE would read
+    ({!Access_path.choose} over the conjuncts it would push): the
     candidate rows of a single-table UPDATE or DELETE. Every row the
     WHERE accepts is among them; the caller rechecks the WHERE. *)
 val dml_access_path :

@@ -52,10 +52,6 @@ val column_index_exn : t -> string -> int
 (** Position of the primary-key column, if declared. *)
 val primary_key_index : t -> int option
 
-(** Does the value inhabit the column type? NULL conforms everywhere
-    (nullability is a separate check); ints conform to float columns. *)
-val value_conforms : col_type -> Value.t -> bool
-
 (** Normalizes a value into the column type (widens ints in float
     columns, truncates over-width CHAR(n)); [None] on mismatch. *)
 val coerce : col_type -> Value.t -> Value.t option
