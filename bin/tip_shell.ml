@@ -43,17 +43,10 @@ let handle_error f =
   | () -> ()
   | exception Tip_core.Deadline.Cancelled reason ->
     Printf.printf "cancelled: %s\n" (Tip_core.Deadline.reason_message reason)
-  | exception Tip_sql.Parser.Error msg -> Printf.printf "error: %s\n" msg
-  | exception Db.Error msg -> Printf.printf "error: %s\n" msg
-  | exception Tip_engine.Planner.Plan_error msg -> Printf.printf "error: %s\n" msg
-  | exception Tip_engine.Expr_eval.Eval_error msg -> Printf.printf "error: %s\n" msg
-  | exception Tip_storage.Value.Type_error msg -> Printf.printf "error: %s\n" msg
-  | exception Tip_storage.Table.Constraint_violation msg ->
-    Printf.printf "error: %s\n" msg
-  | exception Tip_storage.Catalog.Catalog_error msg ->
-    Printf.printf "error: %s\n" msg
-  | exception Tip_storage.Schema.Schema_error msg ->
-    Printf.printf "error: %s\n" msg
+  | exception e -> (
+    match Db.error_message e with
+    | Some msg -> Printf.printf "error: %s\n" msg
+    | None -> raise e)
 
 (* Each statement is keyed in tip_stat_statements by its own tokens, as
    if it had been run alone. *)

@@ -47,16 +47,16 @@ let coerce ?(exact = false) ext ~now ty v =
     error "cannot store %s in a %s column" (Value.type_name v)
       (Schema.type_name ty)
 
-(* Evaluates [e] at plan time if it references no columns (subqueries
+(* Evaluates [e] at plan time if it binds in the empty scope (subqueries
    are deliberately excluded — they are not plan-time constants). *)
 exception Not_const
 
 let const_eval (ectx : Expr_eval.ctx) e =
-  let resolve_column _ _ = raise Not_const in
-  let env = Expr_eval.base_env ~ext:ectx.ext ~resolve_column () in
+  let plan_subquery _ = raise Not_const in
+  let env = Binder.env ectx.ext Binder.empty_scope ~shift:0 ~plan_subquery in
   match Expr_eval.compile env e ectx [||] with
   | v -> Some v
-  | exception (Not_const | Expr_eval.Eval_error _) -> None
+  | exception (Not_const | Binder.Plan_error _ | Expr_eval.Eval_error _) -> None
 
 type sarg =
   | Range of { src : Ast.expr; col : int; lo : Btree.bound; hi : Btree.bound }

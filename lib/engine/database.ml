@@ -16,6 +16,13 @@ exception Error = Dml.Error
 
 let db_error = Dml.db_error
 
+let error_message = function
+  | Error m | Parser.Error m | Planner.Plan_error m | Expr_eval.Eval_error m
+  | Value.Type_error m | Table.Constraint_violation m | Catalog.Catalog_error m
+  | Schema.Schema_error m ->
+    Some m
+  | _ -> None
+
 let m_cancelled =
   Metrics.counter "engine_statements_cancelled_total"
     ~help:"Statements aborted by their governance token (any reason)"

@@ -24,6 +24,11 @@ module Ast = Tip_sql.Ast
 
 exception Error of string
 
+(** The message of an expected statement error: {!Error}, a parse, bind
+    or plan error, an evaluation or type error, a constraint violation,
+    or a catalog or schema error. [None] for any other exception. *)
+val error_message : exn -> string option
+
 type t
 
 (** One client's state: open transaction, journal, NOW override and

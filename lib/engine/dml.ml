@@ -28,36 +28,21 @@ let coerce { ectx; _ } schema i v =
 
 (* Evaluates an expression that may reference parameters and subqueries
    but no columns (INSERT values, SET NOW). *)
-let eval_standalone catalog (ectx : Expr_eval.ctx) expr =
-  let ext = ectx.ext in
-  let env =
-    Expr_eval.base_env ~ext
-      ~plan_subquery:(Planner.subquery_runner ~ext ~ectx catalog)
-      ~resolve_column:(fun _ name ->
-        db_error "column reference %s not allowed here" name)
-      ()
-  in
-  (Expr_eval.compile env expr) ectx [||]
+let eval_standalone catalog ectx expr =
+  Planner.compile ~ectx catalog Binder.empty_scope expr ectx [||]
 
-(* Compiles an expression over a row of [schema] (WHERE, SET). *)
-let compile_on { catalog; ectx; _ } schema e =
-  let ext = ectx.Expr_eval.ext in
-  Expr_eval.compile
-    (Expr_eval.base_env ~ext
-       ~plan_subquery:
-         (Planner.subquery_runner_for_table ~ext ~ectx catalog schema)
-       ~resolve_column:(fun _q name -> Schema.column_index_exn schema name)
-       ())
-    e
+(* Compiles an expression over a row of the statement's target (WHERE,
+   SET), bound in [scope]. *)
+let compile_on { catalog; ectx; _ } scope = Planner.compile ~ectx catalog scope
 
 (* The matching (rid, row) pairs of one physical table, in rid order,
    all collected before the caller mutates anything. Candidates come
    from the access path a SELECT with the same WHERE would take (a
    B+tree range or an interval probe, else every row); the compiled
    WHERE is rechecked on each. *)
-let dml_matches cx ~qual table where =
+let dml_matches cx scope table where =
   let ectx = cx.ectx in
-  let pred = Option.map (compile_on cx (Table.schema table)) where in
+  let pred = Option.map (compile_on cx scope) where in
   let matches = ref [] in
   List.iter
     (fun rid ->
@@ -71,12 +56,7 @@ let dml_matches cx ~qual table where =
           | Some p -> Expr_eval.to_predicate p ectx row
         in
         if keep then matches := (rid, row) :: !matches)
-    (match
-       snd
-         (Executor.leaf_rids
-            (Planner.dml_access_path ~ext:ectx.ext ~ectx cx.catalog ~qual table
-               where))
-     with
+    (match snd (Executor.leaf_rids (Planner.dml_access_path ~ectx scope table where)) with
     | Table.Slots n -> List.init n Fun.id
     | Table.Rids rids -> List.sort_uniq Int.compare (Array.to_list rids));
   List.rev !matches
@@ -207,14 +187,14 @@ let copy_from cx ~table ~file =
 (* Every match in every physical table is collected before any row is
    touched: a row moved forward into a not-yet-visited partition must
    not match again there (the Halloween problem). Assignments compile
-   once against the target's schema, which partitions share. *)
+   once in the target's scope, which partitions share. *)
 let update cx ~table:name ~assignments ~where =
   let target, hist = target_with_history cx name in
   let schema = target.Catalog.tg_schema in
+  let scope = Binder.table_scope ~qual:name schema in
   let compiled =
     List.map
-      (fun (col, e) ->
-        (Schema.column_index_exn schema col, compile_on cx schema e))
+      (fun (col, e) -> (Schema.column_index_exn schema col, compile_on cx scope e))
       assignments
   in
   let update_row table (rid, old_row) =
@@ -245,7 +225,7 @@ let update cx ~table:name ~assignments ~where =
   in
   let matches =
     List.map
-      (fun table -> (table, dml_matches cx ~qual:name table where))
+      (fun table -> (table, dml_matches cx scope table where))
       target.Catalog.tg_tables
   in
   List.iter (fun (table, rows) -> List.iter (update_row table) rows) matches;
@@ -253,9 +233,10 @@ let update cx ~table:name ~assignments ~where =
 
 let delete cx ~table:name ~where =
   let target, hist = target_with_history cx name in
+  let scope = Binder.table_scope ~qual:name target.Catalog.tg_schema in
   List.fold_left
     (fun n table ->
-      let matches = dml_matches cx ~qual:name table where in
+      let matches = dml_matches cx scope table where in
       List.iter
         (fun (rid, old_row) ->
           Expr_eval.tick cx.ectx;

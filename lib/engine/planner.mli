@@ -1,4 +1,4 @@
-(** Translates bound SELECTs into physical plans.
+(** Translates SELECTs, bound by {!Binder}, into physical plans.
 
     The optimizer is deliberately simple but not a strawman: WHERE
     conjuncts push down to the scans they cover; equality conjuncts
@@ -12,9 +12,11 @@
 open Tip_storage
 module Ast = Tip_sql.Ast
 
+(** {!Binder.Plan_error}: bind and plan errors are one exception. *)
 exception Plan_error of string
 
-(** Plans one SELECT; returns the plan and its output column names.
+(** Binds and plans one SELECT; returns the plan and its output column
+    names.
     @raise Plan_error on unknown/ambiguous names, aggregate misuse,
     correlated subqueries, and similar static errors. *)
 val plan :
@@ -33,39 +35,19 @@ val plan_union :
   Ast.compound ->
   Plan.t * string array
 
-(** A subquery runner for standalone expressions (INSERT value lists,
-    SET NOW): no outer scope, so correlation fails with an
-    unknown-column error. *)
-val subquery_runner :
-  ext:Extension.t ->
-  ectx:Expr_eval.ctx ->
-  Catalog.t ->
-  Ast.select ->
-  Expr_eval.subquery_exec
-
-(** A subquery runner for single-table DML predicates: the table's row
-    is the outer scope, so UPDATE/DELETE WHERE clauses may correlate. *)
-val subquery_runner_for_table :
-  ext:Extension.t ->
-  ectx:Expr_eval.ctx ->
-  Catalog.t ->
-  Schema.t ->
-  Ast.select ->
-  Expr_eval.subquery_exec
+(** Compiles [e] over rows of [scope] (a {!Binder.table_scope} for
+    UPDATE/DELETE WHERE and SET, {!Binder.empty_scope} for INSERT values
+    and SET NOW); its subqueries may correlate against [scope]. *)
+val compile :
+  ectx:Expr_eval.ctx -> Catalog.t -> Binder.scope -> Ast.expr -> Expr_eval.compiled
 
 (** The scan leaf ([Seq_scan], [Index_scan] or [Interval_scan]) a
-    SELECT over [table], named [qual], with this WHERE would read
+    SELECT over [table], bound in [scope], with this WHERE would read
     ({!Access_path.choose} over the conjuncts it would push): the
     candidate rows of a single-table UPDATE or DELETE. Every row the
     WHERE accepts is among them; the caller rechecks the WHERE. *)
 val dml_access_path :
-  ext:Extension.t ->
-  ectx:Expr_eval.ctx ->
-  Catalog.t ->
-  qual:string ->
-  Table.t ->
-  Ast.expr option ->
-  Plan.t
+  ectx:Expr_eval.ctx -> Binder.scope -> Table.t -> Ast.expr option -> Plan.t
 
 (** [Plan.to_string] without its final newline. *)
 val explain : Plan.t -> string

@@ -476,21 +476,16 @@ let execute_statement_guarded t session ~token ~params ~fingerprint stmt =
       | result -> result_to_response result
       | exception Deadline.Cancelled reason ->
         Protocol.Error (Deadline.reason_message reason)
-      | exception Db.Error msg -> Protocol.Error msg
-      | exception Tip_engine.Planner.Plan_error msg -> Protocol.Error msg
-      | exception Tip_engine.Expr_eval.Eval_error msg -> Protocol.Error msg
-      | exception Tip_storage.Value.Type_error msg -> Protocol.Error msg
-      | exception Tip_storage.Table.Constraint_violation msg ->
-        Protocol.Error msg
-      | exception Tip_storage.Catalog.Catalog_error msg -> Protocol.Error msg
-      | exception Tip_storage.Schema.Schema_error msg -> Protocol.Error msg
       | exception (Tip_storage.Failpoint.Crash _ as e) -> raise e
-      | exception e ->
-        Log.err (fun m ->
-            m "internal error executing %S: %s"
-              (Tip_sql.Pretty.statement_to_string stmt)
-              (Printexc.to_string e));
-        Protocol.Error ("internal error: " ^ Printexc.to_string e))
+      | exception e -> (
+        match Db.error_message e with
+        | Some msg -> Protocol.Error msg
+        | None ->
+          Log.err (fun m ->
+              m "internal error executing %S: %s"
+                (Tip_sql.Pretty.statement_to_string stmt)
+                (Printexc.to_string e));
+          Protocol.Error ("internal error: " ^ Printexc.to_string e)))
 
 (* The statement span is the wire statement's one clock: it times the
    statement for /metrics and the slow log, and is the root of the tree

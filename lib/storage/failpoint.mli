@@ -35,7 +35,7 @@ val reset : unit -> unit
 (** Whether any failpoint is currently armed. *)
 val active : unit -> bool
 
-(** A control-flow-only site: honours [Crash_now] and [Fail]. *)
+(** A control-flow-only site: honours [Crash_now], [Fail] and [Delay]. *)
 val hit : site:string -> unit -> unit
 
 (** Writes the whole buffer to [fd] (short writes are retried), subject

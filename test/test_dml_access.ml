@@ -308,6 +308,52 @@ let check_spellings ~partitioned () =
         [ "SELECT * FROM t WHERE " ^ where; "SELECT COUNT(*) FROM t WHERE " ^ where ])
     spellings
 
+(* UPDATE and DELETE resolve column references as SELECT does: the
+   target is bound under its own name, so a qualifier naming anything
+   else is an error and changes nothing, flat or partitioned. *)
+let check_qualifiers ~partitioned () =
+  let db = Tip_blade.Blade.create_database () in
+  let cols = "id INT, v INT, valid Element" in
+  ignore
+    (Db.exec db
+       (if partitioned then
+          Printf.sprintf
+            "CREATE TABLE acct (%s) PARTITION BY RANGE (valid) (PARTITION \
+             y2020 FOR VALUES FROM '2020-01-01' TO '2021-01-01', PARTITION \
+             pdefault DEFAULT)"
+            cols
+        else Printf.sprintf "CREATE TABLE acct (%s)" cols));
+  ignore
+    (Db.exec db
+       "INSERT INTO acct VALUES (1, 10, '{[2020-03-01, 2020-04-01]}'), (2, \
+        20, '{[2021-03-01, 2021-04-01]}'), (3, 30, '{[2020-05-01, \
+        2020-06-01]}')");
+  let rows () = outcome db "SELECT id, v FROM acct" in
+  let fails sql alias =
+    let before = rows () in
+    let msg =
+      match Db.exec db sql with
+      | _ -> Alcotest.failf "%s: expected an error" sql
+      | exception (Db.Error m | Tip_engine.Planner.Plan_error m) -> m
+    in
+    Alcotest.(check string) sql ("unknown table or alias " ^ alias) msg;
+    Alcotest.(check string) (sql ^ " changes nothing") before (rows ())
+  in
+  fails "UPDATE acct SET v = 99 WHERE zz.id = 1" "zz";
+  fails "UPDATE acct SET v = zz.v + 1" "zz";
+  fails "DELETE FROM acct WHERE nosuch.id = 2" "nosuch";
+  let affected sql n = Alcotest.(check string) sql n (outcome db sql) in
+  affected "UPDATE acct SET v = acct.v + 1 WHERE acct.id = 1" "affected 1";
+  affected "UPDATE ACCT SET v = Acct.v + 1 WHERE ACCT.id = 1" "affected 1";
+  affected "DELETE FROM acct WHERE acct.id = 2" "affected 1";
+  Alcotest.(check string) "after the qualified changes" "1\t12\n3\t30" (rows ());
+  affected
+    "DELETE FROM acct WHERE EXISTS (SELECT 1 FROM acct AS b WHERE b.id > \
+     acct.id)"
+    "affected 1";
+  Alcotest.(check string) "the correlated delete keeps the last id" "3\t30"
+    (rows ())
+
 let suite =
   [ Alcotest.test_case "indexed DML skips the full scan" `Quick
       check_no_full_scan;
@@ -318,4 +364,8 @@ let suite =
     Alcotest.test_case "every constant spelling, flat" `Quick
       (check_spellings ~partitioned:false);
     Alcotest.test_case "every constant spelling, partitioned" `Quick
-      (check_spellings ~partitioned:true) ]
+      (check_spellings ~partitioned:true);
+    Alcotest.test_case "DML qualifiers, flat" `Quick
+      (check_qualifiers ~partitioned:false);
+    Alcotest.test_case "DML qualifiers, partitioned" `Quick
+      (check_qualifiers ~partitioned:true) ]

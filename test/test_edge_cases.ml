@@ -219,6 +219,32 @@ let prop_roundtrip_symbolic =
     symbolic_element_arb (fun e ->
       Element.equal e (Element.of_string_exn (Element.to_string e)))
 
+(* --- Name binding ------------------------------------------------------------ *)
+
+(* An outer reference in a subquery's JOIN ON is correlated like one in
+   its WHERE, and an ordinal below 1 is a plan error, not a crash. *)
+let check_binding_edges () =
+  let db = Db.create () in
+  List.iter
+    (fun sql -> ignore (Db.exec db sql))
+    [ "CREATE TABLE a (id INT, v INT)"; "CREATE TABLE b (a_id INT)";
+      "INSERT INTO a VALUES (1, 10), (2, 20), (3, 20)";
+      "INSERT INTO b VALUES (1), (2)" ];
+  Alcotest.(check (list int)) "correlated JOIN ON" [ 2; 3 ]
+    (List.map
+       (fun row -> Value.to_int row.(0))
+       (Db.rows_exn
+          (Db.exec db
+             "SELECT id FROM a WHERE EXISTS (SELECT 1 FROM b JOIN a a2 ON \
+              a2.id = b.a_id AND a2.v = a.v AND a2.id > 1) ORDER BY id")));
+  List.iter
+    (fun sql ->
+      match Db.exec db sql with
+      | _ -> Alcotest.failf "%s: expected an error" sql
+      | exception Tip_engine.Planner.Plan_error m ->
+        Alcotest.(check string) sql "ORDER BY position 0 is not selectable" m)
+    [ "SELECT id FROM a ORDER BY 0"; "SELECT id, COUNT(*) FROM a GROUP BY 0" ]
+
 let suite =
   [ Alcotest.test_case "CREATE TABLE AS SELECT" `Quick check_ctas;
     Alcotest.test_case "persistence failure injection" `Quick
@@ -228,5 +254,6 @@ let suite =
     Alcotest.test_case "rollback restores indexes" `Quick
       check_rollback_with_indexes;
     Alcotest.test_case "far calendar range" `Quick check_far_dates;
+    Alcotest.test_case "name binding edges" `Quick check_binding_edges;
     QCheck_alcotest.to_alcotest prop_symbolic_ops_consistent;
     QCheck_alcotest.to_alcotest prop_roundtrip_symbolic ]

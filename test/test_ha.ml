@@ -492,28 +492,18 @@ let check_lost_transaction_not_replayed () =
   Remote.close ha
 
 (* A write that outlives the wire deadline has an unknown fate, so the
-   group handle raises TIMEOUT instead of re-sending it. The write is
-   sized in process to take five times the deadline. *)
+   group handle raises TIMEOUT instead of re-sending it. The write waits
+   0.25 s at the server.exec failpoint, five times its 50 ms deadline,
+   before it runs, however fast the host. *)
 let check_timed_out_write_runs_at_most_once () =
   let db = Db.create () in
-  ignore (exec db "CREATE TABLE src (x INT)");
   ignore (exec db "CREATE TABLE sink (n INT)");
-  ignore (exec db "INSERT INTO src VALUES (1), (2), (3), (4), (5), (6), (7), (8)");
-  let heavy = "SELECT COUNT(*) FROM src AS a, src AS b WHERE a.x <> b.x" in
-  let rec calibrate () =
-    let t0 = Unix.gettimeofday () in
-    ignore (exec db heavy);
-    let secs = Unix.gettimeofday () -. t0 in
-    if secs >= 0.25 then secs
-    else begin
-      ignore (exec db "INSERT INTO src SELECT x + 1 FROM src");
-      calibrate ()
-    end
-  in
-  let secs = calibrate () in
   with_server db @@ fun port ->
   let ha = Remote.connect ~deadline:0.05 ~group:[] ~port () in
-  (match Remote.execute ha ("INSERT INTO sink " ^ heavy) with
+  Failpoint.reset ();
+  Failpoint.arm ~site:"server.exec" ~hit:1 (Failpoint.Delay 0.25);
+  Fun.protect ~finally:Failpoint.reset @@ fun () ->
+  (match Remote.execute ha "INSERT INTO sink VALUES (1)" with
   | r -> Alcotest.failf "the slow write beat its deadline: %s" (Db.render_result r)
   | exception Remote.Remote_error msg ->
     if Remote.error_code msg <> Remote.Timeout then
@@ -521,7 +511,7 @@ let check_timed_out_write_runs_at_most_once () =
   Remote.close ha;
   let c = Remote.connect ~port () in
   ignore (wait_until (fun () -> count c "sink" >= 1));
-  Unix.sleepf (3. *. secs);
+  Unix.sleepf 0.75;
   Alcotest.(check bool) "the write ran at most once" true (count c "sink" <= 1);
   Remote.close c
 
