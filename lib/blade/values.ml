@@ -112,11 +112,19 @@ let element_extents e =
     e;
   List.rev !acc
 
-(* The element type's NOW-free [overlaps] (see [Value.vtable]). *)
-let element_overlap a b =
-  match a, b with
-  | Value.Ext (_, V_element x), Value.Ext (_, V_element y) -> Element.overlap x y
-  | _, _ -> Value.Not_finite
+(* The element type's NOW-free [overlaps] (see [Value.vtable]), and the
+   binding of a constant operand: its sorted, fixed bound form. *)
+let element_overlaps =
+  { Value.test =
+      (fun a b ->
+        match a, b with
+        | Value.Ext (_, V_element x), Value.Ext (_, V_element y) -> Element.overlap x y
+        | _, _ -> Value.Not_finite);
+    bind =
+      (fun ~now v ->
+        match v with
+        | Value.Ext (_, V_element x) -> element (Element.normalize ~now x)
+        | v -> v) }
 
 let registered = ref false
 
@@ -167,7 +175,7 @@ let register_types () =
         print = (fun b v -> Element.to_buffer b (as_element v));
         compare = None;
         extents = Some (fun v -> element_extents (as_element v));
-        overlaps = Some element_overlap };
+        overlaps = Some element_overlaps };
     Value.register_type ~name:profile_type
       { Value.parse =
           (fun s -> profile (parse_error_to_type_error Profile.of_string_exn s));

@@ -87,21 +87,23 @@ let normal t =
   let s = t.(0) and e = t.(1) in
   (s lor e) land 1 = 0 && s <= e && normal_from t 2 (e asr 1)
 
-(* In-place ascending sort of a.(lo .. hi-1), monomorphic so every
-   comparison is an inline int compare: Hoare quicksort around the middle
-   element, insertion sort up to 32 elements, which a coalesced group's
-   bounds usually fit in (EXPERIMENTS.md E38 measures it against 16). The
+(* In-place sort of the pairs (a.(i), b.(i)), lo <= i < hi, by [a],
+   monomorphic so every comparison is an inline int compare: Hoare
+   quicksort around the middle key, insertion sort up to 32 pairs, which
+   a coalesced group's periods usually fit in (EXPERIMENTS.md E38). The
    insertion sort reads and writes only inside [lo, hi), which [sweep]
-   keeps within [a]: unchecked. *)
-let rec sort_ints (a : int array) lo hi =
+   keeps within both arrays: unchecked. *)
+let rec sort_pairs (a : int array) (b : int array) lo hi =
   if hi - lo <= 32 then
     for i = lo + 1 to hi - 1 do
-      let x = Array.unsafe_get a i and j = ref (i - 1) in
+      let x = Array.unsafe_get a i and y = Array.unsafe_get b i and j = ref (i - 1) in
       while !j >= lo && Array.unsafe_get a !j > x do
         Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        Array.unsafe_set b (!j + 1) (Array.unsafe_get b !j);
         decr j
       done;
-      Array.unsafe_set a (!j + 1) x
+      Array.unsafe_set a (!j + 1) x;
+      Array.unsafe_set b (!j + 1) y
     done
   else begin
     let p = a.(lo + ((hi - lo) / 2)) and i = ref lo and j = ref (hi - 1) in
@@ -109,52 +111,55 @@ let rec sort_ints (a : int array) lo hi =
       while a.(!i) < p do incr i done;
       while a.(!j) > p do decr j done;
       if !i <= !j then begin
-        let x = a.(!i) in
+        let x = a.(!i) and y = b.(!i) in
         a.(!i) <- a.(!j);
+        b.(!i) <- b.(!j);
         a.(!j) <- x;
+        b.(!j) <- y;
         incr i;
         decr j
       end
     done;
-    sort_ints a lo (!j + 1);
-    sort_ints a !i hi
+    sort_pairs a b lo (!j + 1);
+    sort_pairs a b !i hi
   end
 
-(* Coverage of a set of periods depends only on the multisets of their
-   starts and of their ends, so the two sort separately and one sweep
-   with a depth counter recovers the union: a start no later than one
-   chronon after the next pending end extends the open period. The
-   sweep runs in place: its [k]-th period overwrites [starts.(k)] and
-   [ends.(k)], which it has already read (each period consumes at least
-   one start and one end). Returns the number of periods. *)
+(* The union of the periods [starts.(i), ends.(i)]: one sort of the
+   pairs by start, then one merge that extends the open period while
+   the next starts no later than one chronon after its running maximum
+   end. The merge runs in place: its [k]-th period overwrites pair [k],
+   which it has already read. Returns the number of periods. *)
 let sweep ~starts ~ends n =
   if n < 0 || n > Array.length starts || n > Array.length ends then
     invalid_arg "Element.coalesce_bounds: count out of range";
-  sort_ints starts 0 n;
-  sort_ints ends 0 n;
-  let k = ref 0 and depth = ref 0 and opened = ref 0 and i = ref 0 in
-  for j = 0 to n - 1 do
-    while !i < n && starts.(!i) <= ends.(j) + 1 do
-      if !depth = 0 then opened := starts.(!i);
-      incr depth;
-      incr i
+  sort_pairs starts ends 0 n;
+  if n = 0 then 0
+  else begin
+    (* Branch-free: the open period [s, e] is written at [k] every step,
+       and a gap (mask [m] all ones) keeps it by moving [k] on. *)
+    let s = ref starts.(0) and e = ref ends.(0) and k = ref 0 in
+    for i = 1 to n - 1 do
+      let si = Array.unsafe_get starts i and ei = Array.unsafe_get ends i in
+      let gap = Bool.to_int (si > !e + 1) in
+      Array.unsafe_set starts !k !s;
+      Array.unsafe_set ends !k !e;
+      k := !k + gap;
+      let m = -gap and d = ei - !e in
+      s := si land m lor (!s land lnot m);
+      e := ei land m lor ((!e + (d land lnot (d asr 62))) land lnot m)
     done;
-    decr depth;
-    if !depth = 0 then begin
-      starts.(!k) <- !opened;
-      ends.(!k) <- ends.(j);
-      incr k
-    end
-  done;
-  !k
+    starts.(!k) <- !s;
+    ends.(!k) <- !e;
+    !k + 1
+  end
 
 (* The first [k] periods of [starts]/[ends] interleaved into an exact
-   array, each bound mapped through [f]. *)
-let pack f ~starts ~ends k =
+   array of seconds, or of their encodings when [encoded]. *)
+let pack ~encoded ~starts ~ends k =
   let out = Array.make (2 * k) 0 in
   for p = 0 to k - 1 do
-    out.(2 * p) <- f starts.(p);
-    out.((2 * p) + 1) <- f ends.(p)
+    out.(2 * p) <- (if encoded then encode starts.(p) else starts.(p));
+    out.((2 * p) + 1) <- (if encoded then encode ends.(p) else ends.(p))
   done;
   out
 
@@ -176,7 +181,7 @@ let bind_sweep ~now t =
   let n = raw_count t in
   let starts = Array.make n 0 and ends = Array.make n 0 in
   let k = sweep ~starts ~ends (bind_bounds ~now t ~starts ~ends 0) in
-  pack Fun.id ~starts ~ends k
+  pack ~encoded:false ~starts ~ends k
 
 (* A bound form as the set algebra reads it: word [i] is
    [g.(i) asr shift]. A normalized element is read in place, as its
@@ -200,9 +205,9 @@ let of_bound g =
   g
 
 let normalize ~now t = if normal t then t else of_bound (bind_sweep ~now t)
-let coalesce = normalize
 
-let coalesce_bounds ~starts ~ends n = pack encode ~starts ~ends (sweep ~starts ~ends n)
+let coalesce_bounds ~starts ~ends n =
+  pack ~encoded:true ~starts ~ends (sweep ~starts ~ends n)
 
 (* --- Bound-form set algebra (linear two-pointer merges) -------------- *)
 
@@ -357,27 +362,38 @@ let complement ~now ~within t =
 type overlap = Hit | Miss | Not_finite
 
 (* Raw instants: bit 0 is the NOW-relative tag, and two fixed instants
-   compare like their chronons (see Instant). Empty (inverted) periods
+   compare like their chronons (see Instant). [a] against one fixed,
+   nonempty period [lo, hi], without a branch per period: a fixed period
+   [s, e] hits when e - s, hi - s and e - lo are all nonnegative, so
+   [acc] keeps a clear sign bit once one does (a NOW-relative period adds
+   -1, which never clears it). *)
+let overlap_one a lo hi =
+  let acc = ref (-1) and tags = ref 0 in
+  for i = 0 to (Array.length a / 2) - 1 do
+    let s = a.(2 * i) and e = a.((2 * i) + 1) in
+    let tag = (s lor e) land 1 in
+    acc := !acc land ((e - s) lor (hi - s) lor (e - lo) lor -tag);
+    tags := !tags lor tag
+  done;
+  if !acc >= 0 then Hit else if !tags = 1 then Not_finite else Miss
+
+(* [a] against each fixed, nonempty period of [b]. A hit between fixed
+   periods holds under any NOW; a miss is final only when no period of
+   either side has a NOW-relative endpoint. Empty (inverted) periods
    never match. *)
-let rec meets_fixed s1 e1 b j =
-  j < Array.length b
-  &&
-  let s2 = b.(j) and e2 = b.(j + 1) in
-  ((s2 lor e2) land 1 = 0 && s2 <= e2 && s1 <= e2 && s2 <= e1)
-  || meets_fixed s1 e1 b (j + 2)
-
-(* A hit between fixed periods holds under any NOW; a miss is final only
-   when no period of either side has a NOW-relative endpoint. *)
-let rec overlap_from a b i relative =
-  if i >= Array.length a then
-    if relative || is_now_relative b then Not_finite else Miss
+let rec overlap_from a b j answer =
+  if j >= Array.length b then answer
   else
-    let s1 = a.(i) and e1 = a.(i + 1) in
-    if (s1 lor e1) land 1 = 1 then overlap_from a b (i + 2) true
-    else if s1 <= e1 && meets_fixed s1 e1 b 0 then Hit
-    else overlap_from a b (i + 2) relative
+    let lo = b.(j) and hi = b.(j + 1) in
+    if (lo lor hi) land 1 = 1 then overlap_from a b (j + 2) Not_finite
+    else if lo > hi then overlap_from a b (j + 2) answer
+    else
+      match overlap_one a lo hi with
+      | Hit -> Hit
+      | Not_finite -> overlap_from a b (j + 2) Not_finite
+      | Miss -> overlap_from a b (j + 2) answer
 
-let overlap a b = overlap_from a b 0 false
+let overlap a b = overlap_from a b 0 Miss
 
 let overlaps ~now a b =
   match overlap a b with

@@ -38,15 +38,11 @@ val ground : now:Chronon.t -> t -> Period.ground list
     periods — the temporal {e coalesce} operation. *)
 val normalize : now:Chronon.t -> t -> t
 
-(** Alias for {!normalize}. *)
-val coalesce : now:Chronon.t -> t -> t
-
 (** [coalesce_bounds ~starts ~ends n] is the normalized union of the [n]
     ground periods [[starts.(i), ends.(i)]] (unix seconds, each start no
-    later than its end). Only the two multisets matter: the first [n]
-    entries of both arrays are sorted and swept in place (their contents
-    are unspecified afterwards), and the result is the one array
-    allocated. *)
+    later than its end). The first [n] pairs are sorted by start once
+    and merged in place (their contents are unspecified afterwards), and
+    the result is the one array allocated. *)
 val coalesce_bounds : starts:int array -> ends:int array -> int -> t
 
 (** [bind_bounds ~now t ~starts ~ends at] binds [t]'s periods as
@@ -76,13 +72,15 @@ val contains : now:Chronon.t -> t -> t -> bool
 (** The answer of {!overlap}. *)
 type overlap =
   | Hit  (** nonempty fixed periods of the two share a chronon *)
-  | Miss  (** no such pair, and every endpoint is fixed *)
-  | Not_finite  (** no such pair, and some endpoint is NOW-relative *)
+  | Miss  (** no such pair under any NOW *)
+  | Not_finite  (** no such pair, and a NOW-relative endpoint could make one *)
 
 (** [overlap a b] answers {!overlaps} from the periods as written,
     without a NOW binding and without allocating: after [Hit] (or
     [Miss]), [overlaps ~now a b] is [true] (or [false]) for every [now].
-    The batch executor's [overlaps] kernel calls it once per row. *)
+    It walks [a] once per fixed period of [b], without a branch per
+    period. The batch executor's [overlaps] kernel calls it once per
+    row, with a constant [b] bound once (see {!normalize}). *)
 val overlap : t -> t -> overlap
 
 val contains_chronon : now:Chronon.t -> t -> Chronon.t -> bool

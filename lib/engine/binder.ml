@@ -337,25 +337,37 @@ and bind ext catalog (s : Ast.select) =
   finish ext from layout s
 
 (* A subquery of an expression compiled in [outer] at [shift]. A column
-   that does not resolve in the subquery's own FROM but does in a row
-   scope [outer] becomes a hidden parameter, returned with the outer
-   row offset that binds it (one level of correlation; nested
-   subqueries correlate against their immediate parent only). *)
+   that does not resolve in the subquery's own FROM but does in [outer]
+   becomes a hidden parameter, returned with the outer row offset that
+   binds it (one level of correlation; nested subqueries correlate
+   against their immediate parent only). In a [Groups] scope the outer
+   row is a group's, so only a group key binds, at its slot. *)
 let subquery ext catalog ~outer ~shift (s : Ast.select) =
   let from, inner = bind_from ext catalog s.Ast.from in
   let corr = ref [] in
+  (* [None] when [outer] does not know the column either *)
+  let outer_offset q n =
+    match outer with
+    | Rows layout -> (
+      match resolve_in layout q n with i -> Some i | exception Plan_error _ -> None)
+    | Groups { input; slots; _ } -> (
+      match List.assoc_opt (normalize input (Ast.Column (q, n))) slots with
+      | Some slot -> Some slot
+      | None -> plan_error "column %s must appear in GROUP BY or an aggregate" n
+      | exception Plan_error _ -> None)
+  in
   let rec rw e =
-    match e, outer with
-    | Ast.Column (q, n), Rows outer -> (
+    match e with
+    | Ast.Column (q, n) -> (
       match resolve_in inner q n with
       | _ -> e (* inner scope wins, as SQL scoping requires *)
       | exception Plan_error _ -> (
-        match resolve_in outer q n with
-        | abs ->
+        match outer_offset q n with
+        | Some abs ->
           let name = Printf.sprintf "__corr_%d" (List.length !corr) in
           corr := (name, abs - shift) :: !corr;
           Ast.Param name
-        | exception Plan_error _ -> e (* reported as unknown when compiled *)))
+        | None -> e (* reported as unknown when compiled *)))
     | _ -> Ast.map_children rw e
   in
   let rec rw_from = function

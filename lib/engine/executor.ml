@@ -39,54 +39,6 @@ let m_queries =
   Metrics.counter "exec_queries_total"
     ~help:"Plans executed through collect"
 
-(* Hash table keyed by a list of values (group keys / join keys). *)
-module Row_key = struct
-  type t = Value.t list
-
-  (* One traversal, no length precomputation. *)
-  let equal a b =
-    let rec go a b =
-      match a, b with
-      | [], [] -> true
-      | x :: a, y :: b -> Value.equal x y && go a b
-      | [], _ :: _ | _ :: _, [] -> false
-    in
-    go a b
-
-  let hash vs = List.fold_left (fun h v -> (h * 31) + Value.hash v) 17 vs
-end
-
-module Key_table = Hashtbl.Make (Row_key)
-
-(* Hash table keyed by a whole row, without going through a list (used
-   by DISTINCT, where every input row becomes a key). Equality matches
-   [Row_key]: element-wise [Value.equal]. *)
-module Row_array_key = struct
-  type t = Value.t array
-
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash row = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 row
-end
-
-module Row_table = Hashtbl.Make (Row_array_key)
-
-(* Hash table keyed by a single value, for the one-key hash-join fast
-   path: probing with the value itself avoids allocating a one-element
-   key list per probe row. *)
-module Val_key = struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end
-
-module Val_table = Hashtbl.Make (Val_key)
-
 (* --- Grouped aggregation ---------------------------------------------------- *)
 
 (* Each group has a dense id (gid), and each aggregate keeps the state
@@ -110,6 +62,85 @@ let[@inline] reserve col gid fill =
 
 (* Slot [gid] of a column, or [default] past its end. *)
 let read col gid default = if gid < Array.length !col then !col.(gid) else default
+
+(* The gid table numbers distinct keys densely, in first-appearance
+   order, for GROUP BY, DISTINCT and the hash-join build. It is one
+   open-addressing table of slots holding gid + 1 (0 is empty); each
+   group's hash and key values are kept gid-indexed, group [g]'s key
+   [i] at [vals.(g * width + i)], so a probe compares against them and
+   a row's keys are evaluated once into [scratch], with no key list.
+   Keys match by [Value.equal]. *)
+type gid_table = {
+  scratch : Value.t array; (* the keys being looked up *)
+  vals : Value.t array ref;
+  hashes : int array ref;
+  mutable slots : int array;
+  mutable count : int;
+}
+
+let gid_table width =
+  { scratch = Array.make width Value.Null; vals = ref [||]; hashes = ref [||];
+    slots = Array.make 16 0; count = 0 }
+
+(* Evaluates [keys] on [row] into the scratch; returns their hash. *)
+let load_keys t keys ctx row =
+  let h = ref 17 in
+  for i = 0 to Array.length keys - 1 do
+    let v = keys.(i) ctx row in
+    t.scratch.(i) <- v;
+    h := (!h * 31) + Value.hash v
+  done;
+  !h land max_int
+
+let null_key t = Array.exists Value.is_null t.scratch
+
+let rec same_keys t base i =
+  i >= Array.length t.scratch
+  || (Value.equal !(t.vals).(base + i) t.scratch.(i) && same_keys t base (i + 1))
+
+(* The slot holding the scratch's group, or the empty slot that ends
+   its probe sequence. *)
+let rec slot_of t h j =
+  let s = t.slots.(j) in
+  if s = 0 || (!(t.hashes).(s - 1) = h && same_keys t ((s - 1) * Array.length t.scratch) 0)
+  then j
+  else slot_of t h ((j + 1) land (Array.length t.slots - 1))
+
+(* The gid of the scratch's keys, whose hash is [h]; a new group when
+   they are absent and [add], else -1. *)
+let find_gid t h ~add =
+  let j = slot_of t h (h land (Array.length t.slots - 1)) in
+  if t.slots.(j) > 0 || not add then t.slots.(j) - 1
+  else begin
+    let g = t.count and w = Array.length t.scratch in
+    reserve t.hashes g 0;
+    !(t.hashes).(g) <- h;
+    reserve t.vals (((g + 1) * w) - 1) Value.Null;
+    Array.blit t.scratch 0 !(t.vals) (g * w) w;
+    t.slots.(j) <- g + 1;
+    t.count <- g + 1;
+    if 2 * t.count > Array.length t.slots then begin
+      (* rehash from the kept hashes, at most half full *)
+      let slots = Array.make (2 * Array.length t.slots) 0 in
+      let mask = Array.length slots - 1 in
+      for g = 0 to t.count - 1 do
+        let rec free j = if slots.(j) = 0 then j else free ((j + 1) land mask) in
+        slots.(free (!(t.hashes).(g) land mask)) <- g + 1
+      done;
+      t.slots <- slots
+    end;
+    g
+  end
+
+(* [n] rows from [f], in an array that starts out holding no row: an
+   array past 256 words is made in the major heap, and [Array.init]'s
+   young first row in every slot would force a minor collection. *)
+let rows_init n f =
+  let a = Array.make n [||] in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
 
 type builtin =
   | Count of int array ref
@@ -205,68 +236,15 @@ let stepper ctx (spec : Plan.agg_spec) agg counted : int -> Value.t array -> uni
             match !seen.(gid) with
             | Some set -> set
             | None ->
-              let set = Val_table.create 16 in
+              let set = gid_table 1 in
               !seen.(gid) <- Some set;
               set
           in
-          if not (Val_table.mem set v) then begin
-            Val_table.replace set v ();
-            step gid v
-          end
+          let known = set.count in
+          set.scratch.(0) <- v;
+          if find_gid set (Value.hash v) ~add:true = known then step gid v
         end
     end
-
-(* The group table of a hash aggregate: [gid row] is the dense id of
-   [row]'s group, numbered in first-appearance order, and [key gid i]
-   its [i]-th key value. A grand aggregate is gid 0, with no table; the
-   common single-key GROUP BY hashes the key value itself, and only
-   multi-key grouping pays a key list per row. [count ()] is the number
-   of groups so far. *)
-type group_table = {
-  gid : Value.t array -> int;
-  count : unit -> int;
-  key : int -> int -> Value.t;
-}
-
-let group_table ctx keys =
-  let n = ref 0 and cols = Array.of_list (List.map (fun _ -> ref [||]) keys) in
-  let add key_at =
-    let g = !n in
-    incr n;
-    Array.iteri
-      (fun i col ->
-        reserve col g Value.Null;
-        !col.(g) <- key_at i)
-      cols;
-    g
-  in
-  let gid =
-    match keys with
-    | [] ->
-      n := 1;
-      fun _ -> 0
-    | [ ck ] ->
-      let groups : int Val_table.t = Val_table.create 64 in
-      fun row ->
-        let key = ck ctx row in
-        (match Val_table.find groups key with
-        | g -> g
-        | exception Not_found ->
-          let g = add (fun _ -> key) in
-          Val_table.replace groups key g;
-          g)
-    | _ ->
-      let groups : int Key_table.t = Key_table.create 64 in
-      fun row ->
-        let key = List.map (fun c -> c ctx row) keys in
-        (match Key_table.find groups key with
-        | g -> g
-        | exception Not_found ->
-          let g = add (List.nth key) in
-          Key_table.replace groups key g;
-          g)
-  in
-  { gid; count = (fun () -> !n); key = (fun g i -> !(cols.(i)).(g)) }
 
 (* ORDER BY comparison over pre-evaluated keys: the keys of one row are
    [ka.(oa) .. ka.(oa + w - 1)], one per [by] entry. *)
@@ -423,20 +401,22 @@ let ensure_capacity c n =
     c.sel <- sel
   end
 
-(* Fill [c] with the live rows of rids[lo, lo+len) and reset the
-   selection vector to identity. *)
+(* Fill [c] with the live rows of rids[lo, lo+len); returns their
+   count. A slot range is one loop over the heap's slot array, a rid
+   array one [Table.get] per rid. *)
 let fill_chunk table (scan : Table.scan) lo len c =
-  let n = ref 0 in
-  for i = lo to lo + len - 1 do
-    let rid = match scan with Table.Slots _ -> i | Table.Rids rids -> rids.(i) in
-    match Table.get table rid with
-    | Some row ->
-      c.rows.(!n) <- row;
-      c.sel.(!n) <- !n;
-      incr n
-    | None -> ()
-  done;
-  c.nsel <- !n
+  match scan with
+  | Table.Slots _ -> Table.fill table ~lo ~hi:(lo + len) c.rows
+  | Table.Rids rids ->
+    let n = ref 0 in
+    for i = lo to lo + len - 1 do
+      match Table.get table rids.(i) with
+      | Some row ->
+        c.rows.(!n) <- row;
+        incr n
+      | None -> ()
+    done;
+    !n
 
 (* Fill [c] with up to [cap] rows pulled from [rows]; returns the rest
    of the stream. *)
@@ -456,9 +436,13 @@ let fill_chunk_from c cap rows =
   c.nsel <- n;
   rest
 
-(* A pipeline's source: the rids of a leaf scan, read from its table, or
-   the row stream of any other operator. *)
-type source = Rids of Table.t * Table.scan | Rows of Value.t array Seq.t
+(* A pipeline's source: the rids of a leaf scan, read from its table,
+   the output array of an aggregate or sort, or the row stream of any
+   other operator. *)
+type source =
+  | Rids of Table.t * Table.scan
+  | Materialized of Value.t array array
+  | Rows of Value.t array Seq.t
 
 (* A pipeline: its source, and the fused stages above it as one
    function. Stages own reusable output chunks, so a compiled pipeline
@@ -475,11 +459,8 @@ let chunk_rows n = if Failpoint.active () then 1 else Stdlib.min chunk_size n
    metric and budget once, in bulk. Every chunk shares the stage's
    buffers, so each must be consumed before the next is forced. *)
 let chunks ctx ((src, stage) : pipeline) : chunk Seq.t =
-  match src with
-  | Rids (table, rids) ->
-    let n = match rids with Table.Slots n -> n | Table.Rids rids -> Array.length rids in
-    Metrics.add m_rows_scanned n;
-    Deadline.charge_rows_scanned ctx.Expr_eval.token n;
+  (* [n] rows, [fill c lo len] copying rows [lo, lo + len) into [c] *)
+  let sized n fill =
     let cap = chunk_rows n in
     let c = make_chunk cap in
     let rec next lo () =
@@ -487,11 +468,25 @@ let chunks ctx ((src, stage) : pipeline) : chunk Seq.t =
       else begin
         Expr_eval.poll ctx;
         let len = Stdlib.min cap (n - lo) in
-        fill_chunk table rids lo len c;
+        c.nsel <- fill c lo len;
+        for j = 0 to c.nsel - 1 do
+          c.sel.(j) <- j
+        done;
         Seq.Cons (stage c, next (lo + len))
       end
     in
     next 0
+  in
+  match src with
+  | Rids (table, rids) ->
+    let n = match rids with Table.Slots n -> n | Table.Rids rids -> Array.length rids in
+    Metrics.add m_rows_scanned n;
+    Deadline.charge_rows_scanned ctx.Expr_eval.token n;
+    sized n (fun c lo len -> fill_chunk table rids lo len c)
+  | Materialized rows ->
+    sized (Array.length rows) (fun c lo len ->
+        Array.blit rows lo c.rows 0 len;
+        len)
   | Rows rows ->
     (* A stream's length is unknown: the buffers grow as rows arrive. *)
     let cap = chunk_rows chunk_size in
@@ -507,14 +502,14 @@ let chunks ctx ((src, stage) : pipeline) : chunk Seq.t =
    next chunk reuses the buffers, and laziness across chunks keeps
    LIMIT's early exit at chunk granularity. *)
 let rows_of_chunks chunks =
-  Seq.flat_map
-    (fun c ->
-      let selected = ref [] in
-      for j = c.nsel - 1 downto 0 do
-        selected := c.rows.(c.sel.(j)) :: !selected
-      done;
-      List.to_seq !selected)
-    chunks
+  let rec from rows i chunks () =
+    if i < Array.length rows then Seq.Cons (rows.(i), from rows (i + 1) chunks)
+    else
+      match chunks () with
+      | Seq.Nil -> Seq.Nil
+      | Seq.Cons (c, chunks) -> from (rows_init c.nsel (fun j -> c.rows.(c.sel.(j)))) 0 chunks ()
+  in
+  from [||] 0 chunks
 
 let then_stage ((src, stage) : pipeline) next : pipeline =
   (src, fun c -> next (stage c))
@@ -536,28 +531,33 @@ let project_stage ctx exprs =
     out.nsel <- n;
     out
 
+(* A hash-join build side: its rows grouped by key gid, group [g]'s in
+   [rows.(starts.(g)) .. rows.(starts.(g + 1) - 1)] in build-scan order,
+   and [probe row], the gid a probe row's keys match (-1 for none). *)
+type build = { rows : Value.t array array; starts : int array; probe : Value.t array -> int }
+
 (* Probes each selected row against the build side; output rows are
    always left-columns ++ right-columns, emitted probe-major. *)
-let join_stage probe ~build_left =
+let join_stage b ~build_left =
   let out = make_chunk 0 in
   fun c ->
     let k = ref 0 in
     for j = 0 to c.nsel - 1 do
       let prow = c.rows.(c.sel.(j)) in
-      let matches = probe prow in
-      let m = Array.length matches in
-      if m > 0 then begin
-        Metrics.add m_rows_joined m;
-        ensure_capacity out (!k + m);
-        for x = 0 to m - 1 do
+      let g = b.probe prow in
+      if g >= 0 then begin
+        let lo = b.starts.(g) and hi = b.starts.(g + 1) in
+        ensure_capacity out (!k + hi - lo);
+        for x = lo to hi - 1 do
           out.rows.(!k) <-
-            (if build_left then Array.append matches.(x) prow
-             else Array.append prow matches.(x));
+            (if build_left then Array.append b.rows.(x) prow
+             else Array.append prow b.rows.(x));
           out.sel.(!k) <- !k;
           incr k
         done
       end
     done;
+    Metrics.add m_rows_joined !k;
     out.nsel <- !k;
     out
 
@@ -615,32 +615,22 @@ let rec run ctx (plan : Plan.t) : Value.t array Seq.t =
         | [] -> Seq.return (Array.append lrow nulls)
         | _ -> Seq.map (fun rrow -> Array.append lrow rrow) (List.to_seq matches))
       (run ctx left)
-  | Plan.Aggregate { input; keys; aggs; _ } -> run_aggregate ctx input keys aggs
-  | Plan.Sort { input; by; _ } ->
-    let rows = Array.of_seq (run ctx input) in
-    (* decorate-sort-undecorate: the keys are evaluated once per row,
-       into one flat array, and a stable sort orders row indices *)
-    let by = Array.of_list by in
-    let w = Array.length by in
-    let keys = Array.make (Array.length rows * w) Value.Null in
-    Array.iteri
-      (fun i row ->
-        for k = 0 to w - 1 do
-          keys.((i * w) + k) <- fst by.(k) ctx row
-        done)
-      rows;
-    let order = Array.init (Array.length rows) Fun.id in
-    Array.stable_sort (fun i j -> compare_sort_keys by keys (i * w) keys (j * w)) order;
-    Seq.map (fun i -> rows.(i)) (Array.to_seq order)
+  | Plan.Aggregate _ | Plan.Sort _ -> Array.to_seq (materialize ctx plan)
   | Plan.Distinct input ->
-    let seen = Row_table.create 64 in
+    (* every column is a key; the width is the first row's *)
+    let seen = ref None in
     Seq.filter
       (fun row ->
-        if Row_table.mem seen row then false
-        else begin
-          Row_table.replace seen row ();
-          true
-        end)
+        let keys, t =
+          match !seen with
+          | Some kt -> kt
+          | None ->
+            let kt = (Array.init (Array.length row) (fun i _ row -> row.(i)), gid_table (Array.length row)) in
+            seen := Some kt;
+            kt
+        in
+        let known = t.count in
+        find_gid t (load_keys t keys ctx row) ~add:true = known)
       (run ctx input)
   | Plan.Append inputs ->
     List.fold_left
@@ -666,8 +656,8 @@ let rec run ctx (plan : Plan.t) : Value.t array Seq.t =
 
 (* Compile [plan] into a pipeline. Leaf scans are rid sources; Filter,
    Project and the Hash_join probe fuse as stages above their input's
-   pipeline; any other operator is the row-stream source of the
-   pipeline above it. *)
+   pipeline; an aggregate or sort is the array source of the pipeline
+   above it, and any other operator its row-stream source. *)
 and pipeline ctx (plan : Plan.t) : pipeline =
   match plan with
   | Plan.Seq_scan _ | Plan.Index_scan _ | Plan.Interval_scan _ ->
@@ -698,20 +688,45 @@ and pipeline ctx (plan : Plan.t) : pipeline =
     then_stage (pipeline ctx input) (fun c ->
         stats.Plan.actual_rows <- stats.Plan.actual_rows + c.nsel;
         c)
+  | Plan.Aggregate _ | Plan.Sort _ -> (Materialized (materialize ctx plan), Fun.id)
   | Plan.Instrument _ | Plan.Nested_loop _ | Plan.Left_outer_join _
-  | Plan.Aggregate _ | Plan.Sort _ | Plan.Distinct _ | Plan.Limit _
-  | Plan.Append _ | Plan.Partition_scan _ | Plan.One_row
-  | Plan.Virtual_scan _ ->
+  | Plan.Distinct _ | Plan.Limit _ | Plan.Append _ | Plan.Partition_scan _
+  | Plan.One_row | Plan.Virtual_scan _ ->
     (Rows (run ctx plan), Fun.id)
 
+(* A blocking operator's output as one array, which a pipeline above it
+   reads chunk by chunk: an aggregate's groups, a sort's rows in order,
+   any other plan's rows collected. *)
+and materialize ctx plan =
+  match plan with
+  | Plan.Aggregate { input; keys; aggs; _ } -> run_aggregate ctx input keys aggs
+  | Plan.Sort { input; by; _ } ->
+    let rows = materialize ctx input in
+    (* decorate-sort-undecorate: the keys are evaluated once per row,
+       into one flat array, and a stable sort orders row indices *)
+    let by = Array.of_list by in
+    let w = Array.length by in
+    let keys = Array.make (Array.length rows * w) Value.Null in
+    Array.iteri
+      (fun i row ->
+        for k = 0 to w - 1 do
+          keys.((i * w) + k) <- fst by.(k) ctx row
+        done)
+      rows;
+    let order = Array.init (Array.length rows) Fun.id in
+    Array.stable_sort (fun i j -> compare_sort_keys by keys (i * w) keys (j * w)) order;
+    rows_init (Array.length order) (fun i -> rows.(order.(i)))
+  | _ -> Array.of_seq (run ctx plan)
+
 and run_aggregate ctx input keys aggs =
-  let table = group_table ctx keys in
+  let keys = Array.of_list keys in
+  let table = gid_table (Array.length keys) in
   let states = Array.of_list (List.map (agg_state ctx) aggs) in
   let counted = ref 0 in
   let steppers =
     Array.of_list (List.mapi (fun i spec -> stepper ctx spec states.(i) counted) aggs)
   in
-  let naggs = Array.length steppers and grand = List.is_empty keys in
+  let naggs = Array.length steppers and grand = Array.length keys = 0 in
   let input_rows = ref 0 in
   (* Chunks feed the group table directly, with no row sequence in
      between. A partitioned input feeds it child by child, so a
@@ -725,7 +740,9 @@ and run_aggregate ctx input keys aggs =
         (fun c ->
           for j = 0 to c.nsel - 1 do
             let row = c.rows.(c.sel.(j)) in
-            let gid = if grand then 0 else table.gid row in
+            let gid =
+              if grand then 0 else find_gid table (load_keys table keys ctx row) ~add:true
+            in
             for a = 0 to naggs - 1 do
               steppers.(a) gid row
             done
@@ -740,11 +757,11 @@ and run_aggregate ctx input keys aggs =
   Metrics.add m_rows_coalesced !counted;
   (* A group's output row: its keys, then each aggregate's final value.
      A grand aggregate is one row even over an empty input. *)
-  let nkeys = List.length keys in
-  Seq.init (table.count ()) (fun g ->
+  let nkeys = Array.length keys in
+  rows_init (if grand then 1 else table.count) (fun g ->
       let row = Array.make (nkeys + naggs) Value.Null in
       for i = 0 to nkeys - 1 do
-        row.(i) <- table.key g i
+        row.(i) <- !(table.vals).((g * nkeys) + i)
       done;
       for a = 0 to naggs - 1 do
         row.(nkeys + a) <- final states.(a) g
@@ -767,56 +784,47 @@ and run_topk ctx plan k : Value.t array Seq.t option =
   | Plan.Sort { input; by; _ } -> Some (List.to_seq (top_k ctx by k (run ctx input)))
   | _ -> None
 
-(* Materialize a hash-join build side into a probe function returning
-   matches in build-scan order. Single-key joins hash the value itself
-   (no per-row key list); NULL keys never join. *)
-and build_join_table ctx build_plan build_keys probe_keys :
-    Value.t array -> Value.t array array =
-  match build_keys, probe_keys with
-  | [ bk ], [ pk ] ->
-    let tmp : Value.t array list Val_table.t = Val_table.create 64 in
-    Seq.iter
-      (fun brow ->
-        let key = bk ctx brow in
-        if not (Value.is_null key) then
-          Val_table.replace tmp key
-            (brow :: Option.value (Val_table.find_opt tmp key) ~default:[]))
-      (run ctx build_plan);
-    let table = Val_table.create (Stdlib.max 16 (Val_table.length tmp)) in
-    Val_table.iter
-      (fun key rows ->
-        Val_table.replace table key (Array.of_list (List.rev rows)))
-      tmp;
-    fun prow ->
-      let key = pk ctx prow in
-      if Value.is_null key then [||]
-      else begin
-        match Val_table.find_opt table key with
-        | Some rows -> rows
-        | None -> [||]
-      end
-  | _ ->
-    let tmp : Value.t array list Key_table.t = Key_table.create 64 in
-    Seq.iter
-      (fun brow ->
-        let key = List.map (fun c -> c ctx brow) build_keys in
-        if not (List.exists Value.is_null key) then
-          Key_table.replace tmp key
-            (brow :: Option.value (Key_table.find_opt tmp key) ~default:[]))
-      (run ctx build_plan);
-    let table = Key_table.create (Stdlib.max 16 (Key_table.length tmp)) in
-    Key_table.iter
-      (fun key rows ->
-        Key_table.replace table key (Array.of_list (List.rev rows)))
-      tmp;
-    fun prow ->
-      let key = List.map (fun c -> c ctx prow) probe_keys in
-      if List.exists Value.is_null key then [||]
-      else begin
-        match Key_table.find_opt table key with
-        | Some rows -> rows
-        | None -> [||]
-      end
+(* Materializes a hash-join build side: its chunks number their keys
+   through a gid table, then one counting pass groups the rows by gid,
+   keeping build-scan order within a group. NULL keys never join. *)
+and build_join_table ctx build_plan build_keys probe_keys : build =
+  let bkeys = Array.of_list build_keys and pkeys = Array.of_list probe_keys in
+  let t = gid_table (Array.length bkeys) in
+  let rows = ref [||] and gids = ref [||] and n = ref 0 in
+  Seq.iter
+    (fun c ->
+      for j = 0 to c.nsel - 1 do
+        let row = c.rows.(c.sel.(j)) in
+        let h = load_keys t bkeys ctx row in
+        if not (null_key t) then begin
+          reserve rows !n [||];
+          reserve gids !n 0;
+          !rows.(!n) <- row;
+          !gids.(!n) <- find_gid t h ~add:true;
+          incr n
+        end
+      done)
+    (chunks ctx (pipeline ctx build_plan));
+  (* counts, their running sums (where each group ends), then a
+     backward pass that places every row and leaves [starts.(g)] where
+     group [g] starts *)
+  let starts = Array.make (t.count + 1) 0 and grouped = Array.make !n [||] in
+  for i = 0 to !n - 1 do
+    starts.(!gids.(i)) <- starts.(!gids.(i)) + 1
+  done;
+  for g = 1 to t.count do
+    starts.(g) <- starts.(g) + starts.(g - 1)
+  done;
+  for i = !n - 1 downto 0 do
+    let g = !gids.(i) in
+    starts.(g) <- starts.(g) - 1;
+    grouped.(starts.(g)) <- !rows.(i)
+  done;
+  let probe prow =
+    let h = load_keys t pkeys ctx prow in
+    if null_key t then -1 else find_gid t h ~add:false
+  in
+  { rows = grouped; starts; probe }
 
 (* The client-facing collection: counts the query and charges result-set
    budgets (subqueries consume [run] directly: their rows are

@@ -657,18 +657,29 @@ let cmp_kernel op ca cb ext : batch_pred =
 
 let element_type = "element"
 
-(* [overlaps] of two elements asks the element type's NOW-free test
-   ([Value.vtable.overlaps]), resolved once here: it reads the stored
-   periods in place and allocates nothing. It declines ([Not_finite])
-   when a NOW-relative endpoint could change the answer; that case and
-   non-element operands (period [overlaps] is the strict Allen relation)
+(* [overlaps] of two blade values asks the element type's NOW-free test
+   ([Value.vtable.overlaps]): it reads the stored periods in place and
+   allocates nothing. A [row_free] operand ([`Left] or [`Right]) is
+   bound once, under the statement's NOW, to sorted fixed bounds, on its
+   first value. The test declines ([Not_finite]) when a NOW-relative
+   endpoint of a row could change the answer, or when an operand is not
+   an element (period [overlaps] is the strict Allen relation); those
    take the cached routine dispatch, row by row. NULL drops the row. *)
-let overlaps_kernel ca cb ext : batch_pred =
+let overlaps_kernel ca cb ~row_free ext : batch_pred =
   let call = routine_caller ext "overlaps" in
-  let now_free =
+  let test, bind =
     match Value.lookup_type element_type with
-    | Some { Value.overlaps = Some f; _ } -> f
-    | Some _ | None -> fun _ _ -> Value.Not_finite
+    | Some { Value.overlaps = Some { test; bind }; _ } -> (test, bind)
+    | Some _ | None -> ((fun _ _ -> Value.Not_finite), fun ~now:_ v -> v)
+  in
+  let bound = ref None in
+  let fixed ctx c =
+    match !bound with
+    | Some c -> c
+    | None ->
+      let c = bind ~now:ctx.now c in
+      bound := Some c;
+      c
   in
   let routine ctx a b =
     match call ~now:ctx.now [| a; b |] with
@@ -684,9 +695,14 @@ let overlaps_kernel ca cb ext : batch_pred =
       let keep =
         match a, b with
         | Value.Null, _ | _, Value.Null -> false
-        | Value.Ext (ta, _), Value.Ext (tb, _)
-          when String.equal ta element_type && String.equal tb element_type -> (
-          match now_free a b with
+        | Value.Ext _, Value.Ext _ -> (
+          let answer =
+            match row_free with
+            | `Right -> test a (fixed ctx b)
+            | `Left -> test b (fixed ctx a)
+            | `Neither -> test a b
+          in
+          match answer with
           | Value.Hit -> true
           | Value.Miss -> false
           | Value.Not_finite -> routine ctx a b)
@@ -740,8 +756,13 @@ let rec compile_batch env expr : batch_pred =
     cmp_kernel op (compile env a) (compile env b) env.ext
   | Ast.Call (name, [ a; b ]) when String.lowercase_ascii name = "overlaps" ->
     let ca = compile env a and cb = compile env b and ext = env.ext in
+    let row_free =
+      if row_free env b then `Right else if row_free env a then `Left else `Neither
+    in
     (match a, b with
-    | Ast.Lit (Ast.L_string _), _ -> overlaps_kernel (literal_element ext ca cb) cb ext
-    | _, Ast.Lit (Ast.L_string _) -> overlaps_kernel ca (literal_element ext cb ca) ext
-    | _ -> overlaps_kernel ca cb ext)
+    | Ast.Lit (Ast.L_string _), _ ->
+      overlaps_kernel (literal_element ext ca cb) cb ~row_free ext
+    | _, Ast.Lit (Ast.L_string _) ->
+      overlaps_kernel ca (literal_element ext cb ca) ~row_free ext
+    | _ -> overlaps_kernel ca cb ~row_free ext)
   | _ -> batch_of_predicate (compile env expr)

@@ -1,32 +1,42 @@
 (* Heap storage for one table: rows addressed by stable row ids.
 
+   The slots are one growable array, [used] of them ever filled.
    Deleted slots become tombstones and are recycled through a free list,
    so row ids stay valid for the indexes that reference them. *)
 
 type row = Value.t array
 
 type t = {
-  slots : row option Vec.t;
+  mutable slots : row option array; (* capacity; past [used] all None *)
+  mutable used : int;
   mutable free : int list; (* tombstone slots available for reuse *)
   mutable live : int;
 }
 
-let create () = { slots = Vec.create ~dummy:None; free = []; live = 0 }
+let create () = { slots = Array.make 8 None; used = 0; free = []; live = 0 }
 
 let live_count t = t.live
-let slot_count t = Vec.length t.slots
+let slot_count t = t.used
 
 let insert t row =
   t.live <- t.live + 1;
   match t.free with
   | rid :: rest ->
     t.free <- rest;
-    Vec.set t.slots rid (Some row);
+    t.slots.(rid) <- Some row;
     rid
-  | [] -> Vec.push t.slots (Some row)
+  | [] ->
+    let rid = t.used in
+    if rid = Array.length t.slots then begin
+      let slots = Array.make (2 * rid) None in
+      Array.blit t.slots 0 slots 0 rid;
+      t.slots <- slots
+    end;
+    t.slots.(rid) <- Some row;
+    t.used <- rid + 1;
+    rid
 
-let get t rid =
-  if rid < 0 || rid >= Vec.length t.slots then None else Vec.get t.slots rid
+let get t rid = if rid < 0 || rid >= t.used then None else t.slots.(rid)
 
 let get_exn t rid =
   match get t rid with
@@ -37,7 +47,7 @@ let delete t rid =
   match get t rid with
   | None -> false
   | Some _ ->
-    Vec.set t.slots rid None;
+    t.slots.(rid) <- None;
     t.free <- rid :: t.free;
     t.live <- t.live - 1;
     true
@@ -46,17 +56,31 @@ let update t rid row =
   match get t rid with
   | None -> false
   | Some _ ->
-    Vec.set t.slots rid (Some row);
+    t.slots.(rid) <- Some row;
     true
 
 (* Iterates live rows in row-id order. *)
 let iteri f t =
-  Vec.iteri (fun rid slot -> match slot with Some row -> f rid row | None -> ()) t.slots
+  for rid = 0 to t.used - 1 do
+    match t.slots.(rid) with Some row -> f rid row | None -> ()
+  done
 
 let fold f init t =
-  Vec.fold
-    (fun acc slot -> match slot with Some row -> f acc row | None -> acc)
-    init t.slots
+  let acc = ref init in
+  iteri (fun _ row -> acc := f !acc row) t;
+  !acc
+
+(* One loop over the slot array: the scan's chunk fill. *)
+let fill t ~lo ~hi dst =
+  let n = ref 0 in
+  for rid = lo to Int.min hi t.used - 1 do
+    match t.slots.(rid) with
+    | Some row ->
+      dst.(!n) <- row;
+      incr n
+    | None -> ()
+  done;
+  !n
 
 let rids t =
   let acc = ref [] in

@@ -34,6 +34,10 @@ val iteri : (int -> row -> unit) -> t -> unit
 
 val fold : ('a -> row -> 'a) -> 'a -> t -> 'a
 
+(** Copies the live rows of slots [lo, hi) into [dst] from index 0, in
+    slot order, skipping tombstones; returns how many it copied. *)
+val fill : t -> lo:int -> hi:int -> row array -> int
+
 (** Live row ids, ascending. *)
 val rids : t -> int list
 

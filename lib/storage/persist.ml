@@ -138,7 +138,19 @@ let float_cell text =
   | f -> f
   | exception Failure _ -> format_error "bad FLOAT cell %S" text
 
-let parse_value ty cell =
+(* A CHAR cell, shared with every equal one [intern] has seen. *)
+let char_cell intern text =
+  match intern with
+  | None -> Value.Str text
+  | Some tbl -> (
+    match Hashtbl.find tbl text with
+    | v -> v
+    | exception Not_found ->
+      let v = Value.Str text in
+      Hashtbl.replace tbl text v;
+      v)
+
+let parse_value ?intern ty cell =
   if String.equal cell null_marker then Value.Null
   else begin
     let text = unescape_cell cell in
@@ -146,7 +158,7 @@ let parse_value ty cell =
     | Schema.T_int -> Value.Int (int_cell text)
     | Schema.T_float -> Value.Float (float_cell text)
     | Schema.T_bool -> Value.Bool (String.equal text "t")
-    | Schema.T_char _ -> Value.Str text
+    | Schema.T_char _ -> char_cell intern text
     | Schema.T_date -> (
       match Tip_core.Chronon.of_string text with
       | Some c -> Value.Date c
@@ -307,13 +319,13 @@ let parse_column_line line =
 
 let split_words line = String.split_on_char ' ' line
 
-let parse_row types cells =
+let parse_row ?intern types cells =
   if Array.length cells <> Array.length types then
     format_error "row arity mismatch: expected %d cells, got %d"
       (Array.length types) (Array.length cells);
-  Array.mapi (fun i cell -> parse_value types.(i) cell) cells
+  Array.mapi (fun i cell -> parse_value ?intern types.(i) cell) cells
 
-let load_table r catalog first_line =
+let load_table r catalog ~intern first_line =
   let table_name =
     match split_words first_line with
     | [ "table"; name ] -> name
@@ -350,7 +362,7 @@ let load_table r catalog first_line =
   for _ = 1 to n_rows do
     let line = read_line_exn r "row" in
     let cells = Array.of_list (String.split_on_char '\t' line) in
-    let row = with_line (fun () -> parse_row types cells) in
+    let row = with_line (fun () -> parse_row ~intern types cells) in
     ignore (Table.insert table row)
   done;
   (match read_line_exn r "end" with
@@ -416,6 +428,8 @@ let load_from r =
   | Some line -> format_error "bad magic %S" line
   | None -> format_error "empty file");
   let catalog = Catalog.create () in
+  (* equal CHAR cells share one value, for this load only *)
+  let intern = Hashtbl.create 1024 in
   let wal_gen = ref None in
   let epoch = ref 0 in
   let asof = ref None in
@@ -438,7 +452,7 @@ let load_from r =
         load_partitioned r catalog ~parent ~column;
         tables ()
       | _ ->
-        load_table r catalog line;
+        load_table r catalog ~intern line;
         tables ())
   in
   tables ();

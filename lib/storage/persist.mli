@@ -33,7 +33,8 @@ type meta = {
 }
 
 (** Rebuilds a catalog from a snapshot: rows re-inserted, secondary
-    indexes recreated and backfilled.
+    indexes recreated and backfilled. Equal CHAR cells share one value
+    (an intern table that lives for the one load).
     @raise Format_error on malformed input (bad cells and counts are
     classified with their line number, never a bare [Failure])
     @raise Sys_error on I/O failure. *)
@@ -50,8 +51,15 @@ val load_string : string -> Catalog.t * meta
 (**/**)
 
 val serialize_value : Value.t -> string
-val parse_value : Schema.col_type -> string -> Value.t
-val parse_row : Schema.col_type array -> string array -> Value.t array
+
+(** [intern] shares equal CHAR cells: a cell equal to one it holds
+    reads as that value, and a new one is added. *)
+val parse_value :
+  ?intern:(string, Value.t) Hashtbl.t -> Schema.col_type -> string -> Value.t
+
+val parse_row :
+  ?intern:(string, Value.t) Hashtbl.t -> Schema.col_type array -> string array ->
+  Value.t array
 val serialize_row : Value.t array -> string
 val escape_cell : string -> string
 val unescape_cell : string -> string

@@ -189,6 +189,8 @@ let scan t =
   let n = Heap.slot_count t.heap in
   if Heap.live_count t.heap = n then Slots n else Rids (Heap.rids_array t.heap)
 
+let fill t ~lo ~hi dst = Heap.fill t.heap ~lo ~hi dst
+
 let iteri f t =
   charge_scan t;
   Heap.iteri f t.heap

@@ -56,6 +56,9 @@ type scan =
 (** A full scan's row ids. A row deleted after the call reads as absent,
     and a slot first used after it is not visited. *)
 val scan : t -> scan
+
+(** The live rows of slots [lo, hi) into [dst] from 0 ({!Heap.fill}). *)
+val fill : t -> lo:int -> hi:int -> Value.t array array -> int
 val iteri : (int -> Value.t array -> unit) -> t -> unit
 val fold : ('a -> Value.t array -> 'a) -> 'a -> t -> 'a
 

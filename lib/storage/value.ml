@@ -39,11 +39,16 @@ type vtable = {
        covers — one entry per period for set-valued timestamps, with int
        bounds standing in for ±infinity when an endpoint is NOW-relative;
        enables interval indexing *)
-  overlaps : (t -> t -> overlap) option;
-    (* the type's [overlaps] routine on two of its values, answered
-       without allocating when no NOW binding can change the answer
-       ([Not_finite] otherwise); the batch [overlaps] kernel resolves it
-       once per predicate and calls it per row *)
+  overlaps : overlaps option;
+}
+
+(* The type's [overlaps] routine without a NOW binding: [test] answers
+   without allocating ([Not_finite] when a NOW binding could change the
+   answer), and [bind ~now] fixes a constant operand once per
+   statement. *)
+and overlaps = {
+  test : t -> t -> overlap;
+  bind : now:Tip_core.Chronon.t -> t -> t;
 }
 
 let registry : (string, vtable) Hashtbl.t = Hashtbl.create 16
@@ -164,7 +169,7 @@ let hash v =
     Hashtbl.hash (int_of_float f)
   | Float f -> Hashtbl.hash f
   | Bool b -> Hashtbl.hash b
-  | Str s -> Hashtbl.hash s
+  | Str s -> String.hash s
   | Date c -> Tip_core.Chronon.hash c
   | Ext (name, _) -> Hashtbl.hash (name, to_display_string v)
 

@@ -43,12 +43,19 @@ type vtable = {
           covers, one entry per period for set-valued timestamps, with
           [min_int]/[max_int] for NOW-relative endpoints; enables
           interval indexing *)
-  overlaps : (t -> t -> overlap) option;
-      (** the type's [overlaps] routine on two of its values, answered
-          without allocating: [Hit] or [Miss] when no NOW binding can
-          change the answer, [Not_finite] to send the caller to the
-          routine. The batch [overlaps] kernel resolves it once per
-          predicate. *)
+  overlaps : overlaps option;
+      (** the type's [overlaps] routine without a NOW binding *)
+}
+
+and overlaps = {
+  test : t -> t -> overlap;
+      (** [overlaps] on two values of the type, answered without
+          allocating: [Hit] or [Miss] when no NOW binding can change
+          the answer, [Not_finite] to send the caller to the routine *)
+  bind : now:Tip_core.Chronon.t -> t -> t;
+      (** the value bound under [now], sorted and fixed, so [test]
+          never declines for it: the batch [overlaps] kernel binds a
+          row-free operand once per statement *)
 }
 
 (** Registers a datatype under a (case-insensitive) name.

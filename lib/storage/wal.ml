@@ -411,15 +411,15 @@ let find_row table row =
 let row_types table =
   Array.map (fun c -> c.Schema.ty) (Table.schema table).Schema.columns
 
-let parse_cells table cells =
-  match Persist.parse_row (row_types table) cells with
+let parse_cells ?intern table cells =
+  match Persist.parse_row ?intern (row_types table) cells with
   | row -> row
   | exception Persist.Format_error msg -> corrupt "%s" msg
 
 (* Applies one record to the catalog.
    @raise Corrupt when the record does not fit the catalog (a log that
    does not match its snapshot). *)
-let apply catalog record =
+let apply ?intern catalog record =
   let table_exn name =
     match Catalog.find_table catalog name with
     | Some t -> t
@@ -429,7 +429,7 @@ let apply catalog record =
   | Generation _ | Commit _ -> ()
   | Insert { table; cells } ->
     let table = table_exn table in
-    let row = parse_cells table cells in
+    let row = parse_cells ?intern table cells in
     ignore (Table.insert table row);
     (* Replayed inserts into partition children (recovery, replication)
        must keep the parent's pruning watermark sound. *)
@@ -443,7 +443,7 @@ let apply catalog record =
     let table = table_exn table in
     match find_row table (parse_cells table old_cells) with
     | Some rid ->
-      let row = parse_cells table new_cells in
+      let row = parse_cells ?intern table new_cells in
       ignore (Table.update table rid row);
       Catalog.note_partition_write catalog table row
     | None -> corrupt "no row matches a logged UPDATE on %s" (Table.name table))
@@ -505,6 +505,8 @@ let last_commit_at c = c.last_commit_at
    [open_batch] across calls, so a stream reader resumes over a longer
    buffer without decoding any frame twice. *)
 let replay ?until ?(before_batch = ignore) catalog c ~gen ~epoch bytes =
+  (* equal CHAR cells of the rows this call applies share one value *)
+  let intern = Hashtbl.create 64 in
   let rec step () =
     match parse_frame bytes ~pos:c.pos with
     | `Need_more -> if c.pos < String.length bytes then Torn else End
@@ -523,7 +525,7 @@ let replay ?until ?(before_batch = ignore) catalog c ~gen ~epoch bytes =
       | _ -> (
         let batch = List.rev c.open_batch in
         before_batch ();
-        match List.iter (apply catalog) batch with
+        match List.iter (apply ~intern catalog) batch with
         | () ->
           c.batches <- c.batches + 1;
           c.records <- c.records + List.length batch;

@@ -200,9 +200,10 @@ val stop_reason : stop -> string option
 
 (** Applies one record to the catalog (replay path — bypasses the
     engine, so history shadow tables are not re-maintained; their
-    mutations appear as their own records).
+    mutations appear as their own records). A row's CHAR cells equal
+    to ones [intern] holds share their values (see {!Persist.parse_row}).
     @raise Corrupt when the record does not fit the catalog. *)
-val apply : Catalog.t -> record -> unit
+val apply : ?intern:(string, Value.t) Hashtbl.t -> Catalog.t -> record -> unit
 
 (**/**)
 

@@ -215,6 +215,52 @@ let prop_coalesce_bounds_is_normalize =
         (Element.coalesce_bounds ~starts ~ends n)
         (Element.normalize ~now (Element.of_ground_list ps)))
 
+(* [overlap] against one written period, [overlap]'s branch-free path
+   when that period is fixed and nonempty. *)
+let prop_one_period_overlap =
+  QCheck.Test.make ~name:"one-period overlap agrees with the oracle at every NOW"
+    ~count:1000 (QCheck.pair written_arb written_arb) (fun (a, b) ->
+      let b = Element.of_periods (List.filteri (fun i _ -> i = 0) (Element.periods b)) in
+      at_every_now (fun ~now ->
+          let expected =
+            Element_naive.overlaps (naive_ground ~now a) (naive_ground ~now b)
+          in
+          match Element.overlap a b with
+          | Element.Hit -> expected
+          | Element.Miss -> not expected
+          | Element.Not_finite -> Element.is_now_relative a || Element.is_now_relative b))
+
+(* A group_union group as its finalizer sees it: up to 12 written
+   elements bound under NOW into one pair of buffers, then coalesced by
+   the one-sort sweep. Endpoints fall on a grid or one second past it,
+   so periods abut (one ends a second before the next starts), nest,
+   share endpoints, or are empty (inverted); some are NOW-relative. *)
+let group_arb =
+  let open QCheck in
+  let at = Gen.(map2 (fun k d -> (k * 50) + d) (int_range 0 120) (int_range 0 1)) in
+  let instant =
+    Gen.(
+      frequency
+        [ (4, map (fun s -> Instant.of_chronon (Chronon.of_unix_seconds s)) at);
+          (1, map (fun s -> Instant.now_plus (Span.of_seconds (s - 3_000))) at) ])
+  in
+  let period = Gen.map2 Period.of_instants instant instant in
+  make
+    ~print:(fun es -> String.concat " " (List.map Element.to_string es))
+    Gen.(list_size (int_range 0 12) (map Element.of_periods (list_size (int_range 0 5) period)))
+
+let prop_group_sweep_matches_naive =
+  QCheck.Test.make ~name:"grouped sweep = naive oracle at every NOW" ~count:1000
+    group_arb (fun group ->
+      at_every_now (fun ~now ->
+          let room = List.fold_left (fun n e -> n + Element.raw_count e) 0 group in
+          let starts = Array.make room 0 and ends = Array.make room 0 in
+          let k =
+            List.fold_left (fun k e -> Element.bind_bounds ~now e ~starts ~ends k) 0 group
+          in
+          Element.ground ~now (Element.coalesce_bounds ~starts ~ends k)
+          = naive_ground ~now (Element.of_periods (List.concat_map Element.periods group))))
+
 let chronon_opt = Alcotest.(option (testable Chronon.pp Chronon.equal))
 
 let prop_observers_match =
@@ -348,6 +394,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_overlaps_matches;
     QCheck_alcotest.to_alcotest prop_overlap_matches_overlaps;
     QCheck_alcotest.to_alcotest prop_coalesce_bounds_is_normalize;
+    QCheck_alcotest.to_alcotest prop_one_period_overlap;
+    QCheck_alcotest.to_alcotest prop_group_sweep_matches_naive;
     QCheck_alcotest.to_alcotest prop_observers_match;
     QCheck_alcotest.to_alcotest prop_contains_match;
     QCheck_alcotest.to_alcotest prop_text_as_written;

@@ -196,6 +196,52 @@ let test_parallel_join () =
     "SELECT lookup.label, COUNT(*) FROM nums, lookup \
      WHERE nums.g = lookup.g GROUP BY lookup.label"
 
+(* The hash-join build groups its rows by key gid: multi-key joins,
+   NULL keys (which never join), duplicate keys on both sides, and each
+   build side, emitting exactly the reference's rows in its probe-major
+   order. ANALYZE makes the planner build on the smaller side. *)
+let test_join_build () =
+  let db = Db.create () in
+  let exec sql = ignore (Db.exec db sql) in
+  exec "CREATE TABLE l (a INT, b CHAR(4), x INT)";
+  exec "CREATE TABLE r (a INT, b CHAR(4), y INT)";
+  let key i = if i mod 13 = 0 then "NULL" else string_of_int (i mod 9) in
+  let tag i = if i mod 17 = 0 then "NULL" else Printf.sprintf "'t%d'" (i mod 3) in
+  for i = 0 to 2499 do
+    exec (Printf.sprintf "INSERT INTO l VALUES (%s, %s, %d)" (key i) (tag i) i);
+    if i < 400 then
+      exec (Printf.sprintf "INSERT INTO r VALUES (%s, %s, %d)" (key (i * 7)) (tag (i * 5)) i)
+  done;
+  let db = lazy db in
+  let shapes () =
+    check_reference ~db "one key" "SELECT l.x, r.y FROM l, r WHERE l.a = r.a";
+    check_reference ~db "two keys"
+      "SELECT l.x, r.y, l.b FROM l, r WHERE l.a = r.a AND l.b = r.b";
+    check_reference ~db "keys written right to left"
+      "SELECT r.y, l.x FROM r, l WHERE r.b = l.b AND l.a = r.a AND l.x < 900";
+    check_reference ~db "duplicates into an aggregate"
+      "SELECT l.a, l.b, COUNT(*), SUM(r.y) FROM l, r WHERE l.a = r.a AND l.b = r.b \
+       GROUP BY l.a, l.b"
+  in
+  let builds side sql =
+    match Db.exec (Lazy.force db) ("EXPLAIN " ^ sql) with
+    | Db.Message text -> (
+      match Str.search_forward (Str.regexp_string ("build=" ^ side)) text 0 with
+      | _ -> true
+      | exception Not_found -> false)
+    | _ -> false
+  in
+  shapes ();
+  exec "ANALYZE l";
+  exec "ANALYZE r";
+  check Alcotest.bool "the smaller left side builds" true
+    (builds "left" "SELECT r.y, l.x FROM r, l WHERE r.a = l.a");
+  check Alcotest.bool "the smaller right side builds" true
+    (builds "right" "SELECT l.x, r.y FROM l, r WHERE l.a = r.a");
+  shapes ();
+  check_reference ~db "the smaller left side builds, two keys"
+    "SELECT r.y, l.x FROM r, l WHERE r.a = l.a AND r.b = l.b"
+
 (* --- Top-k -------------------------------------------------------------------- *)
 
 let take n l = List.filteri (fun i _ -> i < n) l
@@ -255,6 +301,8 @@ let suite =
     Alcotest.test_case "parallel aggregate error = sequential" `Quick
       test_aggregate_error_matches;
     Alcotest.test_case "parallel hash join" `Quick test_parallel_join;
+    Alcotest.test_case "hash-join build: keys, NULLs, duplicates, sides" `Quick
+      test_join_build;
     Alcotest.test_case "top-k = full sort prefix" `Quick
       test_topk_matches_full_sort;
     Alcotest.test_case "top-k LIMIT beyond the input" `Quick test_topk_huge_limit ]

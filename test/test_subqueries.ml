@@ -125,6 +125,37 @@ let check_correlated () =
   | exception Tip_engine.Planner.Plan_error _ -> ()
   | _ -> Alcotest.fail "unknown column must still fail")
 
+(* In an aggregated SELECT, a subquery in the select list, HAVING or
+   ORDER BY correlates against the group keys: the outer row is a
+   group's. A column that is not a key still fails to bind. *)
+let check_correlated_over_groups () =
+  let db = fresh_db () in
+  let rows sql = Plan_reference.show_rows (Db.rows_exn (Db.exec db sql)) in
+  Alcotest.(check (list string)) "HAVING EXISTS on a group key"
+    [ "eng|2"; "ops|1" ]
+    (rows
+       "SELECT dept, COUNT(*) FROM emp e GROUP BY dept HAVING EXISTS (SELECT 1         FROM dept d WHERE d.code = e.dept) ORDER BY dept");
+  Alcotest.(check (list string)) "a scalar subquery in the select list"
+    [ "eng|1000"; "lab|NULL"; "ops|500" ]
+    (rows
+       "SELECT dept, (SELECT budget FROM dept d WHERE d.code = emp.dept) FROM emp         GROUP BY dept ORDER BY dept");
+  Alcotest.(check (list string)) "ORDER BY a correlated subquery"
+    [ "lab"; "ops"; "eng" ]
+    (names db
+       "SELECT dept FROM emp GROUP BY dept ORDER BY (SELECT budget FROM dept d         WHERE d.code = dept), dept");
+  List.iter
+    (fun (sql, expected) ->
+      match Db.exec db sql with
+      | exception Tip_engine.Planner.Plan_error msg ->
+        Alcotest.(check string) sql expected msg
+      | _ -> Alcotest.failf "%s must fail to bind" sql)
+    [ ( "SELECT dept, COUNT(*) FROM emp e GROUP BY dept HAVING EXISTS (SELECT 1 \
+         FROM dept d WHERE d.budget = e.salary)",
+        "column salary must appear in GROUP BY or an aggregate" );
+      ( "SELECT dept, COUNT(*) FROM emp GROUP BY dept HAVING EXISTS (SELECT 1 \
+         FROM dept d WHERE d.code = zz.dept)",
+        "unknown table or alias zz" ) ]
+
 let check_subquery_memoized () =
   (* The subquery must run once per statement, not once per row: make it
      expensive enough that per-row execution would be visible. *)
@@ -147,5 +178,7 @@ let suite =
     Alcotest.test_case "EXISTS" `Quick check_exists;
     Alcotest.test_case "scalar subqueries" `Quick check_scalar;
     Alcotest.test_case "correlated subqueries" `Quick check_correlated;
+    Alcotest.test_case "correlated subqueries over group keys" `Quick
+      check_correlated_over_groups;
     Alcotest.test_case "subquery runs once per statement" `Quick
       check_subquery_memoized ]
