@@ -633,45 +633,80 @@ let bench_profile () =
   in
   print_table [ "rows"; "group_union"; "group_profile"; "x" ] rows
 
-(* --- E15: embedded vs networked execution ------------------------------------------------------- *)
+(* --- E41: temporal text codec ------------------------------------------------------------------- *)
 
-let bench_rpc () =
-  banner "E15 rpc (ablation)"
-    "Figure 1's two client paths: the embedded library call vs the network\n\
-     round trip (loopback TCP, one statement per exchange). Expect: the wire\n\
-     adds a fixed per-statement cost that dominates cheap queries and fades\n\
-     for expensive ones.";
-  let db = medical_db ~prescriptions:(2000 * scale) in
-  let server = Tip_server.Server.listen ~port:0 db in
-  Tip_server.Server.serve_in_background server;
-  let remote = Tip_server.Remote.connect ~port:(Tip_server.Server.port server) () in
-  let queries =
-    [ ("cheap (point count)",
-       "SELECT COUNT(*) FROM Prescription WHERE patient = 'Patient0003'");
-      ("medium (coalesce)",
-       "SELECT patient, length(group_union(valid))::INT FROM Prescription \
-        GROUP BY patient");
-      ("full scan",
-       "SELECT COUNT(*) FROM Prescription WHERE overlaps(valid, \
-        '{[1997-01-01, 1997-12-31]}'::Element)") ]
+(* The fastest of [rounds] passes of [f] over [n] items: ns and minor
+   words per item. *)
+let per_item ~rounds n f =
+  let best = ref infinity and words = ref 0. in
+  for _ = 1 to rounds do
+    let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+    f ();
+    let t = Unix.gettimeofday () -. t0 in
+    words := (Gc.minor_words () -. w0) /. float_of_int n;
+    best := Float.min !best t
+  done;
+  (!best *. 1e9 /. float_of_int n, !words)
+
+let bench_codec () =
+  banner "E41 codec"
+    "The temporal text codec over tipbench's 20,000 prescription valid-time\n\
+     elements (seed 1): every wire cell, snapshot load and WAL replay of an\n\
+     element goes through these printers and this scanner.";
+  let elements =
+    Array.of_list
+      (List.map
+         (fun p -> p.Tip_workload.Medical.valid)
+         (Tip_workload.Medical.generate ~seed:1 ~patients:2_000
+            ~prescriptions:20_000 ()))
   in
+  let texts = Array.map Element.to_string elements in
+  let dates =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun e ->
+              Array.of_list
+                (List.concat_map
+                   (fun p ->
+                     List.filter_map
+                       (fun i ->
+                         if Instant.is_now_relative i then None
+                         else Some (Instant.bind ~now:Chronon.epoch i))
+                       [ Period.start_instant p; Period.end_instant p ])
+                   (Element.periods e)))
+            elements))
+  in
+  let date_texts = Array.map Chronon.to_string dates in
+  let b = Buffer.create 256 in
   let rows =
     List.map
-      (fun (label, sql) ->
-        let measured =
-          measure_tests
-            [ ("embedded " ^ label, fun () -> ignore (Db.exec db sql));
-              ("remote " ^ label,
-               fun () -> ignore (Tip_server.Remote.execute remote sql)) ]
-        in
-        let get i = snd (List.nth measured i) in
-        [ label; ns_to_string (get 0); ns_to_string (get 1);
-          Printf.sprintf "%.2fx" (get 1 /. get 0) ])
-      queries
+      (fun (label, n, f) ->
+        let ns, words = per_item ~rounds:(10 * scale) n f in
+        record [ (label, ns) ] |> ignore;
+        [ label; Printf.sprintf "%.0f ns" ns; Printf.sprintf "%.1f" words ])
+      [ ("Element.to_buffer", Array.length elements,
+         fun () ->
+           Array.iter (fun e -> Buffer.clear b; Element.to_buffer b e) elements);
+        ("Element.of_string_exn", Array.length texts,
+         fun () -> Array.iter (fun s -> ignore (Element.of_string_exn s)) texts);
+        (* what read_row pays to hand a wire cell to the parser *)
+        ("String.sub of the element text", Array.length texts,
+         fun () ->
+           Array.iter (fun s -> ignore (Sys.opaque_identity (String.sub s 0 (String.length s))))
+             texts);
+        ("Chronon.to_buffer", Array.length dates,
+         fun () ->
+           Array.iter (fun c -> Buffer.clear b; Chronon.to_buffer b c) dates);
+        ("Chronon.of_string_exn", Array.length date_texts,
+         fun () -> Array.iter (fun s -> ignore (Chronon.of_string_exn s)) date_texts) ]
   in
-  Tip_server.Remote.close remote;
-  Tip_server.Server.stop server;
-  print_table [ "query"; "embedded"; "remote"; "x" ] rows
+  Printf.printf "%d elements, %.2f periods each, %d dates\n"
+    (Array.length elements)
+    (float_of_int (Array.fold_left (fun n e -> n + Element.raw_count e) 0 elements)
+    /. float_of_int (Array.length elements))
+    (Array.length dates);
+  print_table [ "operation"; "time per item"; "minor words" ] rows
 
 (* --- E17: write-ahead log overhead and recovery ------------------------------------------------ *)
 
@@ -1754,7 +1789,7 @@ let suites =
     ("btree", bench_btree);
     ("joins", bench_joins);
     ("profile", bench_profile);
-    ("rpc", bench_rpc);
+    ("codec", bench_codec);
     ("wal", bench_wal);
     ("observability", bench_observability);
     ("governance", bench_governance);

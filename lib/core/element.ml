@@ -443,15 +443,17 @@ let equal (a : t) b = Array.length a = Array.length b && Array.for_all2 Int.equa
 
 (* --- Text -------------------------------------------------------------- *)
 
+(* One pass over the raw endpoints: a fixed one is printed as its date
+   straight from its seconds, a NOW-relative one by Instant. *)
 let to_buffer b t =
   Buffer.add_char b '{';
-  for i = 0 to raw_count t - 1 do
-    if i > 0 then Buffer.add_string b ", ";
-    Buffer.add_char b '[';
-    Instant.to_buffer b (Instant.of_encoding t.(2 * i));
-    Buffer.add_string b ", ";
-    Instant.to_buffer b (Instant.of_encoding t.((2 * i) + 1));
-    Buffer.add_char b ']'
+  for i = 0 to Array.length t - 1 do
+    let x = t.(i) in
+    if i land 1 = 0 then Buffer.add_string b (if i = 0 then "[" else ", [")
+    else Buffer.add_string b ", ";
+    if x land 1 = 0 then Civil.add_date b (x asr 1)
+    else Instant.to_buffer b (Instant.of_encoding x);
+    if i land 1 = 1 then Buffer.add_char b ']'
   done;
   Buffer.add_char b '}'
 
@@ -462,32 +464,7 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let scan s =
-  Scan.expect_char s '{';
-  Scan.skip_ws s;
-  if Scan.eat_char s '}' then empty
-  else begin
-    (* The raw endpoints, newest first. *)
-    let rec loop acc =
-      let p = Period.scan s in
-      let acc = raw p.end_ :: raw p.start_ :: acc in
-      Scan.skip_ws s;
-      if Scan.eat_char s ',' then begin
-        Scan.skip_ws s;
-        loop acc
-      end
-      else begin
-        Scan.expect_char s '}';
-        acc
-      end
-    in
-    let acc = loop [] in
-    let t = Array.make (List.length acc) 0 in
-    List.iteri (fun i x -> t.(Array.length t - 1 - i) <- x) acc;
-    t
-  end
+let of_string_exn = Scan.element
 
 let of_string str =
-  try Some (Scan.parse_all scan str) with Scan.Parse_error _ -> None
-
-let of_string_exn str = Scan.parse_all scan str
+  try Some (of_string_exn str) with Scan.Parse_error _ -> None

@@ -139,7 +139,3 @@ val of_string : string -> t option
 
 (** @raise Scan.Parse_error on malformed input. *)
 val of_string_exn : string -> t
-
-(**/**)
-
-val scan : Scan.t -> t

@@ -79,27 +79,9 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-(* A literal whose seconds fall outside the representable range is
-   refused here rather than wrapped. *)
-let scan s =
-  let checked make x =
-    if in_range x then make x else Scan.fail s "instant out of range"
-  in
-  if Scan.eat_keyword s "NOW" then begin
-    Scan.skip_ws s;
-    if Scan.eat_char s '+' then begin
-      Scan.skip_ws s;
-      checked relative (Span.to_seconds (Span.scan s))
-    end
-    else if Scan.eat_char s '-' then begin
-      Scan.skip_ws s;
-      checked relative (Span.to_seconds (Span.neg (Span.scan s)))
-    end
-    else now
-  end
-  else checked fixed (Chronon.to_unix_seconds (Chronon.scan s))
+(* Literals whose seconds fall outside the representable range are
+   refused by the scanner rather than wrapped. *)
+let of_string_exn = Scan.instant
 
 let of_string str =
-  try Some (Scan.parse_all scan str) with Scan.Parse_error _ -> None
-
-let of_string_exn str = Scan.parse_all scan str
+  try Some (of_string_exn str) with Scan.Parse_error _ -> None

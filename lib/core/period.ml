@@ -20,8 +20,6 @@ let past span = { start_ = Instant.now_minus span; end_ = Instant.now }
 
 let start_instant t = t.start_
 let end_instant t = t.end_
-let is_now_relative t =
-  Instant.is_now_relative t.start_ || Instant.is_now_relative t.end_
 
 let ground ~now t : ground option =
   let s = Instant.bind ~now t.start_ in
@@ -55,13 +53,6 @@ let overlaps ~now a b =
   match ground ~now a, ground ~now b with
   | Some ga, Some gb -> ground_overlaps ga gb
   | None, _ | _, None -> false
-
-let contains_period ~now a b =
-  match ground ~now a, ground ~now b with
-  | Some (s1, e1), Some (s2, e2) ->
-    Chronon.compare s1 s2 <= 0 && Chronon.compare e2 e1 <= 0
-  | _, None -> true (* every period contains the empty period *)
-  | None, Some _ -> false
 
 let intersect ~now a b =
   match ground ~now a, ground ~now b with
@@ -103,19 +94,9 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let scan s =
-  Scan.expect_char s '[';
-  Scan.skip_ws s;
-  let start_ = Instant.scan s in
-  Scan.skip_ws s;
-  Scan.expect_char s ',';
-  Scan.skip_ws s;
-  let end_ = Instant.scan s in
-  Scan.skip_ws s;
-  Scan.expect_char s ']';
-  { start_; end_ }
+let of_string_exn str =
+  let t = Scan.period str in
+  { start_ = Instant.of_encoding t.(0); end_ = Instant.of_encoding t.(1) }
 
 let of_string str =
-  try Some (Scan.parse_all scan str) with Scan.Parse_error _ -> None
-
-let of_string_exn str = Scan.parse_all scan str
+  try Some (of_string_exn str) with Scan.Parse_error _ -> None

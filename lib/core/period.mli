@@ -33,7 +33,6 @@ val of_ground : ground -> t
 
 val start_instant : t -> Instant.t
 val end_instant : t -> Instant.t
-val is_now_relative : t -> bool
 
 (** [ground ~now t] binds both endpoints; [None] if the result is empty. *)
 val ground : now:Chronon.t -> t -> ground option
@@ -50,8 +49,6 @@ val duration : now:Chronon.t -> t -> Span.t option
 val contains_chronon : now:Chronon.t -> t -> Chronon.t -> bool
 val overlaps : now:Chronon.t -> t -> t -> bool
 
-(** [contains_period ~now a b]: does [a] cover every chronon of [b]? *)
-val contains_period : now:Chronon.t -> t -> t -> bool
 
 (** Intersection as a ground period; [None] when disjoint or empty. *)
 val intersect : now:Chronon.t -> t -> t -> t option
@@ -81,7 +78,3 @@ val of_string : string -> t option
 
 (** @raise Scan.Parse_error on malformed input. *)
 val of_string_exn : string -> t
-
-(**/**)
-
-val scan : Scan.t -> t

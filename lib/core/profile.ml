@@ -142,45 +142,14 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-let scan s =
-  Scan.expect_char s '{';
-  Scan.skip_ws s;
-  if Scan.eat_char s '}' then []
-  else begin
-    let entry () =
-      Scan.expect_char s '[';
-      Scan.skip_ws s;
-      let start_ = Chronon.scan s in
-      Scan.skip_ws s;
-      Scan.expect_char s ',';
-      Scan.skip_ws s;
-      let end_ = Chronon.scan s in
-      Scan.skip_ws s;
-      Scan.expect_char s ']';
-      Scan.expect_char s ':';
-      let negative = Scan.eat_char s '-' in
-      let v = Scan.unsigned_int s in
-      { span_ = (start_, end_); value = (if negative then -v else v) }
-    in
-    let rec loop acc =
-      let e = entry () in
-      Scan.skip_ws s;
-      if Scan.eat_char s ',' then begin
-        Scan.skip_ws s;
-        loop (e :: acc)
-      end
-      else begin
-        Scan.expect_char s '}';
-        List.rev (e :: acc)
-      end
-    in
-    loop []
-  end
+let of_string_exn str =
+  let t = Scan.profile str in
+  let chronon i = Chronon.of_unix_seconds t.(i) in
+  List.init (Array.length t / 3) (fun i ->
+      { span_ = (chronon (3 * i), chronon ((3 * i) + 1)); value = t.((3 * i) + 2) })
 
 let of_string str =
-  try Some (Scan.parse_all scan str) with Scan.Parse_error _ -> None
-
-let of_string_exn str = Scan.parse_all scan str
+  try Some (of_string_exn str) with Scan.Parse_error _ -> None
 
 (* Invariants, used by tests: ascending, disjoint, non-zero values. *)
 let check_invariants t =

@@ -63,7 +63,3 @@ val of_string_exn : string -> t
 
 (** Structural invariants, for tests. *)
 val check_invariants : t -> bool
-
-(**/**)
-
-val scan : Scan.t -> t

@@ -1,38 +1,27 @@
-(** Minimal character scanner shared by the temporal-literal parsers.
-    The primitives read the source in place and allocate nothing. *)
+(** The one scanner behind every temporal literal. Each entry point
+    reads the whole string, with spaces and tabs allowed either side,
+    in one pass.
+
+    @raise Parse_error on malformed input, naming what was expected and
+    its position. *)
 
 exception Parse_error of string
 
-type t = { src : string; mutable pos : int }
+(** A span's seconds. *)
+val span : string -> int
 
-val of_string : string -> t
+(** A chronon's unix seconds. *)
+val chronon : string -> int
 
-(** @raise Parse_error with position information. *)
-val fail : t -> string -> 'a
+(** An instant's encoding (see {!Instant}). *)
+val instant : string -> int
 
-val eof : t -> bool
-val skip_ws : t -> unit
-val eat_char : t -> char -> bool
+(** A period's two endpoint encodings. *)
+val period : string -> int array
 
-(** @raise Parse_error when the next character differs. *)
-val expect_char : t -> char -> unit
+(** An element's raw endpoint encodings, in order as written. *)
+val element : string -> int array
 
-val is_digit : char -> bool
-
-(** The next character is a decimal digit. *)
-val at_digit : t -> bool
-
-(** One or more decimal digits as an integer.
-    @raise Parse_error when none are present, or when the value exceeds
-    [max_int]. *)
-val unsigned_int : t -> int
-
-(** Case-insensitive match of an upper-case keyword; consumes it when
-    present. *)
-val eat_keyword : t -> string -> bool
-
-(** @raise Parse_error on trailing input. *)
-val expect_eof : t -> unit
-
-(** Runs [f] over the whole of the string, requiring full consumption. *)
-val parse_all : (t -> 'a) -> string -> 'a
+(** A profile's entries as (start, end, value) triples, chronons as
+    unix seconds. *)
+val profile : string -> int array

@@ -36,7 +36,6 @@ let is_negative t = t < 0
 let add = ( + )
 let sub = ( - )
 let neg t = -t
-let abs = abs
 let scale_int t k = t * k
 
 (* Fractional scaling rounds to the nearest whole second. *)
@@ -49,8 +48,6 @@ let ratio a b =
 
 let compare = Int.compare
 let equal = Int.equal
-let min (a : int) (b : int) = if a <= b then a else b
-let max (a : int) (b : int) = if a >= b then a else b
 
 let to_buffer b t =
   let magnitude = Stdlib.abs t in
@@ -74,41 +71,7 @@ let to_string t =
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
-(* Grammar: ['+'|'-'] days [' ' hh ':' mm ':' ss]. The optional time part
-   is bounded (hh<=23 etc.) so that the printed form round-trips. *)
-let scan s =
-  let negative =
-    if Scan.eat_char s '-' then true
-    else begin
-      ignore (Scan.eat_char s '+');
-      false
-    end
-  in
-  let d = Scan.unsigned_int s in
-  let saved = s.Scan.pos in
-  let time_part =
-    if Scan.eat_char s ' ' && Scan.at_digit s then begin
-      let hh = Scan.unsigned_int s in
-      Scan.expect_char s ':';
-      let mm = Scan.unsigned_int s in
-      Scan.expect_char s ':';
-      let ss = Scan.unsigned_int s in
-      if hh > 23 || mm > 59 || ss > 59 then
-        Scan.fail s "time-of-day component out of range";
-      hh * seconds_per_hour + mm * seconds_per_minute + ss
-    end
-    else begin
-      (* A space belongs to the surrounding context, not to us. *)
-      s.Scan.pos <- saved;
-      0
-    end
-  in
-  if d > (max_int - time_part) / seconds_per_day then
-    Scan.fail s "span out of range";
-  let magnitude = d * seconds_per_day + time_part in
-  if negative then -magnitude else magnitude
+let of_string_exn = Scan.span
 
 let of_string str =
-  try Some (Scan.parse_all scan str) with Scan.Parse_error _ -> None
-
-let of_string_exn str = Scan.parse_all scan str
+  try Some (of_string_exn str) with Scan.Parse_error _ -> None

@@ -37,7 +37,6 @@ val is_negative : t -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
-val abs : t -> t
 val scale_int : t -> int -> t
 
 (** Fractional scaling, rounded to the nearest whole second. *)
@@ -51,8 +50,6 @@ val ratio : t -> t -> float
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Text} *)
 
@@ -68,8 +65,3 @@ val of_string : string -> t option
 
 (** @raise Scan.Parse_error on malformed input. *)
 val of_string_exn : string -> t
-
-(**/**)
-
-(** Scans a span at the cursor; used by the other literal parsers. *)
-val scan : Scan.t -> t

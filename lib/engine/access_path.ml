@@ -157,7 +157,7 @@ let choose table sargs =
         | Range r -> (
           match Table.index_on_column table ~kind:Table.Ordered r.col with
           | Some { Table.impl = Table.Ordered_impl btree; _ } ->
-            let label = "on " ^ Pretty.expr_to_string r.src in
+            let label = lazy ("on " ^ Pretty.expr_to_string r.src) in
             Some (Plan.Index_scan { table; btree; lo = r.lo; hi = r.hi; label })
           | _ -> None)
         | Probe _ -> None)
@@ -165,7 +165,7 @@ let choose table sargs =
   in
   match probe with
   | Some (src, col, lo, hi, index) -> (
-    let label = "probe " ^ Pretty.expr_to_string src in
+    let label = lazy ("probe " ^ Pretty.expr_to_string src) in
     let col_stats st = Option.map (fun cs -> (st, cs)) (Stats.find_col st col) in
     match Option.bind stats col_stats with
     | None -> (Plan.Interval_scan { table; index; lo; hi; label }, None)
@@ -173,7 +173,7 @@ let choose table sargs =
       let sel = Stats.overlap_selectivity cs ~lo ~hi in
       let est = int_of_float ((sel *. float_of_int st.Stats.st_rows) +. 0.5) in
       if sel <= interval_selectivity_threshold then
-        let label = Printf.sprintf "%s (est rows=%d)" label est in
+        let label = lazy (Printf.sprintf "%s (est rows=%d)" (Lazy.force label) est) in
         (Plan.Interval_scan { table; index; lo; hi; label }, Some est)
       else
         (* The window matches most of the table: a full scan avoids the
@@ -181,17 +181,18 @@ let choose table sargs =
         ( Plan.Seq_scan
             { table;
               label =
-                Printf.sprintf
-                  " (est rows=%d, interval probe rejected at selectivity %.2f)"
-                  st.Stats.st_rows sel },
+                lazy
+                  (Printf.sprintf
+                     " (est rows=%d, interval probe rejected at selectivity %.2f)"
+                     st.Stats.st_rows sel) },
           Some est ))
   | None -> (
     match range (), stats with
     | Some scan, _ -> (scan, None)
     | None, Some st ->
-      ( Plan.Seq_scan { table; label = Printf.sprintf " (est rows=%d)" st.Stats.st_rows },
+      ( Plan.Seq_scan { table; label = lazy (Printf.sprintf " (est rows=%d)" st.Stats.st_rows) },
         Some (Stdlib.max 1 (st.Stats.st_rows / 3)) )
-    | None, None -> (Plan.Seq_scan { table; label = "" }, None))
+    | None, None -> (Plan.Seq_scan { table; label = lazy "" }, None))
 
 let ordered_scan table col =
   match Table.index_on_column table ~kind:Table.Ordered col with
@@ -200,7 +201,7 @@ let ordered_scan table col =
     Some
       (Plan.Index_scan
          { table; btree; lo = Btree.Unbounded; hi = Btree.Unbounded;
-           label = "(satisfies ORDER BY)" })
+           label = lazy "(satisfies ORDER BY)" })
   | _ -> None
 
 (* Filter elision: a non-default child whose start range sits inside the
@@ -246,5 +247,6 @@ let partition_scan (pt : Partition.t) sargs ~conjuncts ~recheck =
       total = Array.length pt.Partition.pt_parts;
       pruned;
       label =
-        (if elided = 0 then label
-         else Printf.sprintf "%s filter-elided=%d" label elided) }
+        lazy
+          (if elided = 0 then label
+           else Printf.sprintf "%s filter-elided=%d" label elided) }

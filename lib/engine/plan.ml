@@ -22,7 +22,6 @@ type agg_spec = {
   impl : agg_impl;
   arg : Expr_eval.compiled option; (* None only for count-star *)
   distinct : bool; (* aggregate over distinct argument values *)
-  agg_label : string;
 }
 
 (* Per-operator runtime counters for EXPLAIN ANALYZE, read by the
@@ -32,20 +31,20 @@ type op_stats = { mutable actual_rows : int; mutable actual_ns : int }
 let fresh_stats () = { actual_rows = 0; actual_ns = 0 }
 
 type t =
-  | Seq_scan of { table : Table.t; label : string }
+  | Seq_scan of { table : Table.t; label : string Lazy.t }
   | Index_scan of {
       table : Table.t;
       btree : Btree.t;
       lo : Btree.bound;
       hi : Btree.bound;
-      label : string;
+      label : string Lazy.t;
     }
   | Interval_scan of {
       table : Table.t;
       index : Interval_index.t;
       lo : int;
       hi : int;
-      label : string;
+      label : string Lazy.t;
     }
   | Filter of {
       input : t;
@@ -53,7 +52,7 @@ type t =
       bpred : Expr_eval.batch_pred;
         (* the chunk kernel the executor runs for [pred]: fused by the
            planner, or [batch_of_predicate pred] (HAVING, AS OF) *)
-      label : string;
+      label : string Lazy.t;
     }
   | Nested_loop of { left : t; right : t }
   | Hash_join of {
@@ -64,14 +63,14 @@ type t =
       build_left : bool;
         (* cost-chosen build side: false builds on the right and streams
            the left (the historical default), true the reverse *)
-      label : string;
+      label : string Lazy.t;
     }
   | Left_outer_join of {
       left : t;
       right : t;
       on : Expr_eval.compiled;
       right_width : int;
-      label : string;
+      label : string Lazy.t;
     }
   | Project of {
       input : t;
@@ -82,12 +81,12 @@ type t =
       input : t;
       keys : Expr_eval.compiled list;
       aggs : agg_spec list;
-      label : string;
+      label : string Lazy.t;
     }
   | Sort of {
       input : t;
       by : (Expr_eval.compiled * Ast.order_direction) list;
-      label : string;
+      label : string Lazy.t;
     }
   | Distinct of t
   | Limit of { input : t; limit : int option; offset : int option }
@@ -99,13 +98,13 @@ type t =
            recheck filter), declared order; pruned partitions are absent *)
       total : int; (* partitions declared *)
       pruned : int;
-      label : string;
+      label : string Lazy.t;
     }
   | One_row (* FROM-less SELECT produces a single empty row *)
   | Virtual_scan of {
       vt_name : string;
       produce : unit -> Value.t array list;
-      label : string;
+      label : string Lazy.t;
     }
     (* snapshot of a registered virtual table (the tip_stat relations) *)
   | Instrument of { input : t; stats : op_stats }
@@ -158,24 +157,24 @@ and pp_suffix ~indent ~suffix ppf plan =
   | Instrument { input; stats } ->
     pp_suffix ~indent ~suffix:(suffix ^ stats_note stats) ppf input
   | Seq_scan { table; label } ->
-    Fmt.pf ppf "%aSeqScan %s%s%s@." pad () (Table.name table) label suffix
+    Fmt.pf ppf "%aSeqScan %s%s%s@." pad () (Table.name table) (Lazy.force label) suffix
   | Index_scan { table; label; _ } ->
-    Fmt.pf ppf "%aIndexScan %s %s%s@." pad () (Table.name table) label suffix
+    Fmt.pf ppf "%aIndexScan %s %s%s@." pad () (Table.name table) (Lazy.force label) suffix
   | Interval_scan { table; label; _ } ->
-    Fmt.pf ppf "%aIntervalScan %s %s%s@." pad () (Table.name table) label suffix
+    Fmt.pf ppf "%aIntervalScan %s %s%s@." pad () (Table.name table) (Lazy.force label) suffix
   | Filter { input; label; _ } ->
-    Fmt.pf ppf "%aFilter %s%s@." pad () label suffix;
+    Fmt.pf ppf "%aFilter %s%s@." pad () (Lazy.force label) suffix;
     pp ~indent:child ppf input
   | Nested_loop { left; right } ->
     Fmt.pf ppf "%aNestedLoop%s@." pad () suffix;
     pp ~indent:child ppf left;
     pp ~indent:child ppf right
   | Hash_join { left; right; label; _ } ->
-    Fmt.pf ppf "%aHashJoin %s%s@." pad () label suffix;
+    Fmt.pf ppf "%aHashJoin %s%s@." pad () (Lazy.force label) suffix;
     pp ~indent:child ppf left;
     pp ~indent:child ppf right
   | Left_outer_join { left; right; label; _ } ->
-    Fmt.pf ppf "%aLeftOuterJoin %s%s@." pad () label suffix;
+    Fmt.pf ppf "%aLeftOuterJoin %s%s@." pad () (Lazy.force label) suffix;
     pp ~indent:child ppf left;
     pp ~indent:child ppf right
   | Project { input; names; _ } ->
@@ -184,10 +183,10 @@ and pp_suffix ~indent ~suffix ppf plan =
       suffix;
     pp ~indent:child ppf input
   | Aggregate { input; label; _ } ->
-    Fmt.pf ppf "%aAggregate %s%s@." pad () label suffix;
+    Fmt.pf ppf "%aAggregate %s%s@." pad () (Lazy.force label) suffix;
     pp ~indent:child ppf input
   | Sort { input; label; _ } ->
-    Fmt.pf ppf "%aSort %s%s@." pad () label suffix;
+    Fmt.pf ppf "%aSort %s%s@." pad () (Lazy.force label) suffix;
     pp ~indent:child ppf input
   | Distinct input ->
     Fmt.pf ppf "%aDistinct%s@." pad () suffix;
@@ -203,10 +202,10 @@ and pp_suffix ~indent ~suffix ppf plan =
     List.iter (pp ~indent:child ppf) inputs
   | Partition_scan { parent; children; total; pruned; label } ->
     Fmt.pf ppf "%aPartitionScan %s partitions=%d/%d pruned=%d%s%s@." pad ()
-      parent (total - pruned) total pruned label suffix;
+      parent (total - pruned) total pruned (Lazy.force label) suffix;
     List.iter (pp ~indent:child ppf) children
   | Virtual_scan { vt_name; label; _ } ->
-    Fmt.pf ppf "%aVirtualScan %s%s%s@." pad () vt_name label suffix
+    Fmt.pf ppf "%aVirtualScan %s%s%s@." pad () vt_name (Lazy.force label) suffix
   | One_row -> Fmt.pf ppf "%aOneRow%s@." pad () suffix
 
 let to_string plan = Fmt.str "%a" (pp ~indent:0) plan

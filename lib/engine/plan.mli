@@ -2,7 +2,8 @@
     already compiled to closures. {!Executor.run} turns a plan into a row
     sequence, running leaf scans, [Filter], [Project] and the [Hash_join]
     probe as fused chunk stages; each node carries a label so EXPLAIN
-    can print the tree without decompiling closures. *)
+    can print the tree without decompiling closures, rendered only when
+    EXPLAIN forces it. *)
 
 open Tip_storage
 module Ast = Tip_sql.Ast
@@ -20,7 +21,6 @@ type agg_spec = {
   impl : agg_impl;
   arg : Expr_eval.compiled option;  (** [None] only for count-star *)
   distinct : bool;  (** aggregate over distinct argument values *)
-  agg_label : string;
 }
 
 (** Per-operator runtime counters recorded by [Instrument] wrappers
@@ -28,20 +28,20 @@ type agg_spec = {
 type op_stats = { mutable actual_rows : int; mutable actual_ns : int }
 
 type t =
-  | Seq_scan of { table : Table.t; label : string }
+  | Seq_scan of { table : Table.t; label : string Lazy.t }
   | Index_scan of {
       table : Table.t;
       btree : Btree.t;
       lo : Btree.bound;
       hi : Btree.bound;
-      label : string;
+      label : string Lazy.t;
     }  (** B+tree range scan; conjuncts recheck above *)
   | Interval_scan of {
       table : Table.t;
       index : Interval_index.t;
       lo : int;
       hi : int;
-      label : string;
+      label : string Lazy.t;
     }  (** candidate rows whose extents intersect the probe window *)
   | Filter of {
       input : t;
@@ -51,7 +51,7 @@ type t =
               {!Expr_eval.compile_batch} kernel, or
               [Expr_eval.batch_of_predicate pred]; [pred] itself is the
               row-at-a-time reference the tests evaluate *)
-      label : string;
+      label : string Lazy.t;
     }
   | Nested_loop of { left : t; right : t }  (** cross product *)
   | Hash_join of {
@@ -62,14 +62,14 @@ type t =
       build_left : bool;
           (** cost-chosen build side: [false] builds on the right and
               streams the left (the historical default) *)
-      label : string;
+      label : string Lazy.t;
     }  (** equi-join *)
   | Left_outer_join of {
       left : t;
       right : t;
       on : Expr_eval.compiled;
       right_width : int;  (** columns to NULL-pad for unmatched rows *)
-      label : string;
+      label : string Lazy.t;
     }
   | Project of {
       input : t;
@@ -80,12 +80,12 @@ type t =
       input : t;
       keys : Expr_eval.compiled list;
       aggs : agg_spec list;
-      label : string;
+      label : string Lazy.t;
     }  (** output rows are [keys @ aggregate results] *)
   | Sort of {
       input : t;
       by : (Expr_eval.compiled * Ast.order_direction) list;
-      label : string;
+      label : string Lazy.t;
     }
   | Distinct of t  (** order-preserving (first occurrence wins) *)
   | Limit of { input : t; limit : int option; offset : int option }
@@ -97,7 +97,7 @@ type t =
               pushed-down recheck filter), declared order *)
       total : int;  (** partitions declared *)
       pruned : int;
-      label : string;
+      label : string Lazy.t;
     }
       (** pruned scan over a range-partitioned table; EXPLAIN renders
           [partitions=kept/total pruned=n]. The executor concatenates
@@ -107,7 +107,7 @@ type t =
   | Virtual_scan of {
       vt_name : string;
       produce : unit -> Value.t array list;
-      label : string;
+      label : string Lazy.t;
     }
       (** snapshot of a registered virtual table ({!Vtab}) *)
   | Instrument of { input : t; stats : op_stats }

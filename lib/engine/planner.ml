@@ -121,7 +121,7 @@ let rec plan_from pctx layout pool protected from : Plan.t =
         (Plan.Virtual_scan
            { vt_name = p.Vtab.vt_name;
              produce = (fun () -> p.Vtab.vt_rows pctx.catalog);
-             label = "" })
+             label = lazy "" })
     | B.History { table; tt; at; support } -> recheck () (as_of pctx table tt at support)
     | B.Derived sel -> recheck () (fst (plan_bound pctx sel)))
   | B.Join (l, Ast.Left_outer, on, r) ->
@@ -134,7 +134,7 @@ let rec plan_from pctx layout pool protected from : Plan.t =
       { left = lplan; right = rplan;
         on = compile_in pctx scope ~shift:start on_expr;
         right_width = rhi - rlo;
-        label = Pretty.expr_to_string on_expr }
+        label = lazy (Pretty.expr_to_string on_expr) }
   | B.Join (l, Ast.Inner, _on, r) ->
     (* Inner-join ON conjuncts were added to the pool up front. *)
     let lplan = plan_from pctx layout pool protected l in
@@ -173,14 +173,15 @@ let rec plan_from pctx layout pool protected from : Plan.t =
         let build_left =
           match lest, rest with Some l, Some r -> l < r | _ -> false
         in
-        let label = label_of_exprs (List.map (fun (_, _, e) -> e) equi) in
         let label =
-          match lest, rest with
-          | Some l, Some r ->
-            Printf.sprintf "%s (build=%s, est left=%d right=%d)" label
-              (if build_left then "left" else "right")
-              l r
-          | _ -> label
+          lazy
+            (let label = label_of_exprs (List.map (fun (_, _, e) -> e) equi) in
+             match lest, rest with
+             | Some l, Some r ->
+               Printf.sprintf "%s (build=%s, est left=%d right=%d)" label
+                 (if build_left then "left" else "right")
+                 l r
+             | _ -> label)
         in
         Plan.Hash_join
           { left = lplan; right = rplan; left_keys; right_keys; build_left;
@@ -208,10 +209,10 @@ and as_of pctx history tt at support =
   Plan.Project
     { input =
         Plan.Filter
-          { input = Plan.Seq_scan { table = history; label = "" };
+          { input = Plan.Seq_scan { table = history; label = lazy "" };
             pred;
             bpred = Expr_eval.batch_of_predicate pred;
-            label = Printf.sprintf "_tt contains %s" (Tip_core.Chronon.to_string at) };
+            label = lazy (Printf.sprintf "_tt contains %s" (Tip_core.Chronon.to_string at)) };
       exprs = Array.init tt (fun i _ctx (row : Value.t array) -> row.(i));
       names = Array.init tt (fun i -> (Schema.column (Table.schema history) i).Schema.name) }
 
@@ -226,7 +227,7 @@ and filter_over pctx scope ~shift ?(suffix = "") exprs =
     let env = env pctx scope ~shift in
     let pred = Expr_eval.compile env combined in
     let bpred = Expr_eval.compile_batch env combined in
-    let label = label_of_exprs exprs ^ suffix in
+    let label = lazy (label_of_exprs exprs ^ suffix) in
     fun input -> Plan.Filter { input; pred; bpred; label }
 
 (* The compile environment of [scope] at [shift]. Its subqueries are
@@ -283,17 +284,19 @@ and aggregate pctx input = function
       match call with
       | Ast.Call (name, [ a ]) | Ast.Call_distinct (name, a) ->
         { Plan.impl = impl name; arg = Some (compile a);
-          distinct = (match call with Ast.Call_distinct _ -> true | _ -> false);
-          agg_label = Pretty.expr_to_string call }
-      | _ ->
-        { Plan.impl = Plan.Agg_count_star; arg = None; distinct = false;
-          agg_label = "count(*)" }
+          distinct = (match call with Ast.Call_distinct _ -> true | _ -> false) }
+      | _ -> { Plan.impl = Plan.Agg_count_star; arg = None; distinct = false }
     in
     let aggs = List.map spec calls in
     let label =
-      Printf.sprintf "keys=[%s] aggs=[%s]"
-        (String.concat ", " (List.map Pretty.expr_to_string keys))
-        (String.concat ", " (List.map (fun sp -> sp.Plan.agg_label) aggs))
+      lazy
+        (let agg_label = function
+           | (Ast.Call (_, [ _ ]) | Ast.Call_distinct _) as call -> Pretty.expr_to_string call
+           | _ -> "count(*)"
+         in
+         Printf.sprintf "keys=[%s] aggs=[%s]"
+           (String.concat ", " (List.map Pretty.expr_to_string keys))
+           (String.concat ", " (List.map agg_label calls)))
     in
     Plan.Aggregate { input; keys = List.map compile keys; aggs; label }
 
@@ -332,7 +335,7 @@ and plan_bound pctx (b : B.select) : Plan.t * string array =
       let pred = Expr_eval.compile post e in
       Plan.Filter
         { input; pred; bpred = Expr_eval.batch_of_predicate pred;
-          label = Pretty.expr_to_string e }
+          label = lazy (Pretty.expr_to_string e) }
   in
   (* 4. ORDER BY (pre-projection; Distinct preserves order above). A
      lone table with no WHERE, ordered by one ascending column, may be
@@ -351,12 +354,13 @@ and plan_bound pctx (b : B.select) : Plan.t * string array =
     | None ->
       let by = List.map (fun (e, d) -> (Expr_eval.compile post e, d)) b.B.order_by in
       let label =
-        String.concat ", "
-          (List.map
-             (fun (e, d) ->
-               Pretty.expr_to_string e
-               ^ match d with Ast.Asc -> "" | Ast.Desc -> " DESC")
-             b.B.order_by)
+        lazy
+          (String.concat ", "
+             (List.map
+                (fun (e, d) ->
+                  Pretty.expr_to_string e
+                  ^ match d with Ast.Asc -> "" | Ast.Desc -> " DESC")
+                b.B.order_by))
       in
       Plan.Sort { input; by; label }
   in
@@ -403,6 +407,8 @@ let rec plan_compound pctx (c : Ast.compound) : Plan.t * string array =
 (* Entry points. *)
 let plan ~ext ~ectx catalog select =
   plan_compound { ext; ectx; catalog } (Ast.Simple select)
+
+let plan_bound ~ext ~ectx catalog bound = plan_bound { ext; ectx; catalog } bound
 
 let plan_union ~ext ~ectx catalog compound =
   plan_compound { ext; ectx; catalog } compound

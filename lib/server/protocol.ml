@@ -87,12 +87,22 @@ let encode_request = function
   | Lag_probe -> "L"
   | Role_probe -> "W"
 
+(* [line] is ["<tag> ..."]; read in place, without a copy. *)
+let tagged line tag =
+  String.length line >= 2 && String.unsafe_get line 0 = tag
+  && String.unsafe_get line 1 = ' '
+
+(* The text after the tag and its space: as sent, and unescaped (one
+   copy either way). *)
+let payload line = String.sub line 2 (String.length line - 2)
+let text line = Persist.unescape_wire_sub line 2 (String.length line - 2)
+
 let decode_request line =
-  if String.length line >= 2 && String.sub line 0 2 = "Q " then
-    Some (Execute (unescape (String.sub line 2 (String.length line - 2))))
-  else if String.length line >= 2 && String.sub line 0 2 = "B " then begin
+  if tagged line 'Q' then
+    Some (Execute (text line))
+  else if tagged line 'B' then begin
     match
-      String.split_on_char '\t' (String.sub line 2 (String.length line - 2))
+      String.split_on_char '\t' (payload line)
     with
     | [ name; ty; text ] -> Some (Bind (unescape name, decode_typed ty text))
     | _ -> None
@@ -102,11 +112,11 @@ let decode_request line =
   else if String.equal line "P" then Some Snapshot_request
   else if String.equal line "L" then Some Lag_probe
   else if String.equal line "W" then Some Role_probe
-  else if String.length line >= 2 && String.sub line 0 2 = "S " then begin
+  else if tagged line 'S' then begin
     (* pre-HA subscribers send two fields; their epoch reads as 0,
        matching pre-HA generation frames *)
     match
-      String.split_on_char ' ' (String.sub line 2 (String.length line - 2))
+      String.split_on_char ' ' (payload line)
     with
     | [ gen; offset ] -> (
       match (int_of_string_opt gen, int_of_string_opt offset) with
@@ -121,9 +131,9 @@ let decode_request line =
       | _ -> None)
     | _ -> None
   end
-  else if String.length line >= 2 && String.sub line 0 2 = "K " then begin
+  else if tagged line 'K' then begin
     match
-      String.split_on_char ' ' (String.sub line 2 (String.length line - 2))
+      String.split_on_char ' ' (payload line)
     with
     | [ offset; commits ] -> (
       match (int_of_string_opt offset, int_of_string_opt commits) with
@@ -144,14 +154,23 @@ type response =
 (* The server's per-statement hot path: each row is printed, and its
    cells escaped in place, into one small buffer reused across the
    rows, then leaves in one channel write. The bytes are those
-   [encode_typed] and the line layout above describe. *)
-let add_typed b scratch v =
+   [encode_typed] and the line layout above describe. Each column keeps
+   the printer of its last cell's type, so an extension's vtable is
+   looked up once per response, not once per cell. *)
+type printer = { mutable out_ty : string; mutable print : Buffer.t -> Value.t -> unit }
+
+let add_typed b scratch col v =
   if Value.is_null v then Buffer.add_string b null_cell
   else begin
-    Buffer.add_string b (Value.type_name v);
+    let ty = Value.type_name v in
+    if not (String.equal ty col.out_ty) then begin
+      col.out_ty <- ty;
+      col.print <- Value.printer ty
+    end;
+    Buffer.add_string b ty;
     Buffer.add_char b '\t';
     let start = Buffer.length b in
-    Value.to_buffer b v;
+    col.print b v;
     Persist.escape_wire_from scratch b start
   end
 
@@ -175,12 +194,16 @@ let write_response oc = function
       names;
     output_char oc '\n';
     let b = Buffer.create 256 and scratch = ref (Bytes.create 128) in
+    let columns =
+      Array.init (List.length names) (fun _ ->
+          { out_ty = ""; print = Value.to_buffer })
+    in
     List.iter
       (fun row ->
         Buffer.clear b;
         for i = 0 to Array.length row - 1 do
           if i > 0 then Buffer.add_char b '\x01';
-          add_typed b scratch row.(i)
+          add_typed b scratch columns.(i) row.(i)
         done;
         Buffer.add_char b '\n';
         Buffer.output_buffer oc b)
@@ -231,9 +254,9 @@ let read_row ic columns =
 
 let read_response ic =
   let line = input_line ic in
-  if String.length line >= 2 && String.sub line 0 2 = "R " then begin
+  if tagged line 'R' then begin
     match
-      String.split_on_char ' ' (String.sub line 2 (String.length line - 2))
+      String.split_on_char ' ' (payload line)
     with
     | [ ncols; nrows ] ->
       let ncols = int_of_string ncols and nrows = int_of_string nrows in
@@ -248,12 +271,12 @@ let read_response ic =
       Rows { names; rows }
     | _ -> failwith "protocol: bad R header"
   end
-  else if String.length line >= 2 && String.sub line 0 2 = "A " then
-    Affected (int_of_string (String.sub line 2 (String.length line - 2)))
-  else if String.length line >= 2 && String.sub line 0 2 = "M " then
-    Message (unescape (String.sub line 2 (String.length line - 2)))
-  else if String.length line >= 2 && String.sub line 0 2 = "E " then
-    Error (unescape (String.sub line 2 (String.length line - 2)))
+  else if tagged line 'A' then
+    Affected (int_of_string (payload line))
+  else if tagged line 'M' then
+    Message (text line)
+  else if tagged line 'E' then
+    Error (text line)
   else failwith ("protocol: unexpected line " ^ line)
 
 (* --- WAL stream framing ------------------------------------------------------ *)
@@ -275,9 +298,9 @@ let write_chunk oc payload =
 
 let read_stream_item ic =
   let line = input_line ic in
-  if String.length line >= 2 && String.sub line 0 2 = "D " then begin
+  if tagged line 'D' then begin
     let len =
-      match int_of_string_opt (String.sub line 2 (String.length line - 2)) with
+      match int_of_string_opt (payload line) with
       | Some n when n >= 0 -> n
       | _ -> failwith ("protocol: bad chunk header " ^ line)
     in
@@ -288,8 +311,8 @@ let read_stream_item ic =
     | _ -> failwith "protocol: missing chunk terminator");
     `Chunk (Bytes.to_string payload)
   end
-  else if String.length line >= 2 && String.sub line 0 2 = "M " then
-    `Info (unescape (String.sub line 2 (String.length line - 2)))
-  else if String.length line >= 2 && String.sub line 0 2 = "E " then
-    `Err (unescape (String.sub line 2 (String.length line - 2)))
+  else if tagged line 'M' then
+    `Info (text line)
+  else if tagged line 'E' then
+    `Err (text line)
   else failwith ("protocol: unexpected stream line " ^ line)

@@ -216,6 +216,48 @@ let prop_edge_year_roundtrip =
   roundtrip "chronon, years outside 1000-9999" edge_year_chronon_gen
     Chronon.to_string Chronon.of_string Chronon.equal
 
+(* Elements of up to 40 periods mixing times of day, NOW and NOW+-span
+   with times, negative years and years past 9999, printed by the Fmt
+   reference and then respaced: spaces and tabs wherever the grammar
+   allows them (either side of the literal, after '{', '[' and ',',
+   before ',', ']' and '}', and either side of NOW's sign). *)
+let respaced_element_gen =
+  let open QCheck.Gen in
+  let* periods =
+    frequency
+      [ (1, return []);
+        (2, list_size (return 1) literal_period_gen);
+        (4, list_size (int_range 2 40)
+              (oneof [ literal_period_gen; edge_year_period_gen ])) ]
+  in
+  let e = Element.of_periods periods in
+  let text = Fmt_reference.str Fmt_reference.element e in
+  let n = String.length text in
+  let* spaces = list_repeat (2 * (n + 1)) (oneofl [ ""; ""; " "; "\t"; " \t " ]) in
+  let spaces = Array.of_list spaces in
+  let b = Buffer.create (2 * n) in
+  Buffer.add_string b spaces.(0);
+  String.iteri
+    (fun i ch ->
+      let after_now = i >= 3 && String.sub text (i - 3) 3 = "NOW" in
+      if String.contains "],}" ch || (after_now && String.contains "+-" ch) then
+        Buffer.add_string b spaces.((2 * i) + 1);
+      Buffer.add_char b ch;
+      if String.contains "{[,+-" ch
+         && (ch <> '-' && ch <> '+' || after_now)
+      then Buffer.add_string b spaces.((2 * i) + 2))
+    text;
+  Buffer.add_string b spaces.(2 * n + 1);
+  return (e, Buffer.contents b)
+
+let prop_respaced_elements =
+  [ QCheck.Test.make ~name:"element, respaced = Fmt reference round trip"
+      ~count:1000
+      (arb respaced_element_gen snd)
+      (fun (e, text) ->
+        String.equal (Element.to_string e) (Fmt_reference.str Fmt_reference.element e)
+        && Element.equal (Element.of_string_exn text) e) ]
+
 (* --- Rows through write_response / read_response -------------------------------- *)
 
 let through_wire response =
@@ -401,17 +443,17 @@ let within_ceiling what ~ceiling f =
   if words > ceiling then
     Alcotest.failf "%s allocated %d minor words (ceiling %d)" what words ceiling
 
-(* Each ceiling is twice the count measured on OCaml 5.1.1 (131, 1,164,
-   36 and 418 words), low enough that a Format or Printf call per cell,
-   a string per row, or a copy per keyword probe or scanned number
-   would cross it. *)
+(* Each ceiling is twice the count measured on OCaml 5.1.1 (92, 920,
+   14 and 418 words), low enough that a Format or Printf call per cell,
+   a string per row, a list cell per scanned period, or a copy per
+   keyword probe or scanned number would cross it. *)
 let check_write_allocation () =
   let response = lookup_result () in
   let oc = open_out_bin Filename.null in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      within_ceiling "write_response, 11-row lookup result" ~ceiling:262
+      within_ceiling "write_response, 11-row lookup result" ~ceiling:184
         (fun () -> Protocol.write_response oc response))
 
 let check_read_allocation () =
@@ -426,47 +468,49 @@ let check_read_allocation () =
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
-          within_ceiling "read_response, 11-row lookup result" ~ceiling:2_328
+          within_ceiling "read_response, 11-row lookup result" ~ceiling:1_840
             (fun () ->
               seek_in ic 0;
               Protocol.read_response ic)))
 
-(* The scanner's primitives allocate nothing at all. *)
+(* The scanner's primitives allocate nothing at all: a chronon or an
+   instant costs only its cursor (a four-field record, 5 words), and an
+   element the cursor and the one array it is stored as. *)
 let check_scan_allocation () =
-  let src = "  1999-06-30 12:00:00, NOW]" in
-  let s = Scan.of_string src in
-  let words =
-    minor_words (fun () ->
-        for _ = 1 to 100 do
-          s.Scan.pos <- 0;
-          Scan.skip_ws s;
-          ignore (Scan.unsigned_int s);
-          Scan.expect_char s '-';
-          ignore (Scan.at_digit s);
-          ignore (Scan.unsigned_int s);
-          ignore (Scan.eat_char s '-');
-          ignore (Scan.unsigned_int s);
-          ignore (Scan.eat_char s ' ');
-          ignore (Scan.unsigned_int s);
-          ignore (Scan.eat_char s ':');
-          ignore (Scan.unsigned_int s);
-          ignore (Scan.eat_char s ':');
-          ignore (Scan.unsigned_int s);
-          ignore (Scan.eat_char s ',');
-          Scan.skip_ws s;
-          ignore (Scan.eat_keyword s "NOW");
-          ignore (Scan.eat_keyword s "NOW");
-          ignore (Scan.eof s)
-        done)
+  let per_call what expected f =
+    let words = minor_words (fun () -> for _ = 1 to 100 do ignore (Sys.opaque_identity (f ())) done) in
+    Alcotest.(check int) (what ^ ", minor words for 100 parses") (100 * expected) words
   in
-  Alcotest.(check int) "minor words for 100 passes" 0 words
+  per_call "chronon" 5 (fun () -> Chronon.of_string_exn " 1999-06-30 12:00:00 ");
+  per_call "instant" 5 (fun () -> Instant.of_string_exn "NOW - 7 12:00:00");
+  per_call "span" 5 (fun () -> Span.of_string_exn "-7 12:00:00");
+  (* cursor, then 6 endpoints plus a header *)
+  per_call "element" (5 + 7) (fun () ->
+      Element.of_string_exn
+        "{[1999-01-01, 1999-02-28], [1999-04-01 08:00:00, NOW-1], [NOW, NOW+2]}")
 
 let three_periods =
   "{[1999-01-01, 1999-02-28], [1999-04-01, 1999-06-30 12:00:00], [2000-01-01, NOW]}"
 
 let check_literal_allocation () =
-  within_ceiling "Element.of_string, 3 periods" ~ceiling:72 (fun () ->
+  within_ceiling "Element.of_string, 3 periods" ~ceiling:28 (fun () ->
       Element.of_string three_periods)
+
+(* Every literal parser over the recorded corpus of well-formed and
+   malformed literals: the same accepted values, rejections and error
+   texts as the record-cursor scanners the one-pass scanner replaced. *)
+let check_literal_corpus () =
+  let got = String.split_on_char '\n' (Literal_corpus.render ())
+  and want = String.split_on_char '\n' Literal_corpus_expected.text in
+  List.iteri
+    (fun i w ->
+      match List.nth_opt got i with
+      | Some g when String.equal g w -> ()
+      | g ->
+        Alcotest.failf "corpus line %d:\n  want %s\n  got  %s" (i + 1) w
+          (Option.value g ~default:"<missing>"))
+    want;
+  Alcotest.(check int) "corpus lines" (List.length want) (List.length got)
 
 let lookup_sql =
   "SELECT drug, dosage, valid FROM Prescription WHERE patient = 'Patient0042'"
@@ -489,8 +533,11 @@ let suite =
       check_scan_allocation;
     Alcotest.test_case "element literal allocation ceiling" `Quick
       check_literal_allocation;
+    Alcotest.test_case "literal corpus = recorded parser results" `Quick
+      check_literal_corpus;
     Alcotest.test_case "statement parse allocation ceiling" `Quick
       check_parse_allocation ]
   @ List.map QCheck_alcotest.to_alcotest
       (prop_printers @ prop_edge_year_printers @ prop_roundtrips
+      @ prop_respaced_elements
       @ [ prop_edge_year_roundtrip; prop_rows_roundtrip ])
