@@ -51,7 +51,6 @@ type t = {
       (* a read replica: every mutating statement is refused with a
          typed READ_ONLY error; the replication stream bypasses the
          statement layer entirely (Wal.apply against the catalog) *)
-  plans : Plan_cache.t;
 }
 
 type result =
@@ -67,8 +66,7 @@ let create ?catalog () =
     own = Journal.session ~now:None ~timeout_ms:None;
     tx_holder = None;
     durability = None;
-    read_only = false;
-    plans = Plan_cache.create () }
+    read_only = false }
 
 let session ?timeout_ms t =
   Journal.session ~now:t.own.now_override
@@ -147,16 +145,9 @@ let replication_snapshot t =
 (* --- Queries ----------------------------------------------------------------- *)
 
 (* Plans a query: a SELECT or a compound SELECT, the only statements
-   EXPLAIN takes. A SELECT with a fingerprint [key] is bound through the
-   plan cache. *)
-let plan_query t ectx ?key ~what = function
-  | Ast.Select select ->
-    let bound =
-      match key with
-      | Some key -> Plan_cache.bind t.plans ~key t.ext t.catalog select
-      | None -> Binder.bind t.ext t.catalog select
-    in
-    Planner.plan_bound ~ext:t.ext ~ectx t.catalog bound
+   EXPLAIN takes. *)
+let plan_query t ectx ~what = function
+  | Ast.Select select -> Planner.plan ~ext:t.ext ~ectx t.catalog select
   | Ast.Select_compound compound ->
     Planner.plan_union ~ext:t.ext ~ectx t.catalog compound
   | _ -> db_error "%s supports only SELECT" what
@@ -166,10 +157,10 @@ let plan_query t ectx ?key ~what = function
    for real under an [Execute] child, and render the tree annotated
    with actual rows / time. The whole run shares the statement's one
    NOW, carried in [ectx] (DESIGN.md §9). *)
-let explain_analyze t ectx ?key ~span target =
+let explain_analyze t ectx ~span target =
   let plan =
     Span.with_ ~parent:span Span.Plan (fun () ->
-        fst (plan_query t ectx ?key ~what:"EXPLAIN ANALYZE" target))
+        fst (plan_query t ectx ~what:"EXPLAIN ANALYZE" target))
   in
   let plan = Plan.instrument plan in
   let rows =
@@ -183,13 +174,13 @@ let explain_analyze t ectx ?key ~span target =
     ~rows:(List.length rows) ~plan_ns:(span_ns Span.Plan)
     ~exec_ns:(span_ns Span.Execute) plan
 
-let query t ectx ?key ~span = function
+let query t ectx ~span = function
   | Ast.Explain { analyze = false; target } ->
-    Message (Planner.explain (fst (plan_query t ectx ?key ~what:"EXPLAIN" target)))
+    Message (Planner.explain (fst (plan_query t ectx ~what:"EXPLAIN" target)))
   | Ast.Explain { analyze = true; target } ->
-    Message (explain_analyze t ectx ?key ~span target)
+    Message (explain_analyze t ectx ~span target)
   | query ->
-    let plan, names = plan_query t ectx ?key ~what:"EXPLAIN" query in
+    let plan, names = plan_query t ectx ~what:"EXPLAIN" query in
     Rows { names = Array.to_list names; rows = Executor.collect ectx plan }
 
 (* --- Transaction control ------------------------------------------------------ *)
@@ -314,7 +305,6 @@ let catalog_statement (cx : Dml.cx) = function
           (Catalog.table_names cx.catalog)
     in
     let analyzed_at = Tip_core.Chronon.to_string cx.ectx.Expr_eval.now in
-    Catalog.touch cx.catalog;
     let total =
       List.fold_left
         (fun acc tbl -> acc + (Table.analyze ~analyzed_at tbl).Stats.st_rows)
@@ -391,7 +381,7 @@ let read_only_statement = function
     true
   | _ -> false
 
-let dispatch t s ?key ~token ~span ~params stmt =
+let dispatch t s ~token ~span ~params stmt =
   if t.read_only && not (replica_allowed stmt) then
     db_error "READ_ONLY: this is a read replica; send writes to the primary";
   (* One open transaction at a time, and nobody else reads or writes
@@ -424,7 +414,7 @@ let dispatch t s ?key ~token ~span ~params stmt =
   in
   match stmt with
   | Ast.Select _ | Ast.Select_compound _ | Ast.Explain _ ->
-    query t ectx ?key ~span stmt
+    query t ectx ~span stmt
   | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Copy_from _ ->
     Affected (Dml.exec cx stmt)
   | Ast.Create_table _ | Ast.Create_table_as _ | Ast.Drop_table _
@@ -525,7 +515,7 @@ let exec_statement ?(token = Deadline.never) ?fingerprint ?session t ~params
     Span.stop span;
     raise e
   in
-  let run () = dispatch t s ?key:fingerprint ~token ~span ~params stmt in
+  let run () = dispatch t s ~token ~span ~params stmt in
   if read_only_statement stmt then begin
     (* The read path writes no field of [t]: no journal, no flush, no
        checkpoint. *)
@@ -557,16 +547,16 @@ let exec_statement ?(token = Deadline.never) ?fingerprint ?session t ~params
       raise e
   end
 
-let set_plan_cache t on = Plan_cache.set_enabled t.plans on
-
-(* The statement store and the plan cache are keyed by the statement's
-   own tokens. *)
-let fingerprint = Tip_sql.Lexer.fingerprint_tokens
+(* The statement store is keyed by the statement's own tokens, and only
+   while the switch is on, so E18's on/off pairs measure the whole hook. *)
+let fingerprint_of tokens =
+  if Tip_obs.Switch.on () then Some (Tip_sql.Lexer.fingerprint_tokens tokens)
+  else None
 
 let exec ?token ?(params = []) ?session t sql =
   match Parser.parse_with_tokens sql with
   | stmt, tokens ->
-    exec_statement ?token ~fingerprint:(fingerprint tokens) ?session t
+    exec_statement ?token ?fingerprint:(fingerprint_of tokens) ?session t
       ~params stmt
   | exception Parser.Error msg -> db_error "%s" msg
 
@@ -577,7 +567,7 @@ let exec_script ?token ?(params = []) ?session t sql =
   | stmts ->
     List.fold_left
       (fun _ (stmt, tokens) ->
-        exec_statement ?token ~fingerprint:(fingerprint tokens) ?session t
+        exec_statement ?token ?fingerprint:(fingerprint_of tokens) ?session t
           ~params stmt)
       (Message "") stmts
   | exception Parser.Error msg -> db_error "%s" msg

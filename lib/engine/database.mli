@@ -93,12 +93,12 @@ val exec :
   result
 
 (** Executes an already-parsed statement. [fingerprint] keys the
-    {!Tip_obs.Introspect} store ([tip_stat_statements]) and the plan
-    cache ({!Plan_cache}): callers that have the statement's text pass
-    {!Tip_sql.Lexer.fingerprint_tokens} of the tokens they parsed. When
-    absent the statement store fingerprints the pretty-printed AST
-    instead (a different key for the same text: the printer
-    parenthesizes), and a SELECT binds without the cache.
+    {!Tip_obs.Introspect} store ([tip_stat_statements]): callers that
+    have the statement's text pass {!Tip_sql.Lexer.fingerprint_tokens}
+    of the tokens they parsed. When absent the pretty-printed AST is
+    fingerprinted instead; that is a different key for the same text
+    (the printer parenthesizes), so it serves only statements that never
+    had text.
 
     Read-only statements ({!read_only_statement}) write no field of the
     database and keep no per-statement state in globals, so callers may
@@ -112,10 +112,6 @@ val exec_statement :
   params:(string * Value.t) list ->
   Ast.statement ->
   result
-
-(** Tests only: switches the plan cache ({!Plan_cache}) off or on; off,
-    every SELECT binds afresh. *)
-val set_plan_cache : t -> bool -> unit
 
 (** [SELECT], compound [SELECT], [EXPLAIN [ANALYZE]], [SET NOW] and
     [SET TIMEOUT]: the statements that may share the database with each

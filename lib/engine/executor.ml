@@ -258,27 +258,6 @@ let rec compare_sort_keys_from by ka oa kb ob k =
 
 let compare_sort_keys by ka oa kb ob = compare_sort_keys_from by ka oa kb ob 0
 
-(* The order of rows [i] and [j] by one key's values [v], chosen once
-   from the key's type and direction: a CHAR or INT key compares its
-   unboxed column, which orders as [Value.compare] does. *)
-let key_order (v : Value.t array) dir =
-  (* made empty and filled, as [rows_init] makes its arrays *)
-  let unboxed empty get =
-    let a = Array.make (Array.length v) empty in
-    Array.iteri (fun i x -> a.(i) <- get x) v;
-    a
-  in
-  let asc =
-    if Array.for_all (function Value.Str _ -> true | _ -> false) v then
-      let s = unboxed "" (function Value.Str x -> x | _ -> "") in
-      fun i j -> String.compare (Array.unsafe_get s i) (Array.unsafe_get s j)
-    else if Array.for_all (function Value.Int _ -> true | _ -> false) v then
-      let n = unboxed 0 (function Value.Int x -> x | _ -> 0) in
-      fun i j -> Int.compare (Array.unsafe_get n i) (Array.unsafe_get n j)
-    else fun i j -> Value.compare (Array.unsafe_get v i) (Array.unsafe_get v j)
-  in
-  match dir with Ast.Asc -> asc | Ast.Desc -> fun i j -> asc j i
-
 (* Bounded top-k for ORDER BY ... LIMIT: keeps the k first rows of the
    stable sort without materializing the input, using a max-heap of at
    most k rows ordered by (sort keys, arrival index) — arrival index
@@ -723,34 +702,20 @@ and materialize ctx plan =
   | Plan.Aggregate { input; keys; aggs; _ } -> run_aggregate ctx input keys aggs
   | Plan.Sort { input; by; _ } ->
     let rows = materialize ctx input in
-    (* decorate-sort-undecorate: each key is evaluated once per row, into
-       one array per key, and a stable sort orders row indices by
-       comparators chosen once per key *)
-    let n = Array.length rows in
-    let cmps =
-      List.map
-        (fun (key, dir) ->
-          let v = Array.make n Value.Null in
-          Array.iteri (fun i row -> v.(i) <- key ctx row) rows;
-          key_order v dir)
-        by
-    in
-    let cmp =
-      match cmps with
-      | [ cmp ] -> cmp
-      | cmps ->
-        let cmps = Array.of_list cmps in
-        fun i j ->
-          let c = ref 0 and k = ref 0 in
-          while !c = 0 && !k < Array.length cmps do
-            c := cmps.(!k) i j;
-            incr k
-          done;
-          !c
-    in
-    let order = Array.init n Fun.id in
-    Array.stable_sort cmp order;
-    rows_init n (fun i -> rows.(order.(i)))
+    (* decorate-sort-undecorate: the keys are evaluated once per row,
+       into one flat array, and a stable sort orders row indices *)
+    let by = Array.of_list by in
+    let w = Array.length by in
+    let keys = Array.make (Array.length rows * w) Value.Null in
+    Array.iteri
+      (fun i row ->
+        for k = 0 to w - 1 do
+          keys.((i * w) + k) <- fst by.(k) ctx row
+        done)
+      rows;
+    let order = Array.init (Array.length rows) Fun.id in
+    Array.stable_sort (fun i j -> compare_sort_keys by keys (i * w) keys (j * w)) order;
+    rows_init (Array.length order) (fun i -> rows.(order.(i)))
   | _ -> Array.of_seq (run ctx plan)
 
 and run_aggregate ctx input keys aggs =

@@ -127,9 +127,6 @@ type t = {
     (now:Tip_core.Chronon.t -> Value.t -> Tip_core.Chronon.t option) list;
     (* how the engine gets a chronon out of a blade value, e.g. for SET NOW *)
   mutable history : history_support option;
-  mutable generation : int;
-    (* bumped by each registration a binding reads: aggregates and
-       history support *)
 }
 
 exception Resolution_error of string
@@ -143,10 +140,7 @@ let create () =
     aggregates = Hashtbl.create 16;
     interval_sargable = [];
     chronon_extractors = [];
-    history = None;
-    generation = 0 }
-
-let generation t = t.generation
+    history = None }
 
 let canonical = String.lowercase_ascii
 
@@ -174,7 +168,6 @@ let register_aggregate t ~name agg =
   let key = canonical name in
   if Hashtbl.mem t.aggregates key then
     invalid_arg (Printf.sprintf "aggregate %s already registered" key);
-  t.generation <- t.generation + 1;
   Hashtbl.replace t.aggregates key agg
 
 let register_interval_sargable t ~name =
@@ -183,9 +176,7 @@ let register_interval_sargable t ~name =
 let register_chronon_extractor t f =
   t.chronon_extractors <- f :: t.chronon_extractors
 
-let register_history_support t support =
-  t.generation <- t.generation + 1;
-  t.history <- Some support
+let register_history_support t support = t.history <- Some support
 
 let history_support t = t.history
 

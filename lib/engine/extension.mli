@@ -93,10 +93,6 @@ exception Resolution_error of string
 
 val create : unit -> t
 
-(** A counter bumped by every registration {!Binder} reads (aggregates
-    and history support): part of what a cached binding is valid for. *)
-val generation : t -> int
-
 (** {1 Registration} *)
 
 (** @raise Invalid_argument if this exact signature is already present. *)

@@ -408,8 +408,6 @@ let rec plan_compound pctx (c : Ast.compound) : Plan.t * string array =
 let plan ~ext ~ectx catalog select =
   plan_compound { ext; ectx; catalog } (Ast.Simple select)
 
-let plan_bound ~ext ~ectx catalog bound = plan_bound { ext; ectx; catalog } bound
-
 let plan_union ~ext ~ectx catalog compound =
   plan_compound { ext; ectx; catalog } compound
 

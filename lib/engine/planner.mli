@@ -26,14 +26,6 @@ val plan :
   Ast.select ->
   Plan.t * string array
 
-(** Plans a SELECT already bound, by {!Binder.bind} or {!Plan_cache.bind}. *)
-val plan_bound :
-  ext:Extension.t ->
-  ectx:Expr_eval.ctx ->
-  Catalog.t ->
-  Binder.select ->
-  Plan.t * string array
-
 (** Plans a UNION [ALL] tree; arms must agree on arity; names come from
     the first arm. *)
 val plan_union :

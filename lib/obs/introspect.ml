@@ -8,7 +8,9 @@
    one probe plus a handful of integer bumps.
 
    Capacity is bounded: when a new shape arrives at capacity, the
-   least-recently-updated entry is evicted ({!Lru}). *)
+   least-recently-updated entry is evicted (an O(capacity) scan over a
+   counter stamp — capacity is small and eviction rare, so this beats
+   maintaining an intrusive list). *)
 
 type entry = {
   e_query : string;
@@ -21,6 +23,7 @@ type entry = {
   mutable e_errors : int;
   mutable e_cancelled : int;
   e_buckets : int array; (* non-cumulative, aligned with Metrics.bounds *)
+  mutable e_stamp : int; (* LRU clock value of the last update *)
 }
 
 type outcome = Finished | Errored | Cancelled
@@ -40,26 +43,50 @@ type stat = {
 }
 
 let lock = Mutex.create ()
+let table : (string, entry) Hashtbl.t = Hashtbl.create 64
+let clock = ref 0
 
 let default_capacity =
   match Sys.getenv_opt "TIP_STAT_STATEMENTS_CAP" with
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 512)
   | None -> 512
 
-let table : (string, entry) Lru.t = Lru.create default_capacity
+let capacity_ref = ref default_capacity
 
 let with_lock f = Mutex.protect lock f
 
-let capacity () = with_lock (fun () -> Lru.capacity table)
-let set_capacity n = with_lock (fun () -> Lru.set_capacity table n)
+let capacity () = !capacity_ref
+
+let evict_lru () =
+  (* called under the lock *)
+  let victim = ref None in
+  Hashtbl.iter
+    (fun key e ->
+      match !victim with
+      | Some (_, stamp) when stamp <= e.e_stamp -> ()
+      | _ -> victim := Some (key, e.e_stamp))
+    table;
+  match !victim with
+  | Some (key, _) -> Hashtbl.remove table key
+  | None -> ()
+
+let set_capacity n =
+  if n <= 0 then invalid_arg "Introspect.set_capacity: capacity must be positive";
+  with_lock (fun () ->
+      capacity_ref := n;
+      while Hashtbl.length table > n do
+        evict_lru ()
+      done)
 
 let record ~query ~elapsed_ns ~rows_returned ~rows_scanned outcome =
   if Switch.on () then
     with_lock (fun () ->
+        incr clock;
         let e =
-          match Lru.find table query with
+          match Hashtbl.find_opt table query with
           | Some e -> e
           | None ->
+            if Hashtbl.length table >= !capacity_ref then evict_lru ();
             let e =
               { e_query = query;
                 e_calls = 0;
@@ -70,9 +97,10 @@ let record ~query ~elapsed_ns ~rows_returned ~rows_scanned outcome =
                 e_rows_scanned = 0;
                 e_errors = 0;
                 e_cancelled = 0;
-                e_buckets = Array.make (Array.length Metrics.bounds + 1) 0 }
+                e_buckets = Array.make (Array.length Metrics.bounds + 1) 0;
+                e_stamp = 0 }
             in
-            Lru.replace table query e;
+            Hashtbl.replace table query e;
             e
         in
         e.e_calls <- e.e_calls + 1;
@@ -86,11 +114,12 @@ let record ~query ~elapsed_ns ~rows_returned ~rows_scanned outcome =
         | Errored -> e.e_errors <- e.e_errors + 1
         | Cancelled -> e.e_cancelled <- e.e_cancelled + 1);
         let b = Metrics.bucket_of elapsed_ns in
-        e.e_buckets.(b) <- e.e_buckets.(b) + 1)
+        e.e_buckets.(b) <- e.e_buckets.(b) + 1;
+        e.e_stamp <- !clock)
 
 let snapshot () =
   with_lock (fun () ->
-      Lru.fold
+      Hashtbl.fold
         (fun _ e acc ->
           { query = e.e_query;
             calls = e.e_calls;
@@ -106,6 +135,6 @@ let snapshot () =
         table [])
   |> List.sort (fun a b -> compare (b.total_ns, b.query) (a.total_ns, a.query))
 
-let size () = with_lock (fun () -> Lru.length table)
+let size () = with_lock (fun () -> Hashtbl.length table)
 
-let reset () = with_lock (fun () -> Lru.clear table)
+let reset () = with_lock (fun () -> Hashtbl.reset table)

@@ -154,23 +154,14 @@ type response =
 (* The server's per-statement hot path: each row is printed, and its
    cells escaped in place, into one small buffer reused across the
    rows, then leaves in one channel write. The bytes are those
-   [encode_typed] and the line layout above describe. Each column keeps
-   the printer of its last cell's type, so an extension's vtable is
-   looked up once per response, not once per cell. *)
-type printer = { mutable out_ty : string; mutable print : Buffer.t -> Value.t -> unit }
-
-let add_typed b scratch col v =
+   [encode_typed] and the line layout above describe. *)
+let add_typed b scratch v =
   if Value.is_null v then Buffer.add_string b null_cell
   else begin
-    let ty = Value.type_name v in
-    if not (String.equal ty col.out_ty) then begin
-      col.out_ty <- ty;
-      col.print <- Value.printer ty
-    end;
-    Buffer.add_string b ty;
+    Buffer.add_string b (Value.type_name v);
     Buffer.add_char b '\t';
     let start = Buffer.length b in
-    col.print b v;
+    Value.to_buffer b v;
     Persist.escape_wire_from scratch b start
   end
 
@@ -194,16 +185,12 @@ let write_response oc = function
       names;
     output_char oc '\n';
     let b = Buffer.create 256 and scratch = ref (Bytes.create 128) in
-    let columns =
-      Array.init (List.length names) (fun _ ->
-          { out_ty = ""; print = Value.to_buffer })
-    in
     List.iter
       (fun row ->
         Buffer.clear b;
         for i = 0 to Array.length row - 1 do
           if i > 0 then Buffer.add_char b '\x01';
-          add_typed b scratch columns.(i) row.(i)
+          add_typed b scratch row.(i)
         done;
         Buffer.add_char b '\n';
         Buffer.output_buffer oc b)

@@ -14,18 +14,13 @@ type t = {
   partitions : (string, Partition.t) Hashtbl.t; (* parent name -> descriptor *)
   part_parent : (string, Partition.t * Partition.part) Hashtbl.t;
       (* child table name -> (parent descriptor, its part) *)
-  mutable generation : int; (* bumped by every change below *)
 }
 
 let create () =
   { tables = Hashtbl.create 16;
     index_owner = Hashtbl.create 16;
     partitions = Hashtbl.create 4;
-    part_parent = Hashtbl.create 8;
-    generation = 0 }
-
-let generation t = t.generation
-let touch t = t.generation <- t.generation + 1
+    part_parent = Hashtbl.create 8 }
 
 let key name = String.lowercase_ascii name
 
@@ -98,7 +93,6 @@ let create_table t schema =
   if Hashtbl.mem t.partitions name then
     catalog_error "table %s already exists (partitioned)" name;
   let table = Table.create schema in
-  touch t;
   Hashtbl.replace t.tables name table;
   (* The implicit primary-key index joins the global namespace too. *)
   List.iter
@@ -109,7 +103,6 @@ let create_table t schema =
 (* Registers the descriptor and the child back-links of an already-built
    partitioned table. *)
 let register_partitioned t pt =
-  touch t;
   Hashtbl.replace t.partitions pt.Partition.pt_name pt;
   Array.iter
     (fun part ->
@@ -173,7 +166,6 @@ let drop_plain_table t name =
   match find_table t name with
   | None -> false
   | Some table ->
-    touch t;
     List.iter
       (fun idx -> Hashtbl.remove t.index_owner (key idx.Table.idx_name))
       (Table.indexes table);
@@ -189,7 +181,6 @@ let drop_table t name =
         Hashtbl.remove t.part_parent (key child);
         ignore (drop_plain_table t child))
       pt.Partition.pt_parts;
-    touch t;
     Hashtbl.remove t.partitions (key name);
     true
   | None ->
@@ -204,7 +195,6 @@ let create_index t ~idx_name ~table_name ~column ~unique ~kind =
     catalog_error "index %s already exists" idx_name;
   let table = table_exn t table_name in
   let idx = Table.create_index table ~idx_name:idx_key ~column ~unique ~kind in
-  touch t;
   Hashtbl.replace t.index_owner idx_key (key table_name);
   idx
 
@@ -214,7 +204,6 @@ let create_index t ~idx_name ~table_name ~column ~unique ~kind =
    snapshot the contents must be swapped under the existing handle
    rather than allocating a new catalog. *)
 let assign t ~from =
-  touch t;
   Hashtbl.reset t.tables;
   Hashtbl.reset t.index_owner;
   Hashtbl.reset t.partitions;
@@ -231,6 +220,5 @@ let drop_index t idx_name =
   | Some owner ->
     let table = table_exn t owner in
     ignore (Table.drop_index table idx_key);
-    touch t;
     Hashtbl.remove t.index_owner idx_key;
     true

@@ -8,15 +8,6 @@ type t
 
 val create : unit -> t
 
-(** A counter every change to the catalog's tables, partitions and
-    indexes bumps, and {!touch}: what a cached binding of a statement
-    to this catalog is valid for. *)
-val generation : t -> int
-
-(** Bumps {!generation}, for a change the catalog does not see, such as
-    new planner statistics. *)
-val touch : t -> unit
-
 val find_table : t -> string -> Table.t option
 
 (** @raise Catalog_error when the table does not exist. *)

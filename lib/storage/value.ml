@@ -101,11 +101,6 @@ let to_buffer b = function
   | Date c -> Tip_core.Chronon.to_buffer b c
   | Ext (name, _) as v -> (vtable_of_ext name).print b v
 
-let printer name =
-  match Hashtbl.find_opt registry name with
-  | Some vt -> vt.print
-  | None -> to_buffer
-
 let to_display_string = function
   | Str s -> s
   | v ->

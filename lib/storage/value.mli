@@ -77,10 +77,6 @@ val is_null : t -> bool
     else [NULL], ["%d"], ["%g"], [t]/[f], the string, or [yyyy-mm-dd]. *)
 val to_buffer : Buffer.t -> t -> unit
 
-(** [printer name] is {!to_buffer} for the values of type [name],
-    with an extension's vtable looked up once: a column's printer. *)
-val printer : string -> Buffer.t -> t -> unit
-
 (** {!to_buffer}'s bytes as a string. *)
 val to_display_string : t -> string
 

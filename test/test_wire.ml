@@ -453,7 +453,7 @@ let check_write_allocation () =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      within_ceiling "write_response, 11-row lookup result" ~ceiling:184
+      within_ceiling "write_response, 11-row lookup result" ~ceiling:152
         (fun () -> Protocol.write_response oc response))
 
 let check_read_allocation () =
